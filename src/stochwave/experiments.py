@@ -8,9 +8,26 @@ mean-square distance
 
     rms(tau) = sqrt( mean_s || U_tau,s(T) - U_ref,s(T) ||_0^2 )
 
-in the L2 x H^-1 pair norm, with both states zero-padded to the wider band
-(an isometry).  The initial state is built once, on the reference grid, and
-restricted spectrally for each coarser run.
+in the L2 x H^-1 pair norm.  The initial state is built once, on the
+reference grid, and restricted spectrally for each run.
+
+The pair norm is diagonal in the Fourier modes, so each squared error splits
+exactly at the box |k|_inf <= M - 1, where M is the widest stepped band of
+the study (the reference's or a coarse level's):
+
+* inside the box, per sample: every run steps its band only, and its final
+  state is compared at band M with the reference's.  The linearly recovered
+  modes of hr_lri that fall inside the box never see the noise, so they are
+  added as per-study constants.
+* outside the box, per study: no run steps there, and every recovered mode
+  is the exact linear flow e^(TL) of the shared initial state.  The
+  reference holds that flow up to its full band N_ref^alpha; a recovering
+  hr_lri level holds the same values below its own recovery cutoff, where
+  the two cancel.  The tail is the weighted norm^2 of that flow outside
+  box M (outside the level's cutoff for hr_lri), computed once.
+
+So no sample ever builds a state wider than band M.  With alpha = 1 there
+is nothing outside the box and no tail is computed.
 
 Orders are read off as the least-squares slope of log(rms) against
 log(tau).  Samples whose run leaves the floating-point domain are excluded
@@ -36,6 +53,7 @@ from .integrators import (
     MethodSpec,
     NumericalError,
     method_spec,
+    recover_high,
     run,
 )
 from .noise import sample_path
@@ -47,11 +65,14 @@ from .problems import (
 )
 from .spectral import (
     SpectralGrid,
+    SpectralState,
     diff_norm,
     make_grid,
+    project_band,
     save_snapshot,
     sobolev_norm,
     state_to_fields,
+    with_band,
 )
 
 DESK_SAMPLES = 128
@@ -99,19 +120,45 @@ def default_n_cut(tau: float) -> int:
     return max(n, 1)
 
 
+def _check_dyadic(name: str, step: float, t_final: float) -> None:
+    """The Brownian lattice needs t_final / step to be a power of two."""
+    if not (math.isfinite(step) and step > 0):
+        raise ConfigError(f"{name} must be positive, got {step}")
+    r = t_final / step
+    n = round(r)
+    if n < 1 or abs(r - n) > 1e-9 or n & (n - 1):
+        raise ConfigError(f"t_final/{name} = {t_final}/{step} is not a power of two")
+
+
 def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
-    """Fill derived defaults and validate cross-field consistency."""
+    """Fill derived defaults and validate cross-field consistency.
+
+    Everything the runtime would reject fails here, with ConfigError.
+    """
     if config.dim not in (1, 2):
         raise ConfigError(f"dim must be 1 or 2, got {config.dim}")
+    if config.preset not in (None, 1, 2, 3, 4):
+        raise ConfigError(f"unknown preset {config.preset}")
+    if not config.gamma > 0:
+        raise ConfigError(f"gamma must be positive, got {config.gamma}")
+    if not (math.isfinite(config.t_final) and config.t_final > 0):
+        raise ConfigError(f"t_final must be positive, got {config.t_final}")
+    if not (0 <= config.seed < 2**64 and 0 <= config.sample_index < 2**64):
+        raise ConfigError("seed and sample_index must lie in [0, 2^64)")
     levels = tuple(sorted((float(t) for t in config.levels), reverse=True))
     if not levels:
         raise ConfigError("at least one level is required")
     alpha = config.alpha
     if alpha is None:
         alpha = 2.0 if config.dim == 1 else 1.5
+    if not (math.isfinite(alpha) and alpha >= 1):
+        raise ConfigError(f"alpha must be >= 1, got {alpha}")
     tau_ref = config.tau_ref
     if tau_ref is None:
         tau_ref = levels[-1] / 4.0
+    _check_dyadic("tau_ref", tau_ref, config.t_final)
+    if config.tau is not None:
+        _check_dyadic("tau", config.tau, config.t_final)
     for tau in levels:
         r = tau / tau_ref
         if abs(r - round(r)) > 1e-9 or round(r) < 1:
@@ -124,6 +171,8 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
         n_cuts = tuple(default_n_cut(t) for t in levels)
     elif len(n_cuts) != len(levels):
         raise ConfigError("n_cuts must match levels one to one")
+    if min(n_cuts) < 1:
+        raise ConfigError(f"n_cuts must be >= 1, got {n_cuts}")
     methods = tuple(config.methods)
     for m in methods:
         if m not in ("hr_lri", "lri", "sem", "stm"):
@@ -169,7 +218,7 @@ class ConvergenceReport:
     fitted_order: float | None
 
 
-def estimate_order(rows) -> float:
+def estimate_order(rows) -> float | None:
     """Ordinary least-squares slope of log(rms) against log(tau).
 
     ``rows`` holds (tau, rms) pairs or LevelRow objects.  Returns None when
@@ -222,39 +271,123 @@ def _aggregate(method: str, levels, n_cuts, err_sq: np.ndarray,
 # convergence study
 
 
-def _shared_initial(config: ExperimentConfig, problem: ProblemSpec,
-                    ref_grid: SpectralGrid) -> ProblemSpec:
-    """Pin one initial state, built on the reference grid, for every run."""
-    u0 = build_initial(problem.initial, ref_grid)
-    return ProblemSpec(problem.f, problem.sigma,
-                       InitialDataSpec("explicit", state=u0))
+@dataclass(frozen=True)
+class _Study:
+    """What every sample of a study shares, read-only.
+
+    Runs step on grids without a recovery band; ``band`` is the widest of
+    their stepped bands (M).  ``ref_offset`` holds the reference's recovered
+    modes inside box M and ``offsets[m][l]`` those of a recovering level;
+    ``tails[m, l]`` is the squared error outside box M.
+    """
+
+    config: ExperimentConfig
+    shared: ProblemSpec
+    band: int
+    ref_grid: SpectralGrid
+    ref_method: MethodSpec
+    grids: list
+    specs: list
+    ref_offset: SpectralState | None
+    offsets: list
+    tails: np.ndarray
 
 
-def _one_sample(sample: int, config: ExperimentConfig, shared: ProblemSpec,
-                ref_grid: SpectralGrid, ref_method: MethodSpec,
-                grids, specs):
+def _prepare(config: ExperimentConfig) -> _Study:
+    """Grids, specs, the shared initial state and the noise-free parts of
+    every error, computed once per study."""
+    dim, problem = study_problem(config)
+    n_ref = default_n_cut(config.tau_ref)
+    band = max(n_ref, *config.n_cuts)
+    full = make_grid(dim, n_ref, config.alpha)
+    u0 = build_initial(problem.initial, full)
+    if u0.grid.dim != dim:
+        raise ConfigError(f"initial state is {u0.grid.dim}-dimensional, config says {dim}")
+    u0 = with_band(u0, full.n_high)
+    specs = [[method_spec(m, tau, config.t_final) for tau in config.levels]
+             for m in config.methods]
+    n_highs = [make_grid(dim, n, config.alpha).n_high for n in config.n_cuts]
+
+    n_m, n_l = len(config.methods), len(config.levels)
+    ref_offset = None
+    offsets = [[None] * n_l for _ in range(n_m)]
+    tails = np.zeros((n_m, n_l))
+    if full.n_high > n_ref or any(h > n for h, n in zip(n_highs, config.n_cuts)):
+        # box b holds the modes a state at band b stores: every |k_j| <= b - 1
+        flow = recover_high(u0, config.t_final)
+        flow_m = with_band(flow, band)
+        tail_cache: dict[int, float] = {}
+
+        def inside(lo: int, hi: int) -> SpectralState | None:
+            """The flow outside box lo and inside boxes hi and M, at band M."""
+            hi = min(hi, band)
+            return project_band(flow_m, lo - 1, hi - 1) if hi > lo else None
+
+        def tail(box: int) -> float:
+            """Squared norm of the flow outside box ``box``."""
+            if box not in tail_cache:
+                outside = 0.0
+                if box < flow.band:
+                    outside = sobolev_norm(project_band(flow, box - 1, flow.band), 0.0) ** 2
+                tail_cache[box] = outside
+            return tail_cache[box]
+
+        ref_offset = inside(n_ref, full.n_high)
+        for li, (n_cut, n_high) in enumerate(zip(config.n_cuts, n_highs)):
+            for mi, row in enumerate(specs):
+                if row[li].recovery:
+                    offsets[mi][li] = inside(n_cut, n_high)
+                    tails[mi, li] = tail(max(band, n_high))
+                else:
+                    tails[mi, li] = tail(band)
+
+    # no run reads the initial state above band M
+    shared = ProblemSpec(problem.f, problem.sigma,
+                         InitialDataSpec("explicit", state=with_band(u0, band)))
+    return _Study(
+        config=config, shared=shared, band=band,
+        ref_grid=make_grid(dim, n_ref, 1.0),
+        ref_method=method_spec("hr_lri", config.tau_ref, config.t_final),
+        grids=[make_grid(dim, n, 1.0) for n in config.n_cuts], specs=specs,
+        ref_offset=ref_offset, offsets=offsets, tails=tails)
+
+
+def _at_band(state: SpectralState, band: int,
+             offset: SpectralState | None) -> SpectralState:
+    """A stepped final state at band M, plus its recovered modes there."""
+    state = with_band(state, band)
+    if offset is None:
+        return state
+    return replace(state, u_hat=state.u_hat + offset.u_hat,
+                   v_hat=state.v_hat + offset.v_hat)
+
+
+def _one_sample(sample: int, study: _Study):
     """Errors (squared) and wall times for one coupled sample.
 
     Returns (err_sq, wall) arrays of shape (n_methods, n_levels); NaN marks
     an excluded run.
     """
+    config = study.config
     n_m = len(config.methods)
     n_l = len(config.levels)
     err_sq = np.full((n_m, n_l), np.nan)
     wall = np.zeros((n_m, n_l))
     lattice = sample_path(config.seed, sample, config.t_final, config.tau_ref)
     try:
-        ref = run(ref_method, ref_grid, shared, lattice)
+        ref = run(study.ref_method, study.ref_grid, study.shared, lattice)
     except NumericalError:
         return err_sq, wall
+    ref_state = _at_band(ref.final_state, study.band, study.ref_offset)
     for mi in range(n_m):
         for li in range(n_l):
             try:
-                res = run(specs[mi][li], grids[li], shared, lattice)
+                res = run(study.specs[mi][li], study.grids[li], study.shared, lattice)
             except NumericalError:
                 continue
-            err = diff_norm(res.final_state, ref.final_state, 0.0)
-            err_sq[mi, li] = err * err
+            state = _at_band(res.final_state, study.band, study.offsets[mi][li])
+            err = diff_norm(state, ref_state, 0.0)
+            err_sq[mi, li] = err * err + study.tails[mi, li]
             wall[mi, li] = res.wall_time
     return err_sq, wall
 
@@ -263,18 +396,10 @@ def run_convergence(config: ExperimentConfig,
                     collect_timing: bool = False) -> dict[str, ConvergenceReport]:
     """One coupled-path convergence study; a report per method."""
     config = resolve_config(config)
-    dim, problem = study_problem(config)
-    n_ref = default_n_cut(config.tau_ref)
-    ref_grid = make_grid(dim, n_ref, config.alpha)
-    ref_method = method_spec("hr_lri", config.tau_ref, config.t_final)
-    shared = _shared_initial(config, problem, ref_grid)
-    grids = [make_grid(dim, n, config.alpha) for n in config.n_cuts]
-    specs = [[method_spec(m, tau, config.t_final) for tau in config.levels]
-             for m in config.methods]
+    study = _prepare(config)
 
     def job(sample: int):
-        return _one_sample(sample, config, shared, ref_grid, ref_method,
-                           grids, specs)
+        return _one_sample(sample, study)
 
     if config.n_workers > 1:
         with ThreadPoolExecutor(max_workers=config.n_workers) as pool:

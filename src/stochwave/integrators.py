@@ -189,6 +189,9 @@ def run(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
     increments, so runs at different step sizes on one lattice are coupled.
     With ``snapshot_stride`` > 0 the callback receives
     (step_index, time, full-band state) every stride steps and at both ends.
+    ``RunResult.wall_time`` is the stepping time alone: snapshot assembly and
+    the callback are not counted.  A non-finite state or nonlinearity image
+    raises NumericalError.
     """
     t_total = method.n_steps * method.tau
     if t_total > path.t_final + 1e-12:
@@ -220,26 +223,32 @@ def run(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
         on_snapshot(0, 0.0, full_state(low, 0.0))
 
     start = time.perf_counter()
+    snapshot_s = 0.0
     state = low
     for n in range(method.n_steps):
         dw = float(dws[n])
-        if method.kind == "hr_lri":
-            state = step_hrlri_low(state, method.tau, dw, problem.f,
-                                   problem.sigma, grid.n_cut)
-        elif method.kind == "lri":
-            state = step_lri(state, method.tau, dw, problem.f, problem.sigma,
-                             cut, method.oversample)
-        elif method.kind == "sem":
-            state = step_sem(state, method.tau, dw, problem.sigma)
-        elif method.kind == "stm":
-            state = step_stm(state, method.tau, dw, problem.sigma)
-        else:
-            raise ValueError(f"unknown method kind {method.kind!r}")
+        try:
+            if method.kind == "hr_lri":
+                state = step_hrlri_low(state, method.tau, dw, problem.f,
+                                       problem.sigma, grid.n_cut)
+            elif method.kind == "lri":
+                state = step_lri(state, method.tau, dw, problem.f, problem.sigma,
+                                 cut, method.oversample)
+            elif method.kind == "sem":
+                state = step_sem(state, method.tau, dw, problem.sigma)
+            elif method.kind == "stm":
+                state = step_stm(state, method.tau, dw, problem.sigma)
+            else:
+                raise ValueError(f"unknown method kind {method.kind!r}")
+        except FloatingPointError as exc:
+            raise NumericalError(f"non-finite nonlinearity image at step {n}") from exc
         _check_finite(state, n)
         if (on_snapshot is not None and snapshot_stride > 0
                 and (n + 1) % snapshot_stride == 0 and n + 1 < method.n_steps):
+            t_snap = time.perf_counter()
             on_snapshot(n + 1, (n + 1) * method.tau, full_state(state, (n + 1) * method.tau))
-    wall = time.perf_counter() - start
+            snapshot_s += time.perf_counter() - t_snap
+    wall = time.perf_counter() - start - snapshot_s
 
     final = full_state(state, t_total)
     if on_snapshot is not None and snapshot_stride > 0 and method.n_steps > 0:

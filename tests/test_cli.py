@@ -1,5 +1,9 @@
 """Command line surface: flag merging, outputs, exit codes."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 
 import stochwave as sw
@@ -59,15 +63,44 @@ def test_compare_subcommand(tmp_path):
     assert (out_dir / "error_vs_time_sem.txt").exists()
 
 
-def test_config_error_exit_code(tmp_path, capsys):
-    rc = main(["converge", "--preset", "2", "--method", "warp",
-               "--out", str(tmp_path)])
-    assert rc == 2
-    assert "configuration error" in capsys.readouterr().err
+# argument combinations the runtime would reject; each must fail at config
+# resolution, before any run, with exit 2 and no traceback
+BAD_ARGUMENTS = [
+    ["converge", "--preset", "2", "--method", "warp"],
+    ["converge", "--config", "{tmp}/nope.cfg"],
+    ["converge", "--preset", "2", "--tfinal", "0.75", "--tau", "0.03125", "--levels", "3"],
+    ["run", "--preset", "1", "--tau", "0.3"],
+    ["run", "--preset", "1", "--tau", "0.0625", "--tfinal", "0.1875"],
+    ["converge", "--preset", "2", "--tau", "0.3", "--levels", "3"],
+    ["converge", "--dim", "2", "--preset", "1", "--tau", "0.125", "--levels", "3"],
+    ["converge", "--preset", "2", "--samples", "0"],
+    ["converge", "--preset", "2", "--alpha", "0.5"],
+    ["converge", "--preset", "2", "--gamma", "0"],
+    ["converge", "--preset", "2", "--seed", "-1"],
+    ["run", "--preset", "1", "--tau", "0.0625", "--sample", "-1"],
+    ["converge", "--preset", "2", "--tfinal", "-0.25"],
+    ["converge", "--config", "{tmp}/preset7.cfg"],
+    ["converge", "--config", "{tmp}/tau_ref0.cfg"],
+    ["converge", "--config", "{tmp}/n_cuts0.cfg"],
+]
 
-    missing = tmp_path / "nope.cfg"
-    rc = main(["converge", "--config", str(missing), "--out", str(tmp_path)])
-    assert rc == 2
+
+def test_config_error_exit_code(tmp_path):
+    (tmp_path / "preset7.cfg").write_text("preset = 7\n", encoding="utf-8")
+    (tmp_path / "tau_ref0.cfg").write_text("preset = 2\ntau_ref = 0\n", encoding="utf-8")
+    (tmp_path / "n_cuts0.cfg").write_text(
+        "preset = 2\nlevels = 0.125,0.0625\nn_cuts = 0,4\n", encoding="utf-8")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sw.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv in BAD_ARGUMENTS:
+        argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(tmp_path / "out")]
+        proc = subprocess.run([sys.executable, "-m", "stochwave.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+        assert "configuration error" in proc.stderr, (argv, proc.stderr)
+    assert not (tmp_path / "out").exists()
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):

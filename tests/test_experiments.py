@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import stochwave as sw
+import stochwave.experiments as exp
 from stochwave.experiments import (
     config_from_mapping,
     default_n_cut,
@@ -179,6 +180,29 @@ class TestRunConvergence:
         assert rows[0].excluded == 1 and rows[0].n_samples == 100
         assert rows[1].excluded == 0 and rows[1].n_samples == 101
 
+    def test_nonfinite_image_excluded(self, monkeypatch):
+        # a real non-finite nonlinearity image in one run: NaN for that run,
+        # counted in the excluded column, never a FloatingPointError
+        real_run = exp.run
+        poisoned = sw.scaled_sine(np.nan)
+
+        def poison(spec, grid, problem, lattice, **kw):
+            if (lattice.sample_index == 2 and spec.kind == "stm"
+                    and spec.tau == 2**-4):
+                problem = sw.ProblemSpec(problem.f, poisoned, problem.initial)
+            return real_run(spec, grid, problem, lattice, **kw)
+
+        monkeypatch.setattr(exp, "run", poison)
+        cfg = resolve_config(sw.ExperimentConfig(
+            dim=1, preset=2, gamma=4.0, methods=("sem", "stm"),
+            levels=(2**-3, 2**-4, 2**-5), n_samples=40, seed=13))
+        err_sq, _ = exp._one_sample(2, exp._prepare(cfg))
+        assert np.isnan(err_sq[1, 1])
+        assert np.isfinite(np.delete(err_sq.ravel(), 4)).all()
+        reports = sw.run_convergence(cfg)
+        assert [row.excluded for row in reports["stm"].rows] == [0, 1, 0]
+        assert [row.excluded for row in reports["sem"].rows] == [0, 0, 0]
+
     def test_exclusions_over_threshold_fail_loudly(self, monkeypatch):
         import stochwave.experiments as exp
         real_run = exp.run
@@ -205,6 +229,89 @@ class TestRunConvergence:
         fine = sw.run_convergence(sw.ExperimentConfig(tau_ref=2**-9, **base))
         for a, b in zip(coarse["hr_lri"].rows, fine["hr_lri"].rows):
             assert abs(a.rms_error - b.rms_error) < max(a.stderr, 1e-12)
+
+
+def full_state_errors(config, sample):
+    """The error norms of one sample computed on full-band final states:
+    every run recovers its whole band, and diff_norm pads both states to the
+    wider one.  The study's split evaluation must reproduce these."""
+    config = resolve_config(config)
+    dim, problem = exp.study_problem(config)
+    ref_grid = sw.make_grid(dim, default_n_cut(config.tau_ref), config.alpha)
+    shared = sw.ProblemSpec(problem.f, problem.sigma, sw.InitialDataSpec(
+        "explicit", state=sw.build_initial(problem.initial, ref_grid)))
+    lattice = sw.sample_path(config.seed, sample, config.t_final, config.tau_ref)
+    ref = sw.run(sw.method_spec("hr_lri", config.tau_ref, config.t_final),
+                 ref_grid, shared, lattice)
+    out = np.empty((len(config.methods), len(config.levels)))
+    for mi, m in enumerate(config.methods):
+        for li, (tau, n_cut) in enumerate(zip(config.levels, config.n_cuts)):
+            res = sw.run(sw.method_spec(m, tau, config.t_final),
+                         sw.make_grid(dim, n_cut, config.alpha), shared, lattice)
+            out[mi, li] = sw.diff_norm(res.final_state, ref.final_state, 0.0)
+    return out
+
+
+def rough_state(band, seed=0):
+    """White-noise fields stored at ``band``: every stored mode is set."""
+    grid = sw.make_grid(1, band, 1.0)
+    rng = np.random.default_rng(seed)
+    return sw.state_from_fields(grid, rng.standard_normal(2 * band),
+                                rng.standard_normal(2 * band))
+
+
+def explicit(state):
+    return sw.ProblemSpec(sw.zero_fn(), sw.scaled_sine(16.0),
+                          sw.InitialDataSpec("explicit", state=state))
+
+
+ALL_METHODS = ("hr_lri", "lri", "sem", "stm")
+# 1D levels 2^-3..2^-5 with tau_ref 2^-7: stepped bands 2, 4, 8 and N_ref = 32
+SPLIT_CASES = {
+    "preset1": dict(dim=1, preset=1),
+    "preset1-wide-n_cuts": dict(dim=1, preset=1, n_cuts=(4, 16, 64)),
+    "preset2": dict(dim=1, preset=2),
+    "preset2-alpha1": dict(dim=1, preset=2, alpha=1.0),
+    "explicit-band2": dict(dim=1, problem=explicit(lowband_state())),
+    "explicit-band64": dict(dim=1, problem=explicit(rough_state(64))),
+    "preset3": dict(dim=2, preset=3, levels=(2**-3, 2**-4), tau_ref=2**-6),
+    "preset3-wide-n_cuts": dict(dim=2, preset=3, levels=(2**-3, 2**-4),
+                                tau_ref=2**-6, n_cuts=(4, 32)),
+    "preset4": dict(dim=2, preset=4, levels=(2**-3, 2**-4), tau_ref=2**-6),
+    "preset4-alpha1": dict(dim=2, preset=4, alpha=1.0, levels=(2**-3, 2**-4),
+                           tau_ref=2**-6),
+}
+
+
+class TestErrorSplit:
+    @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+    def test_split_matches_full_state_norm(self, case):
+        base = dict(methods=ALL_METHODS, levels=(2**-3, 2**-4, 2**-5),
+                    gamma=0.5, seed=4)
+        cfg = resolve_config(sw.ExperimentConfig(**{**base, **SPLIT_CASES[case]}))
+        study = exp._prepare(cfg)
+        for sample in (0, 1):
+            err_sq, _ = exp._one_sample(sample, study)
+            oracle = full_state_errors(cfg, sample)
+            assert (oracle > 0).all()
+            np.testing.assert_allclose(np.sqrt(err_sq), oracle, rtol=1e-13, atol=0)
+
+    def test_no_sample_state_wider_than_stepped_band(self, monkeypatch):
+        real = exp.diff_norm
+        bands = []
+
+        def spy(a, b, gamma=0.0):
+            bands.append((a.band, b.band))
+            return real(a, b, gamma)
+
+        monkeypatch.setattr(exp, "diff_norm", spy)
+        cfg = sw.ExperimentConfig(dim=1, preset=1, methods=ALL_METHODS,
+                                  levels=(2**-3, 2**-4, 2**-5), n_cuts=(4, 16, 64),
+                                  n_samples=3, seed=1)
+        sw.run_convergence(cfg)
+        # M = 64 here, while the reference's full band is 32^2 = 1024
+        assert len(bands) == 3 * 4 * 3
+        assert max(max(pair) for pair in bands) == 64
 
 
 class TestCompare:

@@ -1,5 +1,7 @@
 """Time steppers, the run driver, and the zero-mode oracle."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -347,6 +349,33 @@ class TestRunDriver:
         lattice = sw.sample_path(0, 0, 0.25, 2**-4)
         with pytest.raises(sw.NumericalError, match="step 0"):
             sw.run(spec, grid, problem, lattice)
+
+    def test_nonfinite_image_is_numerical_error(self):
+        # the nonlinearity layer's FloatingPointError becomes the one
+        # failure type for non-finite events at the run boundary
+        grid = sw.make_grid(1, 4, 1.0)
+        problem = explicit_problem(random_state(grid), sigma=sw.scaled_sine(np.nan))
+        spec = sw.method_spec("stm", 2**-4, 0.25)
+        lattice = sw.sample_path(0, 0, 0.25, 2**-4)
+        with pytest.raises(sw.NumericalError, match="step 0"):
+            sw.run(spec, grid, problem, lattice)
+
+    def test_wall_time_excludes_snapshots(self):
+        grid = sw.make_grid(1, 4, 2.0)
+        problem = explicit_problem(random_state(grid), sigma=sw.scaled_sine(1.0))
+        spec = sw.method_spec("hr_lri", 2**-4, 0.25)
+        lattice = sw.sample_path(0, 0, 0.25, 2**-4)
+        pause = 0.05
+        steps = []
+
+        def slow(step, t, state):
+            steps.append(step)
+            time.sleep(pause)
+
+        result = sw.run(spec, grid, problem, lattice, snapshot_stride=1,
+                        on_snapshot=slow)
+        assert steps == [0, 1, 2, 3, 4]  # three callbacks inside the loop
+        assert result.wall_time < pause
 
     def test_misaligned_tau_rejected(self):
         grid = sw.make_grid(1, 4, 1.0)
