@@ -2,13 +2,10 @@
 equation with multiplicative scalar noise, plus a coupled-path Monte Carlo
 harness for strong-convergence measurements."""
 
-from ._kernels import backend_name
 from .spectral import (
-    ModeFrequency,
     SpectralGrid,
     SpectralState,
     diff_norm,
-    mode_frequency,
     embed,
     forward,
     inverse,
@@ -25,24 +22,15 @@ from .spectral import (
     with_band,
     zero_state,
 )
-from .semigroup import (
-    ModePropagator,
-    apply_group,
-    apply_resolvent,
-    propagator,
-)
 from .noise import (
     WienerLattice,
     coarsen,
-    dump_path_csv,
-    increment,
     sample_path,
 )
 from .problems import (
     InitialDataSpec,
     NonlinearitySpec,
     ProblemSpec,
-    apply_nonlinearity,
     bounded_tabulated,
     build_indicator_1d,
     build_indicator_2d,

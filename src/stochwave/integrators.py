@@ -44,6 +44,7 @@ from .spectral import (
     SpectralGrid,
     SpectralState,
     diff_norm,
+    lambda_sq,
     project_band,
     project_low,
     pseudospectral_apply,
@@ -105,11 +106,6 @@ def default_filter_cut(tau: float, band: int) -> int:
 # single steps
 
 
-def _sigma_image(state: SpectralState, sigma: NonlinearitySpec, cut: int,
-                 oversample: float = 1.0) -> np.ndarray:
-    return pseudospectral_apply(sigma, state.u_hat, cut, oversample)
-
-
 def step_lri(state: SpectralState, tau: float, dw: float,
              f_spec: NonlinearitySpec, sigma_spec: NonlinearitySpec,
              cut: int, oversample: float = 1.0) -> SpectralState:
@@ -117,14 +113,15 @@ def step_lri(state: SpectralState, tau: float, dw: float,
     if cut > state.band:
         raise ValueError(f"filter cut {cut} exceeds stored band {state.band}")
     filtered = project_low(state, cut)
+    tables = semigroup.group_tables(state.grid.dim, state.band, tau)
     if f_spec.is_zero:
         if sigma_spec.is_zero:
-            return semigroup.apply_group(state, tau)
-        z = _sigma_image(filtered, sigma_spec, cut, oversample)
-        return semigroup.apply_group_noisy(state, tau, z, dw)
+            return semigroup.apply(state, tables)
+        z = pseudospectral_apply(sigma_spec, filtered.u_hat, cut, oversample)
+        return semigroup.apply(state, tables, dw * z)
     g = pseudospectral_apply(f_spec, filtered.u_hat, cut, oversample)
-    z = _sigma_image(filtered, sigma_spec, cut, oversample)
-    return semigroup.apply_group_forced_noisy(state, tau, g, z, tau, dw)
+    z = pseudospectral_apply(sigma_spec, filtered.u_hat, cut, oversample)
+    return semigroup.apply(state, tables, tau * g, dw * z)
 
 
 def step_hrlri_low(state: SpectralState, tau: float, dw: float,
@@ -141,26 +138,33 @@ def step_hrlri_low(state: SpectralState, tau: float, dw: float,
 
 
 def recover_high(initial_band: SpectralState, t: float) -> SpectralState:
-    """Exact linear flow of the recovery band, applied once at time t."""
-    return semigroup.apply_group(initial_band, t)
+    """Exact linear flow of the recovery band, applied once at time t.
+
+    Its table is built afresh rather than cached: each time t is used once,
+    and the table spans the full band.
+    """
+    lam = np.sqrt(lambda_sq(initial_band.grid.dim, initial_band.band))
+    return semigroup.apply(initial_band, semigroup.propagator_tables(lam, t))
 
 
 def step_sem(state: SpectralState, tau: float, dw: float,
              sigma_spec: NonlinearitySpec) -> SpectralState:
     """Semi-implicit Euler-Maruyama step (resolvent solve per mode)."""
+    tables = semigroup.resolvent_tables(state.grid.dim, state.band, tau)
     if sigma_spec.is_zero:
-        return semigroup.apply_resolvent(state, tau)
-    z = _sigma_image(state, sigma_spec, state.band)
-    return semigroup.apply_resolvent_noisy(state, tau, z, dw)
+        return semigroup.apply(state, tables)
+    z = pseudospectral_apply(sigma_spec, state.u_hat, state.band)
+    return semigroup.apply(state, tables, dw * z)
 
 
 def step_stm(state: SpectralState, tau: float, dw: float,
              sigma_spec: NonlinearitySpec) -> SpectralState:
     """Trigonometric step: exact linear flow of the noisy increment."""
+    tables = semigroup.group_tables(state.grid.dim, state.band, tau)
     if sigma_spec.is_zero:
-        return semigroup.apply_group(state, tau)
-    z = _sigma_image(state, sigma_spec, state.band)
-    return semigroup.apply_group_noisy(state, tau, z, dw)
+        return semigroup.apply(state, tables)
+    z = pseudospectral_apply(sigma_spec, state.u_hat, state.band)
+    return semigroup.apply(state, tables, dw * z)
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +240,8 @@ def run(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
                                  cut, method.oversample)
             elif method.kind == "sem":
                 state = step_sem(state, method.tau, dw, problem.sigma)
-            elif method.kind == "stm":
-                state = step_stm(state, method.tau, dw, problem.sigma)
             else:
-                raise ValueError(f"unknown method kind {method.kind!r}")
+                state = step_stm(state, method.tau, dw, problem.sigma)
         except FloatingPointError as exc:
             raise NumericalError(f"non-finite nonlinearity image at step {n}") from exc
         _check_finite(state, n)
@@ -303,6 +305,5 @@ def linear_exact_discrepancy(method: MethodSpec, grid: SpectralGrid,
     band; meaningful when both nonlinearities vanish."""
     result = run(method, grid, problem, path)
     u0 = _conform(build_initial(problem.initial, grid), grid)
-    ref = semigroup.apply_group(project_low(u0, grid.n_high),
-                                method.n_steps * method.tau)
+    ref = recover_high(project_low(u0, grid.n_high), method.n_steps * method.tau)
     return diff_norm(result.final_state, ref, 0.0)

@@ -114,22 +114,3 @@ def coarsen(lattice: WienerLattice, step_dt: float) -> np.ndarray:
         acc += lattice.increments[j::r]
     return acc
 
-
-def increment(lattice: WienerLattice, n: int, step_dt: float) -> float:
-    """Single increment W(t_n + step_dt) - W(t_n) on the step_dt grid."""
-    r = _ratio(step_dt, lattice.base_dt)
-    lo, hi = n * r, (n + 1) * r
-    if n < 0 or hi > lattice.n_base:
-        raise ValueError(f"increment {n} at ratio {r} leaves the lattice")
-    acc = 0.0
-    for j in range(lo, hi):
-        acc += lattice.increments[j]
-    return float(acc)
-
-
-def dump_path_csv(lattice: WienerLattice, path) -> None:
-    """Debug dump with columns n, t_n, dW_n at 17 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("n,t_n,dW_n\n")
-        for i, dw in enumerate(lattice.increments):
-            fh.write(f"{i},{i * lattice.base_dt:.17g},{dw:.17g}\n")

@@ -6,8 +6,8 @@ Initial data comes in four flavours: two discontinuous plateau profiles
 (one per dimension), randomised Sobolev-class data of prescribed smoothness
 gamma, and explicit spectra (e.g. loaded from an SWV1 snapshot).
 
-Random data places, on each mode k != 0 inside the stepped band, a real
-coefficient shared between +k and -k:
+Random data places, on each mode with 1 <= |k| <= min(n_cut, n_high - 1),
+a real coefficient shared between +k and -k:
 
     u slot:  0.5 * rand(0,1) * |k|^(-gamma - 0.51)
     v slot:  0.5 * rand(0,1) * |k|^(-gamma + 0.49)
@@ -17,6 +17,11 @@ nonzero).  The exponents put the pair exactly in the gamma / gamma-1
 smoothness class and no better.  The k = 0 coefficient is left at zero:
 the power law is undefined there and any bounded choice lands in the same
 class, so zero keeps comparisons across gamma clean.
+
+The stepped storage holds |k| <= n_cut - 1, so with alpha = 1 the data lies
+inside it, while with alpha > 1 each axis also gets the one mode at
+|k| = n_cut, just outside it.  The same preset therefore gives different
+initial data for alpha = 1 and alpha > 1.
 """
 
 from __future__ import annotations
@@ -110,14 +115,6 @@ def bounded_tabulated(xs, ys) -> NonlinearitySpec:
     xs.setflags(write=False)
     ys.setflags(write=False)
     return NonlinearitySpec(kind="bounded_tabulated", table_x=xs, table_y=ys)
-
-
-def apply_nonlinearity(spec: NonlinearitySpec, u_samples: np.ndarray) -> np.ndarray:
-    """Pointwise map; rejects non-finite output."""
-    out = spec(np.asarray(u_samples, dtype=np.float64))
-    if not np.isfinite(out).all():
-        raise FloatingPointError("nonlinearity produced non-finite samples")
-    return out
 
 
 # ---------------------------------------------------------------------------

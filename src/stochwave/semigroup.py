@@ -11,18 +11,19 @@ with the lambda = 0 mode degenerating to the shear [[1, t], [0, 1]].  The
 resolvent (I - tau L)^(-1) used by the semi-implicit Euler-Maruyama baseline
 is the explicit 2x2 inverse with determinant 1 + tau^2 lambda^2.
 
-Tables for a fixed (band, t) are built once and cached, keyed by the exact
-bit pattern of t; every integrator reapplies the same e^(tau L) each step.
+Every step of every integrator ends in ``apply``: add the step's velocity
+increments, then multiply each mode by one of these 2x2 tables.  Tables for
+a fixed (band, t) are built once and cached, keyed by the exact bit pattern
+of t; every integrator reapplies the same e^(tau L) each step.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from . import _kernels
 from .spectral import SpectralState, lambda_sq
 
 _SINC_SWITCH = 1e-4
@@ -30,16 +31,6 @@ _SINC_SWITCH = 1e-4
 _lock = threading.Lock()
 _group_cache: dict = {}
 _resolvent_cache: dict = {}
-
-
-@dataclass(frozen=True)
-class ModePropagator:
-    """Entries of the 2x2 group matrix for a single mode."""
-
-    a11: float
-    a12: float
-    a21: float
-    a22: float
 
 
 def _sinc_t(lam: np.ndarray, t: float) -> np.ndarray:
@@ -59,23 +50,15 @@ def _sinc_t(lam: np.ndarray, t: float) -> np.ndarray:
 
 def propagator_tables(lam, t):
     """Entry arrays (a11, a12, a21, a22) of the group matrix; ``lam`` and
-    ``t`` broadcast elementwise."""
+    ``t`` broadcast elementwise, and negative t gives the inverse."""
     lam = np.asarray(lam, dtype=np.float64)
     c = np.cos(lam * t)
     s_over = _sinc_t(lam, t)
     return c, s_over, -(lam * lam) * s_over, c
 
 
-def propagator(lam: float, t: float) -> ModePropagator:
-    """Group matrix for one wave number; negative t gives the inverse."""
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
-    a11, a12, a21, a22 = propagator_tables(np.array([lam]), t)
-    return ModePropagator(a11=float(a11[0]), a12=float(a12[0]),
-                          a21=float(a21[0]), a22=float(a22[0]))
-
-
-def _group_tables(dim: int, band: int, t: float):
+def group_tables(dim: int, band: int, t: float):
+    """Cached e^(tL) tables for every mode stored at ``band``."""
     key = (dim, band, float(t).hex())
     with _lock:
         tab = _group_cache.get(key)
@@ -89,7 +72,10 @@ def _group_tables(dim: int, band: int, t: float):
     return tab
 
 
-def _resolvent_tables(dim: int, band: int, tau: float):
+def resolvent_tables(dim: int, band: int, tau: float):
+    """Cached (I - tau L)^(-1) tables for every mode stored at ``band``."""
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
     key = (dim, band, float(tau).hex())
     with _lock:
         tab = _resolvent_cache.get(key)
@@ -106,44 +92,14 @@ def _resolvent_tables(dim: int, band: int, tau: float):
     return tab
 
 
-def apply_group(state: SpectralState, t: float) -> SpectralState:
-    """Propagate every mode by the exact linear wave flow over time t."""
-    a11, a12, a21, a22 = _group_tables(state.grid.dim, state.band, t)
-    u, v = _kernels.propagate(state.u_hat, state.v_hat, a11, a12, a21, a22)
-    return replace(state, u_hat=u, v_hat=v)
+def apply(state: SpectralState, tables, *dv: np.ndarray) -> SpectralState:
+    """Multiply every mode of (u, v + dv[0] + dv[1] + ...) by its 2x2 table.
 
-
-def apply_group_noisy(state: SpectralState, t: float, z_v: np.ndarray,
-                      c: float) -> SpectralState:
-    """apply_group on (u, v + c*z_v): the common shape of one noisy step."""
-    a11, a12, a21, a22 = _group_tables(state.grid.dim, state.band, t)
-    u, v = _kernels.propagate_noisy(state.u_hat, state.v_hat, z_v, c,
-                                    a11, a12, a21, a22)
-    return replace(state, u_hat=u, v_hat=v)
-
-
-def apply_group_forced_noisy(state: SpectralState, t: float, g_v: np.ndarray,
-                             z_v: np.ndarray, tau: float, c: float) -> SpectralState:
-    """apply_group on (u, v + tau*g_v + c*z_v)."""
-    a11, a12, a21, a22 = _group_tables(state.grid.dim, state.band, t)
-    u, v = _kernels.propagate_forced_noisy(state.u_hat, state.v_hat, g_v, z_v,
-                                           tau, c, a11, a12, a21, a22)
-    return replace(state, u_hat=u, v_hat=v)
-
-
-def apply_resolvent(state: SpectralState, tau: float) -> SpectralState:
-    """Solve (I - tau L) out = state mode by mode."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    r11, r12, r21, r22 = _resolvent_tables(state.grid.dim, state.band, tau)
-    u, v = _kernels.propagate(state.u_hat, state.v_hat, r11, r12, r21, r22)
-    return replace(state, u_hat=u, v_hat=v)
-
-
-def apply_resolvent_noisy(state: SpectralState, tau: float, z_v: np.ndarray,
-                          c: float) -> SpectralState:
-    """apply_resolvent on (u, v + c*z_v)."""
-    r11, r12, r21, r22 = _resolvent_tables(state.grid.dim, state.band, tau)
-    u, v = _kernels.propagate_noisy(state.u_hat, state.v_hat, z_v, c,
-                                    r11, r12, r21, r22)
-    return replace(state, u_hat=u, v_hat=v)
+    The increments are added to v one at a time, left to right.
+    """
+    a11, a12, a21, a22 = tables
+    u = state.u_hat
+    w = state.v_hat
+    for d in dv:
+        w = w + d
+    return replace(state, u_hat=a11 * u + a12 * w, v_hat=a21 * u + a22 * w)

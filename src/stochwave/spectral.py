@@ -27,8 +27,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _kernels
-
 _lock = threading.Lock()
 _mode_cache: dict = {}
 _mask_cache: dict = {}
@@ -85,19 +83,6 @@ class SpectralState:
     @property
     def time_points(self) -> int:
         return 2 * self.band
-
-
-@dataclass(frozen=True)
-class ModeFrequency:
-    """One basis mode exp(2 pi i k.x) and its wave number 2 pi |k|."""
-
-    k: tuple[int, ...]
-    lam: float
-
-
-def mode_frequency(*k: int) -> ModeFrequency:
-    return ModeFrequency(k=tuple(int(c) for c in k),
-                         lam=2.0 * np.pi * float(np.hypot(*k) if len(k) > 1 else abs(k[0])))
 
 
 def zero_state(grid: SpectralGrid, band: int | None = None) -> SpectralState:
@@ -247,13 +232,20 @@ def _norm_weights(dim: int, band: int, gamma: float):
     return w
 
 
+def _weighted_norm_sq(u, v, wu, wv) -> float:
+    """sum(wu*|u|^2 + wv*|v|^2) as a python float."""
+    acc = np.sum(wu * (u.real * u.real + u.imag * u.imag))
+    acc += np.sum(wv * (v.real * v.real + v.imag * v.imag))
+    return float(acc)
+
+
 def sobolev_norm(state: SpectralState, gamma: float) -> float:
     """Bessel-potential pair norm: the u slot weighted by (1+lambda^2)^gamma,
     the v slot by (1+lambda^2)^(gamma-1).  gamma = 0 is the L2 x H^-1 error
     norm used throughout the convergence studies.
     """
     wu, wv = _norm_weights(state.grid.dim, state.band, gamma)
-    return float(np.sqrt(_kernels.weighted_norm_sq(state.u_hat, state.v_hat, wu, wv)))
+    return float(np.sqrt(_weighted_norm_sq(state.u_hat, state.v_hat, wu, wv)))
 
 
 def diff_norm(a: SpectralState, b: SpectralState, gamma: float = 0.0) -> float:
@@ -262,7 +254,7 @@ def diff_norm(a: SpectralState, b: SpectralState, gamma: float = 0.0) -> float:
     a = with_band(a, band)
     b = with_band(b, band)
     wu, wv = _norm_weights(a.grid.dim, band, gamma)
-    return float(np.sqrt(_kernels.weighted_norm_sq(
+    return float(np.sqrt(_weighted_norm_sq(
         a.u_hat - b.u_hat, a.v_hat - b.v_hat, wu, wv)))
 
 

@@ -72,8 +72,7 @@ class TestGeneration:
 class TestCoarsening:
     def test_unit_ratio_is_verbatim(self):
         lat = sw.sample_path(1, 0, 1.0, 2**-6)
-        for n in (0, 5, 63):
-            assert sw.increment(lat, n, 2**-6) == lat.increments[n]
+        np.testing.assert_array_equal(sw.coarsen(lat, 2**-6), lat.increments)
 
     def test_grouped_sum_bit_exact_vs_oracle(self):
         lat = sw.sample_path(17, 2, 1.0, 2**-8)
@@ -82,8 +81,6 @@ class TestCoarsening:
             coarse = sw.coarsen(lat, step)
             oracle = grouped_sums_oracle(lat.increments, r)
             np.testing.assert_array_equal(coarse, oracle)
-            for n in (0, 3, len(coarse) - 1):
-                assert sw.increment(lat, n, step) == oracle[n]
 
     def test_total_sum_consistency(self):
         # summing group totals reassociates the additions, so agreement is
@@ -108,9 +105,7 @@ class TestCoarsening:
     def test_misaligned_step_rejected(self):
         lat = sw.sample_path(0, 0, 1.0, 2**-4)
         with pytest.raises(ValueError):
-            sw.increment(lat, 0, 1.5 * lat.base_dt)
-        with pytest.raises(ValueError):
-            sw.increment(lat, 16, lat.base_dt)
+            sw.coarsen(lat, 1.5 * lat.base_dt)
         with pytest.raises(ValueError):
             sw.coarsen(lat, 3 * lat.base_dt)  # 16 cells do not tile by 3
 
@@ -122,16 +117,3 @@ class TestCoarsening:
         regrouped = grouped_sums_oracle(fine, 4)
         np.testing.assert_allclose(regrouped, direct, rtol=1e-13, atol=1e-16)
 
-
-def test_path_dump_round_trip(tmp_path):
-    lat = sw.sample_path(21, 4, 0.25, 2**-6)
-    out = tmp_path / "path.csv"
-    sw.dump_path_csv(lat, out)
-    lines = out.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "n,t_n,dW_n"
-    assert len(lines) == 1 + lat.n_base
-    for i, line in enumerate(lines[1:]):
-        n, t_n, dw = line.split(",")
-        assert int(n) == i
-        assert float(t_n) == i * lat.base_dt
-        assert float(dw) == lat.increments[i]

@@ -16,15 +16,15 @@ def node_value(state, x_target):
 class TestNonlinearities:
     def test_scaled_sine_values(self):
         sigma = sw.scaled_sine(16.0)
-        assert sw.apply_nonlinearity(sigma, np.array([0.0]))[0] == 0.0
-        assert sw.apply_nonlinearity(sigma, np.array([np.pi / 2]))[0] == pytest.approx(16.0)
+        assert sigma(np.array([0.0]))[0] == 0.0
+        assert sigma(np.array([np.pi / 2]))[0] == pytest.approx(16.0)
 
     def test_zero_kind(self):
-        out = sw.apply_nonlinearity(sw.zero_fn(), np.linspace(-5, 5, 11))
+        out = sw.zero_fn()(np.linspace(-5, 5, 11))
         assert not out.any()
 
     def test_constant_kind(self):
-        out = sw.apply_nonlinearity(sw.constant_fn(4.0), np.zeros(3))
+        out = sw.constant_fn(4.0)(np.zeros(3))
         np.testing.assert_array_equal(out, 4.0)
 
     @pytest.mark.parametrize("spec,expected_bound", [

@@ -4,12 +4,22 @@ import numpy as np
 import pytest
 
 import stochwave as sw
-from stochwave.semigroup import apply_group_noisy
+from stochwave.semigroup import apply, group_tables, propagator_tables, resolvent_tables
 from stochwave.spectral import mode_indices
 
 
-def matrix(p):
-    return np.array([[p.a11, p.a12], [p.a21, p.a22]])
+def matrix(lam, t):
+    """The group matrix of one wave number, through the table builder."""
+    a11, a12, a21, a22 = propagator_tables(np.array([lam]), t)
+    return np.array([[a11[0], a12[0]], [a21[0], a22[0]]])
+
+
+def flow(state, t):
+    return apply(state, group_tables(state.grid.dim, state.band, t))
+
+
+def resolve(state, tau):
+    return apply(state, resolvent_tables(state.grid.dim, state.band, tau))
 
 
 def random_state(grid, seed=0):
@@ -22,18 +32,15 @@ def random_state(grid, seed=0):
 class TestPropagator:
     def test_zero_mode_is_shear(self):
         for t in (-1.5, 0.0, 0.25, 3.0):
-            p = sw.propagator(0.0, t)
-            np.testing.assert_array_equal(matrix(p), [[1.0, t], [0.0, 1.0]])
+            np.testing.assert_array_equal(matrix(0.0, t), [[1.0, t], [0.0, 1.0]])
 
     def test_zero_time_is_identity(self):
-        p = sw.propagator(17.3, 0.0)
-        np.testing.assert_array_equal(matrix(p), np.eye(2))
+        np.testing.assert_array_equal(matrix(17.3, 0.0), np.eye(2))
 
     def test_determinant_one(self):
         rng = np.random.default_rng(1)
         for lam, t in zip(rng.uniform(0, 100, 50), rng.uniform(-2, 2, 50)):
-            p = sw.propagator(lam, t)
-            assert abs(np.linalg.det(matrix(p)) - 1.0) < 1e-12
+            assert abs(np.linalg.det(matrix(lam, t)) - 1.0) < 1e-12
 
     def test_group_law_product(self):
         # compared in the energy scaling (lam*u, v) where all four entries
@@ -44,34 +51,29 @@ class TestPropagator:
             lam = rng.uniform(0, 1000)
             s, t = rng.uniform(0, 1.0, 2)
             scale = np.array([[1.0, max(lam, 1.0)], [1.0 / max(lam, 1.0), 1.0]])
-            prod = matrix(sw.propagator(lam, s)) @ matrix(sw.propagator(lam, t))
-            direct = matrix(sw.propagator(lam, s + t))
+            prod = matrix(lam, s) @ matrix(lam, t)
+            direct = matrix(lam, s + t)
             assert (np.abs(prod - direct) * scale).max() < 1e-12
 
     def test_series_branch_continuity(self):
         # values just below and above the series switch agree to 1e-15
         t = 1.0
         for lam in (0.99e-4, 1.01e-4):
-            p = sw.propagator(lam, t)
-            assert p.a12 == pytest.approx(np.sin(lam * t) / lam, rel=1e-15)
-
-    def test_rejects_negative_lambda(self):
-        with pytest.raises(ValueError):
-            sw.propagator(-1.0, 0.5)
+            assert matrix(lam, t)[0, 1] == pytest.approx(np.sin(lam * t) / lam, rel=1e-15)
 
 
 class TestApplyGroup:
     def test_zero_time_identity(self):
         grid = sw.make_grid(2, 6, 1.0)
         state = random_state(grid)
-        out = sw.apply_group(state, 0.0)
+        out = flow(state, 0.0)
         np.testing.assert_allclose(out.u_hat, state.u_hat, atol=1e-15)
         np.testing.assert_allclose(out.v_hat, state.v_hat, atol=1e-15)
 
     def test_group_inverse(self):
         grid = sw.make_grid(1, 32, 1.0)
         state = random_state(grid)
-        out = sw.apply_group(sw.apply_group(state, 0.7), -0.7)
+        out = flow(flow(state, 0.7), -0.7)
         scale = np.abs(state.u_hat).max()
         assert np.abs(out.u_hat - state.u_hat).max() < 1e-12 * scale
         assert np.abs(out.v_hat - state.v_hat).max() < 1e-12 * scale * 2 * np.pi * 32
@@ -83,14 +85,14 @@ class TestApplyGroup:
         u = np.zeros(8, dtype=np.complex128)
         u[1] = 1.0
         state = sw.SpectralState(grid, 4, u, np.zeros_like(u))
-        out = sw.apply_group(state, 0.25)
+        out = flow(state, 0.25)
         assert abs(out.u_hat[1]) < 1e-15
         assert out.v_hat[1] == pytest.approx(-2 * np.pi, rel=1e-14)
 
     def test_modewise_energy_conserved(self):
         grid = sw.make_grid(1, 16, 1.0)
         state = random_state(grid, seed=4)
-        out = sw.apply_group(state, 1.37)
+        out = flow(state, 1.37)
         idx = mode_indices(16)
         lam2 = (2 * np.pi * np.abs(idx)) ** 2
         before = np.abs(state.v_hat) ** 2 + lam2 * np.abs(state.u_hat) ** 2
@@ -103,8 +105,8 @@ class TestApplyGroup:
     def test_commutes_with_projection(self):
         grid = sw.make_grid(1, 16, 1.0)
         state = random_state(grid, seed=5)
-        a = sw.project_low(sw.apply_group(state, 0.3), 6)
-        b = sw.apply_group(sw.project_low(state, 6), 0.3)
+        a = sw.project_low(flow(state, 0.3), 6)
+        b = flow(sw.project_low(state, 6), 0.3)
         np.testing.assert_array_equal(a.u_hat, b.u_hat)
         np.testing.assert_array_equal(a.v_hat, b.v_hat)
 
@@ -113,19 +115,27 @@ class TestApplyGroup:
         state = random_state(grid, seed=6)
         stepped = state
         for _ in range(16):
-            stepped = sw.apply_group(stepped, 1.0 / 16)
-        direct = sw.apply_group(state, 1.0)
+            stepped = flow(stepped, 1.0 / 16)
+        direct = flow(state, 1.0)
         assert np.abs(stepped.u_hat - direct.u_hat).max() < 1e-11
 
-    def test_noisy_variant_is_shifted_group(self):
+    @pytest.mark.parametrize("n_inc", [1, 2])
+    @pytest.mark.parametrize("kind", ["group", "resolvent"])
+    def test_noisy_variant_is_shifted_group(self, kind, n_inc):
+        # the increments are added to v first, left to right, so the fused
+        # call is bit-identical to applying the table to the shifted state
         grid = sw.make_grid(1, 8, 1.0)
         state = random_state(grid, seed=7)
-        z = random_state(grid, seed=8).v_hat
-        fused = apply_group_noisy(state, 0.2, z, 0.35)
-        shifted = sw.SpectralState(grid, state.band, state.u_hat, state.v_hat + 0.35 * z)
-        plain = sw.apply_group(shifted, 0.2)
-        np.testing.assert_allclose(fused.u_hat, plain.u_hat, atol=1e-14)
-        np.testing.assert_allclose(fused.v_hat, plain.v_hat, atol=1e-13)
+        build = group_tables if kind == "group" else resolvent_tables
+        tables = build(1, state.band, 0.2)
+        dv = [0.35 * random_state(grid, seed=8 + i).v_hat for i in range(n_inc)]
+        fused = apply(state, tables, *dv)
+        v = state.v_hat + dv[0]
+        if n_inc == 2:
+            v = v + dv[1]
+        plain = apply(sw.SpectralState(grid, state.band, state.u_hat, v), tables)
+        np.testing.assert_array_equal(fused.u_hat, plain.u_hat)
+        np.testing.assert_array_equal(fused.v_hat, plain.v_hat)
 
 
 class TestResolvent:
@@ -134,7 +144,7 @@ class TestResolvent:
         u = np.zeros(8, dtype=np.complex128)
         v = np.zeros(8, dtype=np.complex128)
         u[0], v[0] = 2.0, 3.0
-        out = sw.apply_resolvent(sw.SpectralState(grid, 4, u, v), 0.5)
+        out = resolve(sw.SpectralState(grid, 4, u, v), 0.5)
         assert out.u_hat[0] == pytest.approx(2.0 + 0.5 * 3.0)
         assert out.v_hat[0] == pytest.approx(3.0)
 
@@ -148,7 +158,7 @@ class TestResolvent:
         u_mid = state.u_hat - tau * state.v_hat
         v_mid = state.v_hat + tau * lam2 * state.u_hat
         mid = sw.SpectralState(grid, 16, u_mid, v_mid)
-        out = sw.apply_resolvent(mid, tau)
+        out = resolve(mid, tau)
         np.testing.assert_allclose(out.u_hat, state.u_hat, atol=1e-12)
         np.testing.assert_allclose(out.v_hat, state.v_hat, atol=1e-10)
 
@@ -162,11 +172,10 @@ class TestResolvent:
         u = np.zeros(8, dtype=np.complex128)
         v = np.zeros(8, dtype=np.complex128)
         u[1], v[1] = rhs
-        out = sw.apply_resolvent(sw.SpectralState(grid, 4, u, v), tau)
+        out = resolve(sw.SpectralState(grid, 4, u, v), tau)
         assert out.u_hat[1] == pytest.approx(expect[0], rel=1e-13)
         assert out.v_hat[1] == pytest.approx(expect[1], rel=1e-13)
 
     def test_rejects_nonpositive_tau(self):
-        grid = sw.make_grid(1, 4, 1.0)
         with pytest.raises(ValueError):
-            sw.apply_resolvent(random_state(grid), 0.0)
+            resolvent_tables(1, 4, 0.0)

@@ -321,15 +321,6 @@ def test_nyquist_slot_stays_empty():
     assert sw.with_band(sw.embed(state, fine), 8).u_hat[8] == 0
 
 
-def test_mode_frequency():
-    assert sw.mode_frequency(0).lam == 0.0
-    assert sw.mode_frequency(3).lam == pytest.approx(6 * np.pi)
-    mf = sw.mode_frequency(3, -4)
-    assert mf.k == (3, -4)
-    assert mf.lam == pytest.approx(10 * np.pi)
-    assert mf.lam > 0  # zero only at the origin
-
-
 def test_lambda_grid_matches_definition():
     lam2 = lambda_sq(2, 4)
     idx = mode_indices(4)
