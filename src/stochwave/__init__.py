@@ -6,7 +6,6 @@ from .spectral import (
     SpectralGrid,
     SpectralState,
     diff_norm,
-    embed,
     forward,
     inverse,
     load_snapshot,
@@ -14,7 +13,6 @@ from .spectral import (
     project_band,
     project_low,
     pseudospectral_apply,
-    restrict,
     save_snapshot,
     sobolev_norm,
     state_from_fields,
@@ -48,13 +46,9 @@ from .integrators import (
     RunResult,
     exact_linear_zero_mode,
     method_spec,
-    projection_interpolation_gap,
     recover_high,
     run,
-    step_hrlri_low,
-    step_lri,
-    step_sem,
-    step_stm,
+    step_scheme,
 )
 from .experiments import (
     ConfigError,

@@ -50,6 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .integrators import (
+    SCHEMES,
     MethodSpec,
     NumericalError,
     method_spec,
@@ -175,7 +176,7 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"n_cuts must be >= 1, got {n_cuts}")
     methods = tuple(config.methods)
     for m in methods:
-        if m not in ("hr_lri", "lri", "sem", "stm"):
+        if m not in SCHEMES:
             raise ConfigError(f"unknown method {m!r}")
     n_samples = FULL_SAMPLES if config.full_fidelity else config.n_samples
     if n_samples < 1:

@@ -1,28 +1,24 @@
 """Time-stepping schemes for the first-order stochastic wave system.
 
-Four steppers share one driver:
+Every scheme takes the same step.  With the forcing F(U) = (0, f(u)) and
+the diffusion Sigma(U) = (0, sigma(u)) living in the velocity slot only,
 
-* ``hr_lri`` - the exponential integrator on the stepped band plus a single
-  exact linear propagation of the recovery band at final time.  Per step,
-  with A = e^(tau L) and the nonlinear images evaluated pseudospectrally,
+    U_(n+1) = T (U_n + tau * Pi F(Pi U_n) + Pi Sigma(Pi U_n) * dW_n),
 
-      U_(n+1) = A (U_n + tau * I_N F(U_n) + I_N Sigma(U_n) * dW_n).
+where Pi is the box truncation to |k_j| <= cut and the nonlinear images
+are evaluated pseudospectrally: one pseudospectral round per nonzero term,
+then one per-mode 2x2 pass (``semigroup.apply``).  The schemes differ only
+in the three fields of their ``SCHEMES`` entry:
 
-* ``lri`` - the same exponential update with an explicit frequency filter
-  Pi_cut inside and around the nonlinear terms,
+    kind      T                    filter Pi              recovery
+    hr_lri    e^(tau L)            none (cut = N)          yes
+    lri       e^(tau L)            min(floor(1/tau), N)    no
+    stm       e^(tau L)            none                    no
+    sem       (I - tau L)^(-1)     none                    no
 
-      U_(n+1) = A U_n + tau A Pi_cut F(Pi_cut U_n) + A Pi_cut Sigma(Pi_cut U_n) dW_n,
-
-  where cut defaults to min(floor(1/tau), stepped band).  No recovery.
-
-* ``stm`` - trigonometric baseline A (U_n + I_N Sigma(U_n) dW_n).
-
-* ``sem`` - semi-implicit Euler-Maruyama: solve
-  (I - tau L) U_(n+1) = U_n + I_N Sigma(U_n) dW_n mode by mode.
-
-Both the forcing F(U) = (0, f(u)) and the diffusion Sigma(U) = (0, sigma(u))
-live in the velocity slot only, so each step is one pseudospectral
-evaluation round plus one fused per-mode 2x2 pass.
+``hr_lri`` recovers the band above N at the end with one exact linear
+propagation; the filter of ``lri`` equals the stepped band N under the
+usual tau = 1/(4N) coupling and cuts below it only when tau is coarser.
 
 The driver decomposes the initial state into the stepped band ([-N, N-1]
 per axis), the recovery band (box N^alpha minus box N) and a discarded
@@ -34,6 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,11 +48,23 @@ from .spectral import (
     with_band,
 )
 
-METHOD_KINDS = ("hr_lri", "lri", "sem", "stm")
-
 
 class NumericalError(RuntimeError):
     """A run left the floating-point domain (NaN/inf state)."""
+
+
+class Scheme(NamedTuple):
+    tables: Callable      # (dim, band, tau) -> the 2x2 table T
+    filtered: bool        # cut at min(floor(1/tau), N) rather than N
+    recovered: bool       # recover the band above N at the end
+
+
+SCHEMES = {
+    "hr_lri": Scheme(semigroup.group_tables, False, True),
+    "lri": Scheme(semigroup.group_tables, True, False),
+    "stm": Scheme(semigroup.group_tables, False, False),
+    "sem": Scheme(semigroup.resolvent_tables, False, False),
+}
 
 
 @dataclass(frozen=True)
@@ -63,9 +72,10 @@ class MethodSpec:
     kind: str
     tau: float
     n_steps: int
-    filter_cut: int | None = None
-    recovery: bool = False
-    oversample: float = 1.0
+
+    @property
+    def recovery(self) -> bool:
+        return SCHEMES[self.kind].recovered
 
 
 @dataclass(frozen=True)
@@ -75,66 +85,32 @@ class RunResult:
     steps: int
 
 
-def method_spec(kind: str, tau: float, t_final: float,
-                recovery: bool | None = None,
-                filter_cut: int | None = None,
-                oversample: float = 1.0) -> MethodSpec:
+def method_spec(kind: str, tau: float, t_final: float) -> MethodSpec:
     """Validated spec; n_steps * tau must tile t_final exactly."""
-    if kind not in METHOD_KINDS:
+    if kind not in SCHEMES:
         raise ValueError(f"unknown method kind {kind!r}")
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     n_steps = int(round(t_final / tau))
     if abs(n_steps * tau - t_final) > 1e-12 * max(1.0, t_final):
         raise ValueError(f"tau {tau} does not tile t_final {t_final}")
-    if recovery is None:
-        recovery = kind == "hr_lri"
-    if recovery and kind != "hr_lri":
-        raise ValueError(f"recovery is only defined for hr_lri, not {kind}")
-    return MethodSpec(kind=kind, tau=tau, n_steps=n_steps,
-                      filter_cut=filter_cut, recovery=recovery,
-                      oversample=oversample)
+    return MethodSpec(kind=kind, tau=tau, n_steps=n_steps)
 
 
-def default_filter_cut(tau: float, band: int) -> int:
-    """min(floor(1/tau), stepped band): the filter collapses onto the band
-    under the usual tau = 1/(4N) coupling and only bites standalone."""
-    return min(int(np.floor(1.0 / tau)), band)
-
-
-# ---------------------------------------------------------------------------
-# single steps
-
-
-def step_lri(state: SpectralState, tau: float, dw: float,
-             f_spec: NonlinearitySpec, sigma_spec: NonlinearitySpec,
-             cut: int, oversample: float = 1.0) -> SpectralState:
-    """Filtered exponential step at the stored band."""
+def step_scheme(state: SpectralState, tables, cut: int, tau: float, dw: float,
+                f_spec: NonlinearitySpec,
+                sigma_spec: NonlinearitySpec) -> SpectralState:
+    """One step T (U + tau * Pi F(Pi U) + Pi Sigma(Pi U) dW) at the stored
+    band, with Pi the box truncation to ``cut``."""
     if cut > state.band:
         raise ValueError(f"filter cut {cut} exceeds stored band {state.band}")
-    filtered = project_low(state, cut)
-    tables = semigroup.group_tables(state.grid.dim, state.band, tau)
-    if f_spec.is_zero:
-        if sigma_spec.is_zero:
-            return semigroup.apply(state, tables)
-        z = pseudospectral_apply(sigma_spec, filtered.u_hat, cut, oversample)
-        return semigroup.apply(state, tables, dw * z)
-    g = pseudospectral_apply(f_spec, filtered.u_hat, cut, oversample)
-    z = pseudospectral_apply(sigma_spec, filtered.u_hat, cut, oversample)
-    return semigroup.apply(state, tables, tau * g, dw * z)
-
-
-def step_hrlri_low(state: SpectralState, tau: float, dw: float,
-                   f_spec: NonlinearitySpec, sigma_spec: NonlinearitySpec,
-                   n_cut: int) -> SpectralState:
-    """Stepped-band update of the high-frequency recovered integrator.
-
-    The state is confined to the stepped band, where the box projection is
-    the identity, so this is the plain interpolated exponential step.
-    """
-    if state.band != n_cut:
-        raise ValueError(f"state band {state.band} does not match stepped band {n_cut}")
-    return step_lri(state, tau, dw, f_spec, sigma_spec, cut=n_cut)
+    u_hat = project_low(state, cut).u_hat if cut < state.band else state.u_hat
+    dv = []
+    if not f_spec.is_zero:
+        dv.append(tau * pseudospectral_apply(f_spec, u_hat, cut))
+    if not sigma_spec.is_zero:
+        dv.append(dw * pseudospectral_apply(sigma_spec, u_hat, cut))
+    return semigroup.apply(state, tables, *dv)
 
 
 def recover_high(initial_band: SpectralState, t: float) -> SpectralState:
@@ -145,26 +121,6 @@ def recover_high(initial_band: SpectralState, t: float) -> SpectralState:
     """
     lam = np.sqrt(lambda_sq(initial_band.grid.dim, initial_band.band))
     return semigroup.apply(initial_band, semigroup.propagator_tables(lam, t))
-
-
-def step_sem(state: SpectralState, tau: float, dw: float,
-             sigma_spec: NonlinearitySpec) -> SpectralState:
-    """Semi-implicit Euler-Maruyama step (resolvent solve per mode)."""
-    tables = semigroup.resolvent_tables(state.grid.dim, state.band, tau)
-    if sigma_spec.is_zero:
-        return semigroup.apply(state, tables)
-    z = pseudospectral_apply(sigma_spec, state.u_hat, state.band)
-    return semigroup.apply(state, tables, dw * z)
-
-
-def step_stm(state: SpectralState, tau: float, dw: float,
-             sigma_spec: NonlinearitySpec) -> SpectralState:
-    """Trigonometric step: exact linear flow of the noisy increment."""
-    tables = semigroup.group_tables(state.grid.dim, state.band, tau)
-    if sigma_spec.is_zero:
-        return semigroup.apply(state, tables)
-    z = pseudospectral_apply(sigma_spec, state.u_hat, state.band)
-    return semigroup.apply(state, tables, dw * z)
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +167,11 @@ def run(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
         # retained spectrum completely
         rec0 = project_band(u0, grid.n_cut - 1, grid.n_high)
 
-    cut = method.filter_cut
-    if cut is None:
-        cut = default_filter_cut(method.tau, grid.n_cut)
+    scheme = SCHEMES[method.kind]
+    tables = scheme.tables(grid.dim, grid.n_cut, method.tau)
+    cut = grid.n_cut
+    if scheme.filtered:
+        cut = min(int(np.floor(1.0 / method.tau)), cut)
 
     def full_state(state_low: SpectralState, t: float) -> SpectralState:
         out = with_band(state_low, grid.n_high)
@@ -232,16 +190,8 @@ def run(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
     for n in range(method.n_steps):
         dw = float(dws[n])
         try:
-            if method.kind == "hr_lri":
-                state = step_hrlri_low(state, method.tau, dw, problem.f,
-                                       problem.sigma, grid.n_cut)
-            elif method.kind == "lri":
-                state = step_lri(state, method.tau, dw, problem.f, problem.sigma,
-                                 cut, method.oversample)
-            elif method.kind == "sem":
-                state = step_sem(state, method.tau, dw, problem.sigma)
-            else:
-                state = step_stm(state, method.tau, dw, problem.sigma)
+            state = step_scheme(state, tables, cut, method.tau, dw,
+                                problem.f, problem.sigma)
         except FloatingPointError as exc:
             raise NumericalError(f"non-finite nonlinearity image at step {n}") from exc
         _check_finite(state, n)
@@ -282,21 +232,6 @@ def exact_linear_zero_mode(u0: float, v0: float, c: float,
         u += v * h + c * dw * (h / 2.0)
         v += c * dw
     return float(u), float(v)
-
-
-def projection_interpolation_gap(state: SpectralState,
-                                 sigma_spec: NonlinearitySpec,
-                                 cut: int, oversample: float = 2.0) -> float:
-    """Coefficient-level distance between the interpolated nonlinear image
-    and its oversampled (nearly alias-free) counterpart.
-
-    Zero for band-limited images (polynomial compositions below the grid's
-    alias threshold); positive in general, quantifying what the sharp-grid
-    interpolation folds back into the band.
-    """
-    direct = pseudospectral_apply(sigma_spec, state.u_hat, cut)
-    refined = pseudospectral_apply(sigma_spec, state.u_hat, cut, oversample)
-    return float(np.linalg.norm(direct - refined))
 
 
 def linear_exact_discrepancy(method: MethodSpec, grid: SpectralGrid,

@@ -30,7 +30,6 @@ import numpy as np
 _lock = threading.Lock()
 _mode_cache: dict = {}
 _mask_cache: dict = {}
-_weight_cache: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -110,19 +109,10 @@ def mode_indices(band: int) -> np.ndarray:
 
 def lambda_sq(dim: int, band: int) -> np.ndarray:
     """(2*pi*|k|)^2 on the full mode box of a band-m array."""
-    key = ("lam", dim, band)
-    with _lock:
-        lam = _weight_cache.get(key)
-    if lam is None:
-        k = mode_indices(band).astype(np.float64)
-        if dim == 1:
-            lam = (2.0 * np.pi) ** 2 * k * k
-        else:
-            lam = (2.0 * np.pi) ** 2 * (k[:, None] ** 2 + k[None, :] ** 2)
-        lam.setflags(write=False)
-        with _lock:
-            _weight_cache[key] = lam
-    return lam
+    k = mode_indices(band).astype(np.float64)
+    if dim == 1:
+        return (2.0 * np.pi) ** 2 * k * k
+    return (2.0 * np.pi) ** 2 * (k[:, None] ** 2 + k[None, :] ** 2)
 
 
 def band_mask(dim: int, band: int, cut: int) -> np.ndarray:
@@ -217,19 +207,8 @@ def project_band(state: SpectralState, m1: int, m2: int) -> SpectralState:
 
 
 def _norm_weights(dim: int, band: int, gamma: float):
-    key = ("w", dim, band, float(gamma))
-    with _lock:
-        w = _weight_cache.get(key)
-    if w is None:
-        base = 1.0 + lambda_sq(dim, band)
-        wu = base ** gamma
-        wv = base ** (gamma - 1.0)
-        wu.setflags(write=False)
-        wv.setflags(write=False)
-        w = (wu, wv)
-        with _lock:
-            _weight_cache[key] = w
-    return w
+    base = 1.0 + lambda_sq(dim, band)
+    return base ** gamma, base ** (gamma - 1.0)
 
 
 def _weighted_norm_sq(u, v, wu, wv) -> float:
@@ -262,33 +241,21 @@ def diff_norm(a: SpectralState, b: SpectralState, gamma: float = 0.0) -> float:
 # nonlinearity application
 
 
-def pseudospectral_apply(scalar_fn, coeffs: np.ndarray, cut: int,
-                         oversample: float = 1.0) -> np.ndarray:
+def pseudospectral_apply(scalar_fn, coeffs: np.ndarray, cut: int) -> np.ndarray:
     """Evaluate a scalar function on the collocation grid, truncated to ``cut``.
 
     Realises trigonometric interpolation of scalar_fn(u): inverse transform,
-    pointwise map, forward transform, sharp truncation.  ``oversample`` > 1
-    pads the evaluation grid first (e.g. 1.5 for the classical 3/2 rule) so
-    the truncated image approaches the true projection of the composition;
-    the default matches plain interpolation on the stored grid.
+    pointwise map, forward transform, sharp truncation.
     """
     coeffs = np.asarray(coeffs)
-    dim = coeffs.ndim
     band = coeffs.shape[0] // 2
     if cut > band:
         raise ValueError(f"cut {cut} exceeds stored band {band}")
-    work_band = band
-    if oversample > 1.0:
-        work_band = int(np.ceil(band * oversample))
-        coeffs = _pad_array(coeffs, band, work_band)
     samples = scalar_fn(inverse(coeffs).real)
     samples = np.asarray(samples, dtype=np.float64)
     if not np.isfinite(samples).all():
         raise FloatingPointError("nonlinearity produced non-finite samples")
-    out = forward(samples) * band_mask(dim, work_band, cut)
-    if work_band != band:
-        out = _truncate_array(out, work_band, band)
-    return out
+    return forward(samples) * band_mask(coeffs.ndim, band, cut)
 
 
 # ---------------------------------------------------------------------------
@@ -341,26 +308,6 @@ def with_band(state: SpectralState, band: int) -> SpectralState:
     return replace(state, band=band,
                    u_hat=op(state.u_hat, state.band, band),
                    v_hat=op(state.v_hat, state.band, band))
-
-
-def embed(state: SpectralState, target: SpectralGrid) -> SpectralState:
-    """Zero-pad onto a grid whose full band contains the stored one."""
-    if target.dim != state.grid.dim:
-        raise ValueError("embed requires matching dimensions")
-    if target.n_high < state.band:
-        raise ValueError(f"target band {target.n_high} smaller than stored {state.band}")
-    out = with_band(state, target.n_high)
-    return replace(out, grid=target)
-
-
-def restrict(state: SpectralState, target: SpectralGrid) -> SpectralState:
-    """Truncate onto a grid whose full band is contained in the stored one."""
-    if target.dim != state.grid.dim:
-        raise ValueError("restrict requires matching dimensions")
-    if target.n_high > state.band:
-        raise ValueError(f"target band {target.n_high} larger than stored {state.band}")
-    out = with_band(state, target.n_high)
-    return replace(out, grid=target)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import stochwave as sw
-from stochwave.integrators import linear_exact_discrepancy
+from stochwave.integrators import SCHEMES, linear_exact_discrepancy
 from stochwave.semigroup import apply, group_tables
 from stochwave.spectral import mode_indices
 
@@ -26,6 +26,13 @@ def flow(state, t):
 def explicit_problem(state, f=None, sigma=None):
     return sw.ProblemSpec(f or sw.zero_fn(), sigma or sw.zero_fn(),
                           sw.InitialDataSpec("explicit", state=state))
+
+
+def step(kind, state, tau, dw, f, sigma, cut=None):
+    """One step of scheme ``kind`` at the state's band, cut there by default."""
+    tables = SCHEMES[kind].tables(state.grid.dim, state.band, tau)
+    cut = state.band if cut is None else cut
+    return sw.step_scheme(state, tables, cut, tau, dw, f, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -81,14 +88,14 @@ class TestStepLRI:
     def test_degenerates_to_group_without_terms(self):
         grid = sw.make_grid(1, 8, 1.0)
         state = random_state(grid)
-        out = sw.step_lri(state, 0.1, 0.7, sw.zero_fn(), sw.zero_fn(), 8)
+        out = step("lri", state, 0.1, 0.7, sw.zero_fn(), sw.zero_fn(), 8)
         ref = flow(state, 0.1)
         np.testing.assert_array_equal(out.u_hat, ref.u_hat)
 
     def test_zero_increment_zero_forcing_is_linear(self):
         grid = sw.make_grid(1, 8, 1.0)
         state = random_state(grid)
-        out = sw.step_lri(state, 0.1, 0.0, sw.zero_fn(), sw.scaled_sine(16.0), 8)
+        out = step("lri", state, 0.1, 0.0, sw.zero_fn(), sw.scaled_sine(16.0), 8)
         ref = flow(state, 0.1)
         np.testing.assert_array_equal(out.u_hat, ref.u_hat)
         np.testing.assert_array_equal(out.v_hat, ref.v_hat)
@@ -97,7 +104,7 @@ class TestStepLRI:
         grid = sw.make_grid(1, 8, 1.0)
         state = random_state(grid, seed=3)
         tau, dw, cut = 1 / 32, 0.41, 6
-        out = sw.step_lri(state, tau, dw, sw.zero_fn(), sw.scaled_sine(1.0), cut)
+        out = step("lri", state, tau, dw, sw.zero_fn(), sw.scaled_sine(1.0), cut)
         ou, ov = lri_step_oracle(state.u_hat, state.v_hat, tau, dw, np.sin, cut)
         scale = max(np.abs(ou).max(), np.abs(ov).max())
         assert np.abs(out.u_hat - ou).max() < 1e-12 * scale
@@ -108,7 +115,7 @@ class TestStepLRI:
         state = random_state(grid, seed=5)
         tau, dw, cut = 1 / 16, -0.8, 8
         f = sw.scaled_cosine(2.0)
-        out = sw.step_lri(state, tau, dw, f, sw.scaled_sine(1.0), cut)
+        out = step("lri", state, tau, dw, f, sw.scaled_sine(1.0), cut)
         # fold the deterministic forcing into the oracle's diffusion slot:
         # tau*g + dw*z with two separate oracle passes
         ou1, ov1 = lri_step_oracle(state.u_hat, state.v_hat, tau, dw, np.sin, cut)
@@ -127,55 +134,36 @@ class TestStepLRI:
         grid = sw.make_grid(1, 8, 1.0)
         state = random_state(grid)
         pre = sw.project_low(state, grid.n_cut)
-        a = sw.step_lri(state, 0.1, 0.3, sw.zero_fn(), sw.scaled_sine(4.0), 8)
-        b = sw.step_lri(pre, 0.1, 0.3, sw.zero_fn(), sw.scaled_sine(4.0), 8)
+        a = step("lri", state, 0.1, 0.3, sw.zero_fn(), sw.scaled_sine(4.0), 8)
+        b = step("lri", pre, 0.1, 0.3, sw.zero_fn(), sw.scaled_sine(4.0), 8)
         np.testing.assert_array_equal(a.u_hat, b.u_hat)
 
     def test_cut_must_fit_band(self):
         grid = sw.make_grid(1, 8, 1.0)
         state = random_state(grid)
         with pytest.raises(ValueError):
-            sw.step_lri(state, 0.1, 0.0, sw.zero_fn(), sw.zero_fn(), 9)
+            step("lri", state, 0.1, 0.0, sw.zero_fn(), sw.zero_fn(), 9)
 
 
 class TestStepHRLRI:
-    def test_equals_lri_at_full_cut(self):
-        grid = sw.make_grid(1, 16, 1.0)
-        state = random_state(grid, seed=2)
-        hr = sw.step_hrlri_low(state, 0.05, 0.3, sw.zero_fn(), sw.scaled_sine(16.0), 16)
-        lri = sw.step_lri(state, 0.05, 0.3, sw.zero_fn(), sw.scaled_sine(16.0), 16)
-        np.testing.assert_array_equal(hr.u_hat, lri.u_hat)
-        np.testing.assert_array_equal(hr.v_hat, lri.v_hat)
-
-    def test_oversampled_projection_differs_for_sine(self):
-        # interpolation folds aliases back into the band; the oversampled
-        # route does not, and the diagnostic sees the gap
-        grid = sw.make_grid(1, 8, 1.0)
-        state = random_state(grid, seed=8)
-        gap = sw.projection_interpolation_gap(state, sw.scaled_sine(16.0), 8)
-        assert gap > 1e-8
-        linear_gap = sw.projection_interpolation_gap(
-            state, sw.bounded_tabulated([-100, 100], [-200, 200]), 8)
-        assert linear_gap < 1e-10
-
     def test_zero_state_fixed_point(self):
         grid = sw.make_grid(1, 8, 1.0)
         state = sw.zero_state(grid, band=8)
-        out = sw.step_hrlri_low(state, 0.1, 1.3, sw.zero_fn(), sw.scaled_sine(16.0), 8)
+        out = step("hr_lri", state, 0.1, 1.3, sw.zero_fn(), sw.scaled_sine(16.0))
         assert not out.u_hat.any() and not out.v_hat.any()
 
     def test_pure_rotation_without_terms(self):
         grid = sw.make_grid(1, 8, 1.0)
         state = random_state(grid)
-        out = sw.step_hrlri_low(state, 0.25, 0.9, sw.zero_fn(), sw.zero_fn(), 8)
+        out = step("hr_lri", state, 0.25, 0.9, sw.zero_fn(), sw.zero_fn())
         ref = flow(state, 0.25)
         np.testing.assert_array_equal(out.u_hat, ref.u_hat)
 
     def test_band_mismatch_rejected(self):
         grid = sw.make_grid(1, 8, 2.0)
-        state = random_state(grid)  # band 64 != stepped band 8
+        state = random_state(grid, band=8)  # the stepped band holds no cut 64
         with pytest.raises(ValueError):
-            sw.step_hrlri_low(state, 0.1, 0.0, sw.zero_fn(), sw.zero_fn(), 8)
+            step("hr_lri", state, 0.1, 0.0, sw.zero_fn(), sw.zero_fn(), grid.n_high)
 
 
 class TestRecoverHigh:
@@ -214,7 +202,8 @@ class TestStepSEM:
         v = np.zeros(8, dtype=np.complex128)
         u[0], v[0] = 1.0, 2.0
         tau, dw = 0.25, 0.6
-        out = sw.step_sem(sw.SpectralState(grid, 4, u, v), tau, dw, sw.constant_fn(3.0))
+        out = step("sem", sw.SpectralState(grid, 4, u, v), tau, dw, sw.zero_fn(),
+                   sw.constant_fn(3.0))
         v_new = 2.0 + dw * 3.0
         assert out.v_hat[0] == pytest.approx(v_new, rel=1e-14)
         assert out.u_hat[0] == pytest.approx(1.0 + tau * v_new, rel=1e-14)
@@ -222,7 +211,7 @@ class TestStepSEM:
     def test_deterministic_energy_nonincreasing(self):
         grid = sw.make_grid(1, 16, 1.0)
         state = random_state(grid, seed=6)
-        out = sw.step_sem(state, 0.1, 0.0, sw.scaled_sine(16.0))
+        out = step("sem", state, 0.1, 0.0, sw.zero_fn(), sw.scaled_sine(16.0))
         idx = mode_indices(16)
         lam2 = (2 * np.pi * np.abs(idx)) ** 2
         e0 = np.abs(state.v_hat) ** 2 + lam2 * np.abs(state.u_hat) ** 2
@@ -234,7 +223,7 @@ class TestStepSEM:
         state = random_state(grid, seed=7)
         tau, dw = 0.2, -0.35
         sigma = sw.scaled_sine(2.0)
-        out = sw.step_sem(state, tau, dw, sigma)
+        out = step("sem", state, tau, dw, sw.zero_fn(), sigma)
         z = sw.pseudospectral_apply(sigma, state.u_hat, 8)
         idx = mode_indices(8)
         for i, k in enumerate(idx):
@@ -250,21 +239,24 @@ class TestStepSTM:
     def test_exact_linear_when_sigma_zero(self):
         grid = sw.make_grid(1, 8, 1.0)
         state = random_state(grid)
-        out = sw.step_stm(state, 0.3, 1.1, sw.zero_fn())
+        out = step("stm", state, 0.3, 1.1, sw.zero_fn(), sw.zero_fn())
         ref = flow(state, 0.3)
         np.testing.assert_array_equal(out.u_hat, ref.u_hat)
 
     def test_equals_hrlri_without_forcing(self):
+        # and with it: both take the full cut, so the steps are the same
         grid = sw.make_grid(1, 16, 1.0)
         state = random_state(grid, seed=9)
-        stm = sw.step_stm(state, 0.05, 0.77, sw.scaled_sine(16.0))
-        hr = sw.step_hrlri_low(state, 0.05, 0.77, sw.zero_fn(), sw.scaled_sine(16.0), 16)
-        np.testing.assert_array_equal(stm.u_hat, hr.u_hat)
-        np.testing.assert_array_equal(stm.v_hat, hr.v_hat)
+        for f in (sw.zero_fn(), sw.scaled_cosine(2.0)):
+            stm = step("stm", state, 0.05, 0.77, f, sw.scaled_sine(16.0))
+            hr = step("hr_lri", state, 0.05, 0.77, f, sw.scaled_sine(16.0))
+            np.testing.assert_array_equal(stm.u_hat, hr.u_hat)
+            np.testing.assert_array_equal(stm.v_hat, hr.v_hat)
 
     def test_zero_fixed_point(self):
         grid = sw.make_grid(1, 8, 1.0)
-        out = sw.step_stm(sw.zero_state(grid, band=8), 0.1, 0.9, sw.scaled_sine(16.0))
+        out = step("stm", sw.zero_state(grid, band=8), 0.1, 0.9, sw.zero_fn(),
+                   sw.scaled_sine(16.0))
         assert not out.u_hat.any()
 
 
@@ -382,6 +374,36 @@ class TestRunDriver:
         assert steps == [0, 1, 2, 3, 4]  # three callbacks inside the loop
         assert result.wall_time < pause
 
+    @pytest.mark.parametrize("kind", ["hr_lri", "lri", "sem", "stm"])
+    def test_constant_forcing_on_zero_mode(self, kind):
+        # every scheme's zero mode is the shear [[1, tau], [0, 1]] applied
+        # after the kick tau*c, so v = c n tau and u = c tau^2 n (n+1) / 2
+        c, tau, n = 2.0, 2**-4, 4
+        grid = sw.make_grid(1, 4, 1.0)
+        problem = explicit_problem(sw.zero_state(grid), f=sw.constant_fn(c))
+        lattice = sw.sample_path(0, 0, n * tau, tau)
+        res = sw.run(sw.method_spec(kind, tau, n * tau), grid, problem, lattice)
+        assert res.final_state.v_hat[0] == pytest.approx(c * n * tau, rel=1e-14)
+        assert res.final_state.u_hat[0] == pytest.approx(
+            c * tau**2 * n * (n + 1) / 2, rel=1e-14)
+
+    def test_lri_cut_below_band(self):
+        # tau = 1/8 on band 16: the driver filters at floor(1/tau) = 8
+        grid = sw.make_grid(1, 16, 1.0)
+        state = random_state(grid, seed=15)
+        f, sigma = sw.scaled_cosine(3.0), sw.scaled_sine(16.0)
+        problem = explicit_problem(state, f=f, sigma=sigma)
+        tau = 2**-3
+        lattice = sw.sample_path(3, 0, 0.25, tau)
+        res = sw.run(sw.method_spec("lri", tau, 0.25), grid, problem, lattice)
+        stepped = state
+        for dw in sw.coarsen(lattice, tau):
+            stepped = step("lri", stepped, tau, float(dw), f, sigma, cut=8)
+        np.testing.assert_array_equal(res.final_state.u_hat, stepped.u_hat)
+        np.testing.assert_array_equal(res.final_state.v_hat, stepped.v_hat)
+        hr = sw.run(sw.method_spec("hr_lri", tau, 0.25), grid, problem, lattice)
+        assert np.abs(hr.final_state.u_hat - stepped.u_hat).max() > 1e-6
+
     def test_misaligned_tau_rejected(self):
         grid = sw.make_grid(1, 4, 1.0)
         problem = explicit_problem(random_state(grid))
@@ -395,10 +417,9 @@ class TestRunDriver:
             sw.method_spec("verlet", 0.1, 1.0)
         with pytest.raises(ValueError):
             sw.method_spec("stm", 0.3, 1.0)  # does not tile
-        with pytest.raises(ValueError):
-            sw.method_spec("sem", 0.25, 1.0, recovery=True)
         spec = sw.method_spec("hr_lri", 0.25, 1.0)
         assert spec.recovery and spec.n_steps == 4
+        assert not sw.method_spec("sem", 0.25, 1.0).recovery
 
 
 class TestZeroModeOracle:

@@ -231,26 +231,19 @@ class TestPseudospectral:
         with pytest.raises(FloatingPointError), np.errstate(invalid="ignore"):
             sw.pseudospectral_apply(lambda u: np.log(u - 100.0), state.u_hat, 8)
 
-    def test_oversampled_identity_matches(self):
-        grid = sw.make_grid(1, 8, 1.0)
-        state = random_state(grid)
-        plain = sw.pseudospectral_apply(lambda u: 2 * u, state.u_hat, 8)
-        over = sw.pseudospectral_apply(lambda u: 2 * u, state.u_hat, 8, oversample=1.5)
-        np.testing.assert_allclose(plain, over, atol=1e-13)
-
 
 class TestBandChanges:
     def test_embed_same_grid_is_identity(self):
         grid = sw.make_grid(1, 8, 1.0)
         state = random_state(grid)
-        out = sw.embed(state, grid)
+        out = sw.with_band(state, grid.n_high)
         np.testing.assert_array_equal(out.u_hat, state.u_hat)
 
     def test_restrict_left_inverse_of_embed(self):
         coarse = sw.make_grid(1, 8, 1.0)
         fine = sw.make_grid(1, 8, 2.0)
         state = random_state(coarse)
-        back = sw.restrict(sw.embed(state, fine), coarse)
+        back = sw.with_band(sw.with_band(state, fine.n_high), coarse.n_high)
         np.testing.assert_array_equal(back.u_hat, state.u_hat)
         np.testing.assert_array_equal(back.v_hat, state.v_hat)
 
@@ -258,7 +251,7 @@ class TestBandChanges:
         coarse = sw.make_grid(2, 4, 1.0)
         fine = sw.make_grid(2, 4, 2.0)
         state = random_state(coarse)
-        back = sw.restrict(sw.embed(state, fine), coarse)
+        back = sw.with_band(sw.with_band(state, fine.n_high), coarse.n_high)
         np.testing.assert_array_equal(back.u_hat, state.u_hat)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.5])
@@ -266,19 +259,23 @@ class TestBandChanges:
         coarse = sw.make_grid(2, 6, 1.0)
         fine = sw.make_grid(2, 6, 1.7)
         state = random_state(coarse)
-        assert sw.sobolev_norm(sw.embed(state, fine), gamma) == pytest.approx(
+        assert sw.sobolev_norm(sw.with_band(state, fine.n_high), gamma) == pytest.approx(
             sw.sobolev_norm(state, gamma), rel=1e-12)
 
     def test_dimension_mismatch_rejected(self):
+        # a state meets a grid of another dimension only as a run's initial data
         state = random_state(sw.make_grid(1, 8, 1.0))
-        with pytest.raises(ValueError):
-            sw.embed(state, sw.make_grid(2, 8, 2.0))
+        problem = sw.ProblemSpec(sw.zero_fn(), sw.zero_fn(),
+                                 sw.InitialDataSpec("explicit", state=state))
+        with pytest.raises(ValueError, match="dimension"):
+            sw.run(sw.method_spec("stm", 0.25, 0.25), sw.make_grid(2, 8, 2.0),
+                   problem, sw.sample_path(0, 0, 0.25, 0.25))
 
     def test_hermitian_preserved_through_pipeline(self):
         grid = sw.make_grid(1, 16, 1.5)
         state = random_state(grid)
         out = sw.project_band(sw.project_low(state, 20), 2, 14)
-        out = sw.restrict(out, sw.make_grid(1, 16, 1.0))
+        out = sw.with_band(out, 16)
         u = sw.inverse(out.u_hat)
         assert np.abs(u.imag).max() < 1e-12 * max(np.abs(u.real).max(), 1e-9)
 
@@ -316,9 +313,9 @@ def test_nyquist_slot_stays_empty():
     grid = sw.make_grid(1, 8, 1.0)
     state = random_state(grid)
     assert state.u_hat[8] == 0
-    fine = sw.make_grid(1, 8, 2.0)
-    assert sw.embed(state, fine).u_hat[16] == 0
-    assert sw.with_band(sw.embed(state, fine), 8).u_hat[8] == 0
+    fine = sw.with_band(state, 64)
+    assert fine.u_hat[16] == 0 and fine.u_hat[64] == 0
+    assert sw.with_band(fine, 8).u_hat[8] == 0
 
 
 def test_lambda_grid_matches_definition():
