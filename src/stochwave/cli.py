@@ -67,8 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, help="worker threads")
         p.add_argument("--sample", type=int, help="sample index (run only)")
         p.add_argument("--stride", type=int, help="snapshot stride in steps (run only)")
-        p.add_argument("--full-fidelity", action="store_true",
-                       help="restore the 1000-sample study size")
     return parser
 
 
@@ -103,8 +101,6 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
         overrides["sample_index"] = args.sample
     if args.stride is not None:
         overrides["snapshot_stride"] = args.stride
-    if args.full_fidelity:
-        overrides["full_fidelity"] = True
     if args.tau is not None:
         overrides["tau"] = args.tau
         if args.command in ("converge", "compare") or args.levels is not None:

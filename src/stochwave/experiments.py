@@ -77,7 +77,6 @@ from .spectral import (
 )
 
 DESK_SAMPLES = 128
-FULL_SAMPLES = 1000
 MAX_EXCLUDED_FRACTION = 0.01
 
 
@@ -109,7 +108,6 @@ class ExperimentConfig:
     tau_ref: float | None = None
     out_dir: str = "out"
     n_workers: int = 1
-    full_fidelity: bool = False
     tau: float | None = None
     sample_index: int = 0
     snapshot_stride: int = 0
@@ -175,14 +173,36 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     if min(n_cuts) < 1:
         raise ConfigError(f"n_cuts must be >= 1, got {n_cuts}")
     methods = tuple(config.methods)
+    if not methods:
+        raise ConfigError("at least one method is required")
+    if len(set(methods)) != len(methods):
+        raise ConfigError(f"repeated method in {methods}")
     for m in methods:
         if m not in SCHEMES:
             raise ConfigError(f"unknown method {m!r}")
-    n_samples = FULL_SAMPLES if config.full_fidelity else config.n_samples
-    if n_samples < 1:
+    if config.n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
+    tau = config.tau if config.tau is not None else levels[-1]
+    for n in (default_n_cut(tau_ref), *n_cuts, default_n_cut(tau)):
+        try:
+            make_grid(config.dim, n, alpha)
+        except OverflowError as exc:
+            raise ConfigError(f"recovery cutoff {n}^{alpha} overflows") from exc
     return replace(config, levels=levels, alpha=alpha, tau_ref=tau_ref,
-                   n_cuts=n_cuts, methods=methods, n_samples=n_samples)
+                   n_cuts=n_cuts, methods=methods)
+
+
+def _full_grid(dim: int, n_cut: int, alpha: float) -> SpectralGrid:
+    """make_grid, refusing a grid whose full (2 n_high)^dim box of complex
+    coefficients is larger than physical memory."""
+    grid = make_grid(dim, n_cut, alpha)
+    need = 16 * (2 * grid.n_high) ** dim
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ConfigError(f"band {n_cut} with alpha {alpha} needs {need / 2**30:.3g} GiB "
+                          f"per full-band array, more than the {have / 2**30:.3g} GiB "
+                          "of physical memory")
+    return grid
 
 
 def study_problem(config: ExperimentConfig) -> tuple[int, ProblemSpec]:
@@ -300,10 +320,10 @@ def _prepare(config: ExperimentConfig) -> _Study:
     dim, problem = study_problem(config)
     n_ref = default_n_cut(config.tau_ref)
     band = max(n_ref, *config.n_cuts)
-    full = make_grid(dim, n_ref, config.alpha)
+    full = _full_grid(dim, n_ref, config.alpha)
     u0 = build_initial(problem.initial, full)
-    if u0.grid.dim != dim:
-        raise ConfigError(f"initial state is {u0.grid.dim}-dimensional, config says {dim}")
+    if u0.dim != dim:
+        raise ConfigError(f"initial state is {u0.dim}-dimensional, config says {dim}")
     u0 = with_band(u0, full.n_high)
     specs = [[method_spec(m, tau, config.t_final) for tau in config.levels]
              for m in config.methods]
@@ -359,8 +379,7 @@ def _at_band(state: SpectralState, band: int,
     state = with_band(state, band)
     if offset is None:
         return state
-    return replace(state, u_hat=state.u_hat + offset.u_hat,
-                   v_hat=state.v_hat + offset.v_hat)
+    return SpectralState(state.u_hat + offset.u_hat, state.v_hat + offset.v_hat)
 
 
 def _one_sample(sample: int, study: _Study):
@@ -455,10 +474,12 @@ def run_single(config: ExperimentConfig, sample_index: int | None = None) -> dic
     config = resolve_config(config)
     if sample_index is None:
         sample_index = config.sample_index
+    if len(config.methods) != 1:
+        raise ConfigError(f"a single run takes one method, got {config.methods}")
     dim, problem = study_problem(config)
     tau = config.tau if config.tau is not None else config.levels[-1]
     n_cut = default_n_cut(tau)
-    grid = make_grid(dim, n_cut, config.alpha)
+    grid = _full_grid(dim, n_cut, config.alpha)
     spec = method_spec(config.methods[0], tau, config.t_final)
     lattice = sample_path(config.seed, sample_index, config.t_final, tau)
     os.makedirs(config.out_dir, exist_ok=True)
@@ -483,8 +504,8 @@ def run_single(config: ExperimentConfig, sample_index: int | None = None) -> dic
 
     result = run(spec, grid, problem, lattice,
                  snapshot_stride=stride, on_snapshot=on_snapshot)
-    final_u = replace(result.final_state,
-                      v_hat=np.zeros_like(result.final_state.v_hat))
+    final_u = SpectralState(result.final_state.u_hat,
+                            np.zeros_like(result.final_state.v_hat))
     summary = {
         "method": spec.kind,
         "tau": tau,
@@ -566,12 +587,6 @@ def emit_study(reports, out_dir: str, timing=None) -> str:
 # flat key=value config files
 
 
-_LIST_KEYS = {"methods", "levels", "n_cuts"}
-_INT_KEYS = {"dim", "preset", "n_samples", "seed", "n_workers",
-             "sample_index", "snapshot_stride"}
-_FLOAT_KEYS = {"gamma", "alpha", "t_final", "tau_ref", "tau"}
-_BOOL_KEYS = {"full_fidelity"}
-
 METHOD_ALIASES = {"hrlri": "hr_lri", "hr_lri": "hr_lri", "lri": "lri",
                   "sem": "sem", "stm": "stm"}
 
@@ -601,27 +616,30 @@ def parse_config_file(path) -> dict[str, str]:
     return out
 
 
+def _listed(convert):
+    return lambda val: tuple(convert(v) for v in val.split(",") if v.strip())
+
+
+# config key -> converter of its string value
+_CONVERTERS = {
+    **dict.fromkeys(("dim", "preset", "n_samples", "seed", "n_workers",
+                     "sample_index", "snapshot_stride"), int),
+    **dict.fromkeys(("gamma", "alpha", "t_final", "tau_ref", "tau"), float),
+    "methods": _listed(canonical_method),
+    "levels": _listed(float),
+    "n_cuts": _listed(int),
+    "out_dir": str,
+}
+
+
 def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
     """Typed ExperimentConfig from string key=value pairs."""
     kwargs: dict = {}
     for key, val in mapping.items():
-        if key in _INT_KEYS:
-            kwargs[key] = int(val)
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = float(val)
-        elif key in _BOOL_KEYS:
-            kwargs[key] = val.strip().lower() in ("1", "true", "yes", "on")
-        elif key == "methods":
-            kwargs[key] = tuple(canonical_method(v) for v in val.split(",") if v.strip())
-        elif key == "levels":
-            kwargs[key] = tuple(float(v) for v in val.split(",") if v.strip())
-        elif key == "n_cuts":
-            kwargs[key] = tuple(int(v) for v in val.split(",") if v.strip())
-        elif key == "out_dir":
-            kwargs[key] = val
-        else:
+        if key not in _CONVERTERS:
             raise ConfigError(f"unknown config key {key!r}")
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+        try:
+            kwargs[key] = _CONVERTERS[key](val)
+        except ValueError as exc:
+            raise ConfigError(f"{key} = {val}: {exc}") from exc
+    return ExperimentConfig(**kwargs)

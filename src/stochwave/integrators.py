@@ -29,7 +29,7 @@ final time in one shot when recovery is enabled.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -119,7 +119,7 @@ def recover_high(initial_band: SpectralState, t: float) -> SpectralState:
     Its table is built afresh rather than cached: each time t is used once,
     and the table spans the full band.
     """
-    lam = np.sqrt(lambda_sq(initial_band.grid.dim, initial_band.band))
+    lam = np.sqrt(lambda_sq(initial_band.dim, initial_band.band))
     return semigroup.apply(initial_band, semigroup.propagator_tables(lam, t))
 
 
@@ -129,10 +129,9 @@ def recover_high(initial_band: SpectralState, t: float) -> SpectralState:
 
 def _conform(state: SpectralState, grid: SpectralGrid) -> SpectralState:
     """Bring an initial state onto the run grid's full band."""
-    if state.grid.dim != grid.dim:
+    if state.dim != grid.dim:
         raise ValueError("initial state dimension does not match grid")
-    out = with_band(state, grid.n_high)
-    return replace(out, grid=grid)
+    return with_band(state, grid.n_high)
 
 
 def _check_finite(state: SpectralState, step: int) -> None:
@@ -177,8 +176,7 @@ def run(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
         out = with_band(state_low, grid.n_high)
         if method.recovery and rec0 is not None:
             rec = recover_high(rec0, t)
-            out = replace(out, u_hat=out.u_hat + rec.u_hat,
-                          v_hat=out.v_hat + rec.v_hat)
+            out = SpectralState(out.u_hat + rec.u_hat, out.v_hat + rec.v_hat)
         return out
 
     if on_snapshot is not None and snapshot_stride > 0:

@@ -151,7 +151,7 @@ def build_indicator_1d(grid: SpectralGrid) -> SpectralState:
     u = np.zeros_like(x)
     u[(x >= 0.3) & (x <= 0.425)] = 5.0
     u[(x >= 0.575) & (x <= 0.7)] = 2.5
-    return state_from_fields(grid, u, np.zeros_like(u))
+    return state_from_fields(u, np.zeros_like(u))
 
 
 def build_indicator_2d(grid: SpectralGrid) -> SpectralState:
@@ -161,7 +161,7 @@ def build_indicator_2d(grid: SpectralGrid) -> SpectralState:
     x = collocation_nodes(grid.n_high)
     inside = (x >= 0.375) & (x <= 0.625)
     u = 0.5 * np.outer(inside, inside).astype(np.float64)
-    return state_from_fields(grid, u, np.zeros_like(u))
+    return state_from_fields(u, np.zeros_like(u))
 
 
 def _axis_profile(kmax: int, gamma: float, ru: np.ndarray, rv: np.ndarray):
@@ -202,7 +202,7 @@ def build_random_hgamma(grid: SpectralGrid, gamma: float, seed: int) -> Spectral
                          _spread(band, kmax, bu)).astype(np.complex128)
         v_hat = np.outer(_spread(band, kmax, av),
                          _spread(band, kmax, bv)).astype(np.complex128)
-    return SpectralState(grid, band, u_hat, v_hat)
+    return SpectralState(u_hat, v_hat)
 
 
 def build_initial(spec: InitialDataSpec, grid: SpectralGrid) -> SpectralState:

@@ -20,7 +20,6 @@ of t; every integrator reapplies the same e^(tau L) each step.
 from __future__ import annotations
 
 import threading
-from dataclasses import replace
 
 import numpy as np
 
@@ -102,4 +101,4 @@ def apply(state: SpectralState, tables, *dv: np.ndarray) -> SpectralState:
     w = state.v_hat
     for d in dv:
         w = w + d
-    return replace(state, u_hat=a11 * u + a12 * w, v_hat=a21 * u + a22 * w)
+    return SpectralState(a11 * u + a12 * w, a21 * u + a22 * w)

@@ -6,10 +6,11 @@ Coefficients live in the standard even-size FFT layout: a state stored "at
 band m" uses 2m collocation points per dimension and holds the integer modes
 k in [-m, m-1].
 
-Two cutoffs describe a grid: the low cutoff ``n_cut`` (the band advanced by
-the time steppers) and the recovery cutoff ``n_high = floor(n_cut**alpha)``
-(the widest band any state of the grid retains).  Collocation nodes are
-j / points_per_dim with points_per_dim = 2*n_high.
+A state is nothing but its two arrays: their shape (2m,)*dim fixes its
+band m and its dimension.  Two cutoffs describe a grid: the low cutoff
+``n_cut`` (the band advanced by the time steppers) and the recovery cutoff
+``n_high = floor(n_cut**alpha)`` (the widest band any state of the grid
+retains).
 
 Nyquist convention: the even layout carries a single unpaired slot per axis
 (index m, frequency -m).  States keep that slot identically zero, so every
@@ -21,9 +22,10 @@ mode the even layout already halves.
 
 from __future__ import annotations
 
+import itertools
 import struct
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,9 +44,7 @@ class SpectralGrid:
 
     dim: int
     n_cut: int
-    alpha: float
     n_high: int
-    points_per_dim: int
 
 
 def make_grid(dim: int, n_cut: int, alpha: float) -> SpectralGrid:
@@ -62,33 +62,32 @@ def make_grid(dim: int, n_cut: int, alpha: float) -> SpectralGrid:
     v = float(n_cut) ** float(alpha)
     # guard against 999.9999999 artifacts when the power is an exact integer
     n_high = int(round(v)) if abs(v - round(v)) < 1e-9 else int(v)
-    return SpectralGrid(dim=dim, n_cut=n_cut, alpha=float(alpha),
-                        n_high=n_high, points_per_dim=2 * n_high)
+    return SpectralGrid(dim=dim, n_cut=n_cut, n_high=n_high)
 
 
 @dataclass(frozen=True)
 class SpectralState:
-    """Fourier coefficients of a (u, v) pair, stored at ``band`` <= n_high.
+    """Fourier coefficients of a (u, v) pair.
 
-    Arrays have shape (2*band,)*dim in FFT layout and are treated as
+    Both arrays have shape (2*band,)*dim in FFT layout and are treated as
     immutable; operations return fresh states.
     """
 
-    grid: SpectralGrid
-    band: int
     u_hat: np.ndarray
     v_hat: np.ndarray
 
     @property
-    def time_points(self) -> int:
-        return 2 * self.band
+    def dim(self) -> int:
+        return self.u_hat.ndim
+
+    @property
+    def band(self) -> int:
+        return self.u_hat.shape[0] // 2
 
 
-def zero_state(grid: SpectralGrid, band: int | None = None) -> SpectralState:
-    band = grid.n_high if band is None else band
-    shape = (2 * band,) * grid.dim
-    return SpectralState(grid, band,
-                         np.zeros(shape, dtype=np.complex128),
+def zero_state(dim: int, band: int) -> SpectralState:
+    shape = (2 * band,) * dim
+    return SpectralState(np.zeros(shape, dtype=np.complex128),
                          np.zeros(shape, dtype=np.complex128))
 
 
@@ -156,15 +155,14 @@ def inverse(coeffs: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(coeffs) * coeffs.size
 
 
-def state_from_fields(grid: SpectralGrid, u: np.ndarray, v: np.ndarray,
-                      band: int | None = None) -> SpectralState:
+def state_from_fields(u: np.ndarray, v: np.ndarray) -> SpectralState:
     """Transform sampled real fields into a state, zeroing Nyquist slots."""
-    band = grid.n_high if band is None else band
-    if u.shape != (2 * band,) * grid.dim:
-        raise ValueError(f"field shape {u.shape} does not match band {band}")
-    full = band_mask(grid.dim, band, band)
-    return SpectralState(grid, band,
-                         forward(u) * full, forward(v) * full)
+    u_hat = forward(u)
+    if u_hat.ndim not in (1, 2) or np.shape(v) != u_hat.shape:
+        raise ValueError(f"fields must be matching 1-d or 2-d arrays, got "
+                         f"{u_hat.shape} and {np.shape(v)}")
+    full = band_mask(u_hat.ndim, u_hat.shape[0] // 2, u_hat.shape[0] // 2)
+    return SpectralState(u_hat * full, forward(v) * full)
 
 
 def state_to_fields(state: SpectralState) -> tuple[np.ndarray, np.ndarray]:
@@ -189,17 +187,16 @@ def collocation_nodes(band: int) -> np.ndarray:
 
 def project_low(state: SpectralState, m: int) -> SpectralState:
     """Zero every coefficient with some |k_j| > m (sharp box truncation)."""
-    mask = band_mask(state.grid.dim, state.band, m)
-    return replace(state, u_hat=state.u_hat * mask, v_hat=state.v_hat * mask)
+    mask = band_mask(state.dim, state.band, m)
+    return SpectralState(state.u_hat * mask, state.v_hat * mask)
 
 
 def project_band(state: SpectralState, m1: int, m2: int) -> SpectralState:
     """Keep modes inside the m2 box but outside the m1 box."""
     if not 0 <= m1 < m2 <= state.band:
         raise ValueError(f"need 0 <= m1 < m2 <= band, got ({m1}, {m2}, band {state.band})")
-    mask = band_mask(state.grid.dim, state.band, m2) & ~band_mask(
-        state.grid.dim, state.band, m1)
-    return replace(state, u_hat=state.u_hat * mask, v_hat=state.v_hat * mask)
+    mask = band_mask(state.dim, state.band, m2) & ~band_mask(state.dim, state.band, m1)
+    return SpectralState(state.u_hat * mask, state.v_hat * mask)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +220,7 @@ def sobolev_norm(state: SpectralState, gamma: float) -> float:
     the v slot by (1+lambda^2)^(gamma-1).  gamma = 0 is the L2 x H^-1 error
     norm used throughout the convergence studies.
     """
-    wu, wv = _norm_weights(state.grid.dim, state.band, gamma)
+    wu, wv = _norm_weights(state.dim, state.band, gamma)
     return float(np.sqrt(_weighted_norm_sq(state.u_hat, state.v_hat, wu, wv)))
 
 
@@ -232,7 +229,7 @@ def diff_norm(a: SpectralState, b: SpectralState, gamma: float = 0.0) -> float:
     band = max(a.band, b.band)
     a = with_band(a, band)
     b = with_band(b, band)
-    wu, wv = _norm_weights(a.grid.dim, band, gamma)
+    wu, wv = _norm_weights(a.dim, band, gamma)
     return float(np.sqrt(_weighted_norm_sq(
         a.u_hat - b.u_hat, a.v_hat - b.v_hat, wu, wv)))
 
@@ -262,52 +259,29 @@ def pseudospectral_apply(scalar_fn, coeffs: np.ndarray, cut: int) -> np.ndarray:
 # band changes
 
 
-def _axis_slices(small: int, large: int):
-    """Index pairs mapping modes [-small, small-1] between layouts."""
-    head = slice(0, small)
-    tail_large = slice(2 * large - small, 2 * large)
-    tail_small = slice(small, 2 * small)
-    return head, tail_small, tail_large
-
-
-def _pad_array(arr: np.ndarray, band: int, new_band: int) -> np.ndarray:
-    dim = arr.ndim
-    out = np.zeros((2 * new_band,) * dim, dtype=arr.dtype)
-    head, tail_s, tail_l = _axis_slices(band, new_band)
-    if dim == 1:
-        out[head] = arr[head]
-        out[tail_l] = arr[tail_s]
-    else:
-        for rs, rd in ((head, head), (tail_s, tail_l)):
-            for cs, cd in ((head, head), (tail_s, tail_l)):
-                out[rd, cd] = arr[rs, cs]
-    return out
-
-
-def _truncate_array(arr: np.ndarray, band: int, new_band: int) -> np.ndarray:
-    dim = arr.ndim
-    out = np.zeros((2 * new_band,) * dim, dtype=arr.dtype)
-    head, tail_s, tail_l = _axis_slices(new_band, band)
-    if dim == 1:
-        out[head] = arr[head]
-        out[tail_s] = arr[tail_l]
-    else:
-        for rs, rd in ((head, head), (tail_l, tail_s)):
-            for cs, cd in ((head, head), (tail_l, tail_s)):
-                out[rd, cd] = arr[rs, cs]
-    # incoming Nyquist-adjacent content at |k_j| = new_band stays behind
-    mask = band_mask(dim, new_band, new_band)
-    return out * mask
-
-
 def with_band(state: SpectralState, band: int) -> SpectralState:
-    """Re-store a state at another band on the same grid (pad or truncate)."""
-    if band == state.band:
+    """Re-store a state at another band (pad or truncate).
+
+    Along each axis the m = min(old, new) modes [0, m-1] keep their slots
+    and the modes [-m, -1] move to the end; every other slot is zero.
+    """
+    old = state.band
+    if band == old:
         return state
-    op = _pad_array if band > state.band else _truncate_array
-    return replace(state, band=band,
-                   u_hat=op(state.u_hat, state.band, band),
-                   v_hat=op(state.v_hat, state.band, band))
+    m = min(old, band)
+    axis = ((slice(0, m), slice(0, m)),
+            (slice(2 * old - m, 2 * old), slice(2 * band - m, 2 * band)))
+    blocks = [tuple(zip(*b)) for b in itertools.product(axis, repeat=state.dim)]
+    out = []
+    for arr in (state.u_hat, state.v_hat):
+        new = np.zeros((2 * band,) * state.dim, dtype=arr.dtype)
+        for src, dst in blocks:
+            new[dst] = arr[src]
+        if band < old:
+            # content at |k_j| = band landed on the unpaired slot; drop it
+            new = new * band_mask(state.dim, band, band)
+        out.append(new)
+    return SpectralState(*out)
 
 
 # ---------------------------------------------------------------------------
@@ -318,20 +292,20 @@ _MAGIC = b"SWV1"
 
 def save_snapshot(path, state: SpectralState, time: float) -> None:
     """Write the real-space fields: magic 'SWV1', little-endian u32 dim,
-    u32 points_per_dim, f64 time, then points^dim f64 samples of u followed
-    by the samples of v (C order).
+    u32 points per dimension, f64 time, then points^dim f64 samples of u
+    followed by the samples of v (C order).
     """
     u, v = state_to_fields(state)
     points = u.shape[0]
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<IId", state.grid.dim, points, float(time)))
+        fh.write(struct.pack("<IId", state.dim, points, float(time)))
         fh.write(u.astype("<f8").tobytes(order="C"))
         fh.write(v.astype("<f8").tobytes(order="C"))
 
 
 def load_snapshot(path) -> tuple[int, int, float, np.ndarray, np.ndarray]:
-    """Read a snapshot; returns (dim, points_per_dim, time, u, v)."""
+    """Read a snapshot; returns (dim, points per dimension, time, u, v)."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:

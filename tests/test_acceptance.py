@@ -106,7 +106,7 @@ def test_criterion_3_linear_degeneration():
         start = time.perf_counter()
         grid = sw.make_grid(1, 16, 2.0)
         rng = np.random.default_rng(3)
-        u0 = sw.state_from_fields(grid, rng.standard_normal(512),
+        u0 = sw.state_from_fields(rng.standard_normal(512),
                                   rng.standard_normal(512))
         problem = sw.ProblemSpec(sw.zero_fn(), sw.zero_fn(),
                                  sw.InitialDataSpec("explicit", state=u0))
@@ -179,7 +179,7 @@ def test_criterion_8_constant_sigma_oracle():
         u[0], v[0] = u0, v0
         problem = sw.ProblemSpec(sw.zero_fn(), sw.constant_fn(c),
                                  sw.InitialDataSpec("explicit",
-                                                    state=sw.SpectralState(grid, 1, u, v)))
+                                                    state=sw.SpectralState(u, v)))
         taus = [2**-5, 2**-6, 2**-7, 2**-8, 2**-9]
         specs = {m: [sw.method_spec(m, tau, t_final) for tau in taus]
                  for m in ("stm", "hr_lri")}

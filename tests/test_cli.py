@@ -82,6 +82,14 @@ BAD_ARGUMENTS = [
     ["converge", "--config", "{tmp}/preset7.cfg"],
     ["converge", "--config", "{tmp}/tau_ref0.cfg"],
     ["converge", "--config", "{tmp}/n_cuts0.cfg"],
+    ["converge", "--config", "{tmp}/dim_abc.cfg"],
+    ["converge", "--config", "{tmp}/n_cuts_x.cfg"],
+    ["converge", "--config", "{tmp}/no_methods.cfg"],
+    ["run", "--config", "{tmp}/no_methods.cfg"],
+    ["converge", "--preset", "2", "--method", "stm,stm"],
+    ["converge", "--preset", "2", "--tau", "0.125", "--levels", "3", "--alpha", "10"],
+    ["run", "--preset", "1", "--alpha", "1e6"],
+    ["run", "--preset", "1", "--method", "sem,stm"],
 ]
 
 
@@ -90,6 +98,10 @@ def test_config_error_exit_code(tmp_path):
     (tmp_path / "tau_ref0.cfg").write_text("preset = 2\ntau_ref = 0\n", encoding="utf-8")
     (tmp_path / "n_cuts0.cfg").write_text(
         "preset = 2\nlevels = 0.125,0.0625\nn_cuts = 0,4\n", encoding="utf-8")
+    (tmp_path / "dim_abc.cfg").write_text("preset = 2\ndim = abc\n", encoding="utf-8")
+    (tmp_path / "n_cuts_x.cfg").write_text(
+        "preset = 2\nlevels = 0.125,0.0625,0.03125\nn_cuts = 4,x,8\n", encoding="utf-8")
+    (tmp_path / "no_methods.cfg").write_text("preset = 1\nmethods = ,\n", encoding="utf-8")
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(sw.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -16,7 +16,6 @@ from stochwave.experiments import (
 
 def lowband_state(dim=1, seed=0):
     """Initial data confined to modes {0, +-1}: every level retains it."""
-    grid = sw.make_grid(dim, 2, 1.0)
     shape = (4,) * dim
     u = np.zeros(shape, dtype=np.complex128)
     v = np.zeros(shape, dtype=np.complex128)
@@ -26,7 +25,7 @@ def lowband_state(dim=1, seed=0):
         a, b = rng.standard_normal(2)
         u[1] = u[-1] = a
         v[1] = v[-1] = b
-    return sw.SpectralState(grid, 2, u, v)
+    return sw.SpectralState(u, v)
 
 
 def linear_config(**kw):
@@ -254,9 +253,8 @@ def full_state_errors(config, sample):
 
 def rough_state(band, seed=0):
     """White-noise fields stored at ``band``: every stored mode is set."""
-    grid = sw.make_grid(1, band, 1.0)
     rng = np.random.default_rng(seed)
-    return sw.state_from_fields(grid, rng.standard_normal(2 * band),
+    return sw.state_from_fields(rng.standard_normal(2 * band),
                                 rng.standard_normal(2 * band))
 
 
@@ -374,7 +372,7 @@ class TestRunSingle:
     def test_zero_data_stays_zero(self, tmp_path):
         grid = sw.make_grid(1, 8, 1.0)
         problem = sw.ProblemSpec(sw.zero_fn(), sw.scaled_sine(16.0),
-                                 sw.InitialDataSpec("explicit", state=sw.zero_state(grid)))
+                                 sw.InitialDataSpec("explicit", state=sw.zero_state(grid.dim, grid.n_high)))
         cfg = sw.ExperimentConfig(dim=1, problem=problem, methods=("stm",),
                                   tau=2**-5, out_dir=str(tmp_path), snapshot_stride=2)
         summary = sw.run_single(cfg)
@@ -394,8 +392,7 @@ class TestConfigHandling:
             "gamma = 0.5   # rough data\n"
             "methods = hrlri,sem\n"
             "levels = 0.125,0.0625\n"
-            "n_samples = 4\n"
-            "full_fidelity = 0\n",
+            "n_samples = 4\n",
             encoding="utf-8")
         mapping = parse_config_file(cfg_file)
         cfg = config_from_mapping(mapping)
@@ -425,10 +422,6 @@ class TestConfigHandling:
             resolve_config(sw.ExperimentConfig(levels=(0.3,)))
         with pytest.raises(sw.ConfigError):
             resolve_config(sw.ExperimentConfig(levels=(2**-4,), tau_ref=3e-2))
-
-    def test_full_fidelity_restores_sample_count(self):
-        cfg = resolve_config(sw.ExperimentConfig(full_fidelity=True))
-        assert cfg.n_samples == 1000
 
     def test_preset_dimension_mismatch(self):
         with pytest.raises(sw.ConfigError):

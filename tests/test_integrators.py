@@ -15,12 +15,12 @@ def random_state(grid, seed=0, band=None):
     rng = np.random.default_rng(seed)
     band = grid.n_high if band is None else band
     shape = (2 * band,) * grid.dim
-    return sw.state_from_fields(grid, rng.standard_normal(shape),
-                                rng.standard_normal(shape), band=band)
+    return sw.state_from_fields(rng.standard_normal(shape),
+                                rng.standard_normal(shape))
 
 
 def flow(state, t):
-    return apply(state, group_tables(state.grid.dim, state.band, t))
+    return apply(state, group_tables(state.dim, state.band, t))
 
 
 def explicit_problem(state, f=None, sigma=None):
@@ -30,7 +30,7 @@ def explicit_problem(state, f=None, sigma=None):
 
 def step(kind, state, tau, dw, f, sigma, cut=None):
     """One step of scheme ``kind`` at the state's band, cut there by default."""
-    tables = SCHEMES[kind].tables(state.grid.dim, state.band, tau)
+    tables = SCHEMES[kind].tables(state.dim, state.band, tau)
     cut = state.band if cut is None else cut
     return sw.step_scheme(state, tables, cut, tau, dw, f, sigma)
 
@@ -148,7 +148,7 @@ class TestStepLRI:
 class TestStepHRLRI:
     def test_zero_state_fixed_point(self):
         grid = sw.make_grid(1, 8, 1.0)
-        state = sw.zero_state(grid, band=8)
+        state = sw.zero_state(grid.dim, 8)
         out = step("hr_lri", state, 0.1, 1.3, sw.zero_fn(), sw.scaled_sine(16.0))
         assert not out.u_hat.any() and not out.v_hat.any()
 
@@ -197,12 +197,11 @@ class TestRecoverHigh:
 
 class TestStepSEM:
     def test_zero_mode_semi_implicit(self):
-        grid = sw.make_grid(1, 4, 1.0)
         u = np.zeros(8, dtype=np.complex128)
         v = np.zeros(8, dtype=np.complex128)
         u[0], v[0] = 1.0, 2.0
         tau, dw = 0.25, 0.6
-        out = step("sem", sw.SpectralState(grid, 4, u, v), tau, dw, sw.zero_fn(),
+        out = step("sem", sw.SpectralState(u, v), tau, dw, sw.zero_fn(),
                    sw.constant_fn(3.0))
         v_new = 2.0 + dw * 3.0
         assert out.v_hat[0] == pytest.approx(v_new, rel=1e-14)
@@ -255,7 +254,7 @@ class TestStepSTM:
 
     def test_zero_fixed_point(self):
         grid = sw.make_grid(1, 8, 1.0)
-        out = step("stm", sw.zero_state(grid, band=8), 0.1, 0.9, sw.zero_fn(),
+        out = step("stm", sw.zero_state(grid.dim, 8), 0.1, 0.9, sw.zero_fn(),
                    sw.scaled_sine(16.0))
         assert not out.u_hat.any()
 
@@ -340,7 +339,7 @@ class TestRunDriver:
         grid = sw.make_grid(1, 4, 1.0)
         u = np.zeros(8, dtype=np.complex128)
         u[0] = np.nan
-        bad = sw.SpectralState(grid, 4, u, np.zeros_like(u))
+        bad = sw.SpectralState(u, np.zeros_like(u))
         problem = explicit_problem(bad)
         spec = sw.method_spec("stm", 2**-4, 0.25)
         lattice = sw.sample_path(0, 0, 0.25, 2**-4)
@@ -380,7 +379,7 @@ class TestRunDriver:
         # after the kick tau*c, so v = c n tau and u = c tau^2 n (n+1) / 2
         c, tau, n = 2.0, 2**-4, 4
         grid = sw.make_grid(1, 4, 1.0)
-        problem = explicit_problem(sw.zero_state(grid), f=sw.constant_fn(c))
+        problem = explicit_problem(sw.zero_state(grid.dim, grid.n_high), f=sw.constant_fn(c))
         lattice = sw.sample_path(0, 0, n * tau, tau)
         res = sw.run(sw.method_spec(kind, tau, n * tau), grid, problem, lattice)
         assert res.final_state.v_hat[0] == pytest.approx(c * n * tau, rel=1e-14)
@@ -448,7 +447,7 @@ class TestZeroModeOracle:
         u = np.zeros(2, dtype=np.complex128)
         v = np.zeros(2, dtype=np.complex128)
         u[0], v[0] = 0.5, 0.25
-        problem = explicit_problem(sw.SpectralState(grid, 1, u, v),
+        problem = explicit_problem(sw.SpectralState(u, v),
                                    sigma=sw.constant_fn(c))
         errs = []
         for tau in taus:

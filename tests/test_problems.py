@@ -84,7 +84,7 @@ class TestIndicator1D:
     def test_mean_matches_plateau_measure(self):
         state = sw.build_indicator_1d(self.grid)
         exact = 5.0 * 0.125 + 2.5 * 0.125
-        cell = 1.0 / state.time_points
+        cell = 1.0 / (2 * state.band)
         assert abs(state.u_hat[0].real - exact) <= 7.5 * 2 * cell
 
     def test_velocity_slot_empty(self):
@@ -108,13 +108,13 @@ class TestIndicator2D:
         nodes = collocation_nodes(state.band)
         mid = np.argmin(np.abs(nodes - 0.5))
         lo = np.argmin(np.abs(nodes - 0.1))
-        tol = 3.0 / state.time_points
+        tol = 3.0 / (2 * state.band)
         assert u[mid, mid] == pytest.approx(0.5, abs=tol)
         assert u[lo, lo] == pytest.approx(0.0, abs=tol)
 
     def test_dc_coefficient_is_plateau_area(self):
         state = sw.build_indicator_2d(self.grid)
-        cell = 1.0 / state.time_points
+        cell = 1.0 / (2 * state.band)
         assert abs(state.u_hat[0, 0].real - 0.5 * 0.25**2) <= 0.5 * 4 * cell
 
     def test_dim_mismatch(self):
@@ -203,7 +203,7 @@ class TestSpecsAndPresets:
         sw.save_snapshot(path, state, 0.0)
         dim, points, _, u, v = sw.load_snapshot(path)
         assert (dim, points) == (1, 128)
-        reloaded = sw.state_from_fields(grid, u, v)
+        reloaded = sw.state_from_fields(u, v)
         np.testing.assert_allclose(reloaded.u_hat, state.u_hat, atol=1e-14)
 
     @pytest.mark.parametrize("preset,dim,alpha", [(1, 1, 2.0), (2, 1, 2.0),

@@ -15,17 +15,17 @@ def matrix(lam, t):
 
 
 def flow(state, t):
-    return apply(state, group_tables(state.grid.dim, state.band, t))
+    return apply(state, group_tables(state.dim, state.band, t))
 
 
 def resolve(state, tau):
-    return apply(state, resolvent_tables(state.grid.dim, state.band, tau))
+    return apply(state, resolvent_tables(state.dim, state.band, tau))
 
 
 def random_state(grid, seed=0):
     rng = np.random.default_rng(seed)
     shape = (2 * grid.n_high,) * grid.dim
-    return sw.state_from_fields(grid, rng.standard_normal(shape),
+    return sw.state_from_fields(rng.standard_normal(shape),
                                 rng.standard_normal(shape))
 
 
@@ -81,10 +81,9 @@ class TestApplyGroup:
     def test_single_mode_quarter_period(self):
         # mode k=1 with u=1, v=0 after t=1/4: u -> cos(pi/2) = 0,
         # v -> -2 pi sin(pi/2) = -2 pi
-        grid = sw.make_grid(1, 4, 1.0)
         u = np.zeros(8, dtype=np.complex128)
         u[1] = 1.0
-        state = sw.SpectralState(grid, 4, u, np.zeros_like(u))
+        state = sw.SpectralState(u, np.zeros_like(u))
         out = flow(state, 0.25)
         assert abs(out.u_hat[1]) < 1e-15
         assert out.v_hat[1] == pytest.approx(-2 * np.pi, rel=1e-14)
@@ -133,18 +132,17 @@ class TestApplyGroup:
         v = state.v_hat + dv[0]
         if n_inc == 2:
             v = v + dv[1]
-        plain = apply(sw.SpectralState(grid, state.band, state.u_hat, v), tables)
+        plain = apply(sw.SpectralState(state.u_hat, v), tables)
         np.testing.assert_array_equal(fused.u_hat, plain.u_hat)
         np.testing.assert_array_equal(fused.v_hat, plain.v_hat)
 
 
 class TestResolvent:
     def test_zero_mode_inverse(self):
-        grid = sw.make_grid(1, 4, 1.0)
         u = np.zeros(8, dtype=np.complex128)
         v = np.zeros(8, dtype=np.complex128)
         u[0], v[0] = 2.0, 3.0
-        out = resolve(sw.SpectralState(grid, 4, u, v), 0.5)
+        out = resolve(sw.SpectralState(u, v), 0.5)
         assert out.u_hat[0] == pytest.approx(2.0 + 0.5 * 3.0)
         assert out.v_hat[0] == pytest.approx(3.0)
 
@@ -157,7 +155,7 @@ class TestResolvent:
         # apply (I - tau L) directly, then undo it
         u_mid = state.u_hat - tau * state.v_hat
         v_mid = state.v_hat + tau * lam2 * state.u_hat
-        mid = sw.SpectralState(grid, 16, u_mid, v_mid)
+        mid = sw.SpectralState(u_mid, v_mid)
         out = resolve(mid, tau)
         np.testing.assert_allclose(out.u_hat, state.u_hat, atol=1e-12)
         np.testing.assert_allclose(out.v_hat, state.v_hat, atol=1e-10)
@@ -168,11 +166,10 @@ class TestResolvent:
         rhs = np.array([1.3 - 0.2j, -0.7 + 1.1j])
         a = np.array([[1.0, -tau], [tau * lam**2, 1.0]])
         expect = np.linalg.solve(a, rhs)
-        grid = sw.make_grid(1, 4, 1.0)
         u = np.zeros(8, dtype=np.complex128)
         v = np.zeros(8, dtype=np.complex128)
         u[1], v[1] = rhs
-        out = resolve(sw.SpectralState(grid, 4, u, v), tau)
+        out = resolve(sw.SpectralState(u, v), tau)
         assert out.u_hat[1] == pytest.approx(expect[0], rel=1e-13)
         assert out.v_hat[1] == pytest.approx(expect[1], rel=1e-13)
 

@@ -14,8 +14,8 @@ def random_state(grid, seed=0, band=None):
     rng = np.random.default_rng(seed)
     band = grid.n_high if band is None else band
     shape = (2 * band,) * grid.dim
-    return sw.state_from_fields(grid, rng.standard_normal(shape),
-                                rng.standard_normal(shape), band=band)
+    return sw.state_from_fields(rng.standard_normal(shape),
+                                rng.standard_normal(shape))
 
 
 class TestMakeGrid:
@@ -26,7 +26,7 @@ class TestMakeGrid:
     def test_identity_exponent(self):
         grid = sw.make_grid(1, 8, 1)
         assert grid.n_high == 8
-        assert grid.points_per_dim == 16
+        assert 2 * grid.n_high == 16
 
     def test_fractional_exponent_2d(self):
         # independent integer route: floor(128^1.5) = floor(sqrt(128^3))
@@ -102,11 +102,11 @@ class TestProjections:
 
     def test_mode_survival(self):
         grid = sw.make_grid(1, 16, 1.0)
-        state = sw.zero_state(grid)
+        state = sw.zero_state(grid.dim, grid.n_high)
         u = state.u_hat.copy()
         for k in (0, 3, -3, 9, -9):
             u[k] = 1.0
-        state = sw.SpectralState(grid, 16, u, state.v_hat)
+        state = sw.SpectralState(u, state.v_hat)
         kept = sw.project_low(state, 4)
         idx = mode_indices(16)
         # oracle: direct mask enumeration over every mode
@@ -115,11 +115,10 @@ class TestProjections:
             assert kept.u_hat[i] == expect
 
     def test_band_selects_annulus(self):
-        grid = sw.make_grid(1, 16, 1.0)
         u = np.zeros(32, dtype=np.complex128)
         for k in (0, 3, -3, 9, -9):
             u[k] = 1.0
-        state = sw.SpectralState(grid, 16, u, np.zeros_like(u))
+        state = sw.SpectralState(u, np.zeros_like(u))
         band = sw.project_band(state, 3, 9)
         idx = mode_indices(16)
         for i, k in enumerate(idx):
@@ -164,18 +163,16 @@ class TestProjections:
 
 class TestSobolevNorm:
     def test_single_mode_multiplier(self):
-        grid = sw.make_grid(1, 8, 1.0)
         u = np.zeros(16, dtype=np.complex128)
         u[1] = 1.0  # exp(2 pi i x)
-        state = sw.SpectralState(grid, 8, u, np.zeros_like(u))
+        state = sw.SpectralState(u, np.zeros_like(u))
         assert sw.sobolev_norm(state, 1.0) == pytest.approx(
             math.sqrt(1 + 4 * math.pi**2), rel=1e-13)
 
     def test_constant_velocity(self):
-        grid = sw.make_grid(1, 8, 1.0)
         v = np.zeros(16, dtype=np.complex128)
         v[0] = -2.5
-        state = sw.SpectralState(grid, 8, np.zeros_like(v), v)
+        state = sw.SpectralState(np.zeros_like(v), v)
         for gamma in (-1.0, 0.0, 0.5, 2.0):
             assert sw.sobolev_norm(state, gamma) == pytest.approx(2.5, rel=1e-13)
 
@@ -216,9 +213,8 @@ class TestPseudospectral:
 
     def test_square_of_cosine(self):
         # cos^2(2 pi x) = 1/2 + cos(4 pi x)/2, exactly representable at band 8
-        grid = sw.make_grid(1, 8, 1.0)
         x = collocation_nodes(8)
-        state = sw.state_from_fields(grid, np.cos(2 * np.pi * x), np.zeros(16))
+        state = sw.state_from_fields(np.cos(2 * np.pi * x), np.zeros(16))
         out = sw.pseudospectral_apply(lambda u: u * u, state.u_hat, 8)
         expect = np.zeros(16, dtype=np.complex128)
         expect[0] = 0.5
@@ -262,6 +258,26 @@ class TestBandChanges:
         assert sw.sobolev_norm(sw.with_band(state, fine.n_high), gamma) == pytest.approx(
             sw.sobolev_norm(state, gamma), rel=1e-12)
 
+    @pytest.mark.parametrize("dim,old,new", [(1, 4, 9), (1, 9, 4), (1, 8, 7),
+                                             (2, 3, 6), (2, 6, 3), (2, 5, 4)])
+    def test_every_mode_lands_in_its_slot(self, dim, old, new):
+        # oracle, mode by mode: k moves from its slot at the old band to its
+        # slot at the new one when every |k_j| <= new - 1; all else is zero
+        rng = np.random.default_rng(100 * dim + 10 * old + new)
+        shape = (2 * old,) * dim
+        u, v = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                for _ in range(2))
+        out = sw.with_band(sw.SpectralState(u, v), new)
+        k_old = mode_indices(old)
+        slot = {k: i for i, k in enumerate(mode_indices(new))}
+        for given, got in ((u, out.u_hat), (v, out.v_hat)):
+            expect = np.zeros((2 * new,) * dim, dtype=np.complex128)
+            for idx in np.ndindex(*shape):
+                ks = [k_old[i] for i in idx]
+                if all(abs(k) <= new - 1 for k in ks):
+                    expect[tuple(slot[k] for k in ks)] = given[idx]
+            np.testing.assert_array_equal(got, expect)
+
     def test_dimension_mismatch_rejected(self):
         # a state meets a grid of another dimension only as a run's initial data
         state = random_state(sw.make_grid(1, 8, 1.0))
@@ -287,7 +303,7 @@ class TestSnapshotFormat:
         path = tmp_path / "state.swv"
         sw.save_snapshot(path, state, 0.125)
         dim, points, t, u, v = sw.load_snapshot(path)
-        assert (dim, points, t) == (2, grid.points_per_dim, 0.125)
+        assert (dim, points, t) == (2, 2 * grid.n_high, 0.125)
         u0, v0 = sw.state_to_fields(state)
         np.testing.assert_array_equal(u, u0)
         np.testing.assert_array_equal(v, v0)
@@ -299,7 +315,7 @@ class TestSnapshotFormat:
         sw.save_snapshot(path, state, 1.0)
         blob = path.read_bytes()
         assert blob[:4] == b"SWV1"
-        assert len(blob) == 4 + 4 + 4 + 8 + 2 * 8 * grid.points_per_dim
+        assert len(blob) == 4 + 4 + 4 + 8 + 2 * 8 * 2 * grid.n_high
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.swv"
