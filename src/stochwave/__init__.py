@@ -29,7 +29,6 @@ from .problems import (
     InitialDataSpec,
     NonlinearitySpec,
     ProblemSpec,
-    bounded_tabulated,
     build_indicator_1d,
     build_indicator_2d,
     build_initial,

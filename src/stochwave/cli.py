@@ -10,22 +10,22 @@ Subcommands:
                  error-versus-time plot data.
 
 Options may come from a flat key=value config file (--config) with '#'
-comments; command line flags override file values.  --levels gives the
-number of dyadic levels, halving from the coarsest step --tau (default
-2^-5).  Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+comments; command line flags override file values and are parsed by the
+same rules.  --levels gives the number of dyadic levels, halving from the
+coarsest step --tau (default 2^-5).  Exit codes: 0 success, 2 configuration
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import replace
 
 from .experiments import (
     ConfigError,
     ExperimentConfig,
     NumericalFailure,
-    canonical_method,
     compare_methods,
     config_from_mapping,
     emit_study,
@@ -40,6 +40,25 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
+# flag -> (config key, help); the flag's value is stored under the key as a
+# string, which config_from_mapping parses like a config file value
+_FLAGS = {
+    "--seed": ("seed", "study seed (64-bit)"),
+    "--samples": ("n_samples", "Monte Carlo sample count"),
+    "--method": ("methods", "method(s): hrlri|lri|sem|stm, comma separated"),
+    "--dim": ("dim", "spatial dimension"),
+    "--preset": ("preset", "benchmark problem preset"),
+    "--gamma": ("gamma", "initial-data smoothness"),
+    "--alpha": ("alpha", "recovery band exponent"),
+    "--tau": ("tau", "coarsest (or single-run) time step"),
+    "--tfinal": ("t_final", "final time"),
+    "--out": ("out_dir", "output directory"),
+    "--workers": ("n_workers", "worker threads"),
+    "--sample": ("sample_index", "sample index (run only)"),
+    "--stride": ("snapshot_stride", "snapshot stride in steps (run only)"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stochwave",
@@ -51,72 +70,28 @@ def _build_parser() -> argparse.ArgumentParser:
                        ("compare", "multi-method study with timings")):
         p = sub.add_parser(name, help=desc)
         p.add_argument("--config", metavar="PATH", help="flat key=value config file")
-        p.add_argument("--seed", type=int, help="study seed (64-bit)")
-        p.add_argument("--samples", type=int, help="Monte Carlo sample count")
-        p.add_argument("--method", help="method(s): hrlri|lri|sem|stm, comma separated")
-        p.add_argument("--dim", type=int, choices=(1, 2))
-        p.add_argument("--preset", type=int, choices=(1, 2, 3, 4),
-                       help="benchmark problem preset")
-        p.add_argument("--gamma", type=float, help="initial-data smoothness")
-        p.add_argument("--alpha", type=float, help="recovery band exponent")
-        p.add_argument("--tau", type=float, help="coarsest (or single-run) time step")
-        p.add_argument("--tfinal", type=float, help="final time")
+        for flag, (key, text) in _FLAGS.items():
+            p.add_argument(flag, dest=key, help=text)
         p.add_argument("--levels", type=int, metavar="K",
                        help="number of dyadic levels halving from --tau")
-        p.add_argument("--out", metavar="DIR", help="output directory")
-        p.add_argument("--workers", type=int, help="worker threads")
-        p.add_argument("--sample", type=int, help="sample index (run only)")
-        p.add_argument("--stride", type=int, help="snapshot stride in steps (run only)")
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
-    mapping: dict[str, str] = {}
-    if args.config:
-        mapping = parse_config_file(args.config)
+    """The config file's mapping, overridden by the flags, parsed once."""
+    mapping = parse_config_file(args.config) if args.config else {}
+    for key, _ in _FLAGS.values():
+        if getattr(args, key) is not None:
+            mapping[key] = getattr(args, key)
     config = config_from_mapping(mapping)
-
-    overrides: dict = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.samples is not None:
-        overrides["n_samples"] = args.samples
-    if args.method is not None:
-        overrides["methods"] = tuple(canonical_method(m) for m in args.method.split(","))
-    if args.dim is not None:
-        overrides["dim"] = args.dim
-    if args.preset is not None:
-        overrides["preset"] = args.preset
-    if args.gamma is not None:
-        overrides["gamma"] = args.gamma
-    if args.alpha is not None:
-        overrides["alpha"] = args.alpha
-    if args.tfinal is not None:
-        overrides["t_final"] = args.tfinal
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.workers is not None:
-        overrides["n_workers"] = args.workers
-    if args.sample is not None:
-        overrides["sample_index"] = args.sample
-    if args.stride is not None:
-        overrides["snapshot_stride"] = args.stride
-    if args.tau is not None:
-        overrides["tau"] = args.tau
-        if args.command in ("converge", "compare") or args.levels is not None:
-            k = args.levels if args.levels is not None else 5
-            overrides["levels"] = tuple(args.tau * 2.0**-i for i in range(k))
+    if args.tau is not None and (args.command != "run" or args.levels is not None):
+        coarse = config.tau
     elif args.levels is not None:
         coarse = config.levels[0] if config.levels else 2**-5
-        overrides["levels"] = tuple(coarse * 2.0**-i for i in range(args.levels))
-
-    valid = {f.name for f in fields(ExperimentConfig)}
-    assert set(overrides) <= valid
-    return ExperimentConfig(**{**_as_kwargs(config), **overrides})
-
-
-def _as_kwargs(config: ExperimentConfig) -> dict:
-    return {f.name: getattr(config, f.name) for f in fields(ExperimentConfig)}
+    else:
+        return config
+    k = args.levels if args.levels is not None else 5
+    return replace(config, levels=tuple(coarse * 2.0**-i for i in range(k)))
 
 
 def _cmd_run(config: ExperimentConfig) -> int:

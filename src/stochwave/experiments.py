@@ -59,14 +59,17 @@ from .integrators import (
 )
 from .noise import sample_path
 from .problems import (
+    PRESETS,
     InitialDataSpec,
     ProblemSpec,
     build_initial,
     preset_problem,
 )
 from .spectral import (
+    DIMS,
     SpectralGrid,
     SpectralState,
+    default_alpha,
     diff_norm,
     make_grid,
     project_band,
@@ -134,9 +137,9 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
 
     Everything the runtime would reject fails here, with ConfigError.
     """
-    if config.dim not in (1, 2):
-        raise ConfigError(f"dim must be 1 or 2, got {config.dim}")
-    if config.preset not in (None, 1, 2, 3, 4):
+    if config.dim not in DIMS:
+        raise ConfigError(f"dim must be one of {DIMS}, got {config.dim}")
+    if config.preset is not None and config.preset not in PRESETS:
         raise ConfigError(f"unknown preset {config.preset}")
     if not config.gamma > 0:
         raise ConfigError(f"gamma must be positive, got {config.gamma}")
@@ -147,9 +150,7 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     levels = tuple(sorted((float(t) for t in config.levels), reverse=True))
     if not levels:
         raise ConfigError("at least one level is required")
-    alpha = config.alpha
-    if alpha is None:
-        alpha = 2.0 if config.dim == 1 else 1.5
+    alpha = default_alpha(config.dim) if config.alpha is None else config.alpha
     if not (math.isfinite(alpha) and alpha >= 1):
         raise ConfigError(f"alpha must be >= 1, got {alpha}")
     tau_ref = config.tau_ref
@@ -465,15 +466,13 @@ def compare_methods(config: ExperimentConfig):
 # single-path runs with snapshots
 
 
-def run_single(config: ExperimentConfig, sample_index: int | None = None) -> dict:
+def run_single(config: ExperimentConfig) -> dict:
     """Integrate one sample path with one method, emitting snapshots.
 
     Writes SWV1 snapshots plus per-snapshot plot data into out_dir and
     returns a summary dict with the final pair norms.
     """
     config = resolve_config(config)
-    if sample_index is None:
-        sample_index = config.sample_index
     if len(config.methods) != 1:
         raise ConfigError(f"a single run takes one method, got {config.methods}")
     dim, problem = study_problem(config)
@@ -481,7 +480,7 @@ def run_single(config: ExperimentConfig, sample_index: int | None = None) -> dic
     n_cut = default_n_cut(tau)
     grid = _full_grid(dim, n_cut, config.alpha)
     spec = method_spec(config.methods[0], tau, config.t_final)
-    lattice = sample_path(config.seed, sample_index, config.t_final, tau)
+    lattice = sample_path(config.seed, config.sample_index, config.t_final, tau)
     os.makedirs(config.out_dir, exist_ok=True)
     stride = config.snapshot_stride
     if stride <= 0:
@@ -493,11 +492,9 @@ def run_single(config: ExperimentConfig, sample_index: int | None = None) -> dic
         base = os.path.join(config.out_dir, f"snap_{step:06d}")
         save_snapshot(base + ".swv", state, t)
         u, _ = state_to_fields(state)
-        if dim == 2:
-            u = u[u.shape[0] // 2]  # middle row, noted in the header
-            comment = f"u(x, 0.5) at t={t:.17g}"
-        else:
-            comment = f"u(x) at t={t:.17g}"
+        # the middle line along the last axis, noted in the header
+        u = u[(u.shape[0] // 2,) * (u.ndim - 1)]
+        comment = f"u(x{', 0.5' * (state.dim - 1)}) at t={t:.17g}"
         xs = np.arange(u.shape[0]) / u.shape[0]
         write_plot_data(base + ".txt", xs, u, comment)
         written.append(base + ".swv")

@@ -6,17 +6,21 @@ Initial data comes in four flavours: two discontinuous plateau profiles
 (one per dimension), randomised Sobolev-class data of prescribed smoothness
 gamma, and explicit spectra (e.g. loaded from an SWV1 snapshot).
 
-Random data places, on each mode with 1 <= |k| <= min(n_cut, n_high - 1),
-a real coefficient shared between +k and -k:
+Random data is a tensor product over the axes.  Axis j carries, on each
+index with 1 <= |k_j| <= kmax = min(n_cut, n_high - 1), a real coefficient
+shared between +k_j and -k_j:
 
-    u slot:  0.5 * rand(0,1) * |k|^(-gamma - 0.51)
-    v slot:  0.5 * rand(0,1) * |k|^(-gamma + 0.49)
+    u profile:  0.5 * ru_j[|k_j| - 1] * |k_j|^(-gamma - 0.51)
+    v profile:  0.5 * rv_j[|k_j| - 1] * |k_j|^(-gamma + 0.49)
 
-(in 2D the analogous tensor product over the two axis indices, both
-nonzero).  The exponents put the pair exactly in the gamma / gamma-1
-smoothness class and no better.  The k = 0 coefficient is left at zero:
-the power law is undefined there and any bounded choice lands in the same
-class, so zero keeps comparisons across gamma clean.
+where ru_j and rv_j are the (seed-keyed) uniforms of the streams
+_DATA_STREAMS[2j] and _DATA_STREAMS[2j + 1].  The u (v) coefficient of mode
+k = (k_1, ..., k_dim) is the product over j of the u (v) profiles at k_j,
+so it is zero unless every k_j is nonzero.  The exponents put the pair
+exactly in the gamma / gamma-1 smoothness class and no better.  The k = 0
+coefficient is left at zero: the power law is undefined there and any
+bounded choice lands in the same class, so zero keeps comparisons across
+gamma clean.
 
 The stepped storage holds |k| <= n_cut - 1, so with alpha = 1 the data lies
 inside it, while with alpha > 1 each axis also gets the one mode at
@@ -26,15 +30,18 @@ initial data for alpha = 1 and alpha > 1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .noise import standard_uniforms
 from .spectral import (
+    DIMS,
     SpectralGrid,
     SpectralState,
     collocation_nodes,
+    default_alpha,
     mode_indices,
     state_from_fields,
 )
@@ -42,7 +49,7 @@ from .spectral import (
 # stream ids for initial-data draws, outside the Monte Carlo sample range;
 # one stream per coefficient profile so widening the band extends a profile
 # without shifting the others
-_DATA_STREAMS = (2**64 - 1, 2**64 - 2, 2**64 - 3, 2**64 - 4)
+_DATA_STREAMS = tuple(2**64 - 1 - i for i in range(2 * max(DIMS)))
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +63,6 @@ class NonlinearitySpec:
     kind: str
     a: float = 0.0
     b: float = 1.0
-    table_x: np.ndarray | None = None
-    table_y: np.ndarray | None = None
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         if self.kind == "zero":
@@ -68,25 +73,11 @@ class NonlinearitySpec:
             return self.a * np.sin(self.b * u)
         if self.kind == "scaled_cosine":
             return self.a * np.cos(self.b * u)
-        if self.kind == "bounded_tabulated":
-            return np.interp(u, self.table_x, self.table_y)
         raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
 
     @property
     def is_zero(self) -> bool:
         return self.kind == "zero"
-
-    def derivative_bound(self) -> float:
-        """A constant dominating |g'| everywhere."""
-        if self.kind in ("zero", "constant"):
-            return 0.0
-        if self.kind in ("scaled_sine", "scaled_cosine"):
-            return abs(self.a * self.b)
-        if self.kind == "bounded_tabulated":
-            dx = np.diff(self.table_x)
-            dy = np.diff(self.table_y)
-            return float(np.max(np.abs(dy / dx)))
-        raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
 
 
 def zero_fn() -> NonlinearitySpec:
@@ -103,18 +94,6 @@ def scaled_sine(a: float, b: float = 1.0) -> NonlinearitySpec:
 
 def scaled_cosine(a: float, b: float = 1.0) -> NonlinearitySpec:
     return NonlinearitySpec(kind="scaled_cosine", a=float(a), b=float(b))
-
-
-def bounded_tabulated(xs, ys) -> NonlinearitySpec:
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
-        raise ValueError("tabulated nonlinearity needs matching 1-d sample arrays")
-    if not np.all(np.diff(xs) > 0):
-        raise ValueError("tabulated abscissae must be strictly increasing")
-    xs.setflags(write=False)
-    ys.setflags(write=False)
-    return NonlinearitySpec(kind="bounded_tabulated", table_x=xs, table_y=ys)
 
 
 # ---------------------------------------------------------------------------
@@ -164,45 +143,35 @@ def build_indicator_2d(grid: SpectralGrid) -> SpectralState:
     return state_from_fields(u, np.zeros_like(u))
 
 
-def _axis_profile(kmax: int, gamma: float, ru: np.ndarray, rv: np.ndarray):
-    k = np.arange(1, kmax + 1, dtype=np.float64)
-    return 0.5 * ru * k ** (-gamma - 0.51), 0.5 * rv * k ** (-gamma + 0.49)
-
-
-def _spread(band: int, kmax: int, profile: np.ndarray) -> np.ndarray:
-    """Place profile[|k|-1] on every slot with 1 <= |k| <= kmax."""
-    idx = mode_indices(band)
-    absk = np.abs(idx)
+def _axis_profile(band: int, kmax: int, exponent: float, draws: np.ndarray) -> np.ndarray:
+    """0.5 * draws[|k|-1] * |k|^exponent on every slot of a band-``band``
+    axis with 1 <= |k| <= kmax, zero elsewhere."""
+    absk = np.abs(mode_indices(band))
     sel = (absk >= 1) & (absk <= kmax)
     out = np.zeros(2 * band)
-    out[sel] = profile[absk[sel] - 1]
+    out[sel] = (0.5 * draws * np.arange(1, kmax + 1, dtype=np.float64) ** exponent)[absk[sel] - 1]
     return out
 
 
 def build_random_hgamma(grid: SpectralGrid, gamma: float, seed: int) -> SpectralState:
     """Random real pair lying in the gamma / gamma-1 class and no higher.
 
-    Each coefficient profile (u, v, and in 2D the second-axis pair) reads
-    k = 1..kmax uniforms from its own dedicated stream, so building on a
-    wider grid extends the same function.  One draw per |k| is shared
-    between +k and -k, making the spectra even and the fields real.
+    Each coefficient profile (u and v of every axis) reads k = 1..kmax
+    uniforms from its own dedicated stream, so building on a wider grid
+    extends the same function.  One draw per |k_j| is shared between +k_j
+    and -k_j, making the spectra even and the fields real.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     band = grid.n_high
     kmax = min(grid.n_cut, grid.n_high - 1)
-    draw = [standard_uniforms(seed, stream, kmax) for stream in _DATA_STREAMS]
-    au, av = _axis_profile(kmax, gamma, draw[0], draw[1])
-    if grid.dim == 1:
-        u_hat = _spread(band, kmax, au).astype(np.complex128)
-        v_hat = _spread(band, kmax, av).astype(np.complex128)
-    else:
-        bu, bv = _axis_profile(kmax, gamma, draw[2], draw[3])
-        u_hat = np.outer(_spread(band, kmax, au),
-                         _spread(band, kmax, bu)).astype(np.complex128)
-        v_hat = np.outer(_spread(band, kmax, av),
-                         _spread(band, kmax, bv)).astype(np.complex128)
-    return SpectralState(u_hat, v_hat)
+    # slot 0 (u) and slot 1 (v) of axis j read stream 2j + slot
+    fields = [[_axis_profile(band, kmax, exponent,
+                             standard_uniforms(seed, _DATA_STREAMS[2 * j + slot], kmax))
+               for j in range(grid.dim)]
+              for slot, exponent in enumerate((-gamma - 0.51, -gamma + 0.49))]
+    return SpectralState(*(functools.reduce(np.multiply.outer, axes).astype(np.complex128)
+                           for axes in fields))
 
 
 def build_initial(spec: InitialDataSpec, grid: SpectralGrid) -> SpectralState:
@@ -222,17 +191,15 @@ def build_initial(spec: InitialDataSpec, grid: SpectralGrid) -> SpectralState:
 # ---------------------------------------------------------------------------
 # presets matching the four benchmark problems
 
+# preset -> (dim, initial data kind)
+PRESETS = {1: (1, "indicator_1d"), 2: (1, "random_hgamma"),
+           3: (2, "indicator_2d"), 4: (2, "random_hgamma")}
+
 
 def preset_problem(preset: int, gamma: float = 0.5, seed: int = 0) -> tuple[int, float, ProblemSpec]:
-    """(dim, default_alpha, ProblemSpec) for benchmark presets 1..4."""
-    sigma = scaled_sine(16.0)
-    f = zero_fn()
-    if preset == 1:
-        return 1, 2.0, ProblemSpec(f, sigma, InitialDataSpec("indicator_1d"))
-    if preset == 2:
-        return 1, 2.0, ProblemSpec(f, sigma, InitialDataSpec("random_hgamma", gamma=gamma, seed=seed))
-    if preset == 3:
-        return 2, 1.5, ProblemSpec(f, sigma, InitialDataSpec("indicator_2d"))
-    if preset == 4:
-        return 2, 1.5, ProblemSpec(f, sigma, InitialDataSpec("random_hgamma", gamma=gamma, seed=seed))
-    raise ValueError(f"unknown preset {preset}")
+    """(dim, default_alpha, ProblemSpec) for the benchmark presets."""
+    if preset not in PRESETS:
+        raise ValueError(f"unknown preset {preset}")
+    dim, kind = PRESETS[preset]
+    initial = InitialDataSpec(kind, gamma=gamma, seed=seed)
+    return dim, default_alpha(dim), ProblemSpec(zero_fn(), scaled_sine(16.0), initial)

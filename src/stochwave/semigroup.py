@@ -13,23 +13,19 @@ is the explicit 2x2 inverse with determinant 1 + tau^2 lambda^2.
 
 Every step of every integrator ends in ``apply``: add the step's velocity
 increments, then multiply each mode by one of these 2x2 tables.  Tables for
-a fixed (band, t) are built once and cached, keyed by the exact bit pattern
-of t; every integrator reapplies the same e^(tau L) each step.
+a fixed (dim, band, t) are built once and cached; every integrator reapplies
+the same e^(tau L) each step.
 """
 
 from __future__ import annotations
 
-import threading
+import functools
 
 import numpy as np
 
 from .spectral import SpectralState, lambda_sq
 
 _SINC_SWITCH = 1e-4
-
-_lock = threading.Lock()
-_group_cache: dict = {}
-_resolvent_cache: dict = {}
 
 
 def _sinc_t(lam: np.ndarray, t: float) -> np.ndarray:
@@ -56,39 +52,27 @@ def propagator_tables(lam, t):
     return c, s_over, -(lam * lam) * s_over, c
 
 
+@functools.cache
 def group_tables(dim: int, band: int, t: float):
     """Cached e^(tL) tables for every mode stored at ``band``."""
-    key = (dim, band, float(t).hex())
-    with _lock:
-        tab = _group_cache.get(key)
-    if tab is None:
-        lam = np.sqrt(lambda_sq(dim, band))
-        tab = propagator_tables(lam, t)
-        for a in tab:
-            a.setflags(write=False)
-        with _lock:
-            _group_cache[key] = tab
+    tab = propagator_tables(np.sqrt(lambda_sq(dim, band)), t)
+    for a in tab:
+        a.setflags(write=False)
     return tab
 
 
+@functools.cache
 def resolvent_tables(dim: int, band: int, tau: float):
     """Cached (I - tau L)^(-1) tables for every mode stored at ``band``."""
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    key = (dim, band, float(tau).hex())
-    with _lock:
-        tab = _resolvent_cache.get(key)
-    if tab is None:
-        lam2 = lambda_sq(dim, band)
-        inv_det = 1.0 / (1.0 + tau * tau * lam2)
-        r12 = tau * inv_det
-        r21 = -tau * lam2 * inv_det
-        for a in (inv_det, r12, r21):
-            a.setflags(write=False)
-        tab = (inv_det, r12, r21, inv_det)
-        with _lock:
-            _resolvent_cache[key] = tab
-    return tab
+    lam2 = lambda_sq(dim, band)
+    inv_det = 1.0 / (1.0 + tau * tau * lam2)
+    r12 = tau * inv_det
+    r21 = -tau * lam2 * inv_det
+    for a in (inv_det, r12, r21):
+        a.setflags(write=False)
+    return inv_det, r12, r21, inv_det
 
 
 def apply(state: SpectralState, tables, *dv: np.ndarray) -> SpectralState:

@@ -1,16 +1,18 @@
 """Periodic Fourier representation of real field pairs on the unit torus.
 
 A solution is carried as the pair of coefficient arrays (u_hat, v_hat) of a
-displacement field u and a velocity field v on [0,1]^dim, dim in {1, 2}.
+displacement field u and a velocity field v on [0,1]^dim, with dim one of
+the supported dimensions ``DIMS``.
 Coefficients live in the standard even-size FFT layout: a state stored "at
 band m" uses 2m collocation points per dimension and holds the integer modes
 k in [-m, m-1].
 
 A state is nothing but its two arrays: their shape (2m,)*dim fixes its
-band m and its dimension.  Two cutoffs describe a grid: the low cutoff
-``n_cut`` (the band advanced by the time steppers) and the recovery cutoff
-``n_high = floor(n_cut**alpha)`` (the widest band any state of the grid
-retains).
+band m and its dimension.  No arithmetic branches on the dimension: mode
+weights are outer sums over the axes and masks outer ANDs.  Two cutoffs
+describe a grid: the low cutoff ``n_cut`` (the band advanced by the time
+steppers) and the recovery cutoff ``n_high = floor(n_cut**alpha)`` (the
+widest band any state of the grid retains).
 
 Nyquist convention: the even layout carries a single unpaired slot per axis
 (index m, frequency -m).  States keep that slot identically zero, so every
@@ -22,16 +24,15 @@ mode the even layout already halves.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-_lock = threading.Lock()
-_mode_cache: dict = {}
-_mask_cache: dict = {}
+# the dimensions a grid or a state may have
+DIMS = (1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +54,8 @@ def make_grid(dim: int, n_cut: int, alpha: float) -> SpectralGrid:
     alpha = 1 keeps a single band; larger alpha widens the linearly
     recovered band without touching the stepped one.
     """
-    if dim not in (1, 2):
-        raise ValueError(f"dim must be 1 or 2, got {dim}")
+    if dim not in DIMS:
+        raise ValueError(f"dim must be one of {DIMS}, got {dim}")
     if n_cut < 1:
         raise ValueError(f"n_cut must be >= 1, got {n_cut}")
     if alpha < 1:
@@ -63,6 +64,11 @@ def make_grid(dim: int, n_cut: int, alpha: float) -> SpectralGrid:
     # guard against 999.9999999 artifacts when the power is an exact integer
     n_high = int(round(v)) if abs(v - round(v)) < 1e-9 else int(v)
     return SpectralGrid(dim=dim, n_cut=n_cut, n_high=n_high)
+
+
+def default_alpha(dim: int) -> float:
+    """The recovery exponent 1 + 1/dim used when a config names none."""
+    return 1.0 + 1.0 / dim
 
 
 @dataclass(frozen=True)
@@ -95,25 +101,21 @@ def zero_state(dim: int, band: int) -> SpectralState:
 # mode bookkeeping
 
 
+@functools.cache
 def mode_indices(band: int) -> np.ndarray:
     """Integer frequencies [0, 1, ..., band-1, -band, ..., -1]."""
-    with _lock:
-        k = _mode_cache.get(band)
-        if k is None:
-            k = np.rint(np.fft.fftfreq(2 * band) * 2 * band).astype(np.int64)
-            k.setflags(write=False)
-            _mode_cache[band] = k
+    k = np.rint(np.fft.fftfreq(2 * band) * 2 * band).astype(np.int64)
+    k.setflags(write=False)
     return k
 
 
 def lambda_sq(dim: int, band: int) -> np.ndarray:
-    """(2*pi*|k|)^2 on the full mode box of a band-m array."""
+    """(2*pi)^2 * sum_j k_j^2 on the full mode box of a band-m array."""
     k = mode_indices(band).astype(np.float64)
-    if dim == 1:
-        return (2.0 * np.pi) ** 2 * k * k
-    return (2.0 * np.pi) ** 2 * (k[:, None] ** 2 + k[None, :] ** 2)
+    return (2.0 * np.pi) ** 2 * functools.reduce(np.add.outer, [k * k] * dim)
 
 
+@functools.cache
 def band_mask(dim: int, band: int, cut: int) -> np.ndarray:
     """Boolean mask of modes with every |k_j| <= cut, Nyquist slots excluded.
 
@@ -123,16 +125,9 @@ def band_mask(dim: int, band: int, cut: int) -> np.ndarray:
     """
     if not 0 <= cut <= band:
         raise ValueError(f"cut {cut} outside [0, {band}]")
-    key = (dim, band, cut)
-    with _lock:
-        m = _mask_cache.get(key)
-    if m is None:
-        k = mode_indices(band)
-        ax = (np.abs(k) <= cut) & (k != -band)
-        m = ax if dim == 1 else ax[:, None] & ax[None, :]
-        m.setflags(write=False)
-        with _lock:
-            _mask_cache[key] = m
+    k = mode_indices(band)
+    m = functools.reduce(np.logical_and.outer, [(np.abs(k) <= cut) & (k != -band)] * dim)
+    m.setflags(write=False)
     return m
 
 
@@ -158,8 +153,8 @@ def inverse(coeffs: np.ndarray) -> np.ndarray:
 def state_from_fields(u: np.ndarray, v: np.ndarray) -> SpectralState:
     """Transform sampled real fields into a state, zeroing Nyquist slots."""
     u_hat = forward(u)
-    if u_hat.ndim not in (1, 2) or np.shape(v) != u_hat.shape:
-        raise ValueError(f"fields must be matching 1-d or 2-d arrays, got "
+    if u_hat.ndim not in DIMS or np.shape(v) != u_hat.shape:
+        raise ValueError(f"fields must be matching arrays of a rank in {DIMS}, got "
                          f"{u_hat.shape} and {np.shape(v)}")
     full = band_mask(u_hat.ndim, u_hat.shape[0] // 2, u_hat.shape[0] // 2)
     return SpectralState(u_hat * full, forward(v) * full)

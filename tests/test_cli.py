@@ -90,6 +90,10 @@ BAD_ARGUMENTS = [
     ["converge", "--preset", "2", "--tau", "0.125", "--levels", "3", "--alpha", "10"],
     ["run", "--preset", "1", "--alpha", "1e6"],
     ["run", "--preset", "1", "--method", "sem,stm"],
+    ["converge", "--preset", "2", "--dim", "3"],
+    ["converge", "--preset", "2", "--dim", "0"],
+    ["converge", "--preset", "7"],
+    ["converge", "--preset", "2", "--seed", "x"],
 ]
 
 

@@ -14,17 +14,15 @@ from stochwave.experiments import (
 )
 
 
-def lowband_state(dim=1, seed=0):
-    """Initial data confined to modes {0, +-1}: every level retains it."""
-    shape = (4,) * dim
-    u = np.zeros(shape, dtype=np.complex128)
-    v = np.zeros(shape, dtype=np.complex128)
+def lowband_state(seed=0):
+    """1D initial data confined to modes {0, +-1}: every level retains it."""
+    u = np.zeros(4, dtype=np.complex128)
+    v = np.zeros(4, dtype=np.complex128)
     rng = np.random.default_rng(seed)
-    if dim == 1:
-        u[0], v[0] = rng.standard_normal(2)
-        a, b = rng.standard_normal(2)
-        u[1] = u[-1] = a
-        v[1] = v[-1] = b
+    u[0], v[0] = rng.standard_normal(2)
+    a, b = rng.standard_normal(2)
+    u[1] = u[-1] = a
+    v[1] = v[-1] = b
     return sw.SpectralState(u, v)
 
 
@@ -341,7 +339,7 @@ class TestRunSingle:
         cfg = sw.ExperimentConfig(dim=1, preset=1, methods=("hr_lri",),
                                   tau=2**-5, seed=0, out_dir=str(tmp_path),
                                   snapshot_stride=4)
-        summary = sw.run_single(cfg, sample_index=0)
+        summary = sw.run_single(cfg)
         assert summary["steps"] == 8
         dim, points, t, u, v = sw.load_snapshot(tmp_path / "snap_000000.swv")
         assert t == 0.0
@@ -357,10 +355,10 @@ class TestRunSingle:
         cfg = sw.ExperimentConfig(dim=2, preset=3, methods=("hr_lri",),
                                   tau=2**-4, seed=1, out_dir=str(tmp_path),
                                   snapshot_stride=4)
-        summary = sw.run_single(cfg, sample_index=0)
+        summary = sw.run_single(cfg)
         assert summary["steps"] == 4
         dim, points, t, u, _ = sw.load_snapshot(tmp_path / "snap_000000.swv")
-        assert dim == 2 and t == 0.0
+        assert (dim, t) == (2, 0.0)
         lines = (tmp_path / "snap_000000.txt").read_text().splitlines()
         assert lines[0].startswith("#") and "0.5" in lines[0]
         assert len(lines) == 1 + points

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import stochwave as sw
-from stochwave.spectral import collocation_nodes
+from stochwave.noise import standard_uniforms
+from stochwave.problems import _DATA_STREAMS
+from stochwave.spectral import collocation_nodes, mode_indices
 
 
 def node_value(state, x_target):
@@ -33,7 +35,6 @@ class TestNonlinearities:
         (sw.scaled_cosine(5.0, 0.5), 2.5),
     ])
     def test_derivative_uniformly_bounded(self, spec, expected_bound):
-        assert spec.derivative_bound() == pytest.approx(expected_bound)
         x = np.linspace(-100, 100, 400001)
         fd = np.diff(spec(x)) / np.diff(x)
         assert np.abs(fd).max() <= expected_bound * (1 + 1e-6)
@@ -47,20 +48,6 @@ class TestNonlinearities:
         d3 = np.diff(y, 3) / h**3
         assert np.abs(d2).max() <= 16.0 * 4.0 * (1 + 1e-4)
         assert np.abs(d3).max() <= 16.0 * 8.0 * (1 + 1e-4)
-
-    def test_tabulated_interpolation(self):
-        xs = np.linspace(-2, 2, 9)
-        spec = sw.bounded_tabulated(xs, np.tanh(xs))
-        assert spec(np.array([0.0]))[0] == pytest.approx(0.0)
-        # constant extrapolation keeps the map bounded
-        assert spec(np.array([100.0]))[0] == pytest.approx(np.tanh(2.0))
-        assert spec.derivative_bound() <= 1.0 + 1e-9
-
-    def test_tabulated_validation(self):
-        with pytest.raises(ValueError):
-            sw.bounded_tabulated([0, 1], [0])
-        with pytest.raises(ValueError):
-            sw.bounded_tabulated([0, 0], [1, 2])
 
     def test_unknown_kind_raises(self):
         bogus = sw.NonlinearitySpec(kind="cubic")
@@ -178,6 +165,34 @@ class TestRandomHGamma:
         assert not state.u_hat[:, 0].any()
         u = sw.inverse(state.u_hat)
         assert np.abs(u.imag).max() < 1e-12 * np.abs(u.real).max()
+
+    @pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+    def test_matches_documented_formula(self, dim):
+        # mode by mode: the product over the axes j of the axis profiles,
+        # u from stream 2j and v from stream 2j + 1, zero where some |k_j|
+        # is 0 or above kmax
+        gamma, seed = 0.5, 9
+        grid = sw.make_grid(dim, 8, 1.5)
+        kmax = min(grid.n_cut, grid.n_high - 1)
+        assert kmax < grid.n_high - 1  # the grid has modes above kmax
+        state = sw.build_random_hgamma(grid, gamma, seed)
+        # the power is evaluated on the vector |k| = 1..kmax, as numpy's
+        # vector pow may round differently from a scalar pow
+        absk = np.arange(1, kmax + 1, dtype=np.float64)
+        u_pow = absk ** (-gamma - 0.51)
+        v_pow = absk ** (-gamma + 0.49)
+        draws = [standard_uniforms(seed, s, kmax) for s in _DATA_STREAMS[:2 * dim]]
+        k = mode_indices(grid.n_high)
+        for idx in np.ndindex(state.u_hat.shape):
+            u = v = 1.0
+            for j, i in enumerate(idx):
+                a = abs(int(k[i]))
+                if not 1 <= a <= kmax:
+                    u = v = 0.0
+                    break
+                u *= 0.5 * draws[2 * j][a - 1] * u_pow[a - 1]
+                v *= 0.5 * draws[2 * j + 1][a - 1] * v_pow[a - 1]
+            assert state.u_hat[idx] == u and state.v_hat[idx] == v, idx
 
     def test_rejects_nonpositive_gamma(self):
         with pytest.raises(ValueError):

@@ -334,12 +334,24 @@ def test_nyquist_slot_stays_empty():
     assert sw.with_band(fine, 8).u_hat[8] == 0
 
 
-def test_lambda_grid_matches_definition():
-    lam2 = lambda_sq(2, 4)
-    idx = mode_indices(4)
-    for i, ki in enumerate(idx):
-        for j, kj in enumerate(idx):
-            assert lam2[i, j] == pytest.approx((2 * np.pi) ** 2 * (ki**2 + kj**2))
+@pytest.mark.parametrize("dim", [1, 2])
+def test_lambda_grid_matches_definition(dim):
+    lam2 = lambda_sq(dim, 8)
+    idx = mode_indices(8)
+    for slot in np.ndindex(lam2.shape):
+        expect = (2 * np.pi) ** 2 * sum(float(idx[i]) ** 2 for i in slot)
+        assert lam2[slot] == expect, slot
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("cut", [0, 3, 6])
+def test_band_mask_matches_definition(dim, cut):
+    mask = band_mask(dim, 6, cut)
+    idx = mode_indices(6)
+    assert mask.shape == (12,) * dim
+    for slot in np.ndindex(mask.shape):
+        expect = all(abs(idx[i]) <= cut and idx[i] != -6 for i in slot)
+        assert mask[slot] == expect, slot
 
 
 def test_band_mask_range_check():
