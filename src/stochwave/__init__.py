@@ -40,6 +40,7 @@ from .problems import (
     zero_fn,
 )
 from .integrators import (
+    BlockResult,
     MethodSpec,
     NumericalError,
     RunResult,
@@ -47,7 +48,8 @@ from .integrators import (
     method_spec,
     recover_high,
     run,
-    step_scheme,
+    run_block,
+    step_block,
 )
 from .experiments import (
     ConfigError,

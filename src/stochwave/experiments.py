@@ -29,12 +29,24 @@ the study (the reference's or a coarse level's):
 So no sample ever builds a state wider than band M.  With alpha = 1 there
 is nothing outside the box and no tail is computed.
 
-Orders are read off as the least-squares slope of log(rms) against
-log(tau).  Samples whose run leaves the floating-point domain are excluded
-and counted, never averaged; a study with more than 1% exclusions aborts.
+The samples are stepped in contiguous chunks, each as array blocks: the
+reference and every distinct trajectory of a level is one
+``integrators.run_block`` call over all paths of the chunk.  Methods whose
+stepping is the same (equal ``integrators.stepping_key``: ``hr_lri`` and
+``stm`` always, ``lri`` too unless its filter cuts) share one trajectory and
+its final states; their rows differ only by the recovered modes.  Worker
+threads take whole chunks, and a chunk's rows are capped so that a block at
+band M stays within a fixed byte budget.
 
-Reports are deterministic: samples are keyed by (seed, sample_index), the
-reduction runs in ascending sample order whatever the worker count, and the
+Orders are read off as the least-squares slope of log(rms) against
+log(tau).  Runs that leave the floating-point domain are excluded and
+counted, never averaged, row by row: a failed row of a block excludes that
+sample's run alone, and a failed reference row all of that sample's runs.  A
+study with more than 1% exclusions aborts.
+
+Reports are deterministic: samples are keyed by (seed, sample_index), every
+row of a block is bit-identical to a block of one, the reduction runs in
+ascending sample order whatever the worker count or chunk size, and the
 convergence CSV carries no timing (its wall_seconds column is 0).  Measured
 timings belong to the compare workflow, which writes them into its own CSV
 and error-versus-time plot data.
@@ -42,6 +54,7 @@ and error-versus-time plot data.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -52,10 +65,11 @@ import numpy as np
 from .integrators import (
     SCHEMES,
     MethodSpec,
-    NumericalError,
     method_spec,
     recover_high,
     run,
+    run_block,
+    stepping_key,
 )
 from .noise import sample_path
 from .problems import (
@@ -298,9 +312,11 @@ class _Study:
     """What every sample of a study shares, read-only.
 
     Runs step on grids without a recovery band; ``band`` is the widest of
-    their stepped bands (M).  ``ref_offset`` holds the reference's recovered
-    modes inside box M and ``offsets[m][l]`` those of a recovering level;
-    ``tails[m, l]`` is the squared error outside box M.
+    their stepped bands (M).  ``trajectories[l]`` lists the distinct
+    steppings of level l as (spec, method indices, same as the reference):
+    methods with equal ``stepping_key`` share one.  ``ref_offset`` holds the
+    reference's recovered modes inside box M and ``offsets[m][l]`` those of
+    a recovering level; ``tails[m, l]`` is the squared error outside box M.
     """
 
     config: ExperimentConfig
@@ -309,7 +325,7 @@ class _Study:
     ref_grid: SpectralGrid
     ref_method: MethodSpec
     grids: list
-    specs: list
+    trajectories: list
     ref_offset: SpectralState | None
     offsets: list
     tails: np.ndarray
@@ -363,72 +379,99 @@ def _prepare(config: ExperimentConfig) -> _Study:
                 else:
                     tails[mi, li] = tail(band)
 
+    ref_grid = make_grid(dim, n_ref, 1.0)
+    ref_method = method_spec("hr_lri", config.tau_ref, config.t_final)
+    ref_key = stepping_key(ref_method, ref_grid)
+    grids = [make_grid(dim, n, 1.0) for n in config.n_cuts]
+    trajectories = []
+    for li, grid in enumerate(grids):
+        sharing: dict[tuple, list[int]] = {}
+        for mi, row in enumerate(specs):
+            sharing.setdefault(stepping_key(row[li], grid), []).append(mi)
+        trajectories.append([(specs[mis[0]][li], mis, key == ref_key)
+                             for key, mis in sharing.items()])
+
     # no run reads the initial state above band M
     shared = ProblemSpec(problem.f, problem.sigma,
                          InitialDataSpec("explicit", state=with_band(u0, band)))
     return _Study(
-        config=config, shared=shared, band=band,
-        ref_grid=make_grid(dim, n_ref, 1.0),
-        ref_method=method_spec("hr_lri", config.tau_ref, config.t_final),
-        grids=[make_grid(dim, n, 1.0) for n in config.n_cuts], specs=specs,
+        config=config, shared=shared, band=band, ref_grid=ref_grid,
+        ref_method=ref_method, grids=grids, trajectories=trajectories,
         ref_offset=ref_offset, offsets=offsets, tails=tails)
 
 
-def _at_band(state: SpectralState, band: int,
-             offset: SpectralState | None) -> SpectralState:
+def _with_offset(state: SpectralState, offset: SpectralState | None) -> SpectralState:
     """A stepped final state at band M, plus its recovered modes there."""
-    state = with_band(state, band)
     if offset is None:
         return state
     return SpectralState(state.u_hat + offset.u_hat, state.v_hat + offset.v_hat)
 
 
-def _one_sample(sample: int, study: _Study):
-    """Errors (squared) and wall times for one coupled sample.
+def _row_at_band(block, row: int, band: int) -> SpectralState:
+    return with_band(SpectralState(block.u_hat[row], block.v_hat[row]), band)
 
-    Returns (err_sq, wall) arrays of shape (n_methods, n_levels); NaN marks
-    an excluded run.
+
+def _chunk_errors(study: _Study, samples: range):
+    """Errors (squared) and stepping times for a contiguous chunk of samples.
+
+    Every distinct trajectory of a level is stepped once, as one block of
+    the chunk's paths, and its final states serve every method that maps to
+    it.  Returns err_sq of shape (samples, methods, levels), NaN marking an
+    excluded run, and the (methods, levels) stepping seconds of each
+    method's trajectory.
     """
     config = study.config
     n_m = len(config.methods)
-    n_l = len(config.levels)
-    err_sq = np.full((n_m, n_l), np.nan)
-    wall = np.zeros((n_m, n_l))
-    lattice = sample_path(config.seed, sample, config.t_final, config.tau_ref)
-    try:
-        ref = run(study.ref_method, study.ref_grid, study.shared, lattice)
-    except NumericalError:
-        return err_sq, wall
-    ref_state = _at_band(ref.final_state, study.band, study.ref_offset)
-    for mi in range(n_m):
-        for li in range(n_l):
-            try:
-                res = run(study.specs[mi][li], study.grids[li], study.shared, lattice)
-            except NumericalError:
-                continue
-            state = _at_band(res.final_state, study.band, study.offsets[mi][li])
-            err = diff_norm(state, ref_state, 0.0)
-            err_sq[mi, li] = err * err + study.tails[mi, li]
-            wall[mi, li] = res.wall_time
+    err_sq = np.full((len(samples), n_m, len(config.levels)), np.nan)
+    wall = np.zeros((n_m, len(config.levels)))
+    paths = [sample_path(config.seed, s, config.t_final, config.tau_ref) for s in samples]
+    ref = run_block(study.ref_method, study.ref_grid, study.shared, paths)
+    # a failed reference row excludes every error of its sample
+    refs = {row: _with_offset(_row_at_band(ref, row, study.band), study.ref_offset)
+            for row in range(len(paths)) if row not in ref.failed}
+    for li, grid in enumerate(study.grids):
+        for spec, mis, is_ref in study.trajectories[li]:
+            res = ref if is_ref else run_block(spec, grid, study.shared, paths)
+            for row, ref_state in refs.items():
+                if row in res.failed:
+                    continue
+                state = _row_at_band(res, row, study.band)
+                for mi in mis:
+                    err = diff_norm(_with_offset(state, study.offsets[mi][li]),
+                                    ref_state, 0.0)
+                    err_sq[row, mi, li] = err * err + study.tails[mi, li]
+            wall[mis, li] = res.wall_time
     return err_sq, wall
 
 
-def run_convergence(config: ExperimentConfig,
-                    collect_timing: bool = False) -> dict[str, ConvergenceReport]:
-    """One coupled-path convergence study; a report per method."""
-    config = resolve_config(config)
-    study = _prepare(config)
+# bytes one (rows, 2M, ..., 2M) complex coefficient block of a chunk may
+# take; a step's working set is about eight such blocks
+_BLOCK_BYTES = 2**25
 
-    def job(sample: int):
-        return _one_sample(sample, study)
 
+def _chunk_rows(study: _Study) -> int:
+    """Samples per chunk: an even split over the workers, capped so that a
+    block at the widest stepped band M stays within _BLOCK_BYTES."""
+    config = study.config
+    row_bytes = 16 * (2 * study.band) ** config.dim
+    return min(max(1, _BLOCK_BYTES // row_bytes), -(-config.n_samples // config.n_workers))
+
+
+def _study_reports(study: _Study, rows: int,
+                   collect_timing: bool = False) -> dict[str, ConvergenceReport]:
+    """Step the samples in contiguous chunks of ``rows``, on the config's
+    workers, and reduce them in ascending sample order into reports."""
+    config = study.config
+    chunks = [range(a, min(a + rows, config.n_samples))
+              for a in range(0, config.n_samples, rows)]
+    job = functools.partial(_chunk_errors, study)
     if config.n_workers > 1:
         with ThreadPoolExecutor(max_workers=config.n_workers) as pool:
-            results = list(pool.map(job, range(config.n_samples)))
+            results = list(pool.map(job, chunks))
     else:
-        results = [job(s) for s in range(config.n_samples)]
+        results = [job(c) for c in chunks]
 
-    err_sq = np.stack([r[0] for r in results])   # (sample, method, level)
+    err_sq = np.concatenate([r[0] for r in results])   # (sample, method, level)
     wall = np.stack([r[1] for r in results]).sum(axis=0)
 
     reports = {}
@@ -447,11 +490,21 @@ def run_convergence(config: ExperimentConfig,
     return reports
 
 
+def run_convergence(config: ExperimentConfig,
+                    collect_timing: bool = False) -> dict[str, ConvergenceReport]:
+    """One coupled-path convergence study; a report per method."""
+    config = resolve_config(config)
+    study = _prepare(config)
+    return _study_reports(study, _chunk_rows(study), collect_timing)
+
+
 def compare_methods(config: ExperimentConfig):
     """Convergence reports with measured per-level timings.
 
-    Returns (reports, timing) where timing[method] lists the summed wall
-    seconds per level, coarsest first.
+    Returns (reports, timing) where timing[method] lists, per level and
+    coarsest first, the stepping seconds of the blocks of the method's
+    trajectory, summed over chunks.  Methods that share a trajectory (see
+    ``integrators.stepping_key``) report the same times.
     """
     config = resolve_config(config)
     if len(config.methods) < 2:

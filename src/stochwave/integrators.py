@@ -24,6 +24,17 @@ The driver decomposes the initial state into the stepped band ([-N, N-1]
 per axis), the recovery band (box N^alpha minus box N) and a discarded
 remainder; the recovery band never sees the noise and is propagated to the
 final time in one shot when recovery is enabled.
+
+Stepping works on blocks.  ``run_block`` advances S paths at once as a pair
+of (S,) + (2N,)^d coefficient arrays: each step is one ``step_block`` call,
+that is one batched inverse FFT, one pointwise map, one batched forward FFT,
+one mask and one 2x2 pass, driven by the (S,) vector of the rows' grouped
+increments.  Rows never mix, so every row is bit-identical to a block of
+one, and a row that goes non-finite is dropped alone.  ``run`` is a block of
+one path plus the recovery band.  The stepping itself depends only on
+``stepping_key``: ``hr_lri`` and ``stm`` always step the same trajectory,
+and ``lri`` does too whenever its filter does not cut (the default
+coupling), so a study steps each distinct key once and shares it.
 """
 
 from __future__ import annotations
@@ -36,12 +47,14 @@ import numpy as np
 
 from . import semigroup
 from .noise import WienerLattice, coarsen
-from .problems import NonlinearitySpec, ProblemSpec, build_initial
+from .problems import InitialDataSpec, NonlinearitySpec, ProblemSpec, build_initial
 from .spectral import (
     SpectralGrid,
     SpectralState,
+    band_mask,
     diff_norm,
     lambda_sq,
+    make_grid,
     project_band,
     project_low,
     pseudospectral_apply,
@@ -97,20 +110,70 @@ def method_spec(kind: str, tau: float, t_final: float) -> MethodSpec:
     return MethodSpec(kind=kind, tau=tau, n_steps=n_steps)
 
 
-def step_scheme(state: SpectralState, tables, cut: int, tau: float, dw: float,
-                f_spec: NonlinearitySpec,
-                sigma_spec: NonlinearitySpec) -> SpectralState:
-    """One step T (U + tau * Pi F(Pi U) + Pi Sigma(Pi U) dW) at the stored
-    band, with Pi the box truncation to ``cut``."""
-    if cut > state.band:
-        raise ValueError(f"filter cut {cut} exceeds stored band {state.band}")
-    u_hat = project_low(state, cut).u_hat if cut < state.band else state.u_hat
+def stepping_key(method: MethodSpec, grid: SpectralGrid) -> tuple:
+    """What a run's stepping depends on besides its problem and its path:
+    (table function, stepped band, filter cut, tau).
+
+    Runs with equal keys on one problem and one path step bit-identical
+    trajectories; recovery only changes what is added after the last step.
+    """
+    scheme = SCHEMES[method.kind]
+    cut = grid.n_cut
+    if scheme.filtered:
+        cut = min(int(np.floor(1.0 / method.tau)), cut)
+    return scheme.tables, grid.n_cut, cut, method.tau
+
+
+def _nonfinite_rows(*blocks: np.ndarray) -> list[int]:
+    """Rows of a block with a non-finite entry in any of the arrays."""
+    if all(np.isfinite(b).all() for b in blocks):
+        return []
+    axes = tuple(range(1, blocks[0].ndim))
+    finite = np.logical_and.reduce([np.isfinite(b).all(axis=axes) for b in blocks])
+    return np.flatnonzero(~finite).tolist()
+
+
+def step_block(u_hat: np.ndarray, v_hat: np.ndarray, tables, cut: int, tau: float,
+               dw: np.ndarray, f_spec: NonlinearitySpec, sigma_spec: NonlinearitySpec):
+    """One step T (U + tau * Pi F(Pi U) + Pi Sigma(Pi U) dW) of every row of
+    a block, at the stored band, with Pi the box truncation to ``cut``.
+
+    ``u_hat`` and ``v_hat`` hold one state per row, shape (S,) + (2 band,)^d
+    with d the rank of the tables, and ``dw`` is the (S,) vector of the
+    rows' increments.  Rows never mix, so each is bit-identical to a block
+    of one.  Returns (u_hat, v_hat, bad): ``bad`` maps every row whose
+    nonlinearity image or new state is non-finite to the reason, and those
+    rows come back zeroed so that they cannot spoil later steps.
+    """
+    dim = tables[0].ndim
+    band = u_hat.shape[-1] // 2
+    if cut > band:
+        raise ValueError(f"filter cut {cut} exceeds stored band {band}")
+    u_cut = u_hat * band_mask(dim, band, cut) if cut < band else u_hat
+    bad: dict[int, str] = {}
+
+    def image(spec: NonlinearitySpec) -> np.ndarray:
+        out = pseudospectral_apply(spec, u_cut, cut, dim)
+        for row in _nonfinite_rows(out):
+            bad[row] = "non-finite nonlinearity image"
+            out[row] = 0.0
+        return out
+
     dv = []
     if not f_spec.is_zero:
-        dv.append(tau * pseudospectral_apply(f_spec, u_hat, cut))
+        z = image(f_spec)
+        dv.append(np.multiply(tau, z, out=z))
     if not sigma_spec.is_zero:
-        dv.append(dw * pseudospectral_apply(sigma_spec, u_hat, cut))
-    return semigroup.apply(state, tables, *dv)
+        z = image(sigma_spec)
+        dv.append(np.multiply(dw.reshape((-1,) + (1,) * dim), z, out=z))
+    new = semigroup.apply(SpectralState(u_hat, v_hat), tables, *dv)
+    for row in _nonfinite_rows(new.u_hat, new.v_hat):
+        bad.setdefault(row, "non-finite state")
+    if bad:
+        rows = sorted(bad)
+        new.u_hat[rows] = 0.0
+        new.v_hat[rows] = 0.0
+    return new.u_hat, new.v_hat, bad
 
 
 def recover_high(initial_band: SpectralState, t: float) -> SpectralState:
@@ -134,9 +197,68 @@ def _conform(state: SpectralState, grid: SpectralGrid) -> SpectralState:
     return with_band(state, grid.n_high)
 
 
-def _check_finite(state: SpectralState, step: int) -> None:
-    if not (np.isfinite(state.u_hat).all() and np.isfinite(state.v_hat).all()):
-        raise NumericalError(f"non-finite state at step {step}")
+@dataclass(frozen=True)
+class BlockResult:
+    """Final stepped-band states of a block of paths, one row per path.
+
+    ``failed`` maps each row that left the floating-point domain to the
+    NumericalError message naming its first bad step; such a row holds no
+    state.  ``wall_time`` is the stepping time alone.
+    """
+
+    u_hat: np.ndarray
+    v_hat: np.ndarray
+    failed: dict
+    wall_time: float
+
+
+def run_block(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
+              paths, snapshot_stride: int = 0, on_snapshot=None) -> BlockResult:
+    """Integrate a block of paths on the stepped band of ``grid``.
+
+    Every row starts from the problem's initial state on the stepped band,
+    broadcast once, and row s consumes the exact grouped sums of the base
+    increments of ``paths[s]``, so runs at different step sizes on one
+    lattice are coupled.  Each step is one call of :func:`step_block` for the
+    whole block.  A row that goes non-finite is recorded in ``failed`` with
+    its first bad step and leaves the other rows untouched; stepping stops
+    early once every row has failed.  With ``snapshot_stride`` > 0 the
+    callback receives (step_index, u_hat, v_hat) every stride steps strictly
+    inside the run; its time is not counted in ``wall_time``.
+    """
+    t_total = method.n_steps * method.tau
+    for path in paths:
+        if t_total > path.t_final + 1e-12:
+            raise ValueError(f"run time {t_total} exceeds path horizon {path.t_final}")
+    if method.n_steps:
+        dws = np.stack([coarsen(p, method.tau)[:method.n_steps] for p in paths])
+    else:
+        dws = np.zeros((len(paths), 0))
+
+    low = with_band(_conform(build_initial(problem.initial, grid), grid), grid.n_cut)
+    shape = (len(paths),) + low.u_hat.shape
+    u = np.broadcast_to(low.u_hat, shape)
+    v = np.broadcast_to(low.v_hat, shape)
+    tables_of, _, cut, _ = stepping_key(method, grid)
+    tables = tables_of(grid.dim, grid.n_cut, method.tau)
+
+    failed: dict[int, str] = {}
+    start = time.perf_counter()
+    snapshot_s = 0.0
+    for n in range(method.n_steps):
+        u, v, bad = step_block(u, v, tables, cut, method.tau, dws[:, n],
+                               problem.f, problem.sigma)
+        for row, reason in bad.items():
+            failed.setdefault(row, f"{reason} at step {n}")
+        if len(failed) == len(paths):
+            break
+        if (on_snapshot is not None and snapshot_stride > 0
+                and (n + 1) % snapshot_stride == 0 and n + 1 < method.n_steps):
+            t_snap = time.perf_counter()
+            on_snapshot(n + 1, u, v)
+            snapshot_s += time.perf_counter() - t_snap
+    wall = time.perf_counter() - start - snapshot_s
+    return BlockResult(u_hat=u, v_hat=v, failed=failed, wall_time=wall)
 
 
 def run(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
@@ -144,66 +266,49 @@ def run(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
         on_snapshot=None) -> RunResult:
     """Integrate one path; returns the final state at the full band.
 
-    The Brownian increments are the exact grouped sums of the lattice's base
-    increments, so runs at different step sizes on one lattice are coupled.
+    The stepping is :func:`run_block` with a block of one path, on the
+    stepped band; the recovery band is added to every state handed out.
     With ``snapshot_stride`` > 0 the callback receives
     (step_index, time, full-band state) every stride steps and at both ends.
     ``RunResult.wall_time`` is the stepping time alone: snapshot assembly and
     the callback are not counted.  A non-finite state or nonlinearity image
-    raises NumericalError.
+    raises NumericalError naming its step.
     """
-    t_total = method.n_steps * method.tau
-    if t_total > path.t_final + 1e-12:
-        raise ValueError(f"run time {t_total} exceeds path horizon {path.t_final}")
-    dws = coarsen(path, method.tau)[:method.n_steps] if method.n_steps else np.zeros(0)
-
     u0 = _conform(build_initial(problem.initial, grid), grid)
     low = with_band(u0, grid.n_cut)
     rec0 = None
-    if grid.n_high > grid.n_cut:
+    if method.recovery and grid.n_high > grid.n_cut:
         # the stepped storage holds |k_j| <= n_cut - 1 (its unpaired slot is
         # kept empty), so the recovery band starts one mode lower to tile the
         # retained spectrum completely
         rec0 = project_band(u0, grid.n_cut - 1, grid.n_high)
 
-    scheme = SCHEMES[method.kind]
-    tables = scheme.tables(grid.dim, grid.n_cut, method.tau)
-    cut = grid.n_cut
-    if scheme.filtered:
-        cut = min(int(np.floor(1.0 / method.tau)), cut)
-
     def full_state(state_low: SpectralState, t: float) -> SpectralState:
         out = with_band(state_low, grid.n_high)
-        if method.recovery and rec0 is not None:
+        if rec0 is not None:
             rec = recover_high(rec0, t)
             out = SpectralState(out.u_hat + rec.u_hat, out.v_hat + rec.v_hat)
         return out
 
-    if on_snapshot is not None and snapshot_stride > 0:
+    snapshots = on_snapshot is not None and snapshot_stride > 0
+    if snapshots:
         on_snapshot(0, 0.0, full_state(low, 0.0))
 
-    start = time.perf_counter()
-    snapshot_s = 0.0
-    state = low
-    for n in range(method.n_steps):
-        dw = float(dws[n])
-        try:
-            state = step_scheme(state, tables, cut, method.tau, dw,
-                                problem.f, problem.sigma)
-        except FloatingPointError as exc:
-            raise NumericalError(f"non-finite nonlinearity image at step {n}") from exc
-        _check_finite(state, n)
-        if (on_snapshot is not None and snapshot_stride > 0
-                and (n + 1) % snapshot_stride == 0 and n + 1 < method.n_steps):
-            t_snap = time.perf_counter()
-            on_snapshot(n + 1, (n + 1) * method.tau, full_state(state, (n + 1) * method.tau))
-            snapshot_s += time.perf_counter() - t_snap
-    wall = time.perf_counter() - start - snapshot_s
+    def snapshot(n: int, u: np.ndarray, v: np.ndarray) -> None:
+        t = n * method.tau
+        on_snapshot(n, t, full_state(SpectralState(u[0], v[0]), t))
 
-    final = full_state(state, t_total)
-    if on_snapshot is not None and snapshot_stride > 0 and method.n_steps > 0:
+    stepped = ProblemSpec(problem.f, problem.sigma, InitialDataSpec("explicit", state=low))
+    block = run_block(method, make_grid(grid.dim, grid.n_cut, 1.0), stepped, [path],
+                      snapshot_stride, snapshot if snapshots else None)
+    if block.failed:
+        raise NumericalError(block.failed[0])
+
+    t_total = method.n_steps * method.tau
+    final = full_state(SpectralState(block.u_hat[0], block.v_hat[0]), t_total)
+    if snapshots and method.n_steps > 0:
         on_snapshot(method.n_steps, t_total, final)
-    return RunResult(final_state=final, wall_time=wall, steps=method.n_steps)
+    return RunResult(final_state=final, wall_time=block.wall_time, steps=method.n_steps)
 
 
 # ---------------------------------------------------------------------------

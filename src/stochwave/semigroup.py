@@ -78,11 +78,18 @@ def resolvent_tables(dim: int, band: int, tau: float):
 def apply(state: SpectralState, tables, *dv: np.ndarray) -> SpectralState:
     """Multiply every mode of (u, v + dv[0] + dv[1] + ...) by its 2x2 table.
 
-    The increments are added to v one at a time, left to right.
+    The increments are added to v one at a time, left to right.  The
+    arrays may carry a leading block axis, over which the tables broadcast.
     """
     a11, a12, a21, a22 = tables
     u = state.u_hat
     w = state.v_hat
-    for d in dv:
-        w = w + d
-    return SpectralState(a11 * u + a12 * w, a21 * u + a22 * w)
+    if dv:
+        w = w + dv[0]
+        for d in dv[1:]:
+            w += d
+    new_u = a11 * u
+    new_u += a12 * w
+    new_v = a21 * u
+    new_v += a22 * w
+    return SpectralState(new_u, new_v)

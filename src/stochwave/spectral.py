@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import struct
 from dataclasses import dataclass
 
@@ -135,19 +136,37 @@ def band_mask(dim: int, band: int, cut: int) -> np.ndarray:
 # transforms
 
 
-def forward(samples: np.ndarray) -> np.ndarray:
-    """DFT normalised so coefficient k = mean of samples * exp(-2i pi k x)."""
+def _trailing_axes(arr: np.ndarray, dim: int | None) -> tuple[int, ...]:
+    """The last ``dim`` axes of ``arr`` (all of them when dim is None)."""
+    dim = arr.ndim if dim is None else dim
+    return tuple(range(arr.ndim - dim, arr.ndim))
+
+
+def forward(samples: np.ndarray, dim: int | None = None) -> np.ndarray:
+    """DFT normalised so coefficient k = mean of samples * exp(-2i pi k x).
+
+    Transforms the trailing ``dim`` axes, all of them by default; a leading
+    axis indexes the fields of a block, and each is transformed alone.
+    """
     samples = np.asarray(samples)
-    n = samples.shape[0]
-    if any(s != n for s in samples.shape) or n % 2:
+    axes = _trailing_axes(samples, dim)
+    shape = [samples.shape[a] for a in axes]
+    n = shape[0]
+    if any(s != n for s in shape) or n % 2:
         raise ValueError(f"samples must be a square even-sized array, got {samples.shape}")
-    return np.fft.fftn(samples) / samples.size
+    out = np.fft.fftn(samples, axes=axes)
+    out /= n ** len(axes)
+    return out
 
 
-def inverse(coeffs: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`forward`; complex output, real for Hermitian input."""
+def inverse(coeffs: np.ndarray, dim: int | None = None) -> np.ndarray:
+    """Adjoint of :func:`forward` over the same axes; complex output, real
+    for Hermitian input."""
     coeffs = np.asarray(coeffs)
-    return np.fft.ifftn(coeffs) * coeffs.size
+    axes = _trailing_axes(coeffs, dim)
+    out = np.fft.ifftn(coeffs, axes=axes)
+    out *= math.prod(coeffs.shape[a] for a in axes)
+    return out
 
 
 def state_from_fields(u: np.ndarray, v: np.ndarray) -> SpectralState:
@@ -233,21 +252,29 @@ def diff_norm(a: SpectralState, b: SpectralState, gamma: float = 0.0) -> float:
 # nonlinearity application
 
 
-def pseudospectral_apply(scalar_fn, coeffs: np.ndarray, cut: int) -> np.ndarray:
+def pseudospectral_apply(scalar_fn, coeffs: np.ndarray, cut: int,
+                         dim: int | None = None) -> np.ndarray:
     """Evaluate a scalar function on the collocation grid, truncated to ``cut``.
 
     Realises trigonometric interpolation of scalar_fn(u): inverse transform,
-    pointwise map, forward transform, sharp truncation.
+    pointwise map, forward transform, sharp truncation, over the trailing
+    ``dim`` axes (all of them by default).  Non-finite samples of a single
+    field raise FloatingPointError.  In a block (``dim`` below the rank) they
+    leave only their own row's image non-finite, so the caller can drop that
+    row and keep the others.
     """
     coeffs = np.asarray(coeffs)
-    band = coeffs.shape[0] // 2
+    dim = coeffs.ndim if dim is None else dim
+    band = coeffs.shape[-1] // 2
     if cut > band:
         raise ValueError(f"cut {cut} exceeds stored band {band}")
-    samples = scalar_fn(inverse(coeffs).real)
+    samples = scalar_fn(inverse(coeffs, dim).real)
     samples = np.asarray(samples, dtype=np.float64)
-    if not np.isfinite(samples).all():
+    if samples.ndim == dim and not np.isfinite(samples).all():
         raise FloatingPointError("nonlinearity produced non-finite samples")
-    return forward(samples) * band_mask(coeffs.ndim, band, cut)
+    out = forward(samples, dim)
+    out *= band_mask(dim, band, cut)
+    return out
 
 
 # ---------------------------------------------------------------------------

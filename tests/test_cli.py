@@ -123,11 +123,15 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     # force every sample to be excluded so the study trips its loud-failure
     # threshold
     import stochwave.experiments as exp
+    real_block = exp.run_block
 
     def explode(*args, **kwargs):
-        raise sw.NumericalError("non-finite state at step 0")
+        res = real_block(*args, **kwargs)
+        res.failed.update(dict.fromkeys(range(res.u_hat.shape[0]),
+                                        "non-finite state at step 0"))
+        return res
 
-    monkeypatch.setattr(exp, "run", explode)
+    monkeypatch.setattr(exp, "run_block", explode)
     rc = main(["converge", "--preset", "2", "--dim", "1", "--method", "stm",
                "--tau", "0.125", "--levels", "3", "--samples", "2",
                "--out", str(tmp_path)])

@@ -1,5 +1,7 @@
 """Study driver, order fitting, report emission, config handling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -160,16 +162,17 @@ class TestRunConvergence:
 
     def test_partial_exclusion_counted(self, monkeypatch):
         # one failing run out of 303 is excluded and counted, never averaged
-        import stochwave.experiments as exp
-        real_run = exp.run
+        real_block = exp.run_block
 
-        def flaky(spec, grid, problem, lattice, **kw):
-            if (lattice.sample_index == 5 and spec.kind == "stm"
-                    and spec.tau == 2**-3):
-                raise sw.NumericalError("non-finite state at step 0")
-            return real_run(spec, grid, problem, lattice, **kw)
+        def flaky(spec, grid, problem, paths, **kw):
+            res = real_block(spec, grid, problem, paths, **kw)
+            if spec.kind == "stm" and spec.tau == 2**-3:
+                for row, lattice in enumerate(paths):
+                    if lattice.sample_index == 5:
+                        res.failed[row] = "non-finite state at step 0"
+            return res
 
-        monkeypatch.setattr(exp, "run", flaky)
+        monkeypatch.setattr(exp, "run_block", flaky)
         cfg = sw.ExperimentConfig(dim=1, preset=2, gamma=4.0, methods=("stm",),
                                   levels=(2**-3, 2**-4, 2**-5), n_samples=101,
                                   seed=13)
@@ -178,38 +181,51 @@ class TestRunConvergence:
         assert rows[1].excluded == 0 and rows[1].n_samples == 101
 
     def test_nonfinite_image_excluded(self, monkeypatch):
-        # a real non-finite nonlinearity image in one run: NaN for that run,
-        # counted in the excluded column, never a FloatingPointError
-        real_run = exp.run
-        poisoned = sw.scaled_sine(np.nan)
+        # a real non-finite nonlinearity image in one row of a block: NaN for
+        # that run, counted in the excluded column, never a FloatingPointError
+        real_block = exp.run_block
 
-        def poison(spec, grid, problem, lattice, **kw):
-            if (lattice.sample_index == 2 and spec.kind == "stm"
-                    and spec.tau == 2**-4):
-                problem = sw.ProblemSpec(problem.f, poisoned, problem.initial)
-            return real_run(spec, grid, problem, lattice, **kw)
+        class PoisonRow:
+            """sigma with the samples of one block row replaced by NaN."""
+            is_zero = False
 
-        monkeypatch.setattr(exp, "run", poison)
+            def __init__(self, inner, row):
+                self.inner, self.row = inner, row
+
+            def __call__(self, u):
+                out = self.inner(u)
+                out[self.row] = np.nan
+                return out
+
+        def poison(spec, grid, problem, paths, **kw):
+            rows = [r for r, lattice in enumerate(paths) if lattice.sample_index == 2]
+            if rows and spec.kind == "stm" and spec.tau == 2**-4:
+                problem = sw.ProblemSpec(problem.f, PoisonRow(problem.sigma, rows[0]),
+                                         problem.initial)
+            return real_block(spec, grid, problem, paths, **kw)
+
+        monkeypatch.setattr(exp, "run_block", poison)
         cfg = resolve_config(sw.ExperimentConfig(
             dim=1, preset=2, gamma=4.0, methods=("sem", "stm"),
             levels=(2**-3, 2**-4, 2**-5), n_samples=40, seed=13))
-        err_sq, _ = exp._one_sample(2, exp._prepare(cfg))
-        assert np.isnan(err_sq[1, 1])
+        err_sq, _ = exp._chunk_errors(exp._prepare(cfg), range(2, 3))
+        assert np.isnan(err_sq[0, 1, 1])
         assert np.isfinite(np.delete(err_sq.ravel(), 4)).all()
         reports = sw.run_convergence(cfg)
         assert [row.excluded for row in reports["stm"].rows] == [0, 1, 0]
         assert [row.excluded for row in reports["sem"].rows] == [0, 0, 0]
 
     def test_exclusions_over_threshold_fail_loudly(self, monkeypatch):
-        import stochwave.experiments as exp
-        real_run = exp.run
+        real_block = exp.run_block
 
-        def flaky(spec, grid, problem, lattice, **kw):
+        def flaky(spec, grid, problem, paths, **kw):
+            res = real_block(spec, grid, problem, paths, **kw)
             if spec.kind == "stm" and spec.tau == 2**-3:
-                raise sw.NumericalError("non-finite state at step 0")
-            return real_run(spec, grid, problem, lattice, **kw)
+                res.failed.update(dict.fromkeys(range(len(paths)),
+                                                "non-finite state at step 0"))
+            return res
 
-        monkeypatch.setattr(exp, "run", flaky)
+        monkeypatch.setattr(exp, "run_block", flaky)
         cfg = sw.ExperimentConfig(dim=1, preset=2, gamma=4.0, methods=("stm",),
                                   levels=(2**-3, 2**-4, 2**-5), n_samples=8,
                                   seed=13)
@@ -286,11 +302,11 @@ class TestErrorSplit:
                     gamma=0.5, seed=4)
         cfg = resolve_config(sw.ExperimentConfig(**{**base, **SPLIT_CASES[case]}))
         study = exp._prepare(cfg)
+        err_sq, _ = exp._chunk_errors(study, range(2))
         for sample in (0, 1):
-            err_sq, _ = exp._one_sample(sample, study)
             oracle = full_state_errors(cfg, sample)
             assert (oracle > 0).all()
-            np.testing.assert_allclose(np.sqrt(err_sq), oracle, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(np.sqrt(err_sq[sample]), oracle, rtol=1e-13, atol=0)
 
     def test_no_sample_state_wider_than_stepped_band(self, monkeypatch):
         real = exp.diff_norm
@@ -308,6 +324,107 @@ class TestErrorSplit:
         # M = 64 here, while the reference's full band is 32^2 = 1024
         assert len(bands) == 3 * 4 * 3
         assert max(max(pair) for pair in bands) == 64
+
+
+def per_sample_errors(study, sample):
+    """The squared errors of one sample from one ``run`` per method and
+    level: the per-path loop that the block stepping replaces."""
+    config = study.config
+
+    def at_band(state, offset):
+        state = sw.with_band(state, study.band)
+        if offset is None:
+            return state
+        return sw.SpectralState(state.u_hat + offset.u_hat, state.v_hat + offset.v_hat)
+
+    lattice = sw.sample_path(config.seed, sample, config.t_final, config.tau_ref)
+    ref = sw.run(study.ref_method, study.ref_grid, study.shared, lattice)
+    ref = at_band(ref.final_state, study.ref_offset)
+    out = np.empty((len(config.methods), len(config.levels)))
+    for mi, m in enumerate(config.methods):
+        for li, (tau, grid) in enumerate(zip(config.levels, study.grids)):
+            res = sw.run(sw.method_spec(m, tau, config.t_final), grid, study.shared, lattice)
+            err = sw.diff_norm(at_band(res.final_state, study.offsets[mi][li]), ref, 0.0)
+            out[mi, li] = err * err + study.tails[mi, li]
+    return out
+
+
+DETERMINISM_CASES = {
+    "1d": dict(dim=1, preset=2, alpha=2.0, levels=(2**-3, 2**-4, 2**-5)),
+    "2d": dict(dim=2, preset=4, levels=(2**-3, 2**-4), tau_ref=2**-6),
+}
+
+
+def count_steppings(monkeypatch, **kw):
+    """Blocks stepped per level by one study, and its reports."""
+    real = exp.run_block
+    taus = []
+
+    def spy(spec, grid, problem, paths, **k):
+        taus.append(spec.tau)
+        return real(spec, grid, problem, paths, **k)
+
+    monkeypatch.setattr(exp, "run_block", spy)
+    cfg = resolve_config(sw.ExperimentConfig(
+        dim=1, preset=2, gamma=0.5, levels=(2**-3, 2**-4, 2**-5), n_samples=3,
+        seed=2, **kw))
+    reports = sw.run_convergence(cfg)
+    return [taus.count(tau) for tau in cfg.levels], reports
+
+
+class TestBlockStudy:
+    @pytest.mark.parametrize("case", sorted(DETERMINISM_CASES))
+    def test_csv_bytes_independent_of_chunks_and_workers(self, case, tmp_path):
+        cfg = resolve_config(sw.ExperimentConfig(
+            methods=("hr_lri", "sem", "stm"), gamma=0.5, n_samples=9, seed=17,
+            **DETERMINISM_CASES[case]))
+        blobs = set()
+        for workers in (1, 2):
+            study = exp._prepare(replace(cfg, n_workers=workers))
+            for rows in (1, 7, cfg.n_samples):
+                reports = exp._study_reports(study, rows)
+                path = emit_study(reports, str(tmp_path / f"w{workers}-r{rows}"))
+                blobs.add(open(path, "rb").read())
+        assert len(blobs) == 1
+        # every row of a block equals the run of its sample alone, bit for bit
+        err_sq, _ = exp._chunk_errors(study, range(cfg.n_samples))
+        expect = np.stack([per_sample_errors(study, s) for s in range(cfg.n_samples)])
+        np.testing.assert_array_equal(err_sq, expect)
+
+    def test_each_distinct_trajectory_stepped_once(self, monkeypatch):
+        # hr_lri and stm share a stepping, and so does lri at N = 1/(4 tau)
+        counts, _ = count_steppings(monkeypatch, methods=("hr_lri", "sem", "stm"))
+        assert counts == [2, 2, 2]
+        counts, reports = count_steppings(monkeypatch, methods=ALL_METHODS)
+        assert counts == [2, 2, 2]
+        assert reports["lri"].rows == reports["stm"].rows
+
+    def test_cutting_lri_filter_steps_its_own_trajectory(self, monkeypatch):
+        # n_cuts above 1/tau = 8, 16, 32: the lri filter cuts below N
+        counts, reports = count_steppings(monkeypatch, methods=ALL_METHODS,
+                                          n_cuts=(16, 32, 64))
+        assert counts == [3, 3, 3]
+        for lri, stm in zip(reports["lri"].rows, reports["stm"].rows):
+            assert lri.rms_error != stm.rms_error
+
+    def test_blocks_within_byte_budget(self, monkeypatch):
+        real = exp.run_block
+        blocks = []
+
+        def spy(spec, grid, problem, paths, **k):
+            res = real(spec, grid, problem, paths, **k)
+            blocks.append((grid.n_cut, res.u_hat.nbytes))
+            return res
+
+        monkeypatch.setattr(exp, "run_block", spy)
+        # one 2D row at band 512 is 16 MiB, so the three samples need chunks
+        cfg = sw.ExperimentConfig(dim=2, preset=4, gamma=0.5, alpha=1.0,
+                                  methods=("stm",), levels=(2**-3,), n_cuts=(512,),
+                                  n_samples=3, seed=1)
+        sw.run_convergence(cfg)
+        wide = [nbytes for n_cut, nbytes in blocks if n_cut == 512]
+        assert len(wide) == 2
+        assert max(nbytes for _, nbytes in blocks) <= exp._BLOCK_BYTES
 
 
 class TestCompare:
@@ -332,6 +449,15 @@ class TestCompare:
         assert (tmp_path / "error_vs_time_stm.txt").exists()
         recs = sw.parse_csv(csv_path)
         assert all(rec["wall_seconds"] > 0 for rec in recs)
+
+
+    def test_shared_trajectory_shares_timing(self):
+        cfg = sw.ExperimentConfig(dim=1, preset=2, gamma=0.5,
+                                  methods=("hr_lri", "stm"),
+                                  levels=(2**-3, 2**-4, 2**-5), n_samples=4, seed=9)
+        _, timing = sw.compare_methods(cfg)
+        assert timing["hr_lri"] == timing["stm"]
+        assert all(t > 0 for t in timing["stm"])
 
 
 class TestRunSingle:

@@ -1,5 +1,6 @@
 """Time steppers, the run driver, and the zero-mode oracle."""
 
+import dataclasses
 import time
 
 import numpy as np
@@ -29,10 +30,14 @@ def explicit_problem(state, f=None, sigma=None):
 
 
 def step(kind, state, tau, dw, f, sigma, cut=None):
-    """One step of scheme ``kind`` at the state's band, cut there by default."""
+    """One step of scheme ``kind`` at the state's band, cut there by default,
+    as a block of one row."""
     tables = SCHEMES[kind].tables(state.dim, state.band, tau)
     cut = state.band if cut is None else cut
-    return sw.step_scheme(state, tables, cut, tau, dw, f, sigma)
+    u, v, bad = sw.step_block(state.u_hat[None], state.v_hat[None], tables, cut,
+                              tau, np.array([dw]), f, sigma)
+    assert not bad
+    return sw.SpectralState(u[0], v[0])
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +424,27 @@ class TestRunDriver:
         spec = sw.method_spec("hr_lri", 0.25, 1.0)
         assert spec.recovery and spec.n_steps == 4
         assert not sw.method_spec("sem", 0.25, 1.0).recovery
+
+
+class TestRunBlock:
+    def test_nan_row_excluded_alone(self):
+        # row 3's first increment is NaN: that row alone is flagged at step
+        # 0, and every other row equals its own single-path run bit for bit
+        grid = sw.make_grid(1, 8, 1.0)
+        problem = explicit_problem(random_state(grid, seed=16), sigma=sw.scaled_sine(16.0))
+        spec = sw.method_spec("stm", 2**-5, 0.25)
+        paths = [sw.sample_path(8, s, 0.25, 2**-5) for s in range(7)]
+        poisoned = paths[3].increments.copy()
+        poisoned[0] = np.nan
+        paths[3] = dataclasses.replace(paths[3], increments=poisoned)
+        block = sw.run_block(spec, grid, problem, paths)
+        assert block.failed == {3: "non-finite state at step 0"}
+        for row in (0, 1, 2, 4, 5, 6):
+            single = sw.run(spec, grid, problem, paths[row]).final_state
+            np.testing.assert_array_equal(block.u_hat[row], single.u_hat)
+            np.testing.assert_array_equal(block.v_hat[row], single.v_hat)
+        with pytest.raises(sw.NumericalError, match="step 0"):
+            sw.run(spec, grid, problem, paths[3])
 
 
 class TestZeroModeOracle:
