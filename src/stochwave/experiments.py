@@ -13,30 +13,32 @@ reference grid, and restricted spectrally for each run.
 
 The pair norm is diagonal in the Fourier modes, so each squared error splits
 exactly at the box |k|_inf <= M - 1, where M is the widest stepped band of
-the study (the reference's or a coarse level's):
+the study (the reference's or a coarse level's).  A run keeps the modes up
+to box h: its recovery cutoff if it recovers (hr_lri, and the reference at
+N_ref^alpha), its stepped band if not; every recovered mode is the exact
+linear flow e^(TL) U_0 of the shared initial state.  So:
 
 * inside the box, per sample: every run steps its band only, and its final
-  state is compared at band M with the reference's.  The linearly recovered
-  modes of hr_lri that fall inside the box never see the noise, so they are
-  added as per-study constants.
-* outside the box, per study: no run steps there, and every recovered mode
-  is the exact linear flow e^(TL) of the shared initial state.  The
-  reference holds that flow up to its full band N_ref^alpha; a recovering
-  hr_lri level holds the same values below its own recovery cutoff, where
-  the two cancel.  The tail is the weighted norm^2 of that flow outside
-  box M (outside the level's cutoff for hr_lri), computed once.
+  state is compared at band M with the reference's.  The recovered modes
+  there never see the noise: each (method, level) adds one per-study shift,
+  the flow on its recovered modes inside box M minus the reference's.
+* outside the box, per study: no run steps there, so the error is the flow
+  outside box max(M, h).  Outside box b is s(k) = max_j |k_j| >= b, and each
+  tail is one masked sum of the flow's per-mode energy.
 
-So no sample ever builds a state wider than band M.  With alpha = 1 there
-is nothing outside the box and no tail is computed.
+So no sample ever builds a state wider than band M; with alpha = 1 every
+shift is empty and every tail zero.
 
 The samples are stepped in contiguous chunks, each as array blocks: the
 reference and every distinct trajectory of a level is one
 ``integrators.run_block`` call over all paths of the chunk.  Methods whose
 stepping is the same (equal ``integrators.stepping_key``: ``hr_lri`` and
 ``stm`` always, ``lri`` too unless its filter cuts) share one trajectory and
-its final states; their rows differ only by the recovered modes.  Worker
-threads take whole chunks, and a chunk's rows are capped so that a block at
-band M stays within a fixed byte budget.
+its final states.  Each block is re-stored at band M once and the reference
+block subtracted; each method then takes one weighted reduction of that
+difference plus its shift over the mode axes.  Worker threads take whole
+chunks, and a chunk's rows are capped so that a block at band M stays
+within a fixed byte budget.
 
 Orders are read off as the least-squares slope of log(rms) against
 log(tau).  Runs that leave the floating-point domain are excluded and
@@ -83,11 +85,12 @@ from .spectral import (
     DIMS,
     SpectralGrid,
     SpectralState,
+    _norm_weights,
+    _weighted_norm_sq,
     default_alpha,
-    diff_norm,
     make_grid,
-    project_band,
     save_snapshot,
+    shell_index,
     sobolev_norm,
     state_to_fields,
     with_band,
@@ -197,6 +200,14 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(f"unknown method {m!r}")
     if config.n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
+    if config.n_workers < 1:
+        raise ConfigError(f"n_workers must be >= 1, got {config.n_workers}")
+    # the output directory's nearest existing ancestor must be a directory
+    existing = os.path.abspath(config.out_dir)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"out_dir {config.out_dir}: {existing} is not a directory")
     tau = config.tau if config.tau is not None else levels[-1]
     for n in (default_n_cut(tau_ref), *n_cuts, default_n_cut(tau)):
         try:
@@ -314,9 +325,10 @@ class _Study:
     Runs step on grids without a recovery band; ``band`` is the widest of
     their stepped bands (M).  ``trajectories[l]`` lists the distinct
     steppings of level l as (spec, method indices, same as the reference):
-    methods with equal ``stepping_key`` share one.  ``ref_offset`` holds the
-    reference's recovered modes inside box M and ``offsets[m][l]`` those of
-    a recovering level; ``tails[m, l]`` is the squared error outside box M.
+    methods with equal ``stepping_key`` share one.  ``weights`` are the
+    pair-norm weights at band M; ``shifts[m][l]``, the (u, v) pair that the
+    recovered modes inside box M add to a block's difference, or None; and
+    ``tails[m, l]``, the squared error outside box M.
     """
 
     config: ExperimentConfig
@@ -326,8 +338,8 @@ class _Study:
     ref_method: MethodSpec
     grids: list
     trajectories: list
-    ref_offset: SpectralState | None
-    offsets: list
+    weights: tuple
+    shifts: list
     tails: np.ndarray
 
 
@@ -344,40 +356,30 @@ def _prepare(config: ExperimentConfig) -> _Study:
     u0 = with_band(u0, full.n_high)
     specs = [[method_spec(m, tau, config.t_final) for tau in config.levels]
              for m in config.methods]
-    n_highs = [make_grid(dim, n, config.alpha).n_high for n in config.n_cuts]
+    # (stepped band, box kept) per method and level
+    runs = [[(n, make_grid(dim, n, config.alpha).n_high if spec.recovery else n)
+             for spec, n in zip(row, config.n_cuts)] for row in specs]
 
-    n_m, n_l = len(config.methods), len(config.levels)
-    ref_offset = None
-    offsets = [[None] * n_l for _ in range(n_m)]
-    tails = np.zeros((n_m, n_l))
-    if full.n_high > n_ref or any(h > n for h, n in zip(n_highs, config.n_cuts)):
-        # box b holds the modes a state at band b stores: every |k_j| <= b - 1
-        flow = recover_high(u0, config.t_final)
-        flow_m = with_band(flow, band)
-        tail_cache: dict[int, float] = {}
+    flow = recover_high(u0, config.t_final)
+    wu, wv = _norm_weights(dim, full.n_high, 0.0)
+    energy = (wu * (flow.u_hat.real ** 2 + flow.u_hat.imag ** 2)
+              + wv * (flow.v_hat.real ** 2 + flow.v_hat.imag ** 2))
+    shell = shell_index(dim, full.n_high)
+    outside = {b: float(np.sum(energy[shell >= b]))
+               for b in {max(band, h) for row in runs for _, h in row}}
+    tails = np.array([[outside[max(band, h)] for _, h in row] for row in runs])
 
-        def inside(lo: int, hi: int) -> SpectralState | None:
-            """The flow outside box lo and inside boxes hi and M, at band M."""
-            hi = min(hi, band)
-            return project_band(flow_m, lo - 1, hi - 1) if hi > lo else None
+    flow_m, shell_m = with_band(flow, band), shell_index(dim, band)
 
-        def tail(box: int) -> float:
-            """Squared norm of the flow outside box ``box``."""
-            if box not in tail_cache:
-                outside = 0.0
-                if box < flow.band:
-                    outside = sobolev_norm(project_band(flow, box - 1, flow.band), 0.0) ** 2
-                tail_cache[box] = outside
-            return tail_cache[box]
+    @functools.cache
+    def shift(n: int, h: int) -> tuple | None:
+        """The flow at band M on a run's recovered modes inside box M (outside
+        box n, inside box h) minus the reference's; None if both are empty."""
+        sign = 1.0 * ((n <= shell_m) & (shell_m < min(h, band)))
+        sign -= (n_ref <= shell_m) & (shell_m < min(full.n_high, band))
+        return (flow_m.u_hat * sign, flow_m.v_hat * sign) if sign.any() else None
 
-        ref_offset = inside(n_ref, full.n_high)
-        for li, (n_cut, n_high) in enumerate(zip(config.n_cuts, n_highs)):
-            for mi, row in enumerate(specs):
-                if row[li].recovery:
-                    offsets[mi][li] = inside(n_cut, n_high)
-                    tails[mi, li] = tail(max(band, n_high))
-                else:
-                    tails[mi, li] = tail(band)
+    shifts = [[shift(n, h) for n, h in row] for row in runs]
 
     ref_grid = make_grid(dim, n_ref, 1.0)
     ref_method = method_spec("hr_lri", config.tau_ref, config.t_final)
@@ -397,27 +399,17 @@ def _prepare(config: ExperimentConfig) -> _Study:
     return _Study(
         config=config, shared=shared, band=band, ref_grid=ref_grid,
         ref_method=ref_method, grids=grids, trajectories=trajectories,
-        ref_offset=ref_offset, offsets=offsets, tails=tails)
-
-
-def _with_offset(state: SpectralState, offset: SpectralState | None) -> SpectralState:
-    """A stepped final state at band M, plus its recovered modes there."""
-    if offset is None:
-        return state
-    return SpectralState(state.u_hat + offset.u_hat, state.v_hat + offset.v_hat)
-
-
-def _row_at_band(block, row: int, band: int) -> SpectralState:
-    return with_band(SpectralState(block.u_hat[row], block.v_hat[row]), band)
+        weights=_norm_weights(dim, band, 0.0), shifts=shifts, tails=tails)
 
 
 def _chunk_errors(study: _Study, samples: range):
     """Errors (squared) and stepping times for a contiguous chunk of samples.
 
     Every distinct trajectory of a level is stepped once, as one block of
-    the chunk's paths, and its final states serve every method that maps to
-    it.  Returns err_sq of shape (samples, methods, levels), NaN marking an
-    excluded run, and the (methods, levels) stepping seconds of each
+    the chunk's paths, and scored at band M against the reference block with
+    one weighted reduction per method that maps to it.  Returns err_sq of
+    shape (samples, methods, levels), NaN marking a run whose row or
+    reference row failed, and the (methods, levels) stepping seconds of each
     method's trajectory.
     """
     config = study.config
@@ -426,20 +418,19 @@ def _chunk_errors(study: _Study, samples: range):
     wall = np.zeros((n_m, len(config.levels)))
     paths = [sample_path(config.seed, s, config.t_final, config.tau_ref) for s in samples]
     ref = run_block(study.ref_method, study.ref_grid, study.shared, paths)
-    # a failed reference row excludes every error of its sample
-    refs = {row: _with_offset(_row_at_band(ref, row, study.band), study.ref_offset)
-            for row in range(len(paths)) if row not in ref.failed}
+    ref_m = with_band(SpectralState(ref.u_hat, ref.v_hat), study.band, config.dim)
     for li, grid in enumerate(study.grids):
         for spec, mis, is_ref in study.trajectories[li]:
             res = ref if is_ref else run_block(spec, grid, study.shared, paths)
-            for row, ref_state in refs.items():
-                if row in res.failed:
-                    continue
-                state = _row_at_band(res, row, study.band)
-                for mi in mis:
-                    err = diff_norm(_with_offset(state, study.offsets[mi][li]),
-                                    ref_state, 0.0)
-                    err_sq[row, mi, li] = err * err + study.tails[mi, li]
+            res_m = with_band(SpectralState(res.u_hat, res.v_hat), study.band, config.dim)
+            du, dv = res_m.u_hat - ref_m.u_hat, res_m.v_hat - ref_m.v_hat
+            failed = list(ref.failed.keys() | res.failed.keys())
+            for mi in mis:
+                shift = study.shifts[mi][li]
+                u, v = (du, dv) if shift is None else (du + shift[0], dv + shift[1])
+                err = _weighted_norm_sq(u, v, *study.weights) + study.tails[mi, li]
+                err[failed] = np.nan
+                err_sq[:, mi, li] = err
             wall[mis, li] = res.wall_time
     return err_sq, wall
 
@@ -661,7 +652,7 @@ def parse_config_file(path) -> dict[str, str]:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
                 key, val = line.split("=", 1)
                 out[key.strip()] = val.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return out
 

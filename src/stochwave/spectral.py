@@ -89,7 +89,7 @@ class SpectralState:
 
     @property
     def band(self) -> int:
-        return self.u_hat.shape[0] // 2
+        return self.u_hat.shape[-1] // 2
 
 
 def zero_state(dim: int, band: int) -> SpectralState:
@@ -116,6 +116,12 @@ def lambda_sq(dim: int, band: int) -> np.ndarray:
     return (2.0 * np.pi) ** 2 * functools.reduce(np.add.outer, [k * k] * dim)
 
 
+def shell_index(dim: int, band: int) -> np.ndarray:
+    """max_j |k_j| on the full mode box of a band-m array.  A state at band
+    b stores the modes below b; the unpaired slots read m."""
+    return functools.reduce(np.maximum.outer, [np.abs(mode_indices(band))] * dim)
+
+
 @functools.cache
 def band_mask(dim: int, band: int, cut: int) -> np.ndarray:
     """Boolean mask of modes with every |k_j| <= cut, Nyquist slots excluded.
@@ -126,8 +132,7 @@ def band_mask(dim: int, band: int, cut: int) -> np.ndarray:
     """
     if not 0 <= cut <= band:
         raise ValueError(f"cut {cut} outside [0, {band}]")
-    k = mode_indices(band)
-    m = functools.reduce(np.logical_and.outer, [(np.abs(k) <= cut) & (k != -band)] * dim)
+    m = shell_index(dim, band) <= min(cut, band - 1)
     m.setflags(write=False)
     return m
 
@@ -222,11 +227,13 @@ def _norm_weights(dim: int, band: int, gamma: float):
     return base ** gamma, base ** (gamma - 1.0)
 
 
-def _weighted_norm_sq(u, v, wu, wv) -> float:
-    """sum(wu*|u|^2 + wv*|v|^2) as a python float."""
-    acc = np.sum(wu * (u.real * u.real + u.imag * u.imag))
-    acc += np.sum(wv * (v.real * v.real + v.imag * v.imag))
-    return float(acc)
+def _weighted_norm_sq(u, v, wu, wv):
+    """sum(wu*|u|^2 + wv*|v|^2) over the trailing axes of the weights: a
+    scalar for one state, one entry per row for a block of states."""
+    axes = tuple(range(-wu.ndim, 0))
+    acc = np.sum(wu * (u.real * u.real + u.imag * u.imag), axis=axes)
+    acc += np.sum(wv * (v.real * v.real + v.imag * v.imag), axis=axes)
+    return acc
 
 
 def sobolev_norm(state: SpectralState, gamma: float) -> float:
@@ -241,11 +248,8 @@ def sobolev_norm(state: SpectralState, gamma: float) -> float:
 def diff_norm(a: SpectralState, b: SpectralState, gamma: float = 0.0) -> float:
     """sobolev_norm(a - b) after padding both to the wider band."""
     band = max(a.band, b.band)
-    a = with_band(a, band)
-    b = with_band(b, band)
-    wu, wv = _norm_weights(a.dim, band, gamma)
-    return float(np.sqrt(_weighted_norm_sq(
-        a.u_hat - b.u_hat, a.v_hat - b.v_hat, wu, wv)))
+    a, b = with_band(a, band), with_band(b, band)
+    return sobolev_norm(SpectralState(a.u_hat - b.u_hat, a.v_hat - b.v_hat), gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -281,27 +285,30 @@ def pseudospectral_apply(scalar_fn, coeffs: np.ndarray, cut: int,
 # band changes
 
 
-def with_band(state: SpectralState, band: int) -> SpectralState:
+def with_band(state: SpectralState, band: int, dim: int | None = None) -> SpectralState:
     """Re-store a state at another band (pad or truncate).
 
-    Along each axis the m = min(old, new) modes [0, m-1] keep their slots
+    Re-stores the trailing ``dim`` axes, all of them by default; a leading
+    axis indexes the states of a block, and each is re-stored alone.  Along
+    each of those axes the m = min(old, new) modes [0, m-1] keep their slots
     and the modes [-m, -1] move to the end; every other slot is zero.
     """
     old = state.band
     if band == old:
         return state
+    dim = state.dim if dim is None else dim
     m = min(old, band)
     axis = ((slice(0, m), slice(0, m)),
             (slice(2 * old - m, 2 * old), slice(2 * band - m, 2 * band)))
-    blocks = [tuple(zip(*b)) for b in itertools.product(axis, repeat=state.dim)]
+    blocks = [tuple(zip(*b)) for b in itertools.product(axis, repeat=dim)]
     out = []
     for arr in (state.u_hat, state.v_hat):
-        new = np.zeros((2 * band,) * state.dim, dtype=arr.dtype)
+        new = np.zeros(arr.shape[:arr.ndim - dim] + (2 * band,) * dim, dtype=arr.dtype)
         for src, dst in blocks:
-            new[dst] = arr[src]
+            new[(..., *dst)] = arr[(..., *src)]
         if band < old:
             # content at |k_j| = band landed on the unpaired slot; drop it
-            new = new * band_mask(state.dim, band, band)
+            new = new * band_mask(dim, band, band)
         out.append(new)
     return SpectralState(*out)
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import stochwave as sw
 from stochwave.cli import main
@@ -94,6 +95,9 @@ BAD_ARGUMENTS = [
     ["converge", "--preset", "2", "--dim", "0"],
     ["converge", "--preset", "7"],
     ["converge", "--preset", "2", "--seed", "x"],
+    ["converge", "--preset", "2", "--workers", "0"],
+    ["converge", "--preset", "2", "--workers", "-1"],
+    ["converge", "--config", "{tmp}/binary.cfg"],
 ]
 
 
@@ -106,6 +110,7 @@ def test_config_error_exit_code(tmp_path):
     (tmp_path / "n_cuts_x.cfg").write_text(
         "preset = 2\nlevels = 0.125,0.0625,0.03125\nn_cuts = 4,x,8\n", encoding="utf-8")
     (tmp_path / "no_methods.cfg").write_text("preset = 1\nmethods = ,\n", encoding="utf-8")
+    (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe\x00preset = 2\n")
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(sw.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -117,6 +122,28 @@ def test_config_error_exit_code(tmp_path):
         assert "Traceback" not in proc.stderr, (argv, proc.stderr)
         assert "configuration error" in proc.stderr, (argv, proc.stderr)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+@pytest.mark.parametrize("command", [
+    ["converge", "--preset", "2", "--tau", "0.125", "--levels", "3", "--samples", "2"],
+    ["run", "--preset", "1", "--tau", "0.0625"],
+])
+def test_out_that_cannot_be_a_directory(tmp_path, capsys, monkeypatch, command, out):
+    # an --out that is a file, or a path through one, is refused at
+    # configuration, before any stepping
+    import stochwave.experiments as exp
+
+    def never(*args, **kwargs):
+        raise AssertionError("stepped before the output directory was checked")
+
+    monkeypatch.setattr(exp, "run_block", never)
+    monkeypatch.setattr(exp, "run", never)
+    (tmp_path / "file").write_text("x", encoding="utf-8")
+    rc = main(command + ["--out", str(tmp_path / out)])
+    assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert (tmp_path / "file").read_text(encoding="utf-8") == "x"
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -309,48 +309,51 @@ class TestErrorSplit:
             np.testing.assert_allclose(np.sqrt(err_sq[sample]), oracle, rtol=1e-13, atol=0)
 
     def test_no_sample_state_wider_than_stepped_band(self, monkeypatch):
-        real = exp.diff_norm
-        bands = []
+        real = exp._weighted_norm_sq
+        shapes = []
 
-        def spy(a, b, gamma=0.0):
-            bands.append((a.band, b.band))
-            return real(a, b, gamma)
+        def spy(u, v, wu, wv):
+            shapes.append((u.shape, v.shape, wu.shape, wv.shape))
+            return real(u, v, wu, wv)
 
-        monkeypatch.setattr(exp, "diff_norm", spy)
+        monkeypatch.setattr(exp, "_weighted_norm_sq", spy)
         cfg = sw.ExperimentConfig(dim=1, preset=1, methods=ALL_METHODS,
                                   levels=(2**-3, 2**-4, 2**-5), n_cuts=(4, 16, 64),
                                   n_samples=3, seed=1)
         sw.run_convergence(cfg)
-        # M = 64 here, while the reference's full band is 32^2 = 1024
-        assert len(bands) == 3 * 4 * 3
-        assert max(max(pair) for pair in bands) == 64
+        # M = 64 here, while the reference's full band is 32^2 = 1024; one
+        # chunk of three samples, one reduction per method and level
+        assert len(shapes) == 4 * 3
+        for shape in shapes:
+            assert shape == ((3, 128), (3, 128), (128,), (128,))
 
 
 def per_sample_errors(study, sample):
     """The squared errors of one sample from one ``run`` per method and
-    level: the per-path loop that the block stepping replaces."""
+    level, each scored alone: pad to M, subtract, add the shift, reduce,
+    add the tail."""
     config = study.config
-
-    def at_band(state, offset):
-        state = sw.with_band(state, study.band)
-        if offset is None:
-            return state
-        return sw.SpectralState(state.u_hat + offset.u_hat, state.v_hat + offset.v_hat)
-
     lattice = sw.sample_path(config.seed, sample, config.t_final, config.tau_ref)
     ref = sw.run(study.ref_method, study.ref_grid, study.shared, lattice)
-    ref = at_band(ref.final_state, study.ref_offset)
+    ref = sw.with_band(ref.final_state, study.band)
     out = np.empty((len(config.methods), len(config.levels)))
     for mi, m in enumerate(config.methods):
         for li, (tau, grid) in enumerate(zip(config.levels, study.grids)):
             res = sw.run(sw.method_spec(m, tau, config.t_final), grid, study.shared, lattice)
-            err = sw.diff_norm(at_band(res.final_state, study.offsets[mi][li]), ref, 0.0)
-            out[mi, li] = err * err + study.tails[mi, li]
+            res = sw.with_band(res.final_state, study.band)
+            du, dv = res.u_hat - ref.u_hat, res.v_hat - ref.v_hat
+            shift = study.shifts[mi][li]
+            if shift is not None:
+                du, dv = du + shift[0], dv + shift[1]
+            out[mi, li] = exp._weighted_norm_sq(du, dv, *study.weights) + study.tails[mi, li]
     return out
 
 
 DETERMINISM_CASES = {
     "1d": dict(dim=1, preset=2, alpha=2.0, levels=(2**-3, 2**-4, 2**-5)),
+    # M = 64 above N_ref = 32: the reference's recovered modes shift every row
+    "1d-wide-n_cuts": dict(dim=1, preset=2, alpha=2.0, levels=(2**-3, 2**-4, 2**-5),
+                           n_cuts=(8, 16, 64)),
     "2d": dict(dim=2, preset=4, levels=(2**-3, 2**-4), tau_ref=2**-6),
 }
 

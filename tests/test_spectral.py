@@ -278,6 +278,20 @@ class TestBandChanges:
                     expect[tuple(slot[k] for k in ks)] = given[idx]
             np.testing.assert_array_equal(got, expect)
 
+    @pytest.mark.parametrize("dim,old,new", [(1, 4, 9), (1, 9, 4), (2, 3, 6), (2, 6, 3)])
+    def test_block_rows_restored_alone(self, dim, old, new):
+        # with a leading row axis, each row equals that row re-stored alone
+        rng = np.random.default_rng(100 * dim + 10 * old + new)
+        shape = (3,) + (2 * old,) * dim
+        u, v = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                for _ in range(2))
+        out = sw.with_band(sw.SpectralState(u, v), new, dim)
+        assert out.band == new
+        for row in range(3):
+            alone = sw.with_band(sw.SpectralState(u[row], v[row]), new)
+            np.testing.assert_array_equal(out.u_hat[row], alone.u_hat)
+            np.testing.assert_array_equal(out.v_hat[row], alone.v_hat)
+
     def test_dimension_mismatch_rejected(self):
         # a state meets a grid of another dimension only as a run's initial data
         state = random_state(sw.make_grid(1, 8, 1.0))
