@@ -435,8 +435,9 @@ def _chunk_errors(study: _Study, samples: range):
     return err_sq, wall
 
 
-# bytes one (rows, 2M, ..., 2M) complex coefficient block of a chunk may
-# take; a step's working set is about eight such blocks
+# bytes one full-layout (rows, 2M, ..., 2M) complex coefficient block of a
+# chunk may take, the size of the blocks a chunk scores; a step's working
+# set is about eight half-layout (rows, 2N, ..., 2N, N + 1) blocks
 _BLOCK_BYTES = 2**25
 
 
@@ -601,11 +602,12 @@ def parse_csv(path) -> list[dict]:
 
 
 def write_plot_data(path, xs, ys, comment: str) -> None:
-    """Two-column whitespace-separated plot data with one comment line."""
+    """Two-column whitespace-separated plot data with one comment line,
+    17 significant digits per value, written in one piece."""
+    pairs = zip(np.asarray(xs).tolist(), np.asarray(ys).tolist())
+    text = "".join([f"# {comment}\n"] + ["%.17g %.17g\n" % xy for xy in pairs])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# {comment}\n")
-        for x, y in zip(xs, ys):
-            fh.write(f"{x:.17g} {y:.17g}\n")
+        fh.write(text)
 
 
 def emit_study(reports, out_dir: str, timing=None) -> str:

@@ -25,16 +25,23 @@ per axis), the recovery band (box N^alpha minus box N) and a discarded
 remainder; the recovery band never sees the noise and is propagated to the
 final time in one shot when recovery is enabled.
 
-Stepping works on blocks.  ``run_block`` advances S paths at once as a pair
-of (S,) + (2N,)^d coefficient arrays: each step is one ``step_block`` call,
-that is one batched inverse FFT, one pointwise map, one batched forward FFT,
-one mask and one 2x2 pass, driven by the (S,) vector of the rows' grouped
-increments.  Rows never mix, so every row is bit-identical to a block of
-one, and a row that goes non-finite is dropped alone.  ``run`` is a block of
-one path plus the recovery band.  The stepping itself depends only on
-``stepping_key``: ``hr_lri`` and ``stm`` always step the same trajectory,
-and ``lri`` does too whenever its filter does not cut (the default
-coupling), so a study steps each distinct key once and shares it.
+Stepping works on blocks.  The fields are real, so the states are
+Hermitian and a step only needs the modes with k_last in [0, N]: inside the
+step loop ``run_block`` advances S paths at once as a pair of half-spectrum
+arrays of shape (S,) + (2N,)^(d-1) + (N+1,) (see ``spectral``; the last
+slot N is the unpaired Nyquist slot, kept zero).  Each step is one
+``step_block`` call, that is one batched real inverse FFT, one pointwise
+map, one batched real forward FFT, one half mask and one 2x2 pass over the
+half modes, driven by the (S,) vector of the rows' grouped increments.
+``run_block`` converts only at its boundary: it halves the initial state
+and the 2x2 tables once, and hands out full-layout blocks, at the end and
+to the snapshot callback.  Rows never mix, so every row is bit-identical
+to a block of one, and a row that goes non-finite is dropped alone.
+``run`` is a block of one path plus the recovery band.  The stepping
+itself depends only on ``stepping_key``: ``hr_lri`` and ``stm`` always
+step the same trajectory, and ``lri`` does too whenever its filter does
+not cut (the default coupling), so a study steps each distinct key once
+and shares it.
 """
 
 from __future__ import annotations
@@ -52,7 +59,10 @@ from .spectral import (
     SpectralGrid,
     SpectralState,
     band_mask,
+    check_hermitian,
     diff_norm,
+    full_spectrum,
+    half_spectrum,
     lambda_sq,
     make_grid,
     project_band,
@@ -138,18 +148,19 @@ def step_block(u_hat: np.ndarray, v_hat: np.ndarray, tables, cut: int, tau: floa
     """One step T (U + tau * Pi F(Pi U) + Pi Sigma(Pi U) dW) of every row of
     a block, at the stored band, with Pi the box truncation to ``cut``.
 
-    ``u_hat`` and ``v_hat`` hold one state per row, shape (S,) + (2 band,)^d
-    with d the rank of the tables, and ``dw`` is the (S,) vector of the
-    rows' increments.  Rows never mix, so each is bit-identical to a block
+    ``u_hat`` and ``v_hat`` hold one half spectrum per row, shape (S,) +
+    (2 band,)^(d-1) + (band + 1,) with d the rank of the tables, which are
+    in the same half layout, and ``dw`` is the (S,) vector of the rows'
+    increments.  Rows never mix, so each is bit-identical to a block
     of one.  Returns (u_hat, v_hat, bad): ``bad`` maps every row whose
     nonlinearity image or new state is non-finite to the reason, and those
     rows come back zeroed so that they cannot spoil later steps.
     """
     dim = tables[0].ndim
-    band = u_hat.shape[-1] // 2
+    band = u_hat.shape[-1] - 1
     if cut > band:
         raise ValueError(f"filter cut {cut} exceeds stored band {band}")
-    u_cut = u_hat * band_mask(dim, band, cut) if cut < band else u_hat
+    u_cut = u_hat * band_mask(dim, band, cut, half=True) if cut < band else u_hat
     bad: dict[int, str] = {}
 
     def image(spec: NonlinearitySpec) -> np.ndarray:
@@ -217,12 +228,14 @@ def run_block(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
     """Integrate a block of paths on the stepped band of ``grid``.
 
     Every row starts from the problem's initial state on the stepped band,
-    broadcast once, and row s consumes the exact grouped sums of the base
-    increments of ``paths[s]``, so runs at different step sizes on one
-    lattice are coupled.  Each step is one call of :func:`step_block` for the
-    whole block.  A row that goes non-finite is recorded in ``failed`` with
-    its first bad step and leaves the other rows untouched; stepping stops
-    early once every row has failed.  With ``snapshot_stride`` > 0 the
+    which must be Hermitian (ValueError otherwise), halved and broadcast
+    once, and row s consumes the exact grouped sums of the base increments
+    of ``paths[s]``, so runs at different step sizes on one lattice are
+    coupled.  Each step is one call of :func:`step_block` for the whole
+    half-layout block; the final block and every snapshot block are handed
+    out in the full layout.  A row that goes non-finite is recorded in
+    ``failed`` with its first bad step and leaves the other rows untouched;
+    stepping stops early once every row has failed.  With ``snapshot_stride`` > 0 the
     callback receives (step_index, u_hat, v_hat) every stride steps strictly
     inside the run; its time is not counted in ``wall_time``.
     """
@@ -236,11 +249,12 @@ def run_block(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
         dws = np.zeros((len(paths), 0))
 
     low = with_band(_conform(build_initial(problem.initial, grid), grid), grid.n_cut)
-    shape = (len(paths),) + low.u_hat.shape
-    u = np.broadcast_to(low.u_hat, shape)
-    v = np.broadcast_to(low.v_hat, shape)
+    check_hermitian(low)
+    u, v = (half_spectrum(a) for a in (low.u_hat, low.v_hat))
+    u = np.broadcast_to(u, (len(paths),) + u.shape)
+    v = np.broadcast_to(v, u.shape)
     tables_of, _, cut, _ = stepping_key(method, grid)
-    tables = tables_of(grid.dim, grid.n_cut, method.tau)
+    tables = tuple(half_spectrum(a) for a in tables_of(grid.dim, grid.n_cut, method.tau))
 
     failed: dict[int, str] = {}
     start = time.perf_counter()
@@ -255,10 +269,11 @@ def run_block(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
         if (on_snapshot is not None and snapshot_stride > 0
                 and (n + 1) % snapshot_stride == 0 and n + 1 < method.n_steps):
             t_snap = time.perf_counter()
-            on_snapshot(n + 1, u, v)
+            on_snapshot(n + 1, full_spectrum(u, grid.dim), full_spectrum(v, grid.dim))
             snapshot_s += time.perf_counter() - t_snap
     wall = time.perf_counter() - start - snapshot_s
-    return BlockResult(u_hat=u, v_hat=v, failed=failed, wall_time=wall)
+    return BlockResult(u_hat=full_spectrum(u, grid.dim), v_hat=full_spectrum(v, grid.dim),
+                       failed=failed, wall_time=wall)
 
 
 def run(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,

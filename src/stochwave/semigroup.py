@@ -79,7 +79,8 @@ def apply(state: SpectralState, tables, *dv: np.ndarray) -> SpectralState:
     """Multiply every mode of (u, v + dv[0] + dv[1] + ...) by its 2x2 table.
 
     The increments are added to v one at a time, left to right.  The
-    arrays may carry a leading block axis, over which the tables broadcast.
+    arrays may carry a leading block axis, over which the tables broadcast,
+    and may be half spectra (see ``spectral``) when the tables are too.
     """
     a11, a12, a21, a22 = tables
     u = state.u_hat

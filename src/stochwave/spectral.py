@@ -20,13 +20,22 @@ retained mode has a proper conjugate partner at -k.  This makes zero-padding
 an exact isometry for the Sobolev norms and band restriction an exact left
 inverse of it; the cost is dropping one measure-zero mode per axis, the same
 mode the even layout already halves.
+
+The fields are real, so every spectrum is Hermitian: c(-k) = conj c(k).
+The transforms therefore work on the half spectrum, the (2m,)*(dim-1) +
+(m+1,) array of the modes with k_last in [0, m], in the full layout on the
+other axes: ``forward`` is the real-to-half transform and ``inverse`` the
+half-to-real one.  In the half layout the unpaired slot of the last axis is
+its final index m (frequency +m, the alias of -m), kept zero like the other
+unpaired slots.  ``half_spectrum`` and ``full_spectrum`` convert between
+the layouts; states are full-layout, and the integrators step half blocks
+and convert at the block boundary.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import struct
 from dataclasses import dataclass
 
@@ -123,16 +132,19 @@ def shell_index(dim: int, band: int) -> np.ndarray:
 
 
 @functools.cache
-def band_mask(dim: int, band: int, cut: int) -> np.ndarray:
+def band_mask(dim: int, band: int, cut: int, half: bool = False) -> np.ndarray:
     """Boolean mask of modes with every |k_j| <= cut, Nyquist slots excluded.
 
     The slot at index ``band`` holds the unpaired frequency -band; it is
     masked out unconditionally so that states keep their zero-Nyquist
-    invariant through every projection.
+    invariant through every projection.  With ``half`` the mask is that of
+    the half layout, the slots [0, band] of the last axis.
     """
     if not 0 <= cut <= band:
         raise ValueError(f"cut {cut} outside [0, {band}]")
     m = shell_index(dim, band) <= min(cut, band - 1)
+    if half:
+        m = half_spectrum(m)
     m.setflags(write=False)
     return m
 
@@ -148,7 +160,8 @@ def _trailing_axes(arr: np.ndarray, dim: int | None) -> tuple[int, ...]:
 
 
 def forward(samples: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """DFT normalised so coefficient k = mean of samples * exp(-2i pi k x).
+    """Half spectrum of real samples, normalised so coefficient k = mean of
+    samples * exp(-2i pi k x).
 
     Transforms the trailing ``dim`` axes, all of them by default; a leading
     axis indexes the fields of a block, and each is transformed alone.
@@ -159,40 +172,83 @@ def forward(samples: np.ndarray, dim: int | None = None) -> np.ndarray:
     n = shape[0]
     if any(s != n for s in shape) or n % 2:
         raise ValueError(f"samples must be a square even-sized array, got {samples.shape}")
-    out = np.fft.fftn(samples, axes=axes)
-    out /= n ** len(axes)
+    return np.fft.rfftn(samples, axes=axes, norm="forward")
+
+
+def inverse(half: np.ndarray, dim: int | None = None) -> np.ndarray:
+    """Real samples of a half spectrum: the adjoint of :func:`forward` over
+    the same axes, on 2m points per axis for a last axis of m + 1 slots."""
+    half = np.asarray(half)
+    axes = _trailing_axes(half, dim)
+    n = 2 * (half.shape[-1] - 1)
+    if n < 2 or any(half.shape[a] != n for a in axes[:-1]):
+        raise ValueError(f"not a half spectrum of an even square grid: {half.shape}")
+    return np.fft.irfftn(half, s=(n,) * len(axes), axes=axes, norm="forward")
+
+
+def _negate_modes(arr: np.ndarray, axes) -> np.ndarray:
+    """arr with slot i of each of ``axes`` moved to slot (-i) mod length,
+    i.e. frequency k to -k in the full layout."""
+    for ax in axes:
+        arr = np.roll(np.flip(arr, ax), 1, ax)
+    return arr
+
+
+def half_spectrum(arr: np.ndarray) -> np.ndarray:
+    """The half layout of a full-layout array: its last axis cut to the
+    slots k in [0, m], as a contiguous array."""
+    return np.ascontiguousarray(arr[..., :arr.shape[-1] // 2 + 1])
+
+
+def full_spectrum(half: np.ndarray, dim: int | None = None) -> np.ndarray:
+    """The full layout of a half spectrum over its trailing ``dim`` axes.
+
+    The modes with k_last < 0 are the conjugates of their partners at -k,
+    and so is the k_last = 0 plane's own k_(dim-1) < 0 half, so the result
+    is exactly Hermitian.  The unpaired slot of the last axis stays zero.
+    """
+    half = np.asarray(half)
+    dim = half.ndim if dim is None else dim
+    m = half.shape[-1] - 1
+    out = np.zeros(half.shape[:-1] + (2 * m,), dtype=np.complex128)
+    out[..., :m] = half[..., :m]
+    out[..., m + 1:] = np.conj(_negate_modes(half[..., m - 1:0:-1],
+                                             range(half.ndim - dim, half.ndim - 1)))
+    if dim > 1:
+        out[..., 0] = full_spectrum(out[..., :m + 1, 0], dim - 1)
     return out
 
 
-def inverse(coeffs: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Adjoint of :func:`forward` over the same axes; complex output, real
-    for Hermitian input."""
-    coeffs = np.asarray(coeffs)
-    axes = _trailing_axes(coeffs, dim)
-    out = np.fft.ifftn(coeffs, axes=axes)
-    out *= math.prod(coeffs.shape[a] for a in axes)
-    return out
+def check_hermitian(state: SpectralState) -> None:
+    """Raise ValueError unless both arrays of a state are conjugate-symmetric:
+    max |c(k) - conj c(-k)| within 1e-10 of the largest |c(k)|.
+
+    This is the precondition of every half-layout step and of the real
+    inverse transform.  A non-finite state passes; the stepping reports it.
+    """
+    for arr in (state.u_hat, state.v_hat):
+        with np.errstate(invalid="ignore"):
+            resid = (np.abs(arr - np.conj(_negate_modes(arr, range(arr.ndim)))).max()
+                     / max(np.abs(arr).max(), 1e-300))
+        if resid > 1e-10:
+            raise ValueError(f"state is not Hermitian: anti-Hermitian residue {resid:.3e}")
 
 
 def state_from_fields(u: np.ndarray, v: np.ndarray) -> SpectralState:
-    """Transform sampled real fields into a state, zeroing Nyquist slots."""
+    """Transform sampled real fields into an exactly Hermitian state,
+    zeroing Nyquist slots."""
     u_hat = forward(u)
-    if u_hat.ndim not in DIMS or np.shape(v) != u_hat.shape:
+    if u_hat.ndim not in DIMS or np.shape(v) != np.shape(u):
         raise ValueError(f"fields must be matching arrays of a rank in {DIMS}, got "
-                         f"{u_hat.shape} and {np.shape(v)}")
-    full = band_mask(u_hat.ndim, u_hat.shape[0] // 2, u_hat.shape[0] // 2)
-    return SpectralState(u_hat * full, forward(v) * full)
+                         f"{np.shape(u)} and {np.shape(v)}")
+    full = band_mask(u_hat.ndim, u_hat.shape[-1] - 1, u_hat.shape[-1] - 1)
+    return SpectralState(full_spectrum(u_hat) * full, full_spectrum(forward(v)) * full)
 
 
 def state_to_fields(state: SpectralState) -> tuple[np.ndarray, np.ndarray]:
-    """Real-space samples of (u, v); raises if the state is not real-valued."""
-    u = inverse(state.u_hat)
-    v = inverse(state.v_hat)
-    scale = max(np.abs(u).max(), np.abs(v).max(), 1e-300)
-    resid = max(np.abs(u.imag).max(), np.abs(v.imag).max()) / scale
-    if resid > 1e-10:
-        raise ValueError(f"state is not Hermitian: imaginary residue {resid:.3e}")
-    return u.real, v.real
+    """Real-space samples of (u, v); raises if the state is not Hermitian."""
+    check_hermitian(state)
+    return inverse(half_spectrum(state.u_hat)), inverse(half_spectrum(state.v_hat))
 
 
 def collocation_nodes(band: int) -> np.ndarray:
@@ -256,28 +312,27 @@ def diff_norm(a: SpectralState, b: SpectralState, gamma: float = 0.0) -> float:
 # nonlinearity application
 
 
-def pseudospectral_apply(scalar_fn, coeffs: np.ndarray, cut: int,
+def pseudospectral_apply(scalar_fn, half: np.ndarray, cut: int,
                          dim: int | None = None) -> np.ndarray:
     """Evaluate a scalar function on the collocation grid, truncated to ``cut``.
 
-    Realises trigonometric interpolation of scalar_fn(u): inverse transform,
-    pointwise map, forward transform, sharp truncation, over the trailing
-    ``dim`` axes (all of them by default).  Non-finite samples of a single
-    field raise FloatingPointError.  In a block (``dim`` below the rank) they
-    leave only their own row's image non-finite, so the caller can drop that
-    row and keep the others.
+    Realises trigonometric interpolation of scalar_fn(u) on half spectra:
+    real inverse transform, pointwise map, real forward transform, sharp
+    truncation, over the trailing ``dim`` axes (all of them by default).
+    Non-finite samples of a single field raise FloatingPointError.  In a
+    block (``dim`` below the rank) they leave only their own row's image
+    non-finite, so the caller can drop that row and keep the others.
     """
-    coeffs = np.asarray(coeffs)
-    dim = coeffs.ndim if dim is None else dim
-    band = coeffs.shape[-1] // 2
+    half = np.asarray(half)
+    dim = half.ndim if dim is None else dim
+    band = half.shape[-1] - 1
     if cut > band:
         raise ValueError(f"cut {cut} exceeds stored band {band}")
-    samples = scalar_fn(inverse(coeffs, dim).real)
-    samples = np.asarray(samples, dtype=np.float64)
+    samples = np.asarray(scalar_fn(inverse(half, dim)), dtype=np.float64)
     if samples.ndim == dim and not np.isfinite(samples).all():
         raise FloatingPointError("nonlinearity produced non-finite samples")
     out = forward(samples, dim)
-    out *= band_mask(dim, band, cut)
+    out *= band_mask(dim, band, cut, half=True)
     return out
 
 

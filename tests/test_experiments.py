@@ -100,6 +100,18 @@ class TestCsv:
         assert all(len(line.split(",")) == 8 for line in lines)
 
 
+class TestPlotData:
+    def test_bytes_match_per_line_format(self, tmp_path):
+        # the one-piece writer against a line-by-line f-string transcription
+        xs = [-0.0, 1e-310, 1 / 3, 1e300, 2.0]
+        ys = np.array([1e300, -0.0, 1e-310, 1 / 3, -7.25])
+        path = tmp_path / "plot.txt"
+        exp.write_plot_data(path, xs, ys, "u(x) at t=0.25")
+        expect = "# u(x) at t=0.25\n" + "".join(f"{x:.17g} {y:.17g}\n" for x, y in zip(xs, ys))
+        assert path.read_bytes() == expect.encode("utf-8")
+        assert path.read_bytes().splitlines()[1] == b"-0 1.0000000000000001e+300"
+
+
 class TestRunConvergence:
     def test_linear_exact_methods_have_zero_error(self):
         reports = sw.run_convergence(linear_config())

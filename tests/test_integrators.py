@@ -8,8 +8,8 @@ import pytest
 
 import stochwave as sw
 from stochwave.integrators import SCHEMES, linear_exact_discrepancy
-from stochwave.semigroup import apply, group_tables
-from stochwave.spectral import mode_indices
+from stochwave.semigroup import apply, group_tables, propagator_tables
+from stochwave.spectral import full_spectrum, half_spectrum, mode_indices
 
 
 def random_state(grid, seed=0, band=None):
@@ -31,13 +31,14 @@ def explicit_problem(state, f=None, sigma=None):
 
 def step(kind, state, tau, dw, f, sigma, cut=None):
     """One step of scheme ``kind`` at the state's band, cut there by default,
-    as a block of one row."""
-    tables = SCHEMES[kind].tables(state.dim, state.band, tau)
+    as a half-layout block of one row, converted back to the full layout."""
+    dim = state.dim
+    tables = [half_spectrum(a) for a in SCHEMES[kind].tables(dim, state.band, tau)]
     cut = state.band if cut is None else cut
-    u, v, bad = sw.step_block(state.u_hat[None], state.v_hat[None], tables, cut,
-                              tau, np.array([dw]), f, sigma)
+    u, v, bad = sw.step_block(half_spectrum(state.u_hat)[None], half_spectrum(state.v_hat)[None],
+                              tables, cut, tau, np.array([dw]), f, sigma)
     assert not bad
-    return sw.SpectralState(u[0], v[0])
+    return sw.SpectralState(full_spectrum(u, dim)[0], full_spectrum(v, dim)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +88,45 @@ def lri_step_oracle(u_hat, v_hat, tau, dw, sigma, cut):
         vec = mat @ np.array([u_hat[i], v_hat[i] + dw * z_hat[i]])
         out_u[i], out_v[i] = vec
     return out_u, out_v
+
+
+def full_step_oracle(kind, state, tau, dw, f, sigma, cut):
+    """One 2D step in the full layout: np.fft.ifft2/fft2 on the whole mode
+    box, the mask from its own frequency grid, and the per-mode 2x2 from
+    propagator_tables (the explicit resolvent for sem)."""
+    n = 2 * state.band
+    k = np.fft.fftfreq(n, 1.0 / n)
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    top = min(cut, state.band - 1)
+    keep = (np.abs(kx) <= top) & (np.abs(ky) <= top)
+    field = np.fft.ifft2(state.u_hat * keep).real * n * n
+
+    def image(g):
+        return np.fft.fft2(g(field)) / (n * n) * keep
+
+    w = state.v_hat + tau * image(f) + dw * image(sigma)
+    lam2 = (2 * np.pi) ** 2 * (kx * kx + ky * ky)
+    if kind == "sem":
+        det = 1.0 + tau * tau * lam2
+        a11, a12, a21, a22 = 1.0 / det, tau / det, -tau * lam2 / det, 1.0 / det
+    else:
+        a11, a12, a21, a22 = propagator_tables(np.sqrt(lam2), tau)
+    return a11 * state.u_hat + a12 * w, a21 * state.u_hat + a22 * w
+
+
+class TestStep2D:
+    @pytest.mark.parametrize("kind,cut", [("hr_lri", 8), ("lri", 8), ("stm", 8),
+                                          ("sem", 8), ("lri", 5)])
+    def test_matches_full_layout_transcription(self, kind, cut):
+        grid = sw.make_grid(2, 8, 1.0)
+        state = random_state(grid, seed=40)
+        tau, dw = 1 / 32, 0.37
+        f, sigma = sw.scaled_cosine(3.0), sw.scaled_sine(16.0)
+        out = step(kind, state, tau, dw, f, sigma, cut)
+        ou, ov = full_step_oracle(kind, state, tau, dw, f, sigma, cut)
+        for got, want in ((out.u_hat, ou), (out.v_hat, ov)):
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
 
 
 class TestStepLRI:
@@ -228,7 +268,7 @@ class TestStepSEM:
         tau, dw = 0.2, -0.35
         sigma = sw.scaled_sine(2.0)
         out = step("sem", state, tau, dw, sw.zero_fn(), sigma)
-        z = sw.pseudospectral_apply(sigma, state.u_hat, 8)
+        z = full_spectrum(sw.pseudospectral_apply(sigma, half_spectrum(state.u_hat), 8))
         idx = mode_indices(8)
         for i, k in enumerate(idx):
             lam = 2 * np.pi * abs(k)
@@ -445,6 +485,34 @@ class TestRunBlock:
             np.testing.assert_array_equal(block.v_hat[row], single.v_hat)
         with pytest.raises(sw.NumericalError, match="step 0"):
             sw.run(spec, grid, problem, paths[3])
+
+
+    def test_non_hermitian_initial_state_refused(self):
+        # the half layout drops k_last < 0, so a state whose u(1) is not
+        # conj u(-1) would be stepped wrongly: refused before any step
+        grid = sw.make_grid(1, 8, 1.0)
+        state = random_state(grid, seed=17)
+        u = state.u_hat.copy()
+        u[1] += 0.5
+        calls = []
+
+        class Recording:
+            is_zero = False
+
+            def __call__(self, field):
+                calls.append(field.shape)
+                return np.sin(field)
+
+        problem = explicit_problem(sw.SpectralState(u, state.v_hat), sigma=Recording())
+        spec = sw.method_spec("stm", 2**-5, 0.25)
+        paths = [sw.sample_path(8, s, 0.25, 2**-5) for s in range(2)]
+        with pytest.raises(ValueError, match="not Hermitian"):
+            sw.run_block(spec, grid, problem, paths)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            sw.run(spec, grid, problem, paths[0])
+        assert not calls
+        sw.run_block(spec, grid, explicit_problem(state, sigma=Recording()), paths)
+        assert calls
 
 
 class TestZeroModeOracle:

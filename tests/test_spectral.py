@@ -18,6 +18,15 @@ def random_state(grid, seed=0, band=None):
                                 rng.standard_normal(shape))
 
 
+def negated(arr):
+    """arr at -k: slot i of every axis read from slot (-i) mod length."""
+    return arr[np.ix_(*[(-np.arange(n)) % n for n in arr.shape])]
+
+
+def assert_exactly_hermitian(arr):
+    np.testing.assert_array_equal(arr, np.conj(negated(arr)))
+
+
 class TestMakeGrid:
     def test_scaling_exponent_two(self):
         grid = sw.make_grid(1, 1024, 2)
@@ -49,7 +58,7 @@ class TestTransforms:
 
     def test_single_harmonic(self):
         x = collocation_nodes(8)
-        coeffs = sw.forward(np.cos(2 * np.pi * x))
+        coeffs = sw.full_spectrum(sw.forward(np.cos(2 * np.pi * x)))
         assert coeffs[1] == pytest.approx(0.5, abs=1e-14)
         assert coeffs[-1] == pytest.approx(0.5, abs=1e-14)
         rest = coeffs.copy()
@@ -65,11 +74,17 @@ class TestTransforms:
         assert rel < 1e-12
 
     def test_parseval(self):
+        # the half spectrum holds k_last in [0, 16]: the slots 0 and 16
+        # (the Nyquist alias) are their own partners, every other slot
+        # stands for itself and its conjugate at -k
         rng = np.random.default_rng(7)
         samples = rng.standard_normal((32, 32))
         coeffs = sw.forward(samples)
+        assert coeffs.shape == (32, 17)
+        weight = np.full(17, 2.0)
+        weight[[0, 16]] = 1.0
         lhs = np.sum(samples**2) / samples.size
-        rhs = np.sum(np.abs(coeffs) ** 2)
+        rhs = np.sum(weight * np.abs(coeffs) ** 2)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_size_mismatch_rejected(self):
@@ -81,8 +96,44 @@ class TestTransforms:
     def test_state_from_fields_is_hermitian(self):
         grid = sw.make_grid(2, 8, 1.5)
         state = random_state(grid, seed=3)
-        u = sw.inverse(state.u_hat)
-        assert np.abs(u.imag).max() < 1e-12 * max(np.abs(u.real).max(), 1)
+        assert_exactly_hermitian(state.u_hat)
+        assert_exactly_hermitian(state.v_hat)
+
+    @pytest.mark.parametrize("dim,band", [(1, 32), (2, 16)], ids=["1d", "2d"])
+    def test_conjugate_symmetry_is_bit_exact(self, dim, band):
+        # c(k) == conj c(-k) to the last bit, not to rounding: a step keeps
+        # only k_last >= 0, so the other half must be exactly its mirror
+        rng = np.random.default_rng(20 + dim)
+        shape = (2 * band,) * dim
+        state = sw.state_from_fields(rng.standard_normal(shape), rng.standard_normal(shape))
+        assert state.u_hat.any()
+        assert_exactly_hermitian(state.u_hat)
+        assert_exactly_hermitian(state.v_hat)
+
+    @pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+    def test_half_full_mirror(self, dim):
+        # a Hermitian x built by its own index map, (y + conj y(-k)) / 2 with
+        # the unpaired slots zeroed, comes back bit for bit from its half,
+        # alone and as a row of a block
+        rng = np.random.default_rng(30 + dim)
+        shape = (12,) * dim
+        y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        x = (y + np.conj(negated(y))) / 2 * band_mask(dim, 6, 6)
+        half = sw.half_spectrum(x)
+        assert half.shape == (12,) * (dim - 1) + (7,)
+        np.testing.assert_array_equal(half, x[..., :7])
+        np.testing.assert_array_equal(sw.full_spectrum(half), x)
+        rows = sw.half_spectrum(np.stack([np.conj(x), x]))
+        np.testing.assert_array_equal(sw.full_spectrum(rows, dim)[1], x)
+
+    def test_non_hermitian_state_refused(self):
+        grid = sw.make_grid(1, 8, 1.0)
+        state = random_state(grid)
+        u = state.u_hat.copy()
+        u[1] += 0.5  # now u(1) != conj u(-1)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            sw.state_to_fields(sw.SpectralState(u, state.v_hat))
+        sw.state_to_fields(state)
 
 
 class TestProjections:
@@ -198,16 +249,21 @@ class TestSobolevNorm:
 
 
 class TestPseudospectral:
+    @staticmethod
+    def apply(fn, state, cut):
+        """pseudospectral_apply on the half of u_hat, in the full layout."""
+        return sw.full_spectrum(sw.pseudospectral_apply(fn, sw.half_spectrum(state.u_hat), cut))
+
     def test_identity_reproduces_band_limited(self):
         grid = sw.make_grid(1, 16, 1.0)
         state = random_state(grid)
-        out = sw.pseudospectral_apply(lambda u: u, state.u_hat, 7)
+        out = self.apply(lambda u: u, state, 7)
         np.testing.assert_allclose(out, sw.project_low(state, 7).u_hat, atol=1e-13)
 
     def test_constant_maps_to_dc(self):
         grid = sw.make_grid(1, 8, 1.0)
         state = random_state(grid)
-        out = sw.pseudospectral_apply(lambda u: np.full_like(u, 4.0), state.u_hat, 8)
+        out = self.apply(lambda u: np.full_like(u, 4.0), state, 8)
         assert out[0] == pytest.approx(4.0, abs=1e-13)
         assert np.abs(out[1:]).max() < 1e-13
 
@@ -215,7 +271,7 @@ class TestPseudospectral:
         # cos^2(2 pi x) = 1/2 + cos(4 pi x)/2, exactly representable at band 8
         x = collocation_nodes(8)
         state = sw.state_from_fields(np.cos(2 * np.pi * x), np.zeros(16))
-        out = sw.pseudospectral_apply(lambda u: u * u, state.u_hat, 8)
+        out = self.apply(lambda u: u * u, state, 8)
         expect = np.zeros(16, dtype=np.complex128)
         expect[0] = 0.5
         expect[2] = expect[-2] = 0.25
@@ -225,7 +281,7 @@ class TestPseudospectral:
         grid = sw.make_grid(1, 8, 1.0)
         state = random_state(grid)
         with pytest.raises(FloatingPointError), np.errstate(invalid="ignore"):
-            sw.pseudospectral_apply(lambda u: np.log(u - 100.0), state.u_hat, 8)
+            self.apply(lambda u: np.log(u - 100.0), state, 8)
 
 
 class TestBandChanges:
@@ -306,8 +362,9 @@ class TestBandChanges:
         state = random_state(grid)
         out = sw.project_band(sw.project_low(state, 20), 2, 14)
         out = sw.with_band(out, 16)
-        u = sw.inverse(out.u_hat)
-        assert np.abs(u.imag).max() < 1e-12 * max(np.abs(u.real).max(), 1e-9)
+        assert out.u_hat.any()
+        assert_exactly_hermitian(out.u_hat)
+        assert_exactly_hermitian(out.v_hat)
 
 
 class TestSnapshotFormat:
