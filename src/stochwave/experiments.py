@@ -23,11 +23,16 @@ linear flow e^(TL) U_0 of the shared initial state.  So:
   there never see the noise: each (method, level) adds one per-study shift,
   the flow on its recovered modes inside box M minus the reference's.
 * outside the box, per study: no run steps there, so the error is the flow
-  outside box max(M, h).  Outside box b is s(k) = max_j |k_j| >= b, and each
-  tail is one masked sum of the flow's per-mode energy.
+  outside box max(M, h), the modes with max_j |k_j| >= max(M, h).  Its
+  per-mode energy depends on |u_0|^2, |v_0|^2, Re(u_0 conj v_0) and
+  (|k_1|, ..., |k_d|) alone, so every tail comes from one streamed pass over
+  the initial state: folded over the signs of k, in slabs along axis 0,
+  with the 2x2 tables on the |k| orthant only (``_outside_energy``).  The
+  flow is built at band M only, for the shifts.
 
-So no sample ever builds a state wider than band M; with alpha = 1 every
-shift is empty and every tail zero.
+So no sample ever builds a state wider than band M, and the initial pair is
+the study's only array of the full box; with alpha = 1 every shift is empty
+and every tail zero.
 
 The samples are stepped in contiguous chunks, each as array blocks: the
 reference and every distinct trajectory of a level is one
@@ -81,6 +86,7 @@ from .problems import (
     build_initial,
     preset_problem,
 )
+from .semigroup import propagator_tables
 from .spectral import (
     DIMS,
     SpectralGrid,
@@ -343,6 +349,72 @@ class _Study:
     tails: np.ndarray
 
 
+# bytes of the full-layout (rows, 2n, ..., 2n) complex slab of a state that
+# the tail pass reads at a time; its temporaries are a few arrays that size
+_SLAB_BYTES = 2**18
+
+
+def _fold_signs(x: np.ndarray, axes) -> np.ndarray:
+    """x summed over the sign pairs of each of ``axes``: slot j of the
+    result (|k| = j) holds slots j and 2n - j of x, slots 0 and n alone."""
+    for ax in axes:
+        n = x.shape[ax] // 2
+        pre = (slice(None),) * ax
+        out = x[pre + (slice(0, n + 1),)].copy()
+        out[pre + (slice(1, n),)] += x[pre + (slice(2 * n - 1, n, -1),)]
+        x = out
+    return x
+
+
+def _outside_energy(state: SpectralState, t: float, boxes) -> dict[int, float]:
+    """{b: squared pair norm (gamma = 0) of the flow e^(tL) state outside
+    box b} for every b in ``boxes``: its per-mode energy summed over the
+    modes with max_j |k_j| >= b.
+
+    The flow itself is never built.  With A = |u|^2, B = |v|^2,
+    C = Re(u conj v), the tables (c, s, a21) of e^(tL) and the weight
+    w = 1 / (1 + lambda^2), mode k holds
+
+        E = c^2 A + s^2 B + 2csC + w (a21^2 A + c^2 B + 2 a21 c C),
+
+    and the tables, w and max_j |k_j| depend on (|k_1|, ..., |k_d|) alone.
+    So A, B and C are summed over the sign variants of every axis first and
+    the rest is evaluated on the (n + 1)^d orthant of |k|.  Axis 0 is read
+    in slabs of rows i with their partners 2n - i, at most _SLAB_BYTES of
+    the state at a time, so no array of the full box is made.
+    """
+    u, v = state.u_hat, state.v_hat
+    dim, n = state.dim, state.band
+    axes = range(1, dim)
+    orthant = [np.arange(n + 1) for _ in axes]
+    rows = max(1, _SLAB_BYTES // (16 * (2 * n) ** (dim - 1)))
+    out = dict.fromkeys(boxes, 0.0)
+    for lo in range(0, n + 1, rows):
+        hi = min(lo + rows, n + 1)
+        # rows lo..hi-1, and the partners 2n - i of those in [1, n - 1]
+        p_lo, p_hi = max(lo, 1), min(hi, n)
+        parts = [(slice(lo, hi), slice(0, hi - lo))]
+        if p_lo < p_hi:
+            parts.append((slice(2 * n - p_lo, 2 * n - p_hi, -1), slice(p_lo - lo, p_hi - lo)))
+        a, b, c = (np.zeros((hi - lo,) + (n + 1,) * (dim - 1)) for _ in range(3))
+        for src, dst in parts:
+            us, vs = u[src], v[src]
+            a[dst] += _fold_signs(us.real * us.real + us.imag * us.imag, axes)
+            b[dst] += _fold_signs(vs.real * vs.real + vs.imag * vs.imag, axes)
+            c[dst] += _fold_signs(us.real * vs.real + us.imag * vs.imag, axes)
+        ks = [np.arange(lo, hi)] + orthant
+        lam2 = (2.0 * np.pi) ** 2 * functools.reduce(np.add.outer,
+                                                      [k.astype(np.float64) ** 2 for k in ks])
+        cos, sin_over, a21, _ = propagator_tables(np.sqrt(lam2), t)
+        w = 1.0 / (1.0 + lam2)
+        energy = ((cos * cos + w * a21 * a21) * a + (sin_over * sin_over + w * cos * cos) * b
+                  + 2.0 * (cos * sin_over + w * a21 * cos) * c)
+        shell = functools.reduce(np.maximum.outer, ks)
+        for box in out:
+            out[box] += float(np.sum(energy[shell >= box]))
+    return out
+
+
 def _prepare(config: ExperimentConfig) -> _Study:
     """Grids, specs, the shared initial state and the noise-free parts of
     every error, computed once per study."""
@@ -360,16 +432,12 @@ def _prepare(config: ExperimentConfig) -> _Study:
     runs = [[(n, make_grid(dim, n, config.alpha).n_high if spec.recovery else n)
              for spec, n in zip(row, config.n_cuts)] for row in specs]
 
-    flow = recover_high(u0, config.t_final)
-    wu, wv = _norm_weights(dim, full.n_high, 0.0)
-    energy = (wu * (flow.u_hat.real ** 2 + flow.u_hat.imag ** 2)
-              + wv * (flow.v_hat.real ** 2 + flow.v_hat.imag ** 2))
-    shell = shell_index(dim, full.n_high)
-    outside = {b: float(np.sum(energy[shell >= b]))
-               for b in {max(band, h) for row in runs for _, h in row}}
+    outside = _outside_energy(u0, config.t_final, {max(band, h) for row in runs for _, h in row})
     tails = np.array([[outside[max(band, h)] for _, h in row] for row in runs])
 
-    flow_m, shell_m = with_band(flow, band), shell_index(dim, band)
+    # no run reads the initial state above band M
+    u0 = with_band(u0, band)
+    flow_m, shell_m = recover_high(u0, config.t_final), shell_index(dim, band)
 
     @functools.cache
     def shift(n: int, h: int) -> tuple | None:
@@ -393,9 +461,7 @@ def _prepare(config: ExperimentConfig) -> _Study:
         trajectories.append([(specs[mis[0]][li], mis, key == ref_key)
                              for key, mis in sharing.items()])
 
-    # no run reads the initial state above band M
-    shared = ProblemSpec(problem.f, problem.sigma,
-                         InitialDataSpec("explicit", state=with_band(u0, band)))
+    shared = ProblemSpec(problem.f, problem.sigma, InitialDataSpec("explicit", state=u0))
     return _Study(
         config=config, shared=shared, band=band, ref_grid=ref_grid,
         ref_method=ref_method, grids=grids, trajectories=trajectories,

@@ -190,8 +190,10 @@ def step_block(u_hat: np.ndarray, v_hat: np.ndarray, tables, cut: int, tau: floa
 def recover_high(initial_band: SpectralState, t: float) -> SpectralState:
     """Exact linear flow of the recovery band, applied once at time t.
 
-    Its table is built afresh rather than cached: each time t is used once,
-    and the table spans the full band.
+    Its table is built afresh rather than cached, since each time t is used
+    once, and spans the state's band: the full band N^alpha in ``run``, the
+    widest stepped band M in a study, whose tail outside box M is summed
+    without building the flow (``experiments._outside_energy``).
     """
     lam = np.sqrt(lambda_sq(initial_band.dim, initial_band.band))
     return semigroup.apply(initial_band, semigroup.propagator_tables(lam, t))

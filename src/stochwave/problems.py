@@ -69,10 +69,12 @@ class NonlinearitySpec:
             return np.zeros_like(u)
         if self.kind == "constant":
             return np.full_like(u, self.a)
-        if self.kind == "scaled_sine":
-            return self.a * np.sin(self.b * u)
-        if self.kind == "scaled_cosine":
-            return self.a * np.cos(self.b * u)
+        if self.kind in ("scaled_sine", "scaled_cosine"):
+            # a * sin(b * u) in one temporary, the same bits
+            t = np.multiply(u, self.b, out=np.empty(np.shape(u)))
+            (np.sin if self.kind == "scaled_sine" else np.cos)(t, out=t)
+            t *= self.a
+            return t
         raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
 
     @property

@@ -1,5 +1,6 @@
 """Study driver, order fitting, report emission, config handling."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from stochwave.experiments import (
     parse_config_file,
     resolve_config,
 )
+from stochwave.spectral import _norm_weights, shell_index
 
 
 def lowband_state(seed=0):
@@ -277,11 +279,11 @@ def full_state_errors(config, sample):
     return out
 
 
-def rough_state(band, seed=0):
+def rough_state(band, seed=0, dim=1):
     """White-noise fields stored at ``band``: every stored mode is set."""
     rng = np.random.default_rng(seed)
-    return sw.state_from_fields(rng.standard_normal(2 * band),
-                                rng.standard_normal(2 * band))
+    shape = (2 * band,) * dim
+    return sw.state_from_fields(rng.standard_normal(shape), rng.standard_normal(shape))
 
 
 def explicit(state):
@@ -298,6 +300,11 @@ SPLIT_CASES = {
     "preset2-alpha1": dict(dim=1, preset=2, alpha=1.0),
     "explicit-band2": dict(dim=1, problem=explicit(lowband_state())),
     "explicit-band64": dict(dim=1, problem=explicit(rough_state(64))),
+    # data on every mode of the reference's full box N_ref^alpha (1024 in
+    # 1D, 64 in 2D), so every tail above 2 N_ref is checked nonzero
+    "explicit-full-box-1d": dict(dim=1, problem=explicit(rough_state(1024))),
+    "explicit-full-box-2d": dict(dim=2, problem=explicit(rough_state(64, dim=2)),
+                                 levels=(2**-3, 2**-4), tau_ref=2**-6),
     "preset3": dict(dim=2, preset=3, levels=(2**-3, 2**-4), tau_ref=2**-6),
     "preset3-wide-n_cuts": dict(dim=2, preset=3, levels=(2**-3, 2**-4),
                                 tau_ref=2**-6, n_cuts=(4, 32)),
@@ -338,6 +345,83 @@ class TestErrorSplit:
         assert len(shapes) == 4 * 3
         for shape in shapes:
             assert shape == ((3, 128), (3, 128), (128,), (128,))
+
+
+def full_box_energy(state, t):
+    """Per-mode gamma = 0 pair-norm energy of the flow e^(tL) state, built
+    on the whole box, and the box's shell index max_j |k_j|."""
+    flow = sw.recover_high(state, t)
+    wu, wv = _norm_weights(state.dim, state.band, 0.0)
+    energy = (wu * (flow.u_hat.real ** 2 + flow.u_hat.imag ** 2)
+              + wv * (flow.v_hat.real ** 2 + flow.v_hat.imag ** 2))
+    return energy, shell_index(state.dim, state.band)
+
+
+class TestTails:
+    @pytest.mark.parametrize("dim,band,rows", [(1, 1024, 100), (2, 64, 10)])
+    def test_outside_energy_matches_full_box_flow(self, monkeypatch, dim, band, rows):
+        # slabs of `rows` rows do not tile the band + 1 orthant rows, so the
+        # last slab is partial
+        assert (band + 1) % rows
+        monkeypatch.setattr(exp, "_SLAB_BYTES", rows * 16 * (2 * band) ** (dim - 1))
+        rng = np.random.default_rng(dim)
+        shape = (2 * band,) * dim
+        # complex white noise on every slot, unpaired ones included: not Hermitian
+        state = sw.SpectralState(*(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                                   for _ in range(2)))
+        boxes = {1, 7, band // 2, band - 1, band, band + 1}
+        got = exp._outside_energy(state, 0.25, boxes)
+        energy, shell = full_box_energy(state, 0.25)
+        assert set(got) == boxes
+        for b in boxes:
+            np.testing.assert_allclose(got[b], np.sum(energy[shell >= b]), rtol=1e-14, atol=0)
+        assert got[band + 1] == 0.0 and got[band] > 0.0
+
+    @pytest.mark.parametrize("case", ["preset1-wide-n_cuts", "preset3-wide-n_cuts",
+                                      "explicit-full-box-1d", "explicit-full-box-2d"])
+    def test_study_tails_and_shifts_match_full_box_flow(self, case):
+        base = dict(methods=ALL_METHODS, levels=(2**-3, 2**-4, 2**-5), gamma=0.5, seed=4)
+        cfg = resolve_config(sw.ExperimentConfig(**{**base, **SPLIT_CASES[case]}))
+        study = exp._prepare(cfg)
+        dim, problem = exp.study_problem(cfg)
+        n_ref, band = default_n_cut(cfg.tau_ref), study.band
+        full = sw.make_grid(dim, n_ref, cfg.alpha)
+        u0 = sw.with_band(sw.build_initial(problem.initial, full), full.n_high)
+        energy, shell = full_box_energy(u0, cfg.t_final)
+        flow_m = sw.with_band(sw.recover_high(u0, cfg.t_final), band)
+        shell_m = shell_index(dim, band)
+        ref_sign = (n_ref <= shell_m) & (shell_m < min(full.n_high, band))
+        live = 0
+        for mi, m in enumerate(cfg.methods):
+            for li, (tau, n) in enumerate(zip(cfg.levels, cfg.n_cuts)):
+                spec = sw.method_spec(m, tau, cfg.t_final)
+                h = sw.make_grid(dim, n, cfg.alpha).n_high if spec.recovery else n
+                np.testing.assert_allclose(study.tails[mi, li],
+                                           np.sum(energy[shell >= max(band, h)]),
+                                           rtol=1e-14, atol=0)
+                sign = 1.0 * ((n <= shell_m) & (shell_m < min(h, band))) - ref_sign
+                shift = study.shifts[mi][li]
+                if not sign.any():
+                    assert shift is None
+                    continue
+                live += 1
+                np.testing.assert_array_equal(shift[0], flow_m.u_hat * sign)
+                np.testing.assert_array_equal(shift[1], flow_m.v_hat * sign)
+        assert live > 0
+        if case.startswith("explicit-full-box"):
+            assert (study.tails > 0).all()
+
+    def test_tail_pass_builds_no_full_box_array(self):
+        # a 2D box of 1024^2 modes: 16 MiB per complex array
+        shape = (1024, 1024)
+        state = sw.SpectralState(np.full(shape, 1.0 + 2.0j), np.full(shape, 3.0 - 1.0j))
+        tracemalloc.start()
+        try:
+            exp._outside_energy(state, 0.25, {256, 400, 512})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 def per_sample_errors(study, sample):

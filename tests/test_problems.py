@@ -26,6 +26,15 @@ class TestNonlinearities:
         assert sigma(np.array([0.0]))[0] == 0.0
         assert sigma(np.array([np.pi / 2]))[0] == pytest.approx(16.0)
 
+    @pytest.mark.parametrize("shape", [(16, 1024), (4, 128, 128)])
+    def test_trig_kinds_match_direct_formula(self, shape):
+        u = np.random.default_rng(0).standard_normal(shape) * 3.0
+        before = u.copy()
+        for spec, trig in ((sw.scaled_sine(16.0, 16.0), np.sin),
+                           (sw.scaled_cosine(2.5, 0.3), np.cos)):
+            np.testing.assert_array_equal(spec(u), spec.a * trig(spec.b * u))
+            np.testing.assert_array_equal(u, before)
+
     def test_zero_kind(self):
         out = sw.zero_fn()(np.linspace(-5, 5, 11))
         assert not out.any()
