@@ -7,8 +7,6 @@ from .spectral import (
     SpectralState,
     diff_norm,
     forward,
-    full_spectrum,
-    half_spectrum,
     inverse,
     load_snapshot,
     make_grid,

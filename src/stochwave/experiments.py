@@ -26,9 +26,10 @@ linear flow e^(TL) U_0 of the shared initial state.  So:
   outside box max(M, h), the modes with max_j |k_j| >= max(M, h).  Its
   per-mode energy depends on |u_0|^2, |v_0|^2, Re(u_0 conj v_0) and
   (|k_1|, ..., |k_d|) alone, so every tail comes from one streamed pass over
-  the initial state: folded over the signs of k, in slabs along axis 0,
-  with the 2x2 tables on the |k| orthant only (``_outside_energy``).  The
-  flow is built at band M only, for the shifts.
+  the initial state's half spectrum: in slabs along its last axis, folded
+  over the signs of the other axes, with the 2x2 tables on the |k| orthant
+  only (``_outside_energy``).  The flow is built at band M only, for the
+  shifts.
 
 So no sample ever builds a state wider than band M, and the initial pair is
 the study's only array of the full box; with alpha = 1 every shift is empty
@@ -42,8 +43,10 @@ stepping is the same (equal ``integrators.stepping_key``: ``hr_lri`` and
 its final states.  Each block is re-stored at band M once and the reference
 block subtracted; each method then takes one weighted reduction of that
 difference plus its shift over the mode axes.  Worker threads take whole
-chunks, and a chunk's rows are capped so that a block at band M stays
-within a fixed byte budget.
+chunks.  A chunk's rows are capped so that a block at band M stays within
+a fixed byte budget, and the samples are split over the workers only while
+each chunk keeps a fixed byte floor of such a block, below which a second
+worker costs more than it saves.
 
 Orders are read off as the least-squares slope of log(rms) against
 log(tau).  Runs that leave the floating-point domain are excluded and
@@ -225,10 +228,11 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
 
 
 def _full_grid(dim: int, n_cut: int, alpha: float) -> SpectralGrid:
-    """make_grid, refusing a grid whose full (2 n_high)^dim box of complex
-    coefficients is larger than physical memory."""
+    """make_grid, refusing a grid whose one complex array at the full band,
+    (2 n_high)^(dim-1) (n_high + 1) coefficients, is larger than physical
+    memory."""
     grid = make_grid(dim, n_cut, alpha)
-    need = 16 * (2 * grid.n_high) ** dim
+    need = 16 * (2 * grid.n_high) ** (dim - 1) * (grid.n_high + 1)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise ConfigError(f"band {n_cut} with alpha {alpha} needs {need / 2**30:.3g} GiB "
@@ -349,7 +353,7 @@ class _Study:
     tails: np.ndarray
 
 
-# bytes of the full-layout (rows, 2n, ..., 2n) complex slab of a state that
+# bytes of the (2n, ..., 2n, slots) complex slab of a state's last axis that
 # the tail pass reads at a time; its temporaries are a few arrays that size
 _SLAB_BYTES = 2**18
 
@@ -378,31 +382,27 @@ def _outside_energy(state: SpectralState, t: float, boxes) -> dict[int, float]:
         E = c^2 A + s^2 B + 2csC + w (a21^2 A + c^2 B + 2 a21 c C),
 
     and the tables, w and max_j |k_j| depend on (|k_1|, ..., |k_d|) alone.
-    So A, B and C are summed over the sign variants of every axis first and
-    the rest is evaluated on the (n + 1)^d orthant of |k|.  Axis 0 is read
-    in slabs of rows i with their partners 2n - i, at most _SLAB_BYTES of
-    the state at a time, so no array of the full box is made.
+    The last axis of the half spectrum already holds |k_d|, and a slot
+    above 0 stands for k_d and -k_d, so it weighs 2.  So A, B and C are
+    summed over the sign variants of the other axes and weighted first, and
+    the rest is evaluated on the (n + 1)^d orthant of |k|.  The last axis
+    is read in slabs of at most _SLAB_BYTES of the state at a time, so no
+    array of the full box is made.
     """
     u, v = state.u_hat, state.v_hat
     dim, n = state.dim, state.band
-    axes = range(1, dim)
+    axes = range(dim - 1)
     orthant = [np.arange(n + 1) for _ in axes]
-    rows = max(1, _SLAB_BYTES // (16 * (2 * n) ** (dim - 1)))
+    cols = max(1, _SLAB_BYTES // (16 * (2 * n) ** (dim - 1)))
     out = dict.fromkeys(boxes, 0.0)
-    for lo in range(0, n + 1, rows):
-        hi = min(lo + rows, n + 1)
-        # rows lo..hi-1, and the partners 2n - i of those in [1, n - 1]
-        p_lo, p_hi = max(lo, 1), min(hi, n)
-        parts = [(slice(lo, hi), slice(0, hi - lo))]
-        if p_lo < p_hi:
-            parts.append((slice(2 * n - p_lo, 2 * n - p_hi, -1), slice(p_lo - lo, p_hi - lo)))
-        a, b, c = (np.zeros((hi - lo,) + (n + 1,) * (dim - 1)) for _ in range(3))
-        for src, dst in parts:
-            us, vs = u[src], v[src]
-            a[dst] += _fold_signs(us.real * us.real + us.imag * us.imag, axes)
-            b[dst] += _fold_signs(vs.real * vs.real + vs.imag * vs.imag, axes)
-            c[dst] += _fold_signs(us.real * vs.real + us.imag * vs.imag, axes)
-        ks = [np.arange(lo, hi)] + orthant
+    for lo in range(0, n + 1, cols):
+        hi = min(lo + cols, n + 1)
+        us, vs = u[..., lo:hi], v[..., lo:hi]
+        mult = np.where(np.arange(lo, hi) == 0, 1.0, 2.0)
+        a = _fold_signs(us.real * us.real + us.imag * us.imag, axes) * mult
+        b = _fold_signs(vs.real * vs.real + vs.imag * vs.imag, axes) * mult
+        c = _fold_signs(us.real * vs.real + us.imag * vs.imag, axes) * mult
+        ks = orthant + [np.arange(lo, hi)]
         lam2 = (2.0 * np.pi) ** 2 * functools.reduce(np.add.outer,
                                                       [k.astype(np.float64) ** 2 for k in ks])
         cos, sin_over, a21, _ = propagator_tables(np.sqrt(lam2), t)
@@ -501,18 +501,27 @@ def _chunk_errors(study: _Study, samples: range):
     return err_sq, wall
 
 
-# bytes one full-layout (rows, 2M, ..., 2M) complex coefficient block of a
-# chunk may take, the size of the blocks a chunk scores; a step's working
-# set is about eight half-layout (rows, 2N, ..., 2N, N + 1) blocks
+# bytes one (rows, 2M, ..., 2M, M + 1) complex coefficient block of a chunk
+# may take, the size of the blocks a chunk scores; a step's working set is
+# about eight (rows, 2N, ..., 2N, N + 1) blocks
 _BLOCK_BYTES = 2**25
+
+# bytes of such a block below which a chunk is not split further over the
+# workers.  Small 1D blocks hold the interpreter lock, and a 1D study at
+# M = 512 steps 4 rows at about 56% and 8 rows at about 84% of its rate at
+# 16 rows (one worker, 2-vCPU host), so a second worker on them costs more
+# than it gains.  The floor is 16 such rows; in 2D one row at M = 64 passes.
+_WORKER_FLOOR_BYTES = 2**17
 
 
 def _chunk_rows(study: _Study) -> int:
-    """Samples per chunk: an even split over the workers, capped so that a
-    block at the widest stepped band M stays within _BLOCK_BYTES."""
+    """Samples per chunk: an even split over the workers, but no fewer than
+    keep a block at the widest stepped band M at _WORKER_FLOOR_BYTES, and
+    capped so that such a block stays within _BLOCK_BYTES."""
     config = study.config
-    row_bytes = 16 * (2 * study.band) ** config.dim
-    return min(max(1, _BLOCK_BYTES // row_bytes), -(-config.n_samples // config.n_workers))
+    row_bytes = 16 * (2 * study.band) ** (config.dim - 1) * (study.band + 1)
+    split = max(-(-config.n_samples // config.n_workers), -(-_WORKER_FLOOR_BYTES // row_bytes))
+    return min(max(1, _BLOCK_BYTES // row_bytes), split)
 
 
 def _study_reports(study: _Study, rows: int,
@@ -564,7 +573,6 @@ def compare_methods(config: ExperimentConfig):
     trajectory, summed over chunks.  Methods that share a trajectory (see
     ``integrators.stepping_key``) report the same times.
     """
-    config = resolve_config(config)
     if len(config.methods) < 2:
         raise ConfigError("compare needs at least two methods")
     reports = run_convergence(config, collect_timing=True)

@@ -20,22 +20,17 @@ in the three fields of their ``SCHEMES`` entry:
 propagation; the filter of ``lri`` equals the stepped band N under the
 usual tau = 1/(4N) coupling and cuts below it only when tau is coarser.
 
-The driver decomposes the initial state into the stepped band ([-N, N-1]
-per axis), the recovery band (box N^alpha minus box N) and a discarded
+A run decomposes the initial state into the stepped band (|k_j| <= N-1 on
+every axis), the recovery band (box N^alpha minus box N) and a discarded
 remainder; the recovery band never sees the noise and is propagated to the
 final time in one shot when recovery is enabled.
 
-Stepping works on blocks.  The fields are real, so the states are
-Hermitian and a step only needs the modes with k_last in [0, N]: inside the
-step loop ``run_block`` advances S paths at once as a pair of half-spectrum
-arrays of shape (S,) + (2N,)^(d-1) + (N+1,) (see ``spectral``; the last
-slot N is the unpaired Nyquist slot, kept zero).  Each step is one
-``step_block`` call, that is one batched real inverse FFT, one pointwise
-map, one batched real forward FFT, one half mask and one 2x2 pass over the
-half modes, driven by the (S,) vector of the rows' grouped increments.
-``run_block`` converts only at its boundary: it halves the initial state
-and the 2x2 tables once, and hands out full-layout blocks, at the end and
-to the snapshot callback.  Rows never mix, so every row is bit-identical
+Stepping works on blocks: ``run_block`` advances S paths at once as a pair
+of arrays of shape (S,) + (2N,)^(d-1) + (N+1,), one half spectrum per row
+(see ``spectral``).  Each step is one ``step_block`` call, that is one
+batched real inverse FFT, one pointwise map, one batched real forward FFT,
+one mask and one 2x2 pass over the modes, driven by the (S,) vector of the
+rows' grouped increments.  Rows never mix, so every row is bit-identical
 to a block of one, and a row that goes non-finite is dropped alone.
 ``run`` is a block of one path plus the recovery band.  The stepping
 itself depends only on ``stepping_key``: ``hr_lri`` and ``stm`` always
@@ -61,8 +56,6 @@ from .spectral import (
     band_mask,
     check_hermitian,
     diff_norm,
-    full_spectrum,
-    half_spectrum,
     lambda_sq,
     make_grid,
     project_band,
@@ -148,11 +141,10 @@ def step_block(u_hat: np.ndarray, v_hat: np.ndarray, tables, cut: int, tau: floa
     """One step T (U + tau * Pi F(Pi U) + Pi Sigma(Pi U) dW) of every row of
     a block, at the stored band, with Pi the box truncation to ``cut``.
 
-    ``u_hat`` and ``v_hat`` hold one half spectrum per row, shape (S,) +
-    (2 band,)^(d-1) + (band + 1,) with d the rank of the tables, which are
-    in the same half layout, and ``dw`` is the (S,) vector of the rows'
-    increments.  Rows never mix, so each is bit-identical to a block
-    of one.  Returns (u_hat, v_hat, bad): ``bad`` maps every row whose
+    ``u_hat`` and ``v_hat`` hold one state per row, shape (S,) +
+    (2 band,)^(d-1) + (band + 1,) with d the rank of the tables, and ``dw``
+    is the (S,) vector of the rows' increments.  Rows never mix, so each is
+    bit-identical to a block of one.  Returns (u_hat, v_hat, bad): ``bad`` maps every row whose
     nonlinearity image or new state is non-finite to the reason, and those
     rows come back zeroed so that they cannot spoil later steps.
     """
@@ -160,7 +152,7 @@ def step_block(u_hat: np.ndarray, v_hat: np.ndarray, tables, cut: int, tau: floa
     band = u_hat.shape[-1] - 1
     if cut > band:
         raise ValueError(f"filter cut {cut} exceeds stored band {band}")
-    u_cut = u_hat * band_mask(dim, band, cut, half=True) if cut < band else u_hat
+    u_cut = u_hat * band_mask(dim, band, cut) if cut < band else u_hat
     bad: dict[int, str] = {}
 
     def image(spec: NonlinearitySpec) -> np.ndarray:
@@ -203,11 +195,11 @@ def recover_high(initial_band: SpectralState, t: float) -> SpectralState:
 # driver
 
 
-def _conform(state: SpectralState, grid: SpectralGrid) -> SpectralState:
-    """Bring an initial state onto the run grid's full band."""
+def _conform(state: SpectralState, grid: SpectralGrid, band: int) -> SpectralState:
+    """Bring an initial state onto a band of the run grid."""
     if state.dim != grid.dim:
         raise ValueError("initial state dimension does not match grid")
-    return with_band(state, grid.n_high)
+    return with_band(state, band)
 
 
 @dataclass(frozen=True)
@@ -230,16 +222,15 @@ def run_block(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
     """Integrate a block of paths on the stepped band of ``grid``.
 
     Every row starts from the problem's initial state on the stepped band,
-    which must be Hermitian (ValueError otherwise), halved and broadcast
-    once, and row s consumes the exact grouped sums of the base increments
-    of ``paths[s]``, so runs at different step sizes on one lattice are
+    which must be Hermitian (ValueError otherwise) and is broadcast once,
+    and row s consumes the exact grouped sums of the base increments of
+    ``paths[s]``, so runs at different step sizes on one lattice are
     coupled.  Each step is one call of :func:`step_block` for the whole
-    half-layout block; the final block and every snapshot block are handed
-    out in the full layout.  A row that goes non-finite is recorded in
-    ``failed`` with its first bad step and leaves the other rows untouched;
-    stepping stops early once every row has failed.  With ``snapshot_stride`` > 0 the
-    callback receives (step_index, u_hat, v_hat) every stride steps strictly
-    inside the run; its time is not counted in ``wall_time``.
+    block.  A row that goes non-finite is recorded in ``failed`` with its
+    first bad step and leaves the other rows untouched; stepping stops early
+    once every row has failed.  With ``snapshot_stride`` > 0 the callback
+    receives (step_index, u_hat, v_hat) every stride steps strictly inside
+    the run; its time is not counted in ``wall_time``.
     """
     t_total = method.n_steps * method.tau
     for path in paths:
@@ -250,13 +241,12 @@ def run_block(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
     else:
         dws = np.zeros((len(paths), 0))
 
-    low = with_band(_conform(build_initial(problem.initial, grid), grid), grid.n_cut)
+    low = _conform(build_initial(problem.initial, grid), grid, grid.n_cut)
     check_hermitian(low)
-    u, v = (half_spectrum(a) for a in (low.u_hat, low.v_hat))
-    u = np.broadcast_to(u, (len(paths),) + u.shape)
-    v = np.broadcast_to(v, u.shape)
+    u = np.broadcast_to(low.u_hat, (len(paths),) + low.u_hat.shape)
+    v = np.broadcast_to(low.v_hat, u.shape)
     tables_of, _, cut, _ = stepping_key(method, grid)
-    tables = tuple(half_spectrum(a) for a in tables_of(grid.dim, grid.n_cut, method.tau))
+    tables = tables_of(grid.dim, grid.n_cut, method.tau)
 
     failed: dict[int, str] = {}
     start = time.perf_counter()
@@ -271,11 +261,10 @@ def run_block(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
         if (on_snapshot is not None and snapshot_stride > 0
                 and (n + 1) % snapshot_stride == 0 and n + 1 < method.n_steps):
             t_snap = time.perf_counter()
-            on_snapshot(n + 1, full_spectrum(u, grid.dim), full_spectrum(v, grid.dim))
+            on_snapshot(n + 1, u, v)
             snapshot_s += time.perf_counter() - t_snap
     wall = time.perf_counter() - start - snapshot_s
-    return BlockResult(u_hat=full_spectrum(u, grid.dim), v_hat=full_spectrum(v, grid.dim),
-                       failed=failed, wall_time=wall)
+    return BlockResult(u_hat=u, v_hat=v, failed=failed, wall_time=wall)
 
 
 def run(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
@@ -291,7 +280,7 @@ def run(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
     the callback are not counted.  A non-finite state or nonlinearity image
     raises NumericalError naming its step.
     """
-    u0 = _conform(build_initial(problem.initial, grid), grid)
+    u0 = _conform(build_initial(problem.initial, grid), grid, grid.n_high)
     low = with_band(u0, grid.n_cut)
     rec0 = None
     if method.recovery and grid.n_high > grid.n_cut:
@@ -359,6 +348,6 @@ def linear_exact_discrepancy(method: MethodSpec, grid: SpectralGrid,
     """Error norm of a run against the exact linear flow of its own initial
     band; meaningful when both nonlinearities vanish."""
     result = run(method, grid, problem, path)
-    u0 = _conform(build_initial(problem.initial, grid), grid)
+    u0 = _conform(build_initial(problem.initial, grid), grid, grid.n_high)
     ref = recover_high(project_low(u0, grid.n_high), method.n_steps * method.tau)
     return diff_norm(result.final_state, ref, 0.0)

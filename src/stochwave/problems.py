@@ -7,8 +7,8 @@ Initial data comes in four flavours: two discontinuous plateau profiles
 gamma, and explicit spectra (e.g. loaded from an SWV1 snapshot).
 
 Random data is a tensor product over the axes.  Axis j carries, on each
-index with 1 <= |k_j| <= kmax = min(n_cut, n_high - 1), a real coefficient
-shared between +k_j and -k_j:
+slot with 1 <= |k_j| <= kmax = min(n_cut, n_high - 1), a real coefficient
+that depends on |k_j| alone:
 
     u profile:  0.5 * ru_j[|k_j| - 1] * |k_j|^(-gamma - 0.51)
     v profile:  0.5 * rv_j[|k_j| - 1] * |k_j|^(-gamma + 0.49)
@@ -16,7 +16,9 @@ shared between +k_j and -k_j:
 where ru_j and rv_j are the (seed-keyed) uniforms of the streams
 _DATA_STREAMS[2j] and _DATA_STREAMS[2j + 1].  The u (v) coefficient of mode
 k = (k_1, ..., k_dim) is the product over j of the u (v) profiles at k_j,
-so it is zero unless every k_j is nonzero.  The exponents put the pair
+so it is zero unless every k_j is nonzero.  The states are half spectra
+(see ``spectral``): the last axis takes the slots |k| = 0..n_high of its
+profile, the other axes every slot.  The exponents put the pair
 exactly in the gamma / gamma-1 smoothness class and no better.  The k = 0
 coefficient is left at zero: the power law is undefined there and any
 bounded choice lands in the same class, so zero keeps comparisons across
@@ -161,7 +163,7 @@ def build_random_hgamma(grid: SpectralGrid, gamma: float, seed: int) -> Spectral
     Each coefficient profile (u and v of every axis) reads k = 1..kmax
     uniforms from its own dedicated stream, so building on a wider grid
     extends the same function.  One draw per |k_j| is shared between +k_j
-    and -k_j, making the spectra even and the fields real.
+    and -k_j, making the spectra even and real, and the fields real.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -172,8 +174,9 @@ def build_random_hgamma(grid: SpectralGrid, gamma: float, seed: int) -> Spectral
                              standard_uniforms(seed, _DATA_STREAMS[2 * j + slot], kmax))
                for j in range(grid.dim)]
               for slot, exponent in enumerate((-gamma - 0.51, -gamma + 0.49))]
-    return SpectralState(*(functools.reduce(np.multiply.outer, axes).astype(np.complex128)
-                           for axes in fields))
+    # the last axis keeps the profile's slots |k| = 0..band
+    return SpectralState(*(functools.reduce(np.multiply.outer, axes[:-1] + [axes[-1][:band + 1]])
+                           .astype(np.complex128) for axes in fields))
 
 
 def build_initial(spec: InitialDataSpec, grid: SpectralGrid) -> SpectralState:

@@ -3,33 +3,30 @@
 A solution is carried as the pair of coefficient arrays (u_hat, v_hat) of a
 displacement field u and a velocity field v on [0,1]^dim, with dim one of
 the supported dimensions ``DIMS``.
-Coefficients live in the standard even-size FFT layout: a state stored "at
-band m" uses 2m collocation points per dimension and holds the integer modes
-k in [-m, m-1].
 
-A state is nothing but its two arrays: their shape (2m,)*dim fixes its
-band m and its dimension.  No arithmetic branches on the dimension: mode
-weights are outer sums over the axes and masks outer ANDs.  Two cutoffs
-describe a grid: the low cutoff ``n_cut`` (the band advanced by the time
-steppers) and the recovery cutoff ``n_high = floor(n_cut**alpha)`` (the
-widest band any state of the grid retains).
+The fields are real, so every spectrum is Hermitian, c(-k) = conj c(k), and
+the modes with k_last < 0 carry no information.  A state "at band m" is
+therefore stored as its half spectrum: arrays of shape (2m,)^(dim-1) +
+(m+1,) for 2m collocation points per dimension.  The first dim-1 axes are
+in the standard even FFT layout (slots for the modes [0, m-1] then
+[-m, -1]); the last axis holds |k_last| = 0, ..., m.  ``forward`` is the
+real-to-half transform and ``inverse`` the half-to-real one.  The only
+constraint left on the stored numbers is that the k_last = 0 plane is
+itself Hermitian over the other axes (``check_hermitian``).
 
-Nyquist convention: the even layout carries a single unpaired slot per axis
-(index m, frequency -m).  States keep that slot identically zero, so every
-retained mode has a proper conjugate partner at -k.  This makes zero-padding
-an exact isometry for the Sobolev norms and band restriction an exact left
-inverse of it; the cost is dropping one measure-zero mode per axis, the same
-mode the even layout already halves.
+A state is nothing but its two arrays: their shape fixes its band m and its
+dimension.  No arithmetic branches on the dimension: mode weights are outer
+sums over the axes and masks outer ANDs.  Two cutoffs describe a grid: the
+low cutoff ``n_cut`` (the band advanced by the time steppers) and the
+recovery cutoff ``n_high = floor(n_cut**alpha)`` (the widest band any state
+of the grid retains).
 
-The fields are real, so every spectrum is Hermitian: c(-k) = conj c(k).
-The transforms therefore work on the half spectrum, the (2m,)*(dim-1) +
-(m+1,) array of the modes with k_last in [0, m], in the full layout on the
-other axes: ``forward`` is the real-to-half transform and ``inverse`` the
-half-to-real one.  In the half layout the unpaired slot of the last axis is
-its final index m (frequency +m, the alias of -m), kept zero like the other
-unpaired slots.  ``half_spectrum`` and ``full_spectrum`` convert between
-the layouts; states are full-layout, and the integrators step half blocks
-and convert at the block boundary.
+Nyquist convention: each axis carries a single unpaired slot (index m: the
+frequency -m on the first axes, +m on the last).  States keep those slots
+identically zero, so every retained mode has a proper conjugate partner at
+-k.  This makes zero-padding an exact isometry for the Sobolev norms and
+band restriction an exact left inverse of it; the cost is dropping one
+measure-zero mode per axis, the same mode the even layout already halves.
 """
 
 from __future__ import annotations
@@ -85,8 +82,8 @@ def default_alpha(dim: int) -> float:
 class SpectralState:
     """Fourier coefficients of a (u, v) pair.
 
-    Both arrays have shape (2*band,)*dim in FFT layout and are treated as
-    immutable; operations return fresh states.
+    Both arrays are half spectra of shape (2*band,)*(dim-1) + (band+1,)
+    and are treated as immutable; operations return fresh states.
     """
 
     u_hat: np.ndarray
@@ -98,11 +95,11 @@ class SpectralState:
 
     @property
     def band(self) -> int:
-        return self.u_hat.shape[-1] // 2
+        return self.u_hat.shape[-1] - 1
 
 
 def zero_state(dim: int, band: int) -> SpectralState:
-    shape = (2 * band,) * dim
+    shape = (2 * band,) * (dim - 1) + (band + 1,)
     return SpectralState(np.zeros(shape, dtype=np.complex128),
                          np.zeros(shape, dtype=np.complex128))
 
@@ -119,32 +116,35 @@ def mode_indices(band: int) -> np.ndarray:
     return k
 
 
+def _axis_modes(dim: int, band: int) -> list[np.ndarray]:
+    """|k_j| per slot of each axis of a band-m half spectrum: the full
+    indices on the first dim-1 axes, 0..m on the last."""
+    return [np.abs(mode_indices(band))] * (dim - 1) + [np.arange(band + 1)]
+
+
 def lambda_sq(dim: int, band: int) -> np.ndarray:
-    """(2*pi)^2 * sum_j k_j^2 on the full mode box of a band-m array."""
-    k = mode_indices(band).astype(np.float64)
-    return (2.0 * np.pi) ** 2 * functools.reduce(np.add.outer, [k * k] * dim)
+    """(2*pi)^2 * sum_j k_j^2 on the half spectrum of a band-m array."""
+    k2 = [k.astype(np.float64) ** 2 for k in _axis_modes(dim, band)]
+    return (2.0 * np.pi) ** 2 * functools.reduce(np.add.outer, k2)
 
 
 def shell_index(dim: int, band: int) -> np.ndarray:
-    """max_j |k_j| on the full mode box of a band-m array.  A state at band
+    """max_j |k_j| on the half spectrum of a band-m array.  A state at band
     b stores the modes below b; the unpaired slots read m."""
-    return functools.reduce(np.maximum.outer, [np.abs(mode_indices(band))] * dim)
+    return functools.reduce(np.maximum.outer, _axis_modes(dim, band))
 
 
 @functools.cache
-def band_mask(dim: int, band: int, cut: int, half: bool = False) -> np.ndarray:
+def band_mask(dim: int, band: int, cut: int) -> np.ndarray:
     """Boolean mask of modes with every |k_j| <= cut, Nyquist slots excluded.
 
-    The slot at index ``band`` holds the unpaired frequency -band; it is
+    The slots at index ``band`` hold the unpaired frequencies; they are
     masked out unconditionally so that states keep their zero-Nyquist
-    invariant through every projection.  With ``half`` the mask is that of
-    the half layout, the slots [0, band] of the last axis.
+    invariant through every projection.
     """
     if not 0 <= cut <= band:
         raise ValueError(f"cut {cut} outside [0, {band}]")
     m = shell_index(dim, band) <= min(cut, band - 1)
-    if half:
-        m = half_spectrum(m)
     m.setflags(write=False)
     return m
 
@@ -186,69 +186,43 @@ def inverse(half: np.ndarray, dim: int | None = None) -> np.ndarray:
     return np.fft.irfftn(half, s=(n,) * len(axes), axes=axes, norm="forward")
 
 
-def _negate_modes(arr: np.ndarray, axes) -> np.ndarray:
-    """arr with slot i of each of ``axes`` moved to slot (-i) mod length,
-    i.e. frequency k to -k in the full layout."""
-    for ax in axes:
-        arr = np.roll(np.flip(arr, ax), 1, ax)
-    return arr
-
-
-def half_spectrum(arr: np.ndarray) -> np.ndarray:
-    """The half layout of a full-layout array: its last axis cut to the
-    slots k in [0, m], as a contiguous array."""
-    return np.ascontiguousarray(arr[..., :arr.shape[-1] // 2 + 1])
-
-
-def full_spectrum(half: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """The full layout of a half spectrum over its trailing ``dim`` axes.
-
-    The modes with k_last < 0 are the conjugates of their partners at -k,
-    and so is the k_last = 0 plane's own k_(dim-1) < 0 half, so the result
-    is exactly Hermitian.  The unpaired slot of the last axis stays zero.
-    """
-    half = np.asarray(half)
-    dim = half.ndim if dim is None else dim
-    m = half.shape[-1] - 1
-    out = np.zeros(half.shape[:-1] + (2 * m,), dtype=np.complex128)
-    out[..., :m] = half[..., :m]
-    out[..., m + 1:] = np.conj(_negate_modes(half[..., m - 1:0:-1],
-                                             range(half.ndim - dim, half.ndim - 1)))
-    if dim > 1:
-        out[..., 0] = full_spectrum(out[..., :m + 1, 0], dim - 1)
-    return out
-
-
 def check_hermitian(state: SpectralState) -> None:
-    """Raise ValueError unless both arrays of a state are conjugate-symmetric:
-    max |c(k) - conj c(-k)| within 1e-10 of the largest |c(k)|.
+    """Raise ValueError unless the k_last = 0 plane of both arrays is
+    conjugate-symmetric over the other axes (in 1D: c(0) is real), to
+    1e-10 of the array's largest |c(k)|.
 
-    This is the precondition of every half-layout step and of the real
-    inverse transform.  A non-finite state passes; the stepping reports it.
+    That plane is its own conjugate partner, so it is the one constraint a
+    half spectrum must meet to be the spectrum of a real field.  It is the
+    precondition of every step and of the real inverse transform.  A
+    non-finite state passes; the stepping reports it.
     """
     for arr in (state.u_hat, state.v_hat):
+        plane = arr[..., 0]
+        mirror = plane
+        for ax in range(plane.ndim):
+            # slot i to slot (-i) mod 2m, i.e. frequency k to -k
+            mirror = np.roll(np.flip(mirror, ax), 1, ax)
         with np.errstate(invalid="ignore"):
-            resid = (np.abs(arr - np.conj(_negate_modes(arr, range(arr.ndim)))).max()
-                     / max(np.abs(arr).max(), 1e-300))
+            resid = np.abs(plane - np.conj(mirror)).max() / max(np.abs(arr).max(), 1e-300)
         if resid > 1e-10:
             raise ValueError(f"state is not Hermitian: anti-Hermitian residue {resid:.3e}")
 
 
 def state_from_fields(u: np.ndarray, v: np.ndarray) -> SpectralState:
-    """Transform sampled real fields into an exactly Hermitian state,
-    zeroing Nyquist slots."""
+    """Transform sampled real fields into a state, zeroing Nyquist slots."""
     u_hat = forward(u)
     if u_hat.ndim not in DIMS or np.shape(v) != np.shape(u):
         raise ValueError(f"fields must be matching arrays of a rank in {DIMS}, got "
                          f"{np.shape(u)} and {np.shape(v)}")
-    full = band_mask(u_hat.ndim, u_hat.shape[-1] - 1, u_hat.shape[-1] - 1)
-    return SpectralState(full_spectrum(u_hat) * full, full_spectrum(forward(v)) * full)
+    band = u_hat.shape[-1] - 1
+    full = band_mask(u_hat.ndim, band, band)
+    return SpectralState(u_hat * full, forward(v) * full)
 
 
 def state_to_fields(state: SpectralState) -> tuple[np.ndarray, np.ndarray]:
     """Real-space samples of (u, v); raises if the state is not Hermitian."""
     check_hermitian(state)
-    return inverse(half_spectrum(state.u_hat)), inverse(half_spectrum(state.v_hat))
+    return inverse(state.u_hat), inverse(state.v_hat)
 
 
 def collocation_nodes(band: int) -> np.ndarray:
@@ -279,8 +253,13 @@ def project_band(state: SpectralState, m1: int, m2: int) -> SpectralState:
 
 
 def _norm_weights(dim: int, band: int, gamma: float):
+    """The u and v slot weights on the half spectrum, each carrying the
+    multiplicity of its slot: 1 at k_last = 0, 2 above (the slot stands for
+    k and its partner -k)."""
     base = 1.0 + lambda_sq(dim, band)
-    return base ** gamma, base ** (gamma - 1.0)
+    mult = np.full(band + 1, 2.0)
+    mult[0] = 1.0
+    return base ** gamma * mult, base ** (gamma - 1.0) * mult
 
 
 def _weighted_norm_sq(u, v, wu, wv):
@@ -332,7 +311,7 @@ def pseudospectral_apply(scalar_fn, half: np.ndarray, cut: int,
     if samples.ndim == dim and not np.isfinite(samples).all():
         raise FloatingPointError("nonlinearity produced non-finite samples")
     out = forward(samples, dim)
-    out *= band_mask(dim, band, cut, half=True)
+    out *= band_mask(dim, band, cut)
     return out
 
 
@@ -344,9 +323,10 @@ def with_band(state: SpectralState, band: int, dim: int | None = None) -> Spectr
     """Re-store a state at another band (pad or truncate).
 
     Re-stores the trailing ``dim`` axes, all of them by default; a leading
-    axis indexes the states of a block, and each is re-stored alone.  Along
-    each of those axes the m = min(old, new) modes [0, m-1] keep their slots
-    and the modes [-m, -1] move to the end; every other slot is zero.
+    axis indexes the states of a block, and each is re-stored alone.  With
+    m = min(old, new), the last axis keeps its slots [0, m]; along each
+    other axis the modes [0, m-1] keep their slots and the modes [-m, -1]
+    move to the end.  Every other slot is zero.
     """
     old = state.band
     if band == old:
@@ -355,10 +335,12 @@ def with_band(state: SpectralState, band: int, dim: int | None = None) -> Spectr
     m = min(old, band)
     axis = ((slice(0, m), slice(0, m)),
             (slice(2 * old - m, 2 * old), slice(2 * band - m, 2 * band)))
-    blocks = [tuple(zip(*b)) for b in itertools.product(axis, repeat=dim)]
+    blocks = [tuple(zip(*b, (slice(0, m + 1),) * 2))
+              for b in itertools.product(axis, repeat=dim - 1)]
     out = []
     for arr in (state.u_hat, state.v_hat):
-        new = np.zeros(arr.shape[:arr.ndim - dim] + (2 * band,) * dim, dtype=arr.dtype)
+        new = np.zeros(arr.shape[:arr.ndim - dim] + (2 * band,) * (dim - 1) + (band + 1,),
+                       dtype=arr.dtype)
         for src, dst in blocks:
             new[(..., *dst)] = arr[(..., *src)]
         if band < old:

@@ -15,18 +15,17 @@ from stochwave.experiments import (
     parse_config_file,
     resolve_config,
 )
-from stochwave.spectral import _norm_weights, shell_index
+from stochwave.semigroup import propagator_tables
+from stochwave.spectral import shell_index
 
 
 def lowband_state(seed=0):
     """1D initial data confined to modes {0, +-1}: every level retains it."""
-    u = np.zeros(4, dtype=np.complex128)
-    v = np.zeros(4, dtype=np.complex128)
+    u = np.zeros(3, dtype=np.complex128)
+    v = np.zeros(3, dtype=np.complex128)
     rng = np.random.default_rng(seed)
     u[0], v[0] = rng.standard_normal(2)
-    a, b = rng.standard_normal(2)
-    u[1] = u[-1] = a
-    v[1] = v[-1] = b
+    u[1], v[1] = rng.standard_normal(2)
     return sw.SpectralState(u, v)
 
 
@@ -344,38 +343,43 @@ class TestErrorSplit:
         # chunk of three samples, one reduction per method and level
         assert len(shapes) == 4 * 3
         for shape in shapes:
-            assert shape == ((3, 128), (3, 128), (128,), (128,))
+            assert shape == ((3, 65), (3, 65), (65,), (65,))
 
 
 def full_box_energy(state, t):
     """Per-mode gamma = 0 pair-norm energy of the flow e^(tL) state, built
-    on the whole box, and the box's shell index max_j |k_j|."""
-    flow = sw.recover_high(state, t)
-    wu, wv = _norm_weights(state.dim, state.band, 0.0)
-    energy = (wu * (flow.u_hat.real ** 2 + flow.u_hat.imag ** 2)
-              + wv * (flow.v_hat.real ** 2 + flow.v_hat.imag ** 2))
-    return energy, shell_index(state.dim, state.band)
+    on the whole (2n,)^d box of the state's full spectrum (the complex FFT
+    of its fields), and the box's shell index max_j |k_j|."""
+    n = 2 * state.band
+    k = np.meshgrid(*[np.fft.fftfreq(n, 1 / n)] * state.dim, indexing="ij")
+    lam2 = (2 * np.pi) ** 2 * sum(kj * kj for kj in k)
+    a11, a12, a21, a22 = propagator_tables(np.sqrt(lam2), t)
+    u, v = (np.fft.fftn(f, norm="forward") for f in sw.state_to_fields(state))
+    fu, fv = a11 * u + a12 * v, a21 * u + a22 * v
+    energy = np.abs(fu) ** 2 + np.abs(fv) ** 2 / (1 + lam2)
+    return energy, np.maximum.reduce([np.abs(kj) for kj in k])
 
 
 class TestTails:
     @pytest.mark.parametrize("dim,band,rows", [(1, 1024, 100), (2, 64, 10)])
     def test_outside_energy_matches_full_box_flow(self, monkeypatch, dim, band, rows):
-        # slabs of `rows` rows do not tile the band + 1 orthant rows, so the
-        # last slab is partial
+        # slabs of `rows` slots do not tile the band + 1 slots of the last
+        # axis, so the last slab is partial
         assert (band + 1) % rows
         monkeypatch.setattr(exp, "_SLAB_BYTES", rows * 16 * (2 * band) ** (dim - 1))
         rng = np.random.default_rng(dim)
         shape = (2 * band,) * dim
-        # complex white noise on every slot, unpaired ones included: not Hermitian
-        state = sw.SpectralState(*(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                                   for _ in range(2)))
+        # white noise on every paired mode
+        state = sw.state_from_fields(rng.standard_normal(shape), rng.standard_normal(shape))
         boxes = {1, 7, band // 2, band - 1, band, band + 1}
         got = exp._outside_energy(state, 0.25, boxes)
         energy, shell = full_box_energy(state, 0.25)
         assert set(got) == boxes
-        for b in boxes:
+        for b in boxes - {band, band + 1}:
             np.testing.assert_allclose(got[b], np.sum(energy[shell >= b]), rtol=1e-14, atol=0)
-        assert got[band + 1] == 0.0 and got[band] > 0.0
+        # the state's unpaired slots hold nothing, the oracle's rounding there
+        assert got[band + 1] == got[band] == 0.0 and got[band - 1] > 0.0
+        assert np.sum(energy[shell >= band]) < 1e-30 * np.sum(energy)
 
     @pytest.mark.parametrize("case", ["preset1-wide-n_cuts", "preset3-wide-n_cuts",
                                       "explicit-full-box-1d", "explicit-full-box-2d"])
@@ -412,8 +416,8 @@ class TestTails:
             assert (study.tails > 0).all()
 
     def test_tail_pass_builds_no_full_box_array(self):
-        # a 2D box of 1024^2 modes: 16 MiB per complex array
-        shape = (1024, 1024)
+        # a 2D box of 1024^2 modes: 8 MiB per complex half-spectrum array
+        shape = (1024, 513)
         state = sw.SpectralState(np.full(shape, 1.0 + 2.0j), np.full(shape, 3.0 - 1.0j))
         tracemalloc.start()
         try:
@@ -516,14 +520,80 @@ class TestBlockStudy:
             return res
 
         monkeypatch.setattr(exp, "run_block", spy)
-        # one 2D row at band 512 is 16 MiB, so the three samples need chunks
+        # one 2D row at band 512 is 8 MiB, so the four samples need chunks
         cfg = sw.ExperimentConfig(dim=2, preset=4, gamma=0.5, alpha=1.0,
                                   methods=("stm",), levels=(2**-3,), n_cuts=(512,),
-                                  n_samples=3, seed=1)
+                                  n_samples=4, seed=1)
         sw.run_convergence(cfg)
         wide = [nbytes for n_cut, nbytes in blocks if n_cut == 512]
         assert len(wide) == 2
         assert max(nbytes for _, nbytes in blocks) <= exp._BLOCK_BYTES
+
+
+# the perfbench rough_1d and study_2d configs, at two workers
+WORKER_CASES = {
+    "rough_1d": dict(dim=1, preset=2, gamma=0.5, methods=("hr_lri", "sem", "stm"),
+                     levels=(2**-5, 2**-6, 2**-7, 2**-8, 2**-9), tau_ref=2**-11,
+                     alpha=2.0, n_samples=6),
+    "study_2d": dict(dim=2, preset=4, gamma=1.0, methods=("hr_lri", "sem", "stm"),
+                     levels=(2**-4, 2**-5, 2**-6), tau_ref=2**-8, alpha=1.5,
+                     n_samples=4),
+}
+
+
+class TestChunkRows:
+    @pytest.mark.parametrize("case,chunks", [("rough_1d", 1), ("study_2d", 2)])
+    def test_workers_split_only_above_byte_floor(self, case, chunks):
+        # 1D at M = 512: three rows per worker would be 24 KiB blocks, below
+        # the floor, so the six samples stay one chunk; 2D at M = 64: one
+        # row is 130 KiB, so the four samples split over the two workers
+        cfg = resolve_config(sw.ExperimentConfig(n_workers=2, **WORKER_CASES[case]))
+        rows = exp._chunk_rows(exp._prepare(cfg))
+        assert -(-cfg.n_samples // rows) == chunks
+
+
+class TestMemoryGuard:
+    @staticmethod
+    def physical_memory(monkeypatch, nbytes):
+        sizes = {"SC_PHYS_PAGES": nbytes, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(exp.os, "sysconf", lambda name: sizes[name])
+
+    def test_guard_sizes_the_half_array(self, monkeypatch):
+        # 2D band 64: one complex half array is 16 * 128 * 65 bytes, about
+        # half the full 128^2 box
+        need = 16 * 128 * 65
+        self.physical_memory(monkeypatch, need)
+        assert exp._full_grid(2, 64, 1.0).n_high == 64
+        self.physical_memory(monkeypatch, need - 1)
+        with pytest.raises(sw.ConfigError, match="physical memory"):
+            exp._full_grid(2, 64, 1.0)
+
+    def test_refused_before_any_step(self, monkeypatch, tmp_path, capsys):
+        from stochwave.cli import main
+
+        def never(*args, **kwargs):
+            raise AssertionError("stepped before the memory guard")
+
+        monkeypatch.setattr(exp, "run_block", never)
+        monkeypatch.setattr(exp, "run", never)
+        # 512 bytes: less than one half array at the study's reference band
+        # 32^2 = 1024 or the single run's 8^2 = 64
+        self.physical_memory(monkeypatch, 512)
+        study = sw.ExperimentConfig(dim=1, preset=2, levels=(2**-3, 2**-4, 2**-5),
+                                    n_samples=2, out_dir=str(tmp_path / "study"))
+        with pytest.raises(sw.ConfigError, match="physical memory"):
+            sw.run_convergence(study)
+        single = sw.ExperimentConfig(dim=1, preset=1, tau=2**-5,
+                                     out_dir=str(tmp_path / "single"))
+        with pytest.raises(sw.ConfigError, match="physical memory"):
+            sw.run_single(single)
+        rc = main(["converge", "--preset", "2", "--tau", "0.125", "--levels", "3",
+                   "--samples", "2", "--out", str(tmp_path / "cli")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "configuration error" in err and "physical memory" in err
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
 
 
 class TestCompare:

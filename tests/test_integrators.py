@@ -9,7 +9,6 @@ import pytest
 import stochwave as sw
 from stochwave.integrators import SCHEMES, linear_exact_discrepancy
 from stochwave.semigroup import apply, group_tables, propagator_tables
-from stochwave.spectral import full_spectrum, half_spectrum, mode_indices
 
 
 def random_state(grid, seed=0, band=None):
@@ -18,6 +17,12 @@ def random_state(grid, seed=0, band=None):
     shape = (2 * band,) * grid.dim
     return sw.state_from_fields(rng.standard_normal(shape),
                                 rng.standard_normal(shape))
+
+
+def full_layout(half):
+    """Oracle: the full (2m,)^d spectrum of a half spectrum's real field, by
+    the complex FFT of its samples."""
+    return np.fft.fftn(sw.inverse(half), norm="forward")
 
 
 def flow(state, t):
@@ -31,14 +36,13 @@ def explicit_problem(state, f=None, sigma=None):
 
 def step(kind, state, tau, dw, f, sigma, cut=None):
     """One step of scheme ``kind`` at the state's band, cut there by default,
-    as a half-layout block of one row, converted back to the full layout."""
-    dim = state.dim
-    tables = [half_spectrum(a) for a in SCHEMES[kind].tables(dim, state.band, tau)]
+    as a block of one row."""
+    tables = SCHEMES[kind].tables(state.dim, state.band, tau)
     cut = state.band if cut is None else cut
-    u, v, bad = sw.step_block(half_spectrum(state.u_hat)[None], half_spectrum(state.v_hat)[None],
+    u, v, bad = sw.step_block(state.u_hat[None], state.v_hat[None],
                               tables, cut, tau, np.array([dw]), f, sigma)
     assert not bad
-    return sw.SpectralState(full_spectrum(u, dim)[0], full_spectrum(v, dim)[0])
+    return sw.SpectralState(u[0], v[0])
 
 
 # ---------------------------------------------------------------------------
@@ -93,25 +97,27 @@ def lri_step_oracle(u_hat, v_hat, tau, dw, sigma, cut):
 def full_step_oracle(kind, state, tau, dw, f, sigma, cut):
     """One 2D step in the full layout: np.fft.ifft2/fft2 on the whole mode
     box, the mask from its own frequency grid, and the per-mode 2x2 from
-    propagator_tables (the explicit resolvent for sem)."""
+    propagator_tables (the explicit resolvent for sem).  Returns the new
+    full-layout (u, v)."""
+    u_hat, v_hat = full_layout(state.u_hat), full_layout(state.v_hat)
     n = 2 * state.band
     k = np.fft.fftfreq(n, 1.0 / n)
     kx, ky = np.meshgrid(k, k, indexing="ij")
     top = min(cut, state.band - 1)
     keep = (np.abs(kx) <= top) & (np.abs(ky) <= top)
-    field = np.fft.ifft2(state.u_hat * keep).real * n * n
+    field = np.fft.ifft2(u_hat * keep).real * n * n
 
     def image(g):
         return np.fft.fft2(g(field)) / (n * n) * keep
 
-    w = state.v_hat + tau * image(f) + dw * image(sigma)
+    w = v_hat + tau * image(f) + dw * image(sigma)
     lam2 = (2 * np.pi) ** 2 * (kx * kx + ky * ky)
     if kind == "sem":
         det = 1.0 + tau * tau * lam2
         a11, a12, a21, a22 = 1.0 / det, tau / det, -tau * lam2 / det, 1.0 / det
     else:
         a11, a12, a21, a22 = propagator_tables(np.sqrt(lam2), tau)
-    return a11 * state.u_hat + a12 * w, a21 * state.u_hat + a22 * w
+    return a11 * u_hat + a12 * w, a21 * u_hat + a22 * w
 
 
 class TestStep2D:
@@ -124,7 +130,7 @@ class TestStep2D:
         f, sigma = sw.scaled_cosine(3.0), sw.scaled_sine(16.0)
         out = step(kind, state, tau, dw, f, sigma, cut)
         ou, ov = full_step_oracle(kind, state, tau, dw, f, sigma, cut)
-        for got, want in ((out.u_hat, ou), (out.v_hat, ov)):
+        for got, want in ((out.u_hat, ou[:, :9]), (out.v_hat, ov[:, :9])):
             np.testing.assert_allclose(got, want, rtol=1e-12,
                                        atol=1e-12 * np.abs(want).max())
 
@@ -150,10 +156,11 @@ class TestStepLRI:
         state = random_state(grid, seed=3)
         tau, dw, cut = 1 / 32, 0.41, 6
         out = step("lri", state, tau, dw, sw.zero_fn(), sw.scaled_sine(1.0), cut)
-        ou, ov = lri_step_oracle(state.u_hat, state.v_hat, tau, dw, np.sin, cut)
+        u_hat, v_hat = full_layout(state.u_hat), full_layout(state.v_hat)
+        ou, ov = lri_step_oracle(u_hat, v_hat, tau, dw, np.sin, cut)
         scale = max(np.abs(ou).max(), np.abs(ov).max())
-        assert np.abs(out.u_hat - ou).max() < 1e-12 * scale
-        assert np.abs(out.v_hat - ov).max() < 1e-12 * scale
+        assert np.abs(out.u_hat - ou[:9]).max() < 1e-12 * scale
+        assert np.abs(out.v_hat - ov[:9]).max() < 1e-12 * scale
 
     def test_matches_brute_force_with_forcing(self):
         grid = sw.make_grid(1, 8, 1.0)
@@ -163,17 +170,18 @@ class TestStepLRI:
         out = step("lri", state, tau, dw, f, sw.scaled_sine(1.0), cut)
         # fold the deterministic forcing into the oracle's diffusion slot:
         # tau*g + dw*z with two separate oracle passes
-        ou1, ov1 = lri_step_oracle(state.u_hat, state.v_hat, tau, dw, np.sin, cut)
-        zero_u = np.zeros_like(state.u_hat)
-        gu, gv = lri_step_oracle(state.u_hat, zero_u, tau, tau,
+        u_hat, v_hat = full_layout(state.u_hat), full_layout(state.v_hat)
+        ou1, ov1 = lri_step_oracle(u_hat, v_hat, tau, dw, np.sin, cut)
+        zero_u = np.zeros_like(u_hat)
+        gu, gv = lri_step_oracle(u_hat, zero_u, tau, tau,
                                  lambda s: 2.0 * np.cos(s), cut)
         # remove the duplicated linear flow of (u_hat, 0)
-        lin_u, lin_v = lri_step_oracle(state.u_hat, zero_u, tau, 0.0, np.sin, cut)
+        lin_u, lin_v = lri_step_oracle(u_hat, zero_u, tau, 0.0, np.sin, cut)
         ou = ou1 + (gu - lin_u)
         ov = ov1 + (gv - lin_v)
         scale = max(np.abs(ou).max(), np.abs(ov).max())
-        assert np.abs(out.u_hat - ou).max() < 1e-12 * scale
-        assert np.abs(out.v_hat - ov).max() < 1e-12 * scale
+        assert np.abs(out.u_hat - ou[:9]).max() < 1e-12 * scale
+        assert np.abs(out.v_hat - ov[:9]).max() < 1e-12 * scale
 
     def test_prefiltered_input_unchanged(self):
         grid = sw.make_grid(1, 8, 1.0)
@@ -222,8 +230,7 @@ class TestRecoverHigh:
         grid = sw.make_grid(1, 4, 2.0)
         band = sw.project_band(random_state(grid, seed=3), 4, 16)
         out = sw.recover_high(band, 0.37)
-        idx = mode_indices(16)
-        lam2 = (2 * np.pi * np.abs(idx)) ** 2
+        lam2 = (2 * np.pi * np.arange(17)) ** 2
         e0 = np.abs(band.v_hat) ** 2 + lam2 * np.abs(band.u_hat) ** 2
         e1 = np.abs(out.v_hat) ** 2 + lam2 * np.abs(out.u_hat) ** 2
         np.testing.assert_allclose(e1, e0, rtol=1e-12, atol=1e-20)
@@ -256,8 +263,7 @@ class TestStepSEM:
         grid = sw.make_grid(1, 16, 1.0)
         state = random_state(grid, seed=6)
         out = step("sem", state, 0.1, 0.0, sw.zero_fn(), sw.scaled_sine(16.0))
-        idx = mode_indices(16)
-        lam2 = (2 * np.pi * np.abs(idx)) ** 2
+        lam2 = (2 * np.pi * np.arange(17)) ** 2
         e0 = np.abs(state.v_hat) ** 2 + lam2 * np.abs(state.u_hat) ** 2
         e1 = np.abs(out.v_hat) ** 2 + lam2 * np.abs(out.u_hat) ** 2
         assert np.all(e1 <= e0 * (1 + 1e-12))
@@ -268,10 +274,9 @@ class TestStepSEM:
         tau, dw = 0.2, -0.35
         sigma = sw.scaled_sine(2.0)
         out = step("sem", state, tau, dw, sw.zero_fn(), sigma)
-        z = full_spectrum(sw.pseudospectral_apply(sigma, half_spectrum(state.u_hat), 8))
-        idx = mode_indices(8)
-        for i, k in enumerate(idx):
-            lam = 2 * np.pi * abs(k)
+        z = sw.pseudospectral_apply(sigma, state.u_hat, 8)
+        for i in range(9):
+            lam = 2 * np.pi * i
             a = np.array([[1.0, -tau], [tau * lam**2, 1.0]])
             rhs = np.array([state.u_hat[i], state.v_hat[i] + dw * z[i]])
             expect = np.linalg.solve(a, rhs)
@@ -488,12 +493,9 @@ class TestRunBlock:
 
 
     def test_non_hermitian_initial_state_refused(self):
-        # the half layout drops k_last < 0, so a state whose u(1) is not
-        # conj u(-1) would be stepped wrongly: refused before any step
-        grid = sw.make_grid(1, 8, 1.0)
-        state = random_state(grid, seed=17)
-        u = state.u_hat.copy()
-        u[1] += 0.5
+        # a state is no real field's spectrum unless its k_last = 0 plane is
+        # Hermitian: an imaginary k = 0 coefficient in 1D, u(1, 0) other than
+        # conj u(-1, 0) in 2D, is refused before any step
         calls = []
 
         class Recording:
@@ -503,16 +505,22 @@ class TestRunBlock:
                 calls.append(field.shape)
                 return np.sin(field)
 
-        problem = explicit_problem(sw.SpectralState(u, state.v_hat), sigma=Recording())
         spec = sw.method_spec("stm", 2**-5, 0.25)
         paths = [sw.sample_path(8, s, 0.25, 2**-5) for s in range(2)]
-        with pytest.raises(ValueError, match="not Hermitian"):
-            sw.run_block(spec, grid, problem, paths)
-        with pytest.raises(ValueError, match="not Hermitian"):
-            sw.run(spec, grid, problem, paths[0])
-        assert not calls
-        sw.run_block(spec, grid, explicit_problem(state, sigma=Recording()), paths)
-        assert calls
+        for dim, slot in ((1, (0,)), (2, (1, 0))):
+            grid = sw.make_grid(dim, 8, 1.0)
+            state = random_state(grid, seed=17)
+            u = state.u_hat.copy()
+            u[slot] += 0.5j
+            problem = explicit_problem(sw.SpectralState(u, state.v_hat), sigma=Recording())
+            with pytest.raises(ValueError, match="not Hermitian"):
+                sw.run_block(spec, grid, problem, paths)
+            with pytest.raises(ValueError, match="not Hermitian"):
+                sw.run(spec, grid, problem, paths[0])
+            assert not calls
+            sw.run_block(spec, grid, explicit_problem(state, sigma=Recording()), paths)
+            assert calls
+            calls.clear()
 
 
 class TestZeroModeOracle:

@@ -9,9 +9,10 @@ from stochwave.problems import _DATA_STREAMS
 from stochwave.spectral import collocation_nodes, mode_indices
 
 
-def negated(arr):
-    """arr at -k: slot i of every axis read from slot (-i) mod length."""
-    return arr[np.ix_(*[(-np.arange(n)) % n for n in arr.shape])]
+def full_layout(half):
+    """Oracle: the full (2m,)^d spectrum of a half spectrum's real field, by
+    the complex FFT of its samples."""
+    return np.fft.fftn(sw.inverse(half), norm="forward")
 
 
 def node_value(state, x_target):
@@ -125,18 +126,27 @@ class TestIndicator2D:
 
 class TestRandomHGamma:
     def test_real_field_by_symmetry(self):
+        # real coefficients: the k = 0 coefficient is real, so the half
+        # spectrum is a real field's, and that field is even
         grid = sw.make_grid(1, 32, 1.5)
         state = sw.build_random_hgamma(grid, 0.5, seed=4)
+        sw.state_to_fields(state)
         for arr in (state.u_hat, state.v_hat):
             assert arr.any()
-            np.testing.assert_array_equal(arr, np.conj(negated(arr)))
+            assert not arr.imag.any()
+            field = sw.inverse(arr)
+            np.testing.assert_allclose(field[-np.arange(field.size)], field,
+                                       rtol=0, atol=1e-14 * np.abs(field).max())
 
     def test_conjugate_pairs_share_draw(self):
+        # the half spectrum stores k >= 0 only; the oracle's full spectrum
+        # of its field holds the same value at -k
         grid = sw.make_grid(1, 16, 1.0)
         state = sw.build_random_hgamma(grid, 0.5, seed=4)
-        for k in range(1, 16):
-            assert state.u_hat[k] == state.u_hat[-k]
-            assert state.v_hat[k] == state.v_hat[-k]
+        for arr in (state.u_hat, state.v_hat):
+            full = full_layout(arr)
+            for k in range(1, 16):
+                assert full[-k] == pytest.approx(arr[k], rel=1e-14, abs=1e-15)
 
     def test_seed_reproducibility(self):
         grid = sw.make_grid(2, 8, 1.5)
@@ -176,7 +186,9 @@ class TestRandomHGamma:
         # axes carry no content (either index zero kills the product)
         assert not state.u_hat[0, :].any()
         assert not state.u_hat[:, 0].any()
-        np.testing.assert_array_equal(state.u_hat, np.conj(negated(state.u_hat)))
+        # real and even along the first axis, whose slots hold k and -k
+        assert not state.u_hat.imag.any()
+        np.testing.assert_array_equal(state.u_hat, state.u_hat[-np.arange(16)])
 
     @pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
     def test_matches_documented_formula(self, dim):
@@ -194,11 +206,13 @@ class TestRandomHGamma:
         u_pow = absk ** (-gamma - 0.51)
         v_pow = absk ** (-gamma + 0.49)
         draws = [standard_uniforms(seed, s, kmax) for s in _DATA_STREAMS[:2 * dim]]
-        k = mode_indices(grid.n_high)
+        # the first axes take every slot, the last one |k| = 0..n_high
+        k = [np.abs(mode_indices(grid.n_high))] * (dim - 1) + [np.arange(grid.n_high + 1)]
+        assert state.u_hat.shape == tuple(a.size for a in k)
         for idx in np.ndindex(state.u_hat.shape):
             u = v = 1.0
             for j, i in enumerate(idx):
-                a = abs(int(k[i]))
+                a = int(k[j][i])
                 if not 1 <= a <= kmax:
                     u = v = 0.0
                     break

@@ -6,11 +6,17 @@ import numpy as np
 import pytest
 
 import stochwave as sw
-from stochwave.spectral import band_mask, collocation_nodes, lambda_sq, mode_indices
+from stochwave.spectral import (
+    band_mask,
+    check_hermitian,
+    collocation_nodes,
+    lambda_sq,
+    mode_indices,
+)
 
 
 def random_state(grid, seed=0, band=None):
-    """Hermitian state from random real fields."""
+    """State of random real fields."""
     rng = np.random.default_rng(seed)
     band = grid.n_high if band is None else band
     shape = (2 * band,) * grid.dim
@@ -18,13 +24,15 @@ def random_state(grid, seed=0, band=None):
                                 rng.standard_normal(shape))
 
 
-def negated(arr):
-    """arr at -k: slot i of every axis read from slot (-i) mod length."""
-    return arr[np.ix_(*[(-np.arange(n)) % n for n in arr.shape])]
+def full_layout(half):
+    """Oracle: the full (2m,)^d spectrum of a half spectrum's real field, by
+    the complex FFT of its samples."""
+    return np.fft.fftn(sw.inverse(half), norm="forward")
 
 
-def assert_exactly_hermitian(arr):
-    np.testing.assert_array_equal(arr, np.conj(negated(arr)))
+def modes(slot, band):
+    """The frequencies (k_1, ..., k_d) of a slot of a band-m half spectrum."""
+    return [int(mode_indices(band)[i]) for i in slot[:-1]] + [slot[-1]]
 
 
 class TestMakeGrid:
@@ -57,12 +65,14 @@ class TestTransforms:
         assert np.abs(coeffs[1:]).max() < 1e-14
 
     def test_single_harmonic(self):
+        # cos(2 pi x) = (e^(2i pi x) + e^(-2i pi x)) / 2: the half spectrum
+        # holds the k = 1 coefficient, its partner at -1 is not stored
         x = collocation_nodes(8)
-        coeffs = sw.full_spectrum(sw.forward(np.cos(2 * np.pi * x)))
+        coeffs = sw.forward(np.cos(2 * np.pi * x))
+        assert coeffs.shape == (9,)
         assert coeffs[1] == pytest.approx(0.5, abs=1e-14)
-        assert coeffs[-1] == pytest.approx(0.5, abs=1e-14)
         rest = coeffs.copy()
-        rest[[1, -1]] = 0
+        rest[1] = 0
         assert np.abs(rest).max() < 1e-14
 
     @pytest.mark.parametrize("dim,band", [(1, 8), (1, 64), (2, 8), (2, 16)])
@@ -94,46 +104,39 @@ class TestTransforms:
             sw.forward(np.zeros((16, 8)))
 
     def test_state_from_fields_is_hermitian(self):
+        # the slots k_last in [0, m] of the fields' full spectrum, unpaired
+        # slots zeroed; the k_last = 0 plane is Hermitian to rounding
         grid = sw.make_grid(2, 8, 1.5)
-        state = random_state(grid, seed=3)
-        assert_exactly_hermitian(state.u_hat)
-        assert_exactly_hermitian(state.v_hat)
-
-    @pytest.mark.parametrize("dim,band", [(1, 32), (2, 16)], ids=["1d", "2d"])
-    def test_conjugate_symmetry_is_bit_exact(self, dim, band):
-        # c(k) == conj c(-k) to the last bit, not to rounding: a step keeps
-        # only k_last >= 0, so the other half must be exactly its mirror
-        rng = np.random.default_rng(20 + dim)
-        shape = (2 * band,) * dim
-        state = sw.state_from_fields(rng.standard_normal(shape), rng.standard_normal(shape))
-        assert state.u_hat.any()
-        assert_exactly_hermitian(state.u_hat)
-        assert_exactly_hermitian(state.v_hat)
-
-    @pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
-    def test_half_full_mirror(self, dim):
-        # a Hermitian x built by its own index map, (y + conj y(-k)) / 2 with
-        # the unpaired slots zeroed, comes back bit for bit from its half,
-        # alone and as a row of a block
-        rng = np.random.default_rng(30 + dim)
-        shape = (12,) * dim
-        y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        x = (y + np.conj(negated(y))) / 2 * band_mask(dim, 6, 6)
-        half = sw.half_spectrum(x)
-        assert half.shape == (12,) * (dim - 1) + (7,)
-        np.testing.assert_array_equal(half, x[..., :7])
-        np.testing.assert_array_equal(sw.full_spectrum(half), x)
-        rows = sw.half_spectrum(np.stack([np.conj(x), x]))
-        np.testing.assert_array_equal(sw.full_spectrum(rows, dim)[1], x)
+        n = grid.n_high
+        rng = np.random.default_rng(3)
+        u, v = (rng.standard_normal((2 * n, 2 * n)) for _ in range(2))
+        state = sw.state_from_fields(u, v)
+        assert state.u_hat.shape == (2 * n, n + 1)
+        for field, arr in ((u, state.u_hat), (v, state.v_hat)):
+            full = np.fft.fftn(field, norm="forward")
+            np.testing.assert_allclose(arr, full[:, :n + 1] * band_mask(2, n, n),
+                                       rtol=0, atol=1e-14 * np.abs(full).max())
+            plane = arr[:, 0]
+            resid = np.abs(plane - np.conj(plane[-np.arange(2 * n)])).max()
+            assert resid < 1e-15 * np.abs(arr).max()
+        check_hermitian(state)
 
     def test_non_hermitian_state_refused(self):
-        grid = sw.make_grid(1, 8, 1.0)
-        state = random_state(grid)
-        u = state.u_hat.copy()
-        u[1] += 0.5  # now u(1) != conj u(-1)
-        with pytest.raises(ValueError, match="not Hermitian"):
-            sw.state_to_fields(sw.SpectralState(u, state.v_hat))
-        sw.state_to_fields(state)
+        # the one constraint of a half spectrum is its k_last = 0 plane: a
+        # 1D k = 0 coefficient must be real, and in 2D u(1, 0) must be
+        # conj u(-1, 0); any value above k_last = 0 is a real field's
+        for dim, slot in ((1, (0,)), (2, (1, 0))):
+            state = random_state(sw.make_grid(dim, 8, 1.0))
+            bad = state.u_hat.copy()
+            bad[slot] += 0.5j
+            with pytest.raises(ValueError, match="not Hermitian"):
+                sw.state_to_fields(sw.SpectralState(bad, state.v_hat))
+            with pytest.raises(ValueError, match="not Hermitian"):
+                sw.state_to_fields(sw.SpectralState(state.u_hat, bad))
+            sw.state_to_fields(state)
+            fine = state.u_hat.copy()
+            fine[(0,) * (dim - 1) + (1,)] += 0.5j
+            sw.state_to_fields(sw.SpectralState(fine, state.v_hat))
 
 
 class TestProjections:
@@ -154,27 +157,26 @@ class TestProjections:
     def test_mode_survival(self):
         grid = sw.make_grid(1, 16, 1.0)
         state = sw.zero_state(grid.dim, grid.n_high)
+        assert state.u_hat.shape == (17,)
         u = state.u_hat.copy()
-        for k in (0, 3, -3, 9, -9):
+        for k in (0, 3, 9):
             u[k] = 1.0
         state = sw.SpectralState(u, state.v_hat)
         kept = sw.project_low(state, 4)
-        idx = mode_indices(16)
         # oracle: direct mask enumeration over every mode
-        for i, k in enumerate(idx):
-            expect = 1.0 if k in (0, 3, -3) else 0.0
-            assert kept.u_hat[i] == expect
+        for k in range(17):
+            expect = 1.0 if k in (0, 3) else 0.0
+            assert kept.u_hat[k] == expect
 
     def test_band_selects_annulus(self):
-        u = np.zeros(32, dtype=np.complex128)
-        for k in (0, 3, -3, 9, -9):
+        u = np.zeros(17, dtype=np.complex128)
+        for k in (0, 3, 9):
             u[k] = 1.0
         state = sw.SpectralState(u, np.zeros_like(u))
         band = sw.project_band(state, 3, 9)
-        idx = mode_indices(16)
-        for i, k in enumerate(idx):
-            expect = 1.0 if k in (9, -9) else 0.0
-            assert band.u_hat[i] == expect
+        for k in range(17):
+            expect = 1.0 if k == 9 else 0.0
+            assert band.u_hat[k] == expect
 
     def test_partition_of_unity(self):
         grid = sw.make_grid(1, 8, 2.0)
@@ -214,11 +216,11 @@ class TestProjections:
 
 class TestSobolevNorm:
     def test_single_mode_multiplier(self):
-        u = np.zeros(16, dtype=np.complex128)
-        u[1] = 1.0  # exp(2 pi i x)
+        u = np.zeros(9, dtype=np.complex128)
+        u[1] = 1.0  # exp(2 pi i x) + exp(-2 pi i x): the slot stands for both
         state = sw.SpectralState(u, np.zeros_like(u))
         assert sw.sobolev_norm(state, 1.0) == pytest.approx(
-            math.sqrt(1 + 4 * math.pi**2), rel=1e-13)
+            math.sqrt(2 * (1 + 4 * math.pi**2)), rel=1e-13)
 
     def test_constant_velocity(self):
         v = np.zeros(16, dtype=np.complex128)
@@ -228,16 +230,36 @@ class TestSobolevNorm:
             assert sw.sobolev_norm(state, gamma) == pytest.approx(2.5, rel=1e-13)
 
     def test_matches_independent_mode_loop(self):
-        grid = sw.make_grid(2, 6, 1.5)
-        state = random_state(grid, seed=5)
-        idx = mode_indices(state.band)
+        # every mode of the oracle's full spectrum, k and -k alike, in 1D and 2D
+        for dim in (1, 2):
+            grid = sw.make_grid(dim, 6, 1.5)
+            state = random_state(grid, seed=5)
+            full_u, full_v = full_layout(state.u_hat), full_layout(state.v_hat)
+            idx = mode_indices(state.band)
+            acc = 0.0
+            for slot in np.ndindex(full_u.shape):
+                lam2 = (2 * np.pi) ** 2 * sum(float(idx[i]) ** 2 for i in slot)
+                acc += abs(full_u[slot]) ** 2 * (1 + lam2) ** 0.5
+                acc += abs(full_v[slot]) ** 2 * (1 + lam2) ** -0.5
+            assert sw.sobolev_norm(state, 0.5) == pytest.approx(math.sqrt(acc), rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+    def test_diff_norm_matches_full_layout(self, dim):
+        # states at bands 5 and 8: the oracle pads the narrow one's full
+        # spectrum to the wide box by frequency and sums over every mode
+        rng = np.random.default_rng(50 + dim)
+        a, b = (sw.state_from_fields(rng.standard_normal((2 * n,) * dim),
+                                     rng.standard_normal((2 * n,) * dim)) for n in (5, 8))
+        keep = np.ix_(*[np.arange(-4, 5)] * dim)
+        k = np.fft.fftfreq(16, 1 / 16)
+        lam2 = (2 * np.pi) ** 2 * sum(np.meshgrid(*[k * k] * dim, indexing="ij"))
         acc = 0.0
-        for i, ki in enumerate(idx):
-            for j, kj in enumerate(idx):
-                lam2 = (2 * np.pi) ** 2 * (ki**2 + kj**2)
-                acc += abs(state.u_hat[i, j]) ** 2
-                acc += abs(state.v_hat[i, j]) ** 2 / (1 + lam2)
-        assert sw.sobolev_norm(state, 0.0) == pytest.approx(math.sqrt(acc), rel=1e-12)
+        for gamma_shift, ha, hb in ((0.0, a.u_hat, b.u_hat), (-1.0, a.v_hat, b.v_hat)):
+            diff = -full_layout(hb)
+            diff[keep] += full_layout(ha)[keep]
+            acc += np.sum(np.abs(diff) ** 2 * (1 + lam2) ** (0.5 + gamma_shift))
+        assert sw.diff_norm(a, b, 0.5) == pytest.approx(math.sqrt(acc), rel=1e-12)
+        assert sw.diff_norm(b, a, 0.5) == pytest.approx(math.sqrt(acc), rel=1e-12)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0])
     def test_bernstein_multiplier_bound(self, gamma):
@@ -251,8 +273,7 @@ class TestSobolevNorm:
 class TestPseudospectral:
     @staticmethod
     def apply(fn, state, cut):
-        """pseudospectral_apply on the half of u_hat, in the full layout."""
-        return sw.full_spectrum(sw.pseudospectral_apply(fn, sw.half_spectrum(state.u_hat), cut))
+        return sw.pseudospectral_apply(fn, state.u_hat, cut)
 
     def test_identity_reproduces_band_limited(self):
         grid = sw.make_grid(1, 16, 1.0)
@@ -272,9 +293,9 @@ class TestPseudospectral:
         x = collocation_nodes(8)
         state = sw.state_from_fields(np.cos(2 * np.pi * x), np.zeros(16))
         out = self.apply(lambda u: u * u, state, 8)
-        expect = np.zeros(16, dtype=np.complex128)
+        expect = np.zeros(9, dtype=np.complex128)
         expect[0] = 0.5
-        expect[2] = expect[-2] = 0.25
+        expect[2] = 0.25
         np.testing.assert_allclose(out, expect, atol=1e-14)
 
     def test_rejects_non_finite(self):
@@ -320,25 +341,39 @@ class TestBandChanges:
         # oracle, mode by mode: k moves from its slot at the old band to its
         # slot at the new one when every |k_j| <= new - 1; all else is zero
         rng = np.random.default_rng(100 * dim + 10 * old + new)
-        shape = (2 * old,) * dim
+        shape = (2 * old,) * (dim - 1) + (old + 1,)
         u, v = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                 for _ in range(2))
         out = sw.with_band(sw.SpectralState(u, v), new)
-        k_old = mode_indices(old)
-        slot = {k: i for i, k in enumerate(mode_indices(new))}
+        slot = {int(k): i for i, k in enumerate(mode_indices(new))}
         for given, got in ((u, out.u_hat), (v, out.v_hat)):
-            expect = np.zeros((2 * new,) * dim, dtype=np.complex128)
+            expect = np.zeros((2 * new,) * (dim - 1) + (new + 1,), dtype=np.complex128)
             for idx in np.ndindex(*shape):
-                ks = [k_old[i] for i in idx]
+                ks = modes(idx, old)
                 if all(abs(k) <= new - 1 for k in ks):
-                    expect[tuple(slot[k] for k in ks)] = given[idx]
+                    expect[tuple(slot[k] for k in ks[:-1]) + (ks[-1],)] = given[idx]
             np.testing.assert_array_equal(got, expect)
+
+    @pytest.mark.parametrize("dim,old,new", [(1, 8, 13), (1, 13, 8), (2, 6, 9), (2, 9, 6)])
+    def test_matches_full_layout_oracle(self, dim, old, new):
+        # padding and truncation of a real field's spectrum: the oracle's
+        # full spectrum keeps every mode with all |k_j| <= min(old, new) - 1
+        # and is zero elsewhere in the new box
+        rng = np.random.default_rng(200 * dim + 10 * old + new)
+        state = sw.state_from_fields(*(rng.standard_normal((2 * old,) * dim) for _ in range(2)))
+        out = sw.with_band(state, new)
+        keep = np.ix_(*[np.arange(1 - min(old, new), min(old, new))] * dim)
+        for given, got in ((state.u_hat, out.u_hat), (state.v_hat, out.v_hat)):
+            expect = np.zeros((2 * new,) * dim, dtype=np.complex128)
+            expect[keep] = full_layout(given)[keep]
+            np.testing.assert_allclose(full_layout(got), expect, rtol=0,
+                                       atol=1e-14 * np.abs(expect).max())
 
     @pytest.mark.parametrize("dim,old,new", [(1, 4, 9), (1, 9, 4), (2, 3, 6), (2, 6, 3)])
     def test_block_rows_restored_alone(self, dim, old, new):
         # with a leading row axis, each row equals that row re-stored alone
         rng = np.random.default_rng(100 * dim + 10 * old + new)
-        shape = (3,) + (2 * old,) * dim
+        shape = (3,) + (2 * old,) * (dim - 1) + (old + 1,)
         u, v = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                 for _ in range(2))
         out = sw.with_band(sw.SpectralState(u, v), new, dim)
@@ -363,8 +398,10 @@ class TestBandChanges:
         out = sw.project_band(sw.project_low(state, 20), 2, 14)
         out = sw.with_band(out, 16)
         assert out.u_hat.any()
-        assert_exactly_hermitian(out.u_hat)
-        assert_exactly_hermitian(out.v_hat)
+        # the one constraint, the real k = 0 coefficient, is kept bit for bit
+        assert state.u_hat[0].imag == 0 and state.v_hat[0].imag == 0
+        assert out.u_hat[0].imag == 0 and out.v_hat[0].imag == 0
+        check_hermitian(out)
 
 
 class TestSnapshotFormat:
@@ -408,9 +445,9 @@ def test_nyquist_slot_stays_empty():
 @pytest.mark.parametrize("dim", [1, 2])
 def test_lambda_grid_matches_definition(dim):
     lam2 = lambda_sq(dim, 8)
-    idx = mode_indices(8)
+    assert lam2.shape == (16,) * (dim - 1) + (9,)
     for slot in np.ndindex(lam2.shape):
-        expect = (2 * np.pi) ** 2 * sum(float(idx[i]) ** 2 for i in slot)
+        expect = (2 * np.pi) ** 2 * sum(float(k) ** 2 for k in modes(slot, 8))
         assert lam2[slot] == expect, slot
 
 
@@ -418,10 +455,10 @@ def test_lambda_grid_matches_definition(dim):
 @pytest.mark.parametrize("cut", [0, 3, 6])
 def test_band_mask_matches_definition(dim, cut):
     mask = band_mask(dim, 6, cut)
-    idx = mode_indices(6)
-    assert mask.shape == (12,) * dim
+    assert mask.shape == (12,) * (dim - 1) + (7,)
     for slot in np.ndindex(mask.shape):
-        expect = all(abs(idx[i]) <= cut and idx[i] != -6 for i in slot)
+        # the unpaired slots hold -6 on the first axes and +6 on the last
+        expect = all(abs(k) <= cut and abs(k) != 6 for k in modes(slot, 6))
         assert mask[slot] == expect, slot
 
 
