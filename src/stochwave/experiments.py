@@ -9,7 +9,7 @@ mean-square distance
     rms(tau) = sqrt( mean_s || U_tau,s(T) - U_ref,s(T) ||_0^2 )
 
 in the L2 x H^-1 pair norm.  The initial state is built once, on the
-reference grid, and restricted spectrally for each run.
+reference grid, and restricted once per stepped band.
 
 The pair norm is diagonal in the Fourier modes, so each squared error splits
 exactly at the box |k|_inf <= M - 1, where M is the widest stepped band of
@@ -84,7 +84,7 @@ from .integrators import (
 from .noise import sample_path
 from .problems import (
     PRESETS,
-    InitialDataSpec,
+    NonlinearitySpec,
     ProblemSpec,
     build_initial,
     preset_problem,
@@ -101,7 +101,6 @@ from .spectral import (
     save_snapshot,
     shell_index,
     sobolev_norm,
-    state_to_fields,
     with_band,
 )
 
@@ -148,14 +147,25 @@ def default_n_cut(tau: float) -> int:
     return max(n, 1)
 
 
+def _check_memory(need: int, what: str) -> None:
+    """Refuse ``what`` if its ``need`` bytes exceed physical memory."""
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ConfigError(f"{what} needs {need / 2**30:.3g} GiB, more than the "
+                          f"{have / 2**30:.3g} GiB of physical memory")
+
+
 def _check_dyadic(name: str, step: float, t_final: float) -> None:
-    """The Brownian lattice needs t_final / step to be a power of two."""
+    """The Brownian lattice needs t_final / step cells, a power of two that fits in memory."""
     if not (math.isfinite(step) and step > 0):
         raise ConfigError(f"{name} must be positive, got {step}")
     r = t_final / step
+    if not math.isfinite(r):
+        raise ConfigError(f"t_final/{name} = {t_final}/{step} overflows")
     n = round(r)
     if n < 1 or abs(r - n) > 1e-9 or n & (n - 1):
         raise ConfigError(f"t_final/{name} = {t_final}/{step} is not a power of two")
+    _check_memory(8 * n, f"the Brownian lattice of t_final/{name} = {n} cells")
 
 
 def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
@@ -232,12 +242,8 @@ def _full_grid(dim: int, n_cut: int, alpha: float) -> SpectralGrid:
     (2 n_high)^(dim-1) (n_high + 1) coefficients, is larger than physical
     memory."""
     grid = make_grid(dim, n_cut, alpha)
-    need = 16 * (2 * grid.n_high) ** (dim - 1) * (grid.n_high + 1)
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise ConfigError(f"band {n_cut} with alpha {alpha} needs {need / 2**30:.3g} GiB "
-                          f"per full-band array, more than the {have / 2**30:.3g} GiB "
-                          "of physical memory")
+    _check_memory(16 * (2 * grid.n_high) ** (dim - 1) * (grid.n_high + 1),
+                  f"one full-band array of band {n_cut} with alpha {alpha}")
     return grid
 
 
@@ -332,8 +338,9 @@ def _aggregate(method: str, levels, n_cuts, err_sq: np.ndarray,
 class _Study:
     """What every sample of a study shares, read-only.
 
-    Runs step on grids without a recovery band; ``band`` is the widest of
-    their stepped bands (M).  ``trajectories[l]`` lists the distinct
+    ``starts[n]`` is the initial state restricted to the stepped band n,
+    one per distinct band of the reference and the levels; ``band`` is the
+    widest of them (M).  ``trajectories[l]`` lists the distinct
     steppings of level l as (spec, method indices, same as the reference):
     methods with equal ``stepping_key`` share one.  ``weights`` are the
     pair-norm weights at band M; ``shifts[m][l]``, the (u, v) pair that the
@@ -342,11 +349,11 @@ class _Study:
     """
 
     config: ExperimentConfig
-    shared: ProblemSpec
+    f: NonlinearitySpec
+    sigma: NonlinearitySpec
+    starts: dict
     band: int
-    ref_grid: SpectralGrid
     ref_method: MethodSpec
-    grids: list
     trajectories: list
     weights: tuple
     shifts: list
@@ -449,22 +456,20 @@ def _prepare(config: ExperimentConfig) -> _Study:
 
     shifts = [[shift(n, h) for n, h in row] for row in runs]
 
-    ref_grid = make_grid(dim, n_ref, 1.0)
     ref_method = method_spec("hr_lri", config.tau_ref, config.t_final)
-    ref_key = stepping_key(ref_method, ref_grid)
-    grids = [make_grid(dim, n, 1.0) for n in config.n_cuts]
+    ref_key = stepping_key(ref_method, n_ref)
     trajectories = []
-    for li, grid in enumerate(grids):
+    for li, n in enumerate(config.n_cuts):
         sharing: dict[tuple, list[int]] = {}
         for mi, row in enumerate(specs):
-            sharing.setdefault(stepping_key(row[li], grid), []).append(mi)
+            sharing.setdefault(stepping_key(row[li], n), []).append(mi)
         trajectories.append([(specs[mis[0]][li], mis, key == ref_key)
                              for key, mis in sharing.items()])
 
-    shared = ProblemSpec(problem.f, problem.sigma, InitialDataSpec("explicit", state=u0))
+    starts = {n: with_band(u0, n) for n in {n_ref, *config.n_cuts}}
     return _Study(
-        config=config, shared=shared, band=band, ref_grid=ref_grid,
-        ref_method=ref_method, grids=grids, trajectories=trajectories,
+        config=config, f=problem.f, sigma=problem.sigma, starts=starts, band=band,
+        ref_method=ref_method, trajectories=trajectories,
         weights=_norm_weights(dim, band, 0.0), shifts=shifts, tails=tails)
 
 
@@ -483,11 +488,12 @@ def _chunk_errors(study: _Study, samples: range):
     err_sq = np.full((len(samples), n_m, len(config.levels)), np.nan)
     wall = np.zeros((n_m, len(config.levels)))
     paths = [sample_path(config.seed, s, config.t_final, config.tau_ref) for s in samples]
-    ref = run_block(study.ref_method, study.ref_grid, study.shared, paths)
+    ref_start = study.starts[default_n_cut(config.tau_ref)]
+    ref = run_block(study.ref_method, ref_start, study.f, study.sigma, paths)
     ref_m = with_band(SpectralState(ref.u_hat, ref.v_hat), study.band, config.dim)
-    for li, grid in enumerate(study.grids):
+    for li, n in enumerate(config.n_cuts):
         for spec, mis, is_ref in study.trajectories[li]:
-            res = ref if is_ref else run_block(spec, grid, study.shared, paths)
+            res = ref if is_ref else run_block(spec, study.starts[n], study.f, study.sigma, paths)
             res_m = with_band(SpectralState(res.u_hat, res.v_hat), study.band, config.dim)
             du, dv = res_m.u_hat - ref_m.u_hat, res_m.v_hat - ref_m.v_hat
             failed = list(ref.failed.keys() | res.failed.keys())
@@ -609,8 +615,7 @@ def run_single(config: ExperimentConfig) -> dict:
 
     def on_snapshot(step, t, state):
         base = os.path.join(config.out_dir, f"snap_{step:06d}")
-        save_snapshot(base + ".swv", state, t)
-        u, _ = state_to_fields(state)
+        u, _ = save_snapshot(base + ".swv", state, t)
         # the middle line along the last axis, noted in the header
         u = u[(u.shape[0] // 2,) * (u.ndim - 1)]
         comment = f"u(x{', 0.5' * (state.dim - 1)}) at t={t:.17g}"

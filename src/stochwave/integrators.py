@@ -25,18 +25,18 @@ every axis), the recovery band (box N^alpha minus box N) and a discarded
 remainder; the recovery band never sees the noise and is propagated to the
 final time in one shot when recovery is enabled.
 
-Stepping works on blocks: ``run_block`` advances S paths at once as a pair
-of arrays of shape (S,) + (2N,)^(d-1) + (N+1,), one half spectrum per row
-(see ``spectral``).  Each step is one ``step_block`` call, that is one
-batched real inverse FFT, one pointwise map, one batched real forward FFT,
-one mask and one 2x2 pass over the modes, driven by the (S,) vector of the
-rows' grouped increments.  Rows never mix, so every row is bit-identical
-to a block of one, and a row that goes non-finite is dropped alone.
-``run`` is a block of one path plus the recovery band.  The stepping
-itself depends only on ``stepping_key``: ``hr_lri`` and ``stm`` always
-step the same trajectory, and ``lri`` does too whenever its filter does
-not cut (the default coupling), so a study steps each distinct key once
-and shares it.
+Stepping works on blocks: ``run_block`` advances S paths at once from a
+given state, whose shape fixes the band N and the dimension d, as arrays of
+shape (S,) + (2N,)^(d-1) + (N+1,), one half spectrum per row.  Each step is
+one ``step_block`` call: one batched real inverse FFT, one pointwise map,
+one batched real forward FFT, one mask and one 2x2 pass over the modes,
+driven by the (S,) vector of the rows' grouped increments.  Rows never mix,
+so every row is bit-identical to a block of one, and a row that goes
+non-finite is dropped alone.  ``run`` builds the initial state on its grid
+and steps it as a block of one path plus the recovery band.  The stepping
+depends only on ``stepping_key``: ``hr_lri`` and ``stm`` always share one
+trajectory, and ``lri`` does too whenever its filter does not cut (the
+default coupling), so a study steps each distinct key once.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import numpy as np
 
 from . import semigroup
 from .noise import WienerLattice, coarsen
-from .problems import InitialDataSpec, NonlinearitySpec, ProblemSpec, build_initial
+from .problems import NonlinearitySpec, ProblemSpec, build_initial
 from .spectral import (
     SpectralGrid,
     SpectralState,
@@ -57,7 +57,6 @@ from .spectral import (
     check_hermitian,
     diff_norm,
     lambda_sq,
-    make_grid,
     project_band,
     project_low,
     pseudospectral_apply,
@@ -113,7 +112,7 @@ def method_spec(kind: str, tau: float, t_final: float) -> MethodSpec:
     return MethodSpec(kind=kind, tau=tau, n_steps=n_steps)
 
 
-def stepping_key(method: MethodSpec, grid: SpectralGrid) -> tuple:
+def stepping_key(method: MethodSpec, band: int) -> tuple:
     """What a run's stepping depends on besides its problem and its path:
     (table function, stepped band, filter cut, tau).
 
@@ -121,10 +120,10 @@ def stepping_key(method: MethodSpec, grid: SpectralGrid) -> tuple:
     trajectories; recovery only changes what is added after the last step.
     """
     scheme = SCHEMES[method.kind]
-    cut = grid.n_cut
+    cut = band
     if scheme.filtered:
         cut = min(int(np.floor(1.0 / method.tau)), cut)
-    return scheme.tables, grid.n_cut, cut, method.tau
+    return scheme.tables, band, cut, method.tau
 
 
 def _nonfinite_rows(*blocks: np.ndarray) -> list[int]:
@@ -195,13 +194,6 @@ def recover_high(initial_band: SpectralState, t: float) -> SpectralState:
 # driver
 
 
-def _conform(state: SpectralState, grid: SpectralGrid, band: int) -> SpectralState:
-    """Bring an initial state onto a band of the run grid."""
-    if state.dim != grid.dim:
-        raise ValueError("initial state dimension does not match grid")
-    return with_band(state, band)
-
-
 @dataclass(frozen=True)
 class BlockResult:
     """Final stepped-band states of a block of paths, one row per path.
@@ -217,20 +209,22 @@ class BlockResult:
     wall_time: float
 
 
-def run_block(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
-              paths, snapshot_stride: int = 0, on_snapshot=None) -> BlockResult:
-    """Integrate a block of paths on the stepped band of ``grid``.
+def run_block(method: MethodSpec, start: SpectralState, f: NonlinearitySpec,
+              sigma: NonlinearitySpec, paths, snapshot_stride: int = 0,
+              on_snapshot=None) -> BlockResult:
+    """Integrate a block of paths from the state ``start`` on its own band,
+    with the nonlinearities ``f`` and ``sigma``.
 
-    Every row starts from the problem's initial state on the stepped band,
-    which must be Hermitian (ValueError otherwise) and is broadcast once,
-    and row s consumes the exact grouped sums of the base increments of
-    ``paths[s]``, so runs at different step sizes on one lattice are
-    coupled.  Each step is one call of :func:`step_block` for the whole
-    block.  A row that goes non-finite is recorded in ``failed`` with its
-    first bad step and leaves the other rows untouched; stepping stops early
-    once every row has failed.  With ``snapshot_stride`` > 0 the callback
-    receives (step_index, u_hat, v_hat) every stride steps strictly inside
-    the run; its time is not counted in ``wall_time``.
+    Every row starts from ``start``, which must be Hermitian (ValueError
+    otherwise) and is broadcast once, and row s consumes the exact grouped
+    sums of the base increments of ``paths[s]``, so runs at different step
+    sizes on one lattice are coupled.  Each step is one call of
+    :func:`step_block` for the whole block.  A row that goes non-finite is
+    recorded in ``failed`` with its first bad step and leaves the other rows
+    untouched; stepping stops early once every row has failed.  With
+    ``snapshot_stride`` > 0 the callback receives (step_index, u_hat, v_hat)
+    every stride steps strictly inside the run; its time is not counted in
+    ``wall_time``.
     """
     t_total = method.n_steps * method.tau
     for path in paths:
@@ -241,19 +235,17 @@ def run_block(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
     else:
         dws = np.zeros((len(paths), 0))
 
-    low = _conform(build_initial(problem.initial, grid), grid, grid.n_cut)
-    check_hermitian(low)
-    u = np.broadcast_to(low.u_hat, (len(paths),) + low.u_hat.shape)
-    v = np.broadcast_to(low.v_hat, u.shape)
-    tables_of, _, cut, _ = stepping_key(method, grid)
-    tables = tables_of(grid.dim, grid.n_cut, method.tau)
+    check_hermitian(start)
+    u = np.broadcast_to(start.u_hat, (len(paths),) + start.u_hat.shape)
+    v = np.broadcast_to(start.v_hat, u.shape)
+    tables_of, _, cut, _ = stepping_key(method, start.band)
+    tables = tables_of(start.dim, start.band, method.tau)
 
     failed: dict[int, str] = {}
-    start = time.perf_counter()
+    t0 = time.perf_counter()
     snapshot_s = 0.0
     for n in range(method.n_steps):
-        u, v, bad = step_block(u, v, tables, cut, method.tau, dws[:, n],
-                               problem.f, problem.sigma)
+        u, v, bad = step_block(u, v, tables, cut, method.tau, dws[:, n], f, sigma)
         for row, reason in bad.items():
             failed.setdefault(row, f"{reason} at step {n}")
         if len(failed) == len(paths):
@@ -263,7 +255,7 @@ def run_block(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
             t_snap = time.perf_counter()
             on_snapshot(n + 1, u, v)
             snapshot_s += time.perf_counter() - t_snap
-    wall = time.perf_counter() - start - snapshot_s
+    wall = time.perf_counter() - t0 - snapshot_s
     return BlockResult(u_hat=u, v_hat=v, failed=failed, wall_time=wall)
 
 
@@ -280,7 +272,10 @@ def run(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
     the callback are not counted.  A non-finite state or nonlinearity image
     raises NumericalError naming its step.
     """
-    u0 = _conform(build_initial(problem.initial, grid), grid, grid.n_high)
+    u0 = build_initial(problem.initial, grid)
+    if u0.dim != grid.dim:
+        raise ValueError("initial state dimension does not match grid")
+    u0 = with_band(u0, grid.n_high)
     low = with_band(u0, grid.n_cut)
     rec0 = None
     if method.recovery and grid.n_high > grid.n_cut:
@@ -304,8 +299,7 @@ def run(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
         t = n * method.tau
         on_snapshot(n, t, full_state(SpectralState(u[0], v[0]), t))
 
-    stepped = ProblemSpec(problem.f, problem.sigma, InitialDataSpec("explicit", state=low))
-    block = run_block(method, make_grid(grid.dim, grid.n_cut, 1.0), stepped, [path],
+    block = run_block(method, low, problem.f, problem.sigma, [path],
                       snapshot_stride, snapshot if snapshots else None)
     if block.failed:
         raise NumericalError(block.failed[0])
@@ -348,6 +342,6 @@ def linear_exact_discrepancy(method: MethodSpec, grid: SpectralGrid,
     """Error norm of a run against the exact linear flow of its own initial
     band; meaningful when both nonlinearities vanish."""
     result = run(method, grid, problem, path)
-    u0 = _conform(build_initial(problem.initial, grid), grid, grid.n_high)
+    u0 = with_band(build_initial(problem.initial, grid), grid.n_high)
     ref = recover_high(project_low(u0, grid.n_high), method.n_steps * method.tau)
     return diff_norm(result.final_state, ref, 0.0)

@@ -356,10 +356,10 @@ def with_band(state: SpectralState, band: int, dim: int | None = None) -> Spectr
 _MAGIC = b"SWV1"
 
 
-def save_snapshot(path, state: SpectralState, time: float) -> None:
+def save_snapshot(path, state: SpectralState, time: float) -> tuple[np.ndarray, np.ndarray]:
     """Write the real-space fields: magic 'SWV1', little-endian u32 dim,
     u32 points per dimension, f64 time, then points^dim f64 samples of u
-    followed by the samples of v (C order).
+    followed by the samples of v (C order).  Returns the (u, v) samples.
     """
     u, v = state_to_fields(state)
     points = u.shape[0]
@@ -368,6 +368,7 @@ def save_snapshot(path, state: SpectralState, time: float) -> None:
         fh.write(struct.pack("<IId", state.dim, points, float(time)))
         fh.write(u.astype("<f8").tobytes(order="C"))
         fh.write(v.astype("<f8").tobytes(order="C"))
+    return u, v
 
 
 def load_snapshot(path) -> tuple[int, int, float, np.ndarray, np.ndarray]:

@@ -98,6 +98,11 @@ BAD_ARGUMENTS = [
     ["converge", "--preset", "2", "--workers", "0"],
     ["converge", "--preset", "2", "--workers", "-1"],
     ["converge", "--config", "{tmp}/binary.cfg"],
+    # a Brownian lattice of t_final / tau_ref cells that overflows, or that
+    # needs more than physical memory (2^40 / 2^-11 cells, 16 PiB)
+    ["converge", "--preset", "2", "--tfinal", "1e308"],
+    ["converge", "--preset", "2", "--tfinal", "1099511627776"],
+    ["run", "--preset", "1", "--tfinal", "1099511627776"],
 ]
 
 

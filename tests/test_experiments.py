@@ -177,8 +177,8 @@ class TestRunConvergence:
         # one failing run out of 303 is excluded and counted, never averaged
         real_block = exp.run_block
 
-        def flaky(spec, grid, problem, paths, **kw):
-            res = real_block(spec, grid, problem, paths, **kw)
+        def flaky(spec, start, f, sigma, paths, **kw):
+            res = real_block(spec, start, f, sigma, paths, **kw)
             if spec.kind == "stm" and spec.tau == 2**-3:
                 for row, lattice in enumerate(paths):
                     if lattice.sample_index == 5:
@@ -210,12 +210,11 @@ class TestRunConvergence:
                 out[self.row] = np.nan
                 return out
 
-        def poison(spec, grid, problem, paths, **kw):
+        def poison(spec, start, f, sigma, paths, **kw):
             rows = [r for r, lattice in enumerate(paths) if lattice.sample_index == 2]
             if rows and spec.kind == "stm" and spec.tau == 2**-4:
-                problem = sw.ProblemSpec(problem.f, PoisonRow(problem.sigma, rows[0]),
-                                         problem.initial)
-            return real_block(spec, grid, problem, paths, **kw)
+                sigma = PoisonRow(sigma, rows[0])
+            return real_block(spec, start, f, sigma, paths, **kw)
 
         monkeypatch.setattr(exp, "run_block", poison)
         cfg = resolve_config(sw.ExperimentConfig(
@@ -231,8 +230,8 @@ class TestRunConvergence:
     def test_exclusions_over_threshold_fail_loudly(self, monkeypatch):
         real_block = exp.run_block
 
-        def flaky(spec, grid, problem, paths, **kw):
-            res = real_block(spec, grid, problem, paths, **kw)
+        def flaky(spec, start, f, sigma, paths, **kw):
+            res = real_block(spec, start, f, sigma, paths, **kw)
             if spec.kind == "stm" and spec.tau == 2**-3:
                 res.failed.update(dict.fromkeys(range(len(paths)),
                                                 "non-finite state at step 0"))
@@ -431,15 +430,21 @@ class TestTails:
 def per_sample_errors(study, sample):
     """The squared errors of one sample from one ``run`` per method and
     level, each scored alone: pad to M, subtract, add the shift, reduce,
-    add the tail."""
+    add the tail.  Every run gets the initial state at band M and restricts
+    it to its own grid without a recovery band."""
     config = study.config
+    dim = config.dim
+    problem = sw.ProblemSpec(study.f, study.sigma,
+                             sw.InitialDataSpec("explicit", state=study.starts[study.band]))
     lattice = sw.sample_path(config.seed, sample, config.t_final, config.tau_ref)
-    ref = sw.run(study.ref_method, study.ref_grid, study.shared, lattice)
+    ref_grid = sw.make_grid(dim, default_n_cut(config.tau_ref), 1.0)
+    ref = sw.run(study.ref_method, ref_grid, problem, lattice)
     ref = sw.with_band(ref.final_state, study.band)
     out = np.empty((len(config.methods), len(config.levels)))
     for mi, m in enumerate(config.methods):
-        for li, (tau, grid) in enumerate(zip(config.levels, study.grids)):
-            res = sw.run(sw.method_spec(m, tau, config.t_final), grid, study.shared, lattice)
+        for li, (tau, n) in enumerate(zip(config.levels, config.n_cuts)):
+            res = sw.run(sw.method_spec(m, tau, config.t_final), sw.make_grid(dim, n, 1.0),
+                         problem, lattice)
             res = sw.with_band(res.final_state, study.band)
             du, dv = res.u_hat - ref.u_hat, res.v_hat - ref.v_hat
             shift = study.shifts[mi][li]
@@ -463,9 +468,9 @@ def count_steppings(monkeypatch, **kw):
     real = exp.run_block
     taus = []
 
-    def spy(spec, grid, problem, paths, **k):
+    def spy(spec, start, f, sigma, paths, **k):
         taus.append(spec.tau)
-        return real(spec, grid, problem, paths, **k)
+        return real(spec, start, f, sigma, paths, **k)
 
     monkeypatch.setattr(exp, "run_block", spy)
     cfg = resolve_config(sw.ExperimentConfig(
@@ -510,13 +515,40 @@ class TestBlockStudy:
         for lri, stm in zip(reports["lri"].rows, reports["stm"].rows):
             assert lri.rms_error != stm.rms_error
 
+    def test_every_block_starts_from_its_bands_one_state(self, monkeypatch):
+        # n_cuts 16, 32 and 64 around N_ref = 32: three distinct stepped
+        # bands, each restricted once, and every block on a band, the
+        # reference's too, gets that very state and the study's f and sigma
+        cfg = resolve_config(sw.ExperimentConfig(
+            dim=1, preset=2, gamma=0.5, methods=ALL_METHODS,
+            levels=(2**-3, 2**-4, 2**-5), n_cuts=(16, 32, 64), n_samples=4, seed=3))
+        study = exp._prepare(cfg)
+        assert default_n_cut(cfg.tau_ref) == 32 and study.band == 64
+        assert sorted(study.starts) == [16, 32, 64]
+        assert all(start.band == n for n, start in study.starts.items())
+        real = exp.run_block
+        calls = []
+
+        def spy(spec, start, f, sigma, paths, **k):
+            calls.append((start, f, sigma))
+            return real(spec, start, f, sigma, paths, **k)
+
+        monkeypatch.setattr(exp, "run_block", spy)
+        exp._study_reports(study, 2)
+        per_chunk = 1 + sum(not is_ref for level in study.trajectories for *_, is_ref in level)
+        assert len(calls) == 2 * per_chunk
+        assert {start.band for start, _, _ in calls} == set(study.starts)
+        for start, f, sigma in calls:
+            assert start is study.starts[start.band]
+            assert f is study.f and sigma is study.sigma
+
     def test_blocks_within_byte_budget(self, monkeypatch):
         real = exp.run_block
         blocks = []
 
-        def spy(spec, grid, problem, paths, **k):
-            res = real(spec, grid, problem, paths, **k)
-            blocks.append((grid.n_cut, res.u_hat.nbytes))
+        def spy(spec, start, f, sigma, paths, **k):
+            res = real(spec, start, f, sigma, paths, **k)
+            blocks.append((start.band, res.u_hat.nbytes))
             return res
 
         monkeypatch.setattr(exp, "run_block", spy)
@@ -525,7 +557,7 @@ class TestBlockStudy:
                                   methods=("stm",), levels=(2**-3,), n_cuts=(512,),
                                   n_samples=4, seed=1)
         sw.run_convergence(cfg)
-        wide = [nbytes for n_cut, nbytes in blocks if n_cut == 512]
+        wide = [nbytes for band, nbytes in blocks if band == 512]
         assert len(wide) == 2
         assert max(nbytes for _, nbytes in blocks) <= exp._BLOCK_BYTES
 
@@ -577,7 +609,8 @@ class TestMemoryGuard:
         monkeypatch.setattr(exp, "run_block", never)
         monkeypatch.setattr(exp, "run", never)
         # 512 bytes: less than one half array at the study's reference band
-        # 32^2 = 1024 or the single run's 8^2 = 64
+        # 32^2 = 1024, or the single run's Brownian lattice of 512 cells of
+        # tau_ref = 2^-11
         self.physical_memory(monkeypatch, 512)
         study = sw.ExperimentConfig(dim=1, preset=2, levels=(2**-3, 2**-4, 2**-5),
                                     n_samples=2, out_dir=str(tmp_path / "study"))

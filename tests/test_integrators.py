@@ -476,13 +476,14 @@ class TestRunBlock:
         # row 3's first increment is NaN: that row alone is flagged at step
         # 0, and every other row equals its own single-path run bit for bit
         grid = sw.make_grid(1, 8, 1.0)
-        problem = explicit_problem(random_state(grid, seed=16), sigma=sw.scaled_sine(16.0))
+        state = random_state(grid, seed=16)
+        problem = explicit_problem(state, sigma=sw.scaled_sine(16.0))
         spec = sw.method_spec("stm", 2**-5, 0.25)
         paths = [sw.sample_path(8, s, 0.25, 2**-5) for s in range(7)]
         poisoned = paths[3].increments.copy()
         poisoned[0] = np.nan
         paths[3] = dataclasses.replace(paths[3], increments=poisoned)
-        block = sw.run_block(spec, grid, problem, paths)
+        block = sw.run_block(spec, state, problem.f, problem.sigma, paths)
         assert block.failed == {3: "non-finite state at step 0"}
         for row in (0, 1, 2, 4, 5, 6):
             single = sw.run(spec, grid, problem, paths[row]).final_state
@@ -512,13 +513,14 @@ class TestRunBlock:
             state = random_state(grid, seed=17)
             u = state.u_hat.copy()
             u[slot] += 0.5j
-            problem = explicit_problem(sw.SpectralState(u, state.v_hat), sigma=Recording())
+            bad = sw.SpectralState(u, state.v_hat)
+            zero = sw.zero_fn()
             with pytest.raises(ValueError, match="not Hermitian"):
-                sw.run_block(spec, grid, problem, paths)
+                sw.run_block(spec, bad, zero, Recording(), paths)
             with pytest.raises(ValueError, match="not Hermitian"):
-                sw.run(spec, grid, problem, paths[0])
+                sw.run(spec, grid, explicit_problem(bad, sigma=Recording()), paths[0])
             assert not calls
-            sw.run_block(spec, grid, explicit_problem(state, sigma=Recording()), paths)
+            sw.run_block(spec, state, zero, Recording(), paths)
             assert calls
             calls.clear()
 

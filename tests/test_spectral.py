@@ -409,12 +409,15 @@ class TestSnapshotFormat:
         grid = sw.make_grid(2, 4, 1.5)
         state = random_state(grid, seed=9)
         path = tmp_path / "state.swv"
-        sw.save_snapshot(path, state, 0.125)
+        written = sw.save_snapshot(path, state, 0.125)
         dim, points, t, u, v = sw.load_snapshot(path)
         assert (dim, points, t) == (2, 2 * grid.n_high, 0.125)
         u0, v0 = sw.state_to_fields(state)
         np.testing.assert_array_equal(u, u0)
         np.testing.assert_array_equal(v, v0)
+        # the samples handed back are the ones written
+        np.testing.assert_array_equal(written[0], u)
+        np.testing.assert_array_equal(written[1], v)
 
     def test_header_layout(self, tmp_path):
         grid = sw.make_grid(1, 4, 1.0)
