@@ -81,7 +81,7 @@ from .integrators import (
     run_block,
     stepping_key,
 )
-from .noise import sample_path
+from .noise import PEAK_BYTES_PER_CELL, sample_path
 from .problems import (
     PRESETS,
     NonlinearitySpec,
@@ -156,7 +156,7 @@ def _check_memory(need: int, what: str) -> None:
 
 
 def _check_dyadic(name: str, step: float, t_final: float) -> None:
-    """The Brownian lattice needs t_final / step cells, a power of two that fits in memory."""
+    """The Brownian lattice needs t_final / step cells, a power of two."""
     if not (math.isfinite(step) and step > 0):
         raise ConfigError(f"{name} must be positive, got {step}")
     r = t_final / step
@@ -165,7 +165,16 @@ def _check_dyadic(name: str, step: float, t_final: float) -> None:
     n = round(r)
     if n < 1 or abs(r - n) > 1e-9 or n & (n - 1):
         raise ConfigError(f"t_final/{name} = {t_final}/{step} is not a power of two")
-    _check_memory(8 * n, f"the Brownian lattice of t_final/{name} = {n} cells")
+
+
+def _check_lattice(name: str, step: float, t_final: float) -> None:
+    """Refuse to draw a Brownian lattice of t_final / step cells (a power of
+    two, as resolve_config checked) if sampling one path would exceed
+    physical memory.  Called by the entry point that draws it, before any
+    path."""
+    n = round(t_final / step)
+    _check_memory(PEAK_BYTES_PER_CELL * n, f"sampling the Brownian lattice of "
+                  f"t_final/{name} = 2^{n.bit_length() - 1} cells")
 
 
 def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
@@ -426,6 +435,7 @@ def _prepare(config: ExperimentConfig) -> _Study:
     """Grids, specs, the shared initial state and the noise-free parts of
     every error, computed once per study."""
     dim, problem = study_problem(config)
+    _check_lattice("tau_ref", config.tau_ref, config.t_final)
     n_ref = default_n_cut(config.tau_ref)
     band = max(n_ref, *config.n_cuts)
     full = _full_grid(dim, n_ref, config.alpha)
@@ -595,7 +605,11 @@ def run_single(config: ExperimentConfig) -> dict:
     """Integrate one sample path with one method, emitting snapshots.
 
     Writes SWV1 snapshots plus per-snapshot plot data into out_dir and
-    returns a summary dict with the final pair norms.
+    returns a summary dict with the final pair norms.  The plot data of a
+    snapshot is u on its middle line along the last axis (the whole field
+    in 1D, the row through the middle of the box in 2D) against x = i /
+    points, both at 17 significant digits.  The x column is the same for
+    every snapshot, so it is formatted once per run.
     """
     config = resolve_config(config)
     if len(config.methods) != 1:
@@ -603,6 +617,7 @@ def run_single(config: ExperimentConfig) -> dict:
     dim, problem = study_problem(config)
     tau = config.tau if config.tau is not None else config.levels[-1]
     n_cut = default_n_cut(tau)
+    _check_lattice("tau", tau, config.t_final)
     grid = _full_grid(dim, n_cut, config.alpha)
     spec = method_spec(config.methods[0], tau, config.t_final)
     lattice = sample_path(config.seed, config.sample_index, config.t_final, tau)
@@ -612,15 +627,16 @@ def run_single(config: ExperimentConfig) -> dict:
         stride = max(spec.n_steps // 8, 1)
 
     written = []
+    points = 2 * grid.n_high
+    x_lines = plot_lines(np.arange(points) / points)
 
     def on_snapshot(step, t, state):
         base = os.path.join(config.out_dir, f"snap_{step:06d}")
         u, _ = save_snapshot(base + ".swv", state, t)
         # the middle line along the last axis, noted in the header
-        u = u[(u.shape[0] // 2,) * (u.ndim - 1)]
-        comment = f"u(x{', 0.5' * (state.dim - 1)}) at t={t:.17g}"
-        xs = np.arange(u.shape[0]) / u.shape[0]
-        write_plot_data(base + ".txt", xs, u, comment)
+        u = u[(points // 2,) * (dim - 1)]
+        comment = f"u(x{', 0.5' * (dim - 1)}) at t={t:.17g}"
+        write_plot_data(base + ".txt", x_lines, u, comment)
         written.append(base + ".swv")
 
     result = run(spec, grid, problem, lattice,
@@ -680,11 +696,21 @@ def parse_csv(path) -> list[dict]:
     return rows
 
 
-def write_plot_data(path, xs, ys, comment: str) -> None:
-    """Two-column whitespace-separated plot data with one comment line,
-    17 significant digits per value, written in one piece."""
-    pairs = zip(np.asarray(xs).tolist(), np.asarray(ys).tolist())
-    text = "".join([f"# {comment}\n"] + ["%.17g %.17g\n" % xy for xy in pairs])
+def plot_lines(xs) -> str:
+    """The lines of a plot-data x column: each x at 17 significant digits,
+    with its y slot left open as ``%.17g`` for ``write_plot_data``."""
+    return ("%.17g %%.17g\n" * len(xs)) % tuple(np.asarray(xs).tolist())
+
+
+def write_plot_data(path, x_lines: str, ys, comment: str) -> None:
+    """Two-column whitespace-separated plot data with one comment line.
+
+    ``x_lines`` is the x column from ``plot_lines``, which a caller formats
+    once for every file that shares it; ``ys`` fills its y slots, 17
+    significant digits per value, in one formatting pass, and the text is
+    written in one piece.
+    """
+    text = f"# {comment}\n" + x_lines % tuple(np.asarray(ys).tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -698,10 +724,11 @@ def emit_study(reports, out_dir: str, timing=None) -> str:
         taus = [row.tau for row in rep.rows]
         errs = [row.rms_error for row in rep.rows]
         write_plot_data(os.path.join(out_dir, f"error_vs_tau_{m}.txt"),
-                        taus, errs, f"{m}: rms pair-norm error vs tau")
+                        plot_lines(taus), errs, f"{m}: rms pair-norm error vs tau")
         if timing is not None:
             write_plot_data(os.path.join(out_dir, f"error_vs_time_{m}.txt"),
-                            timing[m], errs, f"{m}: rms pair-norm error vs wall seconds")
+                            plot_lines(timing[m]), errs,
+                            f"{m}: rms pair-norm error vs wall seconds")
     return csv_path
 
 

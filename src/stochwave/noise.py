@@ -34,6 +34,11 @@ from scipy.special import ndtri
 
 _U53 = 2.0 ** -53
 
+# bytes per base cell that bound what sample_path holds at its peak: the
+# normal stream (8) and the last level's parents (4) and children (8), every
+# step in place, plus a few array headers
+PEAK_BYTES_PER_CELL = 24
+
 
 @dataclass(frozen=True)
 class WienerLattice:
@@ -62,12 +67,17 @@ def standard_uniforms(seed: int, sample_index: int, count: int) -> np.ndarray:
     """Counter-based uniforms in the open interval (0, 1)."""
     bitgen = np.random.Philox(key=np.array([seed, sample_index], dtype=np.uint64))
     words = bitgen.random_raw(count)
-    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * _U53
+    words >>= np.uint64(11)
+    out = words.astype(np.float64)
+    out += 0.5
+    out *= _U53
+    return out
 
 
 def standard_normals(seed: int, sample_index: int, count: int) -> np.ndarray:
     """The deterministic normal stream underlying the lattice."""
-    return ndtri(standard_uniforms(seed, sample_index, count))
+    uniforms = standard_uniforms(seed, sample_index, count)
+    return ndtri(uniforms, out=uniforms)
 
 
 def sample_path(seed: int, sample_index: int, t_final: float,
@@ -84,11 +94,13 @@ def sample_path(seed: int, sample_index: int, t_final: float,
     pos = 1
     for level in range(depth):
         m = 1 << level
-        xi = normals[pos:pos + m] * math.sqrt(t_final / (1 << (level + 2)))
+        xi = normals[pos:pos + m]
+        xi *= math.sqrt(t_final / (1 << (level + 2)))
         pos += m
+        cells *= 0.5
         children = np.empty(2 * m)
-        children[0::2] = 0.5 * cells + xi
-        children[1::2] = 0.5 * cells - xi
+        np.add(cells, xi, out=children[0::2])
+        np.subtract(cells, xi, out=children[1::2])
         cells = children
     cells.setflags(write=False)
     return WienerLattice(t_final=float(t_final), base_dt=float(base_dt),

@@ -105,6 +105,13 @@ BAD_ARGUMENTS = [
     ["run", "--preset", "1", "--tfinal", "1099511627776"],
 ]
 
+# the lattice each entry point refuses is the one it draws: a study's at
+# tau_ref = 2^-11, a single run's at tau = 2^-9
+BAD_ARGUMENT_MESSAGES = {
+    ("converge", "--preset", "2", "--tfinal", "1099511627776"): "t_final/tau_ref = 2^51 cells",
+    ("run", "--preset", "1", "--tfinal", "1099511627776"): "t_final/tau = 2^49 cells",
+}
+
 
 def test_config_error_exit_code(tmp_path):
     (tmp_path / "preset7.cfg").write_text("preset = 7\n", encoding="utf-8")
@@ -119,13 +126,14 @@ def test_config_error_exit_code(tmp_path):
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(sw.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    for argv in BAD_ARGUMENTS:
-        argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(tmp_path / "out")]
+    for bad in BAD_ARGUMENTS:
+        argv = [a.format(tmp=tmp_path) for a in bad] + ["--out", str(tmp_path / "out")]
         proc = subprocess.run([sys.executable, "-m", "stochwave.cli", *argv],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 2, (argv, proc.stderr)
         assert "Traceback" not in proc.stderr, (argv, proc.stderr)
         assert "configuration error" in proc.stderr, (argv, proc.stderr)
+        assert BAD_ARGUMENT_MESSAGES.get(tuple(bad), "") in proc.stderr, (argv, proc.stderr)
     assert not (tmp_path / "out").exists()
 
 

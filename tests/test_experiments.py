@@ -103,14 +103,26 @@ class TestCsv:
 
 class TestPlotData:
     def test_bytes_match_per_line_format(self, tmp_path):
-        # the one-piece writer against a line-by-line f-string transcription
-        xs = [-0.0, 1e-310, 1 / 3, 1e300, 2.0]
-        ys = np.array([1e300, -0.0, 1e-310, 1 / 3, -7.25])
-        path = tmp_path / "plot.txt"
-        exp.write_plot_data(path, xs, ys, "u(x) at t=0.25")
-        expect = "# u(x) at t=0.25\n" + "".join(f"{x:.17g} {y:.17g}\n" for x, y in zip(xs, ys))
-        assert path.read_bytes() == expect.encode("utf-8")
-        assert path.read_bytes().splitlines()[1] == b"-0 1.0000000000000001e+300"
+        # the one-pass writer against a line-by-line f-string transcription
+        xs = [-0.0, 1e-310, 1 / 3, 1e300, 2.0, np.inf, np.nan]
+        ys = [1e300, -0.0, 1e-310, 1 / 3, -7.25, np.nan, -np.inf]
+        for k, (x, y) in enumerate([(xs, ys), ([], [])]):
+            path = tmp_path / f"plot{k}.txt"
+            exp.write_plot_data(path, exp.plot_lines(x), np.array(y), "u(x) at t=0.25")
+            expect = "# u(x) at t=0.25\n" + "".join(f"{a:.17g} {b:.17g}\n" for a, b in zip(x, y))
+            assert path.read_bytes() == expect.encode("utf-8")
+        lines = (tmp_path / "plot0.txt").read_bytes().splitlines()
+        assert lines[1] == b"-0 1.0000000000000001e+300"
+        assert lines[6:] == [b"inf nan", b"nan -inf"]
+        assert (tmp_path / "plot1.txt").read_bytes() == b"# u(x) at t=0.25\n"
+
+    def test_one_column_fills_many_files(self, tmp_path):
+        lines = exp.plot_lines([0.0, 0.5])
+        for k, ys in enumerate(([1.0, 2.0], [3.0, -4.0])):
+            exp.write_plot_data(tmp_path / f"{k}.txt", lines, ys, "c")
+        assert (tmp_path / "1.txt").read_text() == "# c\n0 3\n0.5 -4\n"
+        with pytest.raises(TypeError):
+            exp.write_plot_data(tmp_path / "short.txt", lines, [1.0], "c")
 
 
 class TestRunConvergence:
@@ -608,9 +620,9 @@ class TestMemoryGuard:
 
         monkeypatch.setattr(exp, "run_block", never)
         monkeypatch.setattr(exp, "run", never)
-        # 512 bytes: less than one half array at the study's reference band
-        # 32^2 = 1024, or the single run's Brownian lattice of 512 cells of
-        # tau_ref = 2^-11
+        # 512 bytes: less than sampling the study's Brownian lattice of 32
+        # cells of tau_ref = 2^-7, or one half array at the single run's full
+        # band 64 (65 complex coefficients)
         self.physical_memory(monkeypatch, 512)
         study = sw.ExperimentConfig(dim=1, preset=2, levels=(2**-3, 2**-4, 2**-5),
                                     n_samples=2, out_dir=str(tmp_path / "study"))
@@ -627,6 +639,57 @@ class TestMemoryGuard:
         assert "configuration error" in err and "physical memory" in err
         assert "Traceback" not in err
         assert not any(tmp_path.iterdir())
+
+
+    def test_lattice_guard_bounds_the_sampler_peak(self, monkeypatch):
+        # the guard refuses a 2^18-cell lattice on any memory below what
+        # sampling one path of it takes, and accepts it at a small multiple
+        n = 2**18
+        tracemalloc.start()
+        try:
+            sw.sample_path(3, 1, 1.0, 1.0 / n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        self.physical_memory(monkeypatch, peak - 1)
+        with pytest.raises(sw.ConfigError, match="physical memory"):
+            exp._check_lattice("tau", 1.0 / n, 1.0)
+        self.physical_memory(monkeypatch, 4 * 8 * n)
+        exp._check_lattice("tau", 1.0 / n, 1.0)
+
+    def test_lattice_above_its_cells_refused_before_any_path(self, monkeypatch, tmp_path, capsys):
+        from stochwave.cli import main
+
+        def never(*args, **kwargs):
+            raise AssertionError("drew a path before the lattice guard")
+
+        monkeypatch.setattr(exp, "sample_path", never)
+        # t_final / tau_ref = 2^10 / 2^-7 = 2^17 cells: twice the finished
+        # lattice's bytes fits it and the full band, not sampling it
+        self.physical_memory(monkeypatch, 2 * 8 * 2**17)
+        argv = ["converge", "--preset", "2", "--tfinal", "1024", "--tau", "0.125",
+                "--levels", "3", "--samples", "2", "--out", str(tmp_path / "cli")]
+        study = sw.ExperimentConfig(dim=1, preset=2, t_final=1024.0, n_samples=2,
+                                    levels=(2**-3, 2**-4, 2**-5))
+        with pytest.raises(sw.ConfigError, match="t_final/tau_ref = 2\\^17 cells"):
+            sw.run_convergence(study)
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "configuration error" in err and "2^17 cells" in err
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+    def test_run_checks_its_own_lattice(self, monkeypatch, tmp_path):
+        # 2 KiB holds the run's full band (65 coefficients) and sampling its
+        # 8-cell lattice of tau = 2^-5, not even the finished 512 cells of
+        # tau_ref = 2^-11, which the run never draws
+        self.physical_memory(monkeypatch, 2048)
+        cfg = sw.ExperimentConfig(dim=1, preset=1, tau=2**-5, out_dir=str(tmp_path))
+        assert resolve_config(cfg).tau_ref == 2**-11
+        assert sw.run_single(cfg)["steps"] == 8
+        with pytest.raises(sw.ConfigError, match="t_final/tau_ref"):
+            sw.run_convergence(replace(cfg, n_samples=2))
 
 
 class TestCompare:
@@ -694,6 +757,23 @@ class TestRunSingle:
         mid = u[points // 2]
         for line, expect in zip(lines[1:4], mid[:3]):
             assert float(line.split()[1]) == expect
+
+    @pytest.mark.parametrize("dim,preset,tau", [(1, 1, 2**-5), (2, 3, 2**-4)])
+    def test_plot_text_is_the_middle_line_of_each_snapshot(self, tmp_path, dim, preset, tau):
+        # every snap_*.txt against its SWV1 snapshot, formatted line by line
+        cfg = sw.ExperimentConfig(dim=dim, preset=preset, methods=("hr_lri",), tau=tau,
+                                  seed=3, out_dir=str(tmp_path), snapshot_stride=2)
+        summary = sw.run_single(cfg)
+        assert len(summary["snapshots"]) == summary["steps"] // 2 + 1
+        for snap in summary["snapshots"]:
+            got_dim, points, t, u, _ = sw.load_snapshot(snap)
+            assert got_dim == dim
+            line = u[(points // 2,) * (dim - 1)]
+            where = "x" + ", 0.5" * (dim - 1)
+            expect = f"# u({where}) at t={t:.17g}\n" + "".join(
+                f"{i / points:.17g} {y:.17g}\n" for i, y in enumerate(line))
+            with open(snap[:-len(".swv")] + ".txt", "rb") as fh:
+                assert fh.read() == expect.encode("utf-8")
 
     def test_zero_data_stays_zero(self, tmp_path):
         grid = sw.make_grid(1, 8, 1.0)
