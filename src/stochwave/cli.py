@@ -12,8 +12,10 @@ Subcommands:
 Options may come from a flat key=value config file (--config) with '#'
 comments; command line flags override file values and are parsed by the
 same rules.  --levels gives the number of dyadic levels, halving from the
-coarsest step --tau (default 2^-5).  Exit codes: 0 success, 2 configuration
-error, 3 numerical failure.
+coarsest step: --tau, else the coarsest configured level (default 2^-5).
+Exit codes: 0 success, 2 configuration error, 3 numerical failure (any
+``NumericalError``: a single run's non-finite step, or a study's
+``NumericalFailure``).
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from dataclasses import replace
 from .experiments import (
     ConfigError,
     ExperimentConfig,
-    NumericalFailure,
     compare_methods,
     config_from_mapping,
     emit_study,
@@ -73,7 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag, (key, text) in _FLAGS.items():
             p.add_argument(flag, dest=key, help=text)
         p.add_argument("--levels", type=int, metavar="K",
-                       help="number of dyadic levels halving from --tau")
+                       help="number of dyadic levels halving from --tau, else "
+                            "from the coarsest configured level")
     return parser
 
 
@@ -87,7 +89,7 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.tau is not None and (args.command != "run" or args.levels is not None):
         coarse = config.tau
     elif args.levels is not None:
-        coarse = config.levels[0] if config.levels else 2**-5
+        coarse = max(config.levels, default=2**-5)
     else:
         return config
     k = args.levels if args.levels is not None else 5
@@ -143,7 +145,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalFailure, NumericalError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

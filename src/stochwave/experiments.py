@@ -52,7 +52,8 @@ Orders are read off as the least-squares slope of log(rms) against
 log(tau).  Runs that leave the floating-point domain are excluded and
 counted, never averaged, row by row: a failed row of a block excludes that
 sample's run alone, and a failed reference row all of that sample's runs.  A
-study with more than 1% exclusions aborts.
+study with more than 1% exclusions aborts with ``NumericalFailure``, an
+``integrators.NumericalError`` like a single run's non-finite step.
 
 Reports are deterministic: samples are keyed by (seed, sample_index), every
 row of a block is bit-identical to a block of one, the reduction runs in
@@ -75,6 +76,7 @@ import numpy as np
 from .integrators import (
     SCHEMES,
     MethodSpec,
+    NumericalError,
     method_spec,
     recover_high,
     run,
@@ -112,8 +114,8 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
-class NumericalFailure(RuntimeError):
-    """Too many excluded samples or an unusable reference."""
+class NumericalFailure(NumericalError):
+    """Too many excluded runs, or a level with every sample excluded."""
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +160,7 @@ def _check_memory(need: int, what: str) -> None:
 def _check_dyadic(name: str, step: float, t_final: float) -> None:
     """The Brownian lattice needs t_final / step cells, a power of two."""
     if not (math.isfinite(step) and step > 0):
-        raise ConfigError(f"{name} must be positive, got {step}")
+        raise ConfigError(f"{name} must be finite and positive, got {step}")
     r = t_final / step
     if not math.isfinite(r):
         raise ConfigError(f"t_final/{name} = {t_final}/{step} overflows")
@@ -205,12 +207,10 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     if config.tau is not None:
         _check_dyadic("tau", config.tau, config.t_final)
     for tau in levels:
+        _check_dyadic("level", tau, config.t_final)
         r = tau / tau_ref
         if abs(r - round(r)) > 1e-9 or round(r) < 1:
             raise ConfigError(f"tau_ref {tau_ref} does not divide level {tau}")
-        steps = config.t_final / tau
-        if abs(steps - round(steps)) > 1e-9:
-            raise ConfigError(f"level {tau} does not tile t_final {config.t_final}")
     n_cuts = config.n_cuts
     if n_cuts is None:
         n_cuts = tuple(default_n_cut(t) for t in levels)
@@ -438,6 +438,8 @@ def _prepare(config: ExperimentConfig) -> _Study:
     _check_lattice("tau_ref", config.tau_ref, config.t_final)
     n_ref = default_n_cut(config.tau_ref)
     band = max(n_ref, *config.n_cuts)
+    _check_memory(16 * (2 * band) ** (dim - 1) * (band + 1),
+                  f"one array at the widest stepped band {band}")
     full = _full_grid(dim, n_ref, config.alpha)
     u0 = build_initial(problem.initial, full)
     if u0.dim != dim:
@@ -547,30 +549,18 @@ def _study_reports(study: _Study, rows: int,
     config = study.config
     chunks = [range(a, min(a + rows, config.n_samples))
               for a in range(0, config.n_samples, rows)]
-    job = functools.partial(_chunk_errors, study)
-    if config.n_workers > 1:
-        with ThreadPoolExecutor(max_workers=config.n_workers) as pool:
-            results = list(pool.map(job, chunks))
-    else:
-        results = [job(c) for c in chunks]
+    with ThreadPoolExecutor(max_workers=config.n_workers) as pool:
+        results = list(pool.map(functools.partial(_chunk_errors, study), chunks))
 
     err_sq = np.concatenate([r[0] for r in results])   # (sample, method, level)
     wall = np.stack([r[1] for r in results]).sum(axis=0)
-
-    reports = {}
-    total = 0
-    excluded = 0
-    for mi, m in enumerate(config.methods):
-        rep = _aggregate(m, config.levels, config.n_cuts, err_sq[:, mi, :],
-                         wall[mi] if collect_timing else None)
-        reports[m] = rep
-        for row in rep.rows:
-            total += config.n_samples
-            excluded += row.excluded
-    if excluded > MAX_EXCLUDED_FRACTION * total:
+    excluded = int(np.count_nonzero(~np.isfinite(err_sq)))
+    if excluded > MAX_EXCLUDED_FRACTION * err_sq.size:
         raise NumericalFailure(
-            f"{excluded} of {total} runs excluded (> {MAX_EXCLUDED_FRACTION:.0%})")
-    return reports
+            f"{excluded} of {err_sq.size} runs excluded (> {MAX_EXCLUDED_FRACTION:.0%})")
+    return {m: _aggregate(m, config.levels, config.n_cuts, err_sq[:, mi, :],
+                          wall[mi] if collect_timing else None)
+            for mi, m in enumerate(config.methods)}
 
 
 def run_convergence(config: ExperimentConfig,

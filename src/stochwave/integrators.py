@@ -31,12 +31,15 @@ shape (S,) + (2N,)^(d-1) + (N+1,), one half spectrum per row.  Each step is
 one ``step_block`` call: one batched real inverse FFT, one pointwise map,
 one batched real forward FFT, one mask and one 2x2 pass over the modes,
 driven by the (S,) vector of the rows' grouped increments.  Rows never mix,
-so every row is bit-identical to a block of one, and a row that goes
-non-finite is dropped alone.  ``run`` builds the initial state on its grid
-and steps it as a block of one path plus the recovery band.  The stepping
-depends only on ``stepping_key``: ``hr_lri`` and ``stm`` always share one
-trajectory, and ``lri`` does too whenever its filter does not cut (the
-default coupling), so a study steps each distinct key once.
+so every row is bit-identical to a block of one.  Each step scans its new
+state once for non-finite values, and a row that fails is dropped alone
+with its first bad step.  ``run`` builds the initial state on its grid and
+steps it as a block of one path plus the recovery band; a failed step
+raises NumericalError, the one error type for non-finite values (a study's
+``NumericalFailure`` is one too).  The stepping depends only on
+``stepping_key``: ``hr_lri`` and ``stm`` always share one trajectory, and
+``lri`` does too whenever its filter does not cut (the default coupling),
+so a study steps each distinct key once.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from .spectral import (
 
 
 class NumericalError(RuntimeError):
-    """A run left the floating-point domain (NaN/inf state)."""
+    """A run or a study left the floating-point domain (NaN/inf state)."""
 
 
 class Scheme(NamedTuple):
@@ -126,15 +129,6 @@ def stepping_key(method: MethodSpec, band: int) -> tuple:
     return scheme.tables, band, cut, method.tau
 
 
-def _nonfinite_rows(*blocks: np.ndarray) -> list[int]:
-    """Rows of a block with a non-finite entry in any of the arrays."""
-    if all(np.isfinite(b).all() for b in blocks):
-        return []
-    axes = tuple(range(1, blocks[0].ndim))
-    finite = np.logical_and.reduce([np.isfinite(b).all(axis=axes) for b in blocks])
-    return np.flatnonzero(~finite).tolist()
-
-
 def step_block(u_hat: np.ndarray, v_hat: np.ndarray, tables, cut: int, tau: float,
                dw: np.ndarray, f_spec: NonlinearitySpec, sigma_spec: NonlinearitySpec):
     """One step T (U + tau * Pi F(Pi U) + Pi Sigma(Pi U) dW) of every row of
@@ -143,38 +137,32 @@ def step_block(u_hat: np.ndarray, v_hat: np.ndarray, tables, cut: int, tau: floa
     ``u_hat`` and ``v_hat`` hold one state per row, shape (S,) +
     (2 band,)^(d-1) + (band + 1,) with d the rank of the tables, and ``dw``
     is the (S,) vector of the rows' increments.  Rows never mix, so each is
-    bit-identical to a block of one.  Returns (u_hat, v_hat, bad): ``bad`` maps every row whose
-    nonlinearity image or new state is non-finite to the reason, and those
-    rows come back zeroed so that they cannot spoil later steps.
+    bit-identical to a block of one.  Returns (u_hat, v_hat, bad): ``bad``
+    lists the rows whose new state is non-finite, and those rows come back
+    zeroed so that they cannot spoil later steps.  One scan of the new
+    state finds them all: a non-finite increment or nonlinearity image
+    enters v + tau z or v + dw z, and every 2x2 table entry times NaN or
+    inf is non-finite, so it leaves the new state non-finite in its row.
     """
     dim = tables[0].ndim
     band = u_hat.shape[-1] - 1
     if cut > band:
         raise ValueError(f"filter cut {cut} exceeds stored band {band}")
     u_cut = u_hat * band_mask(dim, band, cut) if cut < band else u_hat
-    bad: dict[int, str] = {}
-
-    def image(spec: NonlinearitySpec) -> np.ndarray:
-        out = pseudospectral_apply(spec, u_cut, cut, dim)
-        for row in _nonfinite_rows(out):
-            bad[row] = "non-finite nonlinearity image"
-            out[row] = 0.0
-        return out
-
     dv = []
     if not f_spec.is_zero:
-        z = image(f_spec)
+        z = pseudospectral_apply(f_spec, u_cut, cut, dim)
         dv.append(np.multiply(tau, z, out=z))
     if not sigma_spec.is_zero:
-        z = image(sigma_spec)
+        z = pseudospectral_apply(sigma_spec, u_cut, cut, dim)
         dv.append(np.multiply(dw.reshape((-1,) + (1,) * dim), z, out=z))
     new = semigroup.apply(SpectralState(u_hat, v_hat), tables, *dv)
-    for row in _nonfinite_rows(new.u_hat, new.v_hat):
-        bad.setdefault(row, "non-finite state")
+    axes = tuple(range(1, dim + 1))
+    finite = np.isfinite(new.u_hat).all(axis=axes) & np.isfinite(new.v_hat).all(axis=axes)
+    bad = np.flatnonzero(~finite).tolist()
     if bad:
-        rows = sorted(bad)
-        new.u_hat[rows] = 0.0
-        new.v_hat[rows] = 0.0
+        new.u_hat[bad] = 0.0
+        new.v_hat[bad] = 0.0
     return new.u_hat, new.v_hat, bad
 
 
@@ -198,9 +186,9 @@ def recover_high(initial_band: SpectralState, t: float) -> SpectralState:
 class BlockResult:
     """Final stepped-band states of a block of paths, one row per path.
 
-    ``failed`` maps each row that left the floating-point domain to the
-    NumericalError message naming its first bad step; such a row holds no
-    state.  ``wall_time`` is the stepping time alone.
+    ``failed`` maps each row that left the floating-point domain to its
+    first bad step, the first whose new state is non-finite; such a row
+    holds no state.  ``wall_time`` is the stepping time alone.
     """
 
     u_hat: np.ndarray
@@ -241,13 +229,13 @@ def run_block(method: MethodSpec, start: SpectralState, f: NonlinearitySpec,
     tables_of, _, cut, _ = stepping_key(method, start.band)
     tables = tables_of(start.dim, start.band, method.tau)
 
-    failed: dict[int, str] = {}
+    failed: dict[int, int] = {}
     t0 = time.perf_counter()
     snapshot_s = 0.0
     for n in range(method.n_steps):
         u, v, bad = step_block(u, v, tables, cut, method.tau, dws[:, n], f, sigma)
-        for row, reason in bad.items():
-            failed.setdefault(row, f"{reason} at step {n}")
+        for row in bad:
+            failed.setdefault(row, n)
         if len(failed) == len(paths):
             break
         if (on_snapshot is not None and snapshot_stride > 0
@@ -269,8 +257,8 @@ def run(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
     With ``snapshot_stride`` > 0 the callback receives
     (step_index, time, full-band state) every stride steps and at both ends.
     ``RunResult.wall_time`` is the stepping time alone: snapshot assembly and
-    the callback are not counted.  A non-finite state or nonlinearity image
-    raises NumericalError naming its step.
+    the callback are not counted.  A non-finite state raises NumericalError
+    naming its first bad step.
     """
     u0 = build_initial(problem.initial, grid)
     if u0.dim != grid.dim:
@@ -302,7 +290,7 @@ def run(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
     block = run_block(method, low, problem.f, problem.sigma, [path],
                       snapshot_stride, snapshot if snapshots else None)
     if block.failed:
-        raise NumericalError(block.failed[0])
+        raise NumericalError(f"non-finite state at step {block.failed[0]}")
 
     t_total = method.n_steps * method.tau
     final = full_state(SpectralState(block.u_hat[0], block.v_hat[0]), t_total)

@@ -297,10 +297,10 @@ def pseudospectral_apply(scalar_fn, half: np.ndarray, cut: int,
 
     Realises trigonometric interpolation of scalar_fn(u) on half spectra:
     real inverse transform, pointwise map, real forward transform, sharp
-    truncation, over the trailing ``dim`` axes (all of them by default).
-    Non-finite samples of a single field raise FloatingPointError.  In a
-    block (``dim`` below the rank) they leave only their own row's image
-    non-finite, so the caller can drop that row and keep the others.
+    truncation, over the trailing ``dim`` axes (all of them by default); a
+    leading axis indexes the fields of a block, each transformed alone.
+    Finiteness is not checked: non-finite samples give a non-finite image
+    of their own field.
     """
     half = np.asarray(half)
     dim = half.ndim if dim is None else dim
@@ -308,8 +308,6 @@ def pseudospectral_apply(scalar_fn, half: np.ndarray, cut: int,
     if cut > band:
         raise ValueError(f"cut {cut} exceeds stored band {band}")
     samples = np.asarray(scalar_fn(inverse(half, dim)), dtype=np.float64)
-    if samples.ndim == dim and not np.isfinite(samples).all():
-        raise FloatingPointError("nonlinearity produced non-finite samples")
     out = forward(samples, dim)
     out *= band_mask(dim, band, cut)
     return out

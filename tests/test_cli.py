@@ -52,6 +52,20 @@ def test_cli_flags_override_config(tmp_path):
     assert all(r["n_samples"] == 2 for r in rows)
 
 
+def test_levels_halve_from_coarsest_config_level(tmp_path):
+    # --levels K halves from the coarsest configured level, whatever order
+    # the config lists them in
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("dim = 1\npreset = 2\ngamma = 4.0\nmethods = stm\n"
+                   "levels = 0.03125,0.0625,0.125\n", encoding="utf-8")
+    out_dir = tmp_path / "o"
+    rc = main(["converge", "--config", str(cfg), "--levels", "3",
+               "--samples", "2", "--out", str(out_dir)])
+    assert rc == 0
+    rows = sw.parse_csv(out_dir / "convergence.csv")
+    assert [r["tau"] for r in rows] == [0.125, 0.0625, 0.03125]
+
+
 def test_compare_subcommand(tmp_path):
     out_dir = tmp_path / "cmp"
     rc = main(["compare", "--preset", "2", "--dim", "1", "--gamma", "4.0",
@@ -103,13 +117,24 @@ BAD_ARGUMENTS = [
     ["converge", "--preset", "2", "--tfinal", "1e308"],
     ["converge", "--preset", "2", "--tfinal", "1099511627776"],
     ["run", "--preset", "1", "--tfinal", "1099511627776"],
+    # a non-finite or huge level beside an explicit tau_ref
+    ["converge", "--config", "{tmp}/level_nan.cfg"],
+    ["converge", "--config", "{tmp}/level_inf.cfg"],
+    ["converge", "--config", "{tmp}/level_huge.cfg"],
+    # a stepped band M whose one array needs more than physical memory
+    # (1e10 + 1 complex slots, 149 GiB), although the reference box fits
+    ["converge", "--config", "{tmp}/n_cuts_huge.cfg"],
 ]
 
-# the lattice each entry point refuses is the one it draws: a study's at
-# tau_ref = 2^-11, a single run's at tau = 2^-9
+# what the message names: the lattice each entry point draws (a study's at
+# tau_ref = 2^-11, a single run's at tau = 2^-9), the bad level, or band M
 BAD_ARGUMENT_MESSAGES = {
     ("converge", "--preset", "2", "--tfinal", "1099511627776"): "t_final/tau_ref = 2^51 cells",
     ("run", "--preset", "1", "--tfinal", "1099511627776"): "t_final/tau = 2^49 cells",
+    ("converge", "--config", "{tmp}/level_nan.cfg"): "level must be finite",
+    ("converge", "--config", "{tmp}/level_inf.cfg"): "level must be finite",
+    ("converge", "--config", "{tmp}/level_huge.cfg"): "t_final/level",
+    ("converge", "--config", "{tmp}/n_cuts_huge.cfg"): "widest stepped band 10000000000",
 }
 
 
@@ -123,6 +148,12 @@ def test_config_error_exit_code(tmp_path):
         "preset = 2\nlevels = 0.125,0.0625,0.03125\nn_cuts = 4,x,8\n", encoding="utf-8")
     (tmp_path / "no_methods.cfg").write_text("preset = 1\nmethods = ,\n", encoding="utf-8")
     (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe\x00preset = 2\n")
+    for name, level in (("nan", "nan"), ("inf", "inf"), ("huge", "1e308")):
+        (tmp_path / f"level_{name}.cfg").write_text(
+            f"preset = 2\nlevels = {level}\ntau_ref = 0.001953125\n", encoding="utf-8")
+    (tmp_path / "n_cuts_huge.cfg").write_text(
+        "preset = 2\nlevels = 0.125,0.0625,0.03125\nn_cuts = 4,8,10000000000\n",
+        encoding="utf-8")
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(sw.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -167,8 +198,7 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
 
     def explode(*args, **kwargs):
         res = real_block(*args, **kwargs)
-        res.failed.update(dict.fromkeys(range(res.u_hat.shape[0]),
-                                        "non-finite state at step 0"))
+        res.failed.update(dict.fromkeys(range(res.u_hat.shape[0]), 0))
         return res
 
     monkeypatch.setattr(exp, "run_block", explode)

@@ -194,7 +194,7 @@ class TestRunConvergence:
             if spec.kind == "stm" and spec.tau == 2**-3:
                 for row, lattice in enumerate(paths):
                     if lattice.sample_index == 5:
-                        res.failed[row] = "non-finite state at step 0"
+                        res.failed[row] = 0
             return res
 
         monkeypatch.setattr(exp, "run_block", flaky)
@@ -206,8 +206,9 @@ class TestRunConvergence:
         assert rows[1].excluded == 0 and rows[1].n_samples == 101
 
     def test_nonfinite_image_excluded(self, monkeypatch):
-        # a real non-finite nonlinearity image in one row of a block: NaN for
-        # that run, counted in the excluded column, never a FloatingPointError
+        # a real non-finite nonlinearity image in one row of a block leaves
+        # that row's new state non-finite: NaN for that run, counted in the
+        # excluded column, and the study still reports
         real_block = exp.run_block
 
         class PoisonRow:
@@ -245,8 +246,7 @@ class TestRunConvergence:
         def flaky(spec, start, f, sigma, paths, **kw):
             res = real_block(spec, start, f, sigma, paths, **kw)
             if spec.kind == "stm" and spec.tau == 2**-3:
-                res.failed.update(dict.fromkeys(range(len(paths)),
-                                                "non-finite state at step 0"))
+                res.failed.update(dict.fromkeys(range(len(paths)), 0))
             return res
 
         monkeypatch.setattr(exp, "run_block", flaky)
@@ -255,6 +255,7 @@ class TestRunConvergence:
                                   seed=13)
         with pytest.raises(sw.NumericalFailure):
             sw.run_convergence(cfg)
+        assert issubclass(sw.NumericalFailure, sw.NumericalError)
 
     def test_reference_consistency(self):
         # halving tau_ref moves each rms by less than its standard error;

@@ -397,8 +397,9 @@ class TestRunDriver:
             sw.run(spec, grid, problem, lattice)
 
     def test_nonfinite_image_is_numerical_error(self):
-        # the nonlinearity layer's FloatingPointError becomes the one
-        # failure type for non-finite events at the run boundary
+        # a NaN nonlinearity image leaves the new state non-finite, so the
+        # run fails at that step with the one error type for non-finite
+        # values
         grid = sw.make_grid(1, 4, 1.0)
         problem = explicit_problem(random_state(grid), sigma=sw.scaled_sine(np.nan))
         spec = sw.method_spec("stm", 2**-4, 0.25)
@@ -471,26 +472,46 @@ class TestRunDriver:
         assert not sw.method_spec("sem", 0.25, 1.0).recovery
 
 
+class PoisonRow:
+    """A nonlinearity with the samples of one block row replaced by NaN."""
+    is_zero = False
+
+    def __init__(self, inner, row):
+        self.inner, self.row = inner, row
+
+    def __call__(self, u):
+        out = self.inner(u)
+        out[self.row] = np.nan
+        return out
+
+
 class TestRunBlock:
-    def test_nan_row_excluded_alone(self):
-        # row 3's first increment is NaN: that row alone is flagged at step
-        # 0, and every other row equals its own single-path run bit for bit
+    @pytest.mark.parametrize("poison", ["increment", "image"])
+    def test_nan_row_excluded_alone(self, poison):
+        # row 3 alone gets a NaN first increment or a NaN nonlinearity
+        # image: that row alone is flagged at step 0, and every other row
+        # equals its own single-path run bit for bit
         grid = sw.make_grid(1, 8, 1.0)
         state = random_state(grid, seed=16)
         problem = explicit_problem(state, sigma=sw.scaled_sine(16.0))
         spec = sw.method_spec("stm", 2**-5, 0.25)
         paths = [sw.sample_path(8, s, 0.25, 2**-5) for s in range(7)]
-        poisoned = paths[3].increments.copy()
-        poisoned[0] = np.nan
-        paths[3] = dataclasses.replace(paths[3], increments=poisoned)
-        block = sw.run_block(spec, state, problem.f, problem.sigma, paths)
-        assert block.failed == {3: "non-finite state at step 0"}
+        if poison == "increment":
+            poisoned = paths[3].increments.copy()
+            poisoned[0] = np.nan
+            paths[3] = dataclasses.replace(paths[3], increments=poisoned)
+            sigma, alone = problem.sigma, problem
+        else:
+            sigma = PoisonRow(problem.sigma, 3)
+            alone = explicit_problem(state, sigma=PoisonRow(problem.sigma, 0))
+        block = sw.run_block(spec, state, problem.f, sigma, paths)
+        assert block.failed == {3: 0}
         for row in (0, 1, 2, 4, 5, 6):
             single = sw.run(spec, grid, problem, paths[row]).final_state
             np.testing.assert_array_equal(block.u_hat[row], single.u_hat)
             np.testing.assert_array_equal(block.v_hat[row], single.v_hat)
-        with pytest.raises(sw.NumericalError, match="step 0"):
-            sw.run(spec, grid, problem, paths[3])
+        with pytest.raises(sw.NumericalError, match="non-finite state at step 0"):
+            sw.run(spec, grid, alone, paths[3])
 
 
     def test_non_hermitian_initial_state_refused(self):

@@ -298,11 +298,24 @@ class TestPseudospectral:
         expect[2] = 0.25
         np.testing.assert_allclose(out, expect, atol=1e-14)
 
-    def test_rejects_non_finite(self):
+    def test_non_finite_sample_gives_non_finite_image(self):
+        # finiteness is the stepper's concern: a NaN sample leaves its own
+        # field's image non-finite, alone or as one row of a block, raises
+        # nothing, and the other rows keep their own images bit for bit
         grid = sw.make_grid(1, 8, 1.0)
-        state = random_state(grid)
-        with pytest.raises(FloatingPointError), np.errstate(invalid="ignore"):
-            self.apply(lambda u: np.log(u - 100.0), state, 8)
+        states = [random_state(grid, seed=s) for s in range(4)]
+
+        def nan_in_last_row(u):
+            out = np.sin(u)
+            out[(-1,) * (out.ndim - 1) + (0,)] = np.nan
+            return out
+
+        assert not np.isfinite(self.apply(nan_in_last_row, states[0], 8)).all()
+        block = np.stack([s.u_hat for s in states])
+        out = sw.pseudospectral_apply(nan_in_last_row, block, 8, dim=1)
+        assert not np.isfinite(out[-1]).all()
+        for row, state in enumerate(states[:-1]):
+            np.testing.assert_array_equal(out[row], self.apply(np.sin, state, 8))
 
 
 class TestBandChanges:
