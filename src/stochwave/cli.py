@@ -86,7 +86,7 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
         if getattr(args, key) is not None:
             mapping[key] = getattr(args, key)
     config = config_from_mapping(mapping)
-    if args.tau is not None and (args.command != "run" or args.levels is not None):
+    if config.tau is not None and (args.command != "run" or args.levels is not None):
         coarse = config.tau
     elif args.levels is not None:
         coarse = max(config.levels, default=2**-5)

@@ -35,9 +35,10 @@ So no sample ever builds a state wider than band M, and the initial pair is
 the study's only array of the full box; with alpha = 1 every shift is empty
 and every tail zero.
 
-The samples are stepped in contiguous chunks, each as array blocks: the
-reference and every distinct trajectory of a level is one
-``integrators.run_block`` call over all paths of the chunk.  Methods whose
+The samples are stepped in contiguous chunks, each as array blocks: a chunk
+coarsens its paths once per distinct step size, and the reference and every
+distinct trajectory of a level is one ``integrators.run_block`` call on the
+increments of its step size.  Methods whose
 stepping is the same (equal ``integrators.stepping_key``: ``hr_lri`` and
 ``stm`` always, ``lri`` too unless its filter cuts) share one trajectory and
 its final states.  Each block is re-stored at band M once and the reference
@@ -83,7 +84,7 @@ from .integrators import (
     run_block,
     stepping_key,
 )
-from .noise import PEAK_BYTES_PER_CELL, sample_path
+from .noise import PEAK_BYTES_PER_CELL, coarsen, sample_path
 from .problems import (
     PRESETS,
     NonlinearitySpec,
@@ -246,13 +247,23 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
                    n_cuts=n_cuts, methods=methods)
 
 
+def _array_bytes(dim: int, band: int) -> int:
+    """Bytes of one complex128 half spectrum at ``band``."""
+    return 16 * (2 * band) ** (dim - 1) * (band + 1)
+
+
+# full-band half spectra that building an initial state holds at its peak:
+# tracemalloc measures 7.1 (preset 1), 6.1 (2 and 3) and 2.5 (4) at bands 2^18
+# (1D) and 512 (2D); below 256 KiB per array numpy elides fewer temporaries
+_BUILD_PEAK_ARRAYS = 8
+
+
 def _full_grid(dim: int, n_cut: int, alpha: float) -> SpectralGrid:
-    """make_grid, refusing a grid whose one complex array at the full band,
-    (2 n_high)^(dim-1) (n_high + 1) coefficients, is larger than physical
-    memory."""
+    """make_grid, refusing a grid whose initial state needs more than
+    physical memory to build (_BUILD_PEAK_ARRAYS full-band arrays)."""
     grid = make_grid(dim, n_cut, alpha)
-    _check_memory(16 * (2 * grid.n_high) ** (dim - 1) * (grid.n_high + 1),
-                  f"one full-band array of band {n_cut} with alpha {alpha}")
+    _check_memory(_BUILD_PEAK_ARRAYS * _array_bytes(dim, grid.n_high),
+                  f"building the initial state at band {n_cut} with alpha {alpha}")
     return grid
 
 
@@ -438,8 +449,7 @@ def _prepare(config: ExperimentConfig) -> _Study:
     _check_lattice("tau_ref", config.tau_ref, config.t_final)
     n_ref = default_n_cut(config.tau_ref)
     band = max(n_ref, *config.n_cuts)
-    _check_memory(16 * (2 * band) ** (dim - 1) * (band + 1),
-                  f"one array at the widest stepped band {band}")
+    _check_memory(_array_bytes(dim, band), f"one array at the widest stepped band {band}")
     full = _full_grid(dim, n_ref, config.alpha)
     u0 = build_initial(problem.initial, full)
     if u0.dim != dim:
@@ -488,24 +498,27 @@ def _prepare(config: ExperimentConfig) -> _Study:
 def _chunk_errors(study: _Study, samples: range):
     """Errors (squared) and stepping times for a contiguous chunk of samples.
 
-    Every distinct trajectory of a level is stepped once, as one block of
-    the chunk's paths, and scored at band M against the reference block with
-    one weighted reduction per method that maps to it.  Returns err_sq of
-    shape (samples, methods, levels), NaN marking a run whose row or
-    reference row failed, and the (methods, levels) stepping seconds of each
-    method's trajectory.
+    Every distinct trajectory of a level is stepped once, as one block on
+    the chunk's paths coarsened to its step size, and scored at band M
+    against the reference block with one weighted reduction per method that
+    maps to it.  Returns err_sq of shape (samples, methods, levels), NaN
+    marking a run whose row or reference row failed, and the (methods,
+    levels) stepping seconds of each method's trajectory.
     """
     config = study.config
     n_m = len(config.methods)
     err_sq = np.full((len(samples), n_m, len(config.levels)), np.nan)
     wall = np.zeros((n_m, len(config.levels)))
     paths = [sample_path(config.seed, s, config.t_final, config.tau_ref) for s in samples]
+    dws = {tau: np.stack([coarsen(p, tau) for p in paths])
+           for tau in {config.tau_ref, *config.levels}}
     ref_start = study.starts[default_n_cut(config.tau_ref)]
-    ref = run_block(study.ref_method, ref_start, study.f, study.sigma, paths)
+    ref = run_block(study.ref_method, ref_start, study.f, study.sigma, dws[config.tau_ref])
     ref_m = with_band(SpectralState(ref.u_hat, ref.v_hat), study.band, config.dim)
     for li, n in enumerate(config.n_cuts):
         for spec, mis, is_ref in study.trajectories[li]:
-            res = ref if is_ref else run_block(spec, study.starts[n], study.f, study.sigma, paths)
+            res = ref if is_ref else run_block(spec, study.starts[n], study.f, study.sigma,
+                                               dws[spec.tau])
             res_m = with_band(SpectralState(res.u_hat, res.v_hat), study.band, config.dim)
             du, dv = res_m.u_hat - ref_m.u_hat, res_m.v_hat - ref_m.v_hat
             failed = list(ref.failed.keys() | res.failed.keys())
@@ -537,7 +550,7 @@ def _chunk_rows(study: _Study) -> int:
     keep a block at the widest stepped band M at _WORKER_FLOOR_BYTES, and
     capped so that such a block stays within _BLOCK_BYTES."""
     config = study.config
-    row_bytes = 16 * (2 * study.band) ** (config.dim - 1) * (study.band + 1)
+    row_bytes = _array_bytes(config.dim, study.band)
     split = max(-(-config.n_samples // config.n_workers), -(-_WORKER_FLOOR_BYTES // row_bytes))
     return min(max(1, _BLOCK_BYTES // row_bytes), split)
 

@@ -25,21 +25,20 @@ every axis), the recovery band (box N^alpha minus box N) and a discarded
 remainder; the recovery band never sees the noise and is propagated to the
 final time in one shot when recovery is enabled.
 
-Stepping works on blocks: ``run_block`` advances S paths at once from a
-given state, whose shape fixes the band N and the dimension d, as arrays of
-shape (S,) + (2N,)^(d-1) + (N+1,), one half spectrum per row.  Each step is
-one ``step_block`` call: one batched real inverse FFT, one pointwise map,
-one batched real forward FFT, one mask and one 2x2 pass over the modes,
-driven by the (S,) vector of the rows' grouped increments.  Rows never mix,
-so every row is bit-identical to a block of one.  Each step scans its new
-state once for non-finite values, and a row that fails is dropped alone
-with its first bad step.  ``run`` builds the initial state on its grid and
-steps it as a block of one path plus the recovery band; a failed step
-raises NumericalError, the one error type for non-finite values (a study's
-``NumericalFailure`` is one too).  The stepping depends only on
-``stepping_key``: ``hr_lri`` and ``stm`` always share one trajectory, and
-``lri`` does too whenever its filter does not cut (the default coupling),
-so a study steps each distinct key once.
+Stepping works on blocks: the step loop ``run_block`` advances S rows from
+a given state, whose shape fixes the band N and the dimension d, as arrays
+of shape (S,) + (2N,)^(d-1) + (N+1,), through the columns of an (S, n)
+array of coarsened increments.  Each step is one ``step_block`` call: one
+batched real inverse FFT, one pointwise map, one batched real forward FFT,
+one mask and one 2x2 pass over the modes.  Rows never mix, so every row is
+bit-identical to a block of one.  Each step scans its new state once for
+non-finite values, and a row that fails is dropped alone with its first bad
+step.  ``run`` coarsens its one path and steps one row per snapshot segment
+plus the recovery band; a failed step raises NumericalError, the one error
+type for non-finite values (a study's ``NumericalFailure`` is one too).
+The stepping depends only on ``stepping_key``: ``hr_lri`` and ``stm``
+always share one trajectory, and ``lri`` does too whenever its filter does
+not cut (the default coupling), so a study steps each distinct key once.
 """
 
 from __future__ import annotations
@@ -188,7 +187,7 @@ class BlockResult:
 
     ``failed`` maps each row that left the floating-point domain to its
     first bad step, the first whose new state is non-finite; such a row
-    holds no state.  ``wall_time`` is the stepping time alone.
+    holds no state.  ``wall_time`` is the time of the step loop.
     """
 
     u_hat: np.ndarray
@@ -198,53 +197,32 @@ class BlockResult:
 
 
 def run_block(method: MethodSpec, start: SpectralState, f: NonlinearitySpec,
-              sigma: NonlinearitySpec, paths, snapshot_stride: int = 0,
-              on_snapshot=None) -> BlockResult:
-    """Integrate a block of paths from the state ``start`` on its own band,
-    with the nonlinearities ``f`` and ``sigma``.
+              sigma: NonlinearitySpec, dws: np.ndarray) -> BlockResult:
+    """Step every row of a block from the state ``start`` on its own band,
+    with the nonlinearities ``f`` and ``sigma``, through the columns of the
+    (S, n) increments ``dws``: row s takes the n steps ``dws[s]``.
 
-    Every row starts from ``start``, which must be Hermitian (ValueError
-    otherwise) and is broadcast once, and row s consumes the exact grouped
-    sums of the base increments of ``paths[s]``, so runs at different step
-    sizes on one lattice are coupled.  Each step is one call of
-    :func:`step_block` for the whole block.  A row that goes non-finite is
-    recorded in ``failed`` with its first bad step and leaves the other rows
-    untouched; stepping stops early once every row has failed.  With
-    ``snapshot_stride`` > 0 the callback receives (step_index, u_hat, v_hat)
-    every stride steps strictly inside the run; its time is not counted in
-    ``wall_time``.
+    ``start`` must be Hermitian (ValueError otherwise) and is broadcast once
+    to the S rows.  Each step is one call of :func:`step_block` for the
+    whole block.  A row that goes non-finite is recorded in ``failed`` with
+    its first bad step and leaves the other rows untouched; stepping stops
+    early once every row has failed.
     """
-    t_total = method.n_steps * method.tau
-    for path in paths:
-        if t_total > path.t_final + 1e-12:
-            raise ValueError(f"run time {t_total} exceeds path horizon {path.t_final}")
-    if method.n_steps:
-        dws = np.stack([coarsen(p, method.tau)[:method.n_steps] for p in paths])
-    else:
-        dws = np.zeros((len(paths), 0))
-
     check_hermitian(start)
-    u = np.broadcast_to(start.u_hat, (len(paths),) + start.u_hat.shape)
+    u = np.broadcast_to(start.u_hat, (len(dws),) + start.u_hat.shape)
     v = np.broadcast_to(start.v_hat, u.shape)
     tables_of, _, cut, _ = stepping_key(method, start.band)
     tables = tables_of(start.dim, start.band, method.tau)
 
     failed: dict[int, int] = {}
     t0 = time.perf_counter()
-    snapshot_s = 0.0
-    for n in range(method.n_steps):
+    for n in range(dws.shape[1]):
         u, v, bad = step_block(u, v, tables, cut, method.tau, dws[:, n], f, sigma)
         for row in bad:
             failed.setdefault(row, n)
-        if len(failed) == len(paths):
+        if len(failed) == len(dws):
             break
-        if (on_snapshot is not None and snapshot_stride > 0
-                and (n + 1) % snapshot_stride == 0 and n + 1 < method.n_steps):
-            t_snap = time.perf_counter()
-            on_snapshot(n + 1, u, v)
-            snapshot_s += time.perf_counter() - t_snap
-    wall = time.perf_counter() - t0 - snapshot_s
-    return BlockResult(u_hat=u, v_hat=v, failed=failed, wall_time=wall)
+    return BlockResult(u_hat=u, v_hat=v, failed=failed, wall_time=time.perf_counter() - t0)
 
 
 def run(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
@@ -252,19 +230,23 @@ def run(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
         on_snapshot=None) -> RunResult:
     """Integrate one path; returns the final state at the full band.
 
-    The stepping is :func:`run_block` with a block of one path, on the
-    stepped band; the recovery band is added to every state handed out.
-    With ``snapshot_stride`` > 0 the callback receives
-    (step_index, time, full-band state) every stride steps and at both ends.
-    ``RunResult.wall_time`` is the stepping time alone: snapshot assembly and
-    the callback are not counted.  A non-finite state raises NumericalError
-    naming its first bad step.
+    The stepping is one :func:`run_block` of one row on the stepped band
+    per snapshot segment, each from the last one's final state; the recovery
+    band is added to every state handed out.  With ``snapshot_stride`` > 0
+    the callback receives (step_index, time, full-band state) every stride
+    steps and at both ends.  ``RunResult.wall_time`` sums the blocks' times,
+    so snapshot assembly and the callback are not counted.  A non-finite
+    state raises NumericalError naming its first bad step.
     """
+    t_total = method.n_steps * method.tau
+    if t_total > path.t_final + 1e-12:
+        raise ValueError(f"run time {t_total} exceeds path horizon {path.t_final}")
+    dws = coarsen(path, method.tau)[:method.n_steps]
     u0 = build_initial(problem.initial, grid)
     if u0.dim != grid.dim:
         raise ValueError("initial state dimension does not match grid")
     u0 = with_band(u0, grid.n_high)
-    low = with_band(u0, grid.n_cut)
+    state = with_band(u0, grid.n_cut)
     rec0 = None
     if method.recovery and grid.n_high > grid.n_cut:
         # the stepped storage holds |k_j| <= n_cut - 1 (its unpaired slot is
@@ -281,22 +263,21 @@ def run(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
 
     snapshots = on_snapshot is not None and snapshot_stride > 0
     if snapshots:
-        on_snapshot(0, 0.0, full_state(low, 0.0))
-
-    def snapshot(n: int, u: np.ndarray, v: np.ndarray) -> None:
-        t = n * method.tau
-        on_snapshot(n, t, full_state(SpectralState(u[0], v[0]), t))
-
-    block = run_block(method, low, problem.f, problem.sigma, [path],
-                      snapshot_stride, snapshot if snapshots else None)
-    if block.failed:
-        raise NumericalError(f"non-finite state at step {block.failed[0]}")
-
-    t_total = method.n_steps * method.tau
-    final = full_state(SpectralState(block.u_hat[0], block.v_hat[0]), t_total)
-    if snapshots and method.n_steps > 0:
-        on_snapshot(method.n_steps, t_total, final)
-    return RunResult(final_state=final, wall_time=block.wall_time, steps=method.n_steps)
+        on_snapshot(0, 0.0, full_state(state, 0.0))
+    # one segment per stride, and one of no steps when n_steps = 0
+    stride = snapshot_stride if snapshots else max(method.n_steps, 1)
+    wall = 0.0
+    for a in range(0, max(method.n_steps, 1), stride):
+        block = run_block(method, state, problem.f, problem.sigma, dws[None, a:a + stride])
+        wall += block.wall_time
+        if block.failed:
+            raise NumericalError(f"non-finite state at step {a + block.failed[0]}")
+        state = SpectralState(block.u_hat[0], block.v_hat[0])
+        n = min(a + stride, method.n_steps)
+        final = full_state(state, n * method.tau)
+        if snapshots and n > 0:
+            on_snapshot(n, n * method.tau, final)
+    return RunResult(final_state=final, wall_time=wall, steps=method.n_steps)
 
 
 # ---------------------------------------------------------------------------

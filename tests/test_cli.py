@@ -66,6 +66,21 @@ def test_levels_halve_from_coarsest_config_level(tmp_path):
     assert [r["tau"] for r in rows] == [0.125, 0.0625, 0.03125]
 
 
+def test_tau_config_key_sets_levels_like_the_flag(tmp_path):
+    # the config key tau follows the rules of --tau: five levels halving
+    # from it, not the default levels
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("dim = 1\npreset = 2\ngamma = 4.0\nmethods = stm\n"
+                   "n_samples = 2\ntau = 0.125\n", encoding="utf-8")
+    taus = []
+    for name, extra in (("file", []), ("flag", ["--tau", "0.125"])):
+        out_dir = tmp_path / name
+        rc = main(["converge", "--config", str(cfg), "--out", str(out_dir)] + extra)
+        assert rc == 0
+        taus.append([r["tau"] for r in sw.parse_csv(out_dir / "convergence.csv")])
+    assert taus[0] == taus[1] == [0.125 * 2.0**-i for i in range(5)]
+
+
 def test_compare_subcommand(tmp_path):
     out_dir = tmp_path / "cmp"
     rc = main(["compare", "--preset", "2", "--dim", "1", "--gamma", "4.0",

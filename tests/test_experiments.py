@@ -15,6 +15,7 @@ from stochwave.experiments import (
     parse_config_file,
     resolve_config,
 )
+from stochwave.problems import PRESETS
 from stochwave.semigroup import propagator_tables
 from stochwave.spectral import shell_index
 
@@ -27,6 +28,20 @@ def lowband_state(seed=0):
     u[0], v[0] = rng.standard_normal(2)
     u[1], v[1] = rng.standard_normal(2)
     return sw.SpectralState(u, v)
+
+
+def track_chunks(monkeypatch):
+    """The sample ranges of the chunks ``_chunk_errors`` has started, in
+    order; with one worker the last is the chunk being stepped."""
+    real = exp._chunk_errors
+    chunks = []
+
+    def spy(study, samples):
+        chunks.append(samples)
+        return real(study, samples)
+
+    monkeypatch.setattr(exp, "_chunk_errors", spy)
+    return chunks
 
 
 def linear_config(**kw):
@@ -188,13 +203,12 @@ class TestRunConvergence:
     def test_partial_exclusion_counted(self, monkeypatch):
         # one failing run out of 303 is excluded and counted, never averaged
         real_block = exp.run_block
+        chunks = track_chunks(monkeypatch)
 
-        def flaky(spec, start, f, sigma, paths, **kw):
-            res = real_block(spec, start, f, sigma, paths, **kw)
-            if spec.kind == "stm" and spec.tau == 2**-3:
-                for row, lattice in enumerate(paths):
-                    if lattice.sample_index == 5:
-                        res.failed[row] = 0
+        def flaky(spec, start, f, sigma, dws):
+            res = real_block(spec, start, f, sigma, dws)
+            if spec.kind == "stm" and spec.tau == 2**-3 and 5 in chunks[-1]:
+                res.failed[chunks[-1].index(5)] = 0
             return res
 
         monkeypatch.setattr(exp, "run_block", flaky)
@@ -223,11 +237,12 @@ class TestRunConvergence:
                 out[self.row] = np.nan
                 return out
 
-        def poison(spec, start, f, sigma, paths, **kw):
-            rows = [r for r, lattice in enumerate(paths) if lattice.sample_index == 2]
-            if rows and spec.kind == "stm" and spec.tau == 2**-4:
-                sigma = PoisonRow(sigma, rows[0])
-            return real_block(spec, start, f, sigma, paths, **kw)
+        chunks = track_chunks(monkeypatch)
+
+        def poison(spec, start, f, sigma, dws):
+            if 2 in chunks[-1] and spec.kind == "stm" and spec.tau == 2**-4:
+                sigma = PoisonRow(sigma, chunks[-1].index(2))
+            return real_block(spec, start, f, sigma, dws)
 
         monkeypatch.setattr(exp, "run_block", poison)
         cfg = resolve_config(sw.ExperimentConfig(
@@ -243,10 +258,10 @@ class TestRunConvergence:
     def test_exclusions_over_threshold_fail_loudly(self, monkeypatch):
         real_block = exp.run_block
 
-        def flaky(spec, start, f, sigma, paths, **kw):
-            res = real_block(spec, start, f, sigma, paths, **kw)
+        def flaky(spec, start, f, sigma, dws):
+            res = real_block(spec, start, f, sigma, dws)
             if spec.kind == "stm" and spec.tau == 2**-3:
-                res.failed.update(dict.fromkeys(range(len(paths)), 0))
+                res.failed.update(dict.fromkeys(range(len(dws)), 0))
             return res
 
         monkeypatch.setattr(exp, "run_block", flaky)
@@ -481,9 +496,9 @@ def count_steppings(monkeypatch, **kw):
     real = exp.run_block
     taus = []
 
-    def spy(spec, start, f, sigma, paths, **k):
+    def spy(spec, start, f, sigma, dws):
         taus.append(spec.tau)
-        return real(spec, start, f, sigma, paths, **k)
+        return real(spec, start, f, sigma, dws)
 
     monkeypatch.setattr(exp, "run_block", spy)
     cfg = resolve_config(sw.ExperimentConfig(
@@ -542,9 +557,9 @@ class TestBlockStudy:
         real = exp.run_block
         calls = []
 
-        def spy(spec, start, f, sigma, paths, **k):
+        def spy(spec, start, f, sigma, dws):
             calls.append((start, f, sigma))
-            return real(spec, start, f, sigma, paths, **k)
+            return real(spec, start, f, sigma, dws)
 
         monkeypatch.setattr(exp, "run_block", spy)
         exp._study_reports(study, 2)
@@ -555,12 +570,32 @@ class TestBlockStudy:
             assert start is study.starts[start.band]
             assert f is study.f and sigma is study.sigma
 
+    def test_each_chunk_coarsens_each_step_size_once(self, monkeypatch):
+        # three trajectories per level (the lri filter cuts) and chunks of
+        # 2, 2 and 1 samples: each chunk coarsens each of its paths once at
+        # tau_ref and once at each level
+        real = exp.coarsen
+        calls = []
+
+        def spy(lattice, step_dt):
+            calls.append((lattice.sample_index, step_dt))
+            return real(lattice, step_dt)
+
+        monkeypatch.setattr(exp, "coarsen", spy)
+        cfg = resolve_config(sw.ExperimentConfig(
+            dim=1, preset=2, gamma=0.5, methods=ALL_METHODS,
+            levels=(2**-3, 2**-4, 2**-5), n_cuts=(16, 32, 64), n_samples=5, seed=3))
+        study = exp._prepare(cfg)
+        exp._study_reports(study, 2)
+        taus = {cfg.tau_ref, *cfg.levels}
+        assert sorted(calls) == sorted((s, tau) for s in range(5) for tau in taus)
+
     def test_blocks_within_byte_budget(self, monkeypatch):
         real = exp.run_block
         blocks = []
 
-        def spy(spec, start, f, sigma, paths, **k):
-            res = real(spec, start, f, sigma, paths, **k)
+        def spy(spec, start, f, sigma, dws):
+            res = real(spec, start, f, sigma, dws)
             blocks.append((start.band, res.u_hat.nbytes))
             return res
 
@@ -605,8 +640,9 @@ class TestMemoryGuard:
 
     def test_guard_sizes_the_half_array(self, monkeypatch):
         # 2D band 64: one complex half array is 16 * 128 * 65 bytes, about
-        # half the full 128^2 box
-        need = 16 * 128 * 65
+        # half the full 128^2 box, and building the initial state holds
+        # _BUILD_PEAK_ARRAYS of them
+        need = exp._BUILD_PEAK_ARRAYS * 16 * 128 * 65
         self.physical_memory(monkeypatch, need)
         assert exp._full_grid(2, 64, 1.0).n_high == 64
         self.physical_memory(monkeypatch, need - 1)
@@ -641,6 +677,45 @@ class TestMemoryGuard:
         assert "Traceback" not in err
         assert not any(tmp_path.iterdir())
 
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--preset", "1", "--tau", "0.03125"],
+        ["converge", "--preset", "2", "--tau", "0.125", "--levels", "3", "--samples", "2"],
+    ])
+    def test_build_that_exceeds_memory_refused(self, monkeypatch, tmp_path, capsys, argv):
+        # twice one array at the full band (1D band 64 for the run, 1024 for
+        # the study's reference): that array, the lattice and band M fit,
+        # building the initial state does not
+        from stochwave.cli import main
+
+        def never(*args, **kwargs):
+            raise AssertionError("built the initial state before the memory guard")
+
+        monkeypatch.setattr(exp, "build_initial", never)
+        monkeypatch.setattr(sw.integrators, "build_initial", never)
+        n_high = 64 if argv[0] == "run" else 1024
+        self.physical_memory(monkeypatch, 2 * 16 * (n_high + 1))
+        rc = main(argv + ["--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "building the initial state" in err and "physical memory" in err
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_guard_covers_each_presets_build(self, monkeypatch, preset):
+        # the bytes the guard asks for bound what building the preset's
+        # initial state holds at its peak, at full bands of 2^15 (1D) and
+        # 128 (2D), half arrays of about 512 KiB
+        needs = []
+        monkeypatch.setattr(exp, "_check_memory", lambda need, what: needs.append(need))
+        dim, _, problem = sw.preset_problem(preset, 0.5, 0)
+        grid = exp._full_grid(dim, 2**15 if dim == 1 else 128, 1.0)
+        tracemalloc.start()
+        try:
+            sw.build_initial(problem.initial, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < peak <= needs[0]
 
     def test_lattice_guard_bounds_the_sampler_peak(self, monkeypatch):
         # the guard refuses a 2^18-cell lattice on any memory below what
@@ -682,10 +757,10 @@ class TestMemoryGuard:
         assert not any(tmp_path.iterdir())
 
     def test_run_checks_its_own_lattice(self, monkeypatch, tmp_path):
-        # 2 KiB holds the run's full band (65 coefficients) and sampling its
-        # 8-cell lattice of tau = 2^-5, not even the finished 512 cells of
-        # tau_ref = 2^-11, which the run never draws
-        self.physical_memory(monkeypatch, 2048)
+        # 10 KiB holds building the run's full band (65 coefficients) and
+        # sampling its 8-cell lattice of tau = 2^-5, not sampling the 512
+        # cells of tau_ref = 2^-11 (12 KiB), which the run never draws
+        self.physical_memory(monkeypatch, 10240)
         cfg = sw.ExperimentConfig(dim=1, preset=1, tau=2**-5, out_dir=str(tmp_path))
         assert resolve_config(cfg).tau_ref == 2**-11
         assert sw.run_single(cfg)["steps"] == 8

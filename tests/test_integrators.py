@@ -424,6 +424,42 @@ class TestRunDriver:
         assert steps == [0, 1, 2, 3, 4]  # three callbacks inside the loop
         assert result.wall_time < pause
 
+    def test_final_state_independent_of_snapshot_stride(self):
+        # a run steps one block per snapshot segment, each from the previous
+        # segment's final row; the segments change no bit of the final state
+        grid = sw.make_grid(1, 8, 2.0)
+        problem = explicit_problem(random_state(grid, seed=18), f=sw.scaled_cosine(2.0),
+                                   sigma=sw.scaled_sine(16.0))
+        spec = sw.method_spec("hr_lri", 2**-5, 0.25)
+        lattice = sw.sample_path(4, 0, 0.25, 2**-7)
+        finals = {}
+        for stride in (1, 3, None):
+            steps = []
+            kw = {} if stride is None else dict(snapshot_stride=stride,
+                                                on_snapshot=lambda n, t, s: steps.append(n))
+            finals[stride] = sw.run(spec, grid, problem, lattice, **kw).final_state
+            expect = [] if stride is None else list(range(0, 8, stride)) + [8]
+            assert steps == expect
+        for stride in (1, 3):
+            np.testing.assert_array_equal(finals[stride].u_hat, finals[None].u_hat)
+            np.testing.assert_array_equal(finals[stride].v_hat, finals[None].v_hat)
+
+    def test_failure_step_counts_from_run_start(self):
+        # with stride 2 a NaN increment at step 5 fails the third segment at
+        # its second step: the error names the run's step 5
+        grid = sw.make_grid(1, 4, 1.0)
+        problem = explicit_problem(random_state(grid), sigma=sw.scaled_sine(1.0))
+        spec = sw.method_spec("stm", 2**-4, 0.5)
+        lattice = sw.sample_path(0, 0, 0.5, 2**-4)
+        poisoned = lattice.increments.copy()
+        poisoned[5] = np.nan
+        lattice = dataclasses.replace(lattice, increments=poisoned)
+        steps = []
+        with pytest.raises(sw.NumericalError, match="non-finite state at step 5$"):
+            sw.run(spec, grid, problem, lattice, snapshot_stride=2,
+                   on_snapshot=lambda n, t, s: steps.append(n))
+        assert steps == [0, 2, 4]
+
     @pytest.mark.parametrize("kind", ["hr_lri", "lri", "sem", "stm"])
     def test_constant_forcing_on_zero_mode(self, kind):
         # every scheme's zero mode is the shear [[1, tau], [0, 1]] applied
@@ -504,7 +540,8 @@ class TestRunBlock:
         else:
             sigma = PoisonRow(problem.sigma, 3)
             alone = explicit_problem(state, sigma=PoisonRow(problem.sigma, 0))
-        block = sw.run_block(spec, state, problem.f, sigma, paths)
+        dws = np.stack([sw.coarsen(p, spec.tau) for p in paths])
+        block = sw.run_block(spec, state, problem.f, sigma, dws)
         assert block.failed == {3: 0}
         for row in (0, 1, 2, 4, 5, 6):
             single = sw.run(spec, grid, problem, paths[row]).final_state
@@ -529,6 +566,7 @@ class TestRunBlock:
 
         spec = sw.method_spec("stm", 2**-5, 0.25)
         paths = [sw.sample_path(8, s, 0.25, 2**-5) for s in range(2)]
+        dws = np.stack([sw.coarsen(p, spec.tau) for p in paths])
         for dim, slot in ((1, (0,)), (2, (1, 0))):
             grid = sw.make_grid(dim, 8, 1.0)
             state = random_state(grid, seed=17)
@@ -537,11 +575,11 @@ class TestRunBlock:
             bad = sw.SpectralState(u, state.v_hat)
             zero = sw.zero_fn()
             with pytest.raises(ValueError, match="not Hermitian"):
-                sw.run_block(spec, bad, zero, Recording(), paths)
+                sw.run_block(spec, bad, zero, Recording(), dws)
             with pytest.raises(ValueError, match="not Hermitian"):
                 sw.run(spec, grid, explicit_problem(bad, sigma=Recording()), paths[0])
             assert not calls
-            sw.run_block(spec, state, zero, Recording(), paths)
+            sw.run_block(spec, state, zero, Recording(), dws)
             assert calls
             calls.clear()
 
