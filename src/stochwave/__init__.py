@@ -44,7 +44,6 @@ from .integrators import (
     MethodSpec,
     NumericalError,
     RunResult,
-    exact_linear_zero_mode,
     method_spec,
     recover_high,
     run,

@@ -15,7 +15,8 @@ same rules.  --levels gives the number of dyadic levels, halving from the
 coarsest step: --tau, else the coarsest configured level (default 2^-5).
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (any
 ``NumericalError``: a single run's non-finite step, or a study's
-``NumericalFailure``).
+``NumericalFailure``), 4 output error (an output file that cannot be
+written, for instance because a directory holds its name).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .integrators import NumericalError
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_OUTPUT = 4
 
 
 # flag -> (config key, help); the flag's value is stored under the key as a
@@ -148,6 +150,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
 
 
 if __name__ == "__main__":

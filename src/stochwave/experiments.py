@@ -11,43 +11,38 @@ mean-square distance
 in the L2 x H^-1 pair norm.  The initial state is built once, on the
 reference grid, and restricted once per stepped band.
 
-The pair norm is diagonal in the Fourier modes, so each squared error splits
-exactly at the box |k|_inf <= M - 1, where M is the widest stepped band of
-the study (the reference's or a coarse level's).  A run keeps the modes up
-to box h: its recovery cutoff if it recovers (hr_lri, and the reference at
-N_ref^alpha), its stepped band if not; every recovered mode is the exact
-linear flow e^(TL) U_0 of the shared initial state.  So:
+A study is one table of runs: the reference (hr_lri at tau_ref on band
+N_ref) and one run per method and level, each a spec and a stepped band n.
+A run keeps box h, floor(n^alpha) if it recovers and n if not
+(``integrators.kept_box``), and its recovered modes n <= max_j |k_j| < h
+(``integrators.recovered_modes``) are the exact linear flow e^(TL) U_0 of
+the shared initial state.  The pair norm is diagonal in the Fourier modes,
+so each squared error splits exactly at box M, the widest stepped band:
 
-* inside the box, per sample: every run steps its band only, and its final
+* inside box M, per sample: every run steps its band only, and its final
   state is compared at band M with the reference's.  The recovered modes
-  there never see the noise: each (method, level) adds one per-study shift,
-  the flow on its recovered modes inside box M minus the reference's.
-* outside the box, per study: no run steps there, so the error is the flow
-  outside box max(M, h), the modes with max_j |k_j| >= max(M, h).  Its
-  per-mode energy depends on |u_0|^2, |v_0|^2, Re(u_0 conj v_0) and
-  (|k_1|, ..., |k_d|) alone, so every tail comes from one streamed pass over
-  the initial state's half spectrum: in slabs along its last axis, folded
-  over the signs of the other axes, with the 2x2 tables on the |k| orthant
-  only (``_outside_energy``).  The flow is built at band M only, for the
-  shifts.
+  there never see the noise: each run adds one per-study shift, the flow
+  on its recovered modes inside box M minus the reference's.
+* outside box M, per study: no run steps there, so the error is the flow
+  outside box max(M, h).  Its per-mode energy depends on |u_0|^2, |v_0|^2,
+  Re(u_0 conj v_0) and (|k_1|, ..., |k_d|) alone, so every tail comes from
+  one streamed pass over the initial state (``_outside_energy``); the flow
+  is built at band M only, for the shifts.
 
 So no sample ever builds a state wider than band M, and the initial pair is
 the study's only array of the full box; with alpha = 1 every shift is empty
 and every tail zero.
 
-The samples are stepped in contiguous chunks, each as array blocks: a chunk
-coarsens its paths once per distinct step size, and the reference and every
-distinct trajectory of a level is one ``integrators.run_block`` call on the
-increments of its step size.  Methods whose
-stepping is the same (equal ``integrators.stepping_key``: ``hr_lri`` and
-``stm`` always, ``lri`` too unless its filter cuts) share one trajectory and
-its final states.  Each block is re-stored at band M once and the reference
-block subtracted; each method then takes one weighted reduction of that
-difference plus its shift over the mode axes.  Worker threads take whole
-chunks.  A chunk's rows are capped so that a block at band M stays within
-a fixed byte budget, and the samples are split over the workers only while
-each chunk keeps a fixed byte floor of such a block, below which a second
-worker costs more than it saves.
+The samples are stepped in contiguous chunks.  A chunk coarsens its paths
+once per step size and steps each ``integrators.stepping_key`` once, as one
+``run_block`` call: runs with equal keys (``hr_lri`` and ``stm`` always,
+``lri`` unless its filter cuts, and an ``hr_lri`` level at tau_ref on N_ref
+with the reference) share one block.  Each block is re-stored at band M, and
+each run takes one weighted reduction of its difference from the reference
+block plus its shift.  Worker threads take whole chunks.  A chunk's rows are
+capped so that a block at band M stays within a fixed byte budget, and the
+samples are split over the workers only while each chunk keeps a fixed byte
+floor of such a block, below which a second worker costs more than it saves.
 
 Orders are read off as the least-squares slope of log(rms) against
 log(tau).  Runs that leave the floating-point domain are excluded and
@@ -78,8 +73,10 @@ from .integrators import (
     SCHEMES,
     MethodSpec,
     NumericalError,
+    kept_box,
     method_spec,
     recover_high,
+    recovered_modes,
     run,
     run_block,
     stepping_key,
@@ -102,7 +99,6 @@ from .spectral import (
     default_alpha,
     make_grid,
     save_snapshot,
-    shell_index,
     sobolev_norm,
     with_band,
 )
@@ -253,8 +249,9 @@ def _array_bytes(dim: int, band: int) -> int:
 
 
 # full-band half spectra that building an initial state holds at its peak:
-# tracemalloc measures 7.1 (preset 1), 6.1 (2 and 3) and 2.5 (4) at bands 2^18
-# (1D) and 512 (2D); below 256 KiB per array numpy elides fewer temporaries
+# tracemalloc measures 6.0 (preset 1), 6.1 (2), 3.1 (3) and 2.5 (4) at bands
+# 2^18 (1D) and 512 (2D), as the first build in a process; below 256 KiB per
+# array numpy elides fewer temporaries (7.6 for preset 1 at band 100)
 _BUILD_PEAK_ARRAYS = 8
 
 
@@ -356,16 +353,16 @@ def _aggregate(method: str, levels, n_cuts, err_sq: np.ndarray,
 
 @dataclass(frozen=True)
 class _Study:
-    """What every sample of a study shares, read-only.
+    """What every sample of a study shares, read-only: one table of runs.
 
     ``starts[n]`` is the initial state restricted to the stepped band n,
     one per distinct band of the reference and the levels; ``band`` is the
-    widest of them (M).  ``trajectories[l]`` lists the distinct
-    steppings of level l as (spec, method indices, same as the reference):
-    methods with equal ``stepping_key`` share one.  ``weights`` are the
-    pair-norm weights at band M; ``shifts[m][l]``, the (u, v) pair that the
-    recovered modes inside box M add to a block's difference, or None; and
-    ``tails[m, l]``, the squared error outside box M.
+    widest of them (M), and ``weights`` are the pair-norm weights at band M.
+    ``ref`` is the reference run (spec, n_ref), and ``runs[m][l]`` the run
+    of method m at level l, (spec, n, shift, tail): its spec and stepped
+    band, the (u, v) pair that its and the reference's recovered modes
+    inside box M add to its difference (None if that is empty), and its
+    squared error outside box M.
     """
 
     config: ExperimentConfig
@@ -373,11 +370,9 @@ class _Study:
     sigma: NonlinearitySpec
     starts: dict
     band: int
-    ref_method: MethodSpec
-    trajectories: list
     weights: tuple
-    shifts: list
-    tails: np.ndarray
+    ref: tuple
+    runs: list
 
 
 # bytes of the (2n, ..., 2n, slots) complex slab of a state's last axis that
@@ -455,80 +450,74 @@ def _prepare(config: ExperimentConfig) -> _Study:
     if u0.dim != dim:
         raise ConfigError(f"initial state is {u0.dim}-dimensional, config says {dim}")
     u0 = with_band(u0, full.n_high)
-    specs = [[method_spec(m, tau, config.t_final) for tau in config.levels]
-             for m in config.methods]
-    # (stepped band, box kept) per method and level
-    runs = [[(n, make_grid(dim, n, config.alpha).n_high if spec.recovery else n)
-             for spec, n in zip(row, config.n_cuts)] for row in specs]
 
-    outside = _outside_energy(u0, config.t_final, {max(band, h) for row in runs for _, h in row})
-    tails = np.array([[outside[max(band, h)] for _, h in row] for row in runs])
+    def planned(kind: str, tau: float, n: int) -> tuple:
+        """(spec, stepped band, box kept) of one run."""
+        spec = method_spec(kind, tau, config.t_final)
+        return spec, n, kept_box(spec, make_grid(dim, n, config.alpha))
+
+    ref_spec, _, ref_box = planned("hr_lri", config.tau_ref, n_ref)
+    plan = [[planned(m, tau, n) for tau, n in zip(config.levels, config.n_cuts)]
+            for m in config.methods]
+    outside = _outside_energy(u0, config.t_final, {max(band, h) for row in plan for *_, h in row})
 
     # no run reads the initial state above band M
     u0 = with_band(u0, band)
-    flow_m, shell_m = recover_high(u0, config.t_final), shell_index(dim, band)
+    flow_m = recover_high(u0, config.t_final)
+    ref_modes = recovered_modes(dim, band, n_ref, ref_box)
 
     @functools.cache
     def shift(n: int, h: int) -> tuple | None:
-        """The flow at band M on a run's recovered modes inside box M (outside
-        box n, inside box h) minus the reference's; None if both are empty."""
-        sign = 1.0 * ((n <= shell_m) & (shell_m < min(h, band)))
-        sign -= (n_ref <= shell_m) & (shell_m < min(full.n_high, band))
+        """The flow at band M on a run's recovered modes inside box M minus
+        the reference's; None if both are empty."""
+        sign = 1.0 * recovered_modes(dim, band, n, h)
+        sign -= ref_modes
         return (flow_m.u_hat * sign, flow_m.v_hat * sign) if sign.any() else None
-
-    shifts = [[shift(n, h) for n, h in row] for row in runs]
-
-    ref_method = method_spec("hr_lri", config.tau_ref, config.t_final)
-    ref_key = stepping_key(ref_method, n_ref)
-    trajectories = []
-    for li, n in enumerate(config.n_cuts):
-        sharing: dict[tuple, list[int]] = {}
-        for mi, row in enumerate(specs):
-            sharing.setdefault(stepping_key(row[li], n), []).append(mi)
-        trajectories.append([(specs[mis[0]][li], mis, key == ref_key)
-                             for key, mis in sharing.items()])
 
     starts = {n: with_band(u0, n) for n in {n_ref, *config.n_cuts}}
     return _Study(
         config=config, f=problem.f, sigma=problem.sigma, starts=starts, band=band,
-        ref_method=ref_method, trajectories=trajectories,
-        weights=_norm_weights(dim, band, 0.0), shifts=shifts, tails=tails)
+        weights=_norm_weights(dim, band, 0.0), ref=(ref_spec, n_ref),
+        runs=[[(spec, n, shift(n, h), outside[max(band, h)]) for spec, n, h in row]
+              for row in plan])
 
 
 def _chunk_errors(study: _Study, samples: range):
-    """Errors (squared) and stepping times for a contiguous chunk of samples.
-
-    Every distinct trajectory of a level is stepped once, as one block on
-    the chunk's paths coarsened to its step size, and scored at band M
-    against the reference block with one weighted reduction per method that
-    maps to it.  Returns err_sq of shape (samples, methods, levels), NaN
-    marking a run whose row or reference row failed, and the (methods,
-    levels) stepping seconds of each method's trajectory.
-    """
+    """Squared errors (samples, methods, levels) of a contiguous chunk of
+    samples, NaN where a run's row or its reference row failed, and the
+    (methods, levels) stepping seconds of each run's block.  Each stepping
+    key is one block on the chunk's paths coarsened to its step size, and
+    each run one weighted reduction of its difference at band M."""
     config = study.config
-    n_m = len(config.methods)
-    err_sq = np.full((len(samples), n_m, len(config.levels)), np.nan)
-    wall = np.zeros((n_m, len(config.levels)))
+    err_sq = np.full((len(samples), len(config.methods), len(config.levels)), np.nan)
+    wall = np.zeros(err_sq.shape[1:])
     paths = [sample_path(config.seed, s, config.t_final, config.tau_ref) for s in samples]
     dws = {tau: np.stack([coarsen(p, tau) for p in paths])
            for tau in {config.tau_ref, *config.levels}}
-    ref_start = study.starts[default_n_cut(config.tau_ref)]
-    ref = run_block(study.ref_method, ref_start, study.f, study.sigma, dws[config.tau_ref])
-    ref_m = with_band(SpectralState(ref.u_hat, ref.v_hat), study.band, config.dim)
-    for li, n in enumerate(config.n_cuts):
-        for spec, mis, is_ref in study.trajectories[li]:
-            res = ref if is_ref else run_block(spec, study.starts[n], study.f, study.sigma,
-                                               dws[spec.tau])
+    blocks = {}
+
+    def block(spec: MethodSpec, n: int) -> tuple:
+        """(block at band M, failed rows, seconds), stepped once per key."""
+        key = stepping_key(spec, n)
+        if key not in blocks:
+            res = run_block(spec, study.starts[n], study.f, study.sigma, dws[spec.tau])
             res_m = with_band(SpectralState(res.u_hat, res.v_hat), study.band, config.dim)
-            du, dv = res_m.u_hat - ref_m.u_hat, res_m.v_hat - ref_m.v_hat
-            failed = list(ref.failed.keys() | res.failed.keys())
-            for mi in mis:
-                shift = study.shifts[mi][li]
-                u, v = (du, dv) if shift is None else (du + shift[0], dv + shift[1])
-                err = _weighted_norm_sq(u, v, *study.weights) + study.tails[mi, li]
-                err[failed] = np.nan
-                err_sq[:, mi, li] = err
-            wall[mis, li] = res.wall_time
+            blocks[key] = res_m, res.failed, res.wall_time
+        return blocks[key]
+
+    ref, ref_failed, _ = block(*study.ref)
+    for li, level in enumerate(zip(*study.runs)):
+        for mi, (spec, n, shift, tail) in enumerate(level):
+            res, failed, wall[mi, li] = block(spec, n)
+            du, dv = res.u_hat - ref.u_hat, res.v_hat - ref.v_hat
+            if shift is not None:
+                du, dv = du + shift[0], dv + shift[1]
+            err = _weighted_norm_sq(du, dv, *study.weights) + tail
+            err[list(ref_failed.keys() | failed.keys())] = np.nan
+            err_sq[:, mi, li] = err
+        # only the reference's block outlives its level
+        for key in blocks.keys() - {stepping_key(*study.ref)}:
+            del blocks[key]
     return err_sq, wall
 
 

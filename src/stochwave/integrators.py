@@ -21,9 +21,10 @@ propagation; the filter of ``lri`` equals the stepped band N under the
 usual tau = 1/(4N) coupling and cuts below it only when tau is coarser.
 
 A run decomposes the initial state into the stepped band (|k_j| <= N-1 on
-every axis), the recovery band (box N^alpha minus box N) and a discarded
-remainder; the recovery band never sees the noise and is propagated to the
-final time in one shot when recovery is enabled.
+every axis), the recovered modes (``recovered_modes``: box h minus box N,
+with h = N^alpha if the scheme recovers, ``kept_box``) and a discarded
+remainder; the recovered modes never see the noise and are propagated to
+the final time in one shot.
 
 Stepping works on blocks: the step loop ``run_block`` advances S rows from
 a given state, whose shape fixes the band N and the dimension d, as arrays
@@ -57,11 +58,9 @@ from .spectral import (
     SpectralState,
     band_mask,
     check_hermitian,
-    diff_norm,
     lambda_sq,
-    project_band,
-    project_low,
     pseudospectral_apply,
+    shell_index,
     with_band,
 )
 
@@ -177,6 +176,18 @@ def recover_high(initial_band: SpectralState, t: float) -> SpectralState:
     return semigroup.apply(initial_band, semigroup.propagator_tables(lam, t))
 
 
+def kept_box(method: MethodSpec, grid: SpectralGrid) -> int:
+    """The box h a run keeps: floor(n_cut^alpha) if it recovers, else n_cut."""
+    return grid.n_high if method.recovery else grid.n_cut
+
+
+def recovered_modes(dim: int, band: int, n: int, h: int) -> np.ndarray:
+    """Mask at ``band`` of the modes a run stepped on band n (|k_j| <= n - 1)
+    and keeping box h recovers: n <= max_j |k_j| < min(h, band)."""
+    shell = shell_index(dim, band)
+    return (n <= shell) & (shell < min(h, band))
+
+
 # ---------------------------------------------------------------------------
 # driver
 
@@ -247,12 +258,10 @@ def run(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
         raise ValueError("initial state dimension does not match grid")
     u0 = with_band(u0, grid.n_high)
     state = with_band(u0, grid.n_cut)
-    rec0 = None
-    if method.recovery and grid.n_high > grid.n_cut:
-        # the stepped storage holds |k_j| <= n_cut - 1 (its unpaired slot is
-        # kept empty), so the recovery band starts one mode lower to tile the
-        # retained spectrum completely
-        rec0 = project_band(u0, grid.n_cut - 1, grid.n_high)
+    rec0, h = None, kept_box(method, grid)
+    if h > grid.n_cut:
+        mask = recovered_modes(grid.dim, grid.n_high, grid.n_cut, h)
+        rec0 = SpectralState(u0.u_hat * mask, u0.v_hat * mask)
 
     def full_state(state_low: SpectralState, t: float) -> SpectralState:
         out = with_band(state_low, grid.n_high)
@@ -278,39 +287,3 @@ def run(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
         if snapshots and n > 0:
             on_snapshot(n, n * method.tau, final)
     return RunResult(final_state=final, wall_time=wall, steps=method.n_steps)
-
-
-# ---------------------------------------------------------------------------
-# oracles and diagnostics
-
-
-def exact_linear_zero_mode(u0: float, v0: float, c: float,
-                           path: WienerLattice, t_final: float) -> tuple[float, float]:
-    """Reference for f = 0, sigma = c: only the mean mode is forced, with
-    du = v dt, dv = c dW.
-
-    v is exact (partial sums of the increments).  u uses the midpoint area
-    proxy u += v*h + c*dW*h/2 per base cell, leaving an O(base_dt) pathwise
-    residual; run the lattice much finer than the steps under test.
-    """
-    n = int(round(t_final / path.base_dt))
-    if abs(n * path.base_dt - t_final) > 1e-9 or n > path.n_base:
-        raise ValueError(f"t_final {t_final} not on the base lattice")
-    h = path.base_dt
-    u, v = float(u0), float(v0)
-    inc = path.increments
-    for i in range(n):
-        dw = inc[i]
-        u += v * h + c * dw * (h / 2.0)
-        v += c * dw
-    return float(u), float(v)
-
-
-def linear_exact_discrepancy(method: MethodSpec, grid: SpectralGrid,
-                             problem: ProblemSpec, path: WienerLattice) -> float:
-    """Error norm of a run against the exact linear flow of its own initial
-    band; meaningful when both nonlinearities vanish."""
-    result = run(method, grid, problem, path)
-    u0 = with_band(build_initial(problem.initial, grid), grid.n_high)
-    ref = recover_high(project_low(u0, grid.n_high), method.n_steps * method.tau)
-    return diff_norm(result.final_state, ref, 0.0)

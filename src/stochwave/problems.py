@@ -42,10 +42,11 @@ from .spectral import (
     DIMS,
     SpectralGrid,
     SpectralState,
+    band_mask,
     collocation_nodes,
     default_alpha,
+    forward,
     mode_indices,
-    state_from_fields,
 )
 
 # stream ids for initial-data draws, outside the Monte Carlo sample range;
@@ -121,6 +122,15 @@ class ProblemSpec:
     initial: InitialDataSpec
 
 
+def _at_rest(u: np.ndarray) -> SpectralState:
+    """The state of the real displacement samples u with v = 0: u is
+    transformed alone, its unpaired slots zeroed as in ``state_from_fields``."""
+    u_hat = forward(u)
+    band = u_hat.shape[-1] - 1
+    u_hat *= band_mask(u.ndim, band, band)
+    return SpectralState(u_hat, np.zeros_like(u_hat))
+
+
 def build_indicator_1d(grid: SpectralGrid) -> SpectralState:
     """Two plateaus, 5 on [0.3, 0.425] and 2.5 on [0.575, 0.7], v = 0.
 
@@ -134,7 +144,7 @@ def build_indicator_1d(grid: SpectralGrid) -> SpectralState:
     u = np.zeros_like(x)
     u[(x >= 0.3) & (x <= 0.425)] = 5.0
     u[(x >= 0.575) & (x <= 0.7)] = 2.5
-    return state_from_fields(u, np.zeros_like(u))
+    return _at_rest(u)
 
 
 def build_indicator_2d(grid: SpectralGrid) -> SpectralState:
@@ -144,7 +154,7 @@ def build_indicator_2d(grid: SpectralGrid) -> SpectralState:
     x = collocation_nodes(grid.n_high)
     inside = (x >= 0.375) & (x <= 0.625)
     u = 0.5 * np.outer(inside, inside).astype(np.float64)
-    return state_from_fields(u, np.zeros_like(u))
+    return _at_rest(u)
 
 
 def _axis_profile(band: int, kmax: int, exponent: float, draws: np.ndarray) -> np.ndarray:

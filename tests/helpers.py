@@ -1,0 +1,58 @@
+"""Oracles and state builders shared by the test modules."""
+
+import numpy as np
+
+import stochwave as sw
+from stochwave.semigroup import apply, group_tables
+
+
+def random_state(grid, seed=0, band=None):
+    """State of random real fields at ``band``, the grid's full band by
+    default."""
+    rng = np.random.default_rng(seed)
+    band = grid.n_high if band is None else band
+    shape = (2 * band,) * grid.dim
+    return sw.state_from_fields(rng.standard_normal(shape),
+                                rng.standard_normal(shape))
+
+
+def full_layout(half):
+    """Oracle: the full (2m,)^d spectrum of a half spectrum's real field, by
+    the complex FFT of its samples."""
+    return np.fft.fftn(sw.inverse(half), norm="forward")
+
+
+def flow(state, t):
+    """The exact linear wave flow e^(tL) of a state."""
+    return apply(state, group_tables(state.dim, state.band, t))
+
+
+def exact_linear_zero_mode(u0: float, v0: float, c: float,
+                           path: sw.WienerLattice, t_final: float) -> tuple[float, float]:
+    """Reference for f = 0, sigma = c: only the mean mode is forced, with
+    du = v dt, dv = c dW.
+
+    v is exact (partial sums of the increments).  u uses the midpoint area
+    proxy u += v*h + c*dW*h/2 per base cell, leaving an O(base_dt) pathwise
+    residual; run the lattice much finer than the steps under test.
+    """
+    n = int(round(t_final / path.base_dt))
+    if abs(n * path.base_dt - t_final) > 1e-9 or n > path.n_base:
+        raise ValueError(f"t_final {t_final} not on the base lattice")
+    h = path.base_dt
+    u, v = float(u0), float(v0)
+    inc = path.increments
+    for i in range(n):
+        dw = inc[i]
+        u += v * h + c * dw * (h / 2.0)
+        v += c * dw
+    return float(u), float(v)
+
+
+def linear_exact_discrepancy(method, grid, problem, path) -> float:
+    """Error norm of a run against the exact linear flow of its own initial
+    band; meaningful when both nonlinearities vanish."""
+    result = sw.run(method, grid, problem, path)
+    u0 = sw.with_band(sw.build_initial(problem.initial, grid), grid.n_high)
+    ref = sw.recover_high(sw.project_low(u0, grid.n_high), method.n_steps * method.tau)
+    return sw.diff_norm(result.final_state, ref, 0.0)

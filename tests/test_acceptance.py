@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import stochwave as sw
-from stochwave.integrators import linear_exact_discrepancy
 from stochwave.semigroup import propagator_tables
+
+from helpers import exact_linear_zero_mode, linear_exact_discrepancy
 
 
 @contextmanager
@@ -187,7 +188,7 @@ def test_criterion_8_constant_sigma_oracle():
         n_samples = 256
         for s in range(n_samples):
             lattice = sw.sample_path(77, s, t_final, base_dt)
-            u_ref, v_ref = sw.exact_linear_zero_mode(u0, v0, c, lattice, t_final)
+            u_ref, v_ref = exact_linear_zero_mode(u0, v0, c, lattice, t_final)
             for m, level_specs in specs.items():
                 for li, spec in enumerate(level_specs):
                     res = sw.run(spec, grid, problem, lattice)

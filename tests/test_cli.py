@@ -224,6 +224,23 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,blocked", [
+    (["converge", "--preset", "2", "--tau", "0.125", "--levels", "3", "--samples", "2"],
+     "convergence.csv"),
+    (["compare", "--preset", "2", "--method", "hrlri,stm", "--tau", "0.125", "--levels", "3",
+      "--samples", "2"], "error_vs_time_stm.txt"),
+    (["run", "--preset", "1", "--tau", "0.0625"], "snap_000000.swv"),
+])
+def test_unwritable_output_exit_code(tmp_path, capsys, command, blocked):
+    # a directory holding an output file's name: one line on stderr, exit 4
+    (tmp_path / blocked).mkdir()
+    rc = main(command + ["--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.startswith("output error: ") and blocked in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_snapshot_plot_data_format(tmp_path):
     rc = main(["run", "--preset", "1", "--dim", "1", "--tau", "0.03125",
                "--out", str(tmp_path), "--stride", "8"])

@@ -15,6 +15,7 @@ from stochwave.experiments import (
     parse_config_file,
     resolve_config,
 )
+from stochwave.integrators import stepping_key
 from stochwave.problems import PRESETS
 from stochwave.semigroup import propagator_tables
 from stochwave.spectral import shell_index
@@ -427,11 +428,10 @@ class TestTails:
             for li, (tau, n) in enumerate(zip(cfg.levels, cfg.n_cuts)):
                 spec = sw.method_spec(m, tau, cfg.t_final)
                 h = sw.make_grid(dim, n, cfg.alpha).n_high if spec.recovery else n
-                np.testing.assert_allclose(study.tails[mi, li],
-                                           np.sum(energy[shell >= max(band, h)]),
+                _, _, shift, tail = study.runs[mi][li]
+                np.testing.assert_allclose(tail, np.sum(energy[shell >= max(band, h)]),
                                            rtol=1e-14, atol=0)
                 sign = 1.0 * ((n <= shell_m) & (shell_m < min(h, band))) - ref_sign
-                shift = study.shifts[mi][li]
                 if not sign.any():
                     assert shift is None
                     continue
@@ -440,7 +440,7 @@ class TestTails:
                 np.testing.assert_array_equal(shift[1], flow_m.v_hat * sign)
         assert live > 0
         if case.startswith("explicit-full-box"):
-            assert (study.tails > 0).all()
+            assert all(tail > 0 for row in study.runs for *_, tail in row)
 
     def test_tail_pass_builds_no_full_box_array(self):
         # a 2D box of 1024^2 modes: 8 MiB per complex half-spectrum array
@@ -466,7 +466,7 @@ def per_sample_errors(study, sample):
                              sw.InitialDataSpec("explicit", state=study.starts[study.band]))
     lattice = sw.sample_path(config.seed, sample, config.t_final, config.tau_ref)
     ref_grid = sw.make_grid(dim, default_n_cut(config.tau_ref), 1.0)
-    ref = sw.run(study.ref_method, ref_grid, problem, lattice)
+    ref = sw.run(study.ref[0], ref_grid, problem, lattice)
     ref = sw.with_band(ref.final_state, study.band)
     out = np.empty((len(config.methods), len(config.levels)))
     for mi, m in enumerate(config.methods):
@@ -475,10 +475,10 @@ def per_sample_errors(study, sample):
                          problem, lattice)
             res = sw.with_band(res.final_state, study.band)
             du, dv = res.u_hat - ref.u_hat, res.v_hat - ref.v_hat
-            shift = study.shifts[mi][li]
+            _, _, shift, tail = study.runs[mi][li]
             if shift is not None:
                 du, dv = du + shift[0], dv + shift[1]
-            out[mi, li] = exp._weighted_norm_sq(du, dv, *study.weights) + study.tails[mi, li]
+            out[mi, li] = exp._weighted_norm_sq(du, dv, *study.weights) + tail
     return out
 
 
@@ -535,6 +535,36 @@ class TestBlockStudy:
         assert counts == [2, 2, 2]
         assert reports["lri"].rows == reports["stm"].rows
 
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_finest_level_reuses_the_reference_block(self, monkeypatch, alpha):
+        # tau_ref = 2^-5 is the finest level, on the reference's band 8, so
+        # hr_lri and stm there have the reference's stepping key and score
+        # its block against itself; sem steps its own
+        real = exp.run_block
+        blocks = []
+
+        def spy(spec, start, f, sigma, dws):
+            res = real(spec, start, f, sigma, dws)
+            blocks.append((spec.kind, spec.tau, res.wall_time))
+            return res
+
+        monkeypatch.setattr(exp, "run_block", spy)
+        cfg = sw.ExperimentConfig(dim=1, preset=2, gamma=0.5, alpha=alpha,
+                                  methods=("hr_lri", "sem", "stm"),
+                                  levels=(2**-3, 2**-4, 2**-5), tau_ref=2**-5,
+                                  n_samples=3, seed=2)
+        reports, timing = sw.compare_methods(cfg)
+        assert [block[:2] for block in blocks] == [
+            ("hr_lri", 2**-5), ("hr_lri", 2**-3), ("sem", 2**-3),
+            ("hr_lri", 2**-4), ("sem", 2**-4), ("sem", 2**-5)]
+        # stm keeps box 8 and misses the reference's recovered band at alpha 2
+        assert reports["hr_lri"].rows[-1].rms_error == 0.0
+        assert (reports["stm"].rows[-1].rms_error == 0.0) == (alpha == 1.0)
+        assert reports["sem"].rows[-1].rms_error > 0.0
+        # one chunk: both report the reference block's seconds at that level
+        assert timing["hr_lri"][-1] == timing["stm"][-1] == blocks[0][2]
+        assert timing["sem"][-1] == blocks[-1][2]
+
     def test_cutting_lri_filter_steps_its_own_trajectory(self, monkeypatch):
         # n_cuts above 1/tau = 8, 16, 32: the lri filter cuts below N
         counts, reports = count_steppings(monkeypatch, methods=ALL_METHODS,
@@ -563,7 +593,9 @@ class TestBlockStudy:
 
         monkeypatch.setattr(exp, "run_block", spy)
         exp._study_reports(study, 2)
-        per_chunk = 1 + sum(not is_ref for level in study.trajectories for *_, is_ref in level)
+        ref_key = stepping_key(*study.ref)
+        per_chunk = 1 + sum(len({stepping_key(spec, n) for spec, n, *_ in level} - {ref_key})
+                            for level in zip(*study.runs))
         assert len(calls) == 2 * per_chunk
         assert {start.band for start, _, _ in calls} == set(study.starts)
         for start, f, sigma in calls:

@@ -1,4 +1,4 @@
-"""Time steppers, the run driver, and the zero-mode oracle."""
+"""Time steppers, the run driver, and the zero-mode oracle of the tests."""
 
 import dataclasses
 import time
@@ -7,26 +7,16 @@ import numpy as np
 import pytest
 
 import stochwave as sw
-from stochwave.integrators import SCHEMES, linear_exact_discrepancy
-from stochwave.semigroup import apply, group_tables, propagator_tables
+from stochwave.integrators import SCHEMES
+from stochwave.semigroup import propagator_tables
 
-
-def random_state(grid, seed=0, band=None):
-    rng = np.random.default_rng(seed)
-    band = grid.n_high if band is None else band
-    shape = (2 * band,) * grid.dim
-    return sw.state_from_fields(rng.standard_normal(shape),
-                                rng.standard_normal(shape))
-
-
-def full_layout(half):
-    """Oracle: the full (2m,)^d spectrum of a half spectrum's real field, by
-    the complex FFT of its samples."""
-    return np.fft.fftn(sw.inverse(half), norm="forward")
-
-
-def flow(state, t):
-    return apply(state, group_tables(state.dim, state.band, t))
+from helpers import (
+    exact_linear_zero_mode,
+    flow,
+    full_layout,
+    linear_exact_discrepancy,
+    random_state,
+)
 
 
 def explicit_problem(state, f=None, sigma=None):
@@ -587,14 +577,14 @@ class TestRunBlock:
 class TestZeroModeOracle:
     def test_pure_drift(self):
         lattice = sw.sample_path(0, 0, 1.0, 2**-8)
-        u, v = sw.exact_linear_zero_mode(1.5, -0.5, 0.0, lattice, 1.0)
+        u, v = exact_linear_zero_mode(1.5, -0.5, 0.0, lattice, 1.0)
         assert v == -0.5
         assert u == pytest.approx(1.5 - 0.5 * 1.0, rel=1e-12)
 
     def test_velocity_is_partial_sum(self):
         lattice = sw.sample_path(5, 1, 0.5, 2**-9)
         c = 4.0
-        _, v = sw.exact_linear_zero_mode(0.0, 0.25, c, lattice, 0.5)
+        _, v = exact_linear_zero_mode(0.0, 0.25, c, lattice, 0.5)
         acc = 0.25
         for w in lattice.increments:
             acc += c * w
@@ -618,7 +608,7 @@ class TestZeroModeOracle:
             for s in range(48):
                 lattice = sw.sample_path(99, s, t_final, base_dt)
                 res = sw.run(sw.method_spec("stm", tau, t_final), grid, problem, lattice)
-                u_ref, v_ref = sw.exact_linear_zero_mode(0.5, 0.25, c, lattice, t_final)
+                u_ref, v_ref = exact_linear_zero_mode(0.5, 0.25, c, lattice, t_final)
                 du = res.final_state.u_hat[0].real - u_ref
                 dv = res.final_state.v_hat[0].real - v_ref
                 sq += du * du + dv * dv
@@ -629,4 +619,4 @@ class TestZeroModeOracle:
     def test_horizon_check(self):
         lattice = sw.sample_path(0, 0, 0.25, 2**-4)
         with pytest.raises(ValueError):
-            sw.exact_linear_zero_mode(0, 0, 1.0, lattice, 0.5)
+            exact_linear_zero_mode(0, 0, 1.0, lattice, 0.5)

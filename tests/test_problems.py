@@ -1,5 +1,7 @@
 """Nonlinearity catalogue and initial-data constructors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,7 @@ from stochwave.noise import standard_uniforms
 from stochwave.problems import _DATA_STREAMS
 from stochwave.spectral import collocation_nodes, mode_indices
 
-
-def full_layout(half):
-    """Oracle: the full (2m,)^d spectrum of a half spectrum's real field, by
-    the complex FFT of its samples."""
-    return np.fft.fftn(sw.inverse(half), norm="forward")
+from helpers import full_layout
 
 
 def node_value(state, x_target):
@@ -122,6 +120,24 @@ class TestIndicator2D:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             sw.build_indicator_2d(sw.make_grid(1, 8, 1.0))
+
+
+@pytest.mark.parametrize("preset,band,peak_arrays", [(1, 2**18, 4.5), (3, 512, 3.5)])
+def test_indicator_build_peak(preset, band, peak_arrays):
+    # the plateaus transform u alone and take v as zeros: the second build
+    # in a process (the first also fills the mask caches) peaks at 4.0
+    # (preset 1) and 3.0 (preset 3) full-band half arrays, measured with
+    # tracemalloc, where transforming a zero v too peaked at 6.0 for both
+    dim, _, problem = sw.preset_problem(preset)
+    grid = sw.make_grid(dim, band, 1.0)
+    sw.build_initial(problem.initial, grid)
+    tracemalloc.start()
+    try:
+        sw.build_initial(problem.initial, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < peak_arrays * 16 * (2 * band) ** (dim - 1) * (band + 1)
 
 
 class TestRandomHGamma:

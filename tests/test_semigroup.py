@@ -6,6 +6,8 @@ import pytest
 import stochwave as sw
 from stochwave.semigroup import apply, group_tables, propagator_tables, resolvent_tables
 
+from helpers import flow, random_state
+
 
 def matrix(lam, t):
     """The group matrix of one wave number, through the table builder."""
@@ -13,19 +15,8 @@ def matrix(lam, t):
     return np.array([[a11[0], a12[0]], [a21[0], a22[0]]])
 
 
-def flow(state, t):
-    return apply(state, group_tables(state.dim, state.band, t))
-
-
 def resolve(state, tau):
     return apply(state, resolvent_tables(state.dim, state.band, tau))
-
-
-def random_state(grid, seed=0):
-    rng = np.random.default_rng(seed)
-    shape = (2 * grid.n_high,) * grid.dim
-    return sw.state_from_fields(rng.standard_normal(shape),
-                                rng.standard_normal(shape))
 
 
 class TestPropagator:

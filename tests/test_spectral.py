@@ -14,20 +14,7 @@ from stochwave.spectral import (
     mode_indices,
 )
 
-
-def random_state(grid, seed=0, band=None):
-    """State of random real fields."""
-    rng = np.random.default_rng(seed)
-    band = grid.n_high if band is None else band
-    shape = (2 * band,) * grid.dim
-    return sw.state_from_fields(rng.standard_normal(shape),
-                                rng.standard_normal(shape))
-
-
-def full_layout(half):
-    """Oracle: the full (2m,)^d spectrum of a half spectrum's real field, by
-    the complex FFT of its samples."""
-    return np.fft.fftn(sw.inverse(half), norm="forward")
+from helpers import full_layout, random_state
 
 
 def modes(slot, band):
