@@ -35,7 +35,7 @@ from .experiments import (
     run_convergence,
     run_single,
 )
-from .integrators import NumericalError
+from .integrators import SCHEMES, NumericalError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -48,7 +48,7 @@ EXIT_OUTPUT = 4
 _FLAGS = {
     "--seed": ("seed", "study seed (64-bit)"),
     "--samples": ("n_samples", "Monte Carlo sample count"),
-    "--method": ("methods", "method(s): hrlri|lri|sem|stm, comma separated"),
+    "--method": ("methods", f"method(s): {'|'.join(SCHEMES)}|hrlri, any case, comma separated"),
     "--dim": ("dim", "spatial dimension"),
     "--preset": ("preset", "benchmark problem preset"),
     "--gamma": ("gamma", "initial-data smoothness"),
@@ -141,9 +141,7 @@ def main(argv=None) -> int:
             return _cmd_run(config)
         if args.command == "converge":
             return _cmd_converge(config)
-        if args.command == "compare":
-            return _cmd_compare(config)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _cmd_compare(config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

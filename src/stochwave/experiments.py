@@ -81,7 +81,7 @@ from .integrators import (
     run_block,
     stepping_key,
 )
-from .noise import PEAK_BYTES_PER_CELL, coarsen, sample_path
+from .noise import PEAK_BYTES_PER_CELL, coarsen, sample_path, step_count
 from .problems import (
     PRESETS,
     NonlinearitySpec,
@@ -154,16 +154,18 @@ def _check_memory(need: int, what: str) -> None:
                           f"{have / 2**30:.3g} GiB of physical memory")
 
 
-def _check_dyadic(name: str, step: float, t_final: float) -> None:
-    """The Brownian lattice needs t_final / step cells, a power of two."""
+def _check_dyadic(name: str, step: float, t_final: float) -> int:
+    """The t_final / step cells (``noise.step_count``) of a Brownian lattice
+    of that step, which must be a power of two."""
     if not (math.isfinite(step) and step > 0):
         raise ConfigError(f"{name} must be finite and positive, got {step}")
-    r = t_final / step
-    if not math.isfinite(r):
-        raise ConfigError(f"t_final/{name} = {t_final}/{step} overflows")
-    n = round(r)
-    if n < 1 or abs(r - n) > 1e-9 or n & (n - 1):
+    try:
+        n = step_count(t_final, step)
+    except ValueError as exc:
+        raise ConfigError(f"t_final/{name}: {exc}") from exc
+    if n < 1 or n & (n - 1):
         raise ConfigError(f"t_final/{name} = {t_final}/{step} is not a power of two")
+    return n
 
 
 def _check_lattice(name: str, step: float, t_final: float) -> None:
@@ -171,7 +173,7 @@ def _check_lattice(name: str, step: float, t_final: float) -> None:
     two, as resolve_config checked) if sampling one path would exceed
     physical memory.  Called by the entry point that draws it, before any
     path."""
-    n = round(t_final / step)
+    n = step_count(t_final, step)
     _check_memory(PEAK_BYTES_PER_CELL * n, f"sampling the Brownian lattice of "
                   f"t_final/{name} = 2^{n.bit_length() - 1} cells")
 
@@ -200,13 +202,12 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     tau_ref = config.tau_ref
     if tau_ref is None:
         tau_ref = levels[-1] / 4.0
-    _check_dyadic("tau_ref", tau_ref, config.t_final)
+    ref_cells = _check_dyadic("tau_ref", tau_ref, config.t_final)
     if config.tau is not None:
         _check_dyadic("tau", config.tau, config.t_final)
     for tau in levels:
-        _check_dyadic("level", tau, config.t_final)
-        r = tau / tau_ref
-        if abs(r - round(r)) > 1e-9 or round(r) < 1:
+        # powers of two: a level's cells divide the reference's if no more
+        if _check_dyadic("level", tau, config.t_final) > ref_cells:
             raise ConfigError(f"tau_ref {tau_ref} does not divide level {tau}")
     n_cuts = config.n_cuts
     if n_cuts is None:
@@ -249,9 +250,10 @@ def _array_bytes(dim: int, band: int) -> int:
 
 
 # full-band half spectra that building an initial state holds at its peak:
-# tracemalloc measures 6.0 (preset 1), 6.1 (2), 3.1 (3) and 2.5 (4) at bands
-# 2^18 (1D) and 512 (2D), as the first build in a process; below 256 KiB per
-# array numpy elides fewer temporaries (7.6 for preset 1 at band 100)
+# tracemalloc measures 6.0 (preset 1), 3.5 (2), 3.1 (3) and 2.5 (4) at bands
+# 2^18 (1D) and 512 (2D) with alpha = 1, as the first build in a process;
+# below 256 KiB per array numpy elides fewer temporaries (7.7 for preset 1 at
+# band 100)
 _BUILD_PEAK_ARRAYS = 8
 
 
@@ -265,8 +267,12 @@ def _full_grid(dim: int, n_cut: int, alpha: float) -> SpectralGrid:
 
 
 def study_problem(config: ExperimentConfig) -> tuple[int, ProblemSpec]:
-    """The (dim, problem) pair the config describes."""
+    """The (dim, problem) pair the config describes, refusing an explicit
+    initial state of another rank."""
     if config.problem is not None:
+        state = config.problem.initial.state
+        if state is not None and state.dim != config.dim:
+            raise ConfigError(f"initial state is {state.dim}-dimensional, config says {config.dim}")
         return config.dim, config.problem
     if config.preset is None:
         raise ConfigError("config needs either a preset or an explicit problem")
@@ -447,9 +453,6 @@ def _prepare(config: ExperimentConfig) -> _Study:
     _check_memory(_array_bytes(dim, band), f"one array at the widest stepped band {band}")
     full = _full_grid(dim, n_ref, config.alpha)
     u0 = build_initial(problem.initial, full)
-    if u0.dim != dim:
-        raise ConfigError(f"initial state is {u0.dim}-dimensional, config says {dim}")
-    u0 = with_band(u0, full.n_high)
 
     def planned(kind: str, tau: float, n: int) -> tuple:
         """(spec, stepped band, box kept) of one run."""
@@ -728,17 +731,6 @@ def emit_study(reports, out_dir: str, timing=None) -> str:
 # flat key=value config files
 
 
-METHOD_ALIASES = {"hrlri": "hr_lri", "hr_lri": "hr_lri", "lri": "lri",
-                  "sem": "sem", "stm": "stm"}
-
-
-def canonical_method(name: str) -> str:
-    key = name.strip().lower()
-    if key not in METHOD_ALIASES:
-        raise ConfigError(f"unknown method {name!r}")
-    return METHOD_ALIASES[key]
-
-
 def parse_config_file(path) -> dict[str, str]:
     """key=value lines, '#' comments, later keys win."""
     out: dict[str, str] = {}
@@ -766,7 +758,8 @@ _CONVERTERS = {
     **dict.fromkeys(("dim", "preset", "n_samples", "seed", "n_workers",
                      "sample_index", "snapshot_stride"), int),
     **dict.fromkeys(("gamma", "alpha", "t_final", "tau_ref", "tau"), float),
-    "methods": _listed(canonical_method),
+    # a method in any case, hrlri for hr_lri; resolve_config refuses the rest
+    "methods": _listed(lambda v: v.strip().lower().replace("hrlri", "hr_lri")),
     "levels": _listed(float),
     "n_cuts": _listed(int),
     "out_dir": str,

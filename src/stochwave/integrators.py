@@ -51,7 +51,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import semigroup
-from .noise import WienerLattice, coarsen
+from .noise import WienerLattice, coarsen, step_count
 from .problems import NonlinearitySpec, ProblemSpec, build_initial
 from .spectral import (
     SpectralGrid,
@@ -102,15 +102,10 @@ class RunResult:
 
 
 def method_spec(kind: str, tau: float, t_final: float) -> MethodSpec:
-    """Validated spec; n_steps * tau must tile t_final exactly."""
+    """Validated spec of t_final / tau steps (``noise.step_count``)."""
     if kind not in SCHEMES:
         raise ValueError(f"unknown method kind {kind!r}")
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    n_steps = int(round(t_final / tau))
-    if abs(n_steps * tau - t_final) > 1e-12 * max(1.0, t_final):
-        raise ValueError(f"tau {tau} does not tile t_final {t_final}")
-    return MethodSpec(kind=kind, tau=tau, n_steps=n_steps)
+    return MethodSpec(kind=kind, tau=tau, n_steps=step_count(t_final, tau))
 
 
 def stepping_key(method: MethodSpec, band: int) -> tuple:
@@ -246,22 +241,21 @@ def run(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
     band is added to every state handed out.  With ``snapshot_stride`` > 0
     the callback receives (step_index, time, full-band state) every stride
     steps and at both ends.  ``RunResult.wall_time`` sums the blocks' times,
-    so snapshot assembly and the callback are not counted.  A non-finite
-    state raises NumericalError naming its first bad step.
+    so snapshot assembly and the callback are not counted.  A path too short
+    for the run is a ValueError, and a non-finite state raises
+    NumericalError naming its first bad step.
     """
-    t_total = method.n_steps * method.tau
-    if t_total > path.t_final + 1e-12:
-        raise ValueError(f"run time {t_total} exceeds path horizon {path.t_final}")
     dws = coarsen(path, method.tau)[:method.n_steps]
+    if len(dws) < method.n_steps:
+        raise ValueError(f"{method.n_steps} steps exceed the path's {len(dws)}")
     u0 = build_initial(problem.initial, grid)
-    if u0.dim != grid.dim:
-        raise ValueError("initial state dimension does not match grid")
-    u0 = with_band(u0, grid.n_high)
     state = with_band(u0, grid.n_cut)
     rec0, h = None, kept_box(method, grid)
     if h > grid.n_cut:
         mask = recovered_modes(grid.dim, grid.n_high, grid.n_cut, h)
         rec0 = SpectralState(u0.u_hat * mask, u0.v_hat * mask)
+    # the full-band pair is not held past what the run takes from it
+    del u0
 
     def full_state(state_low: SpectralState, t: float) -> SpectralState:
         out = with_band(state_low, grid.n_high)
@@ -283,7 +277,10 @@ def run(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
             raise NumericalError(f"non-finite state at step {a + block.failed[0]}")
         state = SpectralState(block.u_hat[0], block.v_hat[0])
         n = min(a + stride, method.n_steps)
-        final = full_state(state, n * method.tau)
-        if snapshots and n > 0:
-            on_snapshot(n, n * method.tau, final)
+        if snapshots and 0 < n < method.n_steps:
+            on_snapshot(n, n * method.tau, full_state(state, n * method.tau))
+    # a snapshot's state lives through its callback; the final one is built once
+    final = full_state(state, method.n_steps * method.tau)
+    if snapshots and method.n_steps > 0:
+        on_snapshot(method.n_steps, method.n_steps * method.tau, final)
     return RunResult(final_state=final, wall_time=wall, steps=method.n_steps)

@@ -22,6 +22,9 @@ refinement normals xi ~ N(0, width/4).  The split is the exact conditional
 law, so the cells of every depth are i.i.d. N(0, base_dt) marginally while
 lattices of different depths (e.g. a study rerun with a finer reference
 step) sample nested refinements of the same path.
+
+Every count of the steps of a span or the cells of a lattice, here, in the
+integrators and in the config checks, is ``step_count``.
 """
 
 from __future__ import annotations
@@ -55,11 +58,15 @@ class WienerLattice:
         return self.increments.shape[0]
 
 
-def _ratio(num: float, den: float) -> int:
-    r = num / den
-    n = int(round(r))
-    if n < 1 or abs(r - n) > 1e-9:
-        raise ValueError(f"{num} is not a positive integer multiple of {den}")
+def step_count(span: float, step: float) -> int:
+    """The steps ``step`` in ``span``: the whole n >= 0 within 1e-9 of span /
+    step, for a finite positive step (ValueError otherwise)."""
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step {step} is not finite and positive")
+    r = span / step
+    n = round(r) if math.isfinite(r) else -1
+    if n < 0 or abs(r - n) > 1e-9:
+        raise ValueError(f"{span} is not a whole number of steps {step}")
     return n
 
 
@@ -83,10 +90,8 @@ def standard_normals(seed: int, sample_index: int, count: int) -> np.ndarray:
 def sample_path(seed: int, sample_index: int, t_final: float,
                 base_dt: float) -> WienerLattice:
     """Draw the full base-resolution path for one Monte Carlo sample."""
-    if base_dt <= 0:
-        raise ValueError(f"base_dt must be positive, got {base_dt}")
-    n = _ratio(t_final, base_dt)
-    if n & (n - 1):
+    n = step_count(t_final, base_dt)
+    if n < 1 or n & (n - 1):
         raise ValueError(f"t_final/base_dt must be a power of two, got {n}")
     depth = n.bit_length() - 1
     normals = standard_normals(seed, sample_index, n)
@@ -115,10 +120,10 @@ def coarsen(lattice: WienerLattice, step_dt: float) -> np.ndarray:
     total is built strictly left to right; the result is bit-identical to a
     scalar running sum over each group.
     """
-    r = _ratio(step_dt, lattice.base_dt)
-    if lattice.n_base % r:
+    n_coarse = step_count(lattice.t_final, step_dt)
+    if n_coarse < 1 or lattice.n_base % n_coarse:
         raise ValueError(f"step {step_dt} does not tile {lattice.n_base} base cells")
-    n_coarse = lattice.n_base // r
+    r = lattice.n_base // n_coarse
     if r == 1:
         return lattice.increments.copy()
     acc = np.zeros(n_coarse, dtype=np.float64)

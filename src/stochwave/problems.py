@@ -17,8 +17,9 @@ where ru_j and rv_j are the (seed-keyed) uniforms of the streams
 _DATA_STREAMS[2j] and _DATA_STREAMS[2j + 1].  The u (v) coefficient of mode
 k = (k_1, ..., k_dim) is the product over j of the u (v) profiles at k_j,
 so it is zero unless every k_j is nonzero.  The states are half spectra
-(see ``spectral``): the last axis takes the slots |k| = 0..n_high of its
-profile, the other axes every slot.  The exponents put the pair
+(see ``spectral``): each profile is built on the slots |k| = 0..n_high of
+one axis, which the last axis takes as they are and every other axis
+mirrors into its full layout.  The exponents put the pair
 exactly in the gamma / gamma-1 smoothness class and no better.  The k = 0
 coefficient is left at zero: the power law is undefined there and any
 bounded choice lands in the same class, so zero keeps comparisons across
@@ -28,6 +29,9 @@ The stepped storage holds |k| <= n_cut - 1, so with alpha = 1 the data lies
 inside it, while with alpha > 1 each axis also gets the one mode at
 |k| = n_cut, just outside it.  The same preset therefore gives different
 initial data for alpha = 1 and alpha > 1.
+
+``build_initial`` hands out every kind at the grid's full band n_high, an
+explicit state re-stored there once its rank is checked against the grid's.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .spectral import (
     collocation_nodes,
     default_alpha,
     forward,
-    mode_indices,
+    with_band,
 )
 
 # stream ids for initial-data draws, outside the Monte Carlo sample range;
@@ -158,12 +162,10 @@ def build_indicator_2d(grid: SpectralGrid) -> SpectralState:
 
 
 def _axis_profile(band: int, kmax: int, exponent: float, draws: np.ndarray) -> np.ndarray:
-    """0.5 * draws[|k|-1] * |k|^exponent on every slot of a band-``band``
-    axis with 1 <= |k| <= kmax, zero elsewhere."""
-    absk = np.abs(mode_indices(band))
-    sel = (absk >= 1) & (absk <= kmax)
-    out = np.zeros(2 * band)
-    out[sel] = (0.5 * draws * np.arange(1, kmax + 1, dtype=np.float64) ** exponent)[absk[sel] - 1]
+    """0.5 * draws[|k|-1] * |k|^exponent at the slots |k| = 0..band of one
+    axis, zero at |k| = 0 and above kmax."""
+    out = np.zeros(band + 1)
+    out[1:kmax + 1] = 0.5 * draws * np.arange(1, kmax + 1, dtype=np.float64) ** exponent
     return out
 
 
@@ -179,17 +181,22 @@ def build_random_hgamma(grid: SpectralGrid, gamma: float, seed: int) -> Spectral
         raise ValueError(f"gamma must be positive, got {gamma}")
     band = grid.n_high
     kmax = min(grid.n_cut, grid.n_high - 1)
-    # slot 0 (u) and slot 1 (v) of axis j read stream 2j + slot
-    fields = [[_axis_profile(band, kmax, exponent,
-                             standard_uniforms(seed, _DATA_STREAMS[2 * j + slot], kmax))
-               for j in range(grid.dim)]
-              for slot, exponent in enumerate((-gamma - 0.51, -gamma + 0.49))]
-    # the last axis keeps the profile's slots |k| = 0..band
-    return SpectralState(*(functools.reduce(np.multiply.outer, axes[:-1] + [axes[-1][:band + 1]])
-                           .astype(np.complex128) for axes in fields))
+
+    def field(slot: int, exponent: float) -> np.ndarray:
+        """The u (slot 0) or v (slot 1) spectrum; axis j reads stream
+        2j + slot.  The last axis keeps its profile, and every other axis
+        mirrors it into the full layout, modes 0..band-1 then -band..-1."""
+        axes = [_axis_profile(band, kmax, exponent,
+                              standard_uniforms(seed, _DATA_STREAMS[2 * j + slot], kmax))
+                for j in range(grid.dim)]
+        axes[:-1] = [np.concatenate((p[:band], p[:0:-1])) for p in axes[:-1]]
+        return functools.reduce(np.multiply.outer, axes).astype(np.complex128)
+
+    return SpectralState(field(0, -gamma - 0.51), field(1, -gamma + 0.49))
 
 
 def build_initial(spec: InitialDataSpec, grid: SpectralGrid) -> SpectralState:
+    """The initial state of ``spec`` at the grid's full band n_high."""
     if spec.kind == "indicator_1d":
         return build_indicator_1d(grid)
     if spec.kind == "indicator_2d":
@@ -199,7 +206,9 @@ def build_initial(spec: InitialDataSpec, grid: SpectralGrid) -> SpectralState:
     if spec.kind == "explicit":
         if spec.state is None:
             raise ValueError("explicit initial data needs a state")
-        return spec.state
+        if spec.state.dim != grid.dim:
+            raise ValueError(f"initial state is {spec.state.dim}-dimensional, grid is {grid.dim}")
+        return with_band(spec.state, grid.n_high)
     raise ValueError(f"unknown initial data kind {spec.kind!r}")
 
 

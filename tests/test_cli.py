@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -172,15 +173,42 @@ def test_config_error_exit_code(tmp_path):
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(sw.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    for bad in BAD_ARGUMENTS:
+
+    def cli(bad):
         argv = [a.format(tmp=tmp_path) for a in bad] + ["--out", str(tmp_path / "out")]
-        proc = subprocess.run([sys.executable, "-m", "stochwave.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=120)
+        return bad, argv, subprocess.run([sys.executable, "-m", "stochwave.cli", *argv],
+                                         capture_output=True, text=True, env=env, timeout=120)
+
+    # the cases are independent processes: run a few at a time
+    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, 4)) as pool:
+        results = list(pool.map(cli, BAD_ARGUMENTS))
+    for bad, argv, proc in results:
         assert proc.returncode == 2, (argv, proc.stderr)
         assert "Traceback" not in proc.stderr, (argv, proc.stderr)
         assert "configuration error" in proc.stderr, (argv, proc.stderr)
         assert BAD_ARGUMENT_MESSAGES.get(tuple(bad), "") in proc.stderr, (argv, proc.stderr)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spelling,method", [("hrlri", "hr_lri"), ("HR_LRI", "hr_lri"),
+                                             ("HrLri", "hr_lri"), ("Sem", "sem"),
+                                             (" stm ", "stm"), ("LRI", "lri")])
+def test_method_spellings(tmp_path, capsys, spelling, method):
+    # any case of a scheme name, and hrlri for hr_lri
+    rc = main(["run", "--preset", "1", "--tau", "0.0625", "--method", spelling,
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert f"method={method} " in capsys.readouterr().out
+
+
+def test_run_at_a_step_within_tolerance(tmp_path, capsys):
+    # t_final / tau lies 4e-10 below 4: the step the config accepts is
+    # the step the run takes
+    rc = main(["run", "--preset", "1", "--tau", "0.06250000000625", "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    assert "steps=4" in out
+    assert sorted(os.listdir(tmp_path))[-1] == "snap_000004.txt"
 
 
 @pytest.mark.parametrize("out", ["file", "file/sub"])

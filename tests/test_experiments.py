@@ -79,6 +79,12 @@ class TestEstimateOrder:
         assert sw.estimate_order([(0.1, 0.0), (0.05, 0.0), (0.025, 0.0)]) is None
 
 
+def test_level_with_every_sample_excluded_fails():
+    err_sq = np.array([[0.5, np.nan], [0.25, np.nan]])
+    with pytest.raises(sw.NumericalFailure, match="every sample excluded"):
+        exp._aggregate("stm", (0.25, 0.125), (1, 2), err_sq)
+
+
 class TestCsv:
     def test_empty_report_header_only(self, tmp_path):
         rep = sw.ConvergenceReport(method="stm", rows=(), fitted_order=None)
@@ -883,6 +889,23 @@ class TestRunSingle:
             with open(snap[:-len(".swv")] + ".txt", "rb") as fh:
                 assert fh.read() == expect.encode("utf-8")
 
+    def test_run_holds_only_what_it_needs(self, tmp_path):
+        # the run drops the full-band initial pair once it has taken the
+        # stepped start and the recovered modes, and holds no segment's
+        # full-band state while the next one is assembled: a second
+        # run_single of preset 1 at tau = 2^-8 (band 4096) peaks at 18.1
+        # full-band half arrays (tracemalloc), where holding both peaked at
+        # 20.1; most of the rest is the snapshot plot text
+        cfg = sw.ExperimentConfig(dim=1, preset=1, tau=2**-8, out_dir=str(tmp_path / "a"))
+        sw.run_single(cfg)
+        tracemalloc.start()
+        try:
+            sw.run_single(replace(cfg, out_dir=str(tmp_path / "b")))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 19.0 * 16 * (4096 + 1)
+
     def test_zero_data_stays_zero(self, tmp_path):
         grid = sw.make_grid(1, 8, 1.0)
         problem = sw.ProblemSpec(sw.zero_fn(), sw.scaled_sine(16.0),
@@ -936,6 +959,48 @@ class TestConfigHandling:
             resolve_config(sw.ExperimentConfig(levels=(0.3,)))
         with pytest.raises(sw.ConfigError):
             resolve_config(sw.ExperimentConfig(levels=(2**-4,), tau_ref=3e-2))
+
+    def test_accepted_steps_are_counted_by_the_runtime(self):
+        # every step that resolve_config accepts within its 1e-9 tolerance
+        # of a power-of-two split of t_final (here t_final / tau = 2^m + d)
+        # is a valid method step and tiles the lattice its entry point draws:
+        # a single run's of tau, a study's of tau_ref
+        accepted = 0
+        for m in range(2, 7):
+            for d in (0.0, 1e-12, -1e-10, 4e-10, -9e-10, 2e-9, 1e-8):
+                tau = 0.25 / (2**m + d)
+                for kw in ({"tau": tau}, {"levels": (tau,), "tau_ref": tau}):
+                    try:
+                        cfg = resolve_config(sw.ExperimentConfig(dim=1, preset=1, **kw))
+                    except sw.ConfigError:
+                        continue
+                    accepted += d != 0.0
+                    run_tau = cfg.tau if cfg.tau is not None else cfg.levels[-1]
+                    for base, steps in ((run_tau, [run_tau]),
+                                        (cfg.tau_ref, [cfg.tau_ref, *cfg.levels])):
+                        lattice = sw.sample_path(0, 0, cfg.t_final, base)
+                        for step in steps:
+                            spec = sw.method_spec("stm", step, cfg.t_final)
+                            assert len(sw.coarsen(lattice, step)) == spec.n_steps
+        assert accepted == 40
+
+    def test_explicit_state_of_another_rank_refused_first(self, monkeypatch, tmp_path):
+        # a 2D state in a 1D config: ConfigError from either entry point,
+        # before the initial state is built or out_dir is created
+        def never(*args, **kwargs):
+            raise AssertionError("built the initial state before the rank check")
+
+        monkeypatch.setattr(exp, "build_initial", never)
+        monkeypatch.setattr(sw.integrators, "build_initial", never)
+        problem = sw.ProblemSpec(sw.zero_fn(), sw.zero_fn(),
+                                 sw.InitialDataSpec("explicit", state=sw.zero_state(2, 8)))
+        out = tmp_path / "out"
+        cfg = sw.ExperimentConfig(dim=1, problem=problem, methods=("stm",), tau=2**-3,
+                                  levels=(2**-3, 2**-4, 2**-5), n_samples=2, out_dir=str(out))
+        for entry in (sw.run_convergence, sw.run_single):
+            with pytest.raises(sw.ConfigError, match="2-dimensional, config says 1"):
+                entry(cfg)
+        assert not out.exists()
 
     def test_preset_dimension_mismatch(self):
         with pytest.raises(sw.ConfigError):

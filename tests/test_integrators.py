@@ -488,6 +488,14 @@ class TestRunDriver:
         with pytest.raises(ValueError):
             sw.run(spec, grid, problem, lattice)
 
+    def test_path_shorter_than_the_run_rejected(self):
+        # 8 steps of 2^-5 on a path of 4 such increments
+        grid = sw.make_grid(1, 4, 1.0)
+        problem = explicit_problem(random_state(grid))
+        lattice = sw.sample_path(0, 0, 0.125, 2**-5)
+        with pytest.raises(ValueError, match="8 steps exceed the path's 4"):
+            sw.run(sw.method_spec("stm", 2**-5, 0.25), grid, problem, lattice)
+
     def test_method_spec_validation(self):
         with pytest.raises(ValueError):
             sw.method_spec("verlet", 0.1, 1.0)
@@ -495,6 +503,7 @@ class TestRunDriver:
             sw.method_spec("stm", 0.3, 1.0)  # does not tile
         spec = sw.method_spec("hr_lri", 0.25, 1.0)
         assert spec.recovery and spec.n_steps == 4
+        assert sw.method_spec("stm", 0.25, 0.0).n_steps == 0
         assert not sw.method_spec("sem", 0.25, 1.0).recovery
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import stochwave as sw
-from stochwave.noise import standard_normals, standard_uniforms
+from stochwave.noise import standard_normals, standard_uniforms, step_count
 
 
 def grouped_sums_oracle(values, r):
@@ -67,6 +67,30 @@ class TestGeneration:
         assert lat.n_base == 256
         assert lat.t_final == 0.25
         assert lat.seed == 9 and lat.sample_index == 3
+
+
+class TestStepCount:
+    def test_whole_ratios_within_tolerance(self):
+        assert step_count(0.25, 2**-5) == 8
+        assert step_count(0.0, 0.125) == 0
+        # 0.25 / 0.06250000000625 lies 4e-10 below 4
+        assert step_count(0.25, 0.06250000000625) == 4
+
+    @pytest.mark.parametrize("span,step", [
+        (0.25, 0.3), (0.25, 0.0625 * (1 + 1e-8)), (-0.25, 0.125), (1e308, 2**-11),
+        (float("nan"), 0.125), (0.25, 0.0), (0.25, -0.125), (0.25, float("inf")),
+        (0.25, float("nan")),
+    ])
+    def test_refused(self, span, step):
+        with pytest.raises(ValueError):
+            step_count(span, step)
+
+    def test_lattice_and_coarsening_need_a_cell(self):
+        with pytest.raises(ValueError):
+            sw.sample_path(0, 0, 0.0, 0.125)
+        lat = sw.sample_path(0, 0, 1.0, 2**-4)
+        with pytest.raises(ValueError):
+            sw.coarsen(lat, 0.0)
 
 
 class TestCoarsening:

@@ -10,7 +10,7 @@ from stochwave.noise import standard_uniforms
 from stochwave.problems import _DATA_STREAMS
 from stochwave.spectral import collocation_nodes, mode_indices
 
-from helpers import full_layout
+from helpers import full_layout, random_state
 
 
 def node_value(state, x_target):
@@ -236,6 +236,21 @@ class TestRandomHGamma:
                 v *= 0.5 * draws[2 * j + 1][a - 1] * v_pow[a - 1]
             assert state.u_hat[idx] == u and state.v_hat[idx] == v, idx
 
+    def test_build_peak(self):
+        # each axis profile is built on its half axis, |k| = 0..band: a
+        # second build of preset 2's data at band 2^18 peaks at 2.5 full-band
+        # half arrays (the two results and one profile, tracemalloc), where
+        # profiles built on the full axis peaked at 4.0
+        grid = sw.make_grid(1, 512, 2.0)
+        sw.build_random_hgamma(grid, 0.5, 0)
+        tracemalloc.start()
+        try:
+            sw.build_random_hgamma(grid, 0.5, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.0 * 16 * (grid.n_high + 1)
+
     def test_rejects_nonpositive_gamma(self):
         with pytest.raises(ValueError):
             sw.build_random_hgamma(sw.make_grid(1, 8, 1.0), 0.0, seed=0)
@@ -250,8 +265,21 @@ class TestSpecsAndPresets:
         assert explicit is state
         with pytest.raises(ValueError):
             sw.build_initial(sw.InitialDataSpec("explicit"), grid)
+        with pytest.raises(ValueError, match="2-dimensional"):
+            sw.build_initial(sw.InitialDataSpec("explicit", state=sw.zero_state(2, 4)), grid)
         with pytest.raises(ValueError):
             sw.build_initial(sw.InitialDataSpec("mystery"), grid)
+
+    @pytest.mark.parametrize("band", [8, 200])
+    def test_explicit_state_handed_out_at_the_full_band(self, band):
+        # re-stored at the grid's band 64, padded or truncated
+        grid = sw.make_grid(1, 8, 2.0)
+        state = random_state(grid, band=band)
+        got = sw.build_initial(sw.InitialDataSpec("explicit", state=state), grid)
+        want = sw.with_band(state, 64)
+        assert got.band == 64
+        np.testing.assert_array_equal(got.u_hat, want.u_hat)
+        np.testing.assert_array_equal(got.v_hat, want.v_hat)
 
     def test_explicit_from_snapshot(self, tmp_path):
         grid = sw.make_grid(1, 64, 1.0)

@@ -90,6 +90,17 @@ class TestTransforms:
         with pytest.raises(ValueError):
             sw.forward(np.zeros((16, 8)))
 
+    @pytest.mark.parametrize("shape", [(1,), (6, 3), (8, 4, 5)])
+    def test_inverse_needs_a_half_spectrum(self, shape):
+        with pytest.raises(ValueError, match="not a half spectrum"):
+            sw.inverse(np.zeros(shape, dtype=np.complex128))
+
+    @pytest.mark.parametrize("u_shape,v_shape", [((8,), (4,)), ((8, 8), (8,)),
+                                                 ((4, 4, 4), (4, 4, 4))])
+    def test_state_from_fields_needs_matching_fields_of_a_supported_rank(self, u_shape, v_shape):
+        with pytest.raises(ValueError, match="matching arrays"):
+            sw.state_from_fields(np.zeros(u_shape), np.zeros(v_shape))
+
     def test_state_from_fields_is_hermitian(self):
         # the slots k_last in [0, m] of the fields' full spectrum, unpaired
         # slots zeroed; the k_last = 0 plane is Hermitian to rounding
@@ -284,6 +295,11 @@ class TestPseudospectral:
         expect[0] = 0.5
         expect[2] = 0.25
         np.testing.assert_allclose(out, expect, atol=1e-14)
+
+    def test_cut_above_the_band_rejected(self):
+        state = random_state(sw.make_grid(1, 4, 1.0))
+        with pytest.raises(ValueError, match="exceeds stored band 4"):
+            self.apply(np.sin, state, 5)
 
     def test_non_finite_sample_gives_non_finite_image(self):
         # finiteness is the stepper's concern: a NaN sample leaves its own
