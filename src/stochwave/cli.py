@@ -6,8 +6,13 @@ Subcommands:
                  data into the output directory.
 * ``converge`` - coupled-path convergence study; writes convergence.csv and
                  error-versus-tau plot data, prints fitted orders.
-* ``compare``  - same study for several methods with measured timings and
-                 error-versus-time plot data.
+* ``compare``  - same study for several methods, its rows carrying measured
+                 stepping times; also writes error-versus-time plot data.
+
+``converge`` and ``compare`` share one command body.  Before any stepping it
+refuses an output path (``experiments.study_files``) that a directory
+holds, then runs ``run_convergence``, or ``compare_methods`` for
+``compare``, and writes the reports with ``emit_study``.
 
 Options may come from a flat key=value config file (--config) with '#'
 comments; command line flags override file values and are parsed by the
@@ -22,6 +27,7 @@ written, for instance because a directory holds its name).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -32,8 +38,10 @@ from .experiments import (
     config_from_mapping,
     emit_study,
     parse_config_file,
+    resolve_config,
     run_convergence,
     run_single,
+    study_files,
 )
 from .integrators import SCHEMES, NumericalError
 
@@ -108,27 +116,22 @@ def _cmd_run(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _print_reports(reports) -> None:
+def _cmd_study(config: ExperimentConfig, timed: bool) -> int:
+    """``converge``, or ``compare`` if ``timed``: refuse an output path that a
+    directory holds before any stepping, then the reports, their files and a
+    summary."""
+    config = resolve_config(config)
+    for path in study_files(config.out_dir, dict.fromkeys(config.methods, timed)).values():
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"{path} is a directory, not a writable file")
+    reports = compare_methods(config) if timed else run_convergence(config)
+    csv_path = emit_study(reports, config.out_dir)
     for m, rep in reports.items():
         order = "n/a" if rep.fitted_order is None else f"{rep.fitted_order:.3f}"
         print(f"{m}: fitted order {order}")
         for row in rep.rows:
             print(f"  tau={row.tau:.6g} N={row.n_cut} rms={row.rms_error:.6e} "
                   f"stderr={row.stderr:.2e} excluded={row.excluded}")
-
-
-def _cmd_converge(config: ExperimentConfig) -> int:
-    reports = run_convergence(config)
-    csv_path = emit_study(reports, config.out_dir)
-    _print_reports(reports)
-    print(f"report written to {csv_path}")
-    return EXIT_OK
-
-
-def _cmd_compare(config: ExperimentConfig) -> int:
-    reports, timing = compare_methods(config)
-    csv_path = emit_study(reports, config.out_dir, timing=timing)
-    _print_reports(reports)
     print(f"report written to {csv_path}")
     return EXIT_OK
 
@@ -139,9 +142,7 @@ def main(argv=None) -> int:
         config = _merge_config(args)
         if args.command == "run":
             return _cmd_run(config)
-        if args.command == "converge":
-            return _cmd_converge(config)
-        return _cmd_compare(config)
+        return _cmd_study(config, timed=args.command == "compare")
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -33,8 +33,10 @@ So no sample ever builds a state wider than band M, and the initial pair is
 the study's only array of the full box; with alpha = 1 every shift is empty
 and every tail zero.
 
-The samples are stepped in contiguous chunks.  A chunk coarsens its paths
-once per step size and steps each ``integrators.stepping_key`` once, as one
+The samples are stepped in contiguous chunks.  A chunk draws its paths one
+at a time, coarsens each to every step size into preallocated increment
+rows as soon as it is drawn and then drops it, so it holds one lattice at a
+time.  It steps each ``integrators.stepping_key`` once, as one
 ``run_block`` call: runs with equal keys (``hr_lri`` and ``stm`` always,
 ``lri`` unless its filter cuts, and an ``hr_lri`` level at tau_ref on N_ref
 with the reference) share one block.  Each block is re-stored at band M, and
@@ -54,9 +56,10 @@ study with more than 1% exclusions aborts with ``NumericalFailure``, an
 Reports are deterministic: samples are keyed by (seed, sample_index), every
 row of a block is bit-identical to a block of one, the reduction runs in
 ascending sample order whatever the worker count or chunk size, and the
-convergence CSV carries no timing (its wall_seconds column is 0).  Measured
-timings belong to the compare workflow, which writes them into its own CSV
-and error-versus-time plot data.
+convergence CSV carries no timing (its wall_seconds column is 0).  Only the
+compare workflow measures times, and each lives in one place, its row's
+wall_seconds: ``emit_study`` writes it to the CSV and, for a report whose
+rows carry times, to error-versus-time plot data.
 """
 
 from __future__ import annotations
@@ -87,6 +90,7 @@ from .problems import (
     NonlinearitySpec,
     ProblemSpec,
     build_initial,
+    check_initial,
     preset_problem,
 )
 from .semigroup import propagator_tables
@@ -193,7 +197,12 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"t_final must be positive, got {config.t_final}")
     if not (0 <= config.seed < 2**64 and 0 <= config.sample_index < 2**64):
         raise ConfigError("seed and sample_index must lie in [0, 2^64)")
-    levels = tuple(sorted((float(t) for t in config.levels), reverse=True))
+    if config.n_cuts is not None and len(config.n_cuts) != len(config.levels):
+        raise ConfigError("n_cuts must match levels one to one")
+    # coarsest first, each level keeping its own n_cut
+    order = sorted(range(len(config.levels)), key=lambda i: float(config.levels[i]),
+                   reverse=True)
+    levels = tuple(float(config.levels[i]) for i in order)
     if not levels:
         raise ConfigError("at least one level is required")
     alpha = default_alpha(config.dim) if config.alpha is None else config.alpha
@@ -209,11 +218,10 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
         # powers of two: a level's cells divide the reference's if no more
         if _check_dyadic("level", tau, config.t_final) > ref_cells:
             raise ConfigError(f"tau_ref {tau_ref} does not divide level {tau}")
-    n_cuts = config.n_cuts
-    if n_cuts is None:
+    if config.n_cuts is None:
         n_cuts = tuple(default_n_cut(t) for t in levels)
-    elif len(n_cuts) != len(levels):
-        raise ConfigError("n_cuts must match levels one to one")
+    else:
+        n_cuts = tuple(config.n_cuts[i] for i in order)
     if min(n_cuts) < 1:
         raise ConfigError(f"n_cuts must be >= 1, got {n_cuts}")
     methods = tuple(config.methods)
@@ -267,12 +275,13 @@ def _full_grid(dim: int, n_cut: int, alpha: float) -> SpectralGrid:
 
 
 def study_problem(config: ExperimentConfig) -> tuple[int, ProblemSpec]:
-    """The (dim, problem) pair the config describes, refusing an explicit
-    initial state of another rank."""
+    """The (dim, problem) pair the config describes, refusing initial data
+    that does not fit dim (``problems.check_initial``)."""
     if config.problem is not None:
-        state = config.problem.initial.state
-        if state is not None and state.dim != config.dim:
-            raise ConfigError(f"initial state is {state.dim}-dimensional, config says {config.dim}")
+        try:
+            check_initial(config.problem.initial, config.dim)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         return config.dim, config.problem
     if config.preset is None:
         raise ConfigError("config needs either a preset or an explicit problem")
@@ -305,17 +314,13 @@ class ConvergenceReport:
 
 
 def estimate_order(rows) -> float | None:
-    """Ordinary least-squares slope of log(rms) against log(tau).
+    """Ordinary least-squares slope of log(rms) against log(tau) over
+    (tau, rms) pairs.
 
-    ``rows`` holds (tau, rms) pairs or LevelRow objects.  Returns None when
-    every error vanishes (nothing to fit); raises on fewer than three usable
-    rows.
+    Returns None when every error vanishes (nothing to fit); raises on fewer
+    than three usable rows.
     """
-    pts = []
-    for row in rows:
-        tau, err = (row.tau, row.rms_error) if isinstance(row, LevelRow) else row
-        if err > 0.0:
-            pts.append((math.log(tau), math.log(err)))
+    pts = [(math.log(tau), math.log(err)) for tau, err in rows if err > 0.0]
     if not pts:
         return None
     if len(pts) < 3:
@@ -347,7 +352,7 @@ def _aggregate(method: str, levels, n_cuts, err_sq: np.ndarray,
                              rms_error=rms, stderr=stderr, excluded=excluded,
                              wall_seconds=float(wall[i]) if wall is not None else 0.0))
     try:
-        order = estimate_order(rows)
+        order = estimate_order([(row.tau, row.rms_error) for row in rows])
     except ValueError:
         order = None
     return ConvergenceReport(method=method, rows=tuple(rows), fitted_order=order)
@@ -494,9 +499,15 @@ def _chunk_errors(study: _Study, samples: range):
     config = study.config
     err_sq = np.full((len(samples), len(config.methods), len(config.levels)), np.nan)
     wall = np.zeros(err_sq.shape[1:])
-    paths = [sample_path(config.seed, s, config.t_final, config.tau_ref) for s in samples]
-    dws = {tau: np.stack([coarsen(p, tau) for p in paths])
+    # each path is coarsened to every step size as soon as it is drawn, so
+    # the chunk holds one lattice at a time
+    dws = {tau: np.empty((len(samples), step_count(config.t_final, tau)))
            for tau in {config.tau_ref, *config.levels}}
+    for row, s in enumerate(samples):
+        path = sample_path(config.seed, s, config.t_final, config.tau_ref)
+        for tau, dw in dws.items():
+            dw[row] = coarsen(path, tau)
+        del path
     blocks = {}
 
     def block(spec: MethodSpec, n: int) -> tuple:
@@ -576,20 +587,16 @@ def run_convergence(config: ExperimentConfig,
     return _study_reports(study, _chunk_rows(study), collect_timing)
 
 
-def compare_methods(config: ExperimentConfig):
-    """Convergence reports with measured per-level timings.
+def compare_methods(config: ExperimentConfig) -> dict[str, ConvergenceReport]:
+    """Convergence reports whose rows carry measured times.
 
-    Returns (reports, timing) where timing[method] lists, per level and
-    coarsest first, the stepping seconds of the blocks of the method's
-    trajectory, summed over chunks.  Methods that share a trajectory (see
-    ``integrators.stepping_key``) report the same times.
+    A row's wall_seconds is the stepping time of the blocks of the method's
+    trajectory at that level, summed over chunks.  Methods that share a
+    trajectory (see ``integrators.stepping_key``) report the same times.
     """
     if len(config.methods) < 2:
         raise ConfigError("compare needs at least two methods")
-    reports = run_convergence(config, collect_timing=True)
-    timing = {m: [row.wall_seconds for row in rep.rows]
-              for m, rep in reports.items()}
-    return reports, timing
+    return run_convergence(config, True)
 
 
 # ---------------------------------------------------------------------------
@@ -656,9 +663,7 @@ def run_single(config: ExperimentConfig) -> dict:
 
 
 def emit_csv(reports, path) -> None:
-    """Write reports (one or many) as UTF-8 CSV with 17-digit floats."""
-    if isinstance(reports, ConvergenceReport):
-        reports = [reports]
+    """Write a sequence of reports as UTF-8 CSV with 17-digit floats."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("method,tau,n_cut,n_samples,rms_error,stderr,excluded,wall_seconds\n")
@@ -710,21 +715,35 @@ def write_plot_data(path, x_lines: str, ys, comment: str) -> None:
         fh.write(text)
 
 
-def emit_study(reports, out_dir: str, timing=None) -> str:
-    """Write the study CSV plus per-method plot data; returns the CSV path."""
+def study_files(out_dir: str, timed: dict[str, bool]) -> dict:
+    """The paths of the files a study writes into out_dir, keyed by what
+    each holds: "csv" for convergence.csv, (m, "tau") for the error-vs-tau
+    plot data of every method m, and (m, "time") for its error-vs-time plot
+    data where timed[m]."""
+    files = {"csv": "convergence.csv"}
+    for m, has_times in timed.items():
+        files[m, "tau"] = f"error_vs_tau_{m}.txt"
+        if has_times:
+            files[m, "time"] = f"error_vs_time_{m}.txt"
+    return {key: os.path.join(out_dir, name) for key, name in files.items()}
+
+
+def emit_study(reports, out_dir: str) -> str:
+    """Write the study CSV plus per-method plot data (``study_files``) of
+    the rms error against tau and, for a report whose rows carry times,
+    against wall seconds; returns the CSV path."""
+    files = study_files(out_dir, {m: any(row.wall_seconds for row in rep.rows)
+                                  for m, rep in reports.items()})
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "convergence.csv")
-    emit_csv(list(reports.values()), csv_path)
+    emit_csv(list(reports.values()), files["csv"])
     for m, rep in reports.items():
-        taus = [row.tau for row in rep.rows]
         errs = [row.rms_error for row in rep.rows]
-        write_plot_data(os.path.join(out_dir, f"error_vs_tau_{m}.txt"),
-                        plot_lines(taus), errs, f"{m}: rms pair-norm error vs tau")
-        if timing is not None:
-            write_plot_data(os.path.join(out_dir, f"error_vs_time_{m}.txt"),
-                            plot_lines(timing[m]), errs,
-                            f"{m}: rms pair-norm error vs wall seconds")
-    return csv_path
+        write_plot_data(files[m, "tau"], plot_lines([row.tau for row in rep.rows]), errs,
+                        f"{m}: rms pair-norm error vs tau")
+        if (m, "time") in files:
+            write_plot_data(files[m, "time"], plot_lines([row.wall_seconds for row in rep.rows]),
+                            errs, f"{m}: rms pair-norm error vs wall seconds")
+    return files["csv"]
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,11 @@ inside it, while with alpha > 1 each axis also gets the one mode at
 |k| = n_cut, just outside it.  The same preset therefore gives different
 initial data for alpha = 1 and alpha > 1.
 
-``build_initial`` hands out every kind at the grid's full band n_high, an
-explicit state re-stored there once its rank is checked against the grid's.
+``check_initial`` is the one rule of which dimensions each kind fits
+(``INITIAL_DIMS``; an explicit state fits its own rank).  ``build_initial``
+applies it to the grid, and the experiment entry points to the config
+before anything is built; ``build_initial`` hands out every kind at the
+grid's full band n_high, an explicit state re-stored there.
 """
 
 from __future__ import annotations
@@ -126,6 +129,28 @@ class ProblemSpec:
     initial: InitialDataSpec
 
 
+# initial data kind -> the dimensions it fits; an explicit state fits its
+# own rank
+INITIAL_DIMS = {"indicator_1d": (1,), "indicator_2d": (2,), "random_hgamma": DIMS}
+
+
+def check_initial(spec: InitialDataSpec, dim: int) -> None:
+    """Refuse, with ValueError, initial data that does not fit dimension
+    ``dim``: a kind of other dimensions, an explicit state of another rank
+    or none, or an unknown kind."""
+    if spec.kind == "explicit":
+        if spec.state is None:
+            raise ValueError("explicit initial data needs a state")
+        fits = (spec.state.dim,)
+    elif spec.kind in INITIAL_DIMS:
+        fits = INITIAL_DIMS[spec.kind]
+    else:
+        raise ValueError(f"unknown initial data kind {spec.kind!r}")
+    if dim not in fits:
+        raise ValueError(f"{spec.kind} initial data is {'/'.join(map(str, fits))}-dimensional, "
+                         f"not {dim}")
+
+
 def _at_rest(u: np.ndarray) -> SpectralState:
     """The state of the real displacement samples u with v = 0: u is
     transformed alone, its unpaired slots zeroed as in ``state_from_fields``."""
@@ -142,8 +167,7 @@ def build_indicator_1d(grid: SpectralGrid) -> SpectralState:
     intervals) and forward-transformed, i.e. the state is the trigonometric
     interpolant of the discontinuous profile.
     """
-    if grid.dim != 1:
-        raise ValueError("indicator_1d requires a 1-d grid")
+    check_initial(InitialDataSpec("indicator_1d"), grid.dim)
     x = collocation_nodes(grid.n_high)
     u = np.zeros_like(x)
     u[(x >= 0.3) & (x <= 0.425)] = 5.0
@@ -153,8 +177,7 @@ def build_indicator_1d(grid: SpectralGrid) -> SpectralState:
 
 def build_indicator_2d(grid: SpectralGrid) -> SpectralState:
     """Single plateau, 0.5 on the square [0.375, 0.625]^2, v = 0."""
-    if grid.dim != 2:
-        raise ValueError("indicator_2d requires a 2-d grid")
+    check_initial(InitialDataSpec("indicator_2d"), grid.dim)
     x = collocation_nodes(grid.n_high)
     inside = (x >= 0.375) & (x <= 0.625)
     u = 0.5 * np.outer(inside, inside).astype(np.float64)
@@ -196,20 +219,16 @@ def build_random_hgamma(grid: SpectralGrid, gamma: float, seed: int) -> Spectral
 
 
 def build_initial(spec: InitialDataSpec, grid: SpectralGrid) -> SpectralState:
-    """The initial state of ``spec`` at the grid's full band n_high."""
+    """The initial state of ``spec`` at the grid's full band n_high, once
+    ``check_initial`` finds that it fits the grid."""
+    check_initial(spec, grid.dim)
     if spec.kind == "indicator_1d":
         return build_indicator_1d(grid)
     if spec.kind == "indicator_2d":
         return build_indicator_2d(grid)
     if spec.kind == "random_hgamma":
         return build_random_hgamma(grid, spec.gamma, spec.seed)
-    if spec.kind == "explicit":
-        if spec.state is None:
-            raise ValueError("explicit initial data needs a state")
-        if spec.state.dim != grid.dim:
-            raise ValueError(f"initial state is {spec.state.dim}-dimensional, grid is {grid.dim}")
-        return with_band(spec.state, grid.n_high)
-    raise ValueError(f"unknown initial data kind {spec.kind!r}")
+    return with_band(spec.state, grid.n_high)
 
 
 # ---------------------------------------------------------------------------

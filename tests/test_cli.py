@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -34,7 +33,8 @@ def test_converge_subcommand_with_config(tmp_path, capsys):
     rows = sw.parse_csv(out_dir / "convergence.csv")
     assert len(rows) == 3
     assert all(r["method"] == "stm" for r in rows)
-    assert (out_dir / "error_vs_tau_stm.txt").exists()
+    # untimed rows: no error-vs-time plot data
+    assert sorted(os.listdir(out_dir)) == ["convergence.csv", "error_vs_tau_stm.txt"]
     assert "fitted order" in capsys.readouterr().out
 
 
@@ -154,7 +154,7 @@ BAD_ARGUMENT_MESSAGES = {
 }
 
 
-def test_config_error_exit_code(tmp_path):
+def test_config_error_exit_code(tmp_path, capsys):
     (tmp_path / "preset7.cfg").write_text("preset = 7\n", encoding="utf-8")
     (tmp_path / "tau_ref0.cfg").write_text("preset = 2\ntau_ref = 0\n", encoding="utf-8")
     (tmp_path / "n_cuts0.cfg").write_text(
@@ -170,23 +170,25 @@ def test_config_error_exit_code(tmp_path):
     (tmp_path / "n_cuts_huge.cfg").write_text(
         "preset = 2\nlevels = 0.125,0.0625,0.03125\nn_cuts = 4,8,10000000000\n",
         encoding="utf-8")
+    # each case in process, through cli.main
+    for bad in BAD_ARGUMENTS:
+        argv = [a.format(tmp=tmp_path) for a in bad] + ["--out", str(tmp_path / "out")]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2, (argv, err)
+        assert "Traceback" not in err, (argv, err)
+        assert "configuration error" in err, (argv, err)
+        assert BAD_ARGUMENT_MESSAGES.get(tuple(bad), "") in err, (argv, err)
+    assert not (tmp_path / "out").exists()
+    # and one through the module entry point, in a process of its own
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(sw.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-
-    def cli(bad):
-        argv = [a.format(tmp=tmp_path) for a in bad] + ["--out", str(tmp_path / "out")]
-        return bad, argv, subprocess.run([sys.executable, "-m", "stochwave.cli", *argv],
-                                         capture_output=True, text=True, env=env, timeout=120)
-
-    # the cases are independent processes: run a few at a time
-    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, 4)) as pool:
-        results = list(pool.map(cli, BAD_ARGUMENTS))
-    for bad, argv, proc in results:
-        assert proc.returncode == 2, (argv, proc.stderr)
-        assert "Traceback" not in proc.stderr, (argv, proc.stderr)
-        assert "configuration error" in proc.stderr, (argv, proc.stderr)
-        assert BAD_ARGUMENT_MESSAGES.get(tuple(bad), "") in proc.stderr, (argv, proc.stderr)
+    proc = subprocess.run([sys.executable, "-m", "stochwave.cli", *BAD_ARGUMENTS[0],
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error" in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
 
 
@@ -259,14 +261,21 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
       "--samples", "2"], "error_vs_time_stm.txt"),
     (["run", "--preset", "1", "--tau", "0.0625"], "snap_000000.swv"),
 ])
-def test_unwritable_output_exit_code(tmp_path, capsys, command, blocked):
-    # a directory holding an output file's name: one line on stderr, exit 4
+def test_unwritable_output_exit_code(tmp_path, capsys, monkeypatch, command, blocked):
+    # a directory holding an output file's name: one line on stderr, exit 4,
+    # before any block is stepped and before any output is written
+    def never(*args, **kwargs):
+        raise AssertionError("stepped before the output paths were checked")
+
+    monkeypatch.setattr(sw.experiments, "run_block", never)
+    monkeypatch.setattr(sw.integrators, "run_block", never)
     (tmp_path / blocked).mkdir()
     rc = main(command + ["--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert rc == 4
     assert err.startswith("output error: ") and blocked in err
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert os.listdir(tmp_path) == [blocked]
 
 
 def test_snapshot_plot_data_format(tmp_path):

@@ -1,6 +1,7 @@
 """Study driver, order fitting, report emission, config handling."""
 
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -89,7 +90,7 @@ class TestCsv:
     def test_empty_report_header_only(self, tmp_path):
         rep = sw.ConvergenceReport(method="stm", rows=(), fitted_order=None)
         path = tmp_path / "empty.csv"
-        sw.emit_csv(rep, path)
+        sw.emit_csv([rep], path)
         text = path.read_text(encoding="utf-8")
         assert text == "method,tau,n_cut,n_samples,rms_error,stderr,excluded,wall_seconds\n"
 
@@ -102,7 +103,7 @@ class TestCsv:
                             excluded=0, wall_seconds=0.5))
         rep = sw.ConvergenceReport(method="hr_lri", rows=rows, fitted_order=1.0)
         path = tmp_path / "rt.csv"
-        sw.emit_csv(rep, path)
+        sw.emit_csv([rep], path)
         back = sw.parse_csv(path)
         assert len(back) == 2
         for rec, row in zip(back, rows):
@@ -118,7 +119,7 @@ class TestCsv:
             rows=(sw.LevelRow(0.1, 4, 3, 1e-2, 1e-4, 0, 0.0),),
             fitted_order=None)
         path = tmp_path / "cols.csv"
-        sw.emit_csv(rep, path)
+        sw.emit_csv([rep], path)
         lines = path.read_text().splitlines()
         assert all(len(line.split(",")) == 8 for line in lines)
 
@@ -559,7 +560,7 @@ class TestBlockStudy:
                                   methods=("hr_lri", "sem", "stm"),
                                   levels=(2**-3, 2**-4, 2**-5), tau_ref=2**-5,
                                   n_samples=3, seed=2)
-        reports, timing = sw.compare_methods(cfg)
+        reports = sw.compare_methods(cfg)
         assert [block[:2] for block in blocks] == [
             ("hr_lri", 2**-5), ("hr_lri", 2**-3), ("sem", 2**-3),
             ("hr_lri", 2**-4), ("sem", 2**-4), ("sem", 2**-5)]
@@ -568,8 +569,9 @@ class TestBlockStudy:
         assert (reports["stm"].rows[-1].rms_error == 0.0) == (alpha == 1.0)
         assert reports["sem"].rows[-1].rms_error > 0.0
         # one chunk: both report the reference block's seconds at that level
-        assert timing["hr_lri"][-1] == timing["stm"][-1] == blocks[0][2]
-        assert timing["sem"][-1] == blocks[-1][2]
+        times = {m: rep.rows[-1].wall_seconds for m, rep in reports.items()}
+        assert times["hr_lri"] == times["stm"] == blocks[0][2]
+        assert times["sem"] == blocks[-1][2]
 
     def test_cutting_lri_filter_steps_its_own_trajectory(self, monkeypatch):
         # n_cuts above 1/tau = 8, 16, 32: the lri filter cuts below N
@@ -627,6 +629,25 @@ class TestBlockStudy:
         exp._study_reports(study, 2)
         taus = {cfg.tau_ref, *cfg.levels}
         assert sorted(calls) == sorted((s, tau) for s in range(5) for tau in taus)
+
+    def test_chunk_holds_one_lattice_at_a_time(self, monkeypatch):
+        # when a chunk draws sample s + 1, nothing references sample s's
+        # lattice any more: its increments are already in the chunk's rows
+        real = exp.sample_path
+        drawn = []
+
+        def spy(seed, sample_index, t_final, base_dt):
+            assert all(ref() is None for ref in drawn), "an earlier lattice is still held"
+            lattice = real(seed, sample_index, t_final, base_dt)
+            drawn.append(weakref.ref(lattice))
+            return lattice
+
+        monkeypatch.setattr(exp, "sample_path", spy)
+        cfg = resolve_config(sw.ExperimentConfig(
+            dim=1, preset=2, gamma=0.5, methods=("hr_lri", "sem"),
+            levels=(2**-3, 2**-4, 2**-5), n_samples=4, seed=3))
+        err_sq, _ = exp._chunk_errors(exp._prepare(cfg), range(4))
+        assert len(drawn) == 4 and np.isfinite(err_sq).all()
 
     def test_blocks_within_byte_budget(self, monkeypatch):
         real = exp.run_block
@@ -819,24 +840,28 @@ class TestCompare:
                                   levels=(2**-4, 2**-6, 2**-8),
                                   n_samples=8, seed=9,
                                   out_dir=str(tmp_path))
-        reports, timing = sw.compare_methods(cfg)
+        reports = sw.compare_methods(cfg)
         for m in ("stm", "sem"):
-            ts = timing[m]
+            ts = [row.wall_seconds for row in reports[m].rows]
             assert all(t > 0 for t in ts)
             assert ts == sorted(ts)  # more steps, more time (coarsest first)
-        csv_path = emit_study(reports, str(tmp_path), timing=timing)
-        assert (tmp_path / "error_vs_time_stm.txt").exists()
+        csv_path = emit_study(reports, str(tmp_path))
         recs = sw.parse_csv(csv_path)
         assert all(rec["wall_seconds"] > 0 for rec in recs)
-
+        # the x column of the error-vs-time data is the rows' wall_seconds
+        for m, rep in reports.items():
+            lines = (tmp_path / f"error_vs_time_{m}.txt").read_text().splitlines()[1:]
+            assert [float(line.split()[0]) for line in lines] == [
+                row.wall_seconds for row in rep.rows]
 
     def test_shared_trajectory_shares_timing(self):
         cfg = sw.ExperimentConfig(dim=1, preset=2, gamma=0.5,
                                   methods=("hr_lri", "stm"),
                                   levels=(2**-3, 2**-4, 2**-5), n_samples=4, seed=9)
-        _, timing = sw.compare_methods(cfg)
-        assert timing["hr_lri"] == timing["stm"]
-        assert all(t > 0 for t in timing["stm"])
+        reports = sw.compare_methods(cfg)
+        times = {m: [row.wall_seconds for row in rep.rows] for m, rep in reports.items()}
+        assert times["hr_lri"] == times["stm"]
+        assert all(t > 0 for t in times["stm"])
 
 
 class TestRunSingle:
@@ -954,6 +979,22 @@ class TestConfigHandling:
         assert cfg.tau_ref == 2**-5 / 4
         assert cfg.n_cuts == (default_n_cut(2**-4), default_n_cut(2**-5))
 
+    def test_each_level_keeps_its_own_n_cut(self, tmp_path):
+        # levels listed finest first are sorted coarsest first together with
+        # their n_cuts: both orders give the same study, byte for byte
+        blobs = []
+        for levels, n_cuts in (((2**-7, 2**-6, 2**-5), (32, 16, 8)),
+                               ((2**-5, 2**-6, 2**-7), (8, 16, 32))):
+            cfg = sw.ExperimentConfig(dim=1, preset=2, gamma=0.5, methods=("hr_lri", "sem"),
+                                      levels=levels, n_cuts=n_cuts, n_samples=3, seed=4)
+            resolved = resolve_config(cfg)
+            assert resolved.levels == (2**-5, 2**-6, 2**-7)
+            assert resolved.n_cuts == (8, 16, 32)
+            path = tmp_path / f"{levels[0]}.csv"
+            sw.emit_csv(list(sw.run_convergence(cfg).values()), path)
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+
     def test_resolver_rejects_bad_levels(self):
         with pytest.raises(sw.ConfigError):
             resolve_config(sw.ExperimentConfig(levels=(0.3,)))
@@ -985,22 +1026,31 @@ class TestConfigHandling:
         assert accepted == 40
 
     def test_explicit_state_of_another_rank_refused_first(self, monkeypatch, tmp_path):
-        # a 2D state in a 1D config: ConfigError from either entry point,
-        # before the initial state is built or out_dir is created
+        # initial data that does not fit dim: ConfigError from either entry
+        # point, before the initial state is built or out_dir is created
         def never(*args, **kwargs):
             raise AssertionError("built the initial state before the rank check")
 
         monkeypatch.setattr(exp, "build_initial", never)
         monkeypatch.setattr(sw.integrators, "build_initial", never)
-        problem = sw.ProblemSpec(sw.zero_fn(), sw.zero_fn(),
-                                 sw.InitialDataSpec("explicit", state=sw.zero_state(2, 8)))
+        cases = [
+            (1, sw.InitialDataSpec("explicit", state=sw.zero_state(2, 8)),
+             "explicit initial data is 2-dimensional, not 1"),
+            (2, sw.InitialDataSpec("indicator_1d"), "indicator_1d initial data is 1-dimensional"),
+            (1, sw.InitialDataSpec("indicator_2d"), "indicator_2d initial data is 2-dimensional"),
+            (1, sw.InitialDataSpec("explicit"), "explicit initial data needs a state"),
+            (2, sw.InitialDataSpec("mystery"), "unknown initial data kind 'mystery'"),
+        ]
         out = tmp_path / "out"
-        cfg = sw.ExperimentConfig(dim=1, problem=problem, methods=("stm",), tau=2**-3,
-                                  levels=(2**-3, 2**-4, 2**-5), n_samples=2, out_dir=str(out))
-        for entry in (sw.run_convergence, sw.run_single):
-            with pytest.raises(sw.ConfigError, match="2-dimensional, config says 1"):
-                entry(cfg)
-        assert not out.exists()
+        for dim, initial, message in cases:
+            problem = sw.ProblemSpec(sw.zero_fn(), sw.zero_fn(), initial)
+            cfg = sw.ExperimentConfig(dim=dim, problem=problem, methods=("stm",), tau=2**-3,
+                                      levels=(2**-3, 2**-4, 2**-5), n_samples=2,
+                                      out_dir=str(out))
+            for entry in (sw.run_convergence, sw.run_single):
+                with pytest.raises(sw.ConfigError, match=message):
+                    entry(cfg)
+            assert not out.exists()
 
     def test_preset_dimension_mismatch(self):
         with pytest.raises(sw.ConfigError):
