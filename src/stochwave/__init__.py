@@ -43,7 +43,6 @@ from .integrators import (
     BlockResult,
     MethodSpec,
     NumericalError,
-    RunResult,
     method_spec,
     recover_high,
     run,

@@ -57,9 +57,11 @@ Reports are deterministic: samples are keyed by (seed, sample_index), every
 row of a block is bit-identical to a block of one, the reduction runs in
 ascending sample order whatever the worker count or chunk size, and the
 convergence CSV carries no timing (its wall_seconds column is 0).  Only the
-compare workflow measures times, and each lives in one place, its row's
-wall_seconds: ``emit_study`` writes it to the CSV and, for a report whose
-rows carry times, to error-versus-time plot data.
+compare workflow measures times, on the one clock that ``_chunk_errors``
+reads around each ``run_block`` call (the loop, the Hermitian check of the
+start and the key's first table build), and each lives in one place, its
+row's wall_seconds: ``emit_study`` writes it to the CSV and, for a report
+whose rows carry times, to error-versus-time plot data.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from time import perf_counter as _clock
 
 import numpy as np
 
@@ -205,6 +208,9 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     levels = tuple(float(config.levels[i]) for i in order)
     if not levels:
         raise ConfigError("at least one level is required")
+    for a, b in zip(levels, levels[1:]):
+        if a == b:
+            raise ConfigError(f"repeated level {a} in {levels}")
     alpha = default_alpha(config.dim) if config.alpha is None else config.alpha
     if not (math.isfinite(alpha) and alpha >= 1):
         raise ConfigError(f"alpha must be >= 1, got {alpha}")
@@ -236,6 +242,8 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("n_samples must be >= 1")
     if config.n_workers < 1:
         raise ConfigError(f"n_workers must be >= 1, got {config.n_workers}")
+    if config.snapshot_stride < 0:
+        raise ConfigError(f"snapshot_stride must be >= 0, got {config.snapshot_stride}")
     # the output directory's nearest existing ancestor must be a directory
     existing = os.path.abspath(config.out_dir)
     while not os.path.exists(existing):
@@ -493,9 +501,9 @@ def _prepare(config: ExperimentConfig) -> _Study:
 def _chunk_errors(study: _Study, samples: range):
     """Squared errors (samples, methods, levels) of a contiguous chunk of
     samples, NaN where a run's row or its reference row failed, and the
-    (methods, levels) stepping seconds of each run's block.  Each stepping
-    key is one block on the chunk's paths coarsened to its step size, and
-    each run one weighted reduction of its difference at band M."""
+    (methods, levels) seconds of each run's ``run_block`` call.  Each
+    stepping key is one block on the chunk's paths coarsened to its step
+    size, and each run one weighted reduction of its difference at band M."""
     config = study.config
     err_sq = np.full((len(samples), len(config.methods), len(config.levels)), np.nan)
     wall = np.zeros(err_sq.shape[1:])
@@ -514,9 +522,11 @@ def _chunk_errors(study: _Study, samples: range):
         """(block at band M, failed rows, seconds), stepped once per key."""
         key = stepping_key(spec, n)
         if key not in blocks:
+            start = _clock()
             res = run_block(spec, study.starts[n], study.f, study.sigma, dws[spec.tau])
+            seconds = _clock() - start
             res_m = with_band(SpectralState(res.u_hat, res.v_hat), study.band, config.dim)
-            blocks[key] = res_m, res.failed, res.wall_time
+            blocks[key] = res_m, res.failed, seconds
         return blocks[key]
 
     ref, ref_failed, _ = block(*study.ref)
@@ -590,9 +600,9 @@ def run_convergence(config: ExperimentConfig,
 def compare_methods(config: ExperimentConfig) -> dict[str, ConvergenceReport]:
     """Convergence reports whose rows carry measured times.
 
-    A row's wall_seconds is the stepping time of the blocks of the method's
-    trajectory at that level, summed over chunks.  Methods that share a
-    trajectory (see ``integrators.stepping_key``) report the same times.
+    A row's wall_seconds is the time of the method's ``run_block`` calls at
+    that level, summed over chunks.  Methods that share a trajectory (see
+    ``integrators.stepping_key``) report the same times.
     """
     if len(config.methods) < 2:
         raise ConfigError("compare needs at least two methods")
@@ -641,17 +651,14 @@ def run_single(config: ExperimentConfig) -> dict:
         write_plot_data(base + ".txt", x_lines, u, comment)
         written.append(base + ".swv")
 
-    result = run(spec, grid, problem, lattice,
-                 snapshot_stride=stride, on_snapshot=on_snapshot)
-    final_u = SpectralState(result.final_state.u_hat,
-                            np.zeros_like(result.final_state.v_hat))
+    final = run(spec, grid, problem, lattice, snapshot_stride=stride, on_snapshot=on_snapshot)
+    final_u = SpectralState(final.u_hat, np.zeros_like(final.v_hat))
     summary = {
         "method": spec.kind,
         "tau": tau,
         "n_cut": n_cut,
-        "steps": result.steps,
-        "wall_seconds": result.wall_time,
-        "final_norm_pair": sobolev_norm(result.final_state, 0.0),
+        "steps": spec.n_steps,
+        "final_norm_pair": sobolev_norm(final, 0.0),
         "final_norm_u": sobolev_norm(final_u, 0.0),
         "snapshots": written,
     }

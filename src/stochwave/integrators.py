@@ -34,9 +34,11 @@ batched real inverse FFT, one pointwise map, one batched real forward FFT,
 one mask and one 2x2 pass over the modes.  Rows never mix, so every row is
 bit-identical to a block of one.  Each step scans its new state once for
 non-finite values, and a row that fails is dropped alone with its first bad
-step.  ``run`` coarsens its one path and steps one row per snapshot segment
-plus the recovery band; a failed step raises NumericalError, the one error
-type for non-finite values (a study's ``NumericalFailure`` is one too).
+step.  ``run`` coarsens its one path, steps one row per snapshot segment
+plus the recovery band and returns its final full-band state; a failed step
+raises NumericalError, the one error type for non-finite values (a study's
+``NumericalFailure`` is one too).  Nothing here keeps time: a study times
+its blocks where it reports them (``experiments``).
 The stepping depends only on ``stepping_key``: ``hr_lri`` and ``stm``
 always share one trajectory, and ``lri`` does too whenever its filter does
 not cut (the default coupling), so a study steps each distinct key once.
@@ -44,7 +46,6 @@ not cut (the default coupling), so a study steps each distinct key once.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -92,13 +93,6 @@ class MethodSpec:
     @property
     def recovery(self) -> bool:
         return SCHEMES[self.kind].recovered
-
-
-@dataclass(frozen=True)
-class RunResult:
-    final_state: SpectralState
-    wall_time: float
-    steps: int
 
 
 def method_spec(kind: str, tau: float, t_final: float) -> MethodSpec:
@@ -193,13 +187,12 @@ class BlockResult:
 
     ``failed`` maps each row that left the floating-point domain to its
     first bad step, the first whose new state is non-finite; such a row
-    holds no state.  ``wall_time`` is the time of the step loop.
+    holds no state.
     """
 
     u_hat: np.ndarray
     v_hat: np.ndarray
     failed: dict
-    wall_time: float
 
 
 def run_block(method: MethodSpec, start: SpectralState, f: NonlinearitySpec,
@@ -221,29 +214,26 @@ def run_block(method: MethodSpec, start: SpectralState, f: NonlinearitySpec,
     tables = tables_of(start.dim, start.band, method.tau)
 
     failed: dict[int, int] = {}
-    t0 = time.perf_counter()
     for n in range(dws.shape[1]):
         u, v, bad = step_block(u, v, tables, cut, method.tau, dws[:, n], f, sigma)
         for row in bad:
             failed.setdefault(row, n)
         if len(failed) == len(dws):
             break
-    return BlockResult(u_hat=u, v_hat=v, failed=failed, wall_time=time.perf_counter() - t0)
+    return BlockResult(u_hat=u, v_hat=v, failed=failed)
 
 
 def run(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
         path: WienerLattice, snapshot_stride: int = 0,
-        on_snapshot=None) -> RunResult:
+        on_snapshot=None) -> SpectralState:
     """Integrate one path; returns the final state at the full band.
 
     The stepping is one :func:`run_block` of one row on the stepped band
     per snapshot segment, each from the last one's final state; the recovery
     band is added to every state handed out.  With ``snapshot_stride`` > 0
     the callback receives (step_index, time, full-band state) every stride
-    steps and at both ends.  ``RunResult.wall_time`` sums the blocks' times,
-    so snapshot assembly and the callback are not counted.  A path too short
-    for the run is a ValueError, and a non-finite state raises
-    NumericalError naming its first bad step.
+    steps and at both ends.  A path too short for the run is a ValueError,
+    and a non-finite state raises NumericalError naming its first bad step.
     """
     dws = coarsen(path, method.tau)[:method.n_steps]
     if len(dws) < method.n_steps:
@@ -269,10 +259,8 @@ def run(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
         on_snapshot(0, 0.0, full_state(state, 0.0))
     # one segment per stride, and one of no steps when n_steps = 0
     stride = snapshot_stride if snapshots else max(method.n_steps, 1)
-    wall = 0.0
     for a in range(0, max(method.n_steps, 1), stride):
         block = run_block(method, state, problem.f, problem.sigma, dws[None, a:a + stride])
-        wall += block.wall_time
         if block.failed:
             raise NumericalError(f"non-finite state at step {a + block.failed[0]}")
         state = SpectralState(block.u_hat[0], block.v_hat[0])
@@ -283,4 +271,4 @@ def run(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
     final = full_state(state, method.n_steps * method.tau)
     if snapshots and method.n_steps > 0:
         on_snapshot(method.n_steps, method.n_steps * method.tau, final)
-    return RunResult(final_state=final, wall_time=wall, steps=method.n_steps)
+    return final

@@ -31,7 +31,8 @@ inside it, while with alpha > 1 each axis also gets the one mode at
 initial data for alpha = 1 and alpha > 1.
 
 ``check_initial`` is the one rule of which dimensions each kind fits
-(``INITIAL_DIMS``; an explicit state fits its own rank).  ``build_initial``
+(``INITIAL_DIMS``; an explicit state fits its own rank, and must be a
+Hermitian pair of complex half spectra of one shape).  ``build_initial``
 applies it to the grid, and the experiment entry points to the config
 before anything is built; ``build_initial`` hands out every kind at the
 grid's full band n_high, an explicit state re-stored there.
@@ -50,6 +51,7 @@ from .spectral import (
     SpectralGrid,
     SpectralState,
     band_mask,
+    check_hermitian,
     collocation_nodes,
     default_alpha,
     forward,
@@ -137,7 +139,8 @@ INITIAL_DIMS = {"indicator_1d": (1,), "indicator_2d": (2,), "random_hgamma": DIM
 def check_initial(spec: InitialDataSpec, dim: int) -> None:
     """Refuse, with ValueError, initial data that does not fit dimension
     ``dim``: a kind of other dimensions, an explicit state of another rank
-    or none, or an unknown kind."""
+    or none, an explicit state that is not a Hermitian pair of complex half
+    spectra of one shape (2m,)^(d-1) + (m+1,), or an unknown kind."""
     if spec.kind == "explicit":
         if spec.state is None:
             raise ValueError("explicit initial data needs a state")
@@ -149,6 +152,15 @@ def check_initial(spec: InitialDataSpec, dim: int) -> None:
     if dim not in fits:
         raise ValueError(f"{spec.kind} initial data is {'/'.join(map(str, fits))}-dimensional, "
                          f"not {dim}")
+    if spec.kind == "explicit":
+        u, v = spec.state.u_hat, spec.state.v_hat
+        m = u.shape[-1] - 1
+        if m < 0 or not u.shape == v.shape == (2 * m,) * (dim - 1) + (m + 1,):
+            raise ValueError(f"explicit initial data is not a half-spectrum pair: shapes "
+                             f"{u.shape} and {v.shape}")
+        if not (np.iscomplexobj(u) and np.iscomplexobj(v)):
+            raise ValueError(f"explicit initial data must be complex, got {u.dtype} and {v.dtype}")
+        check_hermitian(spec.state)
 
 
 def _at_rest(u: np.ndarray) -> SpectralState:

@@ -55,4 +55,4 @@ def linear_exact_discrepancy(method, grid, problem, path) -> float:
     result = sw.run(method, grid, problem, path)
     u0 = sw.with_band(sw.build_initial(problem.initial, grid), grid.n_high)
     ref = sw.recover_high(sw.project_low(u0, grid.n_high), method.n_steps * method.tau)
-    return sw.diff_norm(result.final_state, ref, 0.0)
+    return sw.diff_norm(result, ref, 0.0)

@@ -1,13 +1,17 @@
 """Command line surface: flag merging, outputs, exit codes."""
 
+import dataclasses
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import stochwave as sw
+from stochwave import cli, experiments
 from stochwave.cli import main
 
 
@@ -140,6 +144,10 @@ BAD_ARGUMENTS = [
     # a stepped band M whose one array needs more than physical memory
     # (1e10 + 1 complex slots, 149 GiB), although the reference box fits
     ["converge", "--config", "{tmp}/n_cuts_huge.cfg"],
+    # a negative snapshot stride (0 means the default), and a repeated level
+    # whatever n_cuts says
+    ["run", "--preset", "1", "--tau", "0.0625", "--stride", "-3"],
+    ["converge", "--config", "{tmp}/level_twice.cfg"],
 ]
 
 # what the message names: the lattice each entry point draws (a study's at
@@ -151,6 +159,8 @@ BAD_ARGUMENT_MESSAGES = {
     ("converge", "--config", "{tmp}/level_inf.cfg"): "level must be finite",
     ("converge", "--config", "{tmp}/level_huge.cfg"): "t_final/level",
     ("converge", "--config", "{tmp}/n_cuts_huge.cfg"): "widest stepped band 10000000000",
+    ("run", "--preset", "1", "--tau", "0.0625", "--stride", "-3"): "snapshot_stride must be >= 0",
+    ("converge", "--config", "{tmp}/level_twice.cfg"): "repeated level 0.0625",
 }
 
 
@@ -170,6 +180,8 @@ def test_config_error_exit_code(tmp_path, capsys):
     (tmp_path / "n_cuts_huge.cfg").write_text(
         "preset = 2\nlevels = 0.125,0.0625,0.03125\nn_cuts = 4,8,10000000000\n",
         encoding="utf-8")
+    (tmp_path / "level_twice.cfg").write_text(
+        "preset = 2\nlevels = 0.0625,0.0625,0.03125\nn_cuts = 4,2,8\n", encoding="utf-8")
     # each case in process, through cli.main
     for bad in BAD_ARGUMENTS:
         argv = [a.format(tmp=tmp_path) for a in bad] + ["--out", str(tmp_path / "out")]
@@ -288,3 +300,15 @@ def test_snapshot_plot_data_format(tmp_path):
     assert len(first) == 2
     assert float(first[0]) == 0.0
     assert np.isfinite(float(first[1]))
+
+
+def test_readme_lists_every_config_key():
+    # the README's key list, the config file converters and the config
+    # fields name the same keys, and every flag sets one of them
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"Keys mirror the\s+`ExperimentConfig` fields:(.*?)\.\s", readme, re.S)
+    keys = re.findall(r"`(\w+)`", listed.group(1))
+    assert len(keys) == len(set(keys))
+    fields = {f.name for f in dataclasses.fields(sw.ExperimentConfig)} - {"problem"}
+    assert set(keys) == set(experiments._CONVERTERS) == fields
+    assert {key for key, _ in cli._FLAGS.values()} <= fields

@@ -1,5 +1,6 @@
 """Study driver, order fitting, report emission, config handling."""
 
+import itertools
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -309,7 +310,7 @@ def full_state_errors(config, sample):
         for li, (tau, n_cut) in enumerate(zip(config.levels, config.n_cuts)):
             res = sw.run(sw.method_spec(m, tau, config.t_final),
                          sw.make_grid(dim, n_cut, config.alpha), shared, lattice)
-            out[mi, li] = sw.diff_norm(res.final_state, ref.final_state, 0.0)
+            out[mi, li] = sw.diff_norm(res, ref, 0.0)
     return out
 
 
@@ -474,13 +475,13 @@ def per_sample_errors(study, sample):
     lattice = sw.sample_path(config.seed, sample, config.t_final, config.tau_ref)
     ref_grid = sw.make_grid(dim, default_n_cut(config.tau_ref), 1.0)
     ref = sw.run(study.ref[0], ref_grid, problem, lattice)
-    ref = sw.with_band(ref.final_state, study.band)
+    ref = sw.with_band(ref, study.band)
     out = np.empty((len(config.methods), len(config.levels)))
     for mi, m in enumerate(config.methods):
         for li, (tau, n) in enumerate(zip(config.levels, config.n_cuts)):
             res = sw.run(sw.method_spec(m, tau, config.t_final), sw.make_grid(dim, n, 1.0),
                          problem, lattice)
-            res = sw.with_band(res.final_state, study.band)
+            res = sw.with_band(res, study.band)
             du, dv = res.u_hat - ref.u_hat, res.v_hat - ref.v_hat
             _, _, shift, tail = study.runs[mi][li]
             if shift is not None:
@@ -551,27 +552,32 @@ class TestBlockStudy:
         blocks = []
 
         def spy(spec, start, f, sigma, dws):
-            res = real(spec, start, f, sigma, dws)
-            blocks.append((spec.kind, spec.tau, res.wall_time))
-            return res
+            blocks.append((spec.kind, spec.tau))
+            return real(spec, start, f, sigma, dws)
 
         monkeypatch.setattr(exp, "run_block", spy)
+        # a clock on which each run_block call lasts exactly 1.0 s
+        monkeypatch.setattr(exp, "_clock", itertools.count(0.0).__next__)
         cfg = sw.ExperimentConfig(dim=1, preset=2, gamma=0.5, alpha=alpha,
                                   methods=("hr_lri", "sem", "stm"),
                                   levels=(2**-3, 2**-4, 2**-5), tau_ref=2**-5,
                                   n_samples=3, seed=2)
         reports = sw.compare_methods(cfg)
-        assert [block[:2] for block in blocks] == [
+        assert blocks == [
             ("hr_lri", 2**-5), ("hr_lri", 2**-3), ("sem", 2**-3),
             ("hr_lri", 2**-4), ("sem", 2**-4), ("sem", 2**-5)]
         # stm keeps box 8 and misses the reference's recovered band at alpha 2
         assert reports["hr_lri"].rows[-1].rms_error == 0.0
         assert (reports["stm"].rows[-1].rms_error == 0.0) == (alpha == 1.0)
         assert reports["sem"].rows[-1].rms_error > 0.0
-        # one chunk: both report the reference block's seconds at that level
-        times = {m: rep.rows[-1].wall_seconds for m, rep in reports.items()}
-        assert times["hr_lri"] == times["stm"] == blocks[0][2]
-        assert times["sem"] == blocks[-1][2]
+        # one chunk: every row reads its one block's second, and hr_lri and
+        # stm at the finest level read the reference block's
+        for rep in reports.values():
+            assert [row.wall_seconds for row in rep.rows] == [1.0, 1.0, 1.0]
+        # two chunks: each row sums its block's second in both
+        study = exp._prepare(resolve_config(cfg))
+        for rep in exp._study_reports(study, 2, collect_timing=True).values():
+            assert [row.wall_seconds for row in rep.rows] == [2.0, 2.0, 2.0]
 
     def test_cutting_lri_filter_steps_its_own_trajectory(self, monkeypatch):
         # n_cuts above 1/tau = 8, 16, 32: the lri filter cuts below N
@@ -1040,6 +1046,18 @@ class TestConfigHandling:
             (1, sw.InitialDataSpec("indicator_2d"), "indicator_2d initial data is 2-dimensional"),
             (1, sw.InitialDataSpec("explicit"), "explicit initial data needs a state"),
             (2, sw.InitialDataSpec("mystery"), "unknown initial data kind 'mystery'"),
+            # explicit states that are not a Hermitian pair of complex half
+            # spectra of one shape
+            (2, sw.InitialDataSpec("explicit", state=sw.SpectralState(
+                np.zeros((6, 5), complex), np.zeros((6, 5), complex))),
+             r"not a half-spectrum pair: shapes \(6, 5\) and \(6, 5\)"),
+            (1, sw.InitialDataSpec("explicit", state=sw.SpectralState(
+                np.zeros(9, complex), np.zeros(7, complex))),
+             r"not a half-spectrum pair: shapes \(9,\) and \(7,\)"),
+            (1, sw.InitialDataSpec("explicit", state=sw.SpectralState(np.zeros(9), np.zeros(9))),
+             "must be complex, got float64 and float64"),
+            (1, sw.InitialDataSpec("explicit", state=sw.SpectralState(
+                np.full(9, 1j), np.zeros(9, complex))), "not Hermitian"),
         ]
         out = tmp_path / "out"
         for dim, initial, message in cases:

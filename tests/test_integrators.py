@@ -1,7 +1,6 @@
 """Time steppers, the run driver, and the zero-mode oracle of the tests."""
 
 import dataclasses
-import time
 
 import numpy as np
 import pytest
@@ -307,9 +306,8 @@ class TestRunDriver:
         spec = sw.method_spec("hr_lri", 0.25, 0.0)
         lattice = sw.sample_path(0, 0, 0.25, 0.25)
         res = sw.run(spec, grid, problem, lattice)
-        assert res.steps == 0
         ref = sw.with_band(u0, grid.n_high)
-        np.testing.assert_array_equal(res.final_state.u_hat, ref.u_hat)
+        np.testing.assert_array_equal(res.u_hat, ref.u_hat)
 
     def test_linear_run_is_exact_propagation(self):
         grid = sw.make_grid(1, 8, 2.0)
@@ -333,8 +331,8 @@ class TestRunDriver:
         lattice = sw.sample_path(42, 3, 0.25, 2**-7)
         a = sw.run(spec, grid, problem, lattice)
         b = sw.run(spec, grid, problem, lattice)
-        np.testing.assert_array_equal(a.final_state.u_hat, b.final_state.u_hat)
-        np.testing.assert_array_equal(a.final_state.v_hat, b.final_state.v_hat)
+        np.testing.assert_array_equal(a.u_hat, b.u_hat)
+        np.testing.assert_array_equal(a.v_hat, b.v_hat)
 
     def test_high_band_ignores_noise(self):
         grid = sw.make_grid(1, 8, 2.0)
@@ -342,12 +340,12 @@ class TestRunDriver:
         spec = sw.method_spec("hr_lri", 2**-5, 0.25)
         run_a = sw.run(spec, grid, problem, sw.sample_path(1, 0, 0.25, 2**-5))
         run_b = sw.run(spec, grid, problem, sw.sample_path(2, 0, 0.25, 2**-5))
-        high_a = sw.project_band(run_a.final_state, 8, 64)
-        high_b = sw.project_band(run_b.final_state, 8, 64)
+        high_a = sw.project_band(run_a, 8, 64)
+        high_b = sw.project_band(run_b, 8, 64)
         np.testing.assert_array_equal(high_a.u_hat, high_b.u_hat)
         np.testing.assert_array_equal(high_a.v_hat, high_b.v_hat)
         # while the stepped band does depend on the path
-        assert np.abs(run_a.final_state.u_hat - run_b.final_state.u_hat).max() > 1e-6
+        assert np.abs(run_a.u_hat - run_b.u_hat).max() > 1e-6
 
     def test_mean_zero_noise_response(self):
         # constant diffusion forces only the mean mode; the Monte Carlo
@@ -361,13 +359,13 @@ class TestRunDriver:
         deterministic = None
         for s in range(64):
             res = sw.run(spec, grid, problem, sw.sample_path(7, s, 0.25, 2**-5))
-            finals_u0.append(res.final_state.u_hat[0].real)
-            finals_v0.append(res.final_state.v_hat[0].real)
+            finals_u0.append(res.u_hat[0].real)
+            finals_v0.append(res.v_hat[0].real)
             # away from the mean mode everything is path-independent
             if deterministic is None:
-                deterministic = res.final_state.u_hat[1]
+                deterministic = res.u_hat[1]
             else:
-                assert res.final_state.u_hat[1] == deterministic
+                assert res.u_hat[1] == deterministic
         ref = flow(sw.with_band(u0, 4), 0.25)
         for vals, target in ((finals_u0, ref.u_hat[0].real),
                              (finals_v0, ref.v_hat[0].real)):
@@ -397,23 +395,6 @@ class TestRunDriver:
         with pytest.raises(sw.NumericalError, match="step 0"):
             sw.run(spec, grid, problem, lattice)
 
-    def test_wall_time_excludes_snapshots(self):
-        grid = sw.make_grid(1, 4, 2.0)
-        problem = explicit_problem(random_state(grid), sigma=sw.scaled_sine(1.0))
-        spec = sw.method_spec("hr_lri", 2**-4, 0.25)
-        lattice = sw.sample_path(0, 0, 0.25, 2**-4)
-        pause = 0.05
-        steps = []
-
-        def slow(step, t, state):
-            steps.append(step)
-            time.sleep(pause)
-
-        result = sw.run(spec, grid, problem, lattice, snapshot_stride=1,
-                        on_snapshot=slow)
-        assert steps == [0, 1, 2, 3, 4]  # three callbacks inside the loop
-        assert result.wall_time < pause
-
     def test_final_state_independent_of_snapshot_stride(self):
         # a run steps one block per snapshot segment, each from the previous
         # segment's final row; the segments change no bit of the final state
@@ -427,7 +408,7 @@ class TestRunDriver:
             steps = []
             kw = {} if stride is None else dict(snapshot_stride=stride,
                                                 on_snapshot=lambda n, t, s: steps.append(n))
-            finals[stride] = sw.run(spec, grid, problem, lattice, **kw).final_state
+            finals[stride] = sw.run(spec, grid, problem, lattice, **kw)
             expect = [] if stride is None else list(range(0, 8, stride)) + [8]
             assert steps == expect
         for stride in (1, 3):
@@ -459,8 +440,8 @@ class TestRunDriver:
         problem = explicit_problem(sw.zero_state(grid.dim, grid.n_high), f=sw.constant_fn(c))
         lattice = sw.sample_path(0, 0, n * tau, tau)
         res = sw.run(sw.method_spec(kind, tau, n * tau), grid, problem, lattice)
-        assert res.final_state.v_hat[0] == pytest.approx(c * n * tau, rel=1e-14)
-        assert res.final_state.u_hat[0] == pytest.approx(
+        assert res.v_hat[0] == pytest.approx(c * n * tau, rel=1e-14)
+        assert res.u_hat[0] == pytest.approx(
             c * tau**2 * n * (n + 1) / 2, rel=1e-14)
 
     def test_lri_cut_below_band(self):
@@ -475,10 +456,10 @@ class TestRunDriver:
         stepped = state
         for dw in sw.coarsen(lattice, tau):
             stepped = step("lri", stepped, tau, float(dw), f, sigma, cut=8)
-        np.testing.assert_array_equal(res.final_state.u_hat, stepped.u_hat)
-        np.testing.assert_array_equal(res.final_state.v_hat, stepped.v_hat)
+        np.testing.assert_array_equal(res.u_hat, stepped.u_hat)
+        np.testing.assert_array_equal(res.v_hat, stepped.v_hat)
         hr = sw.run(sw.method_spec("hr_lri", tau, 0.25), grid, problem, lattice)
-        assert np.abs(hr.final_state.u_hat - stepped.u_hat).max() > 1e-6
+        assert np.abs(hr.u_hat - stepped.u_hat).max() > 1e-6
 
     def test_misaligned_tau_rejected(self):
         grid = sw.make_grid(1, 4, 1.0)
@@ -543,7 +524,7 @@ class TestRunBlock:
         block = sw.run_block(spec, state, problem.f, sigma, dws)
         assert block.failed == {3: 0}
         for row in (0, 1, 2, 4, 5, 6):
-            single = sw.run(spec, grid, problem, paths[row]).final_state
+            single = sw.run(spec, grid, problem, paths[row])
             np.testing.assert_array_equal(block.u_hat[row], single.u_hat)
             np.testing.assert_array_equal(block.v_hat[row], single.v_hat)
         with pytest.raises(sw.NumericalError, match="non-finite state at step 0"):
@@ -618,8 +599,8 @@ class TestZeroModeOracle:
                 lattice = sw.sample_path(99, s, t_final, base_dt)
                 res = sw.run(sw.method_spec("stm", tau, t_final), grid, problem, lattice)
                 u_ref, v_ref = exact_linear_zero_mode(0.5, 0.25, c, lattice, t_final)
-                du = res.final_state.u_hat[0].real - u_ref
-                dv = res.final_state.v_hat[0].real - v_ref
+                du = res.u_hat[0].real - u_ref
+                dv = res.v_hat[0].real - v_ref
                 sq += du * du + dv * dv
             errs.append(np.sqrt(sq / 48))
         slope = sw.estimate_order([(t, e) for t, e in zip(taus, errs)])
