@@ -17,7 +17,8 @@ holds, then runs ``run_convergence``, or ``compare_methods`` for
 Options may come from a flat key=value config file (--config) with '#'
 comments; command line flags override file values and are parsed by the
 same rules.  --levels gives the number of dyadic levels, halving from the
-coarsest step: --tau, else the coarsest configured level (default 2^-5).
+coarsest step: --tau, else the coarsest configured level (default 2^-5);
+a config that lists n_cuts refuses levels other than the ones it lists.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (any
 ``NumericalError``: a single run's non-finite step, or a study's
 ``NumericalFailure``), 4 output error (an output file that cannot be
@@ -102,8 +103,13 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
         coarse = max(config.levels, default=2**-5)
     else:
         return config
-    k = args.levels if args.levels is not None else 5
-    return replace(config, levels=tuple(coarse * 2.0**-i for i in range(k)))
+    levels = tuple(coarse * 2.0**-i for i in range(5 if args.levels is None else args.levels))
+    if sorted(levels) == sorted(config.levels):
+        return config
+    if config.n_cuts is not None:
+        raise ConfigError(f"n_cuts pair with the listed levels {config.levels} only, "
+                          f"not with the levels {levels}")
+    return replace(config, levels=levels)
 
 
 def _cmd_run(config: ExperimentConfig) -> int:

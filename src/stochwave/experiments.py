@@ -90,7 +90,6 @@ from .integrators import (
 from .noise import PEAK_BYTES_PER_CELL, coarsen, sample_path, step_count
 from .problems import (
     PRESETS,
-    NonlinearitySpec,
     ProblemSpec,
     build_initial,
     check_initial,
@@ -188,18 +187,36 @@ def _check_lattice(name: str, step: float, t_final: float) -> None:
 def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     """Fill derived defaults and validate cross-field consistency.
 
-    Everything the runtime would reject fails here, with ConfigError.
+    Everything the runtime would reject fails here, with ConfigError.  The
+    levels come out coarsest first, each with its n_cut, and every derived
+    value is set: alpha, tau_ref, n_cuts, ``problem`` (the explicit one,
+    else the preset's; ``problems.check_initial`` must accept its data at
+    dim), ``tau`` (a single run's step: the given one, else the finest
+    level) and ``snapshot_stride`` (0 means max(n_steps // 8, 1) at tau).
+    Resolving a resolved config returns it unchanged.
     """
     if config.dim not in DIMS:
         raise ConfigError(f"dim must be one of {DIMS}, got {config.dim}")
     if config.preset is not None and config.preset not in PRESETS:
         raise ConfigError(f"unknown preset {config.preset}")
-    if not config.gamma > 0:
-        raise ConfigError(f"gamma must be positive, got {config.gamma}")
+    if not (math.isfinite(config.gamma) and config.gamma > 0):
+        raise ConfigError(f"gamma must be finite and positive, got {config.gamma}")
     if not (math.isfinite(config.t_final) and config.t_final > 0):
         raise ConfigError(f"t_final must be positive, got {config.t_final}")
     if not (0 <= config.seed < 2**64 and 0 <= config.sample_index < 2**64):
         raise ConfigError("seed and sample_index must lie in [0, 2^64)")
+    problem = config.problem
+    if problem is None:
+        if config.preset is None:
+            raise ConfigError("config needs either a preset or an explicit problem")
+        dim, _, problem = preset_problem(config.preset, config.gamma, config.seed)
+        if dim != config.dim:
+            raise ConfigError(f"preset {config.preset} is {dim}-dimensional, "
+                              f"config says {config.dim}")
+    try:
+        check_initial(problem.initial, config.dim)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if config.n_cuts is not None and len(config.n_cuts) != len(config.levels):
         raise ConfigError("n_cuts must match levels one to one")
     # coarsest first, each level keeping its own n_cut
@@ -218,12 +235,12 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     if tau_ref is None:
         tau_ref = levels[-1] / 4.0
     ref_cells = _check_dyadic("tau_ref", tau_ref, config.t_final)
-    if config.tau is not None:
-        _check_dyadic("tau", config.tau, config.t_final)
-    for tau in levels:
+    for level in levels:
         # powers of two: a level's cells divide the reference's if no more
-        if _check_dyadic("level", tau, config.t_final) > ref_cells:
-            raise ConfigError(f"tau_ref {tau_ref} does not divide level {tau}")
+        if _check_dyadic("level", level, config.t_final) > ref_cells:
+            raise ConfigError(f"tau_ref {tau_ref} does not divide level {level}")
+    tau = config.tau if config.tau is not None else levels[-1]
+    run_steps = _check_dyadic("tau", tau, config.t_final)
     if config.n_cuts is None:
         n_cuts = tuple(default_n_cut(t) for t in levels)
     else:
@@ -250,14 +267,14 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
         existing = os.path.dirname(existing)
     if not os.path.isdir(existing):
         raise ConfigError(f"out_dir {config.out_dir}: {existing} is not a directory")
-    tau = config.tau if config.tau is not None else levels[-1]
     for n in (default_n_cut(tau_ref), *n_cuts, default_n_cut(tau)):
         try:
             make_grid(config.dim, n, alpha)
         except OverflowError as exc:
             raise ConfigError(f"recovery cutoff {n}^{alpha} overflows") from exc
-    return replace(config, levels=levels, alpha=alpha, tau_ref=tau_ref,
-                   n_cuts=n_cuts, methods=methods)
+    stride = config.snapshot_stride or max(run_steps // 8, 1)
+    return replace(config, problem=problem, levels=levels, alpha=alpha, tau_ref=tau_ref,
+                   n_cuts=n_cuts, methods=methods, tau=tau, snapshot_stride=stride)
 
 
 def _array_bytes(dim: int, band: int) -> int:
@@ -280,23 +297,6 @@ def _full_grid(dim: int, n_cut: int, alpha: float) -> SpectralGrid:
     _check_memory(_BUILD_PEAK_ARRAYS * _array_bytes(dim, grid.n_high),
                   f"building the initial state at band {n_cut} with alpha {alpha}")
     return grid
-
-
-def study_problem(config: ExperimentConfig) -> tuple[int, ProblemSpec]:
-    """The (dim, problem) pair the config describes, refusing initial data
-    that does not fit dim (``problems.check_initial``)."""
-    if config.problem is not None:
-        try:
-            check_initial(config.problem.initial, config.dim)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        return config.dim, config.problem
-    if config.preset is None:
-        raise ConfigError("config needs either a preset or an explicit problem")
-    dim, _, problem = preset_problem(config.preset, config.gamma, config.seed)
-    if dim != config.dim:
-        raise ConfigError(f"preset {config.preset} is {dim}-dimensional, config says {config.dim}")
-    return dim, problem
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +385,6 @@ class _Study:
     """
 
     config: ExperimentConfig
-    f: NonlinearitySpec
-    sigma: NonlinearitySpec
     starts: dict
     band: int
     weights: tuple
@@ -459,13 +457,13 @@ def _outside_energy(state: SpectralState, t: float, boxes) -> dict[int, float]:
 def _prepare(config: ExperimentConfig) -> _Study:
     """Grids, specs, the shared initial state and the noise-free parts of
     every error, computed once per study."""
-    dim, problem = study_problem(config)
+    dim = config.dim
     _check_lattice("tau_ref", config.tau_ref, config.t_final)
     n_ref = default_n_cut(config.tau_ref)
     band = max(n_ref, *config.n_cuts)
     _check_memory(_array_bytes(dim, band), f"one array at the widest stepped band {band}")
     full = _full_grid(dim, n_ref, config.alpha)
-    u0 = build_initial(problem.initial, full)
+    u0 = build_initial(config.problem.initial, full)
 
     def planned(kind: str, tau: float, n: int) -> tuple:
         """(spec, stepped band, box kept) of one run."""
@@ -492,7 +490,7 @@ def _prepare(config: ExperimentConfig) -> _Study:
 
     starts = {n: with_band(u0, n) for n in {n_ref, *config.n_cuts}}
     return _Study(
-        config=config, f=problem.f, sigma=problem.sigma, starts=starts, band=band,
+        config=config, starts=starts, band=band,
         weights=_norm_weights(dim, band, 0.0), ref=(ref_spec, n_ref),
         runs=[[(spec, n, shift(n, h), outside[max(band, h)]) for spec, n, h in row]
               for row in plan])
@@ -505,6 +503,7 @@ def _chunk_errors(study: _Study, samples: range):
     stepping key is one block on the chunk's paths coarsened to its step
     size, and each run one weighted reduction of its difference at band M."""
     config = study.config
+    problem = config.problem
     err_sq = np.full((len(samples), len(config.methods), len(config.levels)), np.nan)
     wall = np.zeros(err_sq.shape[1:])
     # each path is coarsened to every step size as soon as it is drawn, so
@@ -523,7 +522,7 @@ def _chunk_errors(study: _Study, samples: range):
         key = stepping_key(spec, n)
         if key not in blocks:
             start = _clock()
-            res = run_block(spec, study.starts[n], study.f, study.sigma, dws[spec.tau])
+            res = run_block(spec, study.starts[n], problem.f, problem.sigma, dws[spec.tau])
             seconds = _clock() - start
             res_m = with_band(SpectralState(res.u_hat, res.v_hat), study.band, config.dim)
             blocks[key] = res_m, res.failed, seconds
@@ -626,17 +625,13 @@ def run_single(config: ExperimentConfig) -> dict:
     config = resolve_config(config)
     if len(config.methods) != 1:
         raise ConfigError(f"a single run takes one method, got {config.methods}")
-    dim, problem = study_problem(config)
-    tau = config.tau if config.tau is not None else config.levels[-1]
+    dim, tau = config.dim, config.tau
     n_cut = default_n_cut(tau)
     _check_lattice("tau", tau, config.t_final)
     grid = _full_grid(dim, n_cut, config.alpha)
     spec = method_spec(config.methods[0], tau, config.t_final)
     lattice = sample_path(config.seed, config.sample_index, config.t_final, tau)
     os.makedirs(config.out_dir, exist_ok=True)
-    stride = config.snapshot_stride
-    if stride <= 0:
-        stride = max(spec.n_steps // 8, 1)
 
     written = []
     points = 2 * grid.n_high
@@ -651,7 +646,8 @@ def run_single(config: ExperimentConfig) -> dict:
         write_plot_data(base + ".txt", x_lines, u, comment)
         written.append(base + ".swv")
 
-    final = run(spec, grid, problem, lattice, snapshot_stride=stride, on_snapshot=on_snapshot)
+    final = run(spec, grid, config.problem, lattice, snapshot_stride=config.snapshot_stride,
+                on_snapshot=on_snapshot)
     final_u = SpectralState(final.u_hat, np.zeros_like(final.v_hat))
     summary = {
         "method": spec.kind,

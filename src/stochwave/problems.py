@@ -30,12 +30,13 @@ inside it, while with alpha > 1 each axis also gets the one mode at
 |k| = n_cut, just outside it.  The same preset therefore gives different
 initial data for alpha = 1 and alpha > 1.
 
-``check_initial`` is the one rule of which dimensions each kind fits
+``check_initial`` is the one rule of which initial data fits a dimension
 (``INITIAL_DIMS``; an explicit state fits its own rank, and must be a
-Hermitian pair of complex half spectra of one shape).  ``build_initial``
-applies it to the grid, and the experiment entry points to the config
-before anything is built; ``build_initial`` hands out every kind at the
-grid's full band n_high, an explicit state re-stored there.
+Hermitian pair of complex half spectra of one shape) and of which gamma
+random data takes (finite and positive).  Every builder applies it to the
+grid, and ``experiments.resolve_config`` to the config's problem before
+anything is built; ``build_initial`` hands out every kind at the grid's
+full band n_high, an explicit state re-stored there.
 """
 
 from __future__ import annotations
@@ -76,18 +77,20 @@ class NonlinearitySpec:
     a: float = 0.0
     b: float = 1.0
 
+    def __post_init__(self):
+        if self.kind not in ("zero", "constant", "scaled_sine", "scaled_cosine"):
+            raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
+
     def __call__(self, u: np.ndarray) -> np.ndarray:
         if self.kind == "zero":
             return np.zeros_like(u)
         if self.kind == "constant":
             return np.full_like(u, self.a)
-        if self.kind in ("scaled_sine", "scaled_cosine"):
-            # a * sin(b * u) in one temporary, the same bits
-            t = np.multiply(u, self.b, out=np.empty(np.shape(u)))
-            (np.sin if self.kind == "scaled_sine" else np.cos)(t, out=t)
-            t *= self.a
-            return t
-        raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
+        # a * sin(b * u) in one temporary, the same bits
+        t = np.multiply(u, self.b, out=np.empty(np.shape(u)))
+        (np.sin if self.kind == "scaled_sine" else np.cos)(t, out=t)
+        t *= self.a
+        return t
 
     @property
     def is_zero(self) -> bool:
@@ -140,7 +143,8 @@ def check_initial(spec: InitialDataSpec, dim: int) -> None:
     """Refuse, with ValueError, initial data that does not fit dimension
     ``dim``: a kind of other dimensions, an explicit state of another rank
     or none, an explicit state that is not a Hermitian pair of complex half
-    spectra of one shape (2m,)^(d-1) + (m+1,), or an unknown kind."""
+    spectra of one shape (2m,)^(d-1) + (m+1,), random data whose gamma is
+    not finite and positive, or an unknown kind."""
     if spec.kind == "explicit":
         if spec.state is None:
             raise ValueError("explicit initial data needs a state")
@@ -152,6 +156,8 @@ def check_initial(spec: InitialDataSpec, dim: int) -> None:
     if dim not in fits:
         raise ValueError(f"{spec.kind} initial data is {'/'.join(map(str, fits))}-dimensional, "
                          f"not {dim}")
+    if spec.kind == "random_hgamma" and not (np.isfinite(spec.gamma) and spec.gamma > 0):
+        raise ValueError(f"gamma must be finite and positive, got {spec.gamma}")
     if spec.kind == "explicit":
         u, v = spec.state.u_hat, spec.state.v_hat
         m = u.shape[-1] - 1
@@ -212,8 +218,7 @@ def build_random_hgamma(grid: SpectralGrid, gamma: float, seed: int) -> Spectral
     extends the same function.  One draw per |k_j| is shared between +k_j
     and -k_j, making the spectra even and real, and the fields real.
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    check_initial(InitialDataSpec("random_hgamma", gamma=gamma), grid.dim)
     band = grid.n_high
     kmax = min(grid.n_cut, grid.n_high - 1)
 

@@ -25,30 +25,13 @@ import numpy as np
 
 from .spectral import SpectralState, lambda_sq
 
-_SINC_SWITCH = 1e-4
-
-
-def _sinc_t(lam: np.ndarray, t: float) -> np.ndarray:
-    """sin(lam*t)/lam, evaluated as t * series(lam*t) near the origin.
-
-    Three-term Taylor expansion below |lam*t| = 1e-4 keeps the relative
-    error under 1e-16 at the switch while avoiding the 0/0 at lam = 0.
-    """
-    x = lam * t
-    small = np.abs(x) < _SINC_SWITCH
-    x2 = x * x
-    series = t * (1.0 - x2 / 6.0 + x2 * x2 / 120.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = np.where(small, 1.0, np.sin(x)) / np.where(small, 1.0, lam)
-    return np.where(small, series, direct)
-
-
 def propagator_tables(lam, t):
-    """Entry arrays (a11, a12, a21, a22) of the group matrix; ``lam`` and
-    ``t`` broadcast elementwise, and negative t gives the inverse."""
+    """Entry arrays (a11, a12, a21, a22) of the group matrix at the wave
+    numbers ``lam`` and the scalar time ``t``; negative t gives the inverse.
+    a12 = sin(lam t) / lam is one division, and exactly t at lam = 0."""
     lam = np.asarray(lam, dtype=np.float64)
     c = np.cos(lam * t)
-    s_over = _sinc_t(lam, t)
+    s_over = np.divide(np.sin(lam * t), lam, out=np.full_like(lam, t), where=lam != 0)
     return c, s_over, -(lam * lam) * s_over, c
 
 

@@ -86,6 +86,18 @@ def test_tau_config_key_sets_levels_like_the_flag(tmp_path):
     assert taus[0] == taus[1] == [0.125 * 2.0**-i for i in range(5)]
 
 
+def test_levels_flag_keeps_the_listed_levels_and_their_n_cuts(tmp_path):
+    # --levels that generates the levels a config lists, in any order, keeps
+    # each level's own n_cuts entry
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("dim = 1\npreset = 2\ngamma = 4.0\nmethods = stm\nn_samples = 2\n"
+                   "levels = 0.015625,0.0625,0.03125\nn_cuts = 12,3,6\n", encoding="utf-8")
+    out_dir = tmp_path / "o"
+    assert main(["converge", "--config", str(cfg), "--levels", "3", "--out", str(out_dir)]) == 0
+    rows = sw.parse_csv(out_dir / "convergence.csv")
+    assert [(r["tau"], r["n_cut"]) for r in rows] == [(0.0625, 3), (0.03125, 6), (0.015625, 12)]
+
+
 def test_compare_subcommand(tmp_path):
     out_dir = tmp_path / "cmp"
     rc = main(["compare", "--preset", "2", "--dim", "1", "--gamma", "4.0",
@@ -148,6 +160,9 @@ BAD_ARGUMENTS = [
     # whatever n_cuts says
     ["run", "--preset", "1", "--tau", "0.0625", "--stride", "-3"],
     ["converge", "--config", "{tmp}/level_twice.cfg"],
+    # data collapsed to one mode; levels other than the ones n_cuts pair with
+    ["converge", "--preset", "2", "--gamma", "inf"],
+    ["converge", "--config", "{tmp}/n_cuts_levels.cfg", "--tau", "0.125", "--levels", "3"],
 ]
 
 # what the message names: the lattice each entry point draws (a study's at
@@ -161,6 +176,9 @@ BAD_ARGUMENT_MESSAGES = {
     ("converge", "--config", "{tmp}/n_cuts_huge.cfg"): "widest stepped band 10000000000",
     ("run", "--preset", "1", "--tau", "0.0625", "--stride", "-3"): "snapshot_stride must be >= 0",
     ("converge", "--config", "{tmp}/level_twice.cfg"): "repeated level 0.0625",
+    ("converge", "--preset", "2", "--gamma", "inf"): "gamma must be finite and positive",
+    ("converge", "--config", "{tmp}/n_cuts_levels.cfg", "--tau", "0.125", "--levels", "3"):
+        "n_cuts pair with the listed levels",
 }
 
 
@@ -182,6 +200,8 @@ def test_config_error_exit_code(tmp_path, capsys):
         encoding="utf-8")
     (tmp_path / "level_twice.cfg").write_text(
         "preset = 2\nlevels = 0.0625,0.0625,0.03125\nn_cuts = 4,2,8\n", encoding="utf-8")
+    (tmp_path / "n_cuts_levels.cfg").write_text(
+        "preset = 2\nlevels = 0.0625,0.03125,0.015625\nn_cuts = 4,8,16\n", encoding="utf-8")
     # each case in process, through cli.main
     for bad in BAD_ARGUMENTS:
         argv = [a.format(tmp=tmp_path) for a in bad] + ["--out", str(tmp_path / "out")]

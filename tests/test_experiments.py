@@ -298,7 +298,7 @@ def full_state_errors(config, sample):
     every run recovers its whole band, and diff_norm pads both states to the
     wider one.  The study's split evaluation must reproduce these."""
     config = resolve_config(config)
-    dim, problem = exp.study_problem(config)
+    dim, problem = config.dim, config.problem
     ref_grid = sw.make_grid(dim, default_n_cut(config.tau_ref), config.alpha)
     shared = sw.ProblemSpec(problem.f, problem.sigma, sw.InitialDataSpec(
         "explicit", state=sw.build_initial(problem.initial, ref_grid)))
@@ -423,7 +423,7 @@ class TestTails:
         base = dict(methods=ALL_METHODS, levels=(2**-3, 2**-4, 2**-5), gamma=0.5, seed=4)
         cfg = resolve_config(sw.ExperimentConfig(**{**base, **SPLIT_CASES[case]}))
         study = exp._prepare(cfg)
-        dim, problem = exp.study_problem(cfg)
+        dim, problem = cfg.dim, cfg.problem
         n_ref, band = default_n_cut(cfg.tau_ref), study.band
         full = sw.make_grid(dim, n_ref, cfg.alpha)
         u0 = sw.with_band(sw.build_initial(problem.initial, full), full.n_high)
@@ -470,7 +470,7 @@ def per_sample_errors(study, sample):
     it to its own grid without a recovery band."""
     config = study.config
     dim = config.dim
-    problem = sw.ProblemSpec(study.f, study.sigma,
+    problem = sw.ProblemSpec(config.problem.f, config.problem.sigma,
                              sw.InitialDataSpec("explicit", state=study.starts[study.band]))
     lattice = sw.sample_path(config.seed, sample, config.t_final, config.tau_ref)
     ref_grid = sw.make_grid(dim, default_n_cut(config.tau_ref), 1.0)
@@ -614,7 +614,7 @@ class TestBlockStudy:
         assert {start.band for start, _, _ in calls} == set(study.starts)
         for start, f, sigma in calls:
             assert start is study.starts[start.band]
-            assert f is study.f and sigma is study.sigma
+            assert f is study.config.problem.f and sigma is study.config.problem.sigma
 
     def test_each_chunk_coarsens_each_step_size_once(self, monkeypatch):
         # three trajectories per level (the lri filter cuts) and chunks of
@@ -985,6 +985,32 @@ class TestConfigHandling:
         assert cfg.tau_ref == 2**-5 / 4
         assert cfg.n_cuts == (default_n_cut(2**-4), default_n_cut(2**-5))
 
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_resolved_preset_config_holds_every_derived_value(self, preset):
+        dim = PRESETS[preset][0]
+        cfg = resolve_config(sw.ExperimentConfig(dim=dim, preset=preset, gamma=0.25, seed=3,
+                                                 levels=(2**-3, 2**-5, 2**-4)))
+        assert cfg.problem == sw.preset_problem(preset, 0.25, 3)[2]
+        assert cfg.tau == 2**-5
+        # 8 steps of tau: a snapshot after each
+        assert cfg.snapshot_stride == 1
+        assert (cfg.tau_ref, cfg.alpha) == (2**-7, exp.default_alpha(dim))
+        assert cfg.n_cuts == (2, 4, 8)
+        assert resolve_config(cfg) == cfg
+
+    def test_resolved_explicit_config_holds_every_derived_value(self):
+        problem = sw.ProblemSpec(sw.zero_fn(), sw.scaled_sine(1.0),
+                                 sw.InitialDataSpec("explicit", state=lowband_state()))
+        cfg = resolve_config(sw.ExperimentConfig(problem=problem, tau=2**-7,
+                                                 levels=(2**-3, 2**-4), n_cuts=(3, 5)))
+        assert cfg.problem is problem
+        assert (cfg.tau, cfg.snapshot_stride) == (2**-7, 4)
+        assert (cfg.tau_ref, cfg.alpha, cfg.n_cuts) == (2**-6, 2.0, (3, 5))
+        # a given stride is kept, and a resolved config passes through
+        assert resolve_config(replace(cfg, snapshot_stride=3)).snapshot_stride == 3
+        again = resolve_config(cfg)
+        assert again.problem is problem and again.snapshot_stride == cfg.snapshot_stride
+
     def test_each_level_keeps_its_own_n_cut(self, tmp_path):
         # levels listed finest first are sorted coarsest first together with
         # their n_cuts: both orders give the same study, byte for byte
@@ -1022,8 +1048,7 @@ class TestConfigHandling:
                     except sw.ConfigError:
                         continue
                     accepted += d != 0.0
-                    run_tau = cfg.tau if cfg.tau is not None else cfg.levels[-1]
-                    for base, steps in ((run_tau, [run_tau]),
+                    for base, steps in ((cfg.tau, [cfg.tau]),
                                         (cfg.tau_ref, [cfg.tau_ref, *cfg.levels])):
                         lattice = sw.sample_path(0, 0, cfg.t_final, base)
                         for step in steps:
@@ -1058,6 +1083,9 @@ class TestConfigHandling:
              "must be complex, got float64 and float64"),
             (1, sw.InitialDataSpec("explicit", state=sw.SpectralState(
                 np.full(9, 1j), np.zeros(9, complex))), "not Hermitian"),
+            # random data whose gamma is not finite and positive
+            *((1, sw.InitialDataSpec("random_hgamma", gamma=g),
+               "gamma must be finite and positive") for g in (-1.0, np.nan, np.inf)),
         ]
         out = tmp_path / "out"
         for dim, initial, message in cases:

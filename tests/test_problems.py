@@ -7,7 +7,7 @@ import pytest
 
 import stochwave as sw
 from stochwave.noise import standard_uniforms
-from stochwave.problems import _DATA_STREAMS
+from stochwave.problems import _DATA_STREAMS, check_initial
 from stochwave.spectral import collocation_nodes, mode_indices
 
 from helpers import full_layout, random_state
@@ -63,9 +63,9 @@ class TestNonlinearities:
         assert np.abs(d3).max() <= 16.0 * 8.0 * (1 + 1e-4)
 
     def test_unknown_kind_raises(self):
-        bogus = sw.NonlinearitySpec(kind="cubic")
-        with pytest.raises(ValueError):
-            bogus(np.zeros(2))
+        # refused at construction, before anything is built from it
+        with pytest.raises(ValueError, match="unknown nonlinearity kind 'cubic'"):
+            sw.NonlinearitySpec(kind="cubic")
 
 
 class TestIndicator1D:
@@ -252,8 +252,13 @@ class TestRandomHGamma:
         assert peak < 3.0 * 16 * (grid.n_high + 1)
 
     def test_rejects_nonpositive_gamma(self):
-        with pytest.raises(ValueError):
-            sw.build_random_hgamma(sw.make_grid(1, 8, 1.0), 0.0, seed=0)
+        # and a non-finite one: check_initial's rule, for the builder and
+        # for a config alike
+        for gamma in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="gamma must be finite and positive"):
+                check_initial(sw.InitialDataSpec("random_hgamma", gamma=gamma), 1)
+            with pytest.raises(ValueError, match="gamma must be finite and positive"):
+                sw.build_random_hgamma(sw.make_grid(1, 8, 1.0), gamma, seed=0)
 
 
 class TestSpecsAndPresets:

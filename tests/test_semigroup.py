@@ -45,11 +45,16 @@ class TestPropagator:
             direct = matrix(lam, s + t)
             assert (np.abs(prod - direct) * scale).max() < 1e-12
 
-    def test_series_branch_continuity(self):
-        # values just below and above the series switch agree to 1e-15
-        t = 1.0
-        for lam in (0.99e-4, 1.01e-4):
-            assert matrix(lam, t)[0, 1] == pytest.approx(np.sin(lam * t) / lam, rel=1e-15)
+    def test_sin_over_lambda_is_accurate(self):
+        # sin(lam t) / lam within 4e-16 relative of an extended-precision
+        # evaluation for |lam t| from 1e-12 to 1, and exactly t at lam = 0
+        for t in (1.0, -0.7, 2.0**-11):
+            lam = np.geomspace(1e-12, 1.0, 2001) / abs(t)
+            got = propagator_tables(lam, t)[1]
+            wide = lam.astype(np.longdouble)
+            want = np.sin(wide * np.longdouble(t)) / wide
+            assert np.max(np.abs((got - want) / want)) <= 4e-16
+            assert propagator_tables(np.zeros(3), t)[1].tolist() == [t] * 3
 
 
 class TestApplyGroup:
