@@ -5,20 +5,16 @@ harness for strong-convergence measurements."""
 from .spectral import (
     SpectralGrid,
     SpectralState,
-    diff_norm,
     forward,
     inverse,
     load_snapshot,
     make_grid,
-    project_band,
-    project_low,
     pseudospectral_apply,
     save_snapshot,
     sobolev_norm,
     state_from_fields,
     state_to_fields,
     with_band,
-    zero_state,
 )
 from .noise import (
     WienerLattice,
@@ -29,8 +25,6 @@ from .problems import (
     InitialDataSpec,
     NonlinearitySpec,
     ProblemSpec,
-    build_indicator_1d,
-    build_indicator_2d,
     build_initial,
     build_random_hgamma,
     constant_fn,
@@ -58,7 +52,6 @@ from .experiments import (
     compare_methods,
     emit_csv,
     estimate_order,
-    parse_csv,
     run_convergence,
     run_single,
 )

@@ -93,6 +93,7 @@ from .problems import (
     ProblemSpec,
     build_initial,
     check_initial,
+    initial_dims,
     preset_problem,
 )
 from .semigroup import propagator_tables
@@ -103,6 +104,7 @@ from .spectral import (
     _norm_weights,
     _weighted_norm_sq,
     default_alpha,
+    half_shape,
     make_grid,
     save_snapshot,
     sobolev_norm,
@@ -127,7 +129,7 @@ class NumericalFailure(NumericalError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    dim: int = 1
+    dim: int | None = None
     preset: int | None = None
     problem: ProblemSpec | None = None
     gamma: float = 0.5
@@ -189,13 +191,16 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
 
     Everything the runtime would reject fails here, with ConfigError.  The
     levels come out coarsest first, each with its n_cut, and every derived
-    value is set: alpha, tau_ref, n_cuts, ``problem`` (the explicit one,
-    else the preset's; ``problems.check_initial`` must accept its data at
-    dim), ``tau`` (a single run's step: the given one, else the finest
-    level) and ``snapshot_stride`` (0 means max(n_steps // 8, 1) at tau).
+    value is set: ``dim`` (the given one, else the preset's, else the
+    lowest that the problem's initial data fits: a plateau's own, an
+    explicit state's rank, 1 for random data), alpha, tau_ref, n_cuts,
+    ``problem`` (the explicit one, else the preset's;
+    ``problems.check_initial`` must accept its data at dim), ``tau`` (a
+    single run's step: the given one, else the finest level) and
+    ``snapshot_stride`` (0 means max(n_steps // 8, 1) at tau).
     Resolving a resolved config returns it unchanged.
     """
-    if config.dim not in DIMS:
+    if config.dim is not None and config.dim not in DIMS:
         raise ConfigError(f"dim must be one of {DIMS}, got {config.dim}")
     if config.preset is not None and config.preset not in PRESETS:
         raise ConfigError(f"unknown preset {config.preset}")
@@ -209,12 +214,16 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     if problem is None:
         if config.preset is None:
             raise ConfigError("config needs either a preset or an explicit problem")
-        dim, _, problem = preset_problem(config.preset, config.gamma, config.seed)
-        if dim != config.dim:
-            raise ConfigError(f"preset {config.preset} is {dim}-dimensional, "
+        preset_dim, _, problem = preset_problem(config.preset, config.gamma, config.seed)
+        if config.dim not in (None, preset_dim):
+            raise ConfigError(f"preset {config.preset} is {preset_dim}-dimensional, "
                               f"config says {config.dim}")
+    dim = config.dim
     try:
-        check_initial(problem.initial, config.dim)
+        if dim is None:
+            dim = (PRESETS[config.preset][0] if config.preset is not None
+                   else initial_dims(problem.initial)[0])
+        check_initial(problem.initial, dim)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if config.n_cuts is not None and len(config.n_cuts) != len(config.levels):
@@ -228,7 +237,7 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     for a, b in zip(levels, levels[1:]):
         if a == b:
             raise ConfigError(f"repeated level {a} in {levels}")
-    alpha = default_alpha(config.dim) if config.alpha is None else config.alpha
+    alpha = default_alpha(dim) if config.alpha is None else config.alpha
     if not (math.isfinite(alpha) and alpha >= 1):
         raise ConfigError(f"alpha must be >= 1, got {alpha}")
     tau_ref = config.tau_ref
@@ -269,17 +278,17 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"out_dir {config.out_dir}: {existing} is not a directory")
     for n in (default_n_cut(tau_ref), *n_cuts, default_n_cut(tau)):
         try:
-            make_grid(config.dim, n, alpha)
+            make_grid(dim, n, alpha)
         except OverflowError as exc:
             raise ConfigError(f"recovery cutoff {n}^{alpha} overflows") from exc
     stride = config.snapshot_stride or max(run_steps // 8, 1)
-    return replace(config, problem=problem, levels=levels, alpha=alpha, tau_ref=tau_ref,
+    return replace(config, dim=dim, problem=problem, levels=levels, alpha=alpha, tau_ref=tau_ref,
                    n_cuts=n_cuts, methods=methods, tau=tau, snapshot_stride=stride)
 
 
 def _array_bytes(dim: int, band: int) -> int:
     """Bytes of one complex128 half spectrum at ``band``."""
-    return 16 * (2 * band) ** (dim - 1) * (band + 1)
+    return 16 * math.prod(half_shape(dim, band))
 
 
 # full-band half spectra that building an initial state holds at its peak:
@@ -432,7 +441,7 @@ def _outside_energy(state: SpectralState, t: float, boxes) -> dict[int, float]:
     dim, n = state.dim, state.band
     axes = range(dim - 1)
     orthant = [np.arange(n + 1) for _ in axes]
-    cols = max(1, _SLAB_BYTES // (16 * (2 * n) ** (dim - 1)))
+    cols = max(1, _SLAB_BYTES // (16 * math.prod(half_shape(dim, n)[:-1])))
     out = dict.fromkeys(boxes, 0.0)
     for lo in range(0, n + 1, cols):
         hi = min(lo + cols, n + 1)
@@ -678,25 +687,6 @@ def emit_csv(reports, path) -> None:
                         f"{row.wall_seconds:.17g}\n")
     except OSError as exc:
         raise OSError(f"writing report to {path}: {exc}") from exc
-
-
-def parse_csv(path) -> list[dict]:
-    """Read back an emitted CSV into typed row dicts."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            vals = line.strip().split(",")
-            rec = dict(zip(header, vals))
-            rec["tau"] = float(rec["tau"])
-            rec["n_cut"] = int(rec["n_cut"])
-            rec["n_samples"] = int(rec["n_samples"])
-            rec["rms_error"] = float(rec["rms_error"])
-            rec["stderr"] = float(rec["stderr"])
-            rec["excluded"] = int(rec["excluded"])
-            rec["wall_seconds"] = float(rec["wall_seconds"])
-            rows.append(rec)
-    return rows
 
 
 def plot_lines(xs) -> str:

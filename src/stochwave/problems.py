@@ -3,8 +3,11 @@
 The built-in nonlinearities all have uniformly bounded first, second and
 third derivatives, the standing assumption behind the solvers' stability.
 Initial data comes in four flavours: two discontinuous plateau profiles
-(one per dimension), randomised Sobolev-class data of prescribed smoothness
-gamma, and explicit spectra (e.g. loaded from an SWV1 snapshot).
+(one per dimension, rows of the table ``_PLATEAUS``: u is a height on a
+closed box [lo, hi]^dim, sampled at the collocation nodes, and v is 0),
+randomised Sobolev-class data of prescribed smoothness gamma, and explicit
+spectra (e.g. an SWV1 snapshot read by ``spectral.load_snapshot`` and
+turned into a state by ``spectral.state_from_fields``).
 
 Random data is a tensor product over the axes.  Axis j carries, on each
 slot with 1 <= |k_j| <= kmax = min(n_cut, n_high - 1), a real coefficient
@@ -31,12 +34,13 @@ inside it, while with alpha > 1 each axis also gets the one mode at
 initial data for alpha = 1 and alpha > 1.
 
 ``check_initial`` is the one rule of which initial data fits a dimension
-(``INITIAL_DIMS``; an explicit state fits its own rank, and must be a
-Hermitian pair of complex half spectra of one shape) and of which gamma
-random data takes (finite and positive).  Every builder applies it to the
-grid, and ``experiments.resolve_config`` to the config's problem before
-anything is built; ``build_initial`` hands out every kind at the grid's
-full band n_high, an explicit state re-stored there.
+(``initial_dims``: a kind's ``INITIAL_DIMS``, or an explicit state's own
+rank; an explicit state must be a Hermitian pair of complex half spectra
+of one shape) and of which gamma random data takes (finite and positive).
+``build_initial``, the one entry point of every kind, applies it once to
+the grid, and ``experiments.resolve_config`` to the config's problem
+before anything is built; it hands out every kind at the grid's full band
+n_high, an explicit state re-stored there.
 """
 
 from __future__ import annotations
@@ -56,6 +60,8 @@ from .spectral import (
     collocation_nodes,
     default_alpha,
     forward,
+    half_shape,
+    mode_indices,
     with_band,
 )
 
@@ -139,20 +145,26 @@ class ProblemSpec:
 INITIAL_DIMS = {"indicator_1d": (1,), "indicator_2d": (2,), "random_hgamma": DIMS}
 
 
+def initial_dims(spec: InitialDataSpec) -> tuple[int, ...]:
+    """The dimensions that ``spec``'s data fits, lowest first: its kind's
+    (``INITIAL_DIMS``), or an explicit state's rank.  ValueError for an
+    explicit kind without a state and for an unknown kind."""
+    if spec.kind == "explicit":
+        if spec.state is None:
+            raise ValueError("explicit initial data needs a state")
+        return (spec.state.dim,)
+    if spec.kind not in INITIAL_DIMS:
+        raise ValueError(f"unknown initial data kind {spec.kind!r}")
+    return INITIAL_DIMS[spec.kind]
+
+
 def check_initial(spec: InitialDataSpec, dim: int) -> None:
     """Refuse, with ValueError, initial data that does not fit dimension
     ``dim``: a kind of other dimensions, an explicit state of another rank
     or none, an explicit state that is not a Hermitian pair of complex half
-    spectra of one shape (2m,)^(d-1) + (m+1,), random data whose gamma is
+    spectra of one shape ``half_shape(dim, m)``, random data whose gamma is
     not finite and positive, or an unknown kind."""
-    if spec.kind == "explicit":
-        if spec.state is None:
-            raise ValueError("explicit initial data needs a state")
-        fits = (spec.state.dim,)
-    elif spec.kind in INITIAL_DIMS:
-        fits = INITIAL_DIMS[spec.kind]
-    else:
-        raise ValueError(f"unknown initial data kind {spec.kind!r}")
+    fits = initial_dims(spec)
     if dim not in fits:
         raise ValueError(f"{spec.kind} initial data is {'/'.join(map(str, fits))}-dimensional, "
                          f"not {dim}")
@@ -161,7 +173,7 @@ def check_initial(spec: InitialDataSpec, dim: int) -> None:
     if spec.kind == "explicit":
         u, v = spec.state.u_hat, spec.state.v_hat
         m = u.shape[-1] - 1
-        if m < 0 or not u.shape == v.shape == (2 * m,) * (dim - 1) + (m + 1,):
+        if m < 0 or not u.shape == v.shape == half_shape(dim, m):
             raise ValueError(f"explicit initial data is not a half-spectrum pair: shapes "
                              f"{u.shape} and {v.shape}")
         if not (np.iscomplexobj(u) and np.iscomplexobj(v)):
@@ -169,37 +181,24 @@ def check_initial(spec: InitialDataSpec, dim: int) -> None:
         check_hermitian(spec.state)
 
 
-def _at_rest(u: np.ndarray) -> SpectralState:
-    """The state of the real displacement samples u with v = 0: u is
-    transformed alone, its unpaired slots zeroed as in ``state_from_fields``."""
+# plateau kind -> ((height, lo, hi), ...): u is height on [lo, hi]^dim
+_PLATEAUS = {"indicator_1d": ((5.0, 0.3, 0.425), (2.5, 0.575, 0.7)),
+             "indicator_2d": ((0.5, 0.375, 0.625),)}
+
+
+def _build_plateaus(kind: str, grid: SpectralGrid) -> SpectralState:
+    """The plateaus of ``kind`` sampled pointwise at the collocation nodes
+    (closed intervals), v = 0: u is transformed alone, so the state is the
+    trigonometric interpolant of the discontinuous profile, its unpaired
+    slots zeroed as in ``state_from_fields``."""
+    x = collocation_nodes(grid.n_high)
+    u = np.zeros((x.size,) * grid.dim)
+    for height, lo, hi in _PLATEAUS[kind]:
+        inside = (x >= lo) & (x <= hi)
+        u[functools.reduce(np.logical_and.outer, [inside] * grid.dim)] = height
     u_hat = forward(u)
-    band = u_hat.shape[-1] - 1
-    u_hat *= band_mask(u.ndim, band, band)
+    u_hat *= band_mask(grid.dim, grid.n_high, grid.n_high)
     return SpectralState(u_hat, np.zeros_like(u_hat))
-
-
-def build_indicator_1d(grid: SpectralGrid) -> SpectralState:
-    """Two plateaus, 5 on [0.3, 0.425] and 2.5 on [0.575, 0.7], v = 0.
-
-    The plateaus are sampled pointwise at the collocation nodes (closed
-    intervals) and forward-transformed, i.e. the state is the trigonometric
-    interpolant of the discontinuous profile.
-    """
-    check_initial(InitialDataSpec("indicator_1d"), grid.dim)
-    x = collocation_nodes(grid.n_high)
-    u = np.zeros_like(x)
-    u[(x >= 0.3) & (x <= 0.425)] = 5.0
-    u[(x >= 0.575) & (x <= 0.7)] = 2.5
-    return _at_rest(u)
-
-
-def build_indicator_2d(grid: SpectralGrid) -> SpectralState:
-    """Single plateau, 0.5 on the square [0.375, 0.625]^2, v = 0."""
-    check_initial(InitialDataSpec("indicator_2d"), grid.dim)
-    x = collocation_nodes(grid.n_high)
-    inside = (x >= 0.375) & (x <= 0.625)
-    u = 0.5 * np.outer(inside, inside).astype(np.float64)
-    return _at_rest(u)
 
 
 def _axis_profile(band: int, kmax: int, exponent: float, draws: np.ndarray) -> np.ndarray:
@@ -225,11 +224,11 @@ def build_random_hgamma(grid: SpectralGrid, gamma: float, seed: int) -> Spectral
     def field(slot: int, exponent: float) -> np.ndarray:
         """The u (slot 0) or v (slot 1) spectrum; axis j reads stream
         2j + slot.  The last axis keeps its profile, and every other axis
-        mirrors it into the full layout, modes 0..band-1 then -band..-1."""
+        reads it at the |k| of each slot of its full layout."""
         axes = [_axis_profile(band, kmax, exponent,
                               standard_uniforms(seed, _DATA_STREAMS[2 * j + slot], kmax))
                 for j in range(grid.dim)]
-        axes[:-1] = [np.concatenate((p[:band], p[:0:-1])) for p in axes[:-1]]
+        axes[:-1] = [p[np.abs(mode_indices(band))] for p in axes[:-1]]
         return functools.reduce(np.multiply.outer, axes).astype(np.complex128)
 
     return SpectralState(field(0, -gamma - 0.51), field(1, -gamma + 0.49))
@@ -239,10 +238,8 @@ def build_initial(spec: InitialDataSpec, grid: SpectralGrid) -> SpectralState:
     """The initial state of ``spec`` at the grid's full band n_high, once
     ``check_initial`` finds that it fits the grid."""
     check_initial(spec, grid.dim)
-    if spec.kind == "indicator_1d":
-        return build_indicator_1d(grid)
-    if spec.kind == "indicator_2d":
-        return build_indicator_2d(grid)
+    if spec.kind in _PLATEAUS:
+        return _build_plateaus(spec.kind, grid)
     if spec.kind == "random_hgamma":
         return build_random_hgamma(grid, spec.gamma, spec.seed)
     return with_band(spec.state, grid.n_high)

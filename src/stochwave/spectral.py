@@ -7,19 +7,22 @@ the supported dimensions ``DIMS``.
 The fields are real, so every spectrum is Hermitian, c(-k) = conj c(k), and
 the modes with k_last < 0 carry no information.  A state "at band m" is
 therefore stored as its half spectrum: arrays of shape (2m,)^(dim-1) +
-(m+1,) for 2m collocation points per dimension.  The first dim-1 axes are
-in the standard even FFT layout (slots for the modes [0, m-1] then
-[-m, -1]); the last axis holds |k_last| = 0, ..., m.  ``forward`` is the
-real-to-half transform and ``inverse`` the half-to-real one.  The only
-constraint left on the stored numbers is that the k_last = 0 plane is
-itself Hermitian over the other axes (``check_hermitian``).
+(m+1,) (``half_shape``) for 2m collocation points per dimension.  The
+first dim-1 axes are in the standard even FFT layout (slots for the modes
+[0, m-1] then [-m, -1]); the last axis holds |k_last| = 0, ..., m.
+``forward`` is the real-to-half transform and ``inverse`` the half-to-real
+one.  The only constraint left on the stored numbers is that the
+k_last = 0 plane is itself Hermitian over the other axes
+(``check_hermitian``).
 
 A state is nothing but its two arrays: their shape fixes its band m and its
 dimension.  No arithmetic branches on the dimension: mode weights are outer
 sums over the axes and masks outer ANDs.  Two cutoffs describe a grid: the
 low cutoff ``n_cut`` (the band advanced by the time steppers) and the
 recovery cutoff ``n_high = floor(n_cut**alpha)`` (the widest band any state
-of the grid retains).
+of the grid retains).  A box truncation is a product with ``band_mask``,
+and the distance of two states is the ``sobolev_norm`` of their difference
+once ``with_band`` has stored both at the wider band.
 
 Nyquist convention: each axis carries a single unpaired slot (index m: the
 frequency -m on the first axes, +m on the last).  States keep those slots
@@ -82,8 +85,8 @@ def default_alpha(dim: int) -> float:
 class SpectralState:
     """Fourier coefficients of a (u, v) pair.
 
-    Both arrays are half spectra of shape (2*band,)*(dim-1) + (band+1,)
-    and are treated as immutable; operations return fresh states.
+    Both arrays are half spectra of shape ``half_shape(dim, band)`` and
+    are treated as immutable; operations return fresh states.
     """
 
     u_hat: np.ndarray
@@ -98,10 +101,9 @@ class SpectralState:
         return self.u_hat.shape[-1] - 1
 
 
-def zero_state(dim: int, band: int) -> SpectralState:
-    shape = (2 * band,) * (dim - 1) + (band + 1,)
-    return SpectralState(np.zeros(shape, dtype=np.complex128),
-                         np.zeros(shape, dtype=np.complex128))
+def half_shape(dim: int, band: int) -> tuple[int, ...]:
+    """The shape (2m,)^(dim-1) + (m+1,) of a half spectrum at band m."""
+    return (2 * band,) * (dim - 1) + (band + 1,)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +142,7 @@ def band_mask(dim: int, band: int, cut: int) -> np.ndarray:
 
     The slots at index ``band`` hold the unpaired frequencies; they are
     masked out unconditionally so that states keep their zero-Nyquist
-    invariant through every projection.
+    invariant through every product with a mask.
     """
     if not 0 <= cut <= band:
         raise ValueError(f"cut {cut} outside [0, {band}]")
@@ -231,24 +233,6 @@ def collocation_nodes(band: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# projections
-
-
-def project_low(state: SpectralState, m: int) -> SpectralState:
-    """Zero every coefficient with some |k_j| > m (sharp box truncation)."""
-    mask = band_mask(state.dim, state.band, m)
-    return SpectralState(state.u_hat * mask, state.v_hat * mask)
-
-
-def project_band(state: SpectralState, m1: int, m2: int) -> SpectralState:
-    """Keep modes inside the m2 box but outside the m1 box."""
-    if not 0 <= m1 < m2 <= state.band:
-        raise ValueError(f"need 0 <= m1 < m2 <= band, got ({m1}, {m2}, band {state.band})")
-    mask = band_mask(state.dim, state.band, m2) & ~band_mask(state.dim, state.band, m1)
-    return SpectralState(state.u_hat * mask, state.v_hat * mask)
-
-
-# ---------------------------------------------------------------------------
 # norms
 
 
@@ -278,13 +262,6 @@ def sobolev_norm(state: SpectralState, gamma: float) -> float:
     """
     wu, wv = _norm_weights(state.dim, state.band, gamma)
     return float(np.sqrt(_weighted_norm_sq(state.u_hat, state.v_hat, wu, wv)))
-
-
-def diff_norm(a: SpectralState, b: SpectralState, gamma: float = 0.0) -> float:
-    """sobolev_norm(a - b) after padding both to the wider band."""
-    band = max(a.band, b.band)
-    a, b = with_band(a, band), with_band(b, band)
-    return sobolev_norm(SpectralState(a.u_hat - b.u_hat, a.v_hat - b.v_hat), gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +314,7 @@ def with_band(state: SpectralState, band: int, dim: int | None = None) -> Spectr
               for b in itertools.product(axis, repeat=dim - 1)]
     out = []
     for arr in (state.u_hat, state.v_hat):
-        new = np.zeros(arr.shape[:arr.ndim - dim] + (2 * band,) * (dim - 1) + (band + 1,),
-                       dtype=arr.dtype)
+        new = np.zeros(arr.shape[:arr.ndim - dim] + half_shape(dim, band), dtype=arr.dtype)
         for src, dst in blocks:
             new[(..., *dst)] = arr[(..., *src)]
         if band < old:

@@ -14,6 +14,8 @@ import stochwave as sw
 from stochwave import cli, experiments
 from stochwave.cli import main
 
+from helpers import read_csv
+
 
 def test_run_subcommand(tmp_path, capsys):
     rc = main(["run", "--preset", "1", "--dim", "1", "--tau", "0.03125",
@@ -34,7 +36,7 @@ def test_converge_subcommand_with_config(tmp_path, capsys):
     out_dir = tmp_path / "res"
     rc = main(["converge", "--config", str(cfg), "--out", str(out_dir)])
     assert rc == 0
-    rows = sw.parse_csv(out_dir / "convergence.csv")
+    rows = read_csv(out_dir / "convergence.csv")
     assert len(rows) == 3
     assert all(r["method"] == "stm" for r in rows)
     # untimed rows: no error-vs-time plot data
@@ -51,10 +53,10 @@ def test_cli_flags_override_config(tmp_path):
                "--tau", "0.125", "--levels", "3", "--samples", "2",
                "--seed", "9", "--out", str(out_dir)])
     assert rc == 0
-    rows = sw.parse_csv(out_dir / "convergence.csv")
+    rows = read_csv(out_dir / "convergence.csv")
     assert {r["method"] for r in rows} == {"sem"}
-    assert [r["tau"] for r in rows] == [0.125, 0.0625, 0.03125]
-    assert all(r["n_samples"] == 2 for r in rows)
+    assert [float(r["tau"]) for r in rows] == [0.125, 0.0625, 0.03125]
+    assert all(int(r["n_samples"]) == 2 for r in rows)
 
 
 def test_levels_halve_from_coarsest_config_level(tmp_path):
@@ -67,8 +69,8 @@ def test_levels_halve_from_coarsest_config_level(tmp_path):
     rc = main(["converge", "--config", str(cfg), "--levels", "3",
                "--samples", "2", "--out", str(out_dir)])
     assert rc == 0
-    rows = sw.parse_csv(out_dir / "convergence.csv")
-    assert [r["tau"] for r in rows] == [0.125, 0.0625, 0.03125]
+    rows = read_csv(out_dir / "convergence.csv")
+    assert [float(r["tau"]) for r in rows] == [0.125, 0.0625, 0.03125]
 
 
 def test_tau_config_key_sets_levels_like_the_flag(tmp_path):
@@ -82,7 +84,7 @@ def test_tau_config_key_sets_levels_like_the_flag(tmp_path):
         out_dir = tmp_path / name
         rc = main(["converge", "--config", str(cfg), "--out", str(out_dir)] + extra)
         assert rc == 0
-        taus.append([r["tau"] for r in sw.parse_csv(out_dir / "convergence.csv")])
+        taus.append([float(r["tau"]) for r in read_csv(out_dir / "convergence.csv")])
     assert taus[0] == taus[1] == [0.125 * 2.0**-i for i in range(5)]
 
 
@@ -94,8 +96,9 @@ def test_levels_flag_keeps_the_listed_levels_and_their_n_cuts(tmp_path):
                    "levels = 0.015625,0.0625,0.03125\nn_cuts = 12,3,6\n", encoding="utf-8")
     out_dir = tmp_path / "o"
     assert main(["converge", "--config", str(cfg), "--levels", "3", "--out", str(out_dir)]) == 0
-    rows = sw.parse_csv(out_dir / "convergence.csv")
-    assert [(r["tau"], r["n_cut"]) for r in rows] == [(0.0625, 3), (0.03125, 6), (0.015625, 12)]
+    rows = read_csv(out_dir / "convergence.csv")
+    assert [(float(r["tau"]), int(r["n_cut"])) for r in rows] == [
+        (0.0625, 3), (0.03125, 6), (0.015625, 12)]
 
 
 def test_compare_subcommand(tmp_path):
@@ -104,10 +107,29 @@ def test_compare_subcommand(tmp_path):
                "--method", "stm,sem", "--tau", "0.125", "--levels", "3",
                "--samples", "2", "--seed", "5", "--out", str(out_dir)])
     assert rc == 0
-    rows = sw.parse_csv(out_dir / "convergence.csv")
+    rows = read_csv(out_dir / "convergence.csv")
     assert {r["method"] for r in rows} == {"stm", "sem"}
-    assert all(r["wall_seconds"] > 0 for r in rows)
+    assert all(float(r["wall_seconds"]) > 0 for r in rows)
     assert (out_dir / "error_vs_time_sem.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--preset", "4", "--samples", "2", "--tau", "0.125", "--levels", "3"],
+    ["run", "--preset", "3", "--tau", "0.0625"],
+], ids=["converge-preset-4", "run-preset-3"])
+def test_a_2d_preset_needs_no_dim_flag(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out").exists()
+
+
+def test_a_2d_preset_resolves_in_2d_at_its_default_levels():
+    # at its default levels the preset-4 study builds its initial state at
+    # band 11585 (32 GiB), so only its resolution is checked here
+    for argv in (["converge", "--preset", "4", "--samples", "2"],
+                 ["run", "--preset", "3", "--tau", "0.0625"]):
+        config = cli._merge_config(cli._build_parser().parse_args(argv))
+        assert config.dim is None
+        assert experiments.resolve_config(config).dim == 2
 
 
 # argument combinations the runtime would reject; each must fail at config
@@ -139,6 +161,8 @@ BAD_ARGUMENTS = [
     ["run", "--preset", "1", "--method", "sem,stm"],
     ["converge", "--preset", "2", "--dim", "3"],
     ["converge", "--preset", "2", "--dim", "0"],
+    ["converge", "--dim", "3"],
+    ["converge", "--dim", "0"],
     ["converge", "--preset", "7"],
     ["converge", "--preset", "2", "--seed", "x"],
     ["converge", "--preset", "2", "--workers", "0"],
@@ -177,6 +201,10 @@ BAD_ARGUMENT_MESSAGES = {
     ("run", "--preset", "1", "--tau", "0.0625", "--stride", "-3"): "snapshot_stride must be >= 0",
     ("converge", "--config", "{tmp}/level_twice.cfg"): "repeated level 0.0625",
     ("converge", "--preset", "2", "--gamma", "inf"): "gamma must be finite and positive",
+    ("converge", "--dim", "2", "--preset", "1", "--tau", "0.125", "--levels", "3"):
+        "preset 1 is 1-dimensional, config says 2",
+    ("converge", "--dim", "3"): "dim must be one of (1, 2), got 3",
+    ("converge", "--dim", "0"): "dim must be one of (1, 2), got 0",
     ("converge", "--config", "{tmp}/n_cuts_levels.cfg", "--tau", "0.125", "--levels", "3"):
         "n_cuts pair with the listed levels",
 }

@@ -22,6 +22,8 @@ from stochwave.problems import PRESETS
 from stochwave.semigroup import propagator_tables
 from stochwave.spectral import shell_index
 
+from helpers import read_csv, zero_state
+
 
 def lowband_state(seed=0):
     """1D initial data confined to modes {0, +-1}: every level retains it."""
@@ -105,14 +107,14 @@ class TestCsv:
         rep = sw.ConvergenceReport(method="hr_lri", rows=rows, fitted_order=1.0)
         path = tmp_path / "rt.csv"
         sw.emit_csv([rep], path)
-        back = sw.parse_csv(path)
+        back = read_csv(path)
         assert len(back) == 2
         for rec, row in zip(back, rows):
             assert rec["method"] == "hr_lri"
-            assert rec["tau"] == row.tau
-            assert rec["rms_error"] == row.rms_error
-            assert rec["stderr"] == row.stderr
-            assert rec["wall_seconds"] == row.wall_seconds
+            assert float(rec["tau"]) == row.tau
+            assert float(rec["rms_error"]) == row.rms_error
+            assert float(rec["stderr"]) == row.stderr
+            assert float(rec["wall_seconds"]) == row.wall_seconds
 
     def test_column_count(self, tmp_path):
         rep = sw.ConvergenceReport(
@@ -295,7 +297,7 @@ class TestRunConvergence:
 
 def full_state_errors(config, sample):
     """The error norms of one sample computed on full-band final states:
-    every run recovers its whole band, and diff_norm pads both states to the
+    every run recovers its whole band, and both states are padded to the
     wider one.  The study's split evaluation must reproduce these."""
     config = resolve_config(config)
     dim, problem = config.dim, config.problem
@@ -310,7 +312,10 @@ def full_state_errors(config, sample):
         for li, (tau, n_cut) in enumerate(zip(config.levels, config.n_cuts)):
             res = sw.run(sw.method_spec(m, tau, config.t_final),
                          sw.make_grid(dim, n_cut, config.alpha), shared, lattice)
-            out[mi, li] = sw.diff_norm(res, ref, 0.0)
+            band = max(res.band, ref.band)
+            a, b = sw.with_band(res, band), sw.with_band(ref, band)
+            out[mi, li] = sw.sobolev_norm(sw.SpectralState(a.u_hat - b.u_hat,
+                                                           a.v_hat - b.v_hat), 0.0)
     return out
 
 
@@ -852,8 +857,8 @@ class TestCompare:
             assert all(t > 0 for t in ts)
             assert ts == sorted(ts)  # more steps, more time (coarsest first)
         csv_path = emit_study(reports, str(tmp_path))
-        recs = sw.parse_csv(csv_path)
-        assert all(rec["wall_seconds"] > 0 for rec in recs)
+        recs = read_csv(csv_path)
+        assert all(float(rec["wall_seconds"]) > 0 for rec in recs)
         # the x column of the error-vs-time data is the rows' wall_seconds
         for m, rep in reports.items():
             lines = (tmp_path / f"error_vs_time_{m}.txt").read_text().splitlines()[1:]
@@ -940,7 +945,7 @@ class TestRunSingle:
     def test_zero_data_stays_zero(self, tmp_path):
         grid = sw.make_grid(1, 8, 1.0)
         problem = sw.ProblemSpec(sw.zero_fn(), sw.scaled_sine(16.0),
-                                 sw.InitialDataSpec("explicit", state=sw.zero_state(grid.dim, grid.n_high)))
+                                 sw.InitialDataSpec("explicit", state=zero_state(grid.dim, grid.n_high)))
         cfg = sw.ExperimentConfig(dim=1, problem=problem, methods=("stm",),
                                   tau=2**-5, out_dir=str(tmp_path), snapshot_stride=2)
         summary = sw.run_single(cfg)
@@ -1065,7 +1070,7 @@ class TestConfigHandling:
         monkeypatch.setattr(exp, "build_initial", never)
         monkeypatch.setattr(sw.integrators, "build_initial", never)
         cases = [
-            (1, sw.InitialDataSpec("explicit", state=sw.zero_state(2, 8)),
+            (1, sw.InitialDataSpec("explicit", state=zero_state(2, 8)),
              "explicit initial data is 2-dimensional, not 1"),
             (2, sw.InitialDataSpec("indicator_1d"), "indicator_1d initial data is 1-dimensional"),
             (1, sw.InitialDataSpec("indicator_2d"), "indicator_2d initial data is 2-dimensional"),
@@ -1102,3 +1107,27 @@ class TestConfigHandling:
         with pytest.raises(sw.ConfigError):
             sw.run_convergence(sw.ExperimentConfig(dim=2, preset=1,
                                                    levels=(2**-3,)))
+
+    def test_dim_comes_from_the_preset_else_the_data(self):
+        # an unset dim is the preset's, else the lowest that the initial
+        # data fits: a plateau's own, an explicit state's rank, 1 for random
+        def problem(kind, state=None):
+            return sw.ProblemSpec(sw.zero_fn(), sw.zero_fn(), sw.InitialDataSpec(kind, state=state))
+
+        cases = [*((dict(preset=p), d) for p, (d, _) in PRESETS.items()),
+                 (dict(problem=problem("indicator_2d")), 2),
+                 (dict(problem=problem("indicator_1d")), 1),
+                 (dict(problem=problem("explicit", zero_state(2, 4))), 2),
+                 (dict(problem=problem("random_hgamma")), 1)]
+        for kwargs, dim in cases:
+            cfg = resolve_config(sw.ExperimentConfig(levels=(2**-3, 2**-4), **kwargs))
+            assert cfg.dim == dim, kwargs
+            assert cfg.alpha == exp.default_alpha(dim)
+        assert sw.ExperimentConfig().dim is None
+        # a given dim is checked, not replaced
+        with pytest.raises(sw.ConfigError, match="preset 4 is 2-dimensional, config says 1"):
+            resolve_config(sw.ExperimentConfig(dim=1, preset=4))
+        with pytest.raises(sw.ConfigError, match="indicator_2d initial data is 2-dimensional"):
+            resolve_config(sw.ExperimentConfig(dim=1, problem=problem("indicator_2d")))
+        with pytest.raises(sw.ConfigError, match="explicit initial data needs a state"):
+            resolve_config(sw.ExperimentConfig(problem=problem("explicit")))

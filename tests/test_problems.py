@@ -10,7 +10,7 @@ from stochwave.noise import standard_uniforms
 from stochwave.problems import _DATA_STREAMS, check_initial
 from stochwave.spectral import collocation_nodes, mode_indices
 
-from helpers import full_layout, random_state
+from helpers import full_layout, random_state, zero_state
 
 
 def node_value(state, x_target):
@@ -68,6 +68,10 @@ class TestNonlinearities:
             sw.NonlinearitySpec(kind="cubic")
 
 
+def plateaus(kind, grid):
+    return sw.build_initial(sw.InitialDataSpec(kind), grid)
+
+
 class TestIndicator1D:
     # band 64 with alpha=1 puts 128 nodes on the torus; both plateaus cover
     # 16 whole cells, so the interpolant reproduces the plateau values at
@@ -75,25 +79,25 @@ class TestIndicator1D:
     grid = sw.make_grid(1, 64, 1.0)
 
     def test_plateau_values_at_nodes(self):
-        state = sw.build_indicator_1d(self.grid)
+        state = plateaus("indicator_1d", self.grid)
         assert node_value(state, 0.35) == pytest.approx(5.0, abs=1e-12)
         assert node_value(state, 0.6) == pytest.approx(2.5, abs=1e-12)
         assert node_value(state, 0.5) == pytest.approx(0.0, abs=1e-12)
         assert node_value(state, 0.05) == pytest.approx(0.0, abs=1e-12)
 
     def test_mean_matches_plateau_measure(self):
-        state = sw.build_indicator_1d(self.grid)
+        state = plateaus("indicator_1d", self.grid)
         exact = 5.0 * 0.125 + 2.5 * 0.125
         cell = 1.0 / (2 * state.band)
         assert abs(state.u_hat[0].real - exact) <= 7.5 * 2 * cell
 
     def test_velocity_slot_empty(self):
-        state = sw.build_indicator_1d(self.grid)
+        state = plateaus("indicator_1d", self.grid)
         assert not state.v_hat.any()
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            sw.build_indicator_1d(sw.make_grid(2, 8, 1.0))
+            plateaus("indicator_1d", sw.make_grid(2, 8, 1.0))
 
 
 class TestIndicator2D:
@@ -103,7 +107,7 @@ class TestIndicator2D:
         # the square is centred at 0.5, so it always covers an odd node
         # count per axis and keeps O(1/points) content on the dropped
         # unpaired Nyquist line; nodal values match to that order
-        state = sw.build_indicator_2d(self.grid)
+        state = plateaus("indicator_2d", self.grid)
         u, _ = sw.state_to_fields(state)
         nodes = collocation_nodes(state.band)
         mid = np.argmin(np.abs(nodes - 0.5))
@@ -113,13 +117,13 @@ class TestIndicator2D:
         assert u[lo, lo] == pytest.approx(0.0, abs=tol)
 
     def test_dc_coefficient_is_plateau_area(self):
-        state = sw.build_indicator_2d(self.grid)
+        state = plateaus("indicator_2d", self.grid)
         cell = 1.0 / (2 * state.band)
         assert abs(state.u_hat[0, 0].real - 0.5 * 0.25**2) <= 0.5 * 4 * cell
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            sw.build_indicator_2d(sw.make_grid(1, 8, 1.0))
+            plateaus("indicator_2d", sw.make_grid(1, 8, 1.0))
 
 
 @pytest.mark.parametrize("preset,band,peak_arrays", [(1, 2**18, 4.5), (3, 512, 3.5)])
@@ -271,7 +275,7 @@ class TestSpecsAndPresets:
         with pytest.raises(ValueError):
             sw.build_initial(sw.InitialDataSpec("explicit"), grid)
         with pytest.raises(ValueError, match="2-dimensional"):
-            sw.build_initial(sw.InitialDataSpec("explicit", state=sw.zero_state(2, 4)), grid)
+            sw.build_initial(sw.InitialDataSpec("explicit", state=zero_state(2, 4)), grid)
         with pytest.raises(ValueError):
             sw.build_initial(sw.InitialDataSpec("mystery"), grid)
 
@@ -288,7 +292,7 @@ class TestSpecsAndPresets:
 
     def test_explicit_from_snapshot(self, tmp_path):
         grid = sw.make_grid(1, 64, 1.0)
-        state = sw.build_indicator_1d(grid)
+        state = plateaus("indicator_1d", grid)
         path = tmp_path / "init.swv"
         sw.save_snapshot(path, state, 0.0)
         dim, points, _, u, v = sw.load_snapshot(path)

@@ -1,5 +1,7 @@
-"""Transforms, projections, norms and band changes."""
+"""Transforms, masks, norms and band changes."""
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +16,7 @@ from stochwave.spectral import (
     mode_indices,
 )
 
-from helpers import full_layout, random_state
+from helpers import full_layout, masked, random_state, zero_state
 
 
 def modes(slot, band):
@@ -138,29 +140,37 @@ class TestTransforms:
 
 
 class TestProjections:
+    """A box truncation is a product with ``band_mask``."""
+
     def test_full_band_projection_is_identity(self):
         grid = sw.make_grid(1, 8, 1.5)
         state = random_state(grid)
-        out = sw.project_low(state, grid.n_high)
+        out = masked(state, band_mask(1, state.band, state.band))
         np.testing.assert_array_equal(out.u_hat, state.u_hat)
         np.testing.assert_array_equal(out.v_hat, state.v_hat)
+        # but the unpaired Nyquist slot never survives a mask
+        u = state.u_hat.copy()
+        u[state.band] = 1.0
+        out = masked(sw.SpectralState(u, state.v_hat), band_mask(1, state.band, state.band))
+        assert out.u_hat[state.band] == 0
+        np.testing.assert_array_equal(out.u_hat[:-1], u[:-1])
 
     def test_idempotent(self):
         grid = sw.make_grid(1, 16, 1.0)
-        state = random_state(grid)
-        once = sw.project_low(state, 5)
-        twice = sw.project_low(once, 5)
+        mask = band_mask(1, grid.n_high, 5)
+        once = masked(random_state(grid), mask)
+        twice = masked(once, mask)
         np.testing.assert_array_equal(once.u_hat, twice.u_hat)
 
     def test_mode_survival(self):
         grid = sw.make_grid(1, 16, 1.0)
-        state = sw.zero_state(grid.dim, grid.n_high)
+        state = zero_state(grid.dim, grid.n_high)
         assert state.u_hat.shape == (17,)
         u = state.u_hat.copy()
         for k in (0, 3, 9):
             u[k] = 1.0
         state = sw.SpectralState(u, state.v_hat)
-        kept = sw.project_low(state, 4)
+        kept = masked(state, band_mask(1, 16, 4))
         # oracle: direct mask enumeration over every mode
         for k in range(17):
             expect = 1.0 if k in (0, 3) else 0.0
@@ -171,7 +181,7 @@ class TestProjections:
         for k in (0, 3, 9):
             u[k] = 1.0
         state = sw.SpectralState(u, np.zeros_like(u))
-        band = sw.project_band(state, 3, 9)
+        band = masked(state, band_mask(1, 16, 9) & ~band_mask(1, 16, 3))
         for k in range(17):
             expect = 1.0 if k == 9 else 0.0
             assert band.u_hat[k] == expect
@@ -179,37 +189,34 @@ class TestProjections:
     def test_partition_of_unity(self):
         grid = sw.make_grid(1, 8, 2.0)
         state = random_state(grid)
-        low = sw.project_low(state, 3)
-        mid = sw.project_band(state, 3, 20)
-        high = sw.project_band(state, 20, grid.n_high)
-        total = low.u_hat + mid.u_hat + high.u_hat
+        cut = functools.partial(band_mask, 1, grid.n_high)
+        total = sum(state.u_hat * mask for mask in
+                    (cut(3), cut(20) & ~cut(3), cut(grid.n_high) & ~cut(20)))
         np.testing.assert_array_equal(total, state.u_hat)
 
     def test_band_of_everything_drops_dc(self):
         grid = sw.make_grid(1, 8, 1.0)
         state = random_state(grid)
-        out = sw.project_band(state, 0, grid.n_high)
+        out = masked(state, band_mask(1, 8, 8) & ~band_mask(1, 8, 0))
         expect = state.u_hat.copy()
         expect[0] = 0
         np.testing.assert_array_equal(out.u_hat, expect)
 
-    def test_band_requires_ordered_cuts(self):
-        grid = sw.make_grid(1, 8, 1.0)
-        state = random_state(grid)
-        with pytest.raises(ValueError):
-            sw.project_band(state, 5, 5)
-        with pytest.raises(ValueError):
-            sw.project_low(state, grid.n_high + 1)
+    def test_cut_outside_the_band_rejected(self):
+        for dim, cut in itertools.product((1, 2), (-1, 9)):
+            with pytest.raises(ValueError, match=rf"cut {cut} outside \[0, 8\]"):
+                band_mask(dim, 8, cut)
 
     def test_projection_composition(self):
         grid = sw.make_grid(2, 8, 1.0)
         state = random_state(grid, seed=11)
-        a = sw.project_low(sw.project_low(state, 6), 3)
-        b = sw.project_low(state, 3)
+        cut = functools.partial(band_mask, 2, grid.n_high)
+        a = masked(masked(state, cut(6)), cut(3))
+        b = masked(state, cut(3))
         np.testing.assert_array_equal(a.u_hat, b.u_hat)
-        c = sw.project_band(state, 2, 6)
-        d = sw.project_low(state, 2)
-        np.testing.assert_array_equal(c.u_hat + d.u_hat, sw.project_low(state, 6).u_hat)
+        c = masked(state, cut(6) & ~cut(2))
+        d = masked(state, cut(2))
+        np.testing.assert_array_equal(c.u_hat + d.u_hat, masked(state, cut(6)).u_hat)
 
 
 class TestSobolevNorm:
@@ -242,9 +249,15 @@ class TestSobolevNorm:
             assert sw.sobolev_norm(state, 0.5) == pytest.approx(math.sqrt(acc), rel=1e-12)
 
     @pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
-    def test_diff_norm_matches_full_layout(self, dim):
-        # states at bands 5 and 8: the oracle pads the narrow one's full
-        # spectrum to the wide box by frequency and sums over every mode
+    def test_padded_difference_matches_full_layout(self, dim):
+        # states at bands 5 and 8, compared as the norm of their difference
+        # once both are stored at band 8: the oracle pads the narrow one's
+        # full spectrum to the wide box by frequency and sums over every
+        # mode, so a half-spectrum slot above k_last = 0 must count twice
+        def distance(x, y):
+            x, y = sw.with_band(x, 8), sw.with_band(y, 8)
+            return sw.sobolev_norm(sw.SpectralState(x.u_hat - y.u_hat, x.v_hat - y.v_hat), 0.5)
+
         rng = np.random.default_rng(50 + dim)
         a, b = (sw.state_from_fields(rng.standard_normal((2 * n,) * dim),
                                      rng.standard_normal((2 * n,) * dim)) for n in (5, 8))
@@ -256,14 +269,14 @@ class TestSobolevNorm:
             diff = -full_layout(hb)
             diff[keep] += full_layout(ha)[keep]
             acc += np.sum(np.abs(diff) ** 2 * (1 + lam2) ** (0.5 + gamma_shift))
-        assert sw.diff_norm(a, b, 0.5) == pytest.approx(math.sqrt(acc), rel=1e-12)
-        assert sw.diff_norm(b, a, 0.5) == pytest.approx(math.sqrt(acc), rel=1e-12)
+        assert distance(a, b) == pytest.approx(math.sqrt(acc), rel=1e-12)
+        assert distance(b, a) == pytest.approx(math.sqrt(acc), rel=1e-12)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0])
     def test_bernstein_multiplier_bound(self, gamma):
         grid = sw.make_grid(2, 16, 1.0)
         m = 5
-        state = sw.project_low(random_state(grid, seed=int(gamma * 10) + 1), m)
+        state = masked(random_state(grid, seed=int(gamma * 10) + 1), band_mask(2, grid.n_high, m))
         bound = (1 + 4 * np.pi**2 * grid.dim * m**2) ** (gamma / 2)
         assert sw.sobolev_norm(state, gamma) <= bound * sw.sobolev_norm(state, 0.0) * (1 + 1e-12)
 
@@ -277,7 +290,7 @@ class TestPseudospectral:
         grid = sw.make_grid(1, 16, 1.0)
         state = random_state(grid)
         out = self.apply(lambda u: u, state, 7)
-        np.testing.assert_allclose(out, sw.project_low(state, 7).u_hat, atol=1e-13)
+        np.testing.assert_allclose(out, state.u_hat * band_mask(1, state.band, 7), atol=1e-13)
 
     def test_constant_maps_to_dc(self):
         grid = sw.make_grid(1, 8, 1.0)
@@ -411,7 +424,7 @@ class TestBandChanges:
     def test_hermitian_preserved_through_pipeline(self):
         grid = sw.make_grid(1, 16, 1.5)
         state = random_state(grid)
-        out = sw.project_band(sw.project_low(state, 20), 2, 14)
+        out = masked(state, band_mask(1, state.band, 14) & ~band_mask(1, state.band, 2))
         out = sw.with_band(out, 16)
         assert out.u_hat.any()
         # the one constraint, the real k = 0 coefficient, is kept bit for bit
@@ -452,7 +465,7 @@ class TestSnapshotFormat:
 
 
 def test_nyquist_slot_stays_empty():
-    """Band changes and projections keep the unpaired slot at zero."""
+    """Band changes keep the unpaired slot at zero."""
     grid = sw.make_grid(1, 8, 1.0)
     state = random_state(grid)
     assert state.u_hat[8] == 0
