@@ -40,6 +40,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import fftfreq, irfftn, rfftn
 
 # the dimensions a grid or a state may have
 DIMS = (1, 2)
@@ -113,7 +114,7 @@ def half_shape(dim: int, band: int) -> tuple[int, ...]:
 @functools.cache
 def mode_indices(band: int) -> np.ndarray:
     """Integer frequencies [0, 1, ..., band-1, -band, ..., -1]."""
-    k = np.rint(np.fft.fftfreq(2 * band) * 2 * band).astype(np.int64)
+    k = np.rint(fftfreq(2 * band) * 2 * band).astype(np.int64)
     k.setflags(write=False)
     return k
 
@@ -174,7 +175,7 @@ def forward(samples: np.ndarray, dim: int | None = None) -> np.ndarray:
     n = shape[0]
     if any(s != n for s in shape) or n % 2:
         raise ValueError(f"samples must be a square even-sized array, got {samples.shape}")
-    return np.fft.rfftn(samples, axes=axes, norm="forward")
+    return rfftn(samples, axes=axes, norm="forward")
 
 
 def inverse(half: np.ndarray, dim: int | None = None) -> np.ndarray:
@@ -185,7 +186,7 @@ def inverse(half: np.ndarray, dim: int | None = None) -> np.ndarray:
     n = 2 * (half.shape[-1] - 1)
     if n < 2 or any(half.shape[a] != n for a in axes[:-1]):
         raise ValueError(f"not a half spectrum of an even square grid: {half.shape}")
-    return np.fft.irfftn(half, s=(n,) * len(axes), axes=axes, norm="forward")
+    return irfftn(half, s=(n,) * len(axes), axes=axes, norm="forward")
 
 
 def check_hermitian(state: SpectralState) -> None:

@@ -1,10 +1,20 @@
 """Brownian lattice generation and exact coarsening."""
 
+import math
+
 import numpy as np
 import pytest
 
 import stochwave as sw
-from stochwave.noise import standard_normals, standard_uniforms, step_count
+from stochwave.noise import (
+    _ndtri,
+    standard_normals,
+    standard_uniforms,
+    step_count,
+    uniforms_from_words,
+)
+
+EXPM2 = 0.13533528323661269189  # exp(-2), where Cephes ndtri leaves its middle
 
 
 def grouped_sums_oracle(values, r):
@@ -44,6 +54,17 @@ class TestGeneration:
         assert u.min() > 0.0
         assert u.max() < 1.0
 
+    def test_top_words_stay_below_one(self):
+        # (2^53 - 1) + 0.5 rounds up to 2^53, so the 2^11 words with the
+        # top 53 bits set would give u = 1.0 and a normal of +inf
+        words = np.array([2**64 - 1, 2**64 - 2**11, 2**64 - 2**11 - 1, 0], dtype=np.uint64)
+        u = uniforms_from_words(words)
+        below_one = np.nextafter(1.0, 0.0)
+        assert u[0] == below_one and u[1] == below_one
+        assert u[2] == 1.0 - 2.0**-52  # the next word down keeps its value
+        assert u[3] == 2.0**-54
+        assert np.isfinite(_ndtri(u)).all()
+
     def test_rejects_non_integer_step_count(self):
         with pytest.raises(ValueError):
             sw.sample_path(0, 0, 1.0, 0.3)
@@ -67,6 +88,54 @@ class TestGeneration:
         assert lat.n_base == 256
         assert lat.t_final == 0.25
         assert lat.seed == 9 and lat.sample_index == 3
+
+
+def ulp_grid(x, k=4):
+    """The floats within k ulps of positive x."""
+    return (np.array([x]).view(np.int64) + np.arange(-k, k + 1)).view(np.float64)
+
+
+class TestInverseCDF:
+    # standard_normals(0, 0, 7)[i] and ndtri at the stream's extremes and
+    # at 1e-300, recorded from scipy.special.ndtri (scipy 1.17.1)
+    PINNED_STREAM = {
+        0: "-0x1.22cd198aad6edp+1",  # lower tail
+        1: "-0x1.67147405be6f2p-1",  # middle, below 1/2
+        3: "0x1.4c209a0cbd7d0p-3",  # middle, above 1/2
+        6: "0x1.9cbb4059f9468p+0",  # upper tail, mirrored
+    }
+    PINNED_INPUTS = {  # all three past x = 8, on the far-tail approximation
+        2.0**-54: "-0x1.095b059d67c4dp+3",
+        1e-300: "-0x1.286074064c26ep+5",
+        1.0 - 2.0**-53: "0x1.06b48528cea52p+3",
+    }
+
+    def test_pinned_stream_values(self):
+        z = standard_normals(0, 0, 7)
+        for i, want in self.PINNED_STREAM.items():
+            assert z[i].hex() == want, i
+
+    def test_pinned_branch_values(self):
+        u = np.array(list(self.PINNED_INPUTS))
+        got = [v.hex() for v in _ndtri(u.copy())]
+        assert got == list(self.PINNED_INPUTS.values())
+
+    def test_bit_equal_to_scipy_on_the_stream(self):
+        special = pytest.importorskip("scipy.special")
+        for seed in range(4):
+            for index in range(20):
+                u = standard_uniforms(seed, index, 2**16)
+                want = special.ndtri(u)
+                np.testing.assert_array_equal(_ndtri(u).view(np.int64),
+                                              want.view(np.int64), err_msg=f"{seed}/{index}")
+
+    def test_bit_equal_to_scipy_at_the_branch_edges(self):
+        special = pytest.importorskip("scipy.special")
+        edges = [EXPM2, 0.5, 1.0 - EXPM2, math.exp(-32), 1.0 - math.exp(-32)]
+        u = np.concatenate([ulp_grid(e) for e in edges]
+                           + [[1e-300, 2.0**-54, 2.0**-53, 1.0 - 2.0**-52, 1.0 - 2.0**-53]])
+        want = special.ndtri(u)
+        np.testing.assert_array_equal(_ndtri(u.copy()).view(np.int64), want.view(np.int64))
 
 
 class TestStepCount:
