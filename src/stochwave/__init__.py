@@ -49,7 +49,6 @@ from .experiments import (
     ExperimentConfig,
     LevelRow,
     NumericalFailure,
-    compare_methods,
     emit_csv,
     estimate_order,
     run_convergence,

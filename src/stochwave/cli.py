@@ -1,24 +1,24 @@
 """Command line front end.
 
-Subcommands:
+One parser: a command and the options, which every command takes alike.
 
 * ``run``      - integrate one sample path, writing SWV1 snapshots and plot
                  data into the output directory.
 * ``converge`` - coupled-path convergence study; writes convergence.csv and
                  error-versus-tau plot data, prints fitted orders.
-* ``compare``  - same study for several methods, its rows carrying measured
-                 stepping times; also writes error-versus-time plot data.
+* ``compare``  - the same study for two or more methods, its rows carrying
+                 measured stepping times; also writes error-versus-time data.
 
 ``converge`` and ``compare`` share one command body.  Before any stepping it
 refuses an output path (``experiments.study_files``) that a directory
-holds, then runs ``run_convergence``, or ``compare_methods`` for
-``compare``, and writes the reports with ``emit_study``.
+holds, and ``compare`` fewer than two methods; then it runs
+``run_convergence``, timed for ``compare``, and ``emit_study``.
 
 Options may come from a flat key=value config file (--config) with '#'
 comments; command line flags override file values and are parsed by the
 same rules.  --levels gives the number of dyadic levels, halving from the
-coarsest step: --tau, else the coarsest configured level (default 2^-5);
-a config that lists n_cuts refuses levels other than the ones it lists.
+coarsest step: --tau, else the coarsest listed level, else 2^-5; a config
+that lists n_cuts refuses levels other than the ones it lists.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (any
 ``NumericalError``: a single run's non-finite step, or a study's
 ``NumericalFailure``), 4 output error (an output file that cannot be
@@ -35,7 +35,6 @@ from dataclasses import replace
 from .experiments import (
     ConfigError,
     ExperimentConfig,
-    compare_methods,
     config_from_mapping,
     emit_study,
     parse_config_file,
@@ -76,17 +75,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="stochwave",
         description="Pseudospectral solvers and strong-convergence studies "
                     "for the periodic stochastic nonlinear wave equation.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, desc in (("run", "integrate one sample path with snapshots"),
-                       ("converge", "coupled-path convergence study"),
-                       ("compare", "multi-method study with timings")):
-        p = sub.add_parser(name, help=desc)
-        p.add_argument("--config", metavar="PATH", help="flat key=value config file")
-        for flag, (key, text) in _FLAGS.items():
-            p.add_argument(flag, dest=key, help=text)
-        p.add_argument("--levels", type=int, metavar="K",
-                       help="number of dyadic levels halving from --tau, else "
-                            "from the coarsest configured level")
+    parser.add_argument("command", choices=("run", "converge", "compare"),
+                        help="one path with snapshots, a study, or a timed study")
+    parser.add_argument("--config", metavar="PATH", help="flat key=value config file")
+    for flag, (key, text) in _FLAGS.items():
+        parser.add_argument(flag, dest=key, help=text)
+    parser.add_argument("--levels", type=int, metavar="K",
+                        help="number of dyadic levels halving from --tau, else from "
+                             "the coarsest listed level, else from 2^-5")
     return parser
 
 
@@ -97,17 +93,18 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
         if getattr(args, key) is not None:
             mapping[key] = getattr(args, key)
     config = config_from_mapping(mapping)
+    listed = config.levels or ()
     if config.tau is not None and (args.command != "run" or args.levels is not None):
         coarse = config.tau
     elif args.levels is not None:
-        coarse = max(config.levels, default=2**-5)
+        coarse = max(listed, default=2**-5)
     else:
         return config
     levels = tuple(coarse * 2.0**-i for i in range(5 if args.levels is None else args.levels))
-    if sorted(levels) == sorted(config.levels):
+    if sorted(levels) == sorted(listed):
         return config
     if config.n_cuts is not None:
-        raise ConfigError(f"n_cuts pair with the listed levels {config.levels} only, "
+        raise ConfigError(f"n_cuts pair with the listed levels {listed} only, "
                           f"not with the levels {levels}")
     return replace(config, levels=levels)
 
@@ -124,13 +121,15 @@ def _cmd_run(config: ExperimentConfig) -> int:
 
 def _cmd_study(config: ExperimentConfig, timed: bool) -> int:
     """``converge``, or ``compare`` if ``timed``: refuse an output path that a
-    directory holds before any stepping, then the reports, their files and a
-    summary."""
+    directory holds, and for ``compare`` fewer than two methods, before any
+    stepping; then the reports, their files and a summary."""
     config = resolve_config(config)
+    if timed and len(config.methods) < 2:
+        raise ConfigError("compare needs at least two methods")
     for path in study_files(config.out_dir, dict.fromkeys(config.methods, timed)).values():
         if os.path.isdir(path):
             raise IsADirectoryError(f"{path} is a directory, not a writable file")
-    reports = compare_methods(config) if timed else run_convergence(config)
+    reports = run_convergence(config, timed)
     csv_path = emit_study(reports, config.out_dir)
     for m, rep in reports.items():
         order = "n/a" if rep.fitted_order is None else f"{rep.fitted_order:.3f}"

@@ -56,12 +56,12 @@ study with more than 1% exclusions aborts with ``NumericalFailure``, an
 Reports are deterministic: samples are keyed by (seed, sample_index), every
 row of a block is bit-identical to a block of one, the reduction runs in
 ascending sample order whatever the worker count or chunk size, and the
-convergence CSV carries no timing (its wall_seconds column is 0).  Only the
-compare workflow measures times, on the one clock that ``_chunk_errors``
-reads around each ``run_block`` call (the loop, the Hermitian check of the
-start and the key's first table build), and each lives in one place, its
-row's wall_seconds: ``emit_study`` writes it to the CSV and, for a report
-whose rows carry times, to error-versus-time plot data.
+convergence CSV carries no timing (its wall_seconds column is 0).  Only a
+timed study (``collect_timing``) measures times, on the one clock that
+``_chunk_errors`` reads around each ``run_block`` call (the loop, the
+Hermitian check of the start and the key's first table build), and each
+lives in one place, its row's wall_seconds: ``emit_study`` writes it to the
+CSV and, for a report whose rows carry times, to error-versus-time data.
 """
 
 from __future__ import annotations
@@ -89,6 +89,7 @@ from .integrators import (
 )
 from .noise import PEAK_BYTES_PER_CELL, coarsen, sample_path, step_count
 from .problems import (
+    _DATA_STREAMS,
     PRESETS,
     ProblemSpec,
     build_initial,
@@ -127,6 +128,11 @@ class NumericalFailure(NumericalError):
 # configuration
 
 
+# a study's levels where a config lists none, by dimension; the 2D ones
+# keep the initial state's full band at 512 with alpha = 1.5
+DEFAULT_LEVELS = {1: (2**-5, 2**-6, 2**-7, 2**-8, 2**-9), 2: (2**-4, 2**-5, 2**-6)}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     dim: int | None = None
@@ -134,7 +140,7 @@ class ExperimentConfig:
     problem: ProblemSpec | None = None
     gamma: float = 0.5
     methods: tuple[str, ...] = ("hr_lri",)
-    levels: tuple[float, ...] = (2**-5, 2**-6, 2**-7, 2**-8, 2**-9)
+    levels: tuple[float, ...] | None = None
     n_cuts: tuple[int, ...] | None = None
     alpha: float | None = None
     t_final: float = 0.25
@@ -190,14 +196,17 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     """Fill derived defaults and validate cross-field consistency.
 
     Everything the runtime would reject fails here, with ConfigError.  The
-    levels come out coarsest first, each with its n_cut, and every derived
-    value is set: ``dim`` (the given one, else the preset's, else the
-    lowest that the problem's initial data fits: a plateau's own, an
-    explicit state's rank, 1 for random data), alpha, tau_ref, n_cuts,
+    levels (the given ones, else ``DEFAULT_LEVELS[dim]``) come out coarsest
+    first, each with its n_cut, and every derived value is set: ``dim``
+    (the given one, else the preset's, else the lowest that the problem's
+    initial data fits: a plateau's own, an explicit state's rank, 1 for
+    random data), alpha, tau_ref, n_cuts,
     ``problem`` (the explicit one, else the preset's;
     ``problems.check_initial`` must accept its data at dim), ``tau`` (a
     single run's step: the given one, else the finest level) and
-    ``snapshot_stride`` (0 means max(n_steps // 8, 1) at tau).
+    ``snapshot_stride`` (0 means max(n_steps // 8, 1) at tau).  A
+    sample_index below the streams that preset initial data draws from
+    (``problems._DATA_STREAMS``) keeps every path apart from that data.
     Resolving a resolved config returns it unchanged.
     """
     if config.dim is not None and config.dim not in DIMS:
@@ -210,6 +219,9 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"t_final must be positive, got {config.t_final}")
     if not (0 <= config.seed < 2**64 and 0 <= config.sample_index < 2**64):
         raise ConfigError("seed and sample_index must lie in [0, 2^64)")
+    if config.sample_index >= _DATA_STREAMS[-1]:
+        raise ConfigError(f"sample_index {config.sample_index} is one of the streams "
+                          f"{_DATA_STREAMS[-1]}..{_DATA_STREAMS[0]} reserved for initial data")
     problem = config.problem
     if problem is None:
         if config.preset is None:
@@ -226,12 +238,12 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
         check_initial(problem.initial, dim)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if config.n_cuts is not None and len(config.n_cuts) != len(config.levels):
+    levels = DEFAULT_LEVELS[dim] if config.levels is None else config.levels
+    if config.n_cuts is not None and len(config.n_cuts) != len(levels):
         raise ConfigError("n_cuts must match levels one to one")
     # coarsest first, each level keeping its own n_cut
-    order = sorted(range(len(config.levels)), key=lambda i: float(config.levels[i]),
-                   reverse=True)
-    levels = tuple(float(config.levels[i]) for i in order)
+    order = sorted(range(len(levels)), key=lambda i: float(levels[i]), reverse=True)
+    levels = tuple(float(levels[i]) for i in order)
     if not levels:
         raise ConfigError("at least one level is required")
     for a, b in zip(levels, levels[1:]):
@@ -334,14 +346,12 @@ def estimate_order(rows) -> float | None:
     """Ordinary least-squares slope of log(rms) against log(tau) over
     (tau, rms) pairs.
 
-    Returns None when every error vanishes (nothing to fit); raises on fewer
-    than three usable rows.
+    Returns None (no fit) for fewer than three usable rows, those with a
+    positive error.
     """
     pts = [(math.log(tau), math.log(err)) for tau, err in rows if err > 0.0]
-    if not pts:
-        return None
     if len(pts) < 3:
-        raise ValueError(f"need at least 3 usable rows, got {len(pts)}")
+        return None
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
     xs_c = xs - xs.mean()
@@ -368,10 +378,7 @@ def _aggregate(method: str, levels, n_cuts, err_sq: np.ndarray,
         rows.append(LevelRow(tau=tau, n_cut=n_cut, n_samples=good.shape[0],
                              rms_error=rms, stderr=stderr, excluded=excluded,
                              wall_seconds=float(wall[i]) if wall is not None else 0.0))
-    try:
-        order = estimate_order([(row.tau, row.rms_error) for row in rows])
-    except ValueError:
-        order = None
+    order = estimate_order([(row.tau, row.rms_error) for row in rows])
     return ConvergenceReport(method=method, rows=tuple(rows), fitted_order=order)
 
 
@@ -599,22 +606,12 @@ def _study_reports(study: _Study, rows: int,
 
 def run_convergence(config: ExperimentConfig,
                     collect_timing: bool = False) -> dict[str, ConvergenceReport]:
-    """One coupled-path convergence study; a report per method."""
+    """One coupled-path convergence study; a report per method.  With
+    ``collect_timing`` each row holds its ``run_block`` seconds, summed over
+    chunks, which methods that share a ``stepping_key`` share."""
     config = resolve_config(config)
     study = _prepare(config)
     return _study_reports(study, _chunk_rows(study), collect_timing)
-
-
-def compare_methods(config: ExperimentConfig) -> dict[str, ConvergenceReport]:
-    """Convergence reports whose rows carry measured times.
-
-    A row's wall_seconds is the time of the method's ``run_block`` calls at
-    that level, summed over chunks.  Methods that share a trajectory (see
-    ``integrators.stepping_key``) report the same times.
-    """
-    if len(config.methods) < 2:
-        raise ConfigError("compare needs at least two methods")
-    return run_convergence(config, True)
 
 
 # ---------------------------------------------------------------------------
@@ -629,8 +626,12 @@ def run_single(config: ExperimentConfig) -> dict:
     snapshot is u on its middle line along the last axis (the whole field
     in 1D, the row through the middle of the box in 2D) against x = i /
     points, both at 17 significant digits.  The x column is the same for
-    every snapshot, so it is formatted once per run.
+    every snapshot, so it is formatted once per run.  A given tau is the
+    run's only step, so the study's levels and tau_ref do not apply to it.
     """
+    if config.tau is not None:
+        _check_dyadic("tau", config.tau, config.t_final)  # a bad tau is named tau, not tau_ref
+        config = replace(config, levels=(config.tau,), n_cuts=None, tau_ref=config.tau)
     config = resolve_config(config)
     if len(config.methods) != 1:
         raise ConfigError(f"a single run takes one method, got {config.methods}")

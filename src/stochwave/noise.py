@@ -201,14 +201,12 @@ def coarsen(lattice: WienerLattice, step_dt: float) -> np.ndarray:
 
     The accumulation loops over the offset within a group, so every group
     total is built strictly left to right; the result is bit-identical to a
-    scalar running sum over each group.
+    scalar running sum over each group, and at step_dt = base_dt a copy.
     """
     n_coarse = step_count(lattice.t_final, step_dt)
     if n_coarse < 1 or lattice.n_base % n_coarse:
         raise ValueError(f"step {step_dt} does not tile {lattice.n_base} base cells")
     r = lattice.n_base // n_coarse
-    if r == 1:
-        return lattice.increments.copy()
     acc = np.zeros(n_coarse, dtype=np.float64)
     for j in range(r):
         acc += lattice.increments[j::r]

@@ -1,0 +1,63 @@
+"""The benchmark's child process against this package.
+
+``perfbench/child.py`` is the one process that times stochwave for the
+benchmark: it imports the package, resolves generated key=value configs,
+calls ``run_convergence`` or ``run_single`` and, when tracing, wraps the
+package's public functions by name.  Here it runs unchanged, in a process
+of its own, on tiny configs, so that a change which breaks what it calls
+fails the tests and not only the benchmark.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import stochwave as sw
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# span names the tracer expects but finds no longer measurable: layers that
+# refactors removed (spectral.diff_norm, spectral.project_band and the two
+# kernels) and integrators.run, whose result no longer carries steps and a
+# wall time
+STALE = {"spectral.diff_norm", "spectral.project_band", "kernels.weighted_norm_sq",
+         "kernels.propagate", "integrators.run"}
+
+CONFIGS = {
+    "study": [{"dim": "1", "preset": "2", "gamma": "0.5", "methods": "hr_lri,stm",
+               "levels": "0.125,0.0625,0.03125", "n_samples": "2", "n_workers": "1"}],
+    "single": [{"dim": "1", "preset": "1", "methods": "hr_lri", "tau": "0.0625",
+                "sample_index": "0"}],
+}
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["plain", "traced"])
+@pytest.mark.parametrize("kind", sorted(CONFIGS))
+def test_child_runs_the_package(tmp_path, kind, trace):
+    configs = []
+    for i, mapping in enumerate(CONFIGS[kind]):
+        path = tmp_path / f"{i}.cfg"
+        mapping = dict(mapping, seed="0", out_dir=str(tmp_path / f"out{i}"))
+        path.write_text("".join(f"{k}={v}\n" for k, v in mapping.items()), encoding="utf-8")
+        configs.append(str(path))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sw.__file__)))
+    spec = {"kind": kind, "src": src, "configs": configs, "n_workers": 1, "trace": trace,
+            "result": str(tmp_path / "result.json"), "spans": str(tmp_path / "spans.tsv")}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "child.py"), str(spec_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads((tmp_path / "result.json").read_text(encoding="utf-8"))
+    assert result["problems"] == []
+    assert result["attempted"] > 0 and result["failed"] == 0
+    assert result["digest"] and result["rows"]
+    if trace:
+        assert set(result["absent"]) <= STALE, result["absent"]
+        assert result["layers"]

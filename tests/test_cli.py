@@ -122,14 +122,27 @@ def test_a_2d_preset_needs_no_dim_flag(tmp_path, argv):
     assert (tmp_path / "out").exists()
 
 
-def test_a_2d_preset_resolves_in_2d_at_its_default_levels():
-    # at its default levels the preset-4 study builds its initial state at
-    # band 11585 (32 GiB), so only its resolution is checked here
+def test_a_2d_preset_resolves_in_2d_at_its_default_levels(tmp_path):
     for argv in (["converge", "--preset", "4", "--samples", "2"],
                  ["run", "--preset", "3", "--tau", "0.0625"]):
         config = cli._merge_config(cli._build_parser().parse_args(argv))
         assert config.dim is None
         assert experiments.resolve_config(config).dim == 2
+    # a bare 2D study runs at the 2D default levels, whose initial state's
+    # full band is 512 (the 1D levels would need band 11585, 32 GiB)
+    assert main(["converge", "--preset", "4", "--samples", "2", "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "convergence.csv")
+    assert [float(r["tau"]) for r in rows] == list(experiments.DEFAULT_LEVELS[2])
+
+
+@pytest.mark.parametrize("tau,t_final", [("0.1", "0.8"), ("0.0375", "0.3")])
+def test_run_at_a_horizon_the_study_levels_do_not_tile(tmp_path, capsys, tau, t_final):
+    # a single run draws its lattice at tau alone, so the study's default
+    # levels 2^-5..2^-9, which do not tile t_final, do not concern it
+    rc = main(["run", "--preset", "1", "--tau", tau, "--tfinal", t_final, "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    assert "steps=8" in out
 
 
 # argument combinations the runtime would reject; each must fail at config
@@ -147,6 +160,8 @@ BAD_ARGUMENTS = [
     ["converge", "--preset", "2", "--gamma", "0"],
     ["converge", "--preset", "2", "--seed", "-1"],
     ["run", "--preset", "1", "--tau", "0.0625", "--sample", "-1"],
+    # a path on a stream that preset initial data draws from
+    ["run", "--preset", "2", "--sample", "18446744073709551615"],
     ["converge", "--preset", "2", "--tfinal", "-0.25"],
     ["converge", "--config", "{tmp}/preset7.cfg"],
     ["converge", "--config", "{tmp}/tau_ref0.cfg"],
@@ -204,6 +219,7 @@ BAD_ARGUMENT_MESSAGES = {
     ("converge", "--dim", "2", "--preset", "1", "--tau", "0.125", "--levels", "3"):
         "preset 1 is 1-dimensional, config says 2",
     ("converge", "--dim", "3"): "dim must be one of (1, 2), got 3",
+    ("run", "--preset", "2", "--sample", "18446744073709551615"): "reserved for initial data",
     ("converge", "--dim", "0"): "dim must be one of (1, 2), got 0",
     ("converge", "--config", "{tmp}/n_cuts_levels.cfg", "--tau", "0.125", "--levels", "3"):
         "n_cuts pair with the listed levels",

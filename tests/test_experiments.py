@@ -10,6 +10,7 @@ import pytest
 
 import stochwave as sw
 import stochwave.experiments as exp
+from stochwave import cli
 from stochwave.experiments import (
     config_from_mapping,
     default_n_cut,
@@ -18,7 +19,7 @@ from stochwave.experiments import (
     resolve_config,
 )
 from stochwave.integrators import stepping_key
-from stochwave.problems import PRESETS
+from stochwave.problems import _DATA_STREAMS, PRESETS
 from stochwave.semigroup import propagator_tables
 from stochwave.spectral import shell_index
 
@@ -76,8 +77,9 @@ class TestEstimateOrder:
         assert 0.93 <= sw.estimate_order(rows) <= 1.07
 
     def test_too_few_rows(self):
-        with pytest.raises(ValueError):
-            sw.estimate_order([(0.1, 1.0), (0.05, 0.5)])
+        # fewer than three usable rows is no fit, like all-zero errors
+        assert sw.estimate_order([(0.1, 1.0), (0.05, 0.5)]) is None
+        assert sw.estimate_order([(0.1, 1.0), (0.05, 0.5), (0.025, 0.0)]) is None
 
     def test_all_zero_is_not_applicable(self):
         assert sw.estimate_order([(0.1, 0.0), (0.05, 0.0), (0.025, 0.0)]) is None
@@ -567,7 +569,7 @@ class TestBlockStudy:
                                   methods=("hr_lri", "sem", "stm"),
                                   levels=(2**-3, 2**-4, 2**-5), tau_ref=2**-5,
                                   n_samples=3, seed=2)
-        reports = sw.compare_methods(cfg)
+        reports = sw.run_convergence(cfg, collect_timing=True)
         assert blocks == [
             ("hr_lri", 2**-5), ("hr_lri", 2**-3), ("sem", 2**-3),
             ("hr_lri", 2**-4), ("sem", 2**-4), ("sem", 2**-5)]
@@ -839,9 +841,15 @@ class TestMemoryGuard:
 
 
 class TestCompare:
-    def test_needs_two_methods(self):
-        with pytest.raises(sw.ConfigError):
-            sw.compare_methods(linear_config(methods=("stm",)))
+    def test_needs_two_methods(self, monkeypatch, tmp_path):
+        # the command line's compare refuses one method before any stepping
+        def never(*args, **kwargs):
+            raise AssertionError("stepped before the method count was checked")
+
+        monkeypatch.setattr(exp, "run_block", never)
+        with pytest.raises(sw.ConfigError, match="compare needs at least two methods"):
+            cli._cmd_study(linear_config(methods=("stm",), out_dir=str(tmp_path)), timed=True)
+        assert not any(tmp_path.iterdir())
 
     def test_timing_positive_and_monotone(self, tmp_path):
         # levels a factor 4 apart in step count so the per-level work is
@@ -851,7 +859,7 @@ class TestCompare:
                                   levels=(2**-4, 2**-6, 2**-8),
                                   n_samples=8, seed=9,
                                   out_dir=str(tmp_path))
-        reports = sw.compare_methods(cfg)
+        reports = sw.run_convergence(cfg, collect_timing=True)
         for m in ("stm", "sem"):
             ts = [row.wall_seconds for row in reports[m].rows]
             assert all(t > 0 for t in ts)
@@ -869,7 +877,7 @@ class TestCompare:
         cfg = sw.ExperimentConfig(dim=1, preset=2, gamma=0.5,
                                   methods=("hr_lri", "stm"),
                                   levels=(2**-3, 2**-4, 2**-5), n_samples=4, seed=9)
-        reports = sw.compare_methods(cfg)
+        reports = sw.run_convergence(cfg, collect_timing=True)
         times = {m: [row.wall_seconds for row in rep.rows] for m, rep in reports.items()}
         assert times["hr_lri"] == times["stm"]
         assert all(t > 0 for t in times["stm"])
@@ -1031,6 +1039,16 @@ class TestConfigHandling:
             sw.emit_csv(list(sw.run_convergence(cfg).values()), path)
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_sample_index_stays_below_the_initial_data_streams(self):
+        # preset data draws its uniforms from the Philox streams 2^64 - 1
+        # down, and a path keyed by one of them would draw the same numbers
+        below = _DATA_STREAMS[-1] - 1
+        cfg = sw.ExperimentConfig(preset=2, tau=2**-3, sample_index=below)
+        assert resolve_config(cfg).sample_index == below
+        for index in _DATA_STREAMS:
+            with pytest.raises(sw.ConfigError, match="reserved for initial data"):
+                resolve_config(replace(cfg, sample_index=index))
 
     def test_resolver_rejects_bad_levels(self):
         with pytest.raises(sw.ConfigError):
