@@ -17,8 +17,10 @@ holds, and ``compare`` fewer than two methods; then it runs
 Options may come from a flat key=value config file (--config) with '#'
 comments; command line flags override file values and are parsed by the
 same rules.  --levels gives the number of dyadic levels, halving from the
-coarsest step: --tau, else the coarsest listed level, else 2^-5; a config
-that lists n_cuts refuses levels other than the ones it lists.
+coarsest step: --tau, else the coarsest listed level, else the coarsest
+default level of the config's dimension (``experiments.config_dim``): 2^-5
+in 1D, 2^-4 in 2D, where a bare study starts too; a config that lists
+n_cuts refuses levels other than the ones it lists.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (any
 ``NumericalError``: a single run's non-finite step, or a study's
 ``NumericalFailure``), 4 output error (an output file that cannot be
@@ -33,8 +35,10 @@ import sys
 from dataclasses import replace
 
 from .experiments import (
+    DEFAULT_LEVELS,
     ConfigError,
     ExperimentConfig,
+    config_dim,
     config_from_mapping,
     emit_study,
     parse_config_file,
@@ -82,7 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
         parser.add_argument(flag, dest=key, help=text)
     parser.add_argument("--levels", type=int, metavar="K",
                         help="number of dyadic levels halving from --tau, else from "
-                             "the coarsest listed level, else from 2^-5")
+                             "the coarsest listed level, else from the dimension's "
+                             "coarsest default level (2^-5 in 1D, 2^-4 in 2D)")
     return parser
 
 
@@ -97,7 +102,7 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
     if config.tau is not None and (args.command != "run" or args.levels is not None):
         coarse = config.tau
     elif args.levels is not None:
-        coarse = max(listed, default=2**-5)
+        coarse = max(listed) if listed else DEFAULT_LEVELS[config_dim(config)][0]
     else:
         return config
     levels = tuple(coarse * 2.0**-i for i in range(5 if args.levels is None else args.levels))

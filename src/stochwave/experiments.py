@@ -192,15 +192,36 @@ def _check_lattice(name: str, step: float, t_final: float) -> None:
                   f"t_final/{name} = 2^{n.bit_length() - 1} cells")
 
 
+def config_dim(config: ExperimentConfig) -> int:
+    """The dimension ``resolve_config`` gives ``config``: its ``dim``, else
+    its preset's, else the lowest that its problem's initial data fits
+    (``problems.initial_dims``).  ConfigError for a ``dim`` or a preset that
+    does not exist, and for a config with neither a preset nor a problem."""
+    if config.dim is not None and config.dim not in DIMS:
+        raise ConfigError(f"dim must be one of {DIMS}, got {config.dim}")
+    if config.preset is not None and config.preset not in PRESETS:
+        raise ConfigError(f"unknown preset {config.preset}")
+    if config.dim is not None:
+        return config.dim
+    if config.preset is not None:
+        return PRESETS[config.preset][0]
+    if config.problem is None:
+        raise ConfigError("config needs either a preset or an explicit problem")
+    try:
+        return initial_dims(config.problem.initial)[0]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     """Fill derived defaults and validate cross-field consistency.
 
     Everything the runtime would reject fails here, with ConfigError.  The
     levels (the given ones, else ``DEFAULT_LEVELS[dim]``) come out coarsest
     first, each with its n_cut, and every derived value is set: ``dim``
-    (the given one, else the preset's, else the lowest that the problem's
-    initial data fits: a plateau's own, an explicit state's rank, 1 for
-    random data), alpha, tau_ref, n_cuts,
+    (``config_dim``: the given one, else the preset's, else the lowest that
+    the problem's initial data fits: a plateau's own, an explicit state's
+    rank, 1 for random data), alpha, tau_ref, n_cuts,
     ``problem`` (the explicit one, else the preset's;
     ``problems.check_initial`` must accept its data at dim), ``tau`` (a
     single run's step: the given one, else the finest level) and
@@ -209,10 +230,7 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     (``problems._DATA_STREAMS``) keeps every path apart from that data.
     Resolving a resolved config returns it unchanged.
     """
-    if config.dim is not None and config.dim not in DIMS:
-        raise ConfigError(f"dim must be one of {DIMS}, got {config.dim}")
-    if config.preset is not None and config.preset not in PRESETS:
-        raise ConfigError(f"unknown preset {config.preset}")
+    dim = config_dim(config)
     if not (math.isfinite(config.gamma) and config.gamma > 0):
         raise ConfigError(f"gamma must be finite and positive, got {config.gamma}")
     if not (math.isfinite(config.t_final) and config.t_final > 0):
@@ -224,17 +242,11 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
                           f"{_DATA_STREAMS[-1]}..{_DATA_STREAMS[0]} reserved for initial data")
     problem = config.problem
     if problem is None:
-        if config.preset is None:
-            raise ConfigError("config needs either a preset or an explicit problem")
         preset_dim, _, problem = preset_problem(config.preset, config.gamma, config.seed)
         if config.dim not in (None, preset_dim):
             raise ConfigError(f"preset {config.preset} is {preset_dim}-dimensional, "
                               f"config says {config.dim}")
-    dim = config.dim
     try:
-        if dim is None:
-            dim = (PRESETS[config.preset][0] if config.preset is not None
-                   else initial_dims(problem.initial)[0])
         check_initial(problem.initial, dim)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -561,15 +573,17 @@ def _chunk_errors(study: _Study, samples: range):
 
 
 # bytes one (rows, 2M, ..., 2M, M + 1) complex coefficient block of a chunk
-# may take, the size of the blocks a chunk scores; a step's working set is
-# about eight (rows, 2N, ..., 2N, N + 1) blocks
+# may take, the size of the blocks a chunk scores; run_block's peak is about
+# seven (rows, 2N, ..., 2N, N + 1) blocks with sigma alone and eight with f
+# too (tracemalloc, 1D at N = 512 and 16 rows)
 _BLOCK_BYTES = 2**25
 
 # bytes of such a block below which a chunk is not split further over the
-# workers.  Small 1D blocks hold the interpreter lock, and a 1D study at
-# M = 512 steps 4 rows at about 56% and 8 rows at about 84% of its rate at
-# 16 rows (one worker, 2-vCPU host), so a second worker on them costs more
-# than it gains.  The floor is 16 such rows; in 2D one row at M = 64 passes.
+# workers.  Small 1D blocks hold the interpreter lock: at M = 512, run_block
+# steps 4 rows at about 70% and 8 rows at about 90% of its rate at 16 rows,
+# and two workers on 8 rows each finish 16 rows in about 1.09 times one
+# worker's time, while on 16 rows each they take about 0.65 of it (2-vCPU
+# host).  The floor is 16 such rows; in 2D one row at M = 64 passes.
 _WORKER_FLOOR_BYTES = 2**17
 
 

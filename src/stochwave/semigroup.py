@@ -58,22 +58,36 @@ def resolvent_tables(dim: int, band: int, tau: float):
     return inv_det, r12, r21, inv_det
 
 
-def apply(state: SpectralState, tables, *dv: np.ndarray) -> SpectralState:
+def apply(state: SpectralState, tables, *dv: np.ndarray,
+          out: SpectralState | None = None) -> SpectralState:
     """Multiply every mode of (u, v + dv[0] + dv[1] + ...) by its 2x2 table.
 
-    The increments are added to v one at a time, left to right.  The
-    arrays may carry a leading block axis, over which the tables broadcast,
-    and may be half spectra (see ``spectral``) when the tables are too.
+    The increments are added to v one at a time, left to right, into w;
+    the new pair is (a11 u) + (a12 w) and (a21 u) + (a22 w).  The arrays
+    may carry a leading block axis, over which the tables broadcast, and
+    may be half spectra (see ``spectral``) when the tables are too.
+
+    With ``out``, a state whose two arrays have the new pair's shape, the
+    pair is written there and returned, and w is formed in dv[0], which is
+    overwritten; the pass then takes no other scratch.  Either way the
+    operands and the order of every sum are the same, so are the bits.
     """
     a11, a12, a21, a22 = tables
     u = state.u_hat
     w = state.v_hat
     if dv:
-        w = w + dv[0]
+        w = np.add(w, dv[0], out=None if out is None else dv[0])
         for d in dv[1:]:
             w += d
-    new_u = a11 * u
-    new_u += a12 * w
-    new_v = a21 * u
-    new_v += a22 * w
-    return SpectralState(new_u, new_v)
+    if out is None:
+        shape = np.broadcast_shapes(np.shape(a11), u.shape, w.shape)
+        dtype = np.result_type(a11, u, w)
+        out = SpectralState(np.empty(shape, dtype), np.empty(shape, dtype))
+    new_u, new_v = out.u_hat, out.v_hat
+    np.multiply(a22, w, out=new_u)
+    np.multiply(a21, u, out=new_v)
+    new_v += new_u
+    np.multiply(a11, u, out=new_u)
+    # w is this call's own array, or dv[0] under ``out``, unless nothing was added
+    new_u += np.multiply(a12, w, out=w if dv else None)
+    return out

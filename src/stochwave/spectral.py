@@ -40,7 +40,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.fft import fftfreq, irfftn, rfftn
+from numpy.fft import fft, fftfreq, ifft, irfft, rfft
 
 # the dimensions a grid or a state may have
 DIMS = (1, 2)
@@ -162,12 +162,17 @@ def _trailing_axes(arr: np.ndarray, dim: int | None) -> tuple[int, ...]:
     return tuple(range(arr.ndim - dim, arr.ndim))
 
 
-def forward(samples: np.ndarray, dim: int | None = None) -> np.ndarray:
+def forward(samples: np.ndarray, dim: int | None = None,
+            out: np.ndarray | None = None) -> np.ndarray:
     """Half spectrum of real samples, normalised so coefficient k = mean of
     samples * exp(-2i pi k x).
 
     Transforms the trailing ``dim`` axes, all of them by default; a leading
-    axis indexes the fields of a block, and each is transformed alone.
+    axis indexes the fields of a block, and each is transformed alone.  The
+    last axis goes through ``rfft``, then the others, last to first, through
+    ``fft`` in place: ``rfftn``'s order, so its bits.  With ``out``, a
+    complex array of the half spectrum's shape, the result is written there
+    and returned.
     """
     samples = np.asarray(samples)
     axes = _trailing_axes(samples, dim)
@@ -175,18 +180,32 @@ def forward(samples: np.ndarray, dim: int | None = None) -> np.ndarray:
     n = shape[0]
     if any(s != n for s in shape) or n % 2:
         raise ValueError(f"samples must be a square even-sized array, got {samples.shape}")
-    return rfftn(samples, axes=axes, norm="forward")
+    out = rfft(samples, axis=axes[-1], norm="forward", out=out)
+    for axis in reversed(axes[:-1]):
+        fft(out, axis=axis, norm="forward", out=out)
+    return out
 
 
-def inverse(half: np.ndarray, dim: int | None = None) -> np.ndarray:
+def inverse(half: np.ndarray, dim: int | None = None,
+            out: np.ndarray | None = None) -> np.ndarray:
     """Real samples of a half spectrum: the adjoint of :func:`forward` over
-    the same axes, on 2m points per axis for a last axis of m + 1 slots."""
+    the same axes, on 2m points per axis for a last axis of m + 1 slots.
+
+    The axes before the last go first to last through ``ifft`` (into one
+    fresh complex array, then in place), the last through ``irfft``:
+    ``irfftn``'s order, so its bits.  With ``out``, a real array of the
+    samples' shape, the samples are written there and returned; ``half`` is
+    never written.
+    """
     half = np.asarray(half)
     axes = _trailing_axes(half, dim)
     n = 2 * (half.shape[-1] - 1)
     if n < 2 or any(half.shape[a] != n for a in axes[:-1]):
         raise ValueError(f"not a half spectrum of an even square grid: {half.shape}")
-    return irfftn(half, s=(n,) * len(axes), axes=axes, norm="forward")
+    spec = half
+    for axis in axes[:-1]:
+        spec = ifft(spec, axis=axis, norm="forward", out=None if spec is half else spec)
+    return irfft(spec, n, axis=axes[-1], norm="forward", out=out)
 
 
 def check_hermitian(state: SpectralState) -> None:
@@ -269,14 +288,19 @@ def sobolev_norm(state: SpectralState, gamma: float) -> float:
 # nonlinearity application
 
 
-def pseudospectral_apply(scalar_fn, half: np.ndarray, cut: int,
-                         dim: int | None = None) -> np.ndarray:
+def pseudospectral_apply(scalar_fn, half: np.ndarray, cut: int, dim: int | None = None,
+                         out: np.ndarray | None = None,
+                         samples: np.ndarray | None = None) -> np.ndarray:
     """Evaluate a scalar function on the collocation grid, truncated to ``cut``.
 
     Realises trigonometric interpolation of scalar_fn(u) on half spectra:
     real inverse transform, pointwise map, real forward transform, sharp
     truncation, over the trailing ``dim`` axes (all of them by default); a
     leading axis indexes the fields of a block, each transformed alone.
+    ``scalar_fn`` takes the samples and returns its image as an array.
+    With ``out`` (complex, of ``half``'s shape) the truncated image is
+    written there and returned, and with ``samples`` (real, of the samples'
+    shape) the inverse transform is; neither is read.
     Finiteness is not checked: non-finite samples give a non-finite image
     of their own field.
     """
@@ -285,8 +309,9 @@ def pseudospectral_apply(scalar_fn, half: np.ndarray, cut: int,
     band = half.shape[-1] - 1
     if cut > band:
         raise ValueError(f"cut {cut} exceeds stored band {band}")
-    samples = np.asarray(scalar_fn(inverse(half, dim)), dtype=np.float64)
-    out = forward(samples, dim)
+    samples = inverse(half, dim, out=samples)
+    # the image lives only through the forward transform
+    out = forward(np.asarray(scalar_fn(samples), dtype=np.float64), dim, out=out)
     out *= band_mask(dim, band, cut)
     return out
 

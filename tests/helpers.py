@@ -6,7 +6,7 @@ import numpy as np
 
 import stochwave as sw
 from stochwave.semigroup import apply, group_tables
-from stochwave.spectral import half_shape
+from stochwave.spectral import band_mask, half_shape
 
 
 def zero_state(dim, band):
@@ -76,3 +76,34 @@ def linear_exact_discrepancy(method, grid, problem, path) -> float:
     ref = sw.recover_high(sw.build_initial(problem.initial, grid), method.n_steps * method.tau)
     return sw.sobolev_norm(sw.SpectralState(result.u_hat - ref.u_hat,
                                             result.v_hat - ref.v_hat), 0.0)
+
+
+def reference_step(u, v, tables, cut, tau, dw, f, sigma):
+    """Oracle: one step of ``step_block`` written with fresh arrays and
+    numpy's n-dimensional real transforms.  The mask product, each nonzero
+    term's image rfftn(term(irfftn(u_cut))) * mask, w = (v + tau z_f) +
+    dw z_s, the pass (a11 u + a12 w, a21 u + a22 w), and rows with a
+    non-finite new state zeroed.  Returns (u, v, bad)."""
+    a11, a12, a21, a22 = tables
+    dim = a11.ndim
+    band = u.shape[-1] - 1
+    axes = tuple(range(1, dim + 1))
+    mask = band_mask(dim, band, cut)
+    u_cut = u * mask if cut < band else u
+
+    def image(term):
+        samples = np.fft.irfftn(u_cut, s=(2 * band,) * dim, axes=axes, norm="forward")
+        return np.fft.rfftn(term(samples), axes=axes, norm="forward") * mask
+
+    w = v
+    if not f.is_zero:
+        w = w + tau * image(f)
+    if not sigma.is_zero:
+        w = w + dw.reshape((-1,) + (1,) * dim) * image(sigma)
+    new_u = a11 * u + a12 * w
+    new_v = a21 * u + a22 * w
+    bad = np.flatnonzero(~(np.isfinite(new_u).all(axis=axes)
+                           & np.isfinite(new_v).all(axis=axes))).tolist()
+    new_u[bad] = 0.0
+    new_v[bad] = 0.0
+    return new_u, new_v, bad

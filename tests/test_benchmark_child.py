@@ -27,6 +27,14 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 STALE = {"spectral.diff_norm", "spectral.project_band", "kernels.weighted_norm_sq",
          "kernels.propagate", "integrators.run"}
 
+# the step layers the traced study must pass through, and its exact counts:
+# 46 steps on the chunk (32 at tau_ref = 2^-7, then 2, 4 and 8 at the levels;
+# hr_lri and stm share them), each one inverse and one forward transform and
+# one 2x2 pass, plus the study's one exact flow
+STEP_LAYERS = ("spectral.inverse.s", "spectral.forward.s",
+               "spectral.pseudospectral_apply.self_s", "semigroup.apply.s")
+STUDY_COUNTS = {"spectral.fft.calls": 92, "semigroup.apply.calls": 47}
+
 CONFIGS = {
     "study": [{"dim": "1", "preset": "2", "gamma": "0.5", "methods": "hr_lri,stm",
                "levels": "0.125,0.0625,0.03125", "n_samples": "2", "n_workers": "1"}],
@@ -61,3 +69,7 @@ def test_child_runs_the_package(tmp_path, kind, trace):
     if trace:
         assert set(result["absent"]) <= STALE, result["absent"]
         assert result["layers"]
+        if kind == "study":
+            layers = result["layers"]
+            assert all(layers[name] > 0 for name in STEP_LAYERS), layers
+            assert {name: layers[name] for name in STUDY_COUNTS} == STUDY_COUNTS

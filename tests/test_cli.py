@@ -135,6 +135,19 @@ def test_a_2d_preset_resolves_in_2d_at_its_default_levels(tmp_path):
     assert [float(r["tau"]) for r in rows] == list(experiments.DEFAULT_LEVELS[2])
 
 
+@pytest.mark.parametrize("preset,dim", [("2", 1), ("4", 2)])
+def test_levels_halve_from_the_default_of_the_dimension(preset, dim):
+    # --levels K with neither --tau nor listed levels halves from the
+    # coarsest default level of the config's dimension, where a bare study
+    # of that dimension starts: the same levels for the same count
+    bare = ["converge", "--preset", preset, "--samples", "2"]
+    count = str(len(experiments.DEFAULT_LEVELS[dim]))
+    parse = cli._build_parser().parse_args
+    levels = [experiments.resolve_config(cli._merge_config(parse(argv))).levels
+              for argv in (bare, bare + ["--levels", count])]
+    assert levels[0] == levels[1] == experiments.DEFAULT_LEVELS[dim]
+
+
 @pytest.mark.parametrize("tau,t_final", [("0.1", "0.8"), ("0.0375", "0.3")])
 def test_run_at_a_horizon_the_study_levels_do_not_tile(tmp_path, capsys, tau, t_final):
     # a single run draws its lattice at tau alone, so the study's default

@@ -1,14 +1,15 @@
 """Time steppers, the run driver, and the zero-mode oracle of the tests."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import stochwave as sw
-from stochwave.integrators import SCHEMES
+from stochwave.integrators import SCHEMES, stepping_key
 from stochwave.semigroup import propagator_tables
-from stochwave.spectral import band_mask
+from stochwave.spectral import band_mask, half_shape
 
 from helpers import (
     exact_linear_zero_mode,
@@ -17,6 +18,7 @@ from helpers import (
     linear_exact_discrepancy,
     masked,
     random_state,
+    reference_step,
     zero_state,
 )
 
@@ -565,6 +567,78 @@ class TestRunBlock:
             sw.run_block(spec, state, zero, Recording(), dws)
             assert calls
             calls.clear()
+
+
+def bits(arr):
+    """The bytes of a complex array, so that equality also tells -0 from +0."""
+    return np.ascontiguousarray(arr).view(np.uint64)
+
+
+TERMS = {
+    "f_and_sigma": (sw.scaled_cosine(3.0), sw.scaled_sine(16.0)),
+    "sigma": (sw.zero_fn(), sw.scaled_sine(16.0)),
+    "linear": (sw.zero_fn(), sw.zero_fn()),
+}
+
+
+class TestRunBlockOracle:
+    # (dim, band, tau): lri's filter min(floor(1/tau), band) cuts at 8 in 1D
+    # and at 4 in 2D, half the band
+    GRIDS = [(1, 16, 2**-3), (2, 8, 2**-2)]
+
+    @pytest.mark.parametrize("terms", sorted(TERMS))
+    @pytest.mark.parametrize("kind", ["stm", "sem", "lri"])
+    @pytest.mark.parametrize("dim,band,tau", GRIDS, ids=["1d", "2d"])
+    def test_equals_reference_steps(self, dim, band, tau, kind, terms):
+        # run_block writes every step into its work arrays; n steps of it
+        # give the bits of n steps that allocate afresh, failed rows included
+        f, sigma = TERMS[terms]
+        grid = sw.make_grid(dim, band, 1.0)
+        state = random_state(grid, seed=31)
+        steps, rows = 5, 4
+        spec = sw.method_spec(kind, tau, steps * tau)
+        dws = np.random.default_rng(32).standard_normal((rows, steps)) * np.sqrt(tau)
+        dws[1, 2] = np.nan
+        tables_of, _, cut, _ = stepping_key(spec, band)
+        assert cut < band if kind == "lri" else cut == band
+        tables = tables_of(dim, band, tau)
+        u = np.broadcast_to(state.u_hat, (rows,) + state.u_hat.shape)
+        v = np.broadcast_to(state.v_hat, u.shape)
+        failed = {}
+        for n in range(steps):
+            u, v, bad = reference_step(u, v, tables, cut, tau, dws[:, n], f, sigma)
+            for row in bad:
+                failed.setdefault(row, n)
+        block = sw.run_block(spec, state, f, sigma, dws)
+        # the NaN increment reaches the state through sigma alone
+        assert block.failed == failed == ({} if sigma.is_zero else {1: 2})
+        np.testing.assert_array_equal(bits(block.u_hat), bits(u))
+        np.testing.assert_array_equal(bits(block.v_hat), bits(v))
+
+
+class TestRunBlockWorkingSet:
+    # tracemalloc peak of run_block in (S,) + half_shape complex blocks, as
+    # the step that allocated every array afresh held it: 8.0 and 9.0 in
+    # 1D, 7.25 and 8.25 in 2D, with sigma alone and with f too
+    @pytest.mark.parametrize("dim,band,rows,terms,limit", [
+        (1, 512, 16, "sigma", 8.0), (1, 512, 16, "f_and_sigma", 9.0),
+        (2, 64, 4, "sigma", 7.25), (2, 64, 4, "f_and_sigma", 8.25)])
+    def test_peak_within_fresh_steps(self, dim, band, rows, terms, limit):
+        f, sigma = TERMS[terms]
+        state = random_state(sw.make_grid(dim, band, 1.0), seed=33)
+        tau = 2**-12
+        spec = sw.method_spec("stm", tau, 4 * tau)
+        dws = np.random.default_rng(34).standard_normal((rows, 4)) * np.sqrt(tau)
+        sw.run_block(spec, state, f, sigma, dws)  # the tables and masks are cached
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sw.run_block(spec, state, f, sigma, dws)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        block = rows * np.prod(half_shape(dim, band)) * 16
+        assert peak / block <= limit
 
 
 class TestZeroModeOracle:
