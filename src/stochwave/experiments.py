@@ -587,13 +587,24 @@ _BLOCK_BYTES = 2**25
 _WORKER_FLOOR_BYTES = 2**17
 
 
+def _workers(config: ExperimentConfig) -> int:
+    """The config's workers, but no more than the CPUs this process may run
+    on: more threads than CPUs only split a study into smaller blocks."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(config.n_workers, cpus)
+
+
 def _chunk_rows(study: _Study) -> int:
-    """Samples per chunk: an even split over the workers, but no fewer than
-    keep a block at the widest stepped band M at _WORKER_FLOOR_BYTES, and
-    capped so that such a block stays within _BLOCK_BYTES."""
+    """Samples per chunk: an even split over the workers (``_workers``), but
+    no fewer than keep a block at the widest stepped band M at
+    _WORKER_FLOOR_BYTES, and capped so that such a block stays within
+    _BLOCK_BYTES."""
     config = study.config
     row_bytes = _array_bytes(config.dim, study.band)
-    split = max(-(-config.n_samples // config.n_workers), -(-_WORKER_FLOOR_BYTES // row_bytes))
+    split = max(-(-config.n_samples // _workers(config)), -(-_WORKER_FLOOR_BYTES // row_bytes))
     return min(max(1, _BLOCK_BYTES // row_bytes), split)
 
 
@@ -604,7 +615,7 @@ def _study_reports(study: _Study, rows: int,
     config = study.config
     chunks = [range(a, min(a + rows, config.n_samples))
               for a in range(0, config.n_samples, rows)]
-    with ThreadPoolExecutor(max_workers=config.n_workers) as pool:
+    with ThreadPoolExecutor(max_workers=_workers(config)) as pool:
         results = list(pool.map(functools.partial(_chunk_errors, study), chunks))
 
     err_sq = np.concatenate([r[0] for r in results])   # (sample, method, level)
@@ -704,23 +715,217 @@ def emit_csv(reports, path) -> None:
         raise OSError(f"writing report to {path}: {exc}") from exc
 
 
-def plot_lines(xs) -> str:
-    """The lines of a plot-data x column: each x at 17 significant digits,
-    with its y slot left open as ``%.17g`` for ``write_plot_data``."""
-    return ("%.17g %%.17g\n" * len(xs)) % tuple(np.asarray(xs).tolist())
+# Plot text is Python's '%.17g' of every value, made for a whole array at
+# once by _g17_rows.  A finite |x| in [1e-280, 1e16) with decimal exponent
+# e10 has the 17 digits D = round(|x| 10^p), p = 16 - e10, in [1e16, 1e17).
+# 10^p is held as the pair of doubles hi + lo (lo its rest, rounded);
+# |x| hi is its rounded product ph plus that product's exact error
+# (Dekker's two-product over Veltkamp halves), and s, that error plus
+# |x| lo, is off the exact remainder |x| 10^p - ph by under 1e-14.  ph is a
+# whole number, so D = ph + rint(s) unless s is within 1e-12 of a half:
+# such a possible tie, zero, and any value out of the range are left to
+# Python one at a time.  An estimate of e10 that is one off is redone, and
+# D = 10^17 is 10^16 at e10 + 1.
+#
+# A value's text sits in a 32-byte row of four little-endian words, NUL
+# where there is no character, so that a writer keeps the nonzero bytes:
+# byte 2 holds the sign, bytes 3-6 the zeros of a fixed 0.000ddd, byte 7
+# the first digit and bytes 8-23 the other sixteen, cleared past the last
+# significant digit and the integer part, and bytes 25-29 the exponent
+# e-dd or e-ddd of '%g''s exponent notation, which this range takes only
+# below 1e-4.  The point follows digit e10 in fixed notation (e10 in
+# [-4, 16], digit -1 being the last of those zeros) and the first digit
+# otherwise: every byte after it moves on by one, one shift of the block's
+# words, and it fills the gap unless no digit follows.  Each step is one
+# pass over a block's (n, 4) words.
+
+_LE_WORD = np.dtype("<u8")
 
 
-def write_plot_data(path, x_lines: str, ys, comment: str) -> None:
+def _halves(a):
+    """Veltkamp's split a = high + low into two halves of 26 bits."""
+    c = 134217729.0 * a     # 2^27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _pow10_pairs():
+    """hi, lo and hi's Veltkamp halves for p from 0 to 300, which covers
+    p = 16 - e10 over the range, an estimate of e10 one off included."""
+    hi = [float(10**p) for p in range(301)]
+    lo = [float(10**p - int(h)) for p, h in enumerate(hi)]
+    return (np.array(hi), np.array(lo)) + _halves(np.array(hi))
+
+
+_P10_HI, _P10_LO, _P10_HI_HIGH, _P10_HI_LOW = _pow10_pairs()
+
+
+def _byte_rows(where, fill=255):
+    """(k, 32) byte conditions as (k, 4) words: fill where true, NUL elsewhere."""
+    return np.where(where, fill, 0).astype(np.uint8).view(_LE_WORD)
+
+
+_QUAD = np.arange(10000)
+# _DIGITS4[q]: the four ASCII digits of q as one word.  _SIGNIFICANT4[k, q]:
+# D's digits after the first up to the last nonzero one of q when q is its
+# k-th group of four (4 k plus the digits of q left once its trailing zeros
+# go), or 0 when q = 0
+_DIGITS4 = (np.stack([_QUAD // 1000, _QUAD // 100 % 10, _QUAD // 10 % 10, _QUAD % 10], axis=1)
+            .astype(np.uint8) + 48).view("<u4").ravel().astype(np.uint64)
+_SIGNIFICANT4 = (4 * np.arange(1, 5)[:, None] - sum(_QUAD % 10**k == 0 for k in (1, 2, 3))) * (_QUAD != 0)
+_QUADS = 10000 * np.arange(4)[:, None]
+_BYTE = np.arange(32)
+# _UPTO[c]: the row whose bytes 0..c + 3 are set; _LEADING_ZEROS[e10 + 4]:
+# the first word of a row with the zeros of a fixed 0.000ddd at e10
+_UPTO = _byte_rows(_BYTE <= np.arange(22)[:, None] + 3)
+_LEADING_ZEROS = _byte_rows((_BYTE >= np.arange(21)[:, None] + 3) & (_BYTE <= 6), 48)[:, 0]
+_POINTS = np.uint64(int.from_bytes(b"." * 8, "little"))
+
+
+def _exponents():
+    """The last word of a row in exponent notation with e10 = -k, k < 300,
+    and of a row in fixed notation at k = 0."""
+    words = np.frombuffer(b"".join((b"\0e-%02d" % k).ljust(8, b"\0") for k in range(300)), _LE_WORD)
+    return np.where(np.arange(300) > 0, words, 0).astype(_LE_WORD)
+
+
+_EXPONENTS = _exponents()
+
+
+def _scaled(a, e10):
+    """|x| 10^(16 - e10) as ph + s, ph the rounded product with 10^p's
+    leading double (see above)."""
+    p = 16 - e10
+    ph = a * _P10_HI.take(p)
+    ah, al = _halves(a)
+    bh, bl = _P10_HI_HIGH.take(p), _P10_HI_LOW.take(p)
+    err = ((ah * bh - ph) + ah * bl + al * bh) + al * bl
+    return ph, err + a * _P10_LO.take(p)
+
+
+def _seventeen_digits(x):
+    """D, e10 and whether D is exact, for every value of x (see above)."""
+    a = np.abs(x)
+    exact = (a >= 1e-280) & (a < 1e16)
+    a[~exact] = 1.0
+    e10 = np.floor(np.log10(a)).astype(np.int64)
+    ph, s = _scaled(a, e10)
+    low = (ph - 1e16) + s < 0
+    off = low | ((ph - 1e17) + s >= 0)
+    if off.any():
+        e10[off] += np.where(low[off], -1, 1)
+        ph[off], s[off] = _scaled(a[off], e10[off])
+    r = np.rint(s)
+    exact &= np.abs(np.abs(s - r) - 0.5) > 1e-12
+    d = ph.astype(np.int64) + r.astype(np.int64)
+    carry = d == 10**17
+    d[carry] = 10**16
+    e10 += carry
+    return d, e10, exact
+
+
+def _digit_words(d):
+    """D's first digit and its four groups of four in the row's words,
+    and the count of its significant digits."""
+    top = d // 10**8
+    first = top // 10**8
+    quads = np.empty((4, len(d)), np.int64)
+    quads[1] = top - first * 10**8
+    quads[0] = quads[1] // 10**4
+    quads[1] -= quads[0] * 10**4
+    quads[3] = d - top * 10**8
+    quads[2] = quads[3] // 10**4
+    quads[3] -= quads[2] * 10**4
+    digits = _DIGITS4.take(quads)
+    words = np.empty((len(d), 4), np.uint64)
+    words[:, 0] = (first.astype(np.uint64) + 48) << 56
+    words[:, 1] = digits[0] | digits[1] << 32
+    words[:, 2] = digits[2] | digits[3] << 32
+    words[:, 3] = 0
+    quads += _QUADS
+    return words, 1 + _SIGNIFICANT4.take(quads).max(axis=0)
+
+
+def _g17_rows(values) -> np.ndarray:
+    """Each float64's '%.17g' text as a NUL-padded row of an (n, 28) uint8
+    matrix (see above)."""
+    x = np.asarray(values, dtype=np.float64)
+    d, e10, exact = _seventeen_digits(x)
+    words, n_sig = _digit_words(d)
+    fixed = (e10 >= -4) & (e10 < 17)
+    point = np.where(fixed, e10, 0)
+    words[:, 0] |= _LEADING_ZEROS.take(point + 4)
+    words &= _UPTO.take(np.maximum(n_sig, point + 1) + 3, axis=0)
+    # every byte one on; byte 31 of a row is NUL, so no byte leaves its row
+    flat = words.ravel()
+    shifted = flat << 8
+    shifted[1:] |= flat[:-1] >> 56
+    shifted = shifted.reshape(words.shape)
+    before = _UPTO.take(point + 4, axis=0)      # the bytes before the point's
+    gap = _UPTO.take(point + 5, axis=0)         # and through it
+    shifted &= ~gap
+    words &= before
+    words |= shifted
+    del shifted
+    gap ^= before                               # the point's byte alone
+    gap[n_sig <= point + 1] = 0                 # no digit follows the point
+    gap &= _POINTS
+    words |= gap
+    words[:, 0] |= np.signbit(x) * np.uint64(ord("-") << 16)
+    words[:, 3] |= _EXPONENTS.take(np.where(fixed, 0, -e10))
+    rows = np.asarray(words, dtype=_LE_WORD).view(np.uint8)
+
+    zero = x == 0
+    rows[zero, 3:] = 0
+    rows[zero, 3] = ord("0")
+    rows = rows[:, 2:30]
+    for j in np.flatnonzero(~exact & ~zero):
+        rows[j] = np.frombuffer((b"%.17g" % x[j]).ljust(28, b"\0"), np.uint8)
+    return rows
+
+
+def plot_lines(xs) -> tuple[np.ndarray, ...]:
+    """The x column of plot data, for ``write_plot_data``: each x's '%.17g'
+    text as a NUL-padded row of a uint8 matrix, one matrix per block of
+    ceil(n / 8) lines (one block up to 1024), each only as wide as its
+    rows need."""
+    xs = np.asarray(xs, dtype=np.float64)
+    step = max(-(-len(xs) // 8), 1024)
+    blocks = []
+    for a in range(0, len(xs), step):
+        rows = _g17_rows(xs[a:a + step])
+        blocks.append(rows[:, rows.any(axis=0)])
+    return tuple(blocks)
+
+
+def write_plot_data(path, x_lines: tuple[np.ndarray, ...], ys, comment: str) -> None:
     """Two-column whitespace-separated plot data with one comment line.
 
     ``x_lines`` is the x column from ``plot_lines``, which a caller formats
-    once for every file that shares it; ``ys`` fills its y slots, 17
-    significant digits per value, in one formatting pass, and the text is
-    written in one piece.
+    once for every file that shares it; ``ys`` must hold one value per x
+    (TypeError otherwise).  Each line is x, a space, y at 17 significant
+    digits and a newline, byte for byte Python's ``f"{x:.17g} {y:.17g}\\n"``.
+    The file is written block by block, in the x column's blocks: a block's
+    lines are laid out in one uint8 matrix and written without its NUL
+    bytes.
     """
-    text = f"# {comment}\n" + x_lines % tuple(np.asarray(ys).tolist())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    ys = np.asarray(ys, dtype=np.float64)
+    n = sum(len(x) for x in x_lines)
+    if len(ys) != n:
+        raise TypeError(f"{len(ys)} y values for {n} x values")
+    with open(path, "wb") as fh:
+        fh.write(f"# {comment}\n".encode("utf-8"))
+        start = 0
+        for x in x_lines:
+            width = x.shape[1]
+            lines = np.empty((len(x), width + 30), np.uint8)
+            lines[:, :width] = x
+            lines[:, width] = ord(" ")
+            lines[:, width + 1:-1] = _g17_rows(ys[start:start + len(x)])
+            lines[:, -1] = ord("\n")
+            start += len(x)
+            text = lines.ravel()
+            fh.write(text[text != 0])
 
 
 def study_files(out_dir: str, timed: dict[str, bool]) -> dict:

@@ -13,8 +13,9 @@ is the explicit 2x2 inverse with determinant 1 + tau^2 lambda^2.
 
 Every step of every integrator ends in ``apply``: add the step's velocity
 increments, then multiply each mode by one of these 2x2 tables.  Tables for
-a fixed (dim, band, t) are built once and cached; every integrator reapplies
-the same e^(tau L) each step.
+a fixed (dim, band, t) are built once and cached, stored complex; every
+integrator reapplies the same e^(tau L) each step.  ``propagator_tables``
+itself stays real, for the callers that use it in real arithmetic.
 """
 
 from __future__ import annotations
@@ -35,27 +36,35 @@ def propagator_tables(lam, t):
     return c, s_over, -(lam * lam) * s_over, c
 
 
+def _stored_complex(tables):
+    """The tables as read-only complex128 arrays (x + 0j each), one per
+    distinct table.  numpy casts a float table to exactly that, in an
+    iterator buffer, on every product with a complex block; stored complex,
+    the product takes no cast and gives the same bits."""
+    stored = {id(a): a.astype(np.complex128) for a in tables}
+    for a in stored.values():
+        a.setflags(write=False)
+    return tuple(stored[id(a)] for a in tables)
+
+
 @functools.cache
 def group_tables(dim: int, band: int, t: float):
-    """Cached e^(tL) tables for every mode stored at ``band``."""
-    tab = propagator_tables(np.sqrt(lambda_sq(dim, band)), t)
-    for a in tab:
-        a.setflags(write=False)
-    return tab
+    """Cached e^(tL) tables for every mode stored at ``band``, stored
+    complex (``_stored_complex``)."""
+    return _stored_complex(propagator_tables(np.sqrt(lambda_sq(dim, band)), t))
 
 
 @functools.cache
 def resolvent_tables(dim: int, band: int, tau: float):
-    """Cached (I - tau L)^(-1) tables for every mode stored at ``band``."""
+    """Cached (I - tau L)^(-1) tables for every mode stored at ``band``,
+    stored complex (``_stored_complex``)."""
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     lam2 = lambda_sq(dim, band)
     inv_det = 1.0 / (1.0 + tau * tau * lam2)
     r12 = tau * inv_det
     r21 = -tau * lam2 * inv_det
-    for a in (inv_det, r12, r21):
-        a.setflags(write=False)
-    return inv_det, r12, r21, inv_det
+    return _stored_complex((inv_det, r12, r21, inv_det))
 
 
 def apply(state: SpectralState, tables, *dv: np.ndarray,

@@ -69,7 +69,12 @@ def test_child_runs_the_package(tmp_path, kind, trace):
     if trace:
         assert set(result["absent"]) <= STALE, result["absent"]
         assert result["layers"]
+        layers = result["layers"]
         if kind == "study":
-            layers = result["layers"]
             assert all(layers[name] > 0 for name in STEP_LAYERS), layers
             assert {name: layers[name] for name in STUDY_COUNTS} == STUDY_COUNTS
+        else:
+            # the plot files are written through write_plot_data, by name
+            assert layers["experiments.write_plot_data.s"] > 0
+            sizes = [p.stat().st_size for p in (tmp_path / "out0").glob("snap_*.txt")]
+            assert sizes and layers["experiments.emit.bytes"] == sum(sizes)

@@ -152,6 +152,65 @@ class TestPlotData:
         with pytest.raises(TypeError):
             exp.write_plot_data(tmp_path / "short.txt", lines, [1.0], "c")
 
+    def test_matches_python_on_a_corpus(self, tmp_path):
+        # every branch of the array kernel against '%.17g', through the file
+        # bytes: the exact range and what is left to Python (zeros,
+        # subnormals, values below 1e-280 or from 1e16, inf, nan, ties), the
+        # exponent estimate one off and the carry to 10^17 (powers of ten
+        # and their neighbours), the 1e-5/1e-4 and 1e16/1e17 switches of
+        # notation, and dyadic ties k / 2^m, whose 18 digits end in 5
+        rng = np.random.default_rng(2026)
+        powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+        near = [powers]
+        below, above = powers, powers
+        for _ in range(3):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            near += [below, above]
+        switches = [rng.uniform(0.999, 1.001, 2000) * b for b in (1e-5, 1e-4, 1e16, 1e17)]
+        ties = [np.ldexp(rng.integers(-(-10**17 // 5**m), min(10**18 // 5**m, 2**53), 400) | 1, -m)
+                for m in range(2, 26)]
+        corpus = np.concatenate([
+            rng.standard_normal(110000),
+            rng.standard_normal(110000) * 10.0 ** rng.integers(-30, 1, 110000),
+            np.exp(rng.uniform(-690.0, 40.0, 70000)),
+            np.exp(rng.uniform(36.0, 690.0, 3000)),
+            *near, *switches, *ties,
+            np.ldexp(rng.uniform(0.0, 1.0, 1000), -1022),       # subnormals
+            [0.0, 5e-324, 1e-280, np.inf, np.nan, 1.7976931348623157e308],
+        ])
+        corpus *= rng.choice([-1.0, 1.0], len(corpus))
+        corpus = rng.permutation(corpus)
+        assert len(corpus) >= 300000
+        half = len(corpus) // 2
+        xs, ys = corpus[:half], corpus[half:2 * half]
+        path = tmp_path / "corpus.txt"
+        exp.write_plot_data(path, exp.plot_lines(xs), ys, "corpus")
+        expect = "# corpus\n" + ("%.17g %.17g\n" * half) % tuple(np.stack([xs, ys], 1).ravel().tolist())
+        assert path.read_bytes() == expect.encode("utf-8")
+
+    def test_text_holds_a_fraction_of_the_band(self, tmp_path):
+        # run_single at tau = 2^-8 plots 8192 points of band 4096: its x
+        # column holds 1.95 full-band half arrays (tracemalloc) and one
+        # write peaks 4.6 above what it was given, in blocks of 1024 lines
+        points, array = 8192, 16 * (4096 + 1)
+        rng = np.random.default_rng(5)
+        ys = rng.standard_normal(points) * 10.0 ** rng.integers(-30, 1, points)
+        exp.write_plot_data(tmp_path / "warm.txt", exp.plot_lines(ys), ys, "c")
+        xs = np.arange(points) / points
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            lines = exp.plot_lines(xs)
+            held = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            exp.write_plot_data(tmp_path / "u.txt", lines, ys, "u")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert held <= 2.5 * array
+        assert peak <= 6.5 * array
+
 
 class TestRunConvergence:
     def test_linear_exact_methods_have_zero_error(self):
@@ -693,15 +752,44 @@ WORKER_CASES = {
 }
 
 
+def usable_cpus(monkeypatch, count):
+    """Let the process see ``count`` CPUs, by either of the two counts
+    ``experiments._workers`` may read."""
+    monkeypatch.setattr(exp.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(exp.os, "cpu_count", lambda: count)
+
+
 class TestChunkRows:
     @pytest.mark.parametrize("case,chunks", [("rough_1d", 1), ("study_2d", 2)])
-    def test_workers_split_only_above_byte_floor(self, case, chunks):
+    def test_workers_split_only_above_byte_floor(self, monkeypatch, case, chunks):
         # 1D at M = 512: three rows per worker would be 24 KiB blocks, below
         # the floor, so the six samples stay one chunk; 2D at M = 64: one
         # row is 130 KiB, so the four samples split over the two workers
+        # (on two CPUs, as on any host with two or more)
+        usable_cpus(monkeypatch, 2)
         cfg = resolve_config(sw.ExperimentConfig(n_workers=2, **WORKER_CASES[case]))
         rows = exp._chunk_rows(exp._prepare(cfg))
         assert -(-cfg.n_samples // rows) == chunks
+
+    def test_workers_capped_at_usable_cpus(self, monkeypatch, tmp_path):
+        # eight workers on two CPUs split the 2D case like two workers do
+        # (two chunks of two rows, not four of one) on a pool of two
+        # threads, and the report bytes do not depend on either count
+        usable_cpus(monkeypatch, 2)
+        cfg = resolve_config(sw.ExperimentConfig(n_workers=8, **WORKER_CASES["study_2d"]))
+        study = exp._prepare(cfg)
+        assert exp._chunk_rows(study) == exp._chunk_rows(replace(study, config=replace(cfg, n_workers=2))) == 2
+        pools = []
+        real_pool = exp.ThreadPoolExecutor
+        monkeypatch.setattr(exp, "ThreadPoolExecutor",
+                            lambda max_workers: pools.append(max_workers) or real_pool(max_workers))
+        blobs = set()
+        for workers in (1, 2, 8):
+            reports = sw.run_convergence(replace(cfg, n_workers=workers, n_samples=2))
+            path = tmp_path / f"w{workers}.csv"
+            sw.emit_csv(list(reports.values()), path)
+            blobs.add(path.read_bytes())
+        assert pools == [1, 2, 2] and len(blobs) == 1
 
 
 class TestMemoryGuard:
@@ -937,9 +1025,10 @@ class TestRunSingle:
         # the run drops the full-band initial pair once it has taken the
         # stepped start and the recovered modes, and holds no segment's
         # full-band state while the next one is assembled: a second
-        # run_single of preset 1 at tau = 2^-8 (band 4096) peaks at 18.1
-        # full-band half arrays (tracemalloc), where holding both peaked at
-        # 20.1; most of the rest is the snapshot plot text
+        # run_single of preset 1 at tau = 2^-8 (band 4096) peaks at 12.8
+        # full-band half arrays (tracemalloc), 2.5 of them the snapshot
+        # plot text (TestPlotData bounds it), where the per-value text of
+        # earlier versions took 7.9 and holding both states 2 more
         cfg = sw.ExperimentConfig(dim=1, preset=1, tau=2**-8, out_dir=str(tmp_path / "a"))
         sw.run_single(cfg)
         tracemalloc.start()

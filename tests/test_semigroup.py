@@ -21,6 +21,21 @@ def resolve(state, tau):
 
 
 class TestPropagator:
+    def test_cached_tables_are_real_tables_stored_complex(self):
+        # read-only complex128 copies of the real tables, a11 and a22 one array
+        lam = np.sqrt(sw.spectral.lambda_sq(2, 8))
+        tau = 0.1
+        real = {"group": propagator_tables(lam, tau),
+                "resolvent": (1 / (1 + tau**2 * lam**2), tau / (1 + tau**2 * lam**2),
+                              -tau * lam**2 / (1 + tau**2 * lam**2), 1 / (1 + tau**2 * lam**2))}
+        for kind, build in (("group", group_tables), ("resolvent", resolvent_tables)):
+            tables = build(2, 8, tau)
+            assert tables[0] is tables[3]
+            for a, b in zip(tables, real[kind]):
+                assert a.dtype == np.complex128 and not a.flags.writeable
+                np.testing.assert_allclose(a, b, rtol=1e-15, atol=0)
+                assert not a.imag.any()
+
     def test_zero_mode_is_shear(self):
         for t in (-1.5, 0.0, 0.25, 3.0):
             np.testing.assert_array_equal(matrix(0.0, t), [[1.0, t], [0.0, 1.0]])
