@@ -41,7 +41,6 @@ from .integrators import (
     recover_high,
     run,
     run_block,
-    step_block,
 )
 from .experiments import (
     ConfigError,

@@ -19,8 +19,8 @@ comments; command line flags override file values and are parsed by the
 same rules.  --levels gives the number of dyadic levels, halving from the
 coarsest step: --tau, else the coarsest listed level, else the coarsest
 default level of the config's dimension (``experiments.config_dim``): 2^-5
-in 1D, 2^-4 in 2D, where a bare study starts too; a config that lists
-n_cuts refuses levels other than the ones it lists.
+in 1D, 2^-4 in 2D, where a bare study starts too; K must be at least 1,
+and a config that lists n_cuts refuses levels other than the ones it lists.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (any
 ``NumericalError``: a single run's non-finite step, or a study's
 ``NumericalFailure``), 4 output error (an output file that cannot be
@@ -93,6 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
     """The config file's mapping, overridden by the flags, parsed once."""
+    if args.levels is not None and args.levels < 1:
+        raise ConfigError(f"--levels must be at least 1, got {args.levels}")
     mapping = parse_config_file(args.config) if args.config else {}
     for key, _ in _FLAGS.values():
         if getattr(args, key) is not None:

@@ -29,18 +29,19 @@ the final time in one shot.
 Stepping works on blocks: the step loop ``run_block`` advances S rows from
 a given state, whose shape fixes the band N and the dimension d, as arrays
 of shape (S,) + (2N,)^(d-1) + (N+1,), through the columns of an (S, n)
-array of coarsened increments.  Each step is one ``step_block`` call: per
-nonzero term one batched real inverse FFT, one pointwise map, one batched
-real forward FFT and one mask, then one 2x2 pass over the modes.  Each step
-writes into work arrays that ``run_block`` allocates once per call: two
-state pairs that the steps alternate between, one spectrum per nonzero
-term, one real sample array and, only when the filter cuts, a cut copy of
-u.  Every layer keeps its operands and the order of its sums, so a step
-gives the bits it would give with fresh arrays.  Rows never mix, so every
-row is bit-identical to a block of one.  Each step scans its new state for
-non-finite values, once unless some row failed, and a row that fails is
-dropped alone with its first bad step.  ``run`` coarsens its one path, steps one row per snapshot segment
-plus the recovery band and returns its final full-band state; a failed step
+array of coarsened increments.  It is the one function that takes a step:
+per nonzero term one batched real inverse FFT, one pointwise map, one
+batched real forward FFT and one mask, then one 2x2 pass over the modes.
+Each step writes into work arrays that ``run_block`` allocates once per
+call: two state pairs that the steps alternate between, one spectrum per
+nonzero term, one real sample array and, only when the filter cuts, a cut
+copy of u.  Every layer keeps its operands and the order of its sums, so a
+step gives the bits it would give with fresh arrays.  Rows never mix, so
+every row is bit-identical to a block of one.  Each step scans its new
+state for non-finite values, once unless some row failed, and a row that
+fails is dropped alone with its first bad step.  ``run`` coarsens its one
+path, steps one row per snapshot segment plus the recovery band and
+returns its final full-band state; a failed step
 raises NumericalError, the one error type for non-finite values (a study's
 ``NumericalFailure`` is one too).  Nothing here keeps time: a study times
 its blocks where it reports them (``experiments``).
@@ -121,81 +122,6 @@ def stepping_key(method: MethodSpec, band: int) -> tuple:
     return scheme.tables, band, cut, method.tau
 
 
-class _StepWork(NamedTuple):
-    """The arrays a step writes into: ``new`` the new (u, v) pair, shape
-    (2, S) + half shape; ``images`` one spectrum per nonzero nonlinearity
-    term; ``samples`` the real collocation values (None if both terms are
-    zero); ``u_cut`` u truncated to the cut (None unless the cut is below
-    the band)."""
-
-    new: np.ndarray
-    images: tuple
-    samples: np.ndarray | None
-    u_cut: np.ndarray | None
-
-
-def _step_work(shape: tuple, cut: int, f_spec: NonlinearitySpec,
-               sigma_spec: NonlinearitySpec) -> _StepWork:
-    """Fresh work arrays for steps of a block of states of ``shape``."""
-    band = shape[-1] - 1
-    terms = sum(not spec.is_zero for spec in (f_spec, sigma_spec))
-    return _StepWork(
-        new=np.empty((2,) + shape, dtype=np.complex128),
-        images=tuple(np.empty(shape, dtype=np.complex128) for _ in range(terms)),
-        samples=np.empty(shape[:1] + (2 * band,) * (len(shape) - 1)) if terms else None,
-        u_cut=np.empty(shape, dtype=np.complex128) if cut < band else None)
-
-
-def step_block(u_hat: np.ndarray, v_hat: np.ndarray, tables, cut: int, tau: float,
-               dw: np.ndarray, f_spec: NonlinearitySpec, sigma_spec: NonlinearitySpec,
-               work: _StepWork | None = None):
-    """One step T (U + tau * Pi F(Pi U) + Pi Sigma(Pi U) dW) of every row of
-    a block, at the stored band, with Pi the box truncation to ``cut``.
-
-    ``u_hat`` and ``v_hat`` hold one state per row, shape (S,) +
-    (2 band,)^(d-1) + (band + 1,) with d the rank of the tables, and ``dw``
-    is the (S,) vector of the rows' increments.  Rows never mix, so each is
-    bit-identical to a block of one.  Every array the step computes is
-    written into ``work`` (``_step_work``, fresh ones when None), none of
-    which may hold ``u_hat`` or ``v_hat``; the new state is ``work.new``.
-    Returns (u_hat, v_hat, bad): ``bad`` lists the rows whose new state is
-    non-finite, and those rows come back zeroed so that they cannot spoil
-    later steps.  One scan of the new state tells whether any row failed,
-    and only then a second one which: a non-finite increment or
-    nonlinearity image enters v + tau z or v + dw z, and every 2x2 table
-    entry times NaN or inf is non-finite, so it leaves the new state
-    non-finite in its row.
-    """
-    dim = tables[0].ndim
-    band = u_hat.shape[-1] - 1
-    if cut > band:
-        raise ValueError(f"filter cut {cut} exceeds stored band {band}")
-    if work is None:
-        work = _step_work(u_hat.shape, cut, f_spec, sigma_spec)
-    u_cut = u_hat
-    if cut < band:
-        u_cut = np.multiply(u_hat, band_mask(dim, band, cut), out=work.u_cut)
-    images = iter(work.images)
-    dv = []
-    if not f_spec.is_zero:
-        z = pseudospectral_apply(f_spec, u_cut, cut, dim, out=next(images),
-                                 samples=work.samples)
-        dv.append(np.multiply(tau, z, out=z))
-    if not sigma_spec.is_zero:
-        z = pseudospectral_apply(sigma_spec, u_cut, cut, dim, out=next(images),
-                                 samples=work.samples)
-        dv.append(np.multiply(dw.reshape((-1,) + (1,) * dim), z, out=z))
-    new = semigroup.apply(SpectralState(u_hat, v_hat), tables, *dv,
-                          out=SpectralState(*work.new))
-    bad = []
-    if not np.isfinite(work.new).all():
-        rows = np.isfinite(work.new).all(axis=(0,) + tuple(range(2, dim + 2)))
-        bad = np.flatnonzero(~rows).tolist()
-        new.u_hat[bad] = 0.0
-        new.v_hat[bad] = 0.0
-    return new.u_hat, new.v_hat, bad
-
-
 def recover_high(initial_band: SpectralState, t: float) -> SpectralState:
     """Exact linear flow of the recovery band, applied once at time t.
 
@@ -245,31 +171,54 @@ def run_block(method: MethodSpec, start: SpectralState, f: NonlinearitySpec,
     (S, n) increments ``dws``: row s takes the n steps ``dws[s]``.
 
     ``start`` must be Hermitian (ValueError otherwise) and is copied once
-    to the S rows.  Each step is one call of :func:`step_block` for the
-    whole block, into the work arrays allocated here once.  A row that goes
-    non-finite is recorded in ``failed`` with its first bad step and leaves
-    the other rows untouched; stepping stops early once every row has
-    failed.
+    to the S rows.  Each step is T (U + tau * Pi F(Pi U) + Pi Sigma(Pi U) dW)
+    of the whole block, with Pi the box truncation to the ``stepping_key``
+    cut, written into work arrays allocated here once.  A non-finite
+    increment or image enters v + tau z or v + dw z, and every 2x2 table
+    entry times NaN or inf is non-finite, so a row that fails leaves its
+    new state non-finite: one scan of the new pair tells whether any row
+    failed, and only then a second one which.  Such a row is zeroed, so
+    that it cannot spoil later steps, and recorded in ``failed`` with its
+    first bad step; the other rows go on untouched, and stepping stops
+    early once every row has failed.
     """
     check_hermitian(start)
-    tables_of, _, cut, _ = stepping_key(method, start.band)
-    tables = tables_of(start.dim, start.band, method.tau)
+    tables_of, band, cut, tau = stepping_key(method, start.band)
+    dim = start.dim
+    tables = tables_of(dim, band, tau)
+    shape = (len(dws),) + start.u_hat.shape
     # step n writes the pair n % 2 and reads the other, which holds the
-    # start's copies before step 0; the two share the scratch
-    work = _step_work((len(dws),) + start.u_hat.shape, cut, f, sigma)
-    works = (work, work._replace(new=np.empty_like(work.new)))
-    u, v = works[1].new
+    # start's copies before step 0
+    pairs = tuple(np.empty((2,) + shape, dtype=np.complex128) for _ in range(2))
+    u, v = pairs[1]
     u[...] = start.u_hat
     v[...] = start.v_hat
+    # the nonzero terms, f first, each with its image and the index of its
+    # factor in (tau, dw)
+    terms = [(spec, np.empty(shape, dtype=np.complex128), k)
+             for k, spec in enumerate((f, sigma)) if not spec.is_zero]
+    samples = np.empty(shape[:1] + (2 * band,) * dim) if terms else None
+    u_cut = np.empty(shape, dtype=np.complex128) if cut < band else None
+    scan_axes = (0,) + tuple(range(2, dim + 2))
 
     failed: dict[int, int] = {}
     for n in range(dws.shape[1]):
-        u, v, bad = step_block(u, v, tables, cut, method.tau, dws[:, n], f, sigma,
-                               works[n % 2])
-        for row in bad:
-            failed.setdefault(row, n)
-        if len(failed) == len(dws):
-            break
+        u_in = u if u_cut is None else np.multiply(u, band_mask(dim, band, cut), out=u_cut)
+        factors = (tau, dws[:, n].reshape((-1,) + (1,) * dim))
+        dv = []
+        for spec, image, k in terms:
+            z = pseudospectral_apply(spec, u_in, cut, dim, out=image, samples=samples)
+            dv.append(np.multiply(factors[k], z, out=z))
+        new = pairs[n % 2]
+        semigroup.apply(SpectralState(u, v), tables, *dv, out=SpectralState(*new))
+        u, v = new
+        if not np.isfinite(new).all():
+            bad = np.flatnonzero(~np.isfinite(new).all(axis=scan_axes))
+            new[:, bad] = 0.0
+            for row in bad.tolist():
+                failed.setdefault(row, n)
+            if len(failed) == len(dws):
+                break
     return BlockResult(u_hat=u, v_hat=v, failed=failed)
 
 

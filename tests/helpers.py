@@ -79,7 +79,7 @@ def linear_exact_discrepancy(method, grid, problem, path) -> float:
 
 
 def reference_step(u, v, tables, cut, tau, dw, f, sigma):
-    """Oracle: one step of ``step_block`` written with fresh arrays and
+    """Oracle: one step of ``run_block`` written with fresh arrays and
     numpy's n-dimensional real transforms.  The mask product, each nonzero
     term's image rfftn(term(irfftn(u_cut))) * mask, w = (v + tau z_f) +
     dw z_s, the pass (a11 u + a12 w, a21 u + a22 w), and rows with a

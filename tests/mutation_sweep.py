@@ -1,0 +1,189 @@
+"""Mutation sweep of the study core: one-line edits that the tests must catch.
+
+Each mutant is one exact textual edit of one line of ``src/stochwave``,
+with the tests expected to kill it.  For every mutant the sweep copies
+``src``, ``tests``, ``perfbench`` and the files the tests read into a
+temporary directory, applies the edit there (the working tree is never
+touched), and runs pytest on the killing tests; a mutant is killed when a
+test fails.  Equivalent mutants, which no test can tell from the code, are
+listed with the reason and not run.
+
+Run from the repository root:
+
+    python tests/mutation_sweep.py            # every mutant, its tests only
+    python tests/mutation_sweep.py tail_t0    # the named mutants
+    python tests/mutation_sweep.py --full     # the whole suite per mutant
+
+It exits 1 if any mutant survives.  The file is not named ``test_*``, so
+pytest does not collect it.  When a change adds numerical code, add its core
+lines here.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str          # relative to src/stochwave
+    old: str           # occurs exactly once in the file
+    new: str
+    kills: tuple       # pytest node ids or files expected to fail
+    equivalent: str = ""   # why no test can catch it, for equivalent mutants
+
+
+EXP, INT = "experiments.py", "integrators.py"
+T_EXP, T_INT = "tests/test_experiments.py", "tests/test_integrators.py"
+
+MUTANTS = (
+    Mutant("tail_dropped", EXP,
+           "err = _weighted_norm_sq(du, dv, *study.weights) + tail",
+           "err = _weighted_norm_sq(du, dv, *study.weights)",
+           (f"{T_EXP}::TestErrorSplit",)),
+    Mutant("shift_dropped", EXP,
+           "            if shift is not None:\n",
+           "            if False:\n",
+           (f"{T_EXP}::TestErrorSplit",)),
+    Mutant("tail_t0", EXP,
+           "outside = _outside_energy(u0, config.t_final,",
+           "outside = _outside_energy(u0, 0.0,",
+           (f"{T_EXP}::TestErrorSplit",)),
+    Mutant("fold_multiplicity_1", EXP,
+           "mult = np.where(np.arange(lo, hi) == 0, 1.0, 2.0)",
+           "mult = np.where(np.arange(lo, hi) == 0, 1.0, 1.0)",
+           (f"{T_EXP}::TestTails",)),
+    # 1D presets have no data outside box M, so only 2D cases see the tail's
+    # cross term
+    Mutant("tail_cross_halved", EXP,
+           "+ 2.0 * (cos * sin_over + w * a21 * cos) * c)",
+           "+ 1.0 * (cos * sin_over + w * a21 * cos) * c)",
+           (f"{T_EXP}::TestTails",)),
+    Mutant("recovered_edge_moved", INT,
+           "return (n <= shell) & (shell < min(h, band))",
+           "return (n < shell) & (shell < min(h, band))",
+           (f"{T_EXP}::TestErrorSplit", f"{T_INT}::TestRunDriver")),
+    Mutant("weights_gamma_001", EXP,
+           "weights=_norm_weights(dim, band, 0.0)",
+           "weights=_norm_weights(dim, band, 0.01)",
+           (f"{T_EXP}::TestErrorSplit",)),
+    Mutant("lri_filter_half", INT,
+           "cut = min(int(np.floor(1.0 / method.tau)), cut)",
+           "cut = min(int(np.floor(0.5 / method.tau)), cut)",
+           (f"{T_INT}::TestRunDriver::test_lri_cut_below_band",)),
+    Mutant("snapshot_recovery_final_time", INT,
+           "rec = recover_high(rec0, t)",
+           "rec = recover_high(rec0, method.n_steps * method.tau)",
+           (f"{T_EXP}::TestRunSingle",)),
+    # with a wide n_cuts the reference's recovered modes lie outside box M,
+    # where the tail treats the reference as the exact flow
+    Mutant("reference_steps_stm", EXP,
+           'ref_spec, _, ref_box = planned("hr_lri", config.tau_ref, n_ref)',
+           'ref_spec, _, ref_box = planned("stm", config.tau_ref, n_ref)',
+           (f"{T_EXP}::TestErrorSplit", f"{T_EXP}::TestTails")),
+    Mutant("reference_failure_ignored", EXP,
+           "err[list(ref_failed.keys() | failed.keys())] = np.nan",
+           "err[list(failed.keys())] = np.nan",
+           (f"{T_EXP}::TestRunConvergence::test_failed_reference_row_excludes_its_sample",)),
+    Mutant("stderr_without_half", EXP,
+           "stderr = math.sqrt(var_sq / good.shape[0]) / (2.0 * rms)",
+           "stderr = math.sqrt(var_sq / good.shape[0]) / rms",
+           (f"{T_EXP}::test_aggregate_counts_and_delta_method_stderr",)),
+    Mutant("variance_ddof0", EXP,
+           "var_sq = float(np.var(good, ddof=1))",
+           "var_sq = float(np.var(good, ddof=0))",
+           (f"{T_EXP}::test_aggregate_counts_and_delta_method_stderr",)),
+    Mutant("excluded_fraction_10pc", EXP,
+           "MAX_EXCLUDED_FRACTION = 0.01",
+           "MAX_EXCLUDED_FRACTION = 0.1",
+           (f"{T_EXP}::TestRunConvergence::test_one_percent_of_runs_excluded_at_most",)),
+    Mutant("slope_uncentred", EXP,
+           "return float(np.dot(xs_c, ys - ys.mean()) / np.dot(xs_c, xs_c))",
+           "return float(np.dot(xs_c, ys) / np.dot(xs_c, xs_c))",
+           (),
+           "the centred xs sum to zero, so centring ys changes the numerator "
+           "by rounding only"),
+    # run_block's own lines
+    Mutant("failed_row_unzeroed", INT,
+           "            new[:, bad] = 0.0\n",
+           "            pass\n",
+           (f"{T_INT}::TestRunBlockOracle",)),
+    Mutant("row_scan_skipped", INT,
+           "bad = np.flatnonzero(~np.isfinite(new).all(axis=scan_axes))",
+           "bad = np.arange(len(dws))",
+           (f"{T_INT}::TestRunBlock", f"{T_INT}::TestRunBlockOracle")),
+)
+
+
+def _apply(copy: Path, mutant: Mutant) -> None:
+    path = copy / "src" / "stochwave" / mutant.path
+    text = path.read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        raise SystemExit(f"{mutant.name}: the edit's text occurs {text.count(mutant.old)} "
+                         f"times in {mutant.path}, not once; update the sweep")
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+
+
+def _run(mutant: Mutant, full: bool) -> tuple[bool, float]:
+    """(killed, seconds) of one mutant on a fresh copy."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests", "perfbench"):
+            shutil.copytree(ROOT / part, copy / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        for part in ("README.md", "pyproject.toml"):
+            shutil.copy(ROOT / part, copy / part)
+        _apply(copy, mutant)
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        targets = ["tests"] if full else list(mutant.kills)
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p",
+                               "no:cacheprovider", *targets],
+                              cwd=copy, env=env, capture_output=True, text=True)
+        # pytest exits 1 when a test failed; any other failure (a stale node
+        # id, no tests collected) is the sweep's own fault
+        if proc.returncode not in (0, 1):
+            raise SystemExit(f"{mutant.name}: pytest exited {proc.returncode}\n"
+                             f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+        return proc.returncode == 1, time.perf_counter() - start
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--full", action="store_true",
+                        help="run the whole suite per mutant, not its listed tests")
+    args = parser.parse_args(argv)
+    known = {m.name for m in MUTANTS}
+    unknown = set(args.names) - known
+    if unknown:
+        parser.error(f"unknown mutants {sorted(unknown)}; known: {sorted(known)}")
+    survived = []
+    for mutant in MUTANTS:
+        if args.names and mutant.name not in args.names:
+            continue
+        if mutant.equivalent:
+            print(f"{mutant.name:32s} equivalent: {mutant.equivalent}")
+            continue
+        killed, seconds = _run(mutant, args.full)
+        print(f"{mutant.name:32s} {'killed' if killed else 'SURVIVED':8s} {seconds:6.1f} s",
+              flush=True)
+        if not killed:
+            survived.append(mutant.name)
+    if survived:
+        print(f"survivors: {', '.join(survived)}")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -215,6 +215,12 @@ BAD_ARGUMENTS = [
     # data collapsed to one mode; levels other than the ones n_cuts pair with
     ["converge", "--preset", "2", "--gamma", "inf"],
     ["converge", "--config", "{tmp}/n_cuts_levels.cfg", "--tau", "0.125", "--levels", "3"],
+    # no level at all, with and without the step it would halve from
+    ["converge", "--preset", "2", "--levels", "0"],
+    ["converge", "--preset", "2", "--levels", "-2"],
+    ["converge", "--preset", "2", "--tau", "0.125", "--levels", "0"],
+    ["converge", "--preset", "2", "--tau", "0.125", "--levels", "-2"],
+    ["run", "--preset", "1", "--tau", "0.0625", "--levels", "0"],
 ]
 
 # what the message names: the lattice each entry point draws (a study's at
@@ -236,6 +242,14 @@ BAD_ARGUMENT_MESSAGES = {
     ("converge", "--dim", "0"): "dim must be one of (1, 2), got 0",
     ("converge", "--config", "{tmp}/n_cuts_levels.cfg", "--tau", "0.125", "--levels", "3"):
         "n_cuts pair with the listed levels",
+    ("converge", "--preset", "2", "--levels", "0"): "--levels must be at least 1, got 0",
+    ("converge", "--preset", "2", "--levels", "-2"): "--levels must be at least 1, got -2",
+    ("converge", "--preset", "2", "--tau", "0.125", "--levels", "0"):
+        "--levels must be at least 1, got 0",
+    ("converge", "--preset", "2", "--tau", "0.125", "--levels", "-2"):
+        "--levels must be at least 1, got -2",
+    ("run", "--preset", "1", "--tau", "0.0625", "--levels", "0"):
+        "--levels must be at least 1, got 0",
 }
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import stochwave as sw
-from stochwave.integrators import SCHEMES, stepping_key
+from stochwave.integrators import stepping_key
 from stochwave.semigroup import propagator_tables
 from stochwave.spectral import band_mask, half_shape
 
@@ -29,14 +29,15 @@ def explicit_problem(state, f=None, sigma=None):
 
 
 def step(kind, state, tau, dw, f, sigma, cut=None):
-    """One step of scheme ``kind`` at the state's band, cut there by default,
-    as a block of one row."""
-    tables = SCHEMES[kind].tables(state.dim, state.band, tau)
-    cut = state.band if cut is None else cut
-    u, v, bad = sw.step_block(state.u_hat[None], state.v_hat[None],
-                              tables, cut, tau, np.array([dw]), f, sigma)
-    assert not bad
-    return sw.SpectralState(u[0], v[0])
+    """One step of scheme ``kind`` at the state's band, as one row of
+    ``run_block``; a given ``cut`` must be the filter cut that
+    ``stepping_key`` takes at tau."""
+    spec = sw.method_spec(kind, tau, tau)
+    if cut is not None:
+        assert stepping_key(spec, state.band)[2] == cut
+    block = sw.run_block(spec, state, f, sigma, np.array([[dw]]))
+    assert not block.failed
+    return sw.SpectralState(block.u_hat[0], block.v_hat[0])
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +121,8 @@ class TestStep2D:
     def test_matches_full_layout_transcription(self, kind, cut):
         grid = sw.make_grid(2, 8, 1.0)
         state = random_state(grid, seed=40)
-        tau, dw = 1 / 32, 0.37
+        # lri filters at min(floor(1/tau), 8): tau = 1/5 cuts at 5
+        tau, dw = (1 / 32 if cut == 8 else 1 / cut), 0.37
         f, sigma = sw.scaled_cosine(3.0), sw.scaled_sine(16.0)
         out = step(kind, state, tau, dw, f, sigma, cut)
         ou, ov = full_step_oracle(kind, state, tau, dw, f, sigma, cut)
@@ -148,7 +150,7 @@ class TestStepLRI:
     def test_matches_brute_force_transcription(self):
         grid = sw.make_grid(1, 8, 1.0)
         state = random_state(grid, seed=3)
-        tau, dw, cut = 1 / 32, 0.41, 6
+        tau, dw, cut = 1 / 6, 0.41, 6
         out = step("lri", state, tau, dw, sw.zero_fn(), sw.scaled_sine(1.0), cut)
         u_hat, v_hat = full_layout(state.u_hat), full_layout(state.v_hat)
         ou, ov = lri_step_oracle(u_hat, v_hat, tau, dw, np.sin, cut)
@@ -185,12 +187,6 @@ class TestStepLRI:
         b = step("lri", pre, 0.1, 0.3, sw.zero_fn(), sw.scaled_sine(4.0), 8)
         np.testing.assert_array_equal(a.u_hat, b.u_hat)
 
-    def test_cut_must_fit_band(self):
-        grid = sw.make_grid(1, 8, 1.0)
-        state = random_state(grid)
-        with pytest.raises(ValueError):
-            step("lri", state, 0.1, 0.0, sw.zero_fn(), sw.zero_fn(), 9)
-
 
 class TestStepHRLRI:
     def test_zero_state_fixed_point(self):
@@ -205,12 +201,6 @@ class TestStepHRLRI:
         out = step("hr_lri", state, 0.25, 0.9, sw.zero_fn(), sw.zero_fn())
         ref = flow(state, 0.25)
         np.testing.assert_array_equal(out.u_hat, ref.u_hat)
-
-    def test_band_mismatch_rejected(self):
-        grid = sw.make_grid(1, 8, 2.0)
-        state = random_state(grid, band=8)  # the stepped band holds no cut 64
-        with pytest.raises(ValueError):
-            step("hr_lri", state, 0.1, 0.0, sw.zero_fn(), sw.zero_fn(), grid.n_high)
 
 
 class TestRecoverHigh:
