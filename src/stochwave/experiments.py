@@ -8,8 +8,8 @@ mean-square distance
 
     rms(tau) = sqrt( mean_s || U_tau,s(T) - U_ref,s(T) ||_0^2 )
 
-in the L2 x H^-1 pair norm.  The initial state is built once, on the
-reference grid, and restricted once per stepped band.
+in the L2 x H^-1 pair norm.  The initial state is built once per study
+and restricted once per stepped band.
 
 A study is one table of runs: the reference (hr_lri at tau_ref on band
 N_ref) and one run per method and level, each a spec and a stepped band n.
@@ -26,12 +26,14 @@ so each squared error splits exactly at box M, the widest stepped band:
 * outside box M, per study: no run steps there, so the error is the flow
   outside box max(M, h).  Its per-mode energy depends on |u_0|^2, |v_0|^2,
   Re(u_0 conj v_0) and (|k_1|, ..., |k_d|) alone, so every tail comes from
-  one streamed pass over the initial state (``_outside_energy``); the flow
+  one streamed pass over the initial pair (``_outside_energy``); the flow
   is built at band M only, for the shifts.
 
-So no sample ever builds a state wider than band M, and the initial pair is
-the study's only array of the full box; with alpha = 1 every shift is empty
-and every tail zero.
+So no sample ever builds a state wider than band M.  Random data is a
+product of per-axis factors, which the tail pass reads and from which band
+M is built, so its study makes no array of the full box; the plateaus and
+explicit states are built once on the reference's full grid, the study's
+only such array.  With alpha = 1 every shift is empty and every tail zero.
 
 The samples are stepped in contiguous chunks.  A chunk draws its paths one
 at a time, coarsens each to every step size into preallocated increment
@@ -91,10 +93,12 @@ from .noise import PEAK_BYTES_PER_CELL, coarsen, sample_path, step_count
 from .problems import (
     _DATA_STREAMS,
     PRESETS,
+    AxisFactors,
     ProblemSpec,
     build_initial,
     check_initial,
     initial_dims,
+    initial_factors,
     preset_problem,
 )
 from .semigroup import propagator_tables
@@ -325,7 +329,10 @@ _BUILD_PEAK_ARRAYS = 8
 
 def _full_grid(dim: int, n_cut: int, alpha: float) -> SpectralGrid:
     """make_grid, refusing a grid whose initial state needs more than
-    physical memory to build (_BUILD_PEAK_ARRAYS full-band arrays)."""
+    physical memory to build (_BUILD_PEAK_ARRAYS full-band arrays).  Every
+    build of a full-band state goes through it: a single run's, and a
+    study's of data without a factor form (the plateaus and explicit
+    states); a study of random data builds only its stepped bands."""
     grid = make_grid(dim, n_cut, alpha)
     _check_memory(_BUILD_PEAK_ARRAYS * _array_bytes(dim, grid.n_high),
                   f"building the initial state at band {n_cut} with alpha {alpha}")
@@ -424,6 +431,13 @@ class _Study:
 # the tail pass reads at a time; its temporaries are a few arrays that size
 _SLAB_BYTES = 2**18
 
+# float64 arrays of one (n + 1, ..., n + 1, slots) slab of the |k| orthant
+# that the tail pass holds at its peak: tracemalloc measures 15 to 20 for
+# factored 2D data at bands 256 to 16384.  Above band 8192 in 2D a slab is
+# one column of the orthant, wider than _SLAB_BYTES, so a study of factored
+# data is refused when 24 such columns exceed physical memory
+_TAIL_PEAK_SLABS = 24
+
 
 def _fold_signs(x: np.ndarray, axes) -> np.ndarray:
     """x summed over the sign pairs of each of ``axes``: slot j of the
@@ -437,10 +451,53 @@ def _fold_signs(x: np.ndarray, axes) -> np.ndarray:
     return x
 
 
-def _outside_energy(state: SpectralState, t: float, boxes) -> dict[int, float]:
-    """{b: squared pair norm (gamma = 0) of the flow e^(tL) state outside
-    box b} for every b in ``boxes``: its per-mode energy summed over the
-    modes with max_j |k_j| >= b.
+def _folded_slabs(state: SpectralState, cols: int):
+    """(lo, hi, A, B, C) for each slab of ``cols`` slots lo..hi-1 of a full
+    state's last axis: A, B and C summed over the sign pairs of the other
+    axes (``_fold_signs``) and weighted by the last axis's multiplicity, 1
+    at k_last = 0 and 2 above."""
+    n = state.band
+    axes = range(state.dim - 1)
+    for lo in range(0, n + 1, cols):
+        hi = min(lo + cols, n + 1)
+        us, vs = state.u_hat[..., lo:hi], state.v_hat[..., lo:hi]
+        mult = np.where(np.arange(lo, hi) == 0, 1.0, 2.0)
+        a = _fold_signs(us.real * us.real + us.imag * us.imag, axes) * mult
+        b = _fold_signs(vs.real * vs.real + vs.imag * vs.imag, axes) * mult
+        c = _fold_signs(us.real * vs.real + us.imag * vs.imag, axes) * mult
+        yield lo, hi, a, b, c
+
+
+def _sign_multiplicity(n: int, lo: int, hi: int) -> np.ndarray:
+    """The sign variants of |k| = lo..hi-1 on one axis of the box of band
+    n: 1 at |k| = 0 and at |k| = n (the axis's one unpaired slot), 2
+    between."""
+    k = np.arange(lo, hi)
+    return np.where((k == 0) | (k == n), 1.0, 2.0)
+
+
+def _factor_slabs(factors: AxisFactors, cols: int):
+    """``_folded_slabs`` of separable data, formed from its factors on the
+    |k| orthant (``AxisFactors.orthant``) and weighted by each axis's sign
+    multiplicity.  Each product slab is squared as a full state's would
+    be, so for even profiles the slabs are the folded ones, bit for bit.
+    The slabs past the last axis's profiles hold nothing and are skipped:
+    their energy would add exact zeros."""
+    n = factors.band
+    rows = [_sign_multiplicity(n, 0, n + 1) for _ in range(factors.dim - 1)]
+    end = min(n + 1, max(p.size for p in (factors.u[-1], factors.v[-1])))
+    for lo in range(0, end, cols):
+        hi = min(lo + cols, n + 1)
+        us, vs = factors.orthant(lo, hi)
+        weight = functools.reduce(np.multiply.outer, rows + [_sign_multiplicity(n, lo, hi)])
+        yield lo, hi, us * us * weight, vs * vs * weight, us * vs * weight
+
+
+def _outside_energy(initial: SpectralState | AxisFactors, t: float, boxes) -> dict[int, float]:
+    """{b: squared pair norm (gamma = 0) of the flow e^(tL) of the initial
+    pair outside box b} for every b in ``boxes``: its per-mode energy summed
+    over the modes with max_j |k_j| >= b.  ``initial`` is a state stored at
+    its full band, or the per-axis factors of separable data.
 
     The flow itself is never built.  With A = |u|^2, B = |v|^2,
     C = Re(u conj v), the tables (c, s, a21) of e^(tL) and the weight
@@ -449,26 +506,22 @@ def _outside_energy(state: SpectralState, t: float, boxes) -> dict[int, float]:
         E = c^2 A + s^2 B + 2csC + w (a21^2 A + c^2 B + 2 a21 c C),
 
     and the tables, w and max_j |k_j| depend on (|k_1|, ..., |k_d|) alone.
-    The last axis of the half spectrum already holds |k_d|, and a slot
-    above 0 stands for k_d and -k_d, so it weighs 2.  So A, B and C are
-    summed over the sign variants of the other axes and weighted first, and
-    the rest is evaluated on the (n + 1)^d orthant of |k|.  The last axis
-    is read in slabs of at most _SLAB_BYTES of the state at a time, so no
-    array of the full box is made.
+    So A, B and C are summed over the sign variants of each |k| and
+    weighted first, and the rest is evaluated on the (n + 1)^d orthant of
+    |k|, in slabs of the last axis: a state's are folded
+    (``_folded_slabs``; the last axis of the half spectrum already holds
+    |k_d|, and a slot above 0 stands for k_d and -k_d, so it weighs 2), and
+    factors give theirs on the orthant directly (``_factor_slabs``).  A
+    slab spans as many last-axis slots as _SLAB_BYTES of the state hold
+    whatever the source, so the sums, and their bits, do not depend on it,
+    and no array of the full box is made.
     """
-    u, v = state.u_hat, state.v_hat
-    dim, n = state.dim, state.band
-    axes = range(dim - 1)
-    orthant = [np.arange(n + 1) for _ in axes]
+    dim, n = initial.dim, initial.band
     cols = max(1, _SLAB_BYTES // (16 * math.prod(half_shape(dim, n)[:-1])))
+    slabs = (_factor_slabs if isinstance(initial, AxisFactors) else _folded_slabs)(initial, cols)
+    orthant = [np.arange(n + 1) for _ in range(dim - 1)]
     out = dict.fromkeys(boxes, 0.0)
-    for lo in range(0, n + 1, cols):
-        hi = min(lo + cols, n + 1)
-        us, vs = u[..., lo:hi], v[..., lo:hi]
-        mult = np.where(np.arange(lo, hi) == 0, 1.0, 2.0)
-        a = _fold_signs(us.real * us.real + us.imag * us.imag, axes) * mult
-        b = _fold_signs(vs.real * vs.real + vs.imag * vs.imag, axes) * mult
-        c = _fold_signs(us.real * vs.real + us.imag * vs.imag, axes) * mult
+    for lo, hi, a, b, c in slabs:
         ks = orthant + [np.arange(lo, hi)]
         lam2 = (2.0 * np.pi) ** 2 * functools.reduce(np.add.outer,
                                                       [k.astype(np.float64) ** 2 for k in ks])
@@ -484,14 +537,31 @@ def _outside_energy(state: SpectralState, t: float, boxes) -> dict[int, float]:
 
 def _prepare(config: ExperimentConfig) -> _Study:
     """Grids, specs, the shared initial state and the noise-free parts of
-    every error, computed once per study."""
+    every error, computed once per study.
+
+    Random data comes as its per-axis factors (``problems.initial_factors``,
+    no longer than band M), which feed the tail pass; the start at band M
+    is built from them, equal bit for bit to the full-band state re-stored
+    there.  So no array of the full box is made: the band-M guard bounds
+    what is built, and _SLAB_BYTES or, where one column of the orthant is
+    wider, _TAIL_PEAK_SLABS columns bound the tail pass.  The plateaus and
+    explicit states have no factor form: they are built at the full band,
+    under ``_full_grid``'s guard, read once by the tail pass and re-stored
+    at band M.
+    """
     dim = config.dim
     _check_lattice("tau_ref", config.tau_ref, config.t_final)
     n_ref = default_n_cut(config.tau_ref)
     band = max(n_ref, *config.n_cuts)
     _check_memory(_array_bytes(dim, band), f"one array at the widest stepped band {band}")
-    full = _full_grid(dim, n_ref, config.alpha)
-    u0 = build_initial(config.problem.initial, full)
+    grid = make_grid(dim, n_ref, config.alpha)
+    factors = initial_factors(config.problem.initial, grid)
+    if factors is None:
+        initial = build_initial(config.problem.initial, _full_grid(dim, n_ref, config.alpha))
+    else:
+        _check_memory(_TAIL_PEAK_SLABS * 8 * (grid.n_high + 1) ** (dim - 1),
+                      f"the tail pass over the |k| orthant of band {grid.n_high}")
+        initial = factors
 
     def planned(kind: str, tau: float, n: int) -> tuple:
         """(spec, stepped band, box kept) of one run."""
@@ -501,10 +571,12 @@ def _prepare(config: ExperimentConfig) -> _Study:
     ref_spec, _, ref_box = planned("hr_lri", config.tau_ref, n_ref)
     plan = [[planned(m, tau, n) for tau, n in zip(config.levels, config.n_cuts)]
             for m in config.methods]
-    outside = _outside_energy(u0, config.t_final, {max(band, h) for row in plan for *_, h in row})
+    outside = _outside_energy(initial, config.t_final,
+                              {max(band, h) for row in plan for *_, h in row})
 
     # no run reads the initial state above band M
-    u0 = with_band(u0, band)
+    u0 = with_band(initial, band) if factors is None else factors.state(band)
+    del initial
     flow_m = recover_high(u0, config.t_final)
     ref_modes = recovered_modes(dim, band, n_ref, ref_box)
 

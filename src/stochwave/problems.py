@@ -19,14 +19,19 @@ that depends on |k_j| alone:
 where ru_j and rv_j are the (seed-keyed) uniforms of the streams
 _DATA_STREAMS[2j] and _DATA_STREAMS[2j + 1].  The u (v) coefficient of mode
 k = (k_1, ..., k_dim) is the product over j of the u (v) profiles at k_j,
-so it is zero unless every k_j is nonzero.  The states are half spectra
-(see ``spectral``): each profile is built on the slots |k| = 0..n_high of
-one axis, which the last axis takes as they are and every other axis
-mirrors into its full layout.  The exponents put the pair
-exactly in the gamma / gamma-1 smoothness class and no better.  The k = 0
-coefficient is left at zero: the power law is undefined there and any
-bounded choice lands in the same class, so zero keeps comparisons across
-gamma clean.
+so it is zero unless every k_j is nonzero.  The profiles are the data's
+factor form (``initial_factors``, an ``AxisFactors``): each is built
+on the slots |k| = 0..kmax of one axis, and its state at a band (a half
+spectrum, see ``spectral``) takes the last axis's profile as it is and
+mirrors every other axis's into its full layout.  ``build_random_hgamma``
+is that state at the grid's full band, so the state and the factors
+cannot disagree; a study builds only the bands it steps from the factors.
+In 1D the exponents put u exactly in H^gamma and v exactly in H^(gamma-1),
+and no better.  In 2D that holds for u, but v lies only in H^(2(gamma-1)):
+for s = gamma - 1 < 0 a product of 1D H^s profiles is in H^(2s) of the
+torus and not in H^s (ROADMAP item 1).  The k = 0 coefficient is left at
+zero: the power law is undefined there and any bounded choice lands in the
+same class, so zero keeps comparisons across gamma clean.
 
 The stepped storage holds |k| <= n_cut - 1, so with alpha = 1 the data lies
 inside it, while with alpha > 1 each axis also gets the one mode at
@@ -201,37 +206,102 @@ def _build_plateaus(kind: str, grid: SpectralGrid) -> SpectralState:
     return SpectralState(u_hat, np.zeros_like(u_hat))
 
 
-def _axis_profile(band: int, kmax: int, exponent: float, draws: np.ndarray) -> np.ndarray:
-    """0.5 * draws[|k|-1] * |k|^exponent at the slots |k| = 0..band of one
-    axis, zero at |k| = 0 and above kmax."""
-    out = np.zeros(band + 1)
-    out[1:kmax + 1] = 0.5 * draws * np.arange(1, kmax + 1, dtype=np.float64) ** exponent
+def _slots(profile: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """profile[lo:hi], zero past the profile's end."""
+    out = np.zeros(hi - lo)
+    part = profile[lo:hi]
+    out[:part.size] = part
+    return out
+
+
+@dataclass(frozen=True)
+class AxisFactors:
+    """Initial data that is a product over the axes, kept as its factors.
+
+    The u coefficient of mode k is the product over the axes j of
+    ``u[j][|k_j|]``, and the v coefficient likewise, for every mode of the
+    box of ``band`` (each |k_j| <= band); a profile is zero past its end.
+    Slot ``band`` of an axis stands for the box's one unpaired slot of that
+    axis.  ``state`` stores the pair as a half spectrum, and ``orthant``
+    gives it on the |k| orthant, so neither builds more than it is asked
+    for.
+    """
+
+    band: int
+    u: tuple[np.ndarray, ...]
+    v: tuple[np.ndarray, ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.u)
+
+    def state(self, band: int) -> SpectralState:
+        """The pair stored at ``band``, as ``spectral.with_band`` would
+        re-store it from the factors' own band: the modes with every
+        |k_j| < min(band, self.band).  The last axis keeps its profile, and
+        every other axis reads it at the |k| of each slot of its full
+        layout."""
+        keep = min(band, self.band)
+
+        def field(profiles) -> np.ndarray:
+            axes = [_slots(p[:keep], 0, band + 1) for p in profiles]
+            axes[:-1] = [p[np.abs(mode_indices(band))] for p in axes[:-1]]
+            return functools.reduce(np.multiply.outer, axes).astype(np.complex128)
+
+        return SpectralState(field(self.u), field(self.v))
+
+    def orthant(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Real u and v on a slab of the |k| orthant of the box: |k_j| =
+        0..band on every axis but the last, and lo..hi-1 on the last."""
+
+        def field(profiles) -> np.ndarray:
+            axes = [_slots(p, 0, self.band + 1) for p in profiles[:-1]]
+            return functools.reduce(np.multiply.outer, axes + [_slots(profiles[-1], lo, hi)])
+
+        return field(self.u), field(self.v)
+
+
+def _axis_profile(kmax: int, exponent: float, draws: np.ndarray) -> np.ndarray:
+    """0.5 * draws[|k|-1] * |k|^exponent at the slots |k| = 0..kmax of one
+    axis, zero at |k| = 0."""
+    out = np.zeros(kmax + 1)
+    out[1:] = 0.5 * draws * np.arange(1, kmax + 1, dtype=np.float64) ** exponent
     return out
 
 
 def build_random_hgamma(grid: SpectralGrid, gamma: float, seed: int) -> SpectralState:
-    """Random real pair lying in the gamma / gamma-1 class and no higher.
+    """Random real pair of smoothness gamma (see the module docstring for
+    the class it lies in): the state of its factors (``initial_factors``)
+    at the grid's full band.
 
     Each coefficient profile (u and v of every axis) reads k = 1..kmax
     uniforms from its own dedicated stream, so building on a wider grid
     extends the same function.  One draw per |k_j| is shared between +k_j
     and -k_j, making the spectra even and real, and the fields real.
     """
-    check_initial(InitialDataSpec("random_hgamma", gamma=gamma), grid.dim)
-    band = grid.n_high
+    spec = InitialDataSpec("random_hgamma", gamma=gamma, seed=seed)
+    return initial_factors(spec, grid).state(grid.n_high)
+
+
+def initial_factors(spec: InitialDataSpec, grid: SpectralGrid) -> AxisFactors | None:
+    """The per-axis factors of ``spec``'s data on the grid's full band, once
+    ``check_initial`` finds that it fits the grid: random data's profiles,
+    axis j's u (v) profile from stream 2j (2j + 1) on the slots |k| =
+    0..kmax that it fills.  None for the kinds that have no factor form:
+    the plateaus, whose 2D profile is transformed as one field, and
+    explicit states."""
+    if spec.kind != "random_hgamma":
+        return None
+    check_initial(spec, grid.dim)
     kmax = min(grid.n_cut, grid.n_high - 1)
 
-    def field(slot: int, exponent: float) -> np.ndarray:
-        """The u (slot 0) or v (slot 1) spectrum; axis j reads stream
-        2j + slot.  The last axis keeps its profile, and every other axis
-        reads it at the |k| of each slot of its full layout."""
-        axes = [_axis_profile(band, kmax, exponent,
-                              standard_uniforms(seed, _DATA_STREAMS[2 * j + slot], kmax))
-                for j in range(grid.dim)]
-        axes[:-1] = [p[np.abs(mode_indices(band))] for p in axes[:-1]]
-        return functools.reduce(np.multiply.outer, axes).astype(np.complex128)
+    def profiles(slot: int, exponent: float) -> tuple[np.ndarray, ...]:
+        return tuple(_axis_profile(kmax, exponent,
+                                   standard_uniforms(spec.seed, _DATA_STREAMS[2 * j + slot], kmax))
+                     for j in range(grid.dim))
 
-    return SpectralState(field(0, -gamma - 0.51), field(1, -gamma + 0.49))
+    gamma = spec.gamma
+    return AxisFactors(grid.n_high, profiles(0, -gamma - 0.51), profiles(1, -gamma + 0.49))
 
 
 def build_initial(spec: InitialDataSpec, grid: SpectralGrid) -> SpectralState:

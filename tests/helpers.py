@@ -14,6 +14,12 @@ def zero_state(dim, band):
     return sw.SpectralState(*np.zeros((2, *half_shape(dim, band)), dtype=np.complex128))
 
 
+def bits(arr):
+    """The bytes of a float or complex array, so that equality also tells
+    -0 from +0."""
+    return np.ascontiguousarray(arr).view(np.uint64)
+
+
 def masked(state, mask):
     """``state`` with every mode outside ``mask`` zeroed."""
     return sw.SpectralState(state.u_hat * mask, state.v_hat * mask)

@@ -56,8 +56,8 @@ MUTANTS = (
            "            if False:\n",
            (f"{T_EXP}::TestErrorSplit",)),
     Mutant("tail_t0", EXP,
-           "outside = _outside_energy(u0, config.t_final,",
-           "outside = _outside_energy(u0, 0.0,",
+           "outside = _outside_energy(initial, config.t_final,",
+           "outside = _outside_energy(initial, 0.0,",
            (f"{T_EXP}::TestErrorSplit",)),
     Mutant("fold_multiplicity_1", EXP,
            "mult = np.where(np.arange(lo, hi) == 0, 1.0, 2.0)",
@@ -69,6 +69,25 @@ MUTANTS = (
            "+ 2.0 * (cos * sin_over + w * a21 * cos) * c)",
            "+ 1.0 * (cos * sin_over + w * a21 * cos) * c)",
            (f"{T_EXP}::TestTails",)),
+    # the factored slab source: random data has nothing at |k_j| = n, so
+    # only the hand-made factors that fill every slot see that multiplicity
+    Mutant("factor_multiplicity_2_at_n", EXP,
+           "return np.where((k == 0) | (k == n), 1.0, 2.0)",
+           "return np.where(k == 0, 1.0, 2.0)",
+           (f"{T_EXP}::TestTails::test_factor_tails_match_full_box_flow",)),
+    Mutant("factor_cross_uu", EXP,
+           "yield lo, hi, us * us * weight, vs * vs * weight, us * vs * weight",
+           "yield lo, hi, us * us * weight, vs * vs * weight, us * us * weight",
+           (f"{T_EXP}::TestTails",)),
+    # the start at band M keeping the slot M that with_band drops
+    Mutant("factor_start_keeps_unpaired_slot", "problems.py",
+           "keep = min(band, self.band)",
+           "keep = min(band + 1, self.band)",
+           (f"{T_EXP}::TestTails::test_factored_study_is_the_full_state_study_bit_for_bit",)),
+    Mutant("tail_guard_2_slabs", EXP,
+           "_TAIL_PEAK_SLABS = 24",
+           "_TAIL_PEAK_SLABS = 2",
+           (f"{T_EXP}::TestMemoryGuard::test_tail_guard_bounds_the_factored_tail_pass",)),
     Mutant("recovered_edge_moved", INT,
            "return (n <= shell) & (shell < min(h, band))",
            "return (n < shell) & (shell < min(h, band))",

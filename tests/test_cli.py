@@ -184,7 +184,10 @@ BAD_ARGUMENTS = [
     ["converge", "--config", "{tmp}/no_methods.cfg"],
     ["run", "--config", "{tmp}/no_methods.cfg"],
     ["converge", "--preset", "2", "--method", "stm,stm"],
-    ["converge", "--preset", "2", "--tau", "0.125", "--levels", "3", "--alpha", "10"],
+    # a reference box of 32^10 modes per axis: the plateaus' initial state
+    # at that band, or one column of the tail pass over random data's orthant
+    ["converge", "--preset", "1", "--tau", "0.125", "--levels", "3", "--alpha", "10"],
+    ["converge", "--preset", "4", "--tau", "0.125", "--levels", "3", "--alpha", "10"],
     ["run", "--preset", "1", "--alpha", "1e6"],
     ["run", "--preset", "1", "--method", "sem,stm"],
     ["converge", "--preset", "2", "--dim", "3"],
@@ -224,8 +227,13 @@ BAD_ARGUMENTS = [
 ]
 
 # what the message names: the lattice each entry point draws (a study's at
-# tau_ref = 2^-11, a single run's at tau = 2^-9), the bad level, or band M
+# tau_ref = 2^-11, a single run's at tau = 2^-9), the bad level, band M, or
+# the reference's full band, built or summed by the tail pass
 BAD_ARGUMENT_MESSAGES = {
+    ("converge", "--preset", "1", "--tau", "0.125", "--levels", "3", "--alpha", "10"):
+        "building the initial state at band 32 with alpha 10",
+    ("converge", "--preset", "4", "--tau", "0.125", "--levels", "3", "--alpha", "10"):
+        "the tail pass over the |k| orthant of band 1125899906842624",
     ("converge", "--preset", "2", "--tfinal", "1099511627776"): "t_final/tau_ref = 2^51 cells",
     ("run", "--preset", "1", "--tfinal", "1099511627776"): "t_final/tau = 2^49 cells",
     ("converge", "--config", "{tmp}/level_nan.cfg"): "level must be finite",

@@ -1,5 +1,6 @@
 """Study driver, order fitting, report emission, config handling."""
 
+import functools
 import itertools
 import math
 import statistics
@@ -21,11 +22,11 @@ from stochwave.experiments import (
     resolve_config,
 )
 from stochwave.integrators import stepping_key
-from stochwave.problems import _DATA_STREAMS, PRESETS
+from stochwave.problems import _DATA_STREAMS, PRESETS, AxisFactors
 from stochwave.semigroup import propagator_tables
 from stochwave.spectral import shell_index
 
-from helpers import read_csv, zero_state
+from helpers import bits, read_csv, zero_state
 
 
 def lowband_state(seed=0):
@@ -507,18 +508,56 @@ class TestErrorSplit:
             assert shape == ((3, 65), (3, 65), (65,), (65,))
 
 
-def full_box_energy(state, t):
-    """Per-mode gamma = 0 pair-norm energy of the flow e^(tL) state, built
-    on the whole (2n,)^d box of the state's full spectrum (the complex FFT
-    of its fields), and the box's shell index max_j |k_j|."""
-    n = 2 * state.band
-    k = np.meshgrid(*[np.fft.fftfreq(n, 1 / n)] * state.dim, indexing="ij")
+def box_energy(u, v, t):
+    """Per-mode gamma = 0 pair-norm energy of the flow e^(tL) of the full
+    spectra u and v on a (2n,)^d box in the FFT layout, and the box's shell
+    index max_j |k_j|."""
+    n = u.shape[0]
+    k = np.meshgrid(*[np.fft.fftfreq(n, 1 / n)] * u.ndim, indexing="ij")
     lam2 = (2 * np.pi) ** 2 * sum(kj * kj for kj in k)
     a11, a12, a21, a22 = propagator_tables(np.sqrt(lam2), t)
-    u, v = (np.fft.fftn(f, norm="forward") for f in sw.state_to_fields(state))
     fu, fv = a11 * u + a12 * v, a21 * u + a22 * v
     energy = np.abs(fu) ** 2 + np.abs(fv) ** 2 / (1 + lam2)
     return energy, np.maximum.reduce([np.abs(kj) for kj in k])
+
+
+def full_box_energy(state, t):
+    """``box_energy`` of a state's full spectrum, the complex FFT of its
+    fields."""
+    return box_energy(*(np.fft.fftn(f, norm="forward") for f in sw.state_to_fields(state)), t)
+
+
+# random data, whose study builds it from its per-axis factors: 1D at alpha
+# 1 and 2, 2D at alpha 1, 1.5 and 2
+FACTORED_CASES = ("preset2", "preset2-alpha1", "preset4-alpha1", "preset4", "preset4-alpha2")
+TAIL_CASES = {**SPLIT_CASES,
+              "preset4-alpha2": dict(dim=2, preset=4, alpha=2.0, levels=(2**-3, 2**-4),
+                                     tau_ref=2**-6)}
+
+
+def factor_box_energy(factors, t):
+    """``box_energy`` of separable data on the (2n,)^d box of the factors'
+    band n, each mode the product of the profiles at its |k_j|: mode -n,
+    the box's one unpaired mode per axis, is there once."""
+    n = factors.band
+    absk = np.abs(np.fft.fftfreq(2 * n, 1 / (2 * n))).astype(np.int64)
+
+    def field(profiles):
+        padded = [np.concatenate([p, np.zeros(n + 1 - p.size)]) for p in profiles]
+        return functools.reduce(np.multiply.outer, [p[absk] for p in padded])
+
+    return box_energy(field(factors.u), field(factors.v), t)
+
+
+def tail_oracle_check(tail, energy, outside):
+    """A tail against the full-box oracle at rtol 1e-14; where the data has
+    no mode outside the box the tail must be exactly 0, the oracle's sum
+    there being the rounding of its transforms."""
+    oracle = np.sum(energy[outside])
+    if oracle < 1e-30 * np.sum(energy):
+        assert tail == 0.0
+    else:
+        np.testing.assert_allclose(tail, oracle, rtol=1e-14, atol=0)
 
 
 class TestTails:
@@ -543,10 +582,11 @@ class TestTails:
         assert np.sum(energy[shell >= band]) < 1e-30 * np.sum(energy)
 
     @pytest.mark.parametrize("case", ["preset1-wide-n_cuts", "preset3-wide-n_cuts",
-                                      "explicit-full-box-1d", "explicit-full-box-2d"])
+                                      "explicit-full-box-1d", "explicit-full-box-2d",
+                                      *FACTORED_CASES])
     def test_study_tails_and_shifts_match_full_box_flow(self, case):
         base = dict(methods=ALL_METHODS, levels=(2**-3, 2**-4, 2**-5), gamma=0.5, seed=4)
-        cfg = resolve_config(sw.ExperimentConfig(**{**base, **SPLIT_CASES[case]}))
+        cfg = resolve_config(sw.ExperimentConfig(**{**base, **TAIL_CASES[case]}))
         study = exp._prepare(cfg)
         dim, problem = cfg.dim, cfg.problem
         n_ref, band = default_n_cut(cfg.tau_ref), study.band
@@ -562,8 +602,7 @@ class TestTails:
                 spec = sw.method_spec(m, tau, cfg.t_final)
                 h = sw.make_grid(dim, n, cfg.alpha).n_high if spec.recovery else n
                 _, _, shift, tail = study.runs[mi][li]
-                np.testing.assert_allclose(tail, np.sum(energy[shell >= max(band, h)]),
-                                           rtol=1e-14, atol=0)
+                tail_oracle_check(tail, energy, shell >= max(band, h))
                 sign = 1.0 * ((n <= shell_m) & (shell_m < min(h, band))) - ref_sign
                 if not sign.any():
                     assert shift is None
@@ -571,9 +610,75 @@ class TestTails:
                 live += 1
                 np.testing.assert_array_equal(shift[0], flow_m.u_hat * sign)
                 np.testing.assert_array_equal(shift[1], flow_m.v_hat * sign)
-        assert live > 0
+        # with alpha = 1 no run recovers a mode, the reference included
+        assert live > 0 or cfg.alpha == 1.0
         if case.startswith("explicit-full-box"):
             assert all(tail > 0 for row in study.runs for *_, tail in row)
+
+    @pytest.mark.parametrize("case", FACTORED_CASES)
+    def test_factored_study_is_the_full_state_study_bit_for_bit(self, monkeypatch, case):
+        # random data's study, from its factors, against the same study
+        # built from build_initial's full state (the path of data without
+        # factors): the same starts, shifts and tails, bit for bit
+        base = dict(methods=ALL_METHODS, levels=(2**-3, 2**-4, 2**-5), gamma=0.5, seed=4)
+        cfg = resolve_config(sw.ExperimentConfig(**{**base, **TAIL_CASES[case]}))
+        built = []
+        real_build = exp.build_initial
+
+        def build(spec, grid):
+            built.append(grid.n_high)
+            return real_build(spec, grid)
+
+        monkeypatch.setattr(exp, "build_initial", build)
+        study = exp._prepare(cfg)
+        assert built == []
+        monkeypatch.setattr(exp, "initial_factors", lambda spec, grid: None)
+        full = exp._prepare(cfg)
+        assert built == [sw.make_grid(cfg.dim, default_n_cut(cfg.tau_ref), cfg.alpha).n_high]
+        assert study.band == full.band and study.starts.keys() == full.starts.keys()
+        for n, start in study.starts.items():
+            np.testing.assert_array_equal(bits(start.u_hat), bits(full.starts[n].u_hat))
+            np.testing.assert_array_equal(bits(start.v_hat), bits(full.starts[n].v_hat))
+        tails = set()
+        for row, full_row in zip(study.runs, full.runs):
+            for (_, n, shift, tail), (_, full_n, full_shift, full_tail) in zip(row, full_row):
+                assert n == full_n and tail == full_tail
+                tails.add(tail)
+                assert (shift is None) == (full_shift is None)
+                for a, b in zip(shift or (), full_shift or ()):
+                    np.testing.assert_array_equal(bits(a), bits(b))
+        if cfg.alpha > 1.0:
+            assert max(tails) > 0.0
+
+    @pytest.mark.parametrize("dim,band,rows", [(1, 40, 7), (2, 12, 5)])
+    def test_factor_tails_match_full_box_flow(self, monkeypatch, dim, band, rows):
+        # profiles filling every slot |k| = 0..band, the unpaired one
+        # included, so each axis's sign multiplicity counts: 1 at 0 and at
+        # band, 2 between; `rows` slots a slab, the last one partial
+        assert (band + 1) % rows
+        monkeypatch.setattr(exp, "_SLAB_BYTES", rows * 16 * (2 * band) ** (dim - 1))
+        rng = np.random.default_rng(dim)
+        factors = AxisFactors(band, *(tuple(rng.uniform(-1, 1, band + 1) for _ in range(dim))
+                                      for _ in "uv"))
+        boxes = {1, 5, band - 1, band, band + 1}
+        got = exp._outside_energy(factors, 0.25, boxes)
+        energy, shell = factor_box_energy(factors, 0.25)
+        assert set(got) == boxes and got[band + 1] == 0.0
+        for b in boxes - {band + 1}:
+            assert got[b] > 0.0
+            np.testing.assert_allclose(got[b], np.sum(energy[shell >= b]), rtol=1e-14, atol=0)
+
+    def test_even_factors_tail_is_their_states_bit_for_bit(self):
+        # profiles that end below the band, as random data's do: the slabs
+        # past them are skipped, and the tails are the full state's
+        rng = np.random.default_rng(3)
+        for dim, band, size in ((1, 3000, 700), (2, 200, 61)):
+            factors = AxisFactors(band, *(tuple(rng.uniform(0, 1, size) for _ in range(dim))
+                                          for _ in "uv"))
+            boxes = {1, 17, size - 1, size, band // 2, band}
+            got = exp._outside_energy(factors, 0.25, boxes)
+            assert got == exp._outside_energy(factors.state(band), 0.25, boxes)
+            assert got[size - 1] > 0.0 and got[size] == got[band] == 0.0
 
     def test_tail_pass_builds_no_full_box_array(self):
         # a 2D box of 1024^2 modes: 8 MiB per complex half-spectrum array
@@ -897,9 +1002,11 @@ class TestMemoryGuard:
         assert not any(tmp_path.iterdir())
 
 
+    # a single run, and a study of the plateaus, which have no factor form:
+    # both build the initial state at the full band
     @pytest.mark.parametrize("argv", [
         ["run", "--preset", "1", "--tau", "0.03125"],
-        ["converge", "--preset", "2", "--tau", "0.125", "--levels", "3", "--samples", "2"],
+        ["converge", "--preset", "1", "--tau", "0.125", "--levels", "3", "--samples", "2"],
     ])
     def test_build_that_exceeds_memory_refused(self, monkeypatch, tmp_path, capsys, argv):
         # twice one array at the full band (1D band 64 for the run, 1024 for
@@ -918,6 +1025,58 @@ class TestMemoryGuard:
         err = capsys.readouterr().err
         assert rc == 2
         assert "building the initial state" in err and "physical memory" in err
+
+    def test_factored_study_never_builds_the_full_band(self, monkeypatch, tmp_path, capsys):
+        # the memory that refuses the plateaus' study above: random data is
+        # built from its per-axis factors at band M = 32 alone, so the same
+        # study of preset 2 runs to its CSV
+        from stochwave.cli import main
+
+        def never(*args, **kwargs):
+            raise AssertionError("built the initial state at the full band")
+
+        monkeypatch.setattr(exp, "build_initial", never)
+        self.physical_memory(monkeypatch, 2 * 16 * (1024 + 1))
+        out = tmp_path / "out"
+        rc = main(["converge", "--preset", "2", "--tau", "0.125", "--levels", "3",
+                   "--samples", "2", "--out", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        assert len(read_csv(out / "convergence.csv")) == 3
+
+    def test_tail_guard_bounds_the_factored_tail_pass(self, monkeypatch):
+        # 2D random data at alpha 2 and tau_ref 2^-9: band 16384, where a
+        # slab of the tail pass is one column of the orthant.  Its peak
+        # stays within what the guard asks for, which a study at this band
+        # passes; the full-band build it replaces needed 64 GiB
+        needs = []
+        monkeypatch.setattr(exp, "_check_memory", lambda need, what: needs.append((need, what)))
+        cfg = resolve_config(sw.ExperimentConfig(dim=2, preset=4, alpha=2.0, tau_ref=2**-9,
+                                                 levels=(2**-3, 2**-4, 2**-5)))
+        exp._prepare(cfg)
+        (need,) = [n for n, what in needs if "tail pass" in what]
+        factors = exp.initial_factors(cfg.problem.initial, sw.make_grid(2, 128, 2.0))
+        assert factors.band == 16384
+        tracemalloc.start()
+        try:
+            exp._outside_energy(factors, cfg.t_final, {128, 256})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < peak <= need
+        monkeypatch.undo()
+        exp._prepare(cfg)
+
+    def test_factored_prepare_holds_less_than_one_full_band_array(self):
+        # 2D random data at alpha 2 and tau_ref 2^-6: band M = 16, full band
+        # 256, whose complex half array takes 16 * 512 * 257 bytes
+        cfg = resolve_config(sw.ExperimentConfig(dim=2, preset=4, alpha=2.0, tau_ref=2**-6))
+        tracemalloc.start()
+        try:
+            exp._prepare(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 512 * 257
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_guard_covers_each_presets_build(self, monkeypatch, preset):

@@ -12,6 +12,7 @@ from stochwave.semigroup import propagator_tables
 from stochwave.spectral import band_mask, half_shape
 
 from helpers import (
+    bits,
     exact_linear_zero_mode,
     flow,
     full_layout,
@@ -557,11 +558,6 @@ class TestRunBlock:
             sw.run_block(spec, state, zero, Recording(), dws)
             assert calls
             calls.clear()
-
-
-def bits(arr):
-    """The bytes of a complex array, so that equality also tells -0 from +0."""
-    return np.ascontiguousarray(arr).view(np.uint64)
 
 
 TERMS = {
