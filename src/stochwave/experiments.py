@@ -38,15 +38,21 @@ only such array.  With alpha = 1 every shift is empty and every tail zero.
 The samples are stepped in contiguous chunks.  A chunk draws its paths one
 at a time, coarsens each to every step size into preallocated increment
 rows as soon as it is drawn and then drops it, so it holds one lattice at a
-time.  It steps each ``integrators.stepping_key`` once, as one
-``run_block`` call: runs with equal keys (``hr_lri`` and ``stm`` always,
-``lri`` unless its filter cuts, and an ``hr_lri`` level at tau_ref on N_ref
-with the reference) share one block.  Each block is re-stored at band M, and
-each run takes one weighted reduction of its difference from the reference
-block plus its shift.  Worker threads take whole chunks.  A chunk's rows are
-capped so that a block at band M stays within a fixed byte budget, and the
-samples are split over the workers only while each chunk keeps a fixed byte
-floor of such a block, below which a second worker costs more than it saves.
+time.  It steps each ``integrators.stepping_key`` once: runs with equal
+keys (``hr_lri`` and ``stm`` always, ``lri`` unless its filter cuts, and an
+``hr_lri`` level at tau_ref on N_ref with the reference) share one
+trajectory.  So a study steps each (band, cut, tau) once, every table kind
+in one block: the reference alone, then per level one ``run_block`` call
+for each (band, cut, tau) of the keys not yet stepped, the e^(tau L) and
+the resolvent tables side by side (a ``lri`` whose filter cuts has its own
+cut, so its own call).  Each trajectory is re-stored at band M, and each
+run takes one weighted reduction of its difference from the reference's
+plus its shift.  Worker threads take whole chunks.  A chunk's rows are
+capped so that its widest block, a key's rows at band M or a level's table
+kinds stepped together, stays within a fixed byte budget, and the samples
+are split over the workers only while each chunk keeps a fixed byte floor
+of one key's rows at band M, below which a second worker costs more than
+it saves.
 
 Orders are read off as the least-squares slope of log(rms) against
 log(tau).  Runs that leave the floating-point domain are excluded and
@@ -61,9 +67,10 @@ ascending sample order whatever the worker count or chunk size, and the
 convergence CSV carries no timing (its wall_seconds column is 0).  Only a
 timed study (``collect_timing``) measures times, on the one clock that
 ``_chunk_errors`` reads around each ``run_block`` call (the loop, the
-Hermitian check of the start and the key's first table build), and each
-lives in one place, its row's wall_seconds: ``emit_study`` writes it to the
-CSV and, for a report whose rows carry times, to error-versus-time data.
+Hermitian check of the start and the first table builds), which every
+method it steps shares, and each lives in one place, its row's
+wall_seconds: ``emit_study`` writes it to the CSV and, for a report whose
+rows carry times, to error-versus-time data.
 """
 
 from __future__ import annotations
@@ -79,7 +86,6 @@ import numpy as np
 
 from .integrators import (
     SCHEMES,
-    MethodSpec,
     NumericalError,
     kept_box,
     method_spec,
@@ -270,6 +276,9 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"alpha must be >= 1, got {alpha}")
     tau_ref = config.tau_ref
     if tau_ref is None:
+        # a derived tau_ref is refused only through the level it comes from
+        for level in levels:
+            _check_dyadic("level", level, config.t_final)
         tau_ref = levels[-1] / 4.0
     ref_cells = _check_dyadic("tau_ref", tau_ref, config.t_final)
     for level in levels:
@@ -596,12 +605,26 @@ def _prepare(config: ExperimentConfig) -> _Study:
               for row in plan])
 
 
+def _level_groups(level, stepped=frozenset()) -> list[dict]:
+    """The stepping keys of a level's runs that are not in ``stepped``,
+    grouped by (band, cut, tau): one {key: spec} per block, each key with
+    the spec of its first run."""
+    groups = {}
+    for spec, n, *_ in level:
+        key = stepping_key(spec, n)
+        if key not in stepped:
+            groups.setdefault(key[1:], {}).setdefault(key, spec)
+    return list(groups.values())
+
+
 def _chunk_errors(study: _Study, samples: range):
     """Squared errors (samples, methods, levels) of a contiguous chunk of
     samples, NaN where a run's row or its reference row failed, and the
     (methods, levels) seconds of each run's ``run_block`` call.  Each
-    stepping key is one block on the chunk's paths coarsened to its step
-    size, and each run one weighted reduction of its difference at band M."""
+    stepping key is stepped once, on the chunk's paths coarsened to its
+    step size: the reference's alone, then per level one block for each
+    (band, cut, tau) of the keys not yet stepped, every table kind in it.
+    Each run is one weighted reduction of its difference at band M."""
     config = study.config
     problem = config.problem
     err_sq = np.full((len(samples), len(config.methods), len(config.levels)), np.nan)
@@ -615,23 +638,29 @@ def _chunk_errors(study: _Study, samples: range):
         for tau, dw in dws.items():
             dw[row] = coarsen(path, tau)
         del path
+    # stepping key -> (block at band M, failed rows, seconds of its call)
     blocks = {}
 
-    def block(spec: MethodSpec, n: int) -> tuple:
-        """(block at band M, failed rows, seconds), stepped once per key."""
-        key = stepping_key(spec, n)
-        if key not in blocks:
-            start = _clock()
-            res = run_block(spec, study.starts[n], problem.f, problem.sigma, dws[spec.tau])
-            seconds = _clock() - start
+    def step(group: dict) -> None:
+        """Step ``group``, {stepping key: spec} on one (band, cut, tau), as
+        one block."""
+        _, n, _, tau = next(iter(group))
+        start = _clock()
+        results = run_block(list(group.values()), study.starts[n], problem.f, problem.sigma,
+                            dws[tau])
+        seconds = _clock() - start
+        for key, res in zip(group, results):
             res_m = with_band(SpectralState(res.u_hat, res.v_hat), study.band, config.dim)
             blocks[key] = res_m, res.failed, seconds
-        return blocks[key]
 
-    ref, ref_failed, _ = block(*study.ref)
+    ref_key = stepping_key(*study.ref)
+    step({ref_key: study.ref[0]})
+    ref, ref_failed, _ = blocks[ref_key]
     for li, level in enumerate(zip(*study.runs)):
+        for group in _level_groups(level, blocks):
+            step(group)
         for mi, (spec, n, shift, tail) in enumerate(level):
-            res, failed, wall[mi, li] = block(spec, n)
+            res, failed, wall[mi, li] = blocks[stepping_key(spec, n)]
             du, dv = res.u_hat - ref.u_hat, res.v_hat - ref.v_hat
             if shift is not None:
                 du, dv = du + shift[0], dv + shift[1]
@@ -639,23 +668,25 @@ def _chunk_errors(study: _Study, samples: range):
             err[list(ref_failed.keys() | failed.keys())] = np.nan
             err_sq[:, mi, li] = err
         # only the reference's block outlives its level
-        for key in blocks.keys() - {stepping_key(*study.ref)}:
+        for key in blocks.keys() - {ref_key}:
             del blocks[key]
     return err_sq, wall
 
 
-# bytes one (rows, 2M, ..., 2M, M + 1) complex coefficient block of a chunk
-# may take, the size of the blocks a chunk scores; run_block's peak is about
-# seven (rows, 2N, ..., 2N, N + 1) blocks with sigma alone and eight with f
-# too (tracemalloc, 1D at N = 512 and 16 rows)
+# bytes the widest block of a chunk may take: one (rows, 2M, ..., 2M, M + 1)
+# complex coefficient block, the size of the blocks a chunk scores, or the
+# K x rows of K table kinds stepped as one block at their band N;
+# run_block's peak is about seven (K x rows, 2N, ..., 2N, N + 1) blocks with
+# sigma alone and eight with f too (tracemalloc, 1D at N = 512 and 16 rows)
 _BLOCK_BYTES = 2**25
 
-# bytes of such a block below which a chunk is not split further over the
-# workers.  Small 1D blocks hold the interpreter lock: at M = 512, run_block
-# steps 4 rows at about 70% and 8 rows at about 90% of its rate at 16 rows,
-# and two workers on 8 rows each finish 16 rows in about 1.09 times one
-# worker's time, while on 16 rows each they take about 0.65 of it (2-vCPU
-# host).  The floor is 16 such rows; in 2D one row at M = 64 passes.
+# bytes of one (rows, 2M, ..., 2M, M + 1) block below which a chunk is not
+# split further over the workers.  Small 1D blocks hold the interpreter
+# lock: at M = 512, run_block steps 4 rows at about 70% and 8 rows at about
+# 90% of its rate at 16 rows, and two workers on 8 rows each finish 16 rows
+# in about 1.09 times one worker's time, while on 16 rows each they take
+# about 0.65 of it (2-vCPU host).  The floor is 16 such rows; in 2D one row
+# at M = 64 passes.
 _WORKER_FLOOR_BYTES = 2**17
 
 
@@ -672,12 +703,15 @@ def _workers(config: ExperimentConfig) -> int:
 def _chunk_rows(study: _Study) -> int:
     """Samples per chunk: an even split over the workers (``_workers``), but
     no fewer than keep a block at the widest stepped band M at
-    _WORKER_FLOOR_BYTES, and capped so that such a block stays within
-    _BLOCK_BYTES."""
+    _WORKER_FLOOR_BYTES, and capped so that the widest block a chunk holds
+    stays within _BLOCK_BYTES: a key's rows re-stored at band M, or the
+    rows of every table kind that a level steps as one block on its band."""
     config = study.config
     row_bytes = _array_bytes(config.dim, study.band)
+    widest = max([row_bytes] + [len(group) * _array_bytes(config.dim, next(iter(group))[1])
+                                for level in zip(*study.runs) for group in _level_groups(level)])
     split = max(-(-config.n_samples // _workers(config)), -(-_WORKER_FLOOR_BYTES // row_bytes))
-    return min(max(1, _BLOCK_BYTES // row_bytes), split)
+    return min(max(1, _BLOCK_BYTES // widest), split)
 
 
 def _study_reports(study: _Study, rows: int,
@@ -705,7 +739,7 @@ def run_convergence(config: ExperimentConfig,
                     collect_timing: bool = False) -> dict[str, ConvergenceReport]:
     """One coupled-path convergence study; a report per method.  With
     ``collect_timing`` each row holds its ``run_block`` seconds, summed over
-    chunks, which methods that share a ``stepping_key`` share."""
+    chunks, which the methods stepped in one block share."""
     config = resolve_config(config)
     study = _prepare(config)
     return _study_reports(study, _chunk_rows(study), collect_timing)

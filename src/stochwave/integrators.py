@@ -27,27 +27,34 @@ remainder; the recovered modes never see the noise and are propagated to
 the final time in one shot.
 
 Stepping works on blocks: the step loop ``run_block`` advances S rows from
-a given state, whose shape fixes the band N and the dimension d, as arrays
-of shape (S,) + (2N,)^(d-1) + (N+1,), through the columns of an (S, n)
-array of coarsened increments.  It is the one function that takes a step:
-per nonzero term one batched real inverse FFT, one pointwise map, one
-batched real forward FFT and one mask, then one 2x2 pass over the modes.
+a given state, whose shape fixes the band N and the dimension d, through
+the columns of an (S, n) array of coarsened increments, once for each of
+the methods it is given that share ``stepping_key``'s (band, cut, tau).
+Each distinct table kind (e^(tau L) or the resolvent) steps its S rows, and
+all of them step as one block of K x S rows, as arrays of shape (K, S) +
+(2N,)^(d-1) + (N+1,): the tables stacked to (K, 1, ...) broadcast over the
+rows and the increments over the kinds.  It is the one function that takes
+a step: per nonzero term one batched real inverse FFT, one pointwise map,
+one batched real forward FFT and one mask, then one 2x2 pass over the modes.
 Each step writes into work arrays that ``run_block`` allocates once per
 call: two state pairs that the steps alternate between, one spectrum per
 nonzero term, one real sample array and, only when the filter cuts, a cut
-copy of u.  Every layer keeps its operands and the order of its sums, so a
-step gives the bits it would give with fresh arrays.  Rows never mix, so
-every row is bit-identical to a block of one.  Each step scans its new
-state for non-finite values, once unless some row failed, and a row that
-fails is dropped alone with its first bad step.  ``run`` coarsens its one
-path, steps one row per snapshot segment plus the recovery band and
-returns its final full-band state; a failed step
-raises NumericalError, the one error type for non-finite values (a study's
-``NumericalFailure`` is one too).  Nothing here keeps time: a study times
-its blocks where it reports them (``experiments``).
-The stepping depends only on ``stepping_key``: ``hr_lri`` and ``stm``
-always share one trajectory, and ``lri`` does too whenever its filter does
-not cut (the default coupling), so a study steps each distinct key once.
+copy of u; the filter mask is stored complex and the increments are
+transposed once per call.  Every layer keeps its operands and the order of
+its sums, so a step gives the bits it would give with fresh arrays.  Rows
+never mix, so every row is bit-identical to a block of one kind and one
+row.  Each step sums its new state, and scans it for non-finite values
+only when that sum is not finite; a row that fails is dropped alone with
+its first bad step.  ``run`` coarsens its one path, steps one row per
+snapshot segment plus the recovery band and returns its final full-band
+state; a failed step raises NumericalError, the one error type for
+non-finite values (a study's ``NumericalFailure`` is one too).  Nothing
+here keeps time: a study times its blocks where it reports them
+(``experiments``).  The stepping depends only on ``stepping_key``:
+``hr_lri`` and ``stm`` always share one trajectory, and ``lri`` does too
+whenever its filter does not cut (the default coupling); ``sem`` differs
+from them in its tables alone.  So a study steps each (band, cut, tau)
+once, every table kind in one block.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ from .problems import NonlinearitySpec, ProblemSpec, build_initial
 from .spectral import (
     SpectralGrid,
     SpectralState,
-    band_mask,
+    _complex_mask,
     check_hermitian,
     lambda_sq,
     pseudospectral_apply,
@@ -164,62 +171,90 @@ class BlockResult:
     failed: dict
 
 
-def run_block(method: MethodSpec, start: SpectralState, f: NonlinearitySpec,
-              sigma: NonlinearitySpec, dws: np.ndarray) -> BlockResult:
+def run_block(methods, start: SpectralState, f: NonlinearitySpec,
+              sigma: NonlinearitySpec, dws: np.ndarray) -> list[BlockResult]:
     """Step every row of a block from the state ``start`` on its own band,
     with the nonlinearities ``f`` and ``sigma``, through the columns of the
-    (S, n) increments ``dws``: row s takes the n steps ``dws[s]``.
+    (S, n) increments ``dws``, once for each of ``methods``: row s takes the
+    n steps ``dws[s]``.  Returns one BlockResult per method.
 
-    ``start`` must be Hermitian (ValueError otherwise) and is copied once
-    to the S rows.  Each step is T (U + tau * Pi F(Pi U) + Pi Sigma(Pi U) dW)
-    of the whole block, with Pi the box truncation to the ``stepping_key``
-    cut, written into work arrays allocated here once.  A non-finite
-    increment or image enters v + tau z or v + dw z, and every 2x2 table
-    entry times NaN or inf is non-finite, so a row that fails leaves its
-    new state non-finite: one scan of the new pair tells whether any row
-    failed, and only then a second one which.  Such a row is zeroed, so
-    that it cannot spoil later steps, and recorded in ``failed`` with its
-    first bad step; the other rows go on untouched, and stepping stops
-    early once every row has failed.
+    The methods must share ``stepping_key``'s (band, cut, tau), else
+    ValueError; methods with equal keys share one trajectory.  Each distinct
+    table kind steps S rows, and all of them step as one block of K x S
+    rows: the states carry a leading kind axis, the tables are stacked to
+    (K, 1, ...) and the increments broadcast over the kinds.  ``start`` must
+    be Hermitian (ValueError otherwise) and is copied once to every row.
+    Each step is T (U + tau * Pi F(Pi U) + Pi Sigma(Pi U) dW) of the whole
+    block, with Pi the box truncation to the cut, written into work arrays
+    allocated here once.  A non-finite increment or image enters v + tau z
+    or v + dw z, and every 2x2 table entry times NaN or inf is non-finite,
+    so a row that fails leaves its new state non-finite, and so the sum of
+    the new pair: one sum tells whether any row may have failed, and only
+    then a scan which (finite entries whose sum overflows fail no row).
+    Such a row is zeroed, so that it cannot spoil later steps, and recorded
+    in its kind's ``failed`` with its first bad step; the other rows go on
+    untouched, and stepping stops early once every row has failed.
     """
+    keys = [stepping_key(m, start.band) for m in methods]
+    if len({key[1:] for key in keys}) != 1:
+        raise ValueError(f"run_block steps methods of one (band, cut, tau), got "
+                         f"{[(m.kind, m.tau) for m in methods]} on band {start.band}")
     check_hermitian(start)
-    tables_of, band, cut, tau = stepping_key(method, start.band)
+    _, band, cut, tau = keys[0]
     dim = start.dim
-    tables = tables_of(dim, band, tau)
-    shape = (len(dws),) + start.u_hat.shape
+    # the distinct table functions in order of first use, one per kind row
+    kinds = list(dict.fromkeys(key[0] for key in keys))
+    # one kind's cached tables broadcast as they are; several kinds' are
+    # stacked to (K, 1, ...)
+    per_kind = [kind(dim, band, tau) for kind in kinds]
+    tables = per_kind[0] if len(kinds) == 1 else tuple(
+        np.stack(entries)[:, None] for entries in zip(*per_kind))
+    rows = len(dws)
+    shape = (len(kinds), rows) + start.u_hat.shape
+    # the K x S rows as one axis: the block the nonlinearities see
+    flat = (-1,) + start.u_hat.shape
     # step n writes the pair n % 2 and reads the other, which holds the
     # start's copies before step 0
     pairs = tuple(np.empty((2,) + shape, dtype=np.complex128) for _ in range(2))
-    u, v = pairs[1]
-    u[...] = start.u_hat
-    v[...] = start.v_hat
+    states = [SpectralState(*pair) for pair in pairs]
+    pairs[1][0] = start.u_hat
+    pairs[1][1] = start.v_hat
     # the nonzero terms, f first, each with its image and the index of its
     # factor in (tau, dw)
     terms = [(spec, np.empty(shape, dtype=np.complex128), k)
              for k, spec in enumerate((f, sigma)) if not spec.is_zero]
-    samples = np.empty(shape[:1] + (2 * band,) * dim) if terms else None
+    samples = np.empty((len(kinds) * rows,) + (2 * band,) * dim) if terms else None
+    mask = _complex_mask(dim, band, cut) if cut < band else None
     u_cut = np.empty(shape, dtype=np.complex128) if cut < band else None
-    scan_axes = (0,) + tuple(range(2, dim + 2))
+    # step n's increments as one contiguous row, shaped to broadcast over
+    # the kinds and the modes
+    dw_steps = np.ascontiguousarray(dws.T).reshape((dws.shape[1], rows) + (1,) * dim)
+    scan_axes = (0,) + tuple(range(3, dim + 3))
 
-    failed: dict[int, int] = {}
+    failed: list[dict[int, int]] = [{} for _ in kinds]
+    state = states[1]
     for n in range(dws.shape[1]):
-        u_in = u if u_cut is None else np.multiply(u, band_mask(dim, band, cut), out=u_cut)
-        factors = (tau, dws[:, n].reshape((-1,) + (1,) * dim))
+        u_in = state.u_hat if mask is None else np.multiply(state.u_hat, mask, out=u_cut)
+        factors = (tau, dw_steps[n])
         dv = []
         for spec, image, k in terms:
-            z = pseudospectral_apply(spec, u_in, cut, dim, out=image, samples=samples)
-            dv.append(np.multiply(factors[k], z, out=z))
+            pseudospectral_apply(spec, u_in.reshape(flat), cut, dim, out=image.reshape(flat),
+                                 samples=samples)
+            dv.append(np.multiply(factors[k], image, out=image))
+        state = semigroup.apply(state, tables, *dv, out=states[n % 2])
         new = pairs[n % 2]
-        semigroup.apply(SpectralState(u, v), tables, *dv, out=SpectralState(*new))
-        u, v = new
-        if not np.isfinite(new).all():
-            bad = np.flatnonzero(~np.isfinite(new).all(axis=scan_axes))
-            new[:, bad] = 0.0
-            for row in bad.tolist():
-                failed.setdefault(row, n)
-            if len(failed) == len(dws):
+        # the sum of the pair is non-finite if any entry is
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(np.add.reduce(new, axis=None))
+        if not finite:
+            bad_kinds, bad_rows = np.nonzero(~np.isfinite(new).all(axis=scan_axes))
+            new[:, bad_kinds, bad_rows] = 0.0
+            for k, row in zip(bad_kinds.tolist(), bad_rows.tolist()):
+                failed[k].setdefault(row, n)
+            if sum(map(len, failed)) == len(kinds) * rows:
                 break
-    return BlockResult(u_hat=u, v_hat=v, failed=failed)
+    return [BlockResult(u_hat=state.u_hat[k], v_hat=state.v_hat[k], failed=failed[k])
+            for k in map(kinds.index, (key[0] for key in keys))]
 
 
 def run(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
@@ -259,7 +294,7 @@ def run(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
     # one segment per stride, and one of no steps when n_steps = 0
     stride = snapshot_stride if snapshots else max(method.n_steps, 1)
     for a in range(0, max(method.n_steps, 1), stride):
-        block = run_block(method, state, problem.f, problem.sigma, dws[None, a:a + stride])
+        block, = run_block([method], state, problem.f, problem.sigma, dws[None, a:a + stride])
         if block.failed:
             raise NumericalError(f"non-finite state at step {a + block.failed[0]}")
         state = SpectralState(block.u_hat[0], block.v_hat[0])

@@ -152,6 +152,17 @@ def band_mask(dim: int, band: int, cut: int) -> np.ndarray:
     return m
 
 
+@functools.cache
+def _complex_mask(dim: int, band: int, cut: int) -> np.ndarray:
+    """``band_mask`` stored complex (1 + 0j or 0j), read-only.  numpy casts
+    the bool mask to exactly that, in an iterator buffer, on every product
+    with a complex array; stored complex, the product takes no cast and
+    gives the same bits."""
+    m = band_mask(dim, band, cut).astype(np.complex128)
+    m.setflags(write=False)
+    return m
+
+
 # ---------------------------------------------------------------------------
 # transforms
 
@@ -312,7 +323,7 @@ def pseudospectral_apply(scalar_fn, half: np.ndarray, cut: int, dim: int | None 
     samples = inverse(half, dim, out=samples)
     # the image lives only through the forward transform
     out = forward(np.asarray(scalar_fn(samples), dtype=np.float64), dim, out=out)
-    out *= band_mask(dim, band, cut)
+    out *= _complex_mask(dim, band, cut)
     return out
 
 

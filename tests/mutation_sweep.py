@@ -132,15 +132,42 @@ MUTANTS = (
            (),
            "the centred xs sum to zero, so centring ys changes the numerator "
            "by rounding only"),
+    # one block per level and (band, cut, tau), within the byte budget
+    Mutant("group_per_key", EXP,
+           "groups.setdefault(key[1:], {}).setdefault(key, spec)",
+           "groups.setdefault(key, {}).setdefault(key, spec)",
+           (f"{T_EXP}::TestBlockStudy::test_each_distinct_trajectory_stepped_once",)),
+    Mutant("block_cap_ignores_kinds", EXP,
+           "widest = max([row_bytes] + [len(group) * _array_bytes(",
+           "widest = max([row_bytes] + [1 * _array_bytes(",
+           (f"{T_EXP}::TestBlockStudy::test_two_kind_blocks_within_byte_budget",)),
     # run_block's own lines
     Mutant("failed_row_unzeroed", INT,
-           "            new[:, bad] = 0.0\n",
+           "            new[:, bad_kinds, bad_rows] = 0.0\n",
            "            pass\n",
            (f"{T_INT}::TestRunBlockOracle",)),
     Mutant("row_scan_skipped", INT,
-           "bad = np.flatnonzero(~np.isfinite(new).all(axis=scan_axes))",
-           "bad = np.arange(len(dws))",
+           "bad_kinds, bad_rows = np.nonzero(~np.isfinite(new).all(axis=scan_axes))",
+           "bad_kinds, bad_rows = np.nonzero(np.ones(new.shape[1:3], dtype=bool))",
            (f"{T_INT}::TestRunBlock", f"{T_INT}::TestRunBlockOracle")),
+    Mutant("finiteness_sum_true", INT,
+           "finite = np.isfinite(np.add.reduce(new, axis=None))",
+           "finite = True",
+           (f"{T_INT}::TestRunBlock", f"{T_INT}::TestRunBlockKinds")),
+    # the merged block of several table kinds
+    Mutant("kind_tables_swapped", INT,
+           "np.stack(entries)[:, None] for entries in zip(*per_kind))",
+           "np.stack(entries)[:, None] for entries in zip(*per_kind[::-1]))",
+           (f"{T_INT}::TestRunBlockKinds::test_merged_block_is_one_kind_blocks",)),
+    Mutant("results_from_kind_0", INT,
+           "BlockResult(u_hat=state.u_hat[k], v_hat=state.v_hat[k], failed=failed[k])",
+           "BlockResult(u_hat=state.u_hat[0], v_hat=state.v_hat[0], failed=failed[k])",
+           (f"{T_INT}::TestRunBlockKinds::test_merged_block_is_one_kind_blocks",)),
+    Mutant("failed_row_wrong_kind", INT,
+           "failed[k].setdefault(row, n)",
+           "failed[0].setdefault(row, n)",
+           (f"{T_INT}::TestRunBlockKinds::test_poisoned_kind_row_excluded_alone",
+            f"{T_EXP}::TestRunConvergence::test_nonfinite_image_excluded")),
 )
 
 

@@ -196,7 +196,7 @@ def test_criterion_8_constant_sigma_oracle():
         for m, level_specs in specs.items():
             for li, spec in enumerate(level_specs):
                 dws = np.stack([sw.coarsen(lattice, spec.tau) for lattice in lattices])
-                block = sw.run_block(spec, state0, problem.f, problem.sigma, dws)
+                block, = sw.run_block([spec], state0, problem.f, problem.sigma, dws)
                 assert not block.failed
                 du = block.u_hat[:, 0].real - u_ref
                 dv = block.v_hat[:, 0].real - v_ref

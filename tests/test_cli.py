@@ -208,6 +208,9 @@ BAD_ARGUMENTS = [
     ["converge", "--config", "{tmp}/level_nan.cfg"],
     ["converge", "--config", "{tmp}/level_inf.cfg"],
     ["converge", "--config", "{tmp}/level_huge.cfg"],
+    # a level that does not tile t_final, named before the tau_ref derived
+    # from it
+    ["converge", "--preset", "2", "--tau", "0.3"],
     # a stepped band M whose one array needs more than physical memory
     # (1e10 + 1 complex slots, 149 GiB), although the reference box fits
     ["converge", "--config", "{tmp}/n_cuts_huge.cfg"],
@@ -239,6 +242,8 @@ BAD_ARGUMENT_MESSAGES = {
     ("converge", "--config", "{tmp}/level_nan.cfg"): "level must be finite",
     ("converge", "--config", "{tmp}/level_inf.cfg"): "level must be finite",
     ("converge", "--config", "{tmp}/level_huge.cfg"): "t_final/level",
+    ("converge", "--preset", "2", "--tau", "0.3"):
+        "t_final/level: 0.25 is not a whole number of steps 0.3",
     ("converge", "--config", "{tmp}/n_cuts_huge.cfg"): "widest stepped band 10000000000",
     ("run", "--preset", "1", "--tau", "0.0625", "--stride", "-3"): "snapshot_stride must be >= 0",
     ("converge", "--config", "{tmp}/level_twice.cfg"): "repeated level 0.0625",
@@ -353,9 +358,10 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     real_block = exp.run_block
 
     def explode(*args, **kwargs):
-        res = real_block(*args, **kwargs)
-        res.failed.update(dict.fromkeys(range(res.u_hat.shape[0]), 0))
-        return res
+        results = real_block(*args, **kwargs)
+        for res in results:
+            res.failed.update(dict.fromkeys(range(res.u_hat.shape[0]), 0))
+        return results
 
     monkeypatch.setattr(exp, "run_block", explode)
     rc = main(["converge", "--preset", "2", "--dim", "1", "--method", "stm",

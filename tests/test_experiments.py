@@ -308,11 +308,12 @@ class TestRunConvergence:
         real_block = exp.run_block
         chunks = track_chunks(monkeypatch)
 
-        def flaky(spec, start, f, sigma, dws):
-            res = real_block(spec, start, f, sigma, dws)
-            if spec.kind == "stm" and spec.tau == 2**-3 and 5 in chunks[-1]:
-                res.failed[chunks[-1].index(5)] = 0
-            return res
+        def flaky(methods, start, f, sigma, dws):
+            results = real_block(methods, start, f, sigma, dws)
+            for spec, res in zip(methods, results):
+                if spec.kind == "stm" and spec.tau == 2**-3 and 5 in chunks[-1]:
+                    res.failed[chunks[-1].index(5)] = 0
+            return results
 
         monkeypatch.setattr(exp, "run_block", flaky)
         cfg = sw.ExperimentConfig(dim=1, preset=2, gamma=4.0, methods=("stm",),
@@ -325,14 +326,18 @@ class TestRunConvergence:
     def test_nonfinite_image_excluded(self, monkeypatch):
         # a real non-finite nonlinearity image in one row of a block leaves
         # that row's new state non-finite: NaN for that run, counted in the
-        # excluded column, and the study still reports
+        # excluded column, and the study still reports.  sem and stm step
+        # as one block of two kinds, sem's rows first, so stm's row of
+        # sample 2 is the block's row S + 2, and sem's rows stay finite
         real_block = exp.run_block
         chunks = track_chunks(monkeypatch)
 
-        def poison(spec, start, f, sigma, dws):
-            if 2 in chunks[-1] and spec.kind == "stm" and spec.tau == 2**-4:
-                sigma = PoisonRow(sigma, chunks[-1].index(2))
-            return real_block(spec, start, f, sigma, dws)
+        def poison(methods, start, f, sigma, dws):
+            kinds = [spec.kind for spec in methods]
+            if 2 in chunks[-1] and "stm" in kinds and methods[0].tau == 2**-4:
+                assert kinds == ["sem", "stm"]
+                sigma = PoisonRow(sigma, len(dws) + chunks[-1].index(2))
+            return real_block(methods, start, f, sigma, dws)
 
         monkeypatch.setattr(exp, "run_block", poison)
         cfg = resolve_config(sw.ExperimentConfig(
@@ -356,10 +361,10 @@ class TestRunConvergence:
             dim=1, preset=2, gamma=4.0, methods=("hr_lri", "lri", "sem", "stm"),
             levels=(2**-3, 2**-4, 2**-5), n_samples=100, seed=13))
 
-        def poison(spec, start, f, sigma, dws):
-            if 2 in chunks[-1] and spec.tau == cfg.tau_ref:
+        def poison(methods, start, f, sigma, dws):
+            if 2 in chunks[-1] and methods[0].tau == cfg.tau_ref:
                 sigma = PoisonRow(sigma, chunks[-1].index(2))
-            return real_block(spec, start, f, sigma, dws)
+            return real_block(methods, start, f, sigma, dws)
 
         monkeypatch.setattr(exp, "run_block", poison)
         err_sq, _ = exp._chunk_errors(exp._prepare(cfg), range(0, 4))
@@ -390,11 +395,12 @@ class TestRunConvergence:
     def test_exclusions_over_threshold_fail_loudly(self, monkeypatch):
         real_block = exp.run_block
 
-        def flaky(spec, start, f, sigma, dws):
-            res = real_block(spec, start, f, sigma, dws)
-            if spec.kind == "stm" and spec.tau == 2**-3:
-                res.failed.update(dict.fromkeys(range(len(dws)), 0))
-            return res
+        def flaky(methods, start, f, sigma, dws):
+            results = real_block(methods, start, f, sigma, dws)
+            for spec, res in zip(methods, results):
+                if spec.kind == "stm" and spec.tau == 2**-3:
+                    res.failed.update(dict.fromkeys(range(len(dws)), 0))
+            return results
 
         monkeypatch.setattr(exp, "run_block", flaky)
         cfg = sw.ExperimentConfig(dim=1, preset=2, gamma=4.0, methods=("stm",),
@@ -730,20 +736,23 @@ DETERMINISM_CASES = {
 
 
 def count_steppings(monkeypatch, **kw):
-    """Blocks stepped per level by one study, and its reports."""
+    """Per level of one study, its run_block calls and the stepping keys
+    they step; and its reports."""
     real = exp.run_block
-    taus = []
+    calls = []
 
-    def spy(spec, start, f, sigma, dws):
-        taus.append(spec.tau)
-        return real(spec, start, f, sigma, dws)
+    def spy(methods, start, f, sigma, dws):
+        calls.append((methods[0].tau, {stepping_key(spec, start.band) for spec in methods}))
+        return real(methods, start, f, sigma, dws)
 
     monkeypatch.setattr(exp, "run_block", spy)
     cfg = resolve_config(sw.ExperimentConfig(
         dim=1, preset=2, gamma=0.5, levels=(2**-3, 2**-4, 2**-5), n_samples=3,
         seed=2, **kw))
     reports = sw.run_convergence(cfg)
-    return [taus.count(tau) for tau in cfg.levels], reports
+    per_level = [[keys for tau, keys in calls if tau == level] for level in cfg.levels]
+    return ([len(level) for level in per_level],
+            [sum(map(len, level)) for level in per_level]), reports
 
 
 class TestBlockStudy:
@@ -766,24 +775,27 @@ class TestBlockStudy:
         np.testing.assert_array_equal(err_sq, expect)
 
     def test_each_distinct_trajectory_stepped_once(self, monkeypatch):
-        # hr_lri and stm share a stepping, and so does lri at N = 1/(4 tau)
+        # hr_lri and stm share a stepping, and so does lri at N = 1/(4 tau);
+        # that key and sem's share (band, cut, tau), so each level steps
+        # both in one call
         counts, _ = count_steppings(monkeypatch, methods=("hr_lri", "sem", "stm"))
-        assert counts == [2, 2, 2]
+        assert counts == ([1, 1, 1], [2, 2, 2])
         counts, reports = count_steppings(monkeypatch, methods=ALL_METHODS)
-        assert counts == [2, 2, 2]
+        assert counts == ([1, 1, 1], [2, 2, 2])
         assert reports["lri"].rows == reports["stm"].rows
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0])
     def test_finest_level_reuses_the_reference_block(self, monkeypatch, alpha):
         # tau_ref = 2^-5 is the finest level, on the reference's band 8, so
         # hr_lri and stm there have the reference's stepping key and score
-        # its block against itself; sem steps its own
+        # its block against itself; sem steps its own, alone.  The coarser
+        # levels step their two keys in one block
         real = exp.run_block
         blocks = []
 
-        def spy(spec, start, f, sigma, dws):
-            blocks.append((spec.kind, spec.tau))
-            return real(spec, start, f, sigma, dws)
+        def spy(methods, start, f, sigma, dws):
+            blocks.append((tuple(spec.kind for spec in methods), methods[0].tau))
+            return real(methods, start, f, sigma, dws)
 
         monkeypatch.setattr(exp, "run_block", spy)
         # a clock on which each run_block call lasts exactly 1.0 s
@@ -794,8 +806,8 @@ class TestBlockStudy:
                                   n_samples=3, seed=2)
         reports = sw.run_convergence(cfg, collect_timing=True)
         assert blocks == [
-            ("hr_lri", 2**-5), ("hr_lri", 2**-3), ("sem", 2**-3),
-            ("hr_lri", 2**-4), ("sem", 2**-4), ("sem", 2**-5)]
+            (("hr_lri",), 2**-5), (("hr_lri", "sem"), 2**-3),
+            (("hr_lri", "sem"), 2**-4), (("sem",), 2**-5)]
         # stm keeps box 8 and misses the reference's recovered band at alpha 2
         assert reports["hr_lri"].rows[-1].rms_error == 0.0
         assert (reports["stm"].rows[-1].rms_error == 0.0) == (alpha == 1.0)
@@ -809,11 +821,36 @@ class TestBlockStudy:
         for rep in exp._study_reports(study, 2, collect_timing=True).values():
             assert [row.wall_seconds for row in rep.rows] == [2.0, 2.0, 2.0]
 
+    def test_group_holding_the_reference_key_steps_the_rest(self, monkeypatch):
+        # every method at the finest level tau_ref = 2^-5 on N_ref = 8: the
+        # group of (8, 8, 2^-5) holds the reference's key (hr_lri, stm and
+        # lri) beside sem's, and steps sem's alone; no key is stepped twice
+        real = exp.run_block
+        calls = []
+
+        def spy(methods, start, f, sigma, dws):
+            calls.append([stepping_key(spec, start.band) for spec in methods])
+            return real(methods, start, f, sigma, dws)
+
+        monkeypatch.setattr(exp, "run_block", spy)
+        cfg = resolve_config(sw.ExperimentConfig(
+            dim=1, preset=2, gamma=0.5, methods=ALL_METHODS, levels=(2**-3, 2**-4, 2**-5),
+            tau_ref=2**-5, n_samples=3, seed=2))
+        study = exp._prepare(cfg)
+        exp._chunk_errors(study, range(cfg.n_samples))
+        ref_key = stepping_key(*study.ref)
+        sem_key = stepping_key(sw.method_spec("sem", 2**-5, cfg.t_final), 8)
+        assert calls[0] == [ref_key] and calls[-1] == [sem_key]
+        assert [len(keys) for keys in calls] == [1, 2, 2, 1]
+        stepped = [key for keys in calls for key in keys]
+        assert len(stepped) == len(set(stepped))
+
     def test_cutting_lri_filter_steps_its_own_trajectory(self, monkeypatch):
-        # n_cuts above 1/tau = 8, 16, 32: the lri filter cuts below N
+        # n_cuts above 1/tau = 8, 16, 32: the lri filter cuts below N, so
+        # lri forms a block of its own beside the one of hr_lri/stm and sem
         counts, reports = count_steppings(monkeypatch, methods=ALL_METHODS,
                                           n_cuts=(16, 32, 64))
-        assert counts == [3, 3, 3]
+        assert counts == ([2, 2, 2], [3, 3, 3])
         for lri, stm in zip(reports["lri"].rows, reports["stm"].rows):
             assert lri.rms_error != stm.rms_error
 
@@ -831,14 +868,17 @@ class TestBlockStudy:
         real = exp.run_block
         calls = []
 
-        def spy(spec, start, f, sigma, dws):
+        def spy(methods, start, f, sigma, dws):
             calls.append((start, f, sigma))
-            return real(spec, start, f, sigma, dws)
+            return real(methods, start, f, sigma, dws)
 
         monkeypatch.setattr(exp, "run_block", spy)
         exp._study_reports(study, 2)
         ref_key = stepping_key(*study.ref)
-        per_chunk = 1 + sum(len({stepping_key(spec, n) for spec, n, *_ in level} - {ref_key})
+        # one block per (band, cut, tau) of each level's keys, the
+        # reference's key stepped once
+        per_chunk = 1 + sum(len({key[1:] for key in {stepping_key(spec, n)
+                                                     for spec, n, *_ in level} - {ref_key}})
                             for level in zip(*study.runs))
         assert len(calls) == 2 * per_chunk
         assert {start.band for start, _, _ in calls} == set(study.starts)
@@ -885,24 +925,38 @@ class TestBlockStudy:
         err_sq, _ = exp._chunk_errors(exp._prepare(cfg), range(4))
         assert len(drawn) == 4 and np.isfinite(err_sq).all()
 
-    def test_blocks_within_byte_budget(self, monkeypatch):
+    @staticmethod
+    def wide_blocks(monkeypatch, methods):
+        """The bytes of every block a 2D study at band 512 steps, K kinds
+        of S rows each, and those of the blocks at band 512."""
         real = exp.run_block
         blocks = []
 
-        def spy(spec, start, f, sigma, dws):
-            res = real(spec, start, f, sigma, dws)
-            blocks.append((start.band, res.u_hat.nbytes))
-            return res
+        def spy(methods, start, f, sigma, dws):
+            results = real(methods, start, f, sigma, dws)
+            kinds = {stepping_key(spec, start.band)[0] for spec in methods}
+            blocks.append((start.band, len(kinds) * results[0].u_hat.nbytes))
+            return results
 
         monkeypatch.setattr(exp, "run_block", spy)
-        # one 2D row at band 512 is 8 MiB, so the four samples need chunks
         cfg = sw.ExperimentConfig(dim=2, preset=4, gamma=0.5, alpha=1.0,
-                                  methods=("stm",), levels=(2**-3,), n_cuts=(512,),
+                                  methods=methods, levels=(2**-3,), n_cuts=(512,),
                                   n_samples=4, seed=1)
         sw.run_convergence(cfg)
-        wide = [nbytes for band, nbytes in blocks if band == 512]
+        return [nbytes for _, nbytes in blocks], [nbytes for band, nbytes in blocks if band == 512]
+
+    def test_blocks_within_byte_budget(self, monkeypatch):
+        # one 2D row at band 512 is 8 MiB, so the four samples need chunks
+        blocks, wide = self.wide_blocks(monkeypatch, ("stm",))
         assert len(wide) == 2
-        assert max(nbytes for _, nbytes in blocks) <= exp._BLOCK_BYTES
+        assert max(blocks) <= exp._BLOCK_BYTES
+
+    def test_two_kind_blocks_within_byte_budget(self, monkeypatch):
+        # stm and sem step as one block of two kinds, two rows per sample,
+        # so the chunks hold one sample each, not three
+        blocks, wide = self.wide_blocks(monkeypatch, ("stm", "sem"))
+        assert len(wide) == 4
+        assert max(blocks) <= exp._BLOCK_BYTES
 
 
 # the perfbench rough_1d and study_2d configs, at two workers
@@ -1188,6 +1242,16 @@ class TestCompare:
         assert times["hr_lri"] == times["stm"]
         assert all(t > 0 for t in times["stm"])
 
+
+    def test_one_block_shares_timing(self):
+        # stm and sem at a level step as one block of two kinds, so both
+        # report its seconds, to the bit
+        cfg = sw.ExperimentConfig(dim=1, preset=2, gamma=0.5, methods=("stm", "sem"),
+                                  levels=(2**-3, 2**-4, 2**-5), n_samples=4, seed=9)
+        reports = sw.run_convergence(cfg, collect_timing=True)
+        times = {m: [row.wall_seconds for row in rep.rows] for m, rep in reports.items()}
+        assert times["stm"] == times["sem"]
+        assert all(t > 0 for t in times["sem"])
 
 class TestRunSingle:
     def test_plateaus_at_time_zero(self, tmp_path):
