@@ -26,12 +26,13 @@ so each squared error splits exactly at box M, the widest stepped band:
 * outside box M, per study: no run steps there, so the error is the flow
   outside box max(M, h).  Its per-mode energy depends on |u_0|^2, |v_0|^2,
   Re(u_0 conj v_0) and (|k_1|, ..., |k_d|) alone, so every tail comes from
-  one streamed pass over the initial pair (``_outside_energy``); the flow
-  is built at band M only, for the shifts.
+  one streamed pass over the last-axis slabs of the initial pair's half
+  spectrum (``_outside_energy``); the flow is built at band M only, for
+  the shifts.
 
 So no sample ever builds a state wider than band M.  Random data is a
-product of per-axis factors, which the tail pass reads and from which band
-M is built, so its study makes no array of the full box; the plateaus and
+product of per-axis factors, which form band M and each slab of the tail
+pass, so its study makes no array of the full box; the plateaus and
 explicit states are built once on the reference's full grid, the study's
 only such array.  With alpha = 1 every shift is empty and every tail zero.
 
@@ -112,7 +113,9 @@ from .spectral import (
     DIMS,
     SpectralGrid,
     SpectralState,
+    _axis_modes,
     _norm_weights,
+    _slot_multiplicity,
     _weighted_norm_sq,
     default_alpha,
     half_shape,
@@ -274,16 +277,13 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     alpha = default_alpha(dim) if config.alpha is None else config.alpha
     if not (math.isfinite(alpha) and alpha >= 1):
         raise ConfigError(f"alpha must be >= 1, got {alpha}")
-    tau_ref = config.tau_ref
-    if tau_ref is None:
-        # a derived tau_ref is refused only through the level it comes from
-        for level in levels:
-            _check_dyadic("level", level, config.t_final)
-        tau_ref = levels[-1] / 4.0
+    # a derived tau_ref is refused only through the level it comes from
+    cells = [_check_dyadic("level", level, config.t_final) for level in levels]
+    tau_ref = levels[-1] / 4.0 if config.tau_ref is None else config.tau_ref
     ref_cells = _check_dyadic("tau_ref", tau_ref, config.t_final)
-    for level in levels:
+    for level, n in zip(levels, cells):
         # powers of two: a level's cells divide the reference's if no more
-        if _check_dyadic("level", level, config.t_final) > ref_cells:
+        if n > ref_cells:
             raise ConfigError(f"tau_ref {tau_ref} does not divide level {level}")
     tau = config.tau if config.tau is not None else levels[-1]
     run_steps = _check_dyadic("tau", tau, config.t_final)
@@ -440,66 +440,12 @@ class _Study:
 # the tail pass reads at a time; its temporaries are a few arrays that size
 _SLAB_BYTES = 2**18
 
-# float64 arrays of one (n + 1, ..., n + 1, slots) slab of the |k| orthant
-# that the tail pass holds at its peak: tracemalloc measures 15 to 20 for
-# factored 2D data at bands 256 to 16384.  Above band 8192 in 2D a slab is
-# one column of the orthant, wider than _SLAB_BYTES, so a study of factored
-# data is refused when 24 such columns exceed physical memory
-_TAIL_PEAK_SLABS = 24
-
-
-def _fold_signs(x: np.ndarray, axes) -> np.ndarray:
-    """x summed over the sign pairs of each of ``axes``: slot j of the
-    result (|k| = j) holds slots j and 2n - j of x, slots 0 and n alone."""
-    for ax in axes:
-        n = x.shape[ax] // 2
-        pre = (slice(None),) * ax
-        out = x[pre + (slice(0, n + 1),)].copy()
-        out[pre + (slice(1, n),)] += x[pre + (slice(2 * n - 1, n, -1),)]
-        x = out
-    return x
-
-
-def _folded_slabs(state: SpectralState, cols: int):
-    """(lo, hi, A, B, C) for each slab of ``cols`` slots lo..hi-1 of a full
-    state's last axis: A, B and C summed over the sign pairs of the other
-    axes (``_fold_signs``) and weighted by the last axis's multiplicity, 1
-    at k_last = 0 and 2 above."""
-    n = state.band
-    axes = range(state.dim - 1)
-    for lo in range(0, n + 1, cols):
-        hi = min(lo + cols, n + 1)
-        us, vs = state.u_hat[..., lo:hi], state.v_hat[..., lo:hi]
-        mult = np.where(np.arange(lo, hi) == 0, 1.0, 2.0)
-        a = _fold_signs(us.real * us.real + us.imag * us.imag, axes) * mult
-        b = _fold_signs(vs.real * vs.real + vs.imag * vs.imag, axes) * mult
-        c = _fold_signs(us.real * vs.real + us.imag * vs.imag, axes) * mult
-        yield lo, hi, a, b, c
-
-
-def _sign_multiplicity(n: int, lo: int, hi: int) -> np.ndarray:
-    """The sign variants of |k| = lo..hi-1 on one axis of the box of band
-    n: 1 at |k| = 0 and at |k| = n (the axis's one unpaired slot), 2
-    between."""
-    k = np.arange(lo, hi)
-    return np.where((k == 0) | (k == n), 1.0, 2.0)
-
-
-def _factor_slabs(factors: AxisFactors, cols: int):
-    """``_folded_slabs`` of separable data, formed from its factors on the
-    |k| orthant (``AxisFactors.orthant``) and weighted by each axis's sign
-    multiplicity.  Each product slab is squared as a full state's would
-    be, so for even profiles the slabs are the folded ones, bit for bit.
-    The slabs past the last axis's profiles hold nothing and are skipped:
-    their energy would add exact zeros."""
-    n = factors.band
-    rows = [_sign_multiplicity(n, 0, n + 1) for _ in range(factors.dim - 1)]
-    end = min(n + 1, max(p.size for p in (factors.u[-1], factors.v[-1])))
-    for lo in range(0, end, cols):
-        hi = min(lo + cols, n + 1)
-        us, vs = factors.orthant(lo, hi)
-        weight = functools.reduce(np.multiply.outer, rows + [_sign_multiplicity(n, lo, hi)])
-        yield lo, hi, us * us * weight, vs * vs * weight, us * vs * weight
+# float64 arrays of one (2n, ..., 2n, slots) slab of the half spectrum that
+# the tail pass holds at its peak: tracemalloc measures 12 to 17.6 for
+# factored 2D data at bands 181 to 16384.  Above band 8192 in 2D a slab is
+# one last-axis column, wider than _SLAB_BYTES, so a study of factored data
+# is refused when 21 such columns exceed physical memory
+_TAIL_PEAK_SLABS = 21
 
 
 def _outside_energy(initial: SpectralState | AxisFactors, t: float, boxes) -> dict[int, float]:
@@ -515,23 +461,31 @@ def _outside_energy(initial: SpectralState | AxisFactors, t: float, boxes) -> di
         E = c^2 A + s^2 B + 2csC + w (a21^2 A + c^2 B + 2 a21 c C),
 
     and the tables, w and max_j |k_j| depend on (|k_1|, ..., |k_d|) alone.
-    So A, B and C are summed over the sign variants of each |k| and
-    weighted first, and the rest is evaluated on the (n + 1)^d orthant of
-    |k|, in slabs of the last axis: a state's are folded
-    (``_folded_slabs``; the last axis of the half spectrum already holds
-    |k_d|, and a slot above 0 stands for k_d and -k_d, so it weighs 2), and
-    factors give theirs on the orthant directly (``_factor_slabs``).  A
-    slab spans as many last-axis slots as _SLAB_BYTES of the state hold
-    whatever the source, so the sums, and their bits, do not depend on it,
-    and no array of the full box is made.
+    The pass reads the half spectrum in slabs of last-axis slots as they
+    are stored, a state's slices or ``AxisFactors.slab``, and skips the
+    slabs past the factors' last mode (their energy would add exact
+    zeros).  A, B and C are weighted by each slot's multiplicity
+    (``spectral._slot_multiplicity``), and the rest is evaluated on the
+    slab itself.  A slab spans as many slots as _SLAB_BYTES of the state
+    hold whatever the source, so the sums, and their bits, do not depend
+    on it, and no array of the full box is made.
     """
     dim, n = initial.dim, initial.band
     cols = max(1, _SLAB_BYTES // (16 * math.prod(half_shape(dim, n)[:-1])))
-    slabs = (_factor_slabs if isinstance(initial, AxisFactors) else _folded_slabs)(initial, cols)
-    orthant = [np.arange(n + 1) for _ in range(dim - 1)]
+    factored = isinstance(initial, AxisFactors)
+    end = min(n + 1, max(initial.u[-1].size, initial.v[-1].size)) if factored else n + 1
+    first = _axis_modes(dim, n)[:-1]
     out = dict.fromkeys(boxes, 0.0)
-    for lo, hi, a, b, c in slabs:
-        ks = orthant + [np.arange(lo, hi)]
+    for lo in range(0, end, cols):
+        hi = min(lo + cols, n + 1)
+        us, vs = (initial.slab(lo, hi) if factored
+                  else (initial.u_hat[..., lo:hi], initial.v_hat[..., lo:hi]))
+        mult = _slot_multiplicity(n, lo, hi)
+        a = (us.real * us.real + us.imag * us.imag) * mult
+        b = (vs.real * vs.real + vs.imag * vs.imag) * mult
+        c = (us.real * vs.real + us.imag * vs.imag) * mult
+        del us, vs  # a factor slab is built for these products alone
+        ks = first + [np.arange(lo, hi)]
         lam2 = (2.0 * np.pi) ** 2 * functools.reduce(np.add.outer,
                                                       [k.astype(np.float64) ** 2 for k in ks])
         cos, sin_over, a21, _ = propagator_tables(np.sqrt(lam2), t)
@@ -552,7 +506,7 @@ def _prepare(config: ExperimentConfig) -> _Study:
     no longer than band M), which feed the tail pass; the start at band M
     is built from them, equal bit for bit to the full-band state re-stored
     there.  So no array of the full box is made: the band-M guard bounds
-    what is built, and _SLAB_BYTES or, where one column of the orthant is
+    what is built, and _SLAB_BYTES or, where one last-axis column is
     wider, _TAIL_PEAK_SLABS columns bound the tail pass.  The plateaus and
     explicit states have no factor form: they are built at the full band,
     under ``_full_grid``'s guard, read once by the tail pass and re-stored
@@ -568,8 +522,8 @@ def _prepare(config: ExperimentConfig) -> _Study:
     if factors is None:
         initial = build_initial(config.problem.initial, _full_grid(dim, n_ref, config.alpha))
     else:
-        _check_memory(_TAIL_PEAK_SLABS * 8 * (grid.n_high + 1) ** (dim - 1),
-                      f"the tail pass over the |k| orthant of band {grid.n_high}")
+        _check_memory(_TAIL_PEAK_SLABS * 8 * (2 * grid.n_high) ** (dim - 1),
+                      f"the tail pass over the half spectrum of band {grid.n_high}")
         initial = factors
 
     def planned(kind: str, tau: float, n: int) -> tuple:

@@ -23,9 +23,10 @@ so it is zero unless every k_j is nonzero.  The profiles are the data's
 factor form (``initial_factors``, an ``AxisFactors``): each is built
 on the slots |k| = 0..kmax of one axis, and its state at a band (a half
 spectrum, see ``spectral``) takes the last axis's profile as it is and
-mirrors every other axis's into its full layout.  ``build_random_hgamma``
-is that state at the grid's full band, so the state and the factors
-cannot disagree; a study builds only the bands it steps from the factors.
+mirrors every other axis's into its full layout, as does each slab that
+the tail pass reads.  ``build_random_hgamma`` is that state at the grid's
+full band, so the state and the factors cannot disagree; a study builds
+only the bands it steps from the factors.
 In 1D the exponents put u exactly in H^gamma and v exactly in H^(gamma-1),
 and no better.  In 2D that holds for u, but v lies only in H^(2(gamma-1)):
 for s = gamma - 1 < 0 a product of 1D H^s profiles is in H^(2s) of the
@@ -41,7 +42,8 @@ initial data for alpha = 1 and alpha > 1.
 ``check_initial`` is the one rule of which initial data fits a dimension
 (``initial_dims``: a kind's ``INITIAL_DIMS``, or an explicit state's own
 rank; an explicit state must be a Hermitian pair of complex half spectra
-of one shape) and of which gamma random data takes (finite and positive).
+of one shape, zero on its unpaired slots) and of which gamma random data
+takes (finite and positive).
 ``build_initial``, the one entry point of every kind, applies it once to
 the grid, and ``experiments.resolve_config`` to the config's problem
 before anything is built; it hands out every kind at the grid's full band
@@ -167,7 +169,8 @@ def check_initial(spec: InitialDataSpec, dim: int) -> None:
     """Refuse, with ValueError, initial data that does not fit dimension
     ``dim``: a kind of other dimensions, an explicit state of another rank
     or none, an explicit state that is not a Hermitian pair of complex half
-    spectra of one shape ``half_shape(dim, m)``, random data whose gamma is
+    spectra of one shape ``half_shape(dim, m)``, zero on the unpaired slots
+    (|k_j| = m on any axis) as every state is, random data whose gamma is
     not finite and positive, or an unknown kind."""
     fits = initial_dims(spec)
     if dim not in fits:
@@ -184,6 +187,11 @@ def check_initial(spec: InitialDataSpec, dim: int) -> None:
         if not (np.iscomplexobj(u) and np.iscomplexobj(v)):
             raise ValueError(f"explicit initial data must be complex, got {u.dtype} and {v.dtype}")
         check_hermitian(spec.state)
+        # band_mask leaves out exactly the unpaired slots
+        held = np.argwhere(((u != 0) | (v != 0)) & ~band_mask(dim, m, m))
+        if held.size:
+            raise ValueError(f"explicit initial data is nonzero on the unpaired slot "
+                             f"{held[0].tolist()} (|k_j| = {m})")
 
 
 # plateau kind -> ((height, lo, hi), ...): u is height on [lo, hi]^dim
@@ -206,14 +214,6 @@ def _build_plateaus(kind: str, grid: SpectralGrid) -> SpectralState:
     return SpectralState(u_hat, np.zeros_like(u_hat))
 
 
-def _slots(profile: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """profile[lo:hi], zero past the profile's end."""
-    out = np.zeros(hi - lo)
-    part = profile[lo:hi]
-    out[:part.size] = part
-    return out
-
-
 @dataclass(frozen=True)
 class AxisFactors:
     """Initial data that is a product over the axes, kept as its factors.
@@ -222,9 +222,9 @@ class AxisFactors:
     ``u[j][|k_j|]``, and the v coefficient likewise, for every mode of the
     box of ``band`` (each |k_j| <= band); a profile is zero past its end.
     Slot ``band`` of an axis stands for the box's one unpaired slot of that
-    axis.  ``state`` stores the pair as a half spectrum, and ``orthant``
-    gives it on the |k| orthant, so neither builds more than it is asked
-    for.
+    axis.  ``state`` stores the pair as a half spectrum at any band, and
+    ``slab`` gives last-axis slots of the one at ``band``, so neither
+    builds more than it is asked for.
     """
 
     band: int
@@ -235,30 +235,31 @@ class AxisFactors:
     def dim(self) -> int:
         return len(self.u)
 
+    def _fields(self, band: int, keep: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """u and v on the last-axis slots lo..hi-1 of the half spectrum at
+        ``band``, each profile cut to its first ``keep`` slots: the last
+        axis reads its profile as it is, every other axis at the |k| of
+        each slot of its full layout."""
+
+        def field(profiles) -> np.ndarray:
+            # zero past a profile's end; keep <= band + 1
+            axes = [np.pad(p[:keep], (0, band + 1 - p[:keep].size)) for p in profiles]
+            return functools.reduce(np.multiply.outer,
+                                    [a[np.abs(mode_indices(band))] for a in axes[:-1]]
+                                    + [axes[-1][lo:hi]]).astype(np.complex128)
+
+        return field(self.u), field(self.v)
+
     def state(self, band: int) -> SpectralState:
         """The pair stored at ``band``, as ``spectral.with_band`` would
         re-store it from the factors' own band: the modes with every
-        |k_j| < min(band, self.band).  The last axis keeps its profile, and
-        every other axis reads it at the |k| of each slot of its full
-        layout."""
-        keep = min(band, self.band)
+        |k_j| < min(band, self.band)."""
+        return SpectralState(*self._fields(band, min(band, self.band), 0, band + 1))
 
-        def field(profiles) -> np.ndarray:
-            axes = [_slots(p[:keep], 0, band + 1) for p in profiles]
-            axes[:-1] = [p[np.abs(mode_indices(band))] for p in axes[:-1]]
-            return functools.reduce(np.multiply.outer, axes).astype(np.complex128)
-
-        return SpectralState(field(self.u), field(self.v))
-
-    def orthant(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Real u and v on a slab of the |k| orthant of the box: |k_j| =
-        0..band on every axis but the last, and lo..hi-1 on the last."""
-
-        def field(profiles) -> np.ndarray:
-            axes = [_slots(p, 0, self.band + 1) for p in profiles[:-1]]
-            return functools.reduce(np.multiply.outer, axes + [_slots(profiles[-1], lo, hi)])
-
-        return field(self.u), field(self.v)
+    def slab(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """u and v on the last-axis slots lo..hi-1 at the factors' own band,
+        the box's unpaired slots kept."""
+        return self._fields(self.band, self.band + 1, lo, hi)
 
 
 def _axis_profile(kmax: int, exponent: float, draws: np.ndarray) -> np.ndarray:

@@ -267,13 +267,19 @@ def collocation_nodes(band: int) -> np.ndarray:
 # norms
 
 
+def _slot_multiplicity(band: int, lo: int, hi: int) -> np.ndarray:
+    """The modes that the last-axis slots k_last = lo..hi-1 of a band-m half
+    spectrum stand for: 1 at k_last = 0 and at the unpaired k_last = m, 2
+    between (the slot holds k and its partner -k)."""
+    k = np.arange(lo, hi)
+    return np.where((k == 0) | (k == band), 1.0, 2.0)
+
+
 def _norm_weights(dim: int, band: int, gamma: float):
     """The u and v slot weights on the half spectrum, each carrying the
-    multiplicity of its slot: 1 at k_last = 0, 2 above (the slot stands for
-    k and its partner -k)."""
+    multiplicity of its slot (``_slot_multiplicity``)."""
     base = 1.0 + lambda_sq(dim, band)
-    mult = np.full(band + 1, 2.0)
-    mult[0] = 1.0
+    mult = _slot_multiplicity(band, 0, band + 1)
     return base ** gamma * mult, base ** (gamma - 1.0) * mult
 
 

@@ -43,7 +43,7 @@ class Mutant(NamedTuple):
     equivalent: str = ""   # why no test can catch it, for equivalent mutants
 
 
-EXP, INT = "experiments.py", "integrators.py"
+EXP, INT, SPEC, PROB = "experiments.py", "integrators.py", "spectral.py", "problems.py"
 T_EXP, T_INT = "tests/test_experiments.py", "tests/test_integrators.py"
 
 MUTANTS = (
@@ -59,9 +59,10 @@ MUTANTS = (
            "outside = _outside_energy(initial, config.t_final,",
            "outside = _outside_energy(initial, 0.0,",
            (f"{T_EXP}::TestErrorSplit",)),
-    Mutant("fold_multiplicity_1", EXP,
-           "mult = np.where(np.arange(lo, hi) == 0, 1.0, 2.0)",
-           "mult = np.where(np.arange(lo, hi) == 0, 1.0, 1.0)",
+    # the one slot multiplicity, of the norm weights and the tail pass
+    Mutant("slot_multiplicity_1", SPEC,
+           "return np.where((k == 0) | (k == band), 1.0, 2.0)",
+           "return np.where((k == 0) | (k == band), 1.0, 1.0)",
            (f"{T_EXP}::TestTails",)),
     # 1D presets have no data outside box M, so only 2D cases see the tail's
     # cross term
@@ -69,23 +70,32 @@ MUTANTS = (
            "+ 2.0 * (cos * sin_over + w * a21 * cos) * c)",
            "+ 1.0 * (cos * sin_over + w * a21 * cos) * c)",
            (f"{T_EXP}::TestTails",)),
-    # the factored slab source: random data has nothing at |k_j| = n, so
-    # only the hand-made factors that fill every slot see that multiplicity
-    Mutant("factor_multiplicity_2_at_n", EXP,
-           "return np.where((k == 0) | (k == n), 1.0, 2.0)",
+    # the unpaired slot k_last = n: every state keeps it zero, so only the
+    # hand-made factors that fill every slot see its multiplicity
+    Mutant("factor_multiplicity_2_at_n", SPEC,
+           "return np.where((k == 0) | (k == band), 1.0, 2.0)",
            "return np.where(k == 0, 1.0, 2.0)",
            (f"{T_EXP}::TestTails::test_factor_tails_match_full_box_flow",)),
     Mutant("factor_cross_uu", EXP,
-           "yield lo, hi, us * us * weight, vs * vs * weight, us * vs * weight",
-           "yield lo, hi, us * us * weight, vs * vs * weight, us * us * weight",
+           "c = (us.real * vs.real + us.imag * vs.imag) * mult",
+           "c = (us.real * us.real + us.imag * us.imag) * mult",
            (f"{T_EXP}::TestTails",)),
-    # the start at band M keeping the slot M that with_band drops
-    Mutant("factor_start_keeps_unpaired_slot", "problems.py",
-           "keep = min(band, self.band)",
-           "keep = min(band + 1, self.band)",
+    # the start at band M keeping the slot M that with_band drops, and a
+    # factor slab dropping the unpaired slots that the box holds
+    Mutant("factor_start_keeps_unpaired_slot", PROB,
+           "*self._fields(band, min(band, self.band), 0, band + 1)",
+           "*self._fields(band, min(band + 1, self.band), 0, band + 1)",
            (f"{T_EXP}::TestTails::test_factored_study_is_the_full_state_study_bit_for_bit",)),
+    Mutant("slab_drops_unpaired_slot", PROB,
+           "return self._fields(self.band, self.band + 1, lo, hi)",
+           "return self._fields(self.band, self.band, lo, hi)",
+           (f"{T_EXP}::TestTails::test_factor_tails_match_full_box_flow",)),
+    Mutant("explicit_unpaired_accepted", PROB,
+           "        if held.size:\n",
+           "        if False:\n",
+           (f"{T_EXP}::TestConfigHandling::test_explicit_state_of_another_rank_refused_first",)),
     Mutant("tail_guard_2_slabs", EXP,
-           "_TAIL_PEAK_SLABS = 24",
+           "_TAIL_PEAK_SLABS = 21",
            "_TAIL_PEAK_SLABS = 2",
            (f"{T_EXP}::TestMemoryGuard::test_tail_guard_bounds_the_factored_tail_pass",)),
     Mutant("recovered_edge_moved", INT,

@@ -1099,9 +1099,10 @@ class TestMemoryGuard:
 
     def test_tail_guard_bounds_the_factored_tail_pass(self, monkeypatch):
         # 2D random data at alpha 2 and tau_ref 2^-9: band 16384, where a
-        # slab of the tail pass is one column of the orthant.  Its peak
-        # stays within what the guard asks for, which a study at this band
-        # passes; the full-band build it replaces needed 64 GiB
+        # slab of the tail pass is one last-axis column of the half
+        # spectrum.  Its peak stays within what the guard asks for, which a
+        # study at this band passes; the full-band build it replaces needed
+        # 64 GiB
         needs = []
         monkeypatch.setattr(exp, "_check_memory", lambda need, what: needs.append((need, what)))
         cfg = resolve_config(sw.ExperimentConfig(dim=2, preset=4, alpha=2.0, tau_ref=2**-9,
@@ -1457,6 +1458,14 @@ class TestConfigHandling:
         def never(*args, **kwargs):
             raise AssertionError("built the initial state before the rank check")
 
+        def held(dim, band, field, *slots):
+            """A pair at ``band``, 1 on each of ``slots`` of ``field`` and
+            zero elsewhere."""
+            pair = {f: np.zeros((2 * band,) * (dim - 1) + (band + 1,), complex) for f in "uv"}
+            for slot in slots:
+                pair[field][slot] = 1.0
+            return sw.InitialDataSpec("explicit", state=sw.SpectralState(pair["u"], pair["v"]))
+
         monkeypatch.setattr(exp, "build_initial", never)
         monkeypatch.setattr(sw.integrators, "build_initial", never)
         cases = [
@@ -1478,6 +1487,11 @@ class TestConfigHandling:
              "must be complex, got float64 and float64"),
             (1, sw.InitialDataSpec("explicit", state=sw.SpectralState(
                 np.full(9, 1j), np.zeros(9, complex))), "not Hermitian"),
+            # a nonzero unpaired slot (|k_j| = band on any axis), which
+            # every state keeps zero
+            (1, held(1, 16, "u", 3, 16), r"nonzero on the unpaired slot \[16\] \(\|k_j\| = 16\)"),
+            (2, held(2, 4, "u", (1, 1), (4, 1)), r"unpaired slot \[4, 1\] \(\|k_j\| = 4\)"),
+            (2, held(2, 4, "v", (6, 2), (2, 4)), r"unpaired slot \[2, 4\] \(\|k_j\| = 4\)"),
             # random data whose gamma is not finite and positive
             *((1, sw.InitialDataSpec("random_hgamma", gamma=g),
                "gamma must be finite and positive") for g in (-1.0, np.nan, np.inf)),
