@@ -113,7 +113,7 @@ from .spectral import (
     DIMS,
     SpectralGrid,
     SpectralState,
-    _axis_modes,
+    _first_axes_modes,
     _norm_weights,
     _slot_multiplicity,
     _weighted_norm_sq,
@@ -468,13 +468,14 @@ def _outside_energy(initial: SpectralState | AxisFactors, t: float, boxes) -> di
     (``spectral._slot_multiplicity``), and the rest is evaluated on the
     slab itself.  A slab spans as many slots as _SLAB_BYTES of the state
     hold whatever the source, so the sums, and their bits, do not depend
-    on it, and no array of the full box is made.
+    on it.  No array of the full box is made, and in 1D, which has no first
+    axes (``spectral._first_axes_modes``), none of the full band either.
     """
     dim, n = initial.dim, initial.band
     cols = max(1, _SLAB_BYTES // (16 * math.prod(half_shape(dim, n)[:-1])))
     factored = isinstance(initial, AxisFactors)
     end = min(n + 1, max(initial.u[-1].size, initial.v[-1].size)) if factored else n + 1
-    first = _axis_modes(dim, n)[:-1]
+    first = _first_axes_modes(dim, n)
     out = dict.fromkeys(boxes, 0.0)
     for lo in range(0, end, cols):
         hi = min(lo + cols, n + 1)

@@ -241,6 +241,7 @@ def run_block(methods, start: SpectralState, f: NonlinearitySpec,
             pseudospectral_apply(spec, u_in.reshape(flat), cut, dim, out=image.reshape(flat),
                                  samples=samples)
             dv.append(np.multiply(factors[k], image, out=image))
+        # with no terms the pass writes a12 w over the pair it reads
         state = semigroup.apply(state, tables, *dv, out=states[n % 2])
         new = pairs[n % 2]
         # the sum of the pair is non-finite if any entry is

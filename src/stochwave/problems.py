@@ -62,13 +62,13 @@ from .spectral import (
     DIMS,
     SpectralGrid,
     SpectralState,
+    _first_axes_modes,
     band_mask,
     check_hermitian,
     collocation_nodes,
     default_alpha,
     forward,
     half_shape,
-    mode_indices,
     with_band,
 )
 
@@ -95,13 +95,15 @@ class NonlinearitySpec:
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
+        """a * sin(b * u) (or cos) in one fresh array, ``u`` never written; b = 1
+        takes no product, as u * 1.0 is u bit for bit, NaN and -0 included."""
         if self.kind == "zero":
             return np.zeros_like(u)
         if self.kind == "constant":
             return np.full_like(u, self.a)
-        # a * sin(b * u) in one temporary, the same bits
-        t = np.multiply(u, self.b, out=np.empty(np.shape(u)))
-        (np.sin if self.kind == "scaled_sine" else np.cos)(t, out=t)
+        t = np.empty(np.shape(u))
+        trig = np.sin if self.kind == "scaled_sine" else np.cos
+        trig(u if self.b == 1.0 else np.multiply(u, self.b, out=t), out=t)
         t *= self.a
         return t
 
@@ -238,15 +240,20 @@ class AxisFactors:
     def _fields(self, band: int, keep: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """u and v on the last-axis slots lo..hi-1 of the half spectrum at
         ``band``, each profile cut to its first ``keep`` slots: the last
-        axis reads its profile as it is, every other axis at the |k| of
-        each slot of its full layout."""
+        axis reads its profile over lo..hi-1 alone, every other axis at the
+        |k| of each slot of its full layout (``spectral._first_axes_modes``),
+        so a 1D slab builds nothing of the band's other slots."""
+
+        def slots(p: np.ndarray, lo: int, hi: int) -> np.ndarray:
+            # zero past a profile's end; keep <= band + 1
+            p = p[:keep][lo:hi]
+            return np.pad(p, (0, hi - lo - p.size))
 
         def field(profiles) -> np.ndarray:
-            # zero past a profile's end; keep <= band + 1
-            axes = [np.pad(p[:keep], (0, band + 1 - p[:keep].size)) for p in profiles]
+            first = [slots(p, 0, band + 1)[k]
+                     for p, k in zip(profiles[:-1], _first_axes_modes(self.dim, band))]
             return functools.reduce(np.multiply.outer,
-                                    [a[np.abs(mode_indices(band))] for a in axes[:-1]]
-                                    + [axes[-1][lo:hi]]).astype(np.complex128)
+                                    first + [slots(profiles[-1], lo, hi)]).astype(np.complex128)
 
         return field(self.u), field(self.v)
 

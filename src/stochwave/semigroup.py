@@ -78,12 +78,16 @@ def apply(state: SpectralState, tables, *dv: np.ndarray,
 
     With ``out``, a state whose two arrays have the new pair's shape, the
     pair is written there and returned, and w is formed in dv[0], which is
-    overwritten; the pass then takes no other scratch.  Either way the
-    operands and the order of every sum are the same, so are the bits.
+    overwritten, or with no increments is the state's own v, which then
+    must have that shape and is overwritten by a12 w; the pass then takes
+    no other scratch.  Either way the operands and the order of every sum
+    are the same, so are the bits.
     """
     a11, a12, a21, a22 = tables
     u = state.u_hat
     w = state.v_hat
+    # a12 w may be written over w: its own sum, or under ``out`` dv[0] or v
+    spare = bool(dv) or out is not None
     if dv:
         w = np.add(w, dv[0], out=None if out is None else dv[0])
         for d in dv[1:]:
@@ -97,6 +101,5 @@ def apply(state: SpectralState, tables, *dv: np.ndarray,
     np.multiply(a21, u, out=new_v)
     new_v += new_u
     np.multiply(a11, u, out=new_u)
-    # w is this call's own array, or dv[0] under ``out``, unless nothing was added
-    new_u += np.multiply(a12, w, out=w if dv else None)
+    new_u += np.multiply(a12, w, out=w if spare else None)
     return out

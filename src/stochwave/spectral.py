@@ -119,10 +119,16 @@ def mode_indices(band: int) -> np.ndarray:
     return k
 
 
+def _first_axes_modes(dim: int, band: int) -> list[np.ndarray]:
+    """|k_j| per slot of each of the first dim-1 axes of a band-m half
+    spectrum, in their full layout; none, and nothing built, in 1D."""
+    return [np.abs(mode_indices(band))] * (dim - 1) if dim > 1 else []
+
+
 def _axis_modes(dim: int, band: int) -> list[np.ndarray]:
     """|k_j| per slot of each axis of a band-m half spectrum: the full
     indices on the first dim-1 axes, 0..m on the last."""
-    return [np.abs(mode_indices(band))] * (dim - 1) + [np.arange(band + 1)]
+    return _first_axes_modes(dim, band) + [np.arange(band + 1)]
 
 
 def lambda_sq(dim: int, band: int) -> np.ndarray:

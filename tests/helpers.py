@@ -74,6 +74,17 @@ def exact_linear_zero_mode(u0: float, v0: float, c: float,
     return float(u), float(v)
 
 
+def brownian_error_variance(t_final: float, tau: float, tau_ref: float) -> float:
+    """V_l: the expected squared error, per unit c^2, that sigma = c puts on
+    the k = 0 mode of u of a run at step tau against one at tau_ref.  A run
+    adds c dW at the start of each step, so over one step the reference's
+    sub-step j of r = tau / tau_ref moves u by c dW_j tau_ref (r - j) and the
+    run by c dW_j tau; the difference c tau_ref sum_j j dW_j has variance
+    c^2 tau_ref^3 (r - 1) r (2r - 1) / 6, and the T / tau steps add up."""
+    r = round(tau / tau_ref)
+    return (t_final / tau) * tau_ref**3 * (r - 1) * r * (2 * r - 1) / 6
+
+
 def linear_exact_discrepancy(method, grid, problem, path) -> float:
     """Error norm of a run against the exact linear flow of its own initial
     band; meaningful when both nonlinearities vanish."""

@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 
 
 EXP, INT, SPEC, PROB = "experiments.py", "integrators.py", "spectral.py", "problems.py"
+NOISE, SEMI = "noise.py", "semigroup.py"
 T_EXP, T_INT = "tests/test_experiments.py", "tests/test_integrators.py"
 
 MUTANTS = (
@@ -90,6 +91,16 @@ MUTANTS = (
            "return self._fields(self.band, self.band + 1, lo, hi)",
            "return self._fields(self.band, self.band, lo, hi)",
            (f"{T_EXP}::TestTails::test_factor_tails_match_full_box_flow",)),
+    # the tail pass's first axes built as a full-band list again, and a slab
+    # reading its last-axis profile from slot 0
+    Mutant("tail_first_axes_full", EXP,
+           "first = _first_axes_modes(dim, n)",
+           'first = __import__("stochwave.spectral").spectral._axis_modes(dim, n)[:-1]',
+           (f"{T_EXP}::TestMemoryGuard::test_1d_prepare_builds_nothing_of_the_full_band",)),
+    Mutant("slab_profile_from_zero", PROB,
+           "p = p[:keep][lo:hi]",
+           "p = p[:keep][0:hi - lo]",
+           (f"{T_EXP}::TestTails",)),
     Mutant("explicit_unpaired_accepted", PROB,
            "        if held.size:\n",
            "        if False:\n",
@@ -142,6 +153,21 @@ MUTANTS = (
            (),
            "the centred xs sum to zero, so centring ys changes the numerator "
            "by rounding only"),
+    # the Brownian law: W(T) drawn as N(0, T/2), every cell's variance wrong
+    Mutant("levy_total_scale", NOISE,
+           "cells = np.array([normals[0] * math.sqrt(t_final)])",
+           "cells = np.array([normals[0] * math.sqrt(t_final / 2)])",
+           (f"{T_EXP}::TestBrownianLaw",)),
+    # the map's b, skipped only when it is 1
+    Mutant("map_scale_skipped", PROB,
+           "trig(u if self.b == 1.0 else np.multiply(u, self.b, out=t), out=t)",
+           "trig(u, out=t)",
+           ("tests/test_problems.py",)),
+    # a linear 2x2 pass writing a12 w into a fresh array again
+    Mutant("linear_pass_fresh_product", SEMI,
+           "spare = bool(dv) or out is not None",
+           "spare = bool(dv)",
+           (f"{T_INT}::TestRunBlockWorkingSet::test_linear_peak_is_its_work_arrays",)),
     # one block per level and (band, cut, tau), within the byte budget
     Mutant("group_per_key", EXP,
            "groups.setdefault(key[1:], {}).setdefault(key, spec)",

@@ -24,9 +24,9 @@ from stochwave.experiments import (
 from stochwave.integrators import stepping_key
 from stochwave.problems import _DATA_STREAMS, PRESETS, AxisFactors
 from stochwave.semigroup import propagator_tables
-from stochwave.spectral import shell_index
+from stochwave.spectral import mode_indices, shell_index
 
-from helpers import bits, read_csv, zero_state
+from helpers import bits, brownian_error_variance, read_csv, zero_state
 
 
 def lowband_state(seed=0):
@@ -699,6 +699,34 @@ class TestTails:
         assert peak < 2 * 2**20
 
 
+class TestBrownianLaw:
+    # f = 0 and sigma = c force the k = 0 mode alone, where a row's expected
+    # squared error is c^2 V_l (``brownian_error_variance``) above the same
+    # study's with sigma = 0, D_l; the data has no k = 0 mode, so the two
+    # parts add.  rms^2 is a mean of 256 squared errors whose standard error
+    # is 2 rms stderr, so each z is about a standard normal: max |z| is 0.81
+    # over these rows, and 6.4 or more when W(T) is drawn with half its
+    # variance
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_rows_match_the_closed_form(self, alpha):
+        c = 2.0
+        problem = sw.ProblemSpec(sw.zero_fn(), sw.constant_fn(c),
+                                 sw.InitialDataSpec("random_hgamma", gamma=0.5, seed=3))
+        cfg = resolve_config(sw.ExperimentConfig(
+            dim=1, problem=problem, methods=ALL_METHODS, levels=(2**-3, 2**-4, 2**-5),
+            alpha=alpha, n_samples=256, seed=11))
+        noisy = sw.run_convergence(cfg)
+        # without noise every sample has the same error, so two give D_l
+        quiet = sw.run_convergence(replace(cfg, problem=replace(problem, sigma=sw.zero_fn()),
+                                           n_samples=2))
+        for method in ALL_METHODS:
+            for row, base in zip(noisy[method].rows, quiet[method].rows):
+                v = brownian_error_variance(cfg.t_final, row.tau, cfg.tau_ref)
+                z = ((row.rms_error**2 - base.rms_error**2 - c * c * v)
+                     / (2.0 * row.rms_error * row.stderr))
+                assert abs(z) <= 4.0, (method, row.tau, z)
+
+
 def per_sample_errors(study, sample):
     """The squared errors of one sample from one ``run`` per method and
     level, each scored alone: pad to M, subtract, add the shift, reduce,
@@ -1132,6 +1160,31 @@ class TestMemoryGuard:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 512 * 257
+
+    def test_1d_prepare_builds_nothing_of_the_full_band(self):
+        # 1D random data at alpha 2.25 and tau_ref 2^-11: band M = 512, full
+        # band 512^2.25, about 1.25e6 slots; arrays of that band took a 60 MB
+        # peak.  No cached mode index outlives the study above band M
+        cfg = resolve_config(sw.ExperimentConfig(dim=1, preset=2, alpha=2.25, tau_ref=2**-11,
+                                                 levels=(2**-3, 2**-4, 2**-5)))
+        band = default_n_cut(cfg.tau_ref)
+        assert sw.make_grid(1, band, cfg.alpha).n_high > 2**20
+        mode_indices.cache_clear()
+        tracemalloc.start()
+        try:
+            exp._prepare(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        try:
+            assert peak < 4 * 2**20
+            # every cached band is one of 1..M exactly when asking for all
+            # of them leaves M entries
+            for b in range(1, band + 1):
+                mode_indices(b)
+            assert mode_indices.cache_info().currsize == band
+        finally:
+            mode_indices.cache_clear()
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_guard_covers_each_presets_build(self, monkeypatch, preset):

@@ -719,6 +719,13 @@ class TestRunBlockWorkingSet:
     def test_two_kinds_peak_within_fresh_steps(self, dim, band, rows, terms, limit):
         assert peak_blocks(dim, band, rows, terms, ("stm", "sem")) <= limit
 
+    # a linear block holds its two state pairs, four blocks, and in 1D the
+    # iterator buffer of a broadcast table product, about one more
+    # (measured 4.97 and 4.01); a12 w in a fresh array added one block
+    @pytest.mark.parametrize("dim,band,rows,limit", [(1, 512, 16, 5.25), (2, 64, 4, 4.5)])
+    def test_linear_peak_is_its_work_arrays(self, dim, band, rows, limit):
+        assert peak_blocks(dim, band, rows, "linear", ("stm",)) <= limit
+
 
 class TestZeroModeOracle:
     def test_pure_drift(self):
