@@ -334,16 +334,19 @@ def _array_bytes(dim: int, band: int) -> int:
 # below 256 KiB per array numpy elides fewer temporaries (7.7 for preset 1 at
 # band 100)
 _BUILD_PEAK_ARRAYS = 8
+# and that a whole run_single holds, x column and plot text included: 11.5
+# (1D, band 4096) to 12.3 (band 2^18 and up), and 8.1 in 2D (band 512)
+_RUN_PEAK_ARRAYS = 13
 
 
-def _full_grid(dim: int, n_cut: int, alpha: float) -> SpectralGrid:
+def _full_grid(dim: int, n_cut: int, alpha: float, arrays: int = _BUILD_PEAK_ARRAYS) -> SpectralGrid:
     """make_grid, refusing a grid whose initial state needs more than
-    physical memory to build (_BUILD_PEAK_ARRAYS full-band arrays).  Every
-    build of a full-band state goes through it: a single run's, and a
-    study's of data without a factor form (the plateaus and explicit
+    physical memory to build (``arrays`` full-band arrays).  Every build of
+    a full-band state goes through it: a single run's (_RUN_PEAK_ARRAYS),
+    and a study's of data without a factor form (the plateaus and explicit
     states); a study of random data builds only its stepped bands."""
     grid = make_grid(dim, n_cut, alpha)
-    _check_memory(_BUILD_PEAK_ARRAYS * _array_bytes(dim, grid.n_high),
+    _check_memory(arrays * _array_bytes(dim, grid.n_high),
                   f"building the initial state at band {n_cut} with alpha {alpha}")
     return grid
 
@@ -712,8 +715,9 @@ def run_single(config: ExperimentConfig) -> dict:
     snapshot is u on its middle line along the last axis (the whole field
     in 1D, the row through the middle of the box in 2D) against x = i /
     points, both at 17 significant digits.  The x column is the same for
-    every snapshot, so it is formatted once per run.  A given tau is the
-    run's only step, so the study's levels and tau_ref do not apply to it.
+    every run of the grid, so a process formats it once (``_grid_lines``).
+    A given tau is the run's only step, so the study's levels and tau_ref
+    do not apply to it.
     """
     if config.tau is not None:
         _check_dyadic("tau", config.tau, config.t_final)  # a bad tau is named tau, not tau_ref
@@ -724,18 +728,18 @@ def run_single(config: ExperimentConfig) -> dict:
     dim, tau = config.dim, config.tau
     n_cut = default_n_cut(tau)
     _check_lattice("tau", tau, config.t_final)
-    grid = _full_grid(dim, n_cut, config.alpha)
+    grid = _full_grid(dim, n_cut, config.alpha, _RUN_PEAK_ARRAYS)
     spec = method_spec(config.methods[0], tau, config.t_final)
     lattice = sample_path(config.seed, config.sample_index, config.t_final, tau)
     os.makedirs(config.out_dir, exist_ok=True)
 
     written = []
     points = 2 * grid.n_high
-    x_lines = plot_lines(np.arange(points) / points)
+    x_lines = _grid_lines(points)
 
     def on_snapshot(step, t, state):
         base = os.path.join(config.out_dir, f"snap_{step:06d}")
-        u, _ = save_snapshot(base + ".swv", state, t)
+        u = save_snapshot(base + ".swv", state, t)[0]
         # the middle line along the last axis, noted in the header
         u = u[(points // 2,) * (dim - 1)]
         comment = f"u(x{', 0.5' * (dim - 1)}) at t={t:.17g}"
@@ -811,14 +815,14 @@ def _halves(a):
 
 
 def _pow10_pairs():
-    """hi, lo and hi's Veltkamp halves for p from 0 to 300, which covers
-    p = 16 - e10 over the range, an estimate of e10 one off included."""
+    """Rows (hi, lo, hi's Veltkamp halves) for p = 0..300, one gather per
+    value, covering p = 16 - e10 over the range, e10 one off included."""
     hi = [float(10**p) for p in range(301)]
     lo = [float(10**p - int(h)) for p, h in enumerate(hi)]
-    return (np.array(hi), np.array(lo)) + _halves(np.array(hi))
+    return np.stack((np.array(hi), np.array(lo)) + _halves(np.array(hi)), axis=1)
 
 
-_P10_HI, _P10_LO, _P10_HI_HIGH, _P10_HI_LOW = _pow10_pairs()
+_P10 = _pow10_pairs()
 
 
 def _byte_rows(where, fill=255):
@@ -830,10 +834,11 @@ _QUAD = np.arange(10000)
 # _DIGITS4[q]: the four ASCII digits of q as one word.  _SIGNIFICANT4[k, q]:
 # D's digits after the first up to the last nonzero one of q when q is its
 # k-th group of four (4 k plus the digits of q left once its trailing zeros
-# go), or 0 when q = 0
+# go), or 0 when q = 0; at most 16, so uint8, a 40 KB gather table
 _DIGITS4 = (np.stack([_QUAD // 1000, _QUAD // 100 % 10, _QUAD // 10 % 10, _QUAD % 10], axis=1)
             .astype(np.uint8) + 48).view("<u4").ravel().astype(np.uint64)
-_SIGNIFICANT4 = (4 * np.arange(1, 5)[:, None] - sum(_QUAD % 10**k == 0 for k in (1, 2, 3))) * (_QUAD != 0)
+_SIGNIFICANT4 = ((4 * np.arange(1, 5)[:, None] - sum(_QUAD % 10**k == 0 for k in (1, 2, 3)))
+                 * (_QUAD != 0)).astype(np.uint8)
 _QUADS = 10000 * np.arange(4)[:, None]
 _BYTE = np.arange(32)
 # _UPTO[c]: the row whose bytes 0..c + 3 are set; _LEADING_ZEROS[e10 + 4]:
@@ -856,12 +861,11 @@ _EXPONENTS = _exponents()
 def _scaled(a, e10):
     """|x| 10^(16 - e10) as ph + s, ph the rounded product with 10^p's
     leading double (see above)."""
-    p = 16 - e10
-    ph = a * _P10_HI.take(p)
+    hi, lo, bh, bl = _P10.take(16 - e10, axis=0).T
+    ph = a * hi
     ah, al = _halves(a)
-    bh, bl = _P10_HI_HIGH.take(p), _P10_HI_LOW.take(p)
     err = ((ah * bh - ph) + ah * bl + al * bh) + al * bl
-    return ph, err + a * _P10_LO.take(p)
+    return ph, err + a * lo
 
 
 def _seventeen_digits(x):
@@ -909,7 +913,7 @@ def _digit_words(d):
 
 def _g17_rows(values) -> np.ndarray:
     """Each float64's '%.17g' text as a NUL-padded row of an (n, 28) uint8
-    matrix (see above)."""
+    matrix (see above); zeros and Python's values only in a block with any."""
     x = np.asarray(values, dtype=np.float64)
     d, e10, exact = _seventeen_digits(x)
     words, n_sig = _digit_words(d)
@@ -936,10 +940,13 @@ def _g17_rows(values) -> np.ndarray:
     words[:, 3] |= _EXPONENTS.take(np.where(fixed, 0, -e10))
     rows = np.asarray(words, dtype=_LE_WORD).view(np.uint8)
 
-    zero = x == 0
-    rows[zero, 3:] = 0
-    rows[zero, 3] = ord("0")
     rows = rows[:, 2:30]
+    if exact.all():
+        return rows
+    zero = x == 0
+    if zero.any():
+        rows[zero, 1:] = 0
+        rows[zero, 1] = ord("0")
     for j in np.flatnonzero(~exact & ~zero):
         rows[j] = np.frombuffer((b"%.17g" % x[j]).ljust(28, b"\0"), np.uint8)
     return rows
@@ -949,7 +956,7 @@ def plot_lines(xs) -> tuple[np.ndarray, ...]:
     """The x column of plot data, for ``write_plot_data``: each x's '%.17g'
     text as a NUL-padded row of a uint8 matrix, one matrix per block of
     ceil(n / 8) lines (one block up to 1024), each only as wide as its
-    rows need."""
+    rows need.  ``run_single`` keeps its grid's column in ``_grid_lines``."""
     xs = np.asarray(xs, dtype=np.float64)
     step = max(-(-len(xs) // 8), 1024)
     blocks = []
@@ -957,6 +964,15 @@ def plot_lines(xs) -> tuple[np.ndarray, ...]:
         rows = _g17_rows(xs[a:a + step])
         blocks.append(rows[:, rows.any(axis=0)])
     return tuple(blocks)
+
+
+@functools.lru_cache(maxsize=1)
+def _grid_lines(points: int) -> tuple[np.ndarray, ...]:
+    """``plot_lines`` of x = i / points, read-only, kept for the last grid."""
+    blocks = plot_lines(np.arange(points) / points)
+    for block in blocks:
+        block.setflags(write=False)
+    return blocks
 
 
 def write_plot_data(path, x_lines: tuple[np.ndarray, ...], ys, comment: str) -> None:
@@ -967,24 +983,29 @@ def write_plot_data(path, x_lines: tuple[np.ndarray, ...], ys, comment: str) -> 
     (TypeError otherwise).  Each line is x, a space, y at 17 significant
     digits and a newline, byte for byte Python's ``f"{x:.17g} {y:.17g}\\n"``.
     The file is written block by block, in the x column's blocks: a block's
-    lines are laid out in one uint8 matrix and written without its NUL
-    bytes.
+    lines are laid out in one scratch uint8 matrix per call, its space and
+    newline columns set again only for another x width or more lines, and
+    written without its NUL bytes.
     """
     ys = np.asarray(ys, dtype=np.float64)
     n = sum(len(x) for x in x_lines)
     if len(ys) != n:
         raise TypeError(f"{len(ys)} y values for {n} x values")
+    scratch = np.empty(max((x.shape[0] * (x.shape[1] + 30) for x in x_lines), default=0), np.uint8)
+    set_for = (0, 0)        # the x width and the lines whose separators are set
     with open(path, "wb") as fh:
         fh.write(f"# {comment}\n".encode("utf-8"))
         start = 0
         for x in x_lines:
-            width = x.shape[1]
-            lines = np.empty((len(x), width + 30), np.uint8)
+            rows, width = x.shape
+            lines = scratch[:rows * (width + 30)].reshape(rows, width + 30)
+            if width != set_for[0] or rows > set_for[1]:
+                lines[:, width] = ord(" ")
+                lines[:, -1] = ord("\n")
+                set_for = (width, rows)
             lines[:, :width] = x
-            lines[:, width] = ord(" ")
-            lines[:, width + 1:-1] = _g17_rows(ys[start:start + len(x)])
-            lines[:, -1] = ord("\n")
-            start += len(x)
+            lines[:, width + 1:-1] = _g17_rows(ys[start:start + rows])
+            start += rows
             text = lines.ravel()
             fh.write(text[text != 0])
 

@@ -71,6 +71,7 @@ from .spectral import (
     SpectralGrid,
     SpectralState,
     _complex_mask,
+    _copy_band,
     check_hermitian,
     lambda_sq,
     pseudospectral_apply,
@@ -133,9 +134,9 @@ def recover_high(initial_band: SpectralState, t: float) -> SpectralState:
     """Exact linear flow of the recovery band, applied once at time t.
 
     Its table is built afresh rather than cached, since each time t is used
-    once, and spans the state's band: the full band N^alpha in ``run``, the
-    widest stepped band M in a study, whose tail outside box M is summed
-    without building the flow (``experiments._outside_energy``).
+    once, and spans the state's band: the widest stepped band M in a study,
+    whose tail outside box M is summed without building the flow
+    (``experiments._outside_energy``); ``run`` applies it in place.
     """
     lam = np.sqrt(lambda_sq(initial_band.dim, initial_band.band))
     return semigroup.apply(initial_band, semigroup.propagator_tables(lam, t))
@@ -267,7 +268,8 @@ def run(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
     per snapshot segment, each from the last one's final state; the recovery
     band is added to every state handed out.  With ``snapshot_stride`` > 0
     the callback receives (step_index, time, full-band state) every stride
-    steps and at both ends.  A path too short for the run is a ValueError,
+    steps and at both ends, valid during the callback alone (a recovering
+    run reuses one pair).  A path too short for the run is a ValueError,
     and a non-finite state raises NumericalError naming its first bad step.
     """
     dws = coarsen(path, method.tau)[:method.n_steps]
@@ -279,15 +281,25 @@ def run(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
     if h > grid.n_cut:
         mask = recovered_modes(grid.dim, grid.n_high, grid.n_cut, h)
         rec0 = SpectralState(u0.u_hat * mask, u0.v_hat * mask)
+        full = SpectralState(*np.empty((2,) + rec0.u_hat.shape, complex))
+        lam = np.sqrt(lambda_sq(grid.dim, grid.n_high))
     # the full-band pair is not held past what the run takes from it
     del u0
 
     def full_state(state_low: SpectralState, t: float) -> SpectralState:
-        out = with_band(state_low, grid.n_high)
-        if rec0 is not None:
-            rec = recover_high(rec0, t)
-            out = SpectralState(out.u_hat + rec.u_hat, out.v_hat + rec.v_hat)
-        return out
+        if rec0 is None:
+            return with_band(state_low, grid.n_high)
+        # with_band + recover_high bit for bit; the pass overwrites its w, a copy
+        np.copyto(full.v_hat, rec0.v_hat)
+        rec = semigroup.apply(SpectralState(rec0.u_hat, full.v_hat),
+                              semigroup.propagator_tables(lam, t),
+                              out=SpectralState(*np.empty((2,) + rec0.u_hat.shape, complex)))
+        full.u_hat.fill(0)
+        full.v_hat.fill(0)
+        _copy_band(state_low, full, grid.dim)
+        np.add(full.u_hat, rec.u_hat, out=full.u_hat)
+        np.add(full.v_hat, rec.v_hat, out=full.v_hat)
+        return full
 
     snapshots = on_snapshot is not None and snapshot_stride > 0
     if snapshots:

@@ -356,21 +356,27 @@ def with_band(state: SpectralState, band: int, dim: int | None = None) -> Spectr
     if band == old:
         return state
     dim = state.dim if dim is None else dim
+    shape = state.u_hat.shape[:state.u_hat.ndim - dim] + half_shape(dim, band)
+    out = _copy_band(state, SpectralState(np.zeros(shape, state.u_hat.dtype),
+                                          np.zeros(shape, state.v_hat.dtype)), dim)
+    if band < old:
+        # content at |k_j| = band landed on the unpaired slot; drop it
+        for a in (out.u_hat, out.v_hat):
+            a *= band_mask(dim, band, band)
+    return out
+
+
+def _copy_band(state: SpectralState, out: SpectralState, dim: int) -> SpectralState:
+    """Copy into the pair ``out``, and return it, the slots of ``state`` that ``with_band`` keeps."""
+    old, band = state.band, out.band
     m = min(old, band)
     axis = ((slice(0, m), slice(0, m)),
             (slice(2 * old - m, 2 * old), slice(2 * band - m, 2 * band)))
-    blocks = [tuple(zip(*b, (slice(0, m + 1),) * 2))
-              for b in itertools.product(axis, repeat=dim - 1)]
-    out = []
-    for arr in (state.u_hat, state.v_hat):
-        new = np.zeros(arr.shape[:arr.ndim - dim] + half_shape(dim, band), dtype=arr.dtype)
-        for src, dst in blocks:
-            new[(..., *dst)] = arr[(..., *src)]
-        if band < old:
-            # content at |k_j| = band landed on the unpaired slot; drop it
-            new = new * band_mask(dim, band, band)
-        out.append(new)
-    return SpectralState(*out)
+    for b in itertools.product(axis, repeat=dim - 1):
+        src, dst = zip(*b, (slice(0, m + 1),) * 2)
+        out.u_hat[(..., *dst)] = state.u_hat[(..., *src)]
+        out.v_hat[(..., *dst)] = state.v_hat[(..., *src)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +389,15 @@ def save_snapshot(path, state: SpectralState, time: float) -> tuple[np.ndarray, 
     """Write the real-space fields: magic 'SWV1', little-endian u32 dim,
     u32 points per dimension, f64 time, then points^dim f64 samples of u
     followed by the samples of v (C order).  Returns the (u, v) samples.
+    Each field is written from its own buffer, copied only if need be.
     """
     u, v = state_to_fields(state)
     points = u.shape[0]
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IId", state.dim, points, float(time)))
-        fh.write(u.astype("<f8").tobytes(order="C"))
-        fh.write(v.astype("<f8").tobytes(order="C"))
+        fh.write(np.ascontiguousarray(u, "<f8"))
+        fh.write(np.ascontiguousarray(v, "<f8"))
     return u, v
 
 

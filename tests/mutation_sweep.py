@@ -122,9 +122,33 @@ MUTANTS = (
            "cut = min(int(np.floor(0.5 / method.tau)), cut)",
            (f"{T_INT}::TestRunDriver::test_lri_cut_below_band",)),
     Mutant("snapshot_recovery_final_time", INT,
-           "rec = recover_high(rec0, t)",
-           "rec = recover_high(rec0, method.n_steps * method.tau)",
+           "semigroup.propagator_tables(lam, t),",
+           "semigroup.propagator_tables(lam, method.n_steps * method.tau),",
            (f"{T_EXP}::TestRunSingle",)),
+    # a snapshot's reused pair not cleared before the stepped row is padded in
+    Mutant("assembly_stale_pair", INT,
+           "        full.v_hat.fill(0)\n",
+           "        pass\n",
+           (f"{T_INT}::TestRunDriver::test_snapshot_states_are_the_padded_rows_plus_the_flow",)),
+    # plot text: a block's zero rows and Python's rows, the cached x column
+    # of a grid, and the separators of a block of another width
+    Mutant("zero_layout_skipped", EXP,
+           "    if zero.any():\n",
+           "    if False:\n",
+           (f"{T_EXP}::TestPlotData::test_blocks_with_and_without_zeros_or_fallbacks",)),
+    Mutant("fallback_skipped", EXP,
+           "    for j in np.flatnonzero(~exact & ~zero):",
+           "    for j in []:",
+           (f"{T_EXP}::TestPlotData::test_blocks_with_and_without_zeros_or_fallbacks",)),
+    Mutant("grid_lines_any_points", EXP,
+           "@functools.lru_cache(maxsize=1)",
+           "@lambda f: functools.lru_cache(maxsize=1)("
+           "lambda points, _first=[]: _first[0] if _first else _first.append(f(points)) or _first[0])",
+           (f"{T_EXP}::TestRunSingle::test_grid_column_formatted_once_per_grid",)),
+    Mutant("scratch_columns_stale", EXP,
+           "if width != set_for[0] or rows > set_for[1]:",
+           "if set_for == (0, 0):",
+           (f"{T_EXP}::TestPlotData::test_blocks_of_changing_width",)),
     # with a wide n_cuts the reference's recovered modes lie outside box M,
     # where the tail treats the reference as the exact flow
     Mutant("reference_steps_stm", EXP,
@@ -158,6 +182,13 @@ MUTANTS = (
            "cells = np.array([normals[0] * math.sqrt(t_final)])",
            "cells = np.array([normals[0] * math.sqrt(t_final / 2)])",
            (f"{T_EXP}::TestBrownianLaw",)),
+    # a coarse increment that drops the last base cell of its group: the
+    # reference's (one cell) is untouched, so only the coarse rows move
+    Mutant("coarsen_drops_last_cell", NOISE,
+           "    for j in range(r):",
+           "    for j in range(max(r - 1, 1)):",
+           (f"{T_EXP}::TestBrownianLaw::test_2d_rows_match_the_closed_form",
+            f"{T_EXP}::TestBrownianLaw::test_wide_n_cuts_rows_match_the_closed_form")),
     # the map's b, skipped only when it is 1
     Mutant("map_scale_skipped", PROB,
            "trig(u if self.b == 1.0 else np.multiply(u, self.b, out=t), out=t)",

@@ -4,8 +4,10 @@ import functools
 import itertools
 import math
 import statistics
+import sys
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -218,6 +220,48 @@ class TestPlotData:
         exp.write_plot_data(path, exp.plot_lines(xs), ys, "corpus")
         expect = "# corpus\n" + ("%.17g %.17g\n" * half) % tuple(np.stack([xs, ys], 1).ravel().tolist())
         assert path.read_bytes() == expect.encode("utf-8")
+
+    @staticmethod
+    def expected(xs, ys, comment="c"):
+        return (f"# {comment}\n" + ("%.17g %.17g\n" * len(xs))
+                % tuple(np.stack([xs, ys], 1).ravel().tolist())).encode("utf-8")
+
+    def test_blocks_with_and_without_zeros_or_fallbacks(self, tmp_path):
+        # 8 blocks of 1024 lines: a block's zero rows and Python's rows are
+        # filled in only where it has any, so blocks with none sit between
+        # blocks with zeros alone, with inexact values alone, and with both,
+        # in either column
+        rng = np.random.default_rng(7)
+        xs, ys = rng.standard_normal((2, 8192))
+        xs[1024 + rng.integers(0, 1024, 5)] = 0.0                   # block 1: zeros
+        ys[3 * 1024 + rng.integers(0, 1024, 5)] = [5e-324, 1e300, np.inf, -np.nan, 1e16]
+        xs[5 * 1024 + 3], xs[5 * 1024 + 700] = -0.0, 1e-300           # block 5: both
+        ys[7 * 1024 - 1] = 0.0                                          # block 6's last line
+        lines = exp.plot_lines(xs)
+        assert [len(x) for x in lines] == [1024] * 8
+        exp.write_plot_data(tmp_path / "p.txt", lines, ys, "c")
+        assert (tmp_path / "p.txt").read_bytes() == self.expected(xs, ys)
+
+    def test_blocks_of_changing_width(self, tmp_path):
+        # the x width of the blocks goes up and down, a later block is
+        # narrower than the first, and the last is shorter: every block's
+        # separators sit after its own x text
+        rng = np.random.default_rng(8)
+        widths = [rng.standard_normal(1024), np.arange(1024.0), rng.standard_normal(1024) * 1e-7,
+                  np.full(1024, 0.5), rng.integers(0, 9, 500) * 1.0]
+        xs = np.concatenate(widths)
+        ys = rng.standard_normal(len(xs))
+        lines = exp.plot_lines(xs)
+        assert [len(x) for x in lines] == [1024] * 4 + [500]
+        assert [x.shape[1] for x in lines] == [23, 5, 23, 3, 2]
+        exp.write_plot_data(tmp_path / "p.txt", lines, ys, "c")
+        assert (tmp_path / "p.txt").read_bytes() == self.expected(xs, ys)
+        # blocks of one width whose later block has more lines than an
+        # earlier one: two columns' blocks written as one
+        xs = [1.0, 2.0, 3.0, 4.0]
+        lines = exp.plot_lines(xs[:1]) + exp.plot_lines(xs[1:])
+        exp.write_plot_data(tmp_path / "q.txt", lines, [5.0, 6.0, 7.0, 8.0], "c")
+        assert (tmp_path / "q.txt").read_bytes() == b"# c\n1 5\n2 6\n3 7\n4 8\n"
 
     def test_text_holds_a_fraction_of_the_band(self, tmp_path):
         # run_single at tau = 2^-8 plots 8192 points of band 4096: its x
@@ -703,28 +747,45 @@ class TestBrownianLaw:
     # f = 0 and sigma = c force the k = 0 mode alone, where a row's expected
     # squared error is c^2 V_l (``brownian_error_variance``) above the same
     # study's with sigma = 0, D_l; the data has no k = 0 mode, so the two
-    # parts add.  rms^2 is a mean of 256 squared errors whose standard error
-    # is 2 rms stderr, so each z is about a standard normal: max |z| is 0.81
-    # over these rows, and 6.4 or more when W(T) is drawn with half its
-    # variance
-    @pytest.mark.parametrize("alpha", [1.0, 2.0])
-    def test_rows_match_the_closed_form(self, alpha):
-        c = 2.0
-        problem = sw.ProblemSpec(sw.zero_fn(), sw.constant_fn(c),
-                                 sw.InitialDataSpec("random_hgamma", gamma=0.5, seed=3))
-        cfg = resolve_config(sw.ExperimentConfig(
-            dim=1, problem=problem, methods=ALL_METHODS, levels=(2**-3, 2**-4, 2**-5),
-            alpha=alpha, n_samples=256, seed=11))
+    # parts add.  rms^2 is a mean of squared errors whose standard error is
+    # 2 rms stderr, so each z is about a standard normal: max |z| is 0.81
+    # over the 1D rows of 256 samples, the wide n_cuts ones included, and
+    # 1.84 over the 2D rows of 128 samples, and 6.4 or more when W(T) is
+    # drawn with half its variance
+    C = 2.0
+    # presets 2 and 4's random data in 1D and 2D, seed 3
+    PROBLEM = sw.ProblemSpec(sw.zero_fn(), sw.constant_fn(C),
+                             sw.InitialDataSpec("random_hgamma", gamma=0.5, seed=3))
+
+    def assert_rows_match(self, cfg):
         noisy = sw.run_convergence(cfg)
         # without noise every sample has the same error, so two give D_l
-        quiet = sw.run_convergence(replace(cfg, problem=replace(problem, sigma=sw.zero_fn()),
-                                           n_samples=2))
-        for method in ALL_METHODS:
+        quiet = sw.run_convergence(replace(
+            cfg, problem=replace(cfg.problem, sigma=sw.zero_fn()), n_samples=2))
+        for method in cfg.methods:
             for row, base in zip(noisy[method].rows, quiet[method].rows):
                 v = brownian_error_variance(cfg.t_final, row.tau, cfg.tau_ref)
-                z = ((row.rms_error**2 - base.rms_error**2 - c * c * v)
+                z = ((row.rms_error**2 - base.rms_error**2 - self.C**2 * v)
                      / (2.0 * row.rms_error * row.stderr))
                 assert abs(z) <= 4.0, (method, row.tau, z)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_rows_match_the_closed_form(self, alpha):
+        self.assert_rows_match(resolve_config(sw.ExperimentConfig(
+            dim=1, problem=self.PROBLEM, methods=ALL_METHODS, levels=(2**-3, 2**-4, 2**-5),
+            alpha=alpha, n_samples=256, seed=11)))
+
+    # M = 64 above N_ref = 32: the reference's recovered modes shift every row
+    def test_wide_n_cuts_rows_match_the_closed_form(self):
+        self.assert_rows_match(resolve_config(sw.ExperimentConfig(
+            dim=1, problem=self.PROBLEM, methods=ALL_METHODS, levels=(2**-3, 2**-4, 2**-5),
+            n_cuts=(8, 16, 64), alpha=2.0, n_samples=256, seed=11)))
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    def test_2d_rows_match_the_closed_form(self, alpha):
+        self.assert_rows_match(resolve_config(sw.ExperimentConfig(
+            dim=2, problem=self.PROBLEM, methods=ALL_METHODS, levels=(2**-3, 2**-4),
+            tau_ref=2**-6, alpha=alpha, n_samples=128, seed=11)))
 
 
 def per_sample_errors(study, sample):
@@ -1243,13 +1304,14 @@ class TestMemoryGuard:
         assert not any(tmp_path.iterdir())
 
     def test_run_checks_its_own_lattice(self, monkeypatch, tmp_path):
-        # 10 KiB holds building the run's full band (65 coefficients) and
-        # sampling its 8-cell lattice of tau = 2^-5, not sampling the 512
-        # cells of tau_ref = 2^-11 (12 KiB), which the run never draws
-        self.physical_memory(monkeypatch, 10240)
-        cfg = sw.ExperimentConfig(dim=1, preset=1, tau=2**-5, out_dir=str(tmp_path))
+        # 16 KiB holds the run at its full band (_RUN_PEAK_ARRAYS arrays of
+        # 65 coefficients, 13 KiB) and sampling its 16-cell lattice of
+        # tau = 2^-5, not sampling the 1024 cells of tau_ref = 2^-11 (24
+        # KiB), which the run never draws
+        self.physical_memory(monkeypatch, 16384)
+        cfg = sw.ExperimentConfig(dim=1, preset=1, tau=2**-5, t_final=0.5, out_dir=str(tmp_path))
         assert resolve_config(cfg).tau_ref == 2**-11
-        assert sw.run_single(cfg)["steps"] == 8
+        assert sw.run_single(cfg)["steps"] == 16
         with pytest.raises(sw.ConfigError, match="t_final/tau_ref"):
             sw.run_convergence(replace(cfg, n_samples=2))
 
@@ -1359,12 +1421,12 @@ class TestRunSingle:
 
     def test_run_holds_only_what_it_needs(self, tmp_path):
         # the run drops the full-band initial pair once it has taken the
-        # stepped start and the recovered modes, and holds no segment's
-        # full-band state while the next one is assembled: a second
-        # run_single of preset 1 at tau = 2^-8 (band 4096) peaks at 12.8
-        # full-band half arrays (tracemalloc), 2.5 of them the snapshot
-        # plot text (TestPlotData bounds it), where the per-value text of
-        # earlier versions took 7.9 and holding both states 2 more; the
+        # stepped start and the recovered modes, assembles each snapshot's
+        # full-band state in one reused pair and holds no SWV1 field past
+        # its file: a second run_single of preset 1 at tau = 2^-8 (band
+        # 4096), whose x column the first left formatted, peaks at 9.52
+        # full-band half arrays (tracemalloc), where it took 12.8 when each
+        # snapshot's state, SWV1 bytes and x column were built afresh; the
         # bound keeps about 5% above the peak
         cfg = sw.ExperimentConfig(dim=1, preset=1, tau=2**-8, out_dir=str(tmp_path / "a"))
         sw.run_single(cfg)
@@ -1374,7 +1436,79 @@ class TestRunSingle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 13.5 * 16 * (4096 + 1)
+        assert peak < 10.0 * 16 * (4096 + 1)
+
+    # preset 1 in 1D (band 4096) and preset 3 in 2D (band 512), three
+    # snapshots each: a whole run, its x column formatted afresh, holds at
+    # most the arrays its guard asks physical memory for (tracemalloc: 11.5
+    # and 8.1 of _RUN_PEAK_ARRAYS = 13)
+    @pytest.mark.parametrize("dim,preset", [(1, 1), (2, 3)])
+    def test_whole_run_within_its_guard(self, monkeypatch, tmp_path, dim, preset):
+        cfg = sw.ExperimentConfig(dim=dim, preset=preset, tau=2**-8, snapshot_stride=32,
+                                  out_dir=str(tmp_path / "a"))
+        sw.run_single(cfg)
+        exp._grid_lines.cache_clear()
+        needs = {}
+        monkeypatch.setattr(exp, "_check_memory",
+                            lambda need, what: needs.setdefault(what.split(" at ")[0], need))
+        tracemalloc.start()
+        try:
+            summary = sw.run_single(replace(cfg, out_dir=str(tmp_path / "b")))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(summary["snapshots"]) == 3
+        guard = needs["building the initial state"]
+        assert guard == exp._RUN_PEAK_ARRAYS * exp._array_bytes(dim, 4096 if dim == 1 else 512)
+        assert peak <= guard
+
+    def test_grid_column_formatted_once_per_grid(self, tmp_path):
+        # the runs of one grid share one read-only x column; a run of another
+        # tau formats its own, and a file of each run is its line-by-line
+        # text
+        exp._grid_lines.cache_clear()
+        taus = [2**-5, 2**-5, 2**-6, 2**-5]
+        for k, tau in enumerate(taus):
+            cfg = sw.ExperimentConfig(dim=1, preset=1, tau=tau, seed=4, out_dir=str(tmp_path / f"{k}"))
+            final = sw.run_single(cfg)["snapshots"][-1]
+            _, points, t, u, _ = sw.load_snapshot(final)
+            lines = exp._grid_lines(points)
+            assert not any(block.flags.writeable for block in lines)
+            expect = f"# u(x) at t={t:.17g}\n" + "".join(
+                f"{i / points:.17g} {y:.17g}\n" for i, y in enumerate(u))
+            with open(final[:-len(".swv")] + ".txt", "rb") as fh:
+                assert fh.read() == expect.encode("utf-8")
+        info = exp._grid_lines.cache_info()
+        assert (info.misses, info.currsize) == (3, 1)
+
+    def test_threads_write_what_serial_runs_write(self, tmp_path):
+        # run_single on four threads at once, more than this host's cores,
+        # with the interpreter switching threads often, every thread meeting
+        # an empty x column cache: each file is byte for byte the serial
+        # run's
+        cfg = sw.ExperimentConfig(dim=1, preset=1, tau=2**-6, seed=9)
+
+        def files(out_dir):
+            return {p.relative_to(out_dir): p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+        serial = []
+        for k in range(4):
+            sw.run_single(replace(cfg, sample_index=k, out_dir=str(tmp_path / f"s{k}")))
+            serial.append(files(tmp_path / f"s{k}"))
+        exp._grid_lines.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(sw.run_single, replace(cfg, sample_index=k,
+                                                              out_dir=str(tmp_path / f"t{k}")))
+                           for k in range(4)]
+                for future in futures:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        for k in range(4):
+            assert files(tmp_path / f"t{k}") == serial[k]
 
     def test_zero_data_stays_zero(self, tmp_path):
         grid = sw.make_grid(1, 8, 1.0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import stochwave as sw
-from stochwave.integrators import stepping_key
+from stochwave.integrators import recovered_modes, stepping_key
 from stochwave.semigroup import propagator_tables
 from stochwave.spectral import band_mask, half_shape
 
@@ -410,6 +410,38 @@ class TestRunDriver:
         for stride in (1, 3):
             np.testing.assert_array_equal(finals[stride].u_hat, finals[None].u_hat)
             np.testing.assert_array_equal(finals[stride].v_hat, finals[None].v_hat)
+
+    @pytest.mark.parametrize("dim,stride", [(1, 1), (1, 3), (2, 3)])
+    def test_snapshot_states_are_the_padded_rows_plus_the_flow(self, dim, stride):
+        # every state a recovering run hands out, the final one included, is
+        # with_band(stepped row) + recover_high(recovered modes, t) bit for
+        # bit, though the run assembles them all in one reused pair
+        grid = sw.make_grid(dim, 8 if dim == 1 else 4, 2.0)
+        problem = explicit_problem(random_state(grid, seed=19), f=sw.scaled_cosine(2.0),
+                                   sigma=sw.scaled_sine(16.0))
+        spec = sw.method_spec("hr_lri", 2**-5, 0.25)
+        lattice = sw.sample_path(5, 0, 0.25, 2**-7)
+        got = []
+        final = sw.run(spec, grid, problem, lattice, snapshot_stride=stride,
+                       on_snapshot=lambda n, t, s: got.append((n, t, bits(s.u_hat).copy(),
+                                                               bits(s.v_hat).copy())))
+        u0 = sw.build_initial(problem.initial, grid)
+        rec0 = masked(u0, recovered_modes(dim, grid.n_high, grid.n_cut, grid.n_high))
+        row = sw.with_band(u0, grid.n_cut)
+        dws = sw.coarsen(lattice, spec.tau)
+        expect, last = [], 0
+        for n in sorted({0, *range(stride, spec.n_steps, stride), spec.n_steps}):
+            if n:
+                block, = sw.run_block([spec], row, problem.f, problem.sigma, dws[None, last:n])
+                row, last = sw.SpectralState(block.u_hat[0], block.v_hat[0]), n
+            pad, rec = sw.with_band(row, grid.n_high), sw.recover_high(rec0, n * spec.tau)
+            expect.append((n, n * spec.tau, bits(pad.u_hat + rec.u_hat),
+                           bits(pad.v_hat + rec.v_hat)))
+        assert [(n, t) for n, t, _, _ in got] == [(n, t) for n, t, _, _ in expect]
+        for (_, _, u, v), (_, _, eu, ev) in zip(got, expect):
+            np.testing.assert_array_equal(u, eu)
+            np.testing.assert_array_equal(v, ev)
+        np.testing.assert_array_equal(bits(final.u_hat), expect[-1][2])
 
     def test_failure_step_counts_from_run_start(self):
         # with stride 2 a NaN increment at step 5 fails the third segment at
