@@ -26,15 +26,13 @@ so each squared error splits exactly at box M, the widest stepped band:
 * outside box M, per study: no run steps there, so the error is the flow
   outside box max(M, h).  Its per-mode energy depends on |u_0|^2, |v_0|^2,
   Re(u_0 conj v_0) and (|k_1|, ..., |k_d|) alone, so every tail comes from
-  one streamed pass over the last-axis slabs of the initial pair's half
-  spectrum (``_outside_energy``); the flow is built at band M only, for
-  the shifts.
+  one streamed pass over the |k| orthant up to the last |k| the data fills
+  (``_outside_energy``); the flow is built at band M only, for the shifts.
 
-So no sample ever builds a state wider than band M.  Random data is a
-product of per-axis factors, which form band M and each slab of the tail
-pass, so its study makes no array of the full box; the plateaus and
-explicit states are built once on the reference's full grid, the study's
-only such array.  With alpha = 1 every shift is empty and every tail zero.
+So no sample ever builds a state wider than band M, and no study builds a
+state at the full band: a preset's per-axis factors, or an explicit state
+read at its own band, give band M and the tail pass.  With alpha = 1 every
+shift is empty and every tail zero.
 
 The samples are stepped in contiguous chunks.  A chunk draws its paths one
 at a time, coarsens each to every step size into preallocated increment
@@ -77,6 +75,7 @@ rows carry times, to error-versus-time data.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -99,21 +98,21 @@ from .integrators import (
 from .noise import PEAK_BYTES_PER_CELL, coarsen, sample_path, step_count
 from .problems import (
     _DATA_STREAMS,
+    _PLATEAUS,
     PRESETS,
     AxisFactors,
     ProblemSpec,
-    build_initial,
+    _slots,
     check_initial,
     initial_dims,
     initial_factors,
     preset_problem,
 )
-from .semigroup import propagator_tables
 from .spectral import (
     DIMS,
     SpectralGrid,
     SpectralState,
-    _first_axes_modes,
+    _axis_modes,
     _norm_weights,
     _slot_multiplicity,
     _weighted_norm_sq,
@@ -235,7 +234,8 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     (``config_dim``: the given one, else the preset's, else the lowest that
     the problem's initial data fits: a plateau's own, an explicit state's
     rank, 1 for random data), alpha, tau_ref, n_cuts,
-    ``problem`` (the explicit one, else the preset's;
+    ``problem`` (the explicit one, whose data must be the preset's at
+    gamma and seed if both are set, else the preset's;
     ``problems.check_initial`` must accept its data at dim), ``tau`` (a
     single run's step: the given one, else the finest level) and
     ``snapshot_stride`` (0 means max(n_steps // 8, 1) at tau).  A
@@ -254,11 +254,15 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"sample_index {config.sample_index} is one of the streams "
                           f"{_DATA_STREAMS[-1]}..{_DATA_STREAMS[0]} reserved for initial data")
     problem = config.problem
-    if problem is None:
-        preset_dim, _, problem = preset_problem(config.preset, config.gamma, config.seed)
+    if config.preset is not None:
+        preset_dim, _, preset = preset_problem(config.preset, config.gamma, config.seed)
         if config.dim not in (None, preset_dim):
             raise ConfigError(f"preset {config.preset} is {preset_dim}-dimensional, "
                               f"config says {config.dim}")
+        if problem is not None and problem.initial != preset.initial:
+            raise ConfigError(f"the problem's initial data is not preset {config.preset}'s "
+                              f"at gamma {config.gamma} and seed {config.seed}")
+        problem = problem or preset
     try:
         check_initial(problem.initial, dim)
     except ValueError as exc:
@@ -328,25 +332,21 @@ def _array_bytes(dim: int, band: int) -> int:
     return 16 * math.prod(half_shape(dim, band))
 
 
-# full-band half spectra that building an initial state holds at its peak:
-# tracemalloc measures 6.0 (preset 1), 3.5 (2), 3.1 (3) and 2.5 (4) at bands
-# 2^18 (1D) and 512 (2D) with alpha = 1, as the first build in a process;
-# below 256 KiB per array numpy elides fewer temporaries (7.7 for preset 1 at
-# band 100)
-_BUILD_PEAK_ARRAYS = 8
-# and that a whole run_single holds, x column and plot text included: 11.5
-# (1D, band 4096) to 12.3 (band 2^18 and up), and 8.1 in 2D (band 512)
+# full-band half spectra that a whole run_single holds, building its
+# initial state, x column and plot text included: 11.5 (1D, band 4096) to
+# 12.3 (band 2^18 and up), and 8.1 in 2D (band 512)
 _RUN_PEAK_ARRAYS = 13
 
+# 1D half spectra at the full band that building a plateau's profiles holds:
+# tracemalloc measures 3.0 (1D) and 4.0 (2D) from band 4096, 4.3 below 512
+_PROFILE_PEAK_ARRAYS = 5
 
-def _full_grid(dim: int, n_cut: int, alpha: float, arrays: int = _BUILD_PEAK_ARRAYS) -> SpectralGrid:
-    """make_grid, refusing a grid whose initial state needs more than
-    physical memory to build (``arrays`` full-band arrays).  Every build of
-    a full-band state goes through it: a single run's (_RUN_PEAK_ARRAYS),
-    and a study's of data without a factor form (the plateaus and explicit
-    states); a study of random data builds only its stepped bands."""
+
+def _full_grid(dim: int, n_cut: int, alpha: float) -> SpectralGrid:
+    """make_grid, refusing a grid whose single run, the one builder of a
+    full-band state, needs more than _RUN_PEAK_ARRAYS full-band arrays."""
     grid = make_grid(dim, n_cut, alpha)
-    _check_memory(arrays * _array_bytes(dim, grid.n_high),
+    _check_memory(_RUN_PEAK_ARRAYS * _array_bytes(dim, grid.n_high),
                   f"building the initial state at band {n_cut} with alpha {alpha}")
     return grid
 
@@ -439,63 +439,95 @@ class _Study:
     runs: list
 
 
-# bytes of the (2n, ..., 2n, slots) complex slab of a state's last axis that
-# the tail pass reads at a time; its temporaries are a few arrays that size
-_SLAB_BYTES = 2**18
+# bytes of one float64 slab of the |k| orthant that the tail pass evaluates
+# at a time; its temporaries are a few arrays that size
+_SLAB_BYTES = 2**17
 
-# float64 arrays of one (2n, ..., 2n, slots) slab of the half spectrum that
-# the tail pass holds at its peak: tracemalloc measures 12 to 17.6 for
-# factored 2D data at bands 181 to 16384.  Above band 8192 in 2D a slab is
-# one last-axis column, wider than _SLAB_BYTES, so a study of factored data
-# is refused when 21 such columns exceed physical memory
+# float64 arrays of one slab of the |k| orthant that the tail pass holds at
+# its peak: tracemalloc measures 12.1 to 16.2 for factored 2D data at bands
+# 181 to 16384 and 18.3 for a 2D state.  From band 16384 in 2D a slab can be
+# one column, so a study is refused if 21 columns of N + 1 slots do not fit
 _TAIL_PEAK_SLABS = 21
 
 
-def _outside_energy(initial: SpectralState | AxisFactors, t: float, boxes) -> dict[int, float]:
+def _re_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re(x conj y) of real or complex arrays."""
+    out = x.real * y.real
+    if np.iscomplexobj(x) and np.iscomplexobj(y):
+        out += x.imag * y.imag
+    return out
+
+
+def _factor_rows(factors: AxisFactors):
+    """(dim, end, rows) for ``_outside_energy`` from separable data: the
+    profiles fill |k| < end, and rows(lo, hi) yields the one term (u, v,
+    weight) of lo <= |k_last| < hi, the profiles' products and sign counts."""
+    n, dim = factors.band, len(factors.u)
+    end = min(n + 1, 1 + max(np.flatnonzero(p).max(initial=-1) for p in factors.u + factors.v))
+    first = [[_slots(p, 0, end) for p in profiles[:-1]] for profiles in (factors.u, factors.v)]
+    mult = [_slot_multiplicity(n, 0, end)] * (dim - 1)
+
+    def rows(lo: int, hi: int):
+        u, v = (functools.reduce(np.multiply.outer, f + [_slots(profiles[-1], lo, hi)])
+                for f, profiles in zip(first, (factors.u, factors.v)))
+        yield u, v, functools.reduce(np.multiply.outer, mult + [_slot_multiplicity(n, lo, hi)])
+
+    return dim, end, rows
+
+
+def _state_rows(state: SpectralState, n_high: int):
+    """``_factor_rows`` of a state at its own band m truncated to |k_j| <
+    n_high, with its bits for the same data: a term per sign of the first
+    axes' k_j (the negative one weighs 0 at k_j = 0), times the last's."""
+    m, dim = state.band, state.dim
+    held = (state.u_hat != 0) | (state.v_hat != 0)
+    end = min(n_high, 1 + max(k[held.any(axis=tuple(i for i in range(dim) if i != j))].max(
+        initial=-1) for j, k in enumerate(_axis_modes(dim, m))))
+    k = np.arange(end)
+
+    def rows(lo: int, hi: int):
+        for signs in itertools.product((1, -1), repeat=dim - 1):
+            at = np.ix_(*[sign * k for sign in signs], np.arange(lo, hi))
+            yield state.u_hat[at], state.v_hat[at], functools.reduce(np.multiply.outer, [
+                (k > 0) | (sign > 0) for sign in signs] + [_slot_multiplicity(m, lo, hi)])
+
+    return dim, end, rows
+
+
+def _outside_energy(dim: int, end: int, rows, t: float, boxes) -> dict[int, float]:
     """{b: squared pair norm (gamma = 0) of the flow e^(tL) of the initial
-    pair outside box b} for every b in ``boxes``: its per-mode energy summed
-    over the modes with max_j |k_j| >= b.  ``initial`` is a state stored at
-    its full band, or the per-axis factors of separable data.
+    pair outside box b} for every b in ``boxes``, never building the flow.
 
-    The flow itself is never built.  With A = |u|^2, B = |v|^2,
-    C = Re(u conj v), the tables (c, s, a21) of e^(tL) and the weight
-    w = 1 / (1 + lambda^2), mode k holds
+    A mode's energy depends on (|k_1|, ..., |k_d|) alone, so the pass sums
+    it over the |k| orthant, every |k_j| < ``end``, in slabs of last-axis |k|
+    as wide as _SLAB_BYTES allow, so its bits depend on the data alone.
+    With A = |u|^2, B = |v|^2 and C = Re(u conj v) summed over the weighted
+    terms that ``rows`` yields, w = 1 / (1 + lambda^2) and S = sin(lambda t),
 
-        E = c^2 A + s^2 B + 2csC + w (a21^2 A + c^2 B + 2 a21 c C),
+        E = A + wB + w (S^2 (B / lambda^2 - A) + C sin(2 lambda t) / lambda),
 
-    and the tables, w and max_j |k_j| depend on (|k_1|, ..., |k_d|) alone.
-    The pass reads the half spectrum in slabs of last-axis slots as they
-    are stored, a state's slices or ``AxisFactors.slab``, and skips the
-    slabs past the factors' last mode (their energy would add exact
-    zeros).  A, B and C are weighted by each slot's multiplicity
-    (``spectral._slot_multiplicity``), and the rest is evaluated on the
-    slab itself.  A slab spans as many slots as _SLAB_BYTES of the state
-    hold whatever the source, so the sums, and their bits, do not depend
-    on it.  No array of the full box is made, and in 1D, which has no first
-    axes (``spectral._first_axes_modes``), none of the full band either.
+    and A + B + t^2 B + 2tC at lambda = 0.
     """
-    dim, n = initial.dim, initial.band
-    cols = max(1, _SLAB_BYTES // (16 * math.prod(half_shape(dim, n)[:-1])))
-    factored = isinstance(initial, AxisFactors)
-    end = min(n + 1, max(initial.u[-1].size, initial.v[-1].size)) if factored else n + 1
-    first = _first_axes_modes(dim, n)
+    cols = max(1, _SLAB_BYTES // 8 // max(end, 1) ** (dim - 1))
     out = dict.fromkeys(boxes, 0.0)
     for lo in range(0, end, cols):
-        hi = min(lo + cols, n + 1)
-        us, vs = (initial.slab(lo, hi) if factored
-                  else (initial.u_hat[..., lo:hi], initial.v_hat[..., lo:hi]))
-        mult = _slot_multiplicity(n, lo, hi)
-        a = (us.real * us.real + us.imag * us.imag) * mult
-        b = (vs.real * vs.real + vs.imag * vs.imag) * mult
-        c = (us.real * vs.real + us.imag * vs.imag) * mult
-        del us, vs  # a factor slab is built for these products alone
-        ks = first + [np.arange(lo, hi)]
+        ks = [np.arange(end)] * (dim - 1) + [np.arange(lo, min(lo + cols, end))]
+        a = b = c = 0.0
+        for u, v, weight in rows(lo, lo + ks[-1].size):
+            a = a + _re_dot(u, u) * weight
+            b = b + _re_dot(v, v) * weight
+            c = c + _re_dot(u, v) * weight
+            del u, v, weight  # before the next term is built
         lam2 = (2.0 * np.pi) ** 2 * functools.reduce(np.add.outer,
                                                       [k.astype(np.float64) ** 2 for k in ks])
-        cos, sin_over, a21, _ = propagator_tables(np.sqrt(lam2), t)
+        lam = np.sqrt(lam2)
         w = 1.0 / (1.0 + lam2)
-        energy = ((cos * cos + w * a21 * a21) * a + (sin_over * sin_over + w * cos * cos) * b
-                  + 2.0 * (cos * sin_over + w * a21 * cos) * c)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            energy = a + w * (b + np.sin(lam * t) ** 2 * (b / lam2 - a)
+                              + c * np.sin(2.0 * t * lam) / lam)
+        if lo == 0:
+            # the origin, lambda = 0
+            energy.flat[0] = a.flat[0] + b.flat[0] + t * t * b.flat[0] + 2.0 * t * c.flat[0]
         shell = functools.reduce(np.maximum.outer, ks)
         for box in out:
             out[box] += float(np.sum(energy[shell >= box]))
@@ -504,17 +536,11 @@ def _outside_energy(initial: SpectralState | AxisFactors, t: float, boxes) -> di
 
 def _prepare(config: ExperimentConfig) -> _Study:
     """Grids, specs, the shared initial state and the noise-free parts of
-    every error, computed once per study.
-
-    Random data comes as its per-axis factors (``problems.initial_factors``,
-    no longer than band M), which feed the tail pass; the start at band M
-    is built from them, equal bit for bit to the full-band state re-stored
-    there.  So no array of the full box is made: the band-M guard bounds
-    what is built, and _SLAB_BYTES or, where one last-axis column is
-    wider, _TAIL_PEAK_SLABS columns bound the tail pass.  The plateaus and
-    explicit states have no factor form: they are built at the full band,
-    under ``_full_grid``'s guard, read once by the tail pass and re-stored
-    at band M.
+    every error, computed once per study: a preset kind's factors
+    (``problems.initial_factors``) or an explicit state feed the tail pass
+    and give the start at band M, bit for bit ``problems.build_initial``'s
+    full-band state re-stored there, so nothing is built at the full band
+    but the plateaus' profiles of one axis.
     """
     dim = config.dim
     _check_lattice("tau_ref", config.tau_ref, config.t_final)
@@ -522,13 +548,18 @@ def _prepare(config: ExperimentConfig) -> _Study:
     band = max(n_ref, *config.n_cuts)
     _check_memory(_array_bytes(dim, band), f"one array at the widest stepped band {band}")
     grid = make_grid(dim, n_ref, config.alpha)
-    factors = initial_factors(config.problem.initial, grid)
-    if factors is None:
-        initial = build_initial(config.problem.initial, _full_grid(dim, n_ref, config.alpha))
+    _check_memory(_TAIL_PEAK_SLABS * 8 * (grid.n_high + 1) ** (dim - 1),
+                  f"the tail pass over the |k| orthant of band {grid.n_high}")
+    spec = config.problem.initial
+    if spec.kind == "explicit":
+        source = _state_rows(spec.state, grid.n_high)
+        u0 = with_band(with_band(spec.state, min(spec.state.band, grid.n_high, band)), band)
     else:
-        _check_memory(_TAIL_PEAK_SLABS * 8 * (2 * grid.n_high) ** (dim - 1),
-                      f"the tail pass over the half spectrum of band {grid.n_high}")
-        initial = factors
+        if spec.kind in _PLATEAUS:
+            _check_memory(_PROFILE_PEAK_ARRAYS * _array_bytes(1, grid.n_high),
+                          f"building the initial state at band {n_ref} with alpha {config.alpha}")
+        factors = initial_factors(spec, grid)
+        source, u0 = _factor_rows(factors), factors.state(band)
 
     def planned(kind: str, tau: float, n: int) -> tuple:
         """(spec, stepped band, box kept) of one run."""
@@ -538,12 +569,8 @@ def _prepare(config: ExperimentConfig) -> _Study:
     ref_spec, _, ref_box = planned("hr_lri", config.tau_ref, n_ref)
     plan = [[planned(m, tau, n) for tau, n in zip(config.levels, config.n_cuts)]
             for m in config.methods]
-    outside = _outside_energy(initial, config.t_final,
+    outside = _outside_energy(*source, config.t_final,
                               {max(band, h) for row in plan for *_, h in row})
-
-    # no run reads the initial state above band M
-    u0 = with_band(initial, band) if factors is None else factors.state(band)
-    del initial
     flow_m = recover_high(u0, config.t_final)
     ref_modes = recovered_modes(dim, band, n_ref, ref_box)
 
@@ -728,7 +755,7 @@ def run_single(config: ExperimentConfig) -> dict:
     dim, tau = config.dim, config.tau
     n_cut = default_n_cut(tau)
     _check_lattice("tau", tau, config.t_final)
-    grid = _full_grid(dim, n_cut, config.alpha, _RUN_PEAK_ARRAYS)
+    grid = _full_grid(dim, n_cut, config.alpha)
     spec = method_spec(config.methods[0], tau, config.t_final)
     lattice = sample_path(config.seed, config.sample_index, config.t_final, tau)
     os.makedirs(config.out_dir, exist_ok=True)

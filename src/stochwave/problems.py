@@ -20,13 +20,12 @@ where ru_j and rv_j are the (seed-keyed) uniforms of the streams
 _DATA_STREAMS[2j] and _DATA_STREAMS[2j + 1].  The u (v) coefficient of mode
 k = (k_1, ..., k_dim) is the product over j of the u (v) profiles at k_j,
 so it is zero unless every k_j is nonzero.  The profiles are the data's
-factor form (``initial_factors``, an ``AxisFactors``): each is built
-on the slots |k| = 0..kmax of one axis, and its state at a band (a half
-spectrum, see ``spectral``) takes the last axis's profile as it is and
-mirrors every other axis's into its full layout, as does each slab that
-the tail pass reads.  ``build_random_hgamma`` is that state at the grid's
-full band, so the state and the factors cannot disagree; a study builds
-only the bands it steps from the factors.
+factor form (``initial_factors``, an ``AxisFactors``), each on the slots
+|k| = 0..kmax of one axis; its state at a band (a half spectrum, see
+``spectral``) takes the last axis's profile as it is and mirrors every
+other axis's into its full layout.  The plateaus have one too: in 1D the
+interpolant's half spectrum is the one profile, and in 2D every axis has
+the even indicator's, the last carrying the height.
 In 1D the exponents put u exactly in H^gamma and v exactly in H^(gamma-1),
 and no better.  In 2D that holds for u, but v lies only in H^(2(gamma-1)):
 for s = gamma - 1 < 0 a product of 1D H^s profiles is in H^(2s) of the
@@ -47,7 +46,7 @@ takes (finite and positive).
 ``build_initial``, the one entry point of every kind, applies it once to
 the grid, and ``experiments.resolve_config`` to the config's problem
 before anything is built; it hands out every kind at the grid's full band
-n_high, an explicit state re-stored there.
+n_high, a preset kind as its factors' state, an explicit state re-stored.
 """
 
 from __future__ import annotations
@@ -196,130 +195,103 @@ def check_initial(spec: InitialDataSpec, dim: int) -> None:
                              f"{held[0].tolist()} (|k_j| = {m})")
 
 
-# plateau kind -> ((height, lo, hi), ...): u is height on [lo, hi]^dim
+# plateau kind -> ((height, lo, hi), ...): u is height on [lo, hi]^dim; a
+# 2D kind has one row, a product of one indicator per axis
 _PLATEAUS = {"indicator_1d": ((5.0, 0.3, 0.425), (2.5, 0.575, 0.7)),
              "indicator_2d": ((0.5, 0.375, 0.625),)}
 
 
-def _build_plateaus(kind: str, grid: SpectralGrid) -> SpectralState:
-    """The plateaus of ``kind`` sampled pointwise at the collocation nodes
-    (closed intervals), v = 0: u is transformed alone, so the state is the
-    trigonometric interpolant of the discontinuous profile, its unpaired
-    slots zeroed as in ``state_from_fields``."""
-    x = collocation_nodes(grid.n_high)
-    u = np.zeros((x.size,) * grid.dim)
-    for height, lo, hi in _PLATEAUS[kind]:
-        inside = (x >= lo) & (x <= hi)
-        u[functools.reduce(np.logical_and.outer, [inside] * grid.dim)] = height
-    u_hat = forward(u)
-    u_hat *= band_mask(grid.dim, grid.n_high, grid.n_high)
-    return SpectralState(u_hat, np.zeros_like(u_hat))
+def _slots(p: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Slots lo..hi-1 of the profile ``p``, zero past its end."""
+    p = p[lo:hi]
+    return np.pad(p, (0, hi - lo - p.size))
 
 
 @dataclass(frozen=True)
 class AxisFactors:
-    """Initial data that is a product over the axes, kept as its factors.
-
-    The u coefficient of mode k is the product over the axes j of
-    ``u[j][|k_j|]``, and the v coefficient likewise, for every mode of the
-    box of ``band`` (each |k_j| <= band); a profile is zero past its end.
-    Slot ``band`` of an axis stands for the box's one unpaired slot of that
-    axis.  ``state`` stores the pair as a half spectrum at any band, and
-    ``slab`` gives last-axis slots of the one at ``band``, so neither
-    builds more than it is asked for.
-    """
+    """Initial data that is a product over the axes, kept as its factors:
+    the u coefficient of each mode k of the box of ``band`` is the product
+    over the axes j of ``u[j][|k_j|]``, and v's likewise.  A profile is zero
+    past its end, its slot ``band`` stands for the axis's unpaired slot, and
+    on a first axis it is real, standing for +k_j and -k_j alike."""
 
     band: int
     u: tuple[np.ndarray, ...]
     v: tuple[np.ndarray, ...]
 
-    @property
-    def dim(self) -> int:
-        return len(self.u)
-
-    def _fields(self, band: int, keep: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """u and v on the last-axis slots lo..hi-1 of the half spectrum at
-        ``band``, each profile cut to its first ``keep`` slots: the last
-        axis reads its profile over lo..hi-1 alone, every other axis at the
-        |k| of each slot of its full layout (``spectral._first_axes_modes``),
-        so a 1D slab builds nothing of the band's other slots."""
-
-        def slots(p: np.ndarray, lo: int, hi: int) -> np.ndarray:
-            # zero past a profile's end; keep <= band + 1
-            p = p[:keep][lo:hi]
-            return np.pad(p, (0, hi - lo - p.size))
-
-        def field(profiles) -> np.ndarray:
-            first = [slots(p, 0, band + 1)[k]
-                     for p, k in zip(profiles[:-1], _first_axes_modes(self.dim, band))]
-            return functools.reduce(np.multiply.outer,
-                                    first + [slots(profiles[-1], lo, hi)]).astype(np.complex128)
-
-        return field(self.u), field(self.v)
-
     def state(self, band: int) -> SpectralState:
         """The pair stored at ``band``, as ``spectral.with_band`` would
         re-store it from the factors' own band: the modes with every
-        |k_j| < min(band, self.band)."""
-        return SpectralState(*self._fields(band, min(band, self.band), 0, band + 1))
+        |k_j| < min(band, self.band), each first axis read at the |k| of
+        its full layout's slots (``spectral._first_axes_modes``)."""
+        keep = min(band, self.band)
 
-    def slab(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """u and v on the last-axis slots lo..hi-1 at the factors' own band,
-        the box's unpaired slots kept."""
-        return self._fields(self.band, self.band + 1, lo, hi)
+        def field(profiles) -> np.ndarray:
+            slots = [_slots(p[:keep], 0, band + 1) for p in profiles]
+            first = [s[k] for s, k in zip(slots, _first_axes_modes(len(profiles), band))]
+            # + 0j stores complex, every zero as +0, as with_band zeroes
+            return functools.reduce(np.multiply.outer, first + slots[-1:]) + 0j
+
+        return SpectralState(field(self.u), field(self.v))
 
 
-def _axis_profile(kmax: int, exponent: float, draws: np.ndarray) -> np.ndarray:
-    """0.5 * draws[|k|-1] * |k|^exponent at the slots |k| = 0..kmax of one
-    axis, zero at |k| = 0."""
-    out = np.zeros(kmax + 1)
-    out[1:] = 0.5 * draws * np.arange(1, kmax + 1, dtype=np.float64) ** exponent
-    return out
+def _plateau_factors(kind: str, grid: SpectralGrid) -> AxisFactors:
+    """The plateaus of ``kind`` sampled at the collocation nodes (closed
+    intervals), v = 0, as factors at the grid's full band: each profile is
+    the interpolant's half spectrum of one axis without its unpaired slot,
+    the last carrying the heights, a first one the indicator, even, so real."""
+    x = collocation_nodes(grid.n_high)
+    rows = _PLATEAUS[kind]
+
+    def profile(heights) -> np.ndarray:
+        samples = np.zeros(x.size)
+        for height, (_, lo, hi) in zip(heights, rows):
+            samples[(x >= lo) & (x <= hi)] = height
+        return forward(samples)[:grid.n_high]
+
+    first = [profile([1.0] * len(rows)).real for _ in range(grid.dim - 1)]
+    return AxisFactors(grid.n_high, (*first, profile([h for h, *_ in rows])),
+                       (np.zeros(0),) * grid.dim)
 
 
 def build_random_hgamma(grid: SpectralGrid, gamma: float, seed: int) -> SpectralState:
     """Random real pair of smoothness gamma (see the module docstring for
-    the class it lies in): the state of its factors (``initial_factors``)
-    at the grid's full band.
-
-    Each coefficient profile (u and v of every axis) reads k = 1..kmax
-    uniforms from its own dedicated stream, so building on a wider grid
-    extends the same function.  One draw per |k_j| is shared between +k_j
-    and -k_j, making the spectra even and real, and the fields real.
-    """
+    the class it lies in) at the grid's full band: one uniform per |k_j|,
+    shared by +k_j and -k_j, so the spectra are even and real."""
     spec = InitialDataSpec("random_hgamma", gamma=gamma, seed=seed)
     return initial_factors(spec, grid).state(grid.n_high)
 
 
-def initial_factors(spec: InitialDataSpec, grid: SpectralGrid) -> AxisFactors | None:
-    """The per-axis factors of ``spec``'s data on the grid's full band, once
-    ``check_initial`` finds that it fits the grid: random data's profiles,
-    axis j's u (v) profile from stream 2j (2j + 1) on the slots |k| =
-    0..kmax that it fills.  None for the kinds that have no factor form:
-    the plateaus, whose 2D profile is transformed as one field, and
-    explicit states."""
-    if spec.kind != "random_hgamma":
-        return None
+def initial_factors(spec: InitialDataSpec, grid: SpectralGrid) -> AxisFactors:
+    """The per-axis factors of a preset kind's data on the grid's full band,
+    once ``check_initial`` finds that it fits the grid: the plateaus'
+    (``_plateau_factors``), or random data's, axis j's u (v) profile on
+    |k| = 0..kmax from stream 2j (2j + 1), one draw per |k| >= 1, so a wider
+    grid extends the same function.  ValueError for an explicit state."""
     check_initial(spec, grid.dim)
+    if spec.kind in _PLATEAUS:
+        return _plateau_factors(spec.kind, grid)
+    if spec.kind != "random_hgamma":
+        raise ValueError(f"{spec.kind} initial data has no factor form")
     kmax = min(grid.n_cut, grid.n_high - 1)
+    k = np.arange(1, kmax + 1, dtype=np.float64)
 
     def profiles(slot: int, exponent: float) -> tuple[np.ndarray, ...]:
-        return tuple(_axis_profile(kmax, exponent,
-                                   standard_uniforms(spec.seed, _DATA_STREAMS[2 * j + slot], kmax))
+        return tuple(np.r_[0.0, 0.5 * standard_uniforms(spec.seed, _DATA_STREAMS[2 * j + slot],
+                                                         kmax) * k ** exponent]
                      for j in range(grid.dim))
 
-    gamma = spec.gamma
-    return AxisFactors(grid.n_high, profiles(0, -gamma - 0.51), profiles(1, -gamma + 0.49))
+    return AxisFactors(grid.n_high, profiles(0, -spec.gamma - 0.51),
+                       profiles(1, -spec.gamma + 0.49))
 
 
 def build_initial(spec: InitialDataSpec, grid: SpectralGrid) -> SpectralState:
     """The initial state of ``spec`` at the grid's full band n_high, once
-    ``check_initial`` finds that it fits the grid."""
+    ``check_initial`` finds that it fits the grid: a preset kind's factors
+    stored there, or an explicit state re-stored there."""
+    if spec.kind != "explicit":
+        return initial_factors(spec, grid).state(grid.n_high)
     check_initial(spec, grid.dim)
-    if spec.kind in _PLATEAUS:
-        return _build_plateaus(spec.kind, grid)
-    if spec.kind == "random_hgamma":
-        return build_random_hgamma(grid, spec.gamma, spec.seed)
     return with_band(spec.state, grid.n_high)
 
 

@@ -362,7 +362,7 @@ def with_band(state: SpectralState, band: int, dim: int | None = None) -> Spectr
     if band < old:
         # content at |k_j| = band landed on the unpaired slot; drop it
         for a in (out.u_hat, out.v_hat):
-            a *= band_mask(dim, band, band)
+            np.copyto(a, 0, where=~band_mask(dim, band, band))
     return out
 
 

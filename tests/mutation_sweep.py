@@ -57,8 +57,8 @@ MUTANTS = (
            "            if False:\n",
            (f"{T_EXP}::TestErrorSplit",)),
     Mutant("tail_t0", EXP,
-           "outside = _outside_energy(initial, config.t_final,",
-           "outside = _outside_energy(initial, 0.0,",
+           "outside = _outside_energy(*source, config.t_final,",
+           "outside = _outside_energy(*source, 0.0,",
            (f"{T_EXP}::TestErrorSplit",)),
     # the one slot multiplicity, of the norm weights and the tail pass
     Mutant("slot_multiplicity_1", SPEC,
@@ -68,9 +68,19 @@ MUTANTS = (
     # 1D presets have no data outside box M, so only 2D cases see the tail's
     # cross term
     Mutant("tail_cross_halved", EXP,
-           "+ 2.0 * (cos * sin_over + w * a21 * cos) * c)",
-           "+ 1.0 * (cos * sin_over + w * a21 * cos) * c)",
+           "+ c * np.sin(2.0 * t * lam) / lam)",
+           "+ 0.5 * c * np.sin(2.0 * t * lam) / lam)",
            (f"{T_EXP}::TestTails",)),
+    # the limit at lambda = 0, which only box 0 holds
+    Mutant("tail_limit_tc", EXP,
+           "+ 2.0 * t * c.flat[0]",
+           "+ 1.0 * t * c.flat[0]",
+           (f"{T_EXP}::TestTails::test_outside_energy_matches_full_box_flow",)),
+    # the imaginary parts of a state's terms
+    Mutant("tail_drops_imag", EXP,
+           "        out += x.imag * y.imag\n",
+           "        pass\n",
+           (f"{T_EXP}::TestTails::test_outside_energy_matches_full_box_flow",)),
     # the unpaired slot k_last = n: every state keeps it zero, so only the
     # hand-made factors that fill every slot see its multiplicity
     Mutant("factor_multiplicity_2_at_n", SPEC,
@@ -78,29 +88,44 @@ MUTANTS = (
            "return np.where(k == 0, 1.0, 2.0)",
            (f"{T_EXP}::TestTails::test_factor_tails_match_full_box_flow",)),
     Mutant("factor_cross_uu", EXP,
-           "c = (us.real * vs.real + us.imag * vs.imag) * mult",
-           "c = (us.real * us.real + us.imag * us.imag) * mult",
+           "c = c + _re_dot(u, v) * weight",
+           "c = c + _re_dot(u, u) * weight",
            (f"{T_EXP}::TestTails",)),
-    # the start at band M keeping the slot M that with_band drops, and a
-    # factor slab dropping the unpaired slots that the box holds
+    # the start at band M keeping the slot M that with_band drops, and the
+    # factors' orthant dropping the unpaired slot |k| = band that the box
+    # holds
     Mutant("factor_start_keeps_unpaired_slot", PROB,
-           "*self._fields(band, min(band, self.band), 0, band + 1)",
-           "*self._fields(band, min(band + 1, self.band), 0, band + 1)",
+           "keep = min(band, self.band)",
+           "keep = min(band + 1, self.band)",
            (f"{T_EXP}::TestTails::test_factored_study_is_the_full_state_study_bit_for_bit",)),
-    Mutant("slab_drops_unpaired_slot", PROB,
-           "return self._fields(self.band, self.band + 1, lo, hi)",
-           "return self._fields(self.band, self.band, lo, hi)",
+    Mutant("slab_drops_unpaired_slot", EXP,
+           "end = min(n + 1, 1 + max(",
+           "end = min(n, 1 + max(",
            (f"{T_EXP}::TestTails::test_factor_tails_match_full_box_flow",)),
-    # the tail pass's first axes built as a full-band list again, and a slab
-    # reading its last-axis profile from slot 0
+    # the tail pass over the whole band again, past the last |k| the data
+    # fills, and a slab reading its last-axis profile from slot 0
     Mutant("tail_first_axes_full", EXP,
-           "first = _first_axes_modes(dim, n)",
-           'first = __import__("stochwave.spectral").spectral._axis_modes(dim, n)[:-1]',
-           (f"{T_EXP}::TestMemoryGuard::test_1d_prepare_builds_nothing_of_the_full_band",)),
+           "end = min(n + 1, 1 + max(",
+           "end = max(n + 1, 1 + max(",
+           (f"{T_EXP}::TestTails::test_tail_pass_stops_where_the_data_ends",)),
     Mutant("slab_profile_from_zero", PROB,
-           "p = p[:keep][lo:hi]",
-           "p = p[:keep][0:hi - lo]",
+           "p = p[lo:hi]",
+           "p = p[0:hi - lo]",
            (f"{T_EXP}::TestTails",)),
+    # a state's first axis counting |k_j| = 0 twice, and the factors' too
+    Mutant("state_first_axis_zero_twice", EXP,
+           "(k > 0) | (sign > 0) for sign in signs]",
+           "(k >= 0) | (sign > 0) for sign in signs]",
+           (f"{T_EXP}::TestTails::test_outside_energy_matches_full_box_flow",)),
+    Mutant("factor_first_axis_zero_twice", EXP,
+           "mult = [_slot_multiplicity(n, 0, end)] * (dim - 1)",
+           "mult = [np.r_[2.0, _slot_multiplicity(n, 1, end)]] * (dim - 1)",
+           (f"{T_EXP}::TestTails::test_factor_tails_match_full_box_flow",)),
+    # the 2D plateau's height on both axes
+    Mutant("plateau_height_twice", PROB,
+           "first = [profile([1.0] * len(rows)).real",
+           "first = [profile([h for h, *_ in rows]).real",
+           ("tests/test_problems.py::TestIndicator2D",)),
     Mutant("explicit_unpaired_accepted", PROB,
            "        if held.size:\n",
            "        if False:\n",
@@ -108,7 +133,7 @@ MUTANTS = (
     Mutant("tail_guard_2_slabs", EXP,
            "_TAIL_PEAK_SLABS = 21",
            "_TAIL_PEAK_SLABS = 2",
-           (f"{T_EXP}::TestMemoryGuard::test_tail_guard_bounds_the_factored_tail_pass",)),
+           (f"{T_EXP}::TestMemoryGuard::test_tail_guard_bounds_one_column_slabs",)),
     Mutant("recovered_edge_moved", INT,
            "return (n <= shell) & (shell < min(h, band))",
            "return (n < shell) & (shell < min(h, band))",

@@ -184,9 +184,8 @@ BAD_ARGUMENTS = [
     ["converge", "--config", "{tmp}/no_methods.cfg"],
     ["run", "--config", "{tmp}/no_methods.cfg"],
     ["converge", "--preset", "2", "--method", "stm,stm"],
-    # a reference box of 32^10 modes per axis: the plateaus' initial state
-    # at that band, or one column of the tail pass over random data's half
-    # spectrum
+    # a reference box of 32^10 modes per axis: the plateaus' profiles at
+    # that band, or one column of the tail pass over the |k| orthant
     ["converge", "--preset", "1", "--tau", "0.125", "--levels", "3", "--alpha", "10"],
     ["converge", "--preset", "4", "--tau", "0.125", "--levels", "3", "--alpha", "10"],
     ["run", "--preset", "1", "--alpha", "1e6"],
@@ -237,7 +236,7 @@ BAD_ARGUMENT_MESSAGES = {
     ("converge", "--preset", "1", "--tau", "0.125", "--levels", "3", "--alpha", "10"):
         "building the initial state at band 32 with alpha 10",
     ("converge", "--preset", "4", "--tau", "0.125", "--levels", "3", "--alpha", "10"):
-        "the tail pass over the half spectrum of band 1125899906842624",
+        "the tail pass over the |k| orthant of band 1125899906842624",
     ("converge", "--preset", "2", "--tfinal", "1099511627776"): "t_final/tau_ref = 2^51 cells",
     ("run", "--preset", "1", "--tfinal", "1099511627776"): "t_final/tau = 2^49 cells",
     ("converge", "--config", "{tmp}/level_nan.cfg"): "level must be finite",

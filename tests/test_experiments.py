@@ -610,19 +610,38 @@ def tail_oracle_check(tail, energy, outside):
         np.testing.assert_allclose(tail, oracle, rtol=1e-14, atol=0)
 
 
+def assert_same_study(study, other):
+    """Two prepared studies hold the same starts, shifts and tails, bit for
+    bit; returns the tails."""
+    assert study.band == other.band and study.starts.keys() == other.starts.keys()
+    for n, start in study.starts.items():
+        np.testing.assert_array_equal(bits(start.u_hat), bits(other.starts[n].u_hat))
+        np.testing.assert_array_equal(bits(start.v_hat), bits(other.starts[n].v_hat))
+    tails = set()
+    for row, other_row in zip(study.runs, other.runs):
+        for (_, n, shift, tail), (_, other_n, other_shift, other_tail) in zip(row, other_row):
+            assert n == other_n and tail == other_tail
+            tails.add(tail)
+            assert (shift is None) == (other_shift is None)
+            for a, b in zip(shift or (), other_shift or ()):
+                np.testing.assert_array_equal(bits(a), bits(b))
+    return tails
+
+
 class TestTails:
     @pytest.mark.parametrize("dim,band,rows", [(1, 1024, 100), (2, 64, 10)])
     def test_outside_energy_matches_full_box_flow(self, monkeypatch, dim, band, rows):
-        # slabs of `rows` slots do not tile the band + 1 slots of the last
-        # axis, so the last slab is partial
-        assert (band + 1) % rows
-        monkeypatch.setattr(exp, "_SLAB_BYTES", rows * 16 * (2 * band) ** (dim - 1))
+        # slabs of `rows` last-axis |k| do not tile the |k| < band that
+        # the data fills, so the last slab is partial
+        assert band % rows
+        monkeypatch.setattr(exp, "_SLAB_BYTES", rows * 8 * band ** (dim - 1))
         rng = np.random.default_rng(dim)
         shape = (2 * band,) * dim
         # white noise on every paired mode
         state = sw.state_from_fields(rng.standard_normal(shape), rng.standard_normal(shape))
-        boxes = {1, 7, band // 2, band - 1, band, band + 1}
-        got = exp._outside_energy(state, 0.25, boxes)
+        # box 0 holds every mode, the origin lambda = 0 included
+        boxes = {0, 1, 7, band // 2, band - 1, band, band + 1}
+        got = exp._outside_energy(*exp._state_rows(state, band), 0.25, boxes)
         energy, shell = full_box_energy(state, 0.25)
         assert set(got) == boxes
         for b in boxes - {band, band + 1}:
@@ -665,53 +684,50 @@ class TestTails:
         if case.startswith("explicit-full-box"):
             assert all(tail > 0 for row in study.runs for *_, tail in row)
 
-    @pytest.mark.parametrize("case", FACTORED_CASES)
-    def test_factored_study_is_the_full_state_study_bit_for_bit(self, monkeypatch, case):
-        # random data's study, from its factors, against the same study
-        # built from build_initial's full state (the path of data without
-        # factors): the same starts, shifts and tails, bit for bit
+    @pytest.mark.parametrize("case", FACTORED_CASES + ("preset1", "preset3"))
+    def test_factored_study_is_the_full_state_study_bit_for_bit(self, case):
+        # a preset's study, from its factors, against the study of the same
+        # data given as an explicit state, build_initial's at the
+        # reference's full band: the same starts, shifts and tails, bit for
+        # bit
         base = dict(methods=ALL_METHODS, levels=(2**-3, 2**-4, 2**-5), gamma=0.5, seed=4)
         cfg = resolve_config(sw.ExperimentConfig(**{**base, **TAIL_CASES[case]}))
-        built = []
-        real_build = exp.build_initial
-
-        def build(spec, grid):
-            built.append(grid.n_high)
-            return real_build(spec, grid)
-
-        monkeypatch.setattr(exp, "build_initial", build)
+        full = sw.make_grid(cfg.dim, default_n_cut(cfg.tau_ref), cfg.alpha)
+        state = sw.build_initial(cfg.problem.initial, full)
         study = exp._prepare(cfg)
-        assert built == []
-        monkeypatch.setattr(exp, "initial_factors", lambda spec, grid: None)
-        full = exp._prepare(cfg)
-        assert built == [sw.make_grid(cfg.dim, default_n_cut(cfg.tau_ref), cfg.alpha).n_high]
-        assert study.band == full.band and study.starts.keys() == full.starts.keys()
-        for n, start in study.starts.items():
-            np.testing.assert_array_equal(bits(start.u_hat), bits(full.starts[n].u_hat))
-            np.testing.assert_array_equal(bits(start.v_hat), bits(full.starts[n].v_hat))
-        tails = set()
-        for row, full_row in zip(study.runs, full.runs):
-            for (_, n, shift, tail), (_, full_n, full_shift, full_tail) in zip(row, full_row):
-                assert n == full_n and tail == full_tail
-                tails.add(tail)
-                assert (shift is None) == (full_shift is None)
-                for a, b in zip(shift or (), full_shift or ()):
-                    np.testing.assert_array_equal(bits(a), bits(b))
+        given = exp._prepare(replace(cfg, preset=None, problem=replace(
+            cfg.problem, initial=sw.InitialDataSpec("explicit", state=state))))
+        tails = assert_same_study(study, given)
         if cfg.alpha > 1.0:
             assert max(tails) > 0.0
+
+    @pytest.mark.parametrize("dim,band,tau_ref", [(1, 2048, 2**-7), (2, 128, 2**-6)])
+    def test_wider_state_is_its_truncation_bit_for_bit(self, dim, band, tau_ref):
+        # an explicit state wider than the reference's full band n_high is
+        # read at its own band, truncated to n_high: the study of its
+        # truncation, bit for bit
+        state = rough_state(band, seed=5, dim=dim)
+        cfg = resolve_config(sw.ExperimentConfig(
+            dim=dim, problem=explicit(state), methods=ALL_METHODS,
+            levels=(2**-3, 2**-4, 2**-5)[:5 - dim], tau_ref=tau_ref, seed=4))
+        n_high = sw.make_grid(dim, default_n_cut(tau_ref), cfg.alpha).n_high
+        assert n_high < band
+        truncated = replace(cfg, problem=explicit(sw.with_band(state, n_high)))
+        tails = assert_same_study(exp._prepare(cfg), exp._prepare(truncated))
+        assert min(tails) > 0.0
 
     @pytest.mark.parametrize("dim,band,rows", [(1, 40, 7), (2, 12, 5)])
     def test_factor_tails_match_full_box_flow(self, monkeypatch, dim, band, rows):
         # profiles filling every slot |k| = 0..band, the unpaired one
         # included, so each axis's sign multiplicity counts: 1 at 0 and at
-        # band, 2 between; `rows` slots a slab, the last one partial
+        # band, 2 between; `rows` last-axis |k| a slab, the last one partial
         assert (band + 1) % rows
-        monkeypatch.setattr(exp, "_SLAB_BYTES", rows * 16 * (2 * band) ** (dim - 1))
+        monkeypatch.setattr(exp, "_SLAB_BYTES", rows * 8 * (band + 1) ** (dim - 1))
         rng = np.random.default_rng(dim)
         factors = AxisFactors(band, *(tuple(rng.uniform(-1, 1, band + 1) for _ in range(dim))
                                       for _ in "uv"))
-        boxes = {1, 5, band - 1, band, band + 1}
-        got = exp._outside_energy(factors, 0.25, boxes)
+        boxes = {0, 1, 5, band - 1, band, band + 1}
+        got = exp._outside_energy(*exp._factor_rows(factors), 0.25, boxes)
         energy, shell = factor_box_energy(factors, 0.25)
         assert set(got) == boxes and got[band + 1] == 0.0
         for b in boxes - {band + 1}:
@@ -719,16 +735,28 @@ class TestTails:
             np.testing.assert_allclose(got[b], np.sum(energy[shell >= b]), rtol=1e-14, atol=0)
 
     def test_even_factors_tail_is_their_states_bit_for_bit(self):
-        # profiles that end below the band, as random data's do: the slabs
-        # past them are skipped, and the tails are the full state's
+        # profiles that end below the band, as random data's do: the pass
+        # stops where they end, and the tails are the full state's
         rng = np.random.default_rng(3)
         for dim, band, size in ((1, 3000, 700), (2, 200, 61)):
             factors = AxisFactors(band, *(tuple(rng.uniform(0, 1, size) for _ in range(dim))
                                           for _ in "uv"))
             boxes = {1, 17, size - 1, size, band // 2, band}
-            got = exp._outside_energy(factors, 0.25, boxes)
-            assert got == exp._outside_energy(factors.state(band), 0.25, boxes)
+            got = exp._outside_energy(*exp._factor_rows(factors), 0.25, boxes)
+            assert got == exp._outside_energy(*exp._state_rows(factors.state(band), band),
+                                              0.25, boxes)
             assert got[size - 1] > 0.0 and got[size] == got[band] == 0.0
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_tail_pass_stops_where_the_data_ends(self, dim):
+        # profiles whose last nonzero slot is |k| = 299, far below the band:
+        # both producers end the orthant there
+        rng = np.random.default_rng(dim)
+        band = 4096 if dim == 1 else 512
+        factors = AxisFactors(band, *(tuple(np.r_[rng.uniform(0, 1, 300), np.zeros(40)]
+                                            for _ in range(dim)) for _ in "uv"))
+        assert exp._factor_rows(factors)[1] == 300
+        assert exp._state_rows(factors.state(band), band)[1] == 300
 
     def test_tail_pass_builds_no_full_box_array(self):
         # a 2D box of 1024^2 modes: 8 MiB per complex half-spectrum array
@@ -736,7 +764,7 @@ class TestTails:
         state = sw.SpectralState(np.full(shape, 1.0 + 2.0j), np.full(shape, 3.0 - 1.0j))
         tracemalloc.start()
         try:
-            exp._outside_energy(state, 0.25, {256, 400, 512})
+            exp._outside_energy(*exp._state_rows(state, 512), 0.25, {256, 400, 512})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -757,17 +785,38 @@ class TestBrownianLaw:
     PROBLEM = sw.ProblemSpec(sw.zero_fn(), sw.constant_fn(C),
                              sw.InitialDataSpec("random_hgamma", gamma=0.5, seed=3))
 
-    def assert_rows_match(self, cfg):
+    def z_values(self, cfg, quiet=None):
+        """{(method, tau): z} of each row of the study ``cfg``, against D_l
+        from ``quiet``, the reports of the same study without noise."""
         noisy = sw.run_convergence(cfg)
         # without noise every sample has the same error, so two give D_l
+        quiet = quiet or sw.run_convergence(replace(
+            cfg, problem=replace(cfg.problem, sigma=sw.zero_fn()), n_samples=2))
+        return {(method, row.tau): (row.rms_error**2 - base.rms_error**2 - self.C**2
+                                    * brownian_error_variance(cfg.t_final, row.tau, cfg.tau_ref))
+                / (2.0 * row.rms_error * row.stderr)
+                for method in cfg.methods
+                for row, base in zip(noisy[method].rows, quiet[method].rows)}
+
+    def assert_rows_match(self, cfg):
+        for row, z in self.z_values(cfg).items():
+            assert abs(z) <= 4.0, (row, z)
+
+    def test_stderr_calibrated_over_seeds(self):
+        # z is about a standard normal only if the stderr is right: over 20
+        # path seeds at 128 samples its standard deviation is 0.86-1.17 per
+        # row and 1.02 over all rows, and about 0.51 with a stderr of twice
+        # its value (1D, alpha 2; about 0.5 s)
+        cfg = resolve_config(sw.ExperimentConfig(
+            dim=1, problem=self.PROBLEM, methods=ALL_METHODS, levels=(2**-3, 2**-4, 2**-5),
+            alpha=2.0, n_samples=128))
         quiet = sw.run_convergence(replace(
             cfg, problem=replace(cfg.problem, sigma=sw.zero_fn()), n_samples=2))
-        for method in cfg.methods:
-            for row, base in zip(noisy[method].rows, quiet[method].rows):
-                v = brownian_error_variance(cfg.t_final, row.tau, cfg.tau_ref)
-                z = ((row.rms_error**2 - base.rms_error**2 - self.C**2 * v)
-                     / (2.0 * row.rms_error * row.stderr))
-                assert abs(z) <= 4.0, (method, row.tau, z)
+        z = np.array([list(self.z_values(replace(cfg, seed=seed), quiet).values())
+                      for seed in range(20)])
+        per_row = z.std(axis=0, ddof=1)
+        assert 0.8 <= per_row.min() and per_row.max() <= 1.25, per_row
+        assert 0.93 <= z.std(ddof=1) <= 1.15
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0])
     def test_rows_match_the_closed_form(self, alpha):
@@ -1107,9 +1156,9 @@ class TestMemoryGuard:
 
     def test_guard_sizes_the_half_array(self, monkeypatch):
         # 2D band 64: one complex half array is 16 * 128 * 65 bytes, about
-        # half the full 128^2 box, and building the initial state holds
-        # _BUILD_PEAK_ARRAYS of them
-        need = exp._BUILD_PEAK_ARRAYS * 16 * 128 * 65
+        # half the full 128^2 box, and a single run holds _RUN_PEAK_ARRAYS
+        # of them
+        need = exp._RUN_PEAK_ARRAYS * 16 * 128 * 65
         self.physical_memory(monkeypatch, need)
         assert exp._full_grid(2, 64, 1.0).n_high == 64
         self.physical_memory(monkeypatch, need - 1)
@@ -1145,8 +1194,8 @@ class TestMemoryGuard:
         assert not any(tmp_path.iterdir())
 
 
-    # a single run, and a study of the plateaus, which have no factor form:
-    # both build the initial state at the full band
+    # a single run, which builds the initial state at the full band, and a
+    # study of the 1D plateaus, whose profile spans the full band
     @pytest.mark.parametrize("argv", [
         ["run", "--preset", "1", "--tau", "0.03125"],
         ["converge", "--preset", "1", "--tau", "0.125", "--levels", "3", "--samples", "2"],
@@ -1154,13 +1203,13 @@ class TestMemoryGuard:
     def test_build_that_exceeds_memory_refused(self, monkeypatch, tmp_path, capsys, argv):
         # twice one array at the full band (1D band 64 for the run, 1024 for
         # the study's reference): that array, the lattice and band M fit,
-        # building the initial state does not
+        # building the initial state or its profile does not
         from stochwave.cli import main
 
         def never(*args, **kwargs):
             raise AssertionError("built the initial state before the memory guard")
 
-        monkeypatch.setattr(exp, "build_initial", never)
+        monkeypatch.setattr(exp, "initial_factors", never)
         monkeypatch.setattr(sw.integrators, "build_initial", never)
         n_high = 64 if argv[0] == "run" else 1024
         self.physical_memory(monkeypatch, 2 * 16 * (n_high + 1))
@@ -1170,15 +1219,16 @@ class TestMemoryGuard:
         assert "building the initial state" in err and "physical memory" in err
 
     def test_factored_study_never_builds_the_full_band(self, monkeypatch, tmp_path, capsys):
-        # the memory that refuses the plateaus' study above: random data is
-        # built from its per-axis factors at band M = 32 alone, so the same
-        # study of preset 2 runs to its CSV
+        # the memory that refuses the plateaus' study above: random data's
+        # profiles end at N_ref, and its start is built at band M = 32
+        # alone, so the same study of preset 2 runs to its CSV
         from stochwave.cli import main
 
         def never(*args, **kwargs):
             raise AssertionError("built the initial state at the full band")
 
-        monkeypatch.setattr(exp, "build_initial", never)
+        monkeypatch.setattr(sw.problems, "build_initial", never)
+        monkeypatch.setattr(exp, "_full_grid", never)
         self.physical_memory(monkeypatch, 2 * 16 * (1024 + 1))
         out = tmp_path / "out"
         rc = main(["converge", "--preset", "2", "--tau", "0.125", "--levels", "3",
@@ -1187,11 +1237,11 @@ class TestMemoryGuard:
         assert len(read_csv(out / "convergence.csv")) == 3
 
     def test_tail_guard_bounds_the_factored_tail_pass(self, monkeypatch):
-        # 2D random data at alpha 2 and tau_ref 2^-9: band 16384, where a
-        # slab of the tail pass is one last-axis column of the half
-        # spectrum.  Its peak stays within what the guard asks for, which a
-        # study at this band passes; the full-band build it replaces needed
-        # 64 GiB
+        # 2D random data at alpha 2 and tau_ref 2^-9: band 16384, from which
+        # a slab of the tail pass is one last-axis column of the |k| orthant
+        # when the data fills it.  Its peak stays within what the guard asks
+        # for, which a study at this band passes; the full-band build it
+        # replaces needed 64 GiB
         needs = []
         monkeypatch.setattr(exp, "_check_memory", lambda need, what: needs.append((need, what)))
         cfg = resolve_config(sw.ExperimentConfig(dim=2, preset=4, alpha=2.0, tau_ref=2**-9,
@@ -1202,13 +1252,73 @@ class TestMemoryGuard:
         assert factors.band == 16384
         tracemalloc.start()
         try:
-            exp._outside_energy(factors, cfg.t_final, {128, 256})
+            exp._outside_energy(*exp._factor_rows(factors), cfg.t_final, {128, 256})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert 0 < peak <= need
         monkeypatch.undo()
         exp._prepare(cfg)
+
+    def test_tail_guard_bounds_one_column_slabs(self, monkeypatch):
+        # 2D data filling every |k| < 1024, factored and as its state, in
+        # slabs of one column, as a slab is from band 16384; the pass is
+        # stopped after 16 slabs.  tracemalloc measures 13.8 and 17.6
+        # columns of band + 1 float64 slots
+        class Stop(Exception):
+            pass
+
+        def first_slabs(dim, end, rows):
+            count = itertools.count()
+
+            def first(lo, hi):
+                if next(count) == 16:
+                    raise Stop
+                yield from rows(lo, hi)
+
+            return dim, end, first
+
+        monkeypatch.setattr(exp, "_SLAB_BYTES", 8)
+        rng = np.random.default_rng(0)
+        band = 1024
+        factors = AxisFactors(band, *(tuple(rng.uniform(0, 1, band) for _ in range(2))
+                                      for _ in "uv"))
+        for source in (exp._factor_rows(factors), exp._state_rows(factors.state(band), band)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(Stop):
+                    exp._outside_energy(*first_slabs(*source), 0.25, {64, 128})
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert 8 * (band + 1) < peak <= exp._TAIL_PEAK_SLABS * 8 * (band + 1)
+
+    @pytest.mark.parametrize("case", ["preset1", "preset2", "preset3", "preset4",
+                                      "explicit-full-box-2d"])
+    def test_prepare_builds_no_full_band_state(self, monkeypatch, case):
+        # whatever the initial data, a study calls neither build_initial
+        # nor _full_grid, the single run's guard
+        def never(*args, **kwargs):
+            raise AssertionError("built a state at the full band")
+
+        for module in (exp, sw.problems, sw.integrators):
+            monkeypatch.setattr(module, "build_initial", never, raising=False)
+        monkeypatch.setattr(exp, "_full_grid", never)
+        base = dict(methods=ALL_METHODS, levels=(2**-3, 2**-4, 2**-5))
+        exp._prepare(resolve_config(sw.ExperimentConfig(**{**base, **TAIL_CASES[case]})))
+
+    def test_plateau_prepare_holds_less_than_one_full_band_array(self):
+        # preset 3 at alpha 2 and tau_ref 2^-7: full band 1024, whose
+        # complex half array takes 16 * 2048 * 1025 bytes; building the
+        # plateau there peaked at about 101 MB, its profiles are of one axis
+        cfg = resolve_config(sw.ExperimentConfig(preset=3, alpha=2.0, tau_ref=2**-7))
+        tracemalloc.start()
+        try:
+            exp._prepare(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2048 * 1025
 
     def test_factored_prepare_holds_less_than_one_full_band_array(self):
         # 2D random data at alpha 2 and tau_ref 2^-6: band M = 16, full band
@@ -1249,9 +1359,9 @@ class TestMemoryGuard:
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_guard_covers_each_presets_build(self, monkeypatch, preset):
-        # the bytes the guard asks for bound what building the preset's
-        # initial state holds at its peak, at full bands of 2^15 (1D) and
-        # 128 (2D), half arrays of about 512 KiB
+        # building the preset's initial state holds at most 8 full-band
+        # half arrays, at full bands of 2^15 (1D) and 128 (2D), half arrays
+        # of about 512 KiB, and the single run's guard asks for more
         needs = []
         monkeypatch.setattr(exp, "_check_memory", lambda need, what: needs.append(need))
         dim, _, problem = sw.preset_problem(preset, 0.5, 0)
@@ -1262,7 +1372,7 @@ class TestMemoryGuard:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 0 < peak <= needs[0]
+        assert 0 < peak <= 8 * exp._array_bytes(dim, grid.n_high) <= needs[0]
 
     def test_lattice_guard_bounds_the_sampler_peak(self, monkeypatch):
         # the guard refuses a 2^18-cell lattice on any memory below what
@@ -1653,7 +1763,7 @@ class TestConfigHandling:
                 pair[field][slot] = 1.0
             return sw.InitialDataSpec("explicit", state=sw.SpectralState(pair["u"], pair["v"]))
 
-        monkeypatch.setattr(exp, "build_initial", never)
+        monkeypatch.setattr(exp, "initial_factors", never)
         monkeypatch.setattr(sw.integrators, "build_initial", never)
         cases = [
             (1, sw.InitialDataSpec("explicit", state=zero_state(2, 8)),
@@ -1693,6 +1803,18 @@ class TestConfigHandling:
                 with pytest.raises(sw.ConfigError, match=message):
                     entry(cfg)
             assert not out.exists()
+
+    def test_preset_and_problem_must_agree(self):
+        # a resolved preset config edited with replace keeps its problem:
+        # with a new gamma and seed its data would stay gamma 0.5, seed 0,
+        # so it is refused, while a new sigma is the config's to choose
+        cfg = resolve_config(sw.ExperimentConfig(preset=2))
+        with pytest.raises(sw.ConfigError, match="not preset 2's at gamma 0.25 and seed 9"):
+            resolve_config(replace(cfg, gamma=0.25, seed=9))
+        quiet = resolve_config(replace(cfg, problem=replace(cfg.problem, sigma=sw.zero_fn())))
+        assert quiet.problem.sigma.is_zero and quiet.problem.initial == cfg.problem.initial
+        assert resolve_config(replace(cfg, problem=None, gamma=0.25, seed=9)).problem.initial == (
+            sw.InitialDataSpec("random_hgamma", gamma=0.25, seed=9))
 
     def test_preset_dimension_mismatch(self):
         with pytest.raises(sw.ConfigError):
