@@ -68,7 +68,7 @@ _FLAGS = {
     "--tau": ("tau", "coarsest (or single-run) time step"),
     "--tfinal": ("t_final", "final time"),
     "--out": ("out_dir", "output directory"),
-    "--workers": ("n_workers", "worker threads"),
+    "--workers": ("n_workers", "worker processes"),
     "--sample": ("sample_index", "sample index (run only)"),
     "--stride": ("snapshot_stride", "snapshot stride in steps (run only)"),
 }

@@ -46,12 +46,13 @@ for each (band, cut, tau) of the keys not yet stepped, the e^(tau L) and
 the resolvent tables side by side (a ``lri`` whose filter cuts has its own
 cut, so its own call).  Each trajectory is re-stored at band M, and each
 run takes one weighted reduction of its difference from the reference's
-plus its shift.  Worker threads take whole chunks.  A chunk's rows are
-capped so that its widest block, a key's rows at band M or a level's table
-kinds stepped together, stays within a fixed byte budget, and the samples
-are split over the workers only while each chunk keeps a fixed byte floor
-of one key's rows at band M, below which a second worker costs more than
-it saves.
+plus its shift.  The samples are split evenly over the workers, and a
+chunk's rows are capped so that its widest block, a key's rows at band M
+or a level's table kinds stepped together, stays within a fixed byte
+budget.  Workers take whole chunks: the study's own process and children
+forked from it once the study is prepared, each on a CPU of its own, since
+a 1D step is many small numpy calls that hold the interpreter lock, so
+threads could not run them side by side.
 
 Orders are read off as the least-squares slope of log(rms) against
 log(tau).  Runs that leave the floating-point domain are excluded and
@@ -78,7 +79,9 @@ import functools
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, replace
 from time import perf_counter as _clock
 
@@ -338,7 +341,7 @@ def _array_bytes(dim: int, band: int) -> int:
 _RUN_PEAK_ARRAYS = 13
 
 # 1D half spectra at the full band that building a plateau's profiles holds:
-# tracemalloc measures 3.0 (1D) and 4.0 (2D) from band 4096, 4.3 below 512
+# tracemalloc measures 3.0 (1D) and 3.5 (2D) from band 4096, 3.8 (2D) at 512
 _PROFILE_PEAK_ARRAYS = 5
 
 
@@ -665,19 +668,14 @@ def _chunk_errors(study: _Study, samples: range):
 # sigma alone and eight with f too (tracemalloc, 1D at N = 512 and 16 rows)
 _BLOCK_BYTES = 2**25
 
-# bytes of one (rows, 2M, ..., 2M, M + 1) block below which a chunk is not
-# split further over the workers.  Small 1D blocks hold the interpreter
-# lock: at M = 512, run_block steps 4 rows at about 70% and 8 rows at about
-# 90% of its rate at 16 rows, and two workers on 8 rows each finish 16 rows
-# in about 1.09 times one worker's time, while on 16 rows each they take
-# about 0.65 of it (2-vCPU host).  The floor is 16 such rows; in 2D one row
-# at M = 64 passes.
-_WORKER_FLOOR_BYTES = 2**17
-
 
 def _workers(config: ExperimentConfig) -> int:
-    """The config's workers, but no more than the CPUs this process may run
-    on: more threads than CPUs only split a study into smaller blocks."""
+    """Worker processes for a study: the config's, but no more than the
+    CPUs this process may run on, since more only split it into smaller
+    blocks.  One where the process cannot fork, or runs other threads: a
+    forked child would inherit any lock one of them holds, held for good."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -686,17 +684,97 @@ def _workers(config: ExperimentConfig) -> int:
 
 
 def _chunk_rows(study: _Study) -> int:
-    """Samples per chunk: an even split over the workers (``_workers``), but
-    no fewer than keep a block at the widest stepped band M at
-    _WORKER_FLOOR_BYTES, and capped so that the widest block a chunk holds
-    stays within _BLOCK_BYTES: a key's rows re-stored at band M, or the
-    rows of every table kind that a level steps as one block on its band."""
+    """Samples per chunk: an even split over the workers (``_workers``),
+    capped so that the widest block a chunk holds stays within _BLOCK_BYTES:
+    a key's rows re-stored at band M, or the rows of every table kind that a
+    level steps as one block on its band."""
     config = study.config
     row_bytes = _array_bytes(config.dim, study.band)
     widest = max([row_bytes] + [len(group) * _array_bytes(config.dim, next(iter(group))[1])
                                 for level in zip(*study.runs) for group in _level_groups(level)])
-    split = max(-(-config.n_samples // _workers(config)), -(-_WORKER_FLOOR_BYTES // row_bytes))
-    return min(max(1, _BLOCK_BYTES // widest), split)
+    return min(max(1, _BLOCK_BYTES // widest), -(-config.n_samples // _workers(config)))
+
+
+def _pin(cpus) -> None:
+    """Keep this process on ``cpus``, where the platform can, and as far as
+    the host lets it."""
+    if hasattr(os, "sched_setaffinity"):
+        try:
+            os.sched_setaffinity(0, cpus)
+        except OSError:
+            pass
+
+
+def _child(study: _Study, chunks: list[range], pipe: int, cpu: int) -> None:
+    """A forked worker on ``cpu``: send the ``_chunk_errors`` of its chunks,
+    or the exception one of them raised, through ``pipe`` as one pickle,
+    then end the process; it never returns."""
+    status = 1
+    try:
+        _pin({cpu})
+        try:
+            result = [_chunk_errors(study, samples) for samples in chunks]
+        except Exception as exc:  # the parent raises it
+            result = exc
+        with os.fdopen(pipe, "wb") as out:
+            pickle.dump(result, out)
+        status = 0
+    finally:
+        # no exit handler, buffer flush or caller's code of the parent runs
+        os._exit(status)
+
+
+def _step_chunks(study: _Study, chunks: list[range], workers: int) -> list:
+    """``_chunk_errors`` of every chunk, in order.  Chunk i goes to worker
+    i mod ``workers``: worker 0 is this process, and each other one a child
+    forked after ``_prepare``, so it shares the study without a copy.  Each
+    worker keeps to a CPU of its own while they step: a child forked onto
+    its parent's CPU can wait there for a scheduler that is slow to move
+    it.  Once their results are read, or on any error, the children are
+    killed and reaped; a chunk's exception is raised here, and a child that
+    ends without sending its results raises ChildProcessError."""
+    if workers == 1:
+        return [_chunk_errors(study, samples) for samples in chunks]
+    # _workers allows no more workers than there are CPUs here
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else range(workers)
+    results = [None] * len(chunks)
+    children = []   # (pid, read end of its pipe, worker)
+    lost = None
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                _child(study, chunks[w::workers], write, cpus[w])
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb"), w))
+        _pin(cpus[:1])
+        results[::workers] = [_chunk_errors(study, samples) for samples in chunks[::workers]]
+        for pid, pipe, w in children:
+            try:
+                got = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                lost = pid, w   # the child ended before it sent its results whole
+                break
+            if isinstance(got, Exception):
+                raise got
+            results[w::workers] = got
+    finally:
+        _pin(cpus)
+        status = {}
+        for pid, pipe, _ in children:
+            os.kill(pid, signal.SIGKILL)
+            status[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pipe.close()
+    if lost:
+        pid, w = lost
+        how = (f"was killed by signal {signal.Signals(-status[pid]).name}" if status[pid] < 0
+               else f"exited with status {status[pid]}")
+        held = ", ".join(f"chunk {i} (samples {chunks[i].start} to {chunks[i].stop - 1})"
+                         for i in range(w, len(chunks), workers))
+        raise ChildProcessError(f"the worker process stepping {held} {how}")
+    return results
 
 
 def _study_reports(study: _Study, rows: int,
@@ -706,8 +784,7 @@ def _study_reports(study: _Study, rows: int,
     config = study.config
     chunks = [range(a, min(a + rows, config.n_samples))
               for a in range(0, config.n_samples, rows)]
-    with ThreadPoolExecutor(max_workers=_workers(config)) as pool:
-        results = list(pool.map(functools.partial(_chunk_errors, study), chunks))
+    results = _step_chunks(study, chunks, min(_workers(config), len(chunks)))
 
     err_sq = np.concatenate([r[0] for r in results])   # (sample, method, level)
     wall = np.stack([r[1] for r in results]).sum(axis=0)

@@ -249,7 +249,7 @@ def _plateau_factors(kind: str, grid: SpectralGrid) -> AxisFactors:
             samples[(x >= lo) & (x <= hi)] = height
         return forward(samples)[:grid.n_high]
 
-    first = [profile([1.0] * len(rows)).real for _ in range(grid.dim - 1)]
+    first = [profile([1.0] * len(rows)).real.copy() for _ in range(grid.dim - 1)]
     return AxisFactors(grid.n_high, (*first, profile([h for h, *_ in rows])),
                        (np.zeros(0),) * grid.dim)
 

@@ -204,15 +204,16 @@ def forward(samples: np.ndarray, dim: int | None = None,
 
 
 def inverse(half: np.ndarray, dim: int | None = None,
-            out: np.ndarray | None = None) -> np.ndarray:
+            out: np.ndarray | None = None,
+            work: np.ndarray | None = None) -> np.ndarray:
     """Real samples of a half spectrum: the adjoint of :func:`forward` over
     the same axes, on 2m points per axis for a last axis of m + 1 slots.
 
-    The axes before the last go first to last through ``ifft`` (into one
-    fresh complex array, then in place), the last through ``irfft``:
-    ``irfftn``'s order, so its bits.  With ``out``, a real array of the
-    samples' shape, the samples are written there and returned; ``half`` is
-    never written.
+    The axes before the last go first to last through ``ifft`` (into
+    ``work``, a complex array of ``half``'s shape, else into one fresh
+    array, then in place), the last through ``irfft``: ``irfftn``'s order,
+    so its bits.  With ``out``, a real array of the samples' shape, the
+    samples are written there and returned; ``half`` is never written.
     """
     half = np.asarray(half)
     axes = _trailing_axes(half, dim)
@@ -221,7 +222,7 @@ def inverse(half: np.ndarray, dim: int | None = None,
         raise ValueError(f"not a half spectrum of an even square grid: {half.shape}")
     spec = half
     for axis in axes[:-1]:
-        spec = ifft(spec, axis=axis, norm="forward", out=None if spec is half else spec)
+        spec = ifft(spec, axis=axis, norm="forward", out=work if spec is half else spec)
     return irfft(spec, n, axis=axes[-1], norm="forward", out=out)
 
 
@@ -322,8 +323,9 @@ def pseudospectral_apply(scalar_fn, half: np.ndarray, cut: int, dim: int | None 
     leading axis indexes the fields of a block, each transformed alone.
     ``scalar_fn`` takes the samples and returns its image as an array.
     With ``out`` (complex, of ``half``'s shape) the truncated image is
-    written there and returned, and with ``samples`` (real, of the samples'
-    shape) the inverse transform is; neither is read.
+    written there and returned, and the inverse transform's first axes pass
+    through it; with ``samples`` (real, of the samples' shape) the inverse
+    transform is written there.  Neither is read.
     Finiteness is not checked: non-finite samples give a non-finite image
     of their own field.
     """
@@ -332,7 +334,7 @@ def pseudospectral_apply(scalar_fn, half: np.ndarray, cut: int, dim: int | None 
     band = half.shape[-1] - 1
     if cut > band:
         raise ValueError(f"cut {cut} exceeds stored band {band}")
-    samples = inverse(half, dim, out=samples)
+    samples = inverse(half, dim, out=samples, work=out)
     # the image lives only through the forward transform
     out = forward(np.asarray(scalar_fn(samples), dtype=np.float64), dim, out=out)
     out *= _complex_mask(dim, band, cut)

@@ -260,6 +260,22 @@ MUTANTS = (
            "failed[0].setdefault(row, n)",
            (f"{T_INT}::TestRunBlockKinds::test_poisoned_kind_row_excluded_alone",
             f"{T_EXP}::TestRunConvergence::test_nonfinite_image_excluded")),
+    # the forked workers: a child stepping the chunks of the worker before
+    # it, so its rows land at another chunk's samples, and a parent that
+    # keeps a child's exception as a result instead of raising it
+    Mutant("child_rows_wrong_offset", EXP,
+           "_child(study, chunks[w::workers], write, cpus[w])",
+           "_child(study, chunks[w - 1::workers], write, cpus[w])",
+           (f"{T_EXP}::TestChunkRows::test_1d_split_keeps_the_csv_bytes",)),
+    Mutant("child_exception_dropped", EXP,
+           "                raise got\n",
+           "                pass\n",
+           (f"{T_EXP}::TestChunkRows::test_chunk_raising_in_a_child_raises_here",)),
+    # a child left on every CPU of its parent, where it can share one
+    Mutant("child_not_pinned", EXP,
+           "        _pin({cpu})\n",
+           "        pass\n",
+           (f"{T_EXP}::TestChunkRows::test_each_worker_steps_on_a_cpu_of_its_own",)),
 )
 
 

@@ -1,10 +1,13 @@
 """Study driver, order fitting, report emission, config handling."""
 
 import functools
+import gc
 import itertools
 import math
+import signal
 import statistics
 import sys
+import time
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -1115,37 +1118,163 @@ def usable_cpus(monkeypatch, count):
     monkeypatch.setattr(exp.os, "cpu_count", lambda: count)
 
 
+def count_forks(monkeypatch):
+    """The pids of the worker processes forked from this process."""
+    real = exp.os.fork
+    pids = []
+
+    def spy():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(exp.os, "fork", spy)
+    return pids
+
+
+def in_children(monkeypatch, act):
+    """Make a chunk that a forked worker steps call ``act(samples)`` first;
+    this process steps its chunks as before."""
+    real, parent = exp._chunk_errors, exp.os.getpid()
+
+    def spy(study, samples):
+        if exp.os.getpid() != parent:
+            act(samples)
+        return real(study, samples)
+
+    monkeypatch.setattr(exp, "_chunk_errors", spy)
+
+
 class TestChunkRows:
-    @pytest.mark.parametrize("case,chunks", [("rough_1d", 1), ("study_2d", 2)])
-    def test_workers_split_only_above_byte_floor(self, monkeypatch, case, chunks):
-        # 1D at M = 512: three rows per worker would be 24 KiB blocks, below
-        # the floor, so the six samples stay one chunk; 2D at M = 64: one
-        # row is 130 KiB, so the four samples split over the two workers
-        # (on two CPUs, as on any host with two or more)
+    @pytest.mark.parametrize("case,rows", [("rough_1d", 3), ("study_2d", 2)])
+    def test_workers_split_evenly(self, monkeypatch, case, rows):
+        # two workers take two chunks of half the samples each, the six of
+        # 1D at M = 512 and the four of 2D at M = 64 alike (on two CPUs, as
+        # on any host with two or more)
         usable_cpus(monkeypatch, 2)
         cfg = resolve_config(sw.ExperimentConfig(n_workers=2, **WORKER_CASES[case]))
-        rows = exp._chunk_rows(exp._prepare(cfg))
-        assert -(-cfg.n_samples // rows) == chunks
+        assert exp._chunk_rows(exp._prepare(cfg)) == rows
 
     def test_workers_capped_at_usable_cpus(self, monkeypatch, tmp_path):
         # eight workers on two CPUs split the 2D case like two workers do
-        # (two chunks of two rows, not four of one) on a pool of two
-        # threads, and the report bytes do not depend on either count
+        # (two chunks of two rows, not four of one) in one forked worker,
+        # one worker forks none, and the report bytes do not depend on
+        # either count
         usable_cpus(monkeypatch, 2)
         cfg = resolve_config(sw.ExperimentConfig(n_workers=8, **WORKER_CASES["study_2d"]))
         study = exp._prepare(cfg)
         assert exp._chunk_rows(study) == exp._chunk_rows(replace(study, config=replace(cfg, n_workers=2))) == 2
-        pools = []
-        real_pool = exp.ThreadPoolExecutor
-        monkeypatch.setattr(exp, "ThreadPoolExecutor",
-                            lambda max_workers: pools.append(max_workers) or real_pool(max_workers))
+        forks = []
         blobs = set()
         for workers in (1, 2, 8):
+            pids = count_forks(monkeypatch)
             reports = sw.run_convergence(replace(cfg, n_workers=workers, n_samples=2))
+            forks.append(len(pids))
             path = tmp_path / f"w{workers}.csv"
             sw.emit_csv(list(reports.values()), path)
             blobs.add(path.read_bytes())
-        assert pools == [1, 2, 2] and len(blobs) == 1
+        assert forks == [0, 1, 1] and len(blobs) == 1
+
+    def test_1d_split_keeps_the_csv_bytes(self, monkeypatch, tmp_path):
+        # the rough 1D case, which two workers split since they are
+        # processes: its two chunks of three step in two processes, and
+        # the CSV is one worker's, byte for byte
+        usable_cpus(monkeypatch, 2)
+        cfg = resolve_config(sw.ExperimentConfig(**WORKER_CASES["rough_1d"]))
+        blobs = []
+        for workers in (1, 2):
+            pids = count_forks(monkeypatch)
+            chunks = track_chunks(monkeypatch)
+            reports = sw.run_convergence(replace(cfg, n_workers=workers))
+            assert (len(pids), chunks) == ((0, [range(6)]) if workers == 1 else (1, [range(3)]))
+            path = tmp_path / f"w{workers}.csv"
+            sw.emit_csv(list(reports.values()), path)
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+
+    def test_chunk_raising_in_a_child_raises_here(self, monkeypatch):
+        # with its type and message; the child is reaped either way
+        usable_cpus(monkeypatch, 2)
+
+        def fail(samples):
+            raise FloatingPointError(f"chunk from sample {samples.start} failed")
+
+        in_children(monkeypatch, fail)
+        cfg = sw.ExperimentConfig(n_workers=2, **WORKER_CASES["rough_1d"])
+        with pytest.raises(FloatingPointError, match="^chunk from sample 3 failed$"):
+            sw.run_convergence(cfg)
+
+    def test_killed_child_raises_child_process_error(self, monkeypatch, tmp_path, capsys):
+        # a worker that dies without sending its chunk names the chunk and
+        # the signal; the CLI reports it as an OSError, exit 4, with no
+        # traceback
+        from stochwave.cli import EXIT_OUTPUT, main
+
+        usable_cpus(monkeypatch, 2)
+        in_children(monkeypatch, lambda samples: exp.os.kill(exp.os.getpid(), signal.SIGKILL))
+        cfg = sw.ExperimentConfig(n_workers=2, **WORKER_CASES["rough_1d"])
+        with pytest.raises(ChildProcessError,
+                           match=r"^the worker process stepping chunk 1 \(samples 3 to 5\) "
+                                 r"was killed by signal SIGKILL$"):
+            sw.run_convergence(cfg)
+        rc = main(["converge", "--preset", "2", "--tau", "0.125", "--levels", "3",
+                   "--samples", "2", "--workers", "2", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_OUTPUT
+        assert "stepping chunk 1 (samples 1 to 1) was killed by signal SIGKILL" in err
+        assert "Traceback" not in err
+
+    def test_interrupt_kills_and_reaps_the_children(self, monkeypatch):
+        # an interrupt while this process steps its chunk ends the study at
+        # once: the child, still stepping, is killed and reaped
+        usable_cpus(monkeypatch, 2)
+        real, parent = exp._chunk_errors, exp.os.getpid()
+
+        def spy(study, samples):
+            if exp.os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+            return real(study, samples)
+
+        monkeypatch.setattr(exp, "_chunk_errors", spy)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            sw.run_convergence(sw.ExperimentConfig(n_workers=2, **WORKER_CASES["rough_1d"]))
+        assert time.perf_counter() - start < 30
+        with pytest.raises(ChildProcessError):
+            exp.os.waitpid(-1, exp.os.WNOHANG)
+
+    @pytest.mark.skipif(len(getattr(exp.os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                        reason="needs two CPUs this process may pin to")
+    def test_each_worker_steps_on_a_cpu_of_its_own(self, monkeypatch):
+        # a child forked onto its parent's CPU can wait there long for the
+        # scheduler to move it, so chunk i steps on the i-th CPU alone (a
+        # child's failed check raises here), and the study gives every CPU
+        # back
+        cpus = sorted(exp.os.sched_getaffinity(0))
+        real = exp._chunk_errors
+
+        def spy(study, samples):
+            held = exp.os.sched_getaffinity(0)
+            if held != {cpus[samples.start // 3]}:
+                raise AssertionError(f"chunk from sample {samples.start} on CPUs {held}")
+            return real(study, samples)
+
+        monkeypatch.setattr(exp, "_chunk_errors", spy)
+        sw.run_convergence(sw.ExperimentConfig(n_workers=2, **WORKER_CASES["rough_1d"]))
+        assert sorted(exp.os.sched_getaffinity(0)) == cpus
+
+    def test_no_fork_beside_other_threads(self, monkeypatch):
+        # a forked child would inherit any lock another thread holds, so
+        # a study run beside other threads steps in this process alone
+        usable_cpus(monkeypatch, 2)
+        cfg = sw.ExperimentConfig(n_workers=2, **WORKER_CASES["rough_1d"])
+        assert exp._workers(cfg) == 2
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(exp._workers, cfg).result(timeout=60) == 1
+        monkeypatch.delattr(exp.os, "fork")
+        assert exp._workers(cfg) == 1
 
 
 class TestMemoryGuard:
@@ -1445,7 +1574,13 @@ class TestCompare:
                                   levels=(2**-4, 2**-6, 2**-8),
                                   n_samples=8, seed=9,
                                   out_dir=str(tmp_path))
-        reports = sw.run_convergence(cfg, collect_timing=True)
+        # no collector pass lands in one level's timing: a pass takes
+        # 0.2 ms and more, most of the coarsest level's time
+        gc.disable()
+        try:
+            reports = sw.run_convergence(cfg, collect_timing=True)
+        finally:
+            gc.enable()
         for m in ("stm", "sem"):
             ts = [row.wall_seconds for row in reports[m].rows]
             assert all(t > 0 for t in ts)

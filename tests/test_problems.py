@@ -7,7 +7,7 @@ import pytest
 
 import stochwave as sw
 from stochwave.noise import standard_uniforms
-from stochwave.problems import _DATA_STREAMS, check_initial
+from stochwave.problems import _DATA_STREAMS, check_initial, initial_factors
 from stochwave.spectral import collocation_nodes, mode_indices
 
 from helpers import bits, full_layout, random_state, zero_state
@@ -147,6 +147,24 @@ def test_indicator_build_peak(preset, band, peak_arrays):
     finally:
         tracemalloc.stop()
     assert peak < peak_arrays * 16 * (2 * band) ** (dim - 1) * (band + 1)
+
+
+def test_plateau_factors_keep_no_complex_first_axis():
+    # preset 3's factors keep the first axis's profile real (half a one-axis
+    # half array) and the last axis's complex (one): tracemalloc holds 1.50
+    # of those arrays at band 4096, and held 2.0 while the first profile was
+    # a view of its complex spectrum
+    dim, _, problem = sw.preset_problem(3)
+    grid = sw.make_grid(dim, 64, 2.0)
+    initial_factors(problem.initial, grid)
+    tracemalloc.start()
+    try:
+        factors = initial_factors(problem.initial, grid)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert factors.band == 4096
+    assert held < 1.6 * 16 * (grid.n_high + 1)
 
 
 class TestRandomHGamma:
