@@ -14,10 +14,10 @@ and restricted once per stepped band.
 A study is one table of runs: the reference (hr_lri at tau_ref on band
 N_ref) and one run per method and level, each a spec and a stepped band n.
 A run keeps box h, floor(n^alpha) if it recovers and n if not
-(``integrators.kept_box``), and its recovered modes n <= max_j |k_j| < h
-(``integrators.recovered_modes``) are the exact linear flow e^(TL) U_0 of
-the shared initial state.  The pair norm is diagonal in the Fourier modes,
-so each squared error splits exactly at box M, the widest stepped band:
+(``integrators.kept_box``), and its recovered modes, the shells
+n <= max_j |k_j| < h, are the exact linear flow e^(TL) U_0 of the shared
+initial state.  The pair norm is diagonal in the Fourier modes, so each
+squared error splits exactly at box M, the widest stepped band:
 
 * inside box M, per sample: every run steps its band only, and its final
   state is compared at band M with the reference's.  The recovered modes
@@ -93,7 +93,6 @@ from .integrators import (
     kept_box,
     method_spec,
     recover_high,
-    recovered_modes,
     run,
     run_block,
     stepping_key,
@@ -116,6 +115,7 @@ from .spectral import (
     SpectralGrid,
     SpectralState,
     _axis_modes,
+    _keep_shells,
     _norm_weights,
     _slot_multiplicity,
     _weighted_norm_sq,
@@ -575,15 +575,19 @@ def _prepare(config: ExperimentConfig) -> _Study:
     outside = _outside_energy(*source, config.t_final,
                               {max(band, h) for row in plan for *_, h in row})
     flow_m = recover_high(u0, config.t_final)
-    ref_modes = recovered_modes(dim, band, n_ref, ref_box)
 
     @functools.cache
     def shift(n: int, h: int) -> tuple | None:
-        """The flow at band M on a run's recovered modes inside box M minus
-        the reference's; None if both are empty."""
-        sign = 1.0 * recovered_modes(dim, band, n, h)
-        sign -= ref_modes
-        return (flow_m.u_hat * sign, flow_m.v_hat * sign) if sign.any() else None
+        """The flow at band M on a run's recovered shells inside box M,
+        n <= max_j |k_j| < min(h, M), minus the reference's; None if they
+        are the same modes."""
+        shells = [(lo, min(box, band)) if lo < min(box, band) else (0, 0)
+                  for lo, box in ((n, h), (n_ref, ref_box))]
+        if shells[0] == shells[1]:
+            return None
+        own, ref = ([_keep_shells(a.copy(), dim, *s) for a in (flow_m.u_hat, flow_m.v_hat)]
+                    for s in shells)
+        return tuple(np.subtract(a, b, out=a) for a, b in zip(own, ref))
 
     starts = {n: with_band(u0, n) for n in {n_ref, *config.n_cuts}}
     return _Study(

@@ -21,10 +21,10 @@ propagation; the filter of ``lri`` equals the stepped band N under the
 usual tau = 1/(4N) coupling and cuts below it only when tau is coarser.
 
 A run decomposes the initial state into the stepped band (|k_j| <= N-1 on
-every axis), the recovered modes (``recovered_modes``: box h minus box N,
-with h = N^alpha if the scheme recovers, ``kept_box``) and a discarded
-remainder; the recovered modes never see the noise and are propagated to
-the final time in one shot.
+every axis), the recovered modes (the shells N <= max_j |k_j| < h, box h
+minus box N, with h = N^alpha if the scheme recovers, ``kept_box``) and a
+discarded remainder; the recovered modes never see the noise and are
+propagated to the final time in one shot.
 
 Stepping works on blocks: the step loop ``run_block`` advances S rows from
 a given state, whose shape fixes the band N and the dimension d, through
@@ -35,13 +35,14 @@ all of them step as one block of K x S rows, as arrays of shape (K, S) +
 (2N,)^(d-1) + (N+1,): the tables stacked to (K, 1, ...) broadcast over the
 rows and the increments over the kinds.  It is the one function that takes
 a step: per nonzero term one batched real inverse FFT, one pointwise map,
-one batched real forward FFT and one mask, then one 2x2 pass over the modes.
+one batched real forward FFT and one cut (``spectral._keep_shells``), then
+one 2x2 pass over the modes.
 Each step writes into work arrays that ``run_block`` allocates once per
 call: two state pairs that the steps alternate between, one spectrum per
 nonzero term, one real sample array and, only when the filter cuts, a cut
-copy of u; the filter mask is stored complex and the increments are
-transposed once per call.  Every layer keeps its operands and the order of
-its sums, so a step gives the bits it would give with fresh arrays.  Rows
+copy of u; the increments are transposed once per call.  Every layer keeps
+its operands and the order of its sums, so a step gives the bits it would
+give with fresh arrays; a cut never writes a slot it keeps.  Rows
 never mix, so every row is bit-identical to a block of one kind and one
 row.  Each step sums its new state, and scans it for non-finite values
 only when that sum is not finite; a row that fails is dropped alone with
@@ -70,12 +71,11 @@ from .problems import NonlinearitySpec, ProblemSpec, build_initial
 from .spectral import (
     SpectralGrid,
     SpectralState,
-    _complex_mask,
     _copy_band,
+    _keep_shells,
     check_hermitian,
     lambda_sq,
     pseudospectral_apply,
-    shell_index,
     with_band,
 )
 
@@ -145,13 +145,6 @@ def recover_high(initial_band: SpectralState, t: float) -> SpectralState:
 def kept_box(method: MethodSpec, grid: SpectralGrid) -> int:
     """The box h a run keeps: floor(n_cut^alpha) if it recovers, else n_cut."""
     return grid.n_high if method.recovery else grid.n_cut
-
-
-def recovered_modes(dim: int, band: int, n: int, h: int) -> np.ndarray:
-    """Mask at ``band`` of the modes a run stepped on band n (|k_j| <= n - 1)
-    and keeping box h recovers: n <= max_j |k_j| < min(h, band)."""
-    shell = shell_index(dim, band)
-    return (n <= shell) & (shell < min(h, band))
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +218,6 @@ def run_block(methods, start: SpectralState, f: NonlinearitySpec,
     terms = [(spec, np.empty(shape, dtype=np.complex128), k)
              for k, spec in enumerate((f, sigma)) if not spec.is_zero]
     samples = np.empty((len(kinds) * rows,) + (2 * band,) * dim) if terms else None
-    mask = _complex_mask(dim, band, cut) if cut < band else None
     u_cut = np.empty(shape, dtype=np.complex128) if cut < band else None
     # step n's increments as one contiguous row, shaped to broadcast over
     # the kinds and the modes
@@ -235,7 +227,10 @@ def run_block(methods, start: SpectralState, f: NonlinearitySpec,
     failed: list[dict[int, int]] = [{} for _ in kinds]
     state = states[1]
     for n in range(dws.shape[1]):
-        u_in = state.u_hat if mask is None else np.multiply(state.u_hat, mask, out=u_cut)
+        u_in = state.u_hat
+        if u_cut is not None:
+            u_cut[...] = u_in
+            u_in = _keep_shells(u_cut, dim, 0, cut + 1)
         factors = (tau, dw_steps[n])
         dv = []
         for spec, image, k in terms:
@@ -279,8 +274,9 @@ def run(method: MethodSpec, grid: SpectralGrid, problem: ProblemSpec,
     state = with_band(u0, grid.n_cut)
     rec0, h = None, kept_box(method, grid)
     if h > grid.n_cut:
-        mask = recovered_modes(grid.dim, grid.n_high, grid.n_cut, h)
-        rec0 = SpectralState(u0.u_hat * mask, u0.v_hat * mask)
+        # cut from a copy: u0 may be the caller's own explicit state
+        rec0 = SpectralState(*(_keep_shells(a.copy(), grid.dim, grid.n_cut, h)
+                               for a in (u0.u_hat, u0.v_hat)))
         full = SpectralState(*np.empty((2,) + rec0.u_hat.shape, complex))
         lam = np.sqrt(lambda_sq(grid.dim, grid.n_high))
     # the full-band pair is not held past what the run takes from it

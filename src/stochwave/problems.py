@@ -62,7 +62,7 @@ from .spectral import (
     SpectralGrid,
     SpectralState,
     _first_axes_modes,
-    band_mask,
+    _keep_shells,
     check_hermitian,
     collocation_nodes,
     default_alpha,
@@ -188,8 +188,8 @@ def check_initial(spec: InitialDataSpec, dim: int) -> None:
         if not (np.iscomplexobj(u) and np.iscomplexobj(v)):
             raise ValueError(f"explicit initial data must be complex, got {u.dtype} and {v.dtype}")
         check_hermitian(spec.state)
-        # band_mask leaves out exactly the unpaired slots
-        held = np.argwhere(((u != 0) | (v != 0)) & ~band_mask(dim, m, m))
+        # the unpaired slots are the shell max_j |k_j| = m
+        held = np.argwhere(_keep_shells((u != 0) | (v != 0), dim, m, m + 1))
         if held.size:
             raise ValueError(f"explicit initial data is nonzero on the unpaired slot "
                              f"{held[0].tolist()} (|k_j| = {m})")

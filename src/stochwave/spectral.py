@@ -17,12 +17,13 @@ k_last = 0 plane is itself Hermitian over the other axes
 
 A state is nothing but its two arrays: their shape fixes its band m and its
 dimension.  No arithmetic branches on the dimension: mode weights are outer
-sums over the axes and masks outer ANDs.  Two cutoffs describe a grid: the
-low cutoff ``n_cut`` (the band advanced by the time steppers) and the
-recovery cutoff ``n_high = floor(n_cut**alpha)`` (the widest band any state
-of the grid retains).  A box truncation is a product with ``band_mask``,
-and the distance of two states is the ``sobolev_norm`` of their difference
-once ``with_band`` has stored both at the wider band.
+sums over the axes.  Two cutoffs describe a grid: the low cutoff ``n_cut``
+(the band advanced by the time steppers) and the recovery cutoff
+``n_high = floor(n_cut**alpha)`` (the widest band any state of the grid
+retains).  Every cut of a spectrum, a box |k_j| < N or the shells
+N <= max_j |k_j| < N^alpha, is ``_keep_shells``, and the distance of two
+states is the ``sobolev_norm`` of their difference once ``with_band`` has
+stored both at the wider band.
 
 Nyquist convention: each axis carries a single unpaired slot (index m: the
 frequency -m on the first axes, +m on the last).  States keep those slots
@@ -137,36 +138,27 @@ def lambda_sq(dim: int, band: int) -> np.ndarray:
     return (2.0 * np.pi) ** 2 * functools.reduce(np.add.outer, k2)
 
 
-def shell_index(dim: int, band: int) -> np.ndarray:
-    """max_j |k_j| on the half spectrum of a band-m array.  A state at band
-    b stores the modes below b; the unpaired slots read m."""
-    return functools.reduce(np.maximum.outer, _axis_modes(dim, band))
-
-
 @functools.cache
-def band_mask(dim: int, band: int, cut: int) -> np.ndarray:
-    """Boolean mask of modes with every |k_j| <= cut, Nyquist slots excluded.
+def _outside_shells(dim: int, band: int, lo: int, hi: int) -> tuple[tuple, ...]:
+    """Basic indices, each after an Ellipsis for a block's axes, that cover
+    the slots of a band-m half spectrum outside lo <= max_j |k_j| < hi, for
+    0 <= lo <= hi <= m + 1: on each axis |k_j| >= hi (the modes hi..m-1 and
+    -m..-hi of a first axis), then the 2^(dim-1) corners of the box |k_j| < lo."""
+    whole = (slice(None),) * dim
+    out = [whole[:j] + (slice(hi, 2 * band - hi + 1),) + whole[j + 1:] for j in range(dim - 1)]
+    out.append(whole[:-1] + (slice(hi, None),))
+    first = (slice(0, lo), slice(2 * band - lo + 1, 2 * band))
+    out += [(*corner, slice(0, lo)) for corner in itertools.product(first, repeat=dim - 1)]
+    return tuple((Ellipsis, *index) for index in out)
 
-    The slots at index ``band`` hold the unpaired frequencies; they are
-    masked out unconditionally so that states keep their zero-Nyquist
-    invariant through every product with a mask.
-    """
-    if not 0 <= cut <= band:
-        raise ValueError(f"cut {cut} outside [0, {band}]")
-    m = shell_index(dim, band) <= min(cut, band - 1)
-    m.setflags(write=False)
-    return m
 
-
-@functools.cache
-def _complex_mask(dim: int, band: int, cut: int) -> np.ndarray:
-    """``band_mask`` stored complex (1 + 0j or 0j), read-only.  numpy casts
-    the bool mask to exactly that, in an iterator buffer, on every product
-    with a complex array; stored complex, the product takes no cast and
-    gives the same bits."""
-    m = band_mask(dim, band, cut).astype(np.complex128)
-    m.setflags(write=False)
-    return m
+def _keep_shells(arr: np.ndarray, dim: int, lo: int, hi: int) -> np.ndarray:
+    """Zero, in place, every slot of the trailing ``dim`` axes of ``arr``
+    outside the shells lo <= max_j |k_j| < hi, and return it: a kept slot is
+    never written, a zeroed one reads +0.  hi = m drops the unpaired slots."""
+    for index in _outside_shells(dim, arr.shape[-1] - 1, lo, hi):
+        arr[index] = 0
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +247,7 @@ def state_from_fields(u: np.ndarray, v: np.ndarray) -> SpectralState:
         raise ValueError(f"fields must be matching arrays of a rank in {DIMS}, got "
                          f"{np.shape(u)} and {np.shape(v)}")
     band = u_hat.shape[-1] - 1
-    full = band_mask(u_hat.ndim, band, band)
-    return SpectralState(u_hat * full, forward(v) * full)
+    return SpectralState(*(_keep_shells(a, a.ndim, 0, band) for a in (u_hat, forward(v))))
 
 
 def state_to_fields(state: SpectralState) -> tuple[np.ndarray, np.ndarray]:
@@ -332,13 +323,13 @@ def pseudospectral_apply(scalar_fn, half: np.ndarray, cut: int, dim: int | None 
     half = np.asarray(half)
     dim = half.ndim if dim is None else dim
     band = half.shape[-1] - 1
-    if cut > band:
-        raise ValueError(f"cut {cut} exceeds stored band {band}")
+    if not 0 <= cut <= band:
+        raise ValueError(f"cut {cut} outside [0, {band}], the stored band's range")
     samples = inverse(half, dim, out=samples, work=out)
     # the image lives only through the forward transform
     out = forward(np.asarray(scalar_fn(samples), dtype=np.float64), dim, out=out)
-    out *= _complex_mask(dim, band, cut)
-    return out
+    # |k_j| <= cut, and never the unpaired slots
+    return _keep_shells(out, dim, 0, min(cut + 1, band))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +355,7 @@ def with_band(state: SpectralState, band: int, dim: int | None = None) -> Spectr
     if band < old:
         # content at |k_j| = band landed on the unpaired slot; drop it
         for a in (out.u_hat, out.v_hat):
-            np.copyto(a, 0, where=~band_mask(dim, band, band))
+            _keep_shells(a, dim, 0, band)
     return out
 
 

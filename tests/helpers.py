@@ -6,7 +6,7 @@ import numpy as np
 
 import stochwave as sw
 from stochwave.semigroup import apply, group_tables
-from stochwave.spectral import band_mask, half_shape
+from stochwave.spectral import half_shape, mode_indices
 
 
 def zero_state(dim, band):
@@ -20,9 +20,31 @@ def bits(arr):
     return np.ascontiguousarray(arr).view(np.uint64)
 
 
+def shell_index(dim, band):
+    """Oracle: max_j |k_j| of every slot of a band-m half spectrum, read off
+    the full layout's frequencies on the first axes and 0..m on the last;
+    the unpaired slots read m."""
+    axes = [np.abs(mode_indices(band))] * (dim - 1) + [np.arange(band + 1)]
+    return np.max(np.stack(np.meshgrid(*axes, indexing="ij")), axis=0)
+
+
+def band_mask(dim, band, cut):
+    """Oracle: the slots of a band-m half spectrum with every |k_j| <= cut,
+    the unpaired slots (|k_j| = m) never."""
+    return shell_index(dim, band) <= min(cut, band - 1)
+
+
+def recovered_modes(dim, band, n, h):
+    """Oracle: the slots at ``band`` that a run stepped on band n and keeping
+    box h recovers, n <= max_j |k_j| < min(h, band)."""
+    shell = shell_index(dim, band)
+    return (n <= shell) & (shell < min(h, band))
+
+
 def masked(state, mask):
-    """``state`` with every mode outside ``mask`` zeroed."""
-    return sw.SpectralState(state.u_hat * mask, state.v_hat * mask)
+    """``state`` with every mode outside ``mask`` zeroed to +0 and every
+    other slot untouched, as a cut of the package leaves them."""
+    return sw.SpectralState(np.where(mask, state.u_hat, 0), np.where(mask, state.v_hat, 0))
 
 
 def read_csv(path):
@@ -97,8 +119,9 @@ def linear_exact_discrepancy(method, grid, problem, path) -> float:
 
 def reference_step(u, v, tables, cut, tau, dw, f, sigma):
     """Oracle: one step of ``run_block`` written with fresh arrays and
-    numpy's n-dimensional real transforms.  The mask product, each nonzero
-    term's image rfftn(term(irfftn(u_cut))) * mask, w = (v + tau z_f) +
+    numpy's n-dimensional real transforms.  The cut of u, each nonzero
+    term's image rfftn(term(irfftn(u_cut))) cut to the mask, every slot
+    outside it +0 and every other untouched, w = (v + tau z_f) +
     dw z_s, the pass (a11 u + a12 w, a21 u + a22 w), and rows with a
     non-finite new state zeroed.  Returns (u, v, bad)."""
     a11, a12, a21, a22 = tables
@@ -106,11 +129,11 @@ def reference_step(u, v, tables, cut, tau, dw, f, sigma):
     band = u.shape[-1] - 1
     axes = tuple(range(1, dim + 1))
     mask = band_mask(dim, band, cut)
-    u_cut = u * mask if cut < band else u
+    u_cut = np.where(mask, u, 0) if cut < band else u
 
     def image(term):
         samples = np.fft.irfftn(u_cut, s=(2 * band,) * dim, axes=axes, norm="forward")
-        return np.fft.rfftn(term(samples), axes=axes, norm="forward") * mask
+        return np.where(mask, np.fft.rfftn(term(samples), axes=axes, norm="forward"), 0)
 
     w = v
     if not f.is_zero:

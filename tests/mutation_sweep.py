@@ -134,10 +134,28 @@ MUTANTS = (
            "_TAIL_PEAK_SLABS = 21",
            "_TAIL_PEAK_SLABS = 2",
            (f"{T_EXP}::TestMemoryGuard::test_tail_guard_bounds_one_column_slabs",)),
-    Mutant("recovered_edge_moved", INT,
-           "return (n <= shell) & (shell < min(h, band))",
-           "return (n < shell) & (shell < min(h, band))",
+    # the one cut of a spectrum: the box below lo reaching one shell further
+    # on the last axis (in 1D the whole inner edge of the recovered shells),
+    # a first axis's negative modes cut one slot too wide, and with_band
+    # keeping the unpaired slot of a narrower band
+    Mutant("recovered_edge_moved", SPEC,
+           "(*corner, slice(0, lo))",
+           "(*corner, slice(0, lo + 1))",
            (f"{T_EXP}::TestErrorSplit", f"{T_INT}::TestRunDriver")),
+    Mutant("negative_modes_off_by_one", SPEC,
+           "first = (slice(0, lo), slice(2 * band - lo + 1, 2 * band))",
+           "first = (slice(0, lo), slice(2 * band - lo, 2 * band))",
+           ("tests/test_spectral.py::test_keep_shells_matches_the_oracle",)),
+    Mutant("with_band_keeps_unpaired_slot", SPEC,
+           "_keep_shells(a, dim, 0, band)",
+           "_keep_shells(a, dim, 0, band + 1)",
+           ("tests/test_spectral.py::TestBandChanges",)),
+    # a recovering run cutting its shells from the caller's own state
+    Mutant("recovered_cut_in_place", INT,
+           "_keep_shells(a.copy(), grid.dim, grid.n_cut, h)",
+           "_keep_shells(a, grid.dim, grid.n_cut, h)",
+           (f"{T_INT}::TestRunDriver::test_explicit_full_band_state_left_unchanged",
+            f"{T_EXP}::TestRunSingle::test_explicit_full_band_state_left_unchanged")),
     Mutant("weights_gamma_001", EXP,
            "weights=_norm_weights(dim, band, 0.0)",
            "weights=_norm_weights(dim, band, 0.01)",

@@ -14,9 +14,8 @@ import pytest
 
 import stochwave as sw
 from stochwave.semigroup import propagator_tables
-from stochwave.spectral import band_mask
 
-from helpers import exact_linear_zero_mode, linear_exact_discrepancy, masked
+from helpers import band_mask, exact_linear_zero_mode, linear_exact_discrepancy, masked
 
 
 @contextmanager

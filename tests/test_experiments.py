@@ -29,9 +29,9 @@ from stochwave.experiments import (
 from stochwave.integrators import stepping_key
 from stochwave.problems import _DATA_STREAMS, PRESETS, AxisFactors
 from stochwave.semigroup import propagator_tables
-from stochwave.spectral import mode_indices, shell_index
+from stochwave.spectral import mode_indices
 
-from helpers import bits, brownian_error_variance, read_csv, zero_state
+from helpers import bits, brownian_error_variance, read_csv, shell_index, zero_state
 
 
 def lowband_state(seed=0):
@@ -1630,6 +1630,17 @@ class TestRunSingle:
         assert np.isfinite(summary["final_norm_pair"])
         # plot data alongside every snapshot
         assert (tmp_path / "snap_000000.txt").exists()
+
+    def test_explicit_full_band_state_left_unchanged(self, tmp_path):
+        # tau = 2^-5 steps band 8 and recovers up to band 64, where the
+        # state is stored already: the run cuts its shells from a copy
+        state = rough_state(64, seed=2)
+        keep = [bits(a).copy() for a in (state.u_hat, state.v_hat)]
+        cfg = sw.ExperimentConfig(dim=1, problem=explicit(state), methods=("hr_lri",),
+                                  tau=2**-5, seed=0, out_dir=str(tmp_path), snapshot_stride=4)
+        assert sw.run_single(cfg)["steps"] == 8
+        for a, before in zip((state.u_hat, state.v_hat), keep):
+            np.testing.assert_array_equal(bits(a), before)
 
     def test_2d_snapshot_slice(self, tmp_path):
         cfg = sw.ExperimentConfig(dim=2, preset=3, methods=("hr_lri",),

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import stochwave as sw
-from stochwave.integrators import recovered_modes, stepping_key
+from stochwave.integrators import stepping_key
 from stochwave.semigroup import propagator_tables
-from stochwave.spectral import band_mask, half_shape
+from stochwave.spectral import half_shape
 
 from helpers import (
     bits,
@@ -17,8 +17,10 @@ from helpers import (
     flow,
     full_layout,
     linear_exact_discrepancy,
+    band_mask,
     masked,
     random_state,
+    recovered_modes,
     reference_step,
     zero_state,
 )
@@ -329,6 +331,20 @@ class TestRunDriver:
         b = sw.run(spec, grid, problem, lattice)
         np.testing.assert_array_equal(a.u_hat, b.u_hat)
         np.testing.assert_array_equal(a.v_hat, b.v_hat)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_explicit_full_band_state_left_unchanged(self, dim):
+        # a state stored at the grid's full band is the run's initial state
+        # itself; the recovered shells are cut from a copy of it
+        grid = sw.make_grid(dim, 8 if dim == 1 else 4, 2.0)
+        state = random_state(grid, seed=21)
+        problem = explicit_problem(state, sigma=sw.scaled_sine(16.0))
+        assert sw.build_initial(problem.initial, grid).u_hat is state.u_hat
+        keep = [bits(a).copy() for a in (state.u_hat, state.v_hat)]
+        sw.run(sw.method_spec("hr_lri", 2**-5, 0.25), grid, problem,
+               sw.sample_path(0, 0, 0.25, 2**-5))
+        for a, before in zip((state.u_hat, state.v_hat), keep):
+            np.testing.assert_array_equal(bits(a), before)
 
     def test_high_band_ignores_noise(self):
         grid = sw.make_grid(1, 8, 2.0)

@@ -5,9 +5,8 @@ import pytest
 
 import stochwave as sw
 from stochwave.semigroup import apply, group_tables, propagator_tables, resolvent_tables
-from stochwave.spectral import band_mask
 
-from helpers import flow, masked, random_state
+from helpers import band_mask, flow, masked, random_state
 
 
 def matrix(lam, t):

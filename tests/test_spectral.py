@@ -9,14 +9,14 @@ import pytest
 
 import stochwave as sw
 from stochwave.spectral import (
-    band_mask,
+    _keep_shells,
     check_hermitian,
     collocation_nodes,
     lambda_sq,
     mode_indices,
 )
 
-from helpers import bits, full_layout, masked, random_state, zero_state
+from helpers import band_mask, bits, full_layout, masked, random_state, shell_index, zero_state
 
 
 def modes(slot, band):
@@ -149,28 +149,34 @@ class TestTransforms:
             sw.state_to_fields(sw.SpectralState(fine, state.v_hat))
 
 
+def kept(state, lo, hi):
+    """A copy of ``state`` with the slots outside the shells lo <= max_j
+    |k_j| < hi zeroed by ``_keep_shells``."""
+    return sw.SpectralState(*(_keep_shells(a.copy(), state.dim, lo, hi)
+                              for a in (state.u_hat, state.v_hat)))
+
+
 class TestProjections:
-    """A box truncation is a product with ``band_mask``."""
+    """A box truncation, or a band of shells, is ``_keep_shells``."""
 
     def test_full_band_projection_is_identity(self):
         grid = sw.make_grid(1, 8, 1.5)
         state = random_state(grid)
-        out = masked(state, band_mask(1, state.band, state.band))
-        np.testing.assert_array_equal(out.u_hat, state.u_hat)
-        np.testing.assert_array_equal(out.v_hat, state.v_hat)
-        # but the unpaired Nyquist slot never survives a mask
+        out = kept(state, 0, state.band)
+        np.testing.assert_array_equal(bits(out.u_hat), bits(state.u_hat))
+        np.testing.assert_array_equal(bits(out.v_hat), bits(state.v_hat))
+        # but the unpaired Nyquist slot never survives the box of the band
         u = state.u_hat.copy()
         u[state.band] = 1.0
-        out = masked(sw.SpectralState(u, state.v_hat), band_mask(1, state.band, state.band))
+        out = kept(sw.SpectralState(u, state.v_hat), 0, state.band)
         assert out.u_hat[state.band] == 0
         np.testing.assert_array_equal(out.u_hat[:-1], u[:-1])
 
     def test_idempotent(self):
         grid = sw.make_grid(1, 16, 1.0)
-        mask = band_mask(1, grid.n_high, 5)
-        once = masked(random_state(grid), mask)
-        twice = masked(once, mask)
-        np.testing.assert_array_equal(once.u_hat, twice.u_hat)
+        once = kept(random_state(grid), 0, 6)
+        twice = kept(once, 0, 6)
+        np.testing.assert_array_equal(bits(once.u_hat), bits(twice.u_hat))
 
     def test_mode_survival(self):
         grid = sw.make_grid(1, 16, 1.0)
@@ -179,54 +185,52 @@ class TestProjections:
         u = state.u_hat.copy()
         for k in (0, 3, 9):
             u[k] = 1.0
-        state = sw.SpectralState(u, state.v_hat)
-        kept = masked(state, band_mask(1, 16, 4))
-        # oracle: direct mask enumeration over every mode
+        out = kept(sw.SpectralState(u, state.v_hat), 0, 5)
+        # oracle: direct enumeration over every mode
         for k in range(17):
             expect = 1.0 if k in (0, 3) else 0.0
-            assert kept.u_hat[k] == expect
+            assert out.u_hat[k] == expect
 
     def test_band_selects_annulus(self):
         u = np.zeros(17, dtype=np.complex128)
         for k in (0, 3, 9):
             u[k] = 1.0
-        state = sw.SpectralState(u, np.zeros_like(u))
-        band = masked(state, band_mask(1, 16, 9) & ~band_mask(1, 16, 3))
+        out = kept(sw.SpectralState(u, np.zeros_like(u)), 4, 10)
         for k in range(17):
             expect = 1.0 if k == 9 else 0.0
-            assert band.u_hat[k] == expect
+            assert out.u_hat[k] == expect
 
     def test_partition_of_unity(self):
         grid = sw.make_grid(1, 8, 2.0)
         state = random_state(grid)
-        cut = functools.partial(band_mask, 1, grid.n_high)
-        total = sum(state.u_hat * mask for mask in
-                    (cut(3), cut(20) & ~cut(3), cut(grid.n_high) & ~cut(20)))
+        total = sum(kept(state, lo, hi).u_hat
+                    for lo, hi in ((0, 4), (4, 21), (21, grid.n_high)))
         np.testing.assert_array_equal(total, state.u_hat)
 
     def test_band_of_everything_drops_dc(self):
         grid = sw.make_grid(1, 8, 1.0)
         state = random_state(grid)
-        out = masked(state, band_mask(1, 8, 8) & ~band_mask(1, 8, 0))
+        out = kept(state, 1, 8)
         expect = state.u_hat.copy()
         expect[0] = 0
         np.testing.assert_array_equal(out.u_hat, expect)
 
     def test_cut_outside_the_band_rejected(self):
+        # the truncation of a nonlinear image takes a cut in [0, band]
         for dim, cut in itertools.product((1, 2), (-1, 9)):
+            state = random_state(sw.make_grid(dim, 8, 1.0))
             with pytest.raises(ValueError, match=rf"cut {cut} outside \[0, 8\]"):
-                band_mask(dim, 8, cut)
+                sw.pseudospectral_apply(np.sin, state.u_hat, cut)
 
     def test_projection_composition(self):
         grid = sw.make_grid(2, 8, 1.0)
         state = random_state(grid, seed=11)
-        cut = functools.partial(band_mask, 2, grid.n_high)
-        a = masked(masked(state, cut(6)), cut(3))
-        b = masked(state, cut(3))
+        a = kept(kept(state, 0, 7), 0, 4)
+        b = kept(state, 0, 4)
         np.testing.assert_array_equal(a.u_hat, b.u_hat)
-        c = masked(state, cut(6) & ~cut(2))
-        d = masked(state, cut(2))
-        np.testing.assert_array_equal(c.u_hat + d.u_hat, masked(state, cut(6)).u_hat)
+        c = kept(state, 3, 7)
+        d = kept(state, 0, 3)
+        np.testing.assert_array_equal(c.u_hat + d.u_hat, kept(state, 0, 7).u_hat)
 
 
 class TestSobolevNorm:
@@ -321,7 +325,7 @@ class TestPseudospectral:
 
     def test_cut_above_the_band_rejected(self):
         state = random_state(sw.make_grid(1, 4, 1.0))
-        with pytest.raises(ValueError, match="exceeds stored band 4"):
+        with pytest.raises(ValueError, match=r"cut 5 outside \[0, 4\]"):
             self.apply(np.sin, state, 5)
 
     def test_non_finite_sample_gives_non_finite_image(self):
@@ -496,14 +500,33 @@ def test_lambda_grid_matches_definition(dim):
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("cut", [0, 3, 6])
 def test_band_mask_matches_definition(dim, cut):
+    # the tests' oracle, and the box the package cuts for it
     mask = band_mask(dim, 6, cut)
     assert mask.shape == (12,) * (dim - 1) + (7,)
     for slot in np.ndindex(mask.shape):
         # the unpaired slots hold -6 on the first axes and +6 on the last
         expect = all(abs(k) <= cut and abs(k) != 6 for k in modes(slot, 6))
         assert mask[slot] == expect, slot
+    box = _keep_shells(np.ones(mask.shape, dtype=bool), dim, 0, min(cut + 1, 6))
+    np.testing.assert_array_equal(box, mask)
 
 
-def test_band_mask_range_check():
-    with pytest.raises(ValueError):
-        band_mask(1, 8, 9)
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("band", [1, 2, 3, 8])
+def test_keep_shells_matches_the_oracle(dim, band):
+    # every 0 <= lo <= hi <= band + 1, on a block with two leading axes: the
+    # slots outside lo <= max_j |k_j| < hi read +0 and every other keeps its
+    # bits, a planted -0 - 1j among them
+    shell = shell_index(dim, band)
+    rng = np.random.default_rng(band)
+    block = (rng.standard_normal((2, 3) + shell.shape)
+             + 1j * rng.standard_normal((2, 3) + shell.shape))
+    block[(1, 2) + (0,) * dim] = complex(-0.0, -1.0)
+    for lo in range(band + 2):
+        for hi in range(lo, band + 2):
+            inside = (lo <= shell) & (shell < hi)
+            got = _keep_shells(block.copy(), dim, lo, hi)
+            expect = np.where(inside, block, 0)
+            np.testing.assert_array_equal(bits(got), bits(expect), err_msg=f"{lo}, {hi}")
+            if inside.flat[0]:
+                assert math.copysign(1.0, got[(1, 2) + (0,) * dim].real) == -1.0
